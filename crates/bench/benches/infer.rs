@@ -8,12 +8,17 @@
 //! scalar/SIMD ratio on AVX2 hosts. The ≤8-bit tiers add a `_widen` twin
 //! that disables the fused multiply-on-packed-codes kernels via
 //! `with_fused_gemm(false)` (the PR 6 decode-then-multiply path), so the
-//! fused speedup is floored within-run too.
+//! fused speedup is floored within-run too. The batch-1 MobileNetV2-block
+//! pair (4-bit packed vs the 32-bit f32 fallback) is the regime where
+//! activation quantize and depthwise — not GEMM — dominate; `bench_check`
+//! ceilings 4-bit at 1.0× the 32-bit forward.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use instantnet_infer::{with_fused_gemm, with_simd_backend, PackedModel, SimdBackend};
+use instantnet_nn::blocks::InvertedResidual;
 use instantnet_nn::layers::{QuantConv2d, QuantLinear};
 use instantnet_nn::{ForwardCtx, Module};
+use instantnet_parallel::with_threads;
 use instantnet_quant::{BitWidthSet, Quantizer};
 use instantnet_tensor::{init, Var};
 use rand::rngs::StdRng;
@@ -116,6 +121,32 @@ fn bench_conv(c: &mut Criterion) {
     c.bench_function("packed_depthwise_4bit_4x32x16x16", |b| {
         b.iter(|| std::hint::black_box(packed_dw.forward_at(0, &xdw)))
     });
+    c.bench_function("packed_depthwise_4bit_4x32x16x16_scalar", |b| {
+        with_simd_backend(SimdBackend::Scalar, || {
+            b.iter(|| std::hint::black_box(packed_dw.forward_at(0, &xdw)))
+        })
+    });
+}
+
+/// One MobileNetV2 inverted-residual block (1×1 expand ×6 → 3×3 depthwise
+/// → 1×1 project, residual) at batch 1 on one kernel thread: the shape a
+/// serving worker runs, where per-forward overheads outweigh the GEMM.
+fn bench_mbv2_block(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let bits = BitWidthSet::new(vec![4, 32]).unwrap();
+    let block = InvertedResidual::new(&mut rng, "block", 16, 16, 6, 3, 1, bits.len());
+    let x = init::uniform(&mut rng, &[1, 16, 16, 16], -0.3, 1.2);
+    let packed = PackedModel::prepack(&block, &bits, Quantizer::Sbm).unwrap();
+    c.bench_function("packed_mbv2_block_4bit_1x16x16x16", |b| {
+        with_threads(1, || {
+            b.iter(|| std::hint::black_box(packed.forward_batch_at(0, &x)))
+        })
+    });
+    c.bench_function("packed_mbv2_block_32bit_1x16x16x16", |b| {
+        with_threads(1, || {
+            b.iter(|| std::hint::black_box(packed.forward_batch_at(1, &x)))
+        })
+    });
 }
 
 fn bench_switch(c: &mut Criterion) {
@@ -137,6 +168,6 @@ fn bench_switch(c: &mut Criterion) {
 criterion_group! {
     name = infer;
     config = Criterion::default().sample_size(20);
-    targets = bench_gemm, bench_conv, bench_switch
+    targets = bench_gemm, bench_conv, bench_mbv2_block, bench_switch
 }
 criterion_main!(infer);

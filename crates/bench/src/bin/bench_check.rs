@@ -22,8 +22,12 @@
 //!   GEMM must not be slower than 8-bit (the precision/latency ordering
 //!   the whole serving stack exploits), and the fused 4-bit GEMM must be
 //!   at least 1.5× the widen-then-multiply 8-bit path (`_widen` twin) —
-//!   the fused multiply-on-packed-codes win. Skipped with a notice on
-//!   non-AVX2 runners, where both sides run the same scalar kernels;
+//!   the fused multiply-on-packed-codes win — and a batch-1 4-bit
+//!   MobileNetV2 block must not be slower than the same block on the
+//!   32-bit f32 fallback (the low-bit network is the cheap one even when
+//!   activation quantize and depthwise, not GEMM, dominate). Skipped with
+//!   a notice on non-AVX2 runners, where both sides run the same scalar
+//!   kernels;
 //! * serving: batch-16 request aggregation must keep at least 2× the
 //!   requests/sec of batch-1 serving on the same 48 requests — if it
 //!   decays, the batching amortization itself (shared weight decode, one
@@ -105,6 +109,71 @@ fn field_num(line: &str, key: &str) -> Option<f64> {
         .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// One within-run check on the ratio of two medians of the same snapshot:
+/// `median[num] / median[den]` must stay at or above `bound` (a speedup
+/// floor) or at or below it (a cost ceiling).
+struct RatioCheck {
+    /// Name in the gated-floor summary (prefixed with the group).
+    gate: &'static str,
+    num: &'static str,
+    den: &'static str,
+    bound: f64,
+    floor: bool,
+}
+
+impl RatioCheck {
+    /// Evaluates the check, printing the verdict and recording a failure
+    /// line and the gate's fate.
+    fn run(
+        &self,
+        group: &str,
+        medians: &HashMap<String, f64>,
+        failures: &mut Vec<String>,
+        gates: &mut Vec<(String, String)>,
+    ) {
+        let file = format!("BENCH_{group}.json");
+        let (kind, cmp, miss) = if self.floor {
+            ("floor", ">=", "<")
+        } else {
+            ("ceiling", "<=", ">")
+        };
+        let fate = match (medians.get(self.num), medians.get(self.den)) {
+            (Some(&num), Some(&den)) => {
+                let (ratio, bound) = (num / den, self.bound);
+                let pass = if self.floor {
+                    ratio >= bound
+                } else {
+                    ratio <= bound
+                };
+                let verdict = if pass { "ok" } else { "REGRESSED" };
+                println!(
+                    "{file}: {} {ratio:>5.2}x ({kind} {bound}x) {verdict}",
+                    self.gate
+                );
+                if pass {
+                    format!("RAN pass ({ratio:.2}x {cmp} {bound}x)")
+                } else {
+                    failures.push(format!(
+                        "{file}: {}: {} is {ratio:.2}x {} ({kind} {bound}x)",
+                        self.gate, self.num, self.den
+                    ));
+                    format!("RAN FAIL ({ratio:.2}x {miss} {bound}x)")
+                }
+            }
+            _ => {
+                let line = format!(
+                    "{file}: {} / {} missing, cannot check {}",
+                    self.num, self.den, self.gate
+                );
+                println!("{line}: REGRESSED");
+                failures.push(line);
+                "RAN FAIL (entries missing)".to_string()
+            }
+        };
+        gates.push((format!("{group}: {}", self.gate), fate));
+    }
 }
 
 fn main() -> ExitCode {
@@ -200,15 +269,45 @@ fn main() -> ExitCode {
     // speedup from machine drift. Only meaningful where the dispatcher
     // actually selects AVX2 — probed here with the same detection macro
     // the engine uses (the checker runs on the same host as the bench).
-    const SIMD_MIN_SPEEDUP: f64 = 1.5;
-    // 4-bit may be at most this much slower than 8-bit: nominally 1.0
-    // (the paper's premise — fewer bits must not run slower), with 5%
-    // slack for runner noise between the two medians.
-    const LOW_BIT_MAX_RATIO: f64 = 1.05;
-    // The fused multiply-on-packed-codes 4-bit GEMM must beat the
-    // widen-then-multiply 8-bit path it replaces by this much — the
-    // low-bit advantage fused kernels exist to deliver.
-    const FUSED_MIN_SPEEDUP: f64 = 1.5;
+    const INFER_CHECKS: [RatioCheck; 4] = [
+        RatioCheck {
+            gate: "SIMD vs scalar 16-bit GEMM",
+            num: "packed_gemm_16bit_64x256x256_scalar",
+            den: "packed_gemm_16bit_64x256x256",
+            bound: 1.5,
+            floor: true,
+        },
+        // 4-bit may be at most this much slower than 8-bit: nominally 1.0
+        // (the paper's premise — fewer bits must not run slower), with 5%
+        // slack for runner noise between the two medians.
+        RatioCheck {
+            gate: "4-bit vs 8-bit GEMM ordering",
+            num: "packed_gemm_4bit_64x256x256",
+            den: "packed_gemm_8bit_64x256x256",
+            bound: 1.05,
+            floor: false,
+        },
+        // The fused multiply-on-packed-codes 4-bit GEMM must beat the
+        // widen-then-multiply 8-bit path it replaces by this much — the
+        // low-bit advantage fused kernels exist to deliver.
+        RatioCheck {
+            gate: "fused 4-bit vs widen 8-bit GEMM",
+            num: "packed_gemm_8bit_64x256x256_widen",
+            den: "packed_gemm_4bit_64x256x256",
+            bound: 1.5,
+            floor: true,
+        },
+        // Batch 1, where per-forward overheads (activation quantize,
+        // depthwise, weight layout) outweigh the GEMM: the packed 4-bit
+        // block must still not be slower than the f32 fallback.
+        RatioCheck {
+            gate: "4-bit vs 32-bit MobileNetV2 block, batch 1",
+            num: "packed_mbv2_block_4bit_1x16x16x16",
+            den: "packed_mbv2_block_32bit_1x16x16x16",
+            bound: 1.0,
+            floor: false,
+        },
+    ];
     let infer_path = current_dir.join("BENCH_infer.json");
     if infer_path.exists() {
         #[cfg(target_arch = "x86_64")]
@@ -218,149 +317,19 @@ fn main() -> ExitCode {
         if !avx2 {
             println!(
                 "BENCH_infer.json: no AVX2 on this runner, skipping SIMD speedup, \
-                 4-vs-8-bit ordering, and fused-GEMM floors (scalar backend on \
-                 both sides)"
+                 4-vs-8-bit ordering, fused-GEMM and 4-vs-32-bit block checks \
+                 (scalar backend on both sides)"
             );
-            let reason = "SKIPPED (no AVX2 on this runner)".to_string();
-            gates.push(("infer: SIMD vs scalar 16-bit GEMM".into(), reason.clone()));
-            gates.push(("infer: 4-bit vs 8-bit GEMM ordering".into(), reason.clone()));
-            gates.push(("infer: fused 4-bit vs widen 8-bit GEMM".into(), reason));
+            for check in &INFER_CHECKS {
+                gates.push((
+                    format!("infer: {}", check.gate),
+                    "SKIPPED (no AVX2 on this runner)".to_string(),
+                ));
+            }
         } else {
             let infer = parse_medians(&infer_path).unwrap();
-            match (
-                infer.get("packed_gemm_16bit_64x256x256_scalar"),
-                infer.get("packed_gemm_16bit_64x256x256"),
-            ) {
-                (Some(&scalar), Some(&simd)) => {
-                    let speedup = scalar / simd;
-                    let verdict = if speedup < SIMD_MIN_SPEEDUP {
-                        failures.push(format!(
-                            "BENCH_infer.json: SIMD 16-bit GEMM only {speedup:.2}x the scalar \
-                             kernels (floor {SIMD_MIN_SPEEDUP}x on AVX2 hosts)"
-                        ));
-                        "REGRESSED"
-                    } else {
-                        "ok"
-                    };
-                    println!(
-                        "BENCH_infer.json: SIMD vs scalar 16-bit GEMM {speedup:>5.2}x \
-                         (floor {SIMD_MIN_SPEEDUP}x) {verdict}"
-                    );
-                    gates.push((
-                        "infer: SIMD vs scalar 16-bit GEMM".into(),
-                        if verdict == "ok" {
-                            format!("RAN pass ({speedup:.2}x >= {SIMD_MIN_SPEEDUP}x)")
-                        } else {
-                            format!("RAN FAIL ({speedup:.2}x < {SIMD_MIN_SPEEDUP}x)")
-                        },
-                    ));
-                }
-                _ => {
-                    failures.push(
-                        "BENCH_infer.json: packed_gemm_16bit_64x256x256[_scalar] missing, \
-                         cannot check SIMD speedup"
-                            .to_string(),
-                    );
-                    println!(
-                        "BENCH_infer.json: packed_gemm_16bit_64x256x256[_scalar] missing, \
-                         cannot check SIMD speedup: REGRESSED"
-                    );
-                    gates.push((
-                        "infer: SIMD vs scalar 16-bit GEMM".into(),
-                        "RAN FAIL (entries missing)".into(),
-                    ));
-                }
-            }
-            match (
-                infer.get("packed_gemm_4bit_64x256x256"),
-                infer.get("packed_gemm_8bit_64x256x256"),
-            ) {
-                (Some(&b4), Some(&b8)) => {
-                    let ratio = b4 / b8;
-                    let verdict = if ratio > LOW_BIT_MAX_RATIO {
-                        failures.push(format!(
-                            "BENCH_infer.json: 4-bit GEMM is {ratio:.2}x the 8-bit GEMM \
-                             (must be no slower than {LOW_BIT_MAX_RATIO}x on AVX2 hosts)"
-                        ));
-                        "REGRESSED"
-                    } else {
-                        "ok"
-                    };
-                    println!(
-                        "BENCH_infer.json: 4-bit vs 8-bit GEMM {ratio:>5.2}x \
-                         (ceiling {LOW_BIT_MAX_RATIO}x) {verdict}"
-                    );
-                    gates.push((
-                        "infer: 4-bit vs 8-bit GEMM ordering".into(),
-                        if verdict == "ok" {
-                            format!("RAN pass ({ratio:.2}x <= {LOW_BIT_MAX_RATIO}x)")
-                        } else {
-                            format!("RAN FAIL ({ratio:.2}x > {LOW_BIT_MAX_RATIO}x)")
-                        },
-                    ));
-                }
-                _ => {
-                    failures.push(
-                        "BENCH_infer.json: packed_gemm_{{4,8}}bit_64x256x256 missing, \
-                         cannot check low-bit ordering"
-                            .to_string(),
-                    );
-                    println!(
-                        "BENCH_infer.json: packed_gemm_{{4,8}}bit_64x256x256 missing, \
-                         cannot check low-bit ordering: REGRESSED"
-                    );
-                    gates.push((
-                        "infer: 4-bit vs 8-bit GEMM ordering".into(),
-                        "RAN FAIL (entries missing)".into(),
-                    ));
-                }
-            }
-            match (
-                infer.get("packed_gemm_4bit_64x256x256"),
-                infer.get("packed_gemm_8bit_64x256x256_widen"),
-            ) {
-                (Some(&fused4), Some(&widen8)) => {
-                    let speedup = widen8 / fused4;
-                    let verdict = if speedup < FUSED_MIN_SPEEDUP {
-                        failures.push(format!(
-                            "BENCH_infer.json: fused 4-bit GEMM only {speedup:.2}x the \
-                             widen-then-multiply 8-bit path (floor {FUSED_MIN_SPEEDUP}x \
-                             on AVX2 hosts)"
-                        ));
-                        "REGRESSED"
-                    } else {
-                        "ok"
-                    };
-                    println!(
-                        "BENCH_infer.json: fused 4-bit vs widen 8-bit GEMM {speedup:>5.2}x \
-                         (floor {FUSED_MIN_SPEEDUP}x) {verdict}"
-                    );
-                    gates.push((
-                        "infer: fused 4-bit vs widen 8-bit GEMM".into(),
-                        if verdict == "ok" {
-                            format!("RAN pass ({speedup:.2}x >= {FUSED_MIN_SPEEDUP}x)")
-                        } else {
-                            format!("RAN FAIL ({speedup:.2}x < {FUSED_MIN_SPEEDUP}x)")
-                        },
-                    ));
-                }
-                _ => {
-                    failures.push(
-                        "BENCH_infer.json: packed_gemm_4bit_64x256x256 / \
-                         packed_gemm_8bit_64x256x256_widen missing, cannot check \
-                         fused-GEMM speedup"
-                            .to_string(),
-                    );
-                    println!(
-                        "BENCH_infer.json: packed_gemm_4bit_64x256x256 / \
-                         packed_gemm_8bit_64x256x256_widen missing, cannot check \
-                         fused-GEMM speedup: REGRESSED"
-                    );
-                    gates.push((
-                        "infer: fused 4-bit vs widen 8-bit GEMM".into(),
-                        "RAN FAIL (entries missing)".into(),
-                    ));
-                }
+            for check in &INFER_CHECKS {
+                check.run("infer", &infer, &mut failures, &mut gates);
             }
         }
     }

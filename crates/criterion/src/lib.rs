@@ -174,6 +174,7 @@ impl Criterion {
 /// Walks up from the current directory to the workspace root (the nearest
 /// ancestor whose `Cargo.toml` declares `[workspace]`); cargo runs bench
 /// binaries from the package directory, not the workspace root.
+#[cfg(not(test))]
 fn snapshot_dir() -> std::path::PathBuf {
     let cwd = std::env::current_dir().unwrap_or_else(|_| ".".into());
     let mut dir = cwd.as_path();
@@ -189,6 +190,15 @@ fn snapshot_dir() -> std::path::PathBuf {
             None => return cwd,
         }
     }
+}
+
+/// The shim's own unit tests snapshot into a per-process temp directory,
+/// so `cargo test` leaves the working tree clean.
+#[cfg(test)]
+fn snapshot_dir() -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("criterion_shim_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    dir
 }
 
 /// Measures closures passed to [`Bencher::iter`].
@@ -327,8 +337,10 @@ mod tests {
 
     #[test]
     fn group_macro_expands_and_runs() {
-        // Writes BENCH_self_check.json as a side effect; exercised for the
-        // macro plumbing, the file itself is the real deliverable.
         self_check();
+        let path = snapshot_dir().join("BENCH_self_check.json");
+        let json = std::fs::read_to_string(&path).expect("the group wrote its snapshot");
+        assert!(json.contains("\"name\": \"tiny_sum\""));
+        std::fs::remove_dir_all(snapshot_dir()).expect("temp snapshot dir is removable");
     }
 }

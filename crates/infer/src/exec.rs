@@ -3,9 +3,10 @@
 //! re-quantization between layers.
 //!
 //! The engine is **batch-aware**: a multi-sample input runs one kernel
-//! invocation per layer — weight rows are decoded once for the whole
-//! batch, per-column activation sums are computed once per (sample,
-//! group) patch matrix, and the parallel split distributes over
+//! invocation per layer — weights are read in their pack-time kernel
+//! layout ([`KernelWeights`]; tier-path rows are decoded once for the
+//! whole batch), per-column activation sums are computed once per
+//! (sample, group) patch matrix, and the parallel split distributes over
 //! `samples × output rows` so small layers still saturate threads.
 //! Because every accumulator tier computes an *exact* sum (integers, or
 //! f32 lanes bounded below 2^24), batching never changes a sample's
@@ -17,10 +18,10 @@
 //! assigns disjoint output slices by index — results are bit-identical at
 //! any thread count.
 
-use crate::{Accum, PackedGemm, PackedOp, Storage};
+use crate::{is_depthwise, Accum, KernelWeights, PackedGemm, PackedOp, Storage};
 use instantnet_nn::layers::Activation;
-use instantnet_parallel::{gate, par_chunks_mut, parallel_map_indexed};
-use instantnet_quant::{BitWidth, Quantizer};
+use instantnet_parallel::{gate, max_threads, par_chunks_mut, parallel_map_indexed};
+use instantnet_quant::{BitWidth, CodeLane, Quantizer};
 use instantnet_tensor::tensor::{im2col, im2col_generic};
 use instantnet_tensor::Tensor;
 
@@ -153,11 +154,10 @@ fn global_avg_pool(x: &Tensor) -> Tensor {
 /// results are independent of the tier's internal order, the batch
 /// packing, and the thread count.
 trait Tier: Sync {
-    type Code: Copy + Default + Send + Sync;
+    type Code: CodeLane + Default;
     type Acc: Copy + Default;
     type Cs: Copy + Default;
 
-    fn code(c: i32) -> Self::Code;
     /// Decodes one weight row of `cols` codes into `out`.
     fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [Self::Code]);
     /// `acc[j] += Σ_p wrow[p] · acts[p · acc.len() + j]`, exactly.
@@ -193,9 +193,6 @@ impl Tier for TierF32 {
     type Acc = f32;
     type Cs = f32;
 
-    fn code(c: i32) -> f32 {
-        c as f32
-    }
     fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [f32]) {
         storage.decode_row_f32(row, cols, out);
     }
@@ -223,9 +220,6 @@ impl Tier for TierI32 {
     // the i64 tier; cheap relative to the multiply loop).
     type Cs = i64;
 
-    fn code(c: i32) -> i32 {
-        c
-    }
     fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [i32]) {
         storage.decode_row(row, cols, out);
     }
@@ -251,9 +245,6 @@ impl Tier for TierI64 {
     type Acc = i64;
     type Cs = i64;
 
-    fn code(c: i32) -> i32 {
-        c
-    }
     fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [i32]) {
         storage.decode_row(row, cols, out);
     }
@@ -397,70 +388,84 @@ pub(crate) fn accumulate_f32_scalar(acc: &mut [f32], wrow: &[f32], acts: &[f32])
 // Batched integer execution
 // ---------------------------------------------------------------------------
 
-/// Quantizes the batch to codes (converted by `conv` into whatever lane
-/// type the caller's kernel consumes) plus one decode scale per sample
-/// (`PerBatch` replicates the single whole-tensor scale). Shared between
-/// the tier path ([`sample_codes`]) and the fused path, which narrows
-/// codes to `i8`/`i16` lanes instead.
-fn sample_codes_as<L: Copy + Send>(
+/// Quantizes the batch to codes in the consuming kernel's lane type `L` —
+/// one pass into one buffer — plus one decode scale per sample (`PerBatch`
+/// replicates the single whole-tensor scale). Shared by the tier path
+/// (`L = T::Code`) and the fused path (`L = F::Lane`).
+fn sample_codes<L: CodeLane + Default>(
     x: &Tensor,
     n: usize,
     sample_len: usize,
     bits: BitWidth,
     quantizer: Quantizer,
     aq: ActQuant,
-    conv: impl Fn(i32) -> L + Sync,
 ) -> (Vec<L>, Vec<f32>) {
+    let mut codes = vec![L::default(); n * sample_len];
+    let mut scales = vec![0.0f32; n];
+    let quantize = |src: &[f32], dst: &mut [L]| {
+        quantizer
+            .activation_codes_into(src, bits, dst)
+            .expect("integer storage implies quantized activations")
+    };
     match aq {
-        ActQuant::PerBatch => {
-            let ac = quantizer
-                .activation_codes(x.data(), bits)
-                .expect("integer storage implies quantized activations");
-            (
-                ac.codes.iter().map(|&v| conv(v)).collect(),
-                vec![ac.scale; n],
-            )
-        }
+        ActQuant::PerBatch => scales.fill(quantize(x.data(), &mut codes)),
         ActQuant::PerSample => {
-            let per = gate(n * sample_len >= PAR_FLOP_THRESHOLD, || {
-                parallel_map_indexed(n, |i| {
-                    quantizer
-                        .activation_codes(&x.data()[i * sample_len..(i + 1) * sample_len], bits)
-                        .expect("integer storage implies quantized activations")
+            // One work item per sample: its scale slot and its code slice.
+            let mut work: Vec<(&mut f32, &mut [L])> = scales
+                .iter_mut()
+                .zip(codes.chunks_mut(sample_len.max(1)))
+                .collect();
+            gate(n * sample_len >= PAR_FLOP_THRESHOLD, || {
+                par_chunks_mut(&mut work, 1, |i, item| {
+                    let (scale, dst) = &mut item[0];
+                    **scale = quantize(&x.data()[i * sample_len..(i + 1) * sample_len], dst);
                 })
             });
-            let mut codes = Vec::with_capacity(n * sample_len);
-            let mut scales = Vec::with_capacity(n);
-            for ac in per {
-                codes.extend(ac.codes.iter().map(|&v| conv(v)));
-                scales.push(ac.scale);
-            }
-            (codes, scales)
         }
     }
+    (codes, scales)
 }
 
-/// Quantizes the batch to tier codes plus per-sample decode scales.
-fn sample_codes<T: Tier>(
-    x: &Tensor,
-    n: usize,
-    sample_len: usize,
-    bits: BitWidth,
-    quantizer: Quantizer,
-    aq: ActQuant,
-) -> (Vec<T::Code>, Vec<f32>) {
-    sample_codes_as(x, n, sample_len, bits, quantizer, aq, T::code)
+/// Runs `f(row, out_row, scratch)` over the `ncols`-wide rows of `out` in
+/// parallel, handing each worker one contiguous run of rows and one
+/// `scratch()` value for the whole run — accumulator buffers are allocated
+/// per worker, not per output row. Rows are disjoint and indexed, so the
+/// result is independent of the thread count.
+fn par_rows<S>(
+    out: &mut [f32],
+    ncols: usize,
+    scratch: impl Fn() -> S + Sync,
+    f: impl Fn(usize, &mut [f32], &mut S) + Sync,
+) {
+    if ncols == 0 {
+        return;
+    }
+    let per_worker = (out.len() / ncols).div_ceil(max_threads()).max(1);
+    par_chunks_mut(out, per_worker * ncols, |ci, run| {
+        let mut s = scratch();
+        for (j, orow) in run.chunks_mut(ncols).enumerate() {
+            f(ci * per_worker + j, orow, &mut s);
+        }
+    });
 }
 
-/// Decodes the whole packed weight matrix once per forward; the decoded
-/// rows are shared by every sample of the batch (and by every chunk of
-/// the parallel GEMM), so decode cost is independent of the batch size.
+/// Decodes the whole packed weight matrix once per forward on the tier
+/// path; the decoded rows are shared by every sample of the batch (and by
+/// every chunk of the parallel GEMM), so decode cost is independent of the
+/// batch size.
 fn decode_all<T: Tier>(storage: &Storage, rows: usize, cols: usize) -> Vec<T::Code> {
     let mut out = vec![T::Code::default(); rows * cols];
     for (row, chunk) in out.chunks_mut(cols).enumerate() {
         T::decode_row(storage, row, cols, chunk);
     }
     out
+}
+
+/// Whether the `[cg·r·s, oh·ow]` patch matrix of a conv *is* its input
+/// block: a 1×1, stride-1, unpadded kernel unfolds to the identity, so the
+/// GEMM reads the code planes in place and `im2col` is skipped.
+fn patches_are_input(r: usize, s: usize, stride: usize, pad: usize) -> bool {
+    r == 1 && s == 1 && stride == 1 && pad == 0
 }
 
 /// Batched integer conv: per-sample activation codes, per-(sample, group)
@@ -492,27 +497,42 @@ fn conv_int<T: Tier>(
     let oh = (h + 2 * pad - r) / stride + 1;
     let ow = (w + 2 * pad - s) / stride + 1;
     let ncols = oh * ow;
-    let chw = c * h * w;
 
-    let (codes, scales) = sample_codes::<T>(x, n, chw, bits, quantizer, aq);
+    let (codes, scales) = sample_codes::<T::Code>(x, n, c * h * w, bits, quantizer, aq);
 
-    if groups == c && cg == 1 && kg == 1 {
-        return conv_dw_int::<T>(gemm, r, s, stride, pad, &codes, &scales, n, c, h, w, oh, ow);
+    if let KernelWeights::Taps(taps) = &gemm.kernel {
+        let tap = |t: usize| T::Code::from_code(taps[t]);
+        return conv_dw::<T>(gemm, tap, r, s, stride, pad, &codes, &scales, dims);
     }
 
     // Patch matrices, one `[cols, ncols]` block per (sample, group).
-    let blocks: Vec<Vec<T::Code>> =
+    let plane = cg * h * w;
+    let patches: Vec<Vec<T::Code>> = if patches_are_input(r, s, stride, pad) {
+        Vec::new()
+    } else {
         gate(n * groups * gemm.cols * ncols >= PAR_FLOP_THRESHOLD, || {
             parallel_map_indexed(n * groups, |e| {
-                let (i, gi) = (e / groups, e % groups);
-                let base = (i * c + gi * cg) * h * w;
-                im2col_generic(&codes[base..base + cg * h * w], cg, h, w, r, s, stride, pad).0
+                im2col_generic(
+                    &codes[e * plane..(e + 1) * plane],
+                    cg,
+                    h,
+                    w,
+                    r,
+                    s,
+                    stride,
+                    pad,
+                )
+                .0
             })
-        });
+        })
+    };
+    let block = |e: usize| match patches.get(e) {
+        Some(b) => &b[..],
+        None => &codes[e * plane..(e + 1) * plane],
+    };
     let colsums: Option<Vec<Vec<f32>>> = gemm.has_offset.then(|| {
-        blocks
-            .iter()
-            .map(|b| T::colsums(b, gemm.cols, ncols))
+        (0..n * groups)
+            .map(|e| T::colsums(block(e), gemm.cols, ncols))
             .collect()
     });
     let wdec = decode_all::<T>(&gemm.storage, k, gemm.cols);
@@ -520,101 +540,131 @@ fn conv_int<T: Tier>(
     let mut out = vec![0.0f32; n * k * ncols];
     let flops = 2 * n * k * gemm.cols * ncols;
     gate(flops >= PAR_FLOP_THRESHOLD, || {
-        par_chunks_mut(&mut out, ncols, |ci, orow| {
-            let (i, row) = (ci / k, ci % k);
-            let gi = row / kg;
-            let block = &blocks[i * groups + gi];
-            let mut acc = vec![T::Acc::default(); ncols];
-            T::accumulate(
-                &mut acc,
-                &wdec[row * gemm.cols..(row + 1) * gemm.cols],
-                block,
-            );
-            let (a, bias, bco, sa) = (
-                gemm.scale[row],
-                gemm.bias[row],
-                gemm.colsum_coef[row],
-                scales[i],
-            );
-            match &colsums {
-                Some(cs) => {
-                    let cs = &cs[i * groups + gi];
-                    for (j, o) in orow.iter_mut().enumerate() {
-                        *o = sa * (a * T::acc_f32(acc[j]) + bco * cs[j]) + bias;
+        par_rows(
+            &mut out,
+            ncols,
+            || vec![T::Acc::default(); ncols],
+            |ci, orow, acc| {
+                let (i, row) = (ci / k, ci % k);
+                let e = i * groups + row / kg;
+                acc.fill(T::Acc::default());
+                T::accumulate(acc, &wdec[row * gemm.cols..(row + 1) * gemm.cols], block(e));
+                let (a, bias, bco, sa) = (
+                    gemm.scale[row],
+                    gemm.bias[row],
+                    gemm.colsum_coef[row],
+                    scales[i],
+                );
+                match &colsums {
+                    Some(cs) => {
+                        let cs = &cs[e];
+                        for (j, o) in orow.iter_mut().enumerate() {
+                            *o = sa * (a * T::acc_f32(acc[j]) + bco * cs[j]) + bias;
+                        }
+                    }
+                    None => {
+                        for (o, &v) in orow.iter_mut().zip(acc.iter()) {
+                            *o = sa * a * T::acc_f32(v) + bias;
+                        }
                     }
                 }
-                None => {
-                    for (o, &v) in orow.iter_mut().zip(&acc) {
-                        *o = sa * a * T::acc_f32(v) + bias;
-                    }
-                }
-            }
-        })
+            },
+        )
     });
     Tensor::from_vec(vec![n, k, oh, ow], out)
 }
 
-/// Depthwise fast path (`groups == channels`): no patch matrix, no
-/// 1-column-per-group GEMM — each (sample, channel) chunk convolves its
-/// input plane directly, accumulating taps in `im2col` row order so the
-/// exact integer result matches the generic path bit for bit.
+/// `dst[j] = f(dst[j], src[j · stride])` — one tap of one output row. The
+/// stride-1 arm is a plain zip the compiler vectorises.
+fn axpy_strided<A: Copy, C: Copy>(dst: &mut [A], src: &[C], stride: usize, f: impl Fn(A, C) -> A) {
+    if stride == 1 {
+        for (o, &v) in dst.iter_mut().zip(src) {
+            *o = f(*o, v);
+        }
+    } else {
+        for (o, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+            *o = f(*o, v);
+        }
+    }
+}
+
+/// Depthwise conv (`groups == channels`): no patch matrix, no
+/// 1-column-per-group GEMM — each (sample, channel) plane is convolved
+/// directly, one tap at a time: tap `(ki, kj)` is a single axpy over the
+/// valid span of every output row (bounds hoisted out of the pixel loop,
+/// contiguous at stride 1). Every pixel still accumulates its taps in
+/// `im2col` row order, so the result matches the generic path bit for bit
+/// — including the f32 fallback, which runs this same loop with
+/// `T = TierF32`, real-valued `tap`s and unit `scales`. The column sum
+/// rides along only for offset-carrying (DoReFa) layers.
 #[allow(clippy::too_many_arguments)]
-fn conv_dw_int<T: Tier>(
+fn conv_dw<T: Tier>(
     gemm: &PackedGemm,
+    tap: impl Fn(usize) -> T::Code + Sync,
     r: usize,
     s: usize,
     stride: usize,
     pad: usize,
     codes: &[T::Code],
     scales: &[f32],
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    oh: usize,
-    ow: usize,
+    dims: &[usize],
 ) -> Tensor {
+    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+    let oh = (h + 2 * pad - r) / stride + 1;
+    let ow = (w + 2 * pad - s) / stride + 1;
     let ncols = oh * ow;
-    let wdec = decode_all::<T>(&gemm.storage, gemm.rows, gemm.cols);
+    // Output positions whose tap `k` lands inside an `len`-long input axis:
+    // 0 ≤ o·stride + k − pad < len.
+    let span = |k: usize, len: usize, olen: usize| {
+        let lo = pad.saturating_sub(k).div_ceil(stride);
+        let hi = (len + pad).saturating_sub(k).div_ceil(stride).min(olen);
+        lo..hi.max(lo)
+    };
     let mut out = vec![0.0f32; n * c * ncols];
     let flops = 2 * n * c * r * s * ncols;
+    let scratch = || {
+        let cs = if gemm.has_offset { ncols } else { 0 };
+        (vec![T::Acc::default(); ncols], vec![T::Cs::default(); cs])
+    };
     gate(flops >= PAR_FLOP_THRESHOLD, || {
-        par_chunks_mut(&mut out, ncols, |ci, orow| {
+        par_rows(&mut out, ncols, scratch, |ci, orow, (acc, cs)| {
             let (i, ch) = (ci / c, ci % c);
-            let plane = &codes[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
-            let wrow = &wdec[ch * gemm.cols..(ch + 1) * gemm.cols];
+            let plane = &codes[ci * h * w..(ci + 1) * h * w];
+            acc.fill(T::Acc::default());
+            cs.fill(T::Cs::default());
+            for ki in 0..r {
+                for kj in 0..s {
+                    let wv = tap(ch * r * s + ki * s + kj);
+                    let xs = span(kj, w, ow);
+                    if xs.is_empty() {
+                        continue;
+                    }
+                    let ix0 = xs.start * stride + kj - pad;
+                    for oy in span(ki, h, oh) {
+                        let src = &plane[(oy * stride + ki - pad) * w + ix0..];
+                        let at = oy * ow;
+                        let dst = &mut acc[at + xs.start..at + xs.end];
+                        axpy_strided(dst, src, stride, |o, v| T::mad(o, wv, v));
+                        if gemm.has_offset {
+                            let dst = &mut cs[at + xs.start..at + xs.end];
+                            axpy_strided(dst, src, stride, T::cs_add);
+                        }
+                    }
+                }
+            }
             let (a, bias, bco, sa) = (
                 gemm.scale[ch],
                 gemm.bias[ch],
                 gemm.colsum_coef[ch],
                 scales[i],
             );
-            let mut jp = 0usize;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = T::Acc::default();
-                    let mut cs = T::Cs::default();
-                    for ki in 0..r {
-                        let iy = (oy * stride + ki) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kj in 0..s {
-                            let ix = (ox * stride + kj) as isize - pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let av = plane[iy as usize * w + ix as usize];
-                            acc = T::mad(acc, wrow[ki * s + kj], av);
-                            cs = T::cs_add(cs, av);
-                        }
-                    }
-                    orow[jp] = if gemm.has_offset {
-                        sa * (a * T::acc_f32(acc) + bco * T::cs_f32(cs)) + bias
-                    } else {
-                        sa * a * T::acc_f32(acc) + bias
-                    };
-                    jp += 1;
+            if gemm.has_offset {
+                for (j, o) in orow.iter_mut().enumerate() {
+                    *o = sa * (a * T::acc_f32(acc[j]) + bco * T::cs_f32(cs[j])) + bias;
+                }
+            } else {
+                for (o, &v) in orow.iter_mut().zip(acc.iter()) {
+                    *o = sa * a * T::acc_f32(v) + bias;
                 }
             }
         })
@@ -633,7 +683,7 @@ fn linear_int<T: Tier>(
     aq: ActQuant,
 ) -> Tensor {
     let (n, f) = (x.dims()[0], x.dims()[1]);
-    let (codes, scales) = sample_codes::<T>(x, n, f, bits, quantizer, aq);
+    let (codes, scales) = sample_codes::<T::Code>(x, n, f, bits, quantizer, aq);
     // Per-sample colsum = the transposed GEMM's per-column sum.
     let colsums: Option<Vec<f32>> = g.has_offset.then(|| {
         (0..n)
@@ -654,12 +704,12 @@ fn linear_int<T: Tier>(
     }
     let mut tmp = vec![0.0f32; g.rows * n];
     let flops = 2 * g.rows * f * n;
+    let scratch = || (vec![T::Code::default(); f], vec![T::Acc::default(); n]);
     gate(flops >= PAR_FLOP_THRESHOLD, || {
-        par_chunks_mut(&mut tmp, n, |row, orow| {
-            let mut wrow = vec![T::Code::default(); f];
-            T::decode_row(&g.storage, row, f, &mut wrow);
-            let mut acc = vec![T::Acc::default(); n];
-            T::accumulate(&mut acc, &wrow, &tcodes);
+        par_rows(&mut tmp, n, scratch, |row, orow, (wrow, acc)| {
+            T::decode_row(&g.storage, row, f, wrow);
+            acc.fill(T::Acc::default());
+            T::accumulate(acc, wrow, &tcodes);
             let (a, bias, bco) = (g.scale[row], g.bias[row], g.colsum_coef[row]);
             match &colsums {
                 Some(cs) => {
@@ -688,59 +738,39 @@ fn linear_int<T: Tier>(
 // Fused low-bit execution (≤ 8-bit storage: multiply on packed codes)
 // ---------------------------------------------------------------------------
 
-/// One fused-kernel flavour: which lane type activations narrow to, how
-/// many reduction rows pack into one weight word, and how the word is
-/// built. The fused kernels multiply directly on (re-)packed codes —
-/// nibble weights ride as `w + 8 ∈ [0, 15]` unsigned bytes so they can sit
-/// on `maddubs`' unsigned operand, and the shift is undone by an exact
-/// integer `-8·colsum` correction before dequant (DESIGN.md §6g has the
-/// overflow-bound argument; `PackedGemm::fused` gates eligibility at pack
-/// time).
-trait FusedTier {
-    /// Narrowed activation lane: `i8` for nibble weights (|a| ≤ 15 at
-    /// ≤ 4 bits), `i16` for i8 weights (|a| ≤ 255 at ≤ 8 bits).
-    type Lane: Copy + Default + Send + Sync + Into<i32>;
+/// One fused-kernel flavour: which lane type activations are emitted in
+/// and how many reduction rows share one pack-time weight word
+/// (`pack::pack_words`). The fused kernels multiply directly on packed
+/// codes — nibble weights ride as `w + 8 ∈ [0, 15]` unsigned bytes so they
+/// can sit on `maddubs`' unsigned operand, and the shift is undone by an
+/// exact integer `-8·colsum` correction before dequant (DESIGN.md §6g has
+/// the overflow-bound argument; pack time gates eligibility).
+pub(crate) trait FusedTier {
+    /// Activation lane: `i8` for nibble weights (|a| ≤ 15 at ≤ 4 bits),
+    /// `i16` for i8 weights (|a| ≤ 255 at ≤ 8 bits).
+    type Lane: CodeLane + Default + Into<i32>;
     /// Reduction rows per packed weight word (4 bytes / 2 i16 halves).
     const GROUP: usize;
     /// Shift added to every weight code at word-pack time; the kernel's
     /// accumulator is off by `WEIGHT_BIAS · colsum` per column, which the
     /// driver subtracts exactly in i32.
     const WEIGHT_BIAS: i32;
-    fn lane(code: i32) -> Self::Lane;
     /// The active backend's fused kernel, or `None` (scalar backend) —
     /// callers fall back to the decode-then-multiply tier path.
     fn kernel() -> Option<crate::simd::FusedKernel<Self::Lane>>;
-    /// Packs one decoded weight row (plus `WEIGHT_BIAS`) into
-    /// [`Self::GROUP`]-wide little-endian words; the final partial word
-    /// pads with shifted-zero codes, which meet only zero-padded
-    /// activation lanes.
-    fn pack_wrow(wrow: &[i32], out: &mut Vec<u32>);
 }
 
 /// Nibble storage (≤ 4-bit weights): `maddubs`-class kernels.
-struct FusedNibble;
+pub(crate) struct FusedNibble;
 /// I8 storage (5–8-bit weights): `madd`-on-i16-pairs kernels.
-struct FusedI8;
+pub(crate) struct FusedI8;
 
 impl FusedTier for FusedNibble {
     type Lane = i8;
     const GROUP: usize = 4;
     const WEIGHT_BIAS: i32 = 8;
-    fn lane(code: i32) -> i8 {
-        code as i8
-    }
     fn kernel() -> Option<crate::simd::FusedKernel<i8>> {
         crate::simd::kernels().gemm_nibble
-    }
-    fn pack_wrow(wrow: &[i32], out: &mut Vec<u32>) {
-        for quad in wrow.chunks(4) {
-            let mut word = 0u32;
-            for (k, &c) in quad.iter().enumerate() {
-                // Codes sit in [-8, 7], so w + 8 ∈ [0, 15] fits unsigned.
-                word |= (((c + 8) as u8) as u32) << (8 * k);
-            }
-            out.push(word);
-        }
     }
 }
 
@@ -748,18 +778,8 @@ impl FusedTier for FusedI8 {
     type Lane = i16;
     const GROUP: usize = 2;
     const WEIGHT_BIAS: i32 = 0;
-    fn lane(code: i32) -> i16 {
-        code as i16
-    }
     fn kernel() -> Option<crate::simd::FusedKernel<i16>> {
         crate::simd::kernels().gemm_i8
-    }
-    fn pack_wrow(wrow: &[i32], out: &mut Vec<u32>) {
-        for pair in wrow.chunks(2) {
-            let lo = u32::from(pair[0] as i16 as u16);
-            let hi = pair.get(1).map_or(0, |&c| u32::from(c as i16 as u16));
-            out.push(lo | (hi << 16));
-        }
     }
 }
 
@@ -784,7 +804,8 @@ fn interleave_block<L: Copy + Default>(block: &[L], rows: usize, ncols: usize, g
 
 /// Exact i32 per-column sums of an interleaved block (zero padding adds
 /// nothing). Feeds the `-WEIGHT_BIAS·colsum` re-centering correction and
-/// the offset dequant term; `PackedGemm::fused` guarantees the sums fit.
+/// the offset dequant term; pack time builds fused words only for layers
+/// whose sums fit.
 fn colsums_i32<L: Copy + Into<i32>>(inter: &[L], ncols: usize, g: usize) -> Vec<i32> {
     let mut cs = vec![0i32; ncols];
     for gchunk in inter.chunks(g * ncols) {
@@ -797,32 +818,20 @@ fn colsums_i32<L: Copy + Into<i32>>(inter: &[L], ncols: usize, g: usize) -> Vec<
     cs
 }
 
-/// Decodes and word-packs the whole weight matrix once per forward
-/// (mirrors [`decode_all`]: the words are shared by every sample and every
-/// parallel chunk). Each row spans `cols.div_ceil(GROUP)` words.
-fn pack_weight_words<F: FusedTier>(storage: &Storage, rows: usize, cols: usize) -> Vec<u32> {
-    let mut wrow = vec![0i32; cols];
-    let mut out = Vec::with_capacity(rows * cols.div_ceil(F::GROUP));
-    for row in 0..rows {
-        storage.decode_row(row, cols, &mut wrow);
-        F::pack_wrow(&wrow, &mut out);
-    }
-    out
-}
-
 /// Fused ≤ 8-bit conv: same structure as [`conv_int`], but the GEMM
-/// multiplies on packed codes — activations narrow to the storage-matched
-/// lane type and interleave once per (sample, group), weights word-pack
-/// once per forward. Returns `None` when the active backend has no fused
-/// kernel or the layer shape is depthwise (no patch matrix to fuse over);
-/// the caller falls back to the tier path. Bit-identity with that path:
-/// the kernel accumulates the exact integer sum (`PackedGemm::fused`
-/// bounds it inside i32), the correction is exact integer arithmetic, and
-/// the dequant expressions below match the tier path's term for term with
+/// multiplies on packed codes — activations are emitted in the
+/// storage-matched lane type and interleaved once per (sample, group)
+/// (straight from the code planes for 1×1 convs), weights are the
+/// pack-time `wwords`. Returns `None` when the active backend has no fused
+/// kernel; the caller falls back to the tier path. Bit-identity with that
+/// path: the kernel accumulates the exact integer sum (pack time bounds it
+/// inside i32), the correction is exact integer arithmetic, and the
+/// dequant expressions below match the tier path's term for term with
 /// `i32 → f32` casts that round identically to every tier's `acc_f32`.
 #[allow(clippy::too_many_arguments)]
 fn conv_fused<F: FusedTier>(
     gemm: &PackedGemm,
+    wwords: &[u32],
     cg: usize,
     r: usize,
     s: usize,
@@ -839,26 +848,26 @@ fn conv_fused<F: FusedTier>(
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
     let k = gemm.rows;
     let kg = k / groups;
-    if groups == c && cg == 1 && kg == 1 {
-        return None;
-    }
     let oh = (h + 2 * pad - r) / stride + 1;
     let ow = (w + 2 * pad - s) / stride + 1;
     let ncols = oh * ow;
-    let chw = c * h * w;
 
-    let (codes, scales) = sample_codes_as(x, n, chw, bits, quantizer, aq, F::lane);
+    let (codes, scales) = sample_codes::<F::Lane>(x, n, c * h * w, bits, quantizer, aq);
 
     // The nibble correction needs column sums even for symmetric codes.
     let need_cs = F::WEIGHT_BIAS != 0 || gemm.has_offset;
+    let plane = cg * h * w;
+    let unfold = !patches_are_input(r, s, stride, pad);
     let blocks: Vec<(Vec<F::Lane>, Vec<i32>)> =
         gate(n * groups * gemm.cols * ncols >= PAR_FLOP_THRESHOLD, || {
             parallel_map_indexed(n * groups, |e| {
-                let (i, gi) = (e / groups, e % groups);
-                let base = (i * c + gi * cg) * h * w;
-                let (block, _, _) =
-                    im2col_generic(&codes[base..base + cg * h * w], cg, h, w, r, s, stride, pad);
-                let inter = interleave_block(&block, gemm.cols, ncols, F::GROUP);
+                let input = &codes[e * plane..(e + 1) * plane];
+                let inter = if unfold {
+                    let (block, _, _) = im2col_generic(input, cg, h, w, r, s, stride, pad);
+                    interleave_block(&block, gemm.cols, ncols, F::GROUP)
+                } else {
+                    interleave_block(input, gemm.cols, ncols, F::GROUP)
+                };
                 let cs = if need_cs {
                     colsums_i32(&inter, ncols, F::GROUP)
                 } else {
@@ -867,44 +876,47 @@ fn conv_fused<F: FusedTier>(
                 (inter, cs)
             })
         });
-    let wwords = pack_weight_words::<F>(&gemm.storage, k, gemm.cols);
     let wstride = gemm.cols.div_ceil(F::GROUP);
 
     let mut out = vec![0.0f32; n * k * ncols];
     let flops = 2 * n * k * gemm.cols * ncols;
     gate(flops >= PAR_FLOP_THRESHOLD, || {
-        par_chunks_mut(&mut out, ncols, |ci, orow| {
-            let (i, row) = (ci / k, ci % k);
-            let gi = row / kg;
-            let (block, cs) = &blocks[i * groups + gi];
-            let mut acc = vec![0i32; ncols];
-            kernel(
-                &mut acc,
-                &wwords[row * wstride..(row + 1) * wstride],
-                block,
-                ncols,
-            );
-            if F::WEIGHT_BIAS != 0 {
-                for (a, &c) in acc.iter_mut().zip(cs.iter()) {
-                    *a -= F::WEIGHT_BIAS * c;
+        par_rows(
+            &mut out,
+            ncols,
+            || vec![0i32; ncols],
+            |ci, orow, acc| {
+                let (i, row) = (ci / k, ci % k);
+                let (block, cs) = &blocks[i * groups + row / kg];
+                acc.fill(0);
+                kernel(
+                    acc,
+                    &wwords[row * wstride..(row + 1) * wstride],
+                    block,
+                    ncols,
+                );
+                if F::WEIGHT_BIAS != 0 {
+                    for (a, &c) in acc.iter_mut().zip(cs.iter()) {
+                        *a -= F::WEIGHT_BIAS * c;
+                    }
                 }
-            }
-            let (a, bias, bco, sa) = (
-                gemm.scale[row],
-                gemm.bias[row],
-                gemm.colsum_coef[row],
-                scales[i],
-            );
-            if gemm.has_offset {
-                for (j, o) in orow.iter_mut().enumerate() {
-                    *o = sa * (a * acc[j] as f32 + bco * cs[j] as f32) + bias;
+                let (a, bias, bco, sa) = (
+                    gemm.scale[row],
+                    gemm.bias[row],
+                    gemm.colsum_coef[row],
+                    scales[i],
+                );
+                if gemm.has_offset {
+                    for (j, o) in orow.iter_mut().enumerate() {
+                        *o = sa * (a * acc[j] as f32 + bco * cs[j] as f32) + bias;
+                    }
+                } else {
+                    for (o, &v) in orow.iter_mut().zip(acc.iter()) {
+                        *o = sa * a * v as f32 + bias;
+                    }
                 }
-            } else {
-                for (o, &v) in orow.iter_mut().zip(&acc) {
-                    *o = sa * a * v as f32 + bias;
-                }
-            }
-        })
+            },
+        )
     });
     Some(Tensor::from_vec(vec![n, k, oh, ow], out))
 }
@@ -915,6 +927,7 @@ fn conv_fused<F: FusedTier>(
 /// [`conv_fused`].
 fn linear_fused<F: FusedTier>(
     g: &PackedGemm,
+    wwords: &[u32],
     x: &Tensor,
     bits: BitWidth,
     quantizer: Quantizer,
@@ -922,7 +935,7 @@ fn linear_fused<F: FusedTier>(
 ) -> Option<Tensor> {
     let kernel = F::kernel()?;
     let (n, f) = (x.dims()[0], x.dims()[1]);
-    let (codes, scales) = sample_codes_as(x, n, f, bits, quantizer, aq, F::lane);
+    let (codes, scales) = sample_codes::<F::Lane>(x, n, f, bits, quantizer, aq);
 
     let fgroups = f.div_ceil(F::GROUP);
     let mut inter = vec![F::Lane::default(); fgroups * F::GROUP * n];
@@ -939,36 +952,35 @@ fn linear_fused<F: FusedTier>(
     } else {
         Vec::new()
     };
-    let wwords = pack_weight_words::<F>(&g.storage, g.rows, f);
     let wstride = f.div_ceil(F::GROUP);
 
     let mut tmp = vec![0.0f32; g.rows * n];
     let flops = 2 * g.rows * f * n;
     gate(flops >= PAR_FLOP_THRESHOLD, || {
-        par_chunks_mut(&mut tmp, n, |row, orow| {
-            let mut acc = vec![0i32; n];
-            kernel(
-                &mut acc,
-                &wwords[row * wstride..(row + 1) * wstride],
-                &inter,
-                n,
-            );
-            if F::WEIGHT_BIAS != 0 {
-                for (a, &c) in acc.iter_mut().zip(&cs) {
-                    *a -= F::WEIGHT_BIAS * c;
+        par_rows(
+            &mut tmp,
+            n,
+            || vec![0i32; n],
+            |row, orow, acc| {
+                acc.fill(0);
+                kernel(acc, &wwords[row * wstride..(row + 1) * wstride], &inter, n);
+                if F::WEIGHT_BIAS != 0 {
+                    for (a, &c) in acc.iter_mut().zip(&cs) {
+                        *a -= F::WEIGHT_BIAS * c;
+                    }
                 }
-            }
-            let (a, bias, bco) = (g.scale[row], g.bias[row], g.colsum_coef[row]);
-            if g.has_offset {
-                for (i, o) in orow.iter_mut().enumerate() {
-                    *o = scales[i] * (a * acc[i] as f32 + bco * cs[i] as f32) + bias;
+                let (a, bias, bco) = (g.scale[row], g.bias[row], g.colsum_coef[row]);
+                if g.has_offset {
+                    for (i, o) in orow.iter_mut().enumerate() {
+                        *o = scales[i] * (a * acc[i] as f32 + bco * cs[i] as f32) + bias;
+                    }
+                } else {
+                    for (i, o) in orow.iter_mut().enumerate() {
+                        *o = scales[i] * a * acc[i] as f32 + bias;
+                    }
                 }
-            } else {
-                for (i, o) in orow.iter_mut().enumerate() {
-                    *o = scales[i] * a * acc[i] as f32 + bias;
-                }
-            }
-        })
+            },
+        )
     });
     let mut out = vec![0.0f32; n * g.rows];
     for kk in 0..g.rows {
@@ -1038,13 +1050,14 @@ fn exec_conv(
     assert_eq!(c, cg * groups, "conv input channel mismatch");
 
     if gemm.storage.is_integer() {
-        if gemm.fused && crate::simd::fused_gemm_enabled() {
+        if let (KernelWeights::Words(ww), true) = (&gemm.kernel, crate::simd::fused_gemm_enabled())
+        {
             let fused = match &gemm.storage {
                 Storage::Nibble(_) => conv_fused::<FusedNibble>(
-                    gemm, cg, r, s, stride, pad, groups, x, bits, quantizer, aq,
+                    gemm, ww, cg, r, s, stride, pad, groups, x, bits, quantizer, aq,
                 ),
                 Storage::I8(_) => conv_fused::<FusedI8>(
-                    gemm, cg, r, s, stride, pad, groups, x, bits, quantizer, aq,
+                    gemm, ww, cg, r, s, stride, pad, groups, x, bits, quantizer, aq,
                 ),
                 _ => None,
             };
@@ -1080,40 +1093,11 @@ fn exec_conv(
         x.clone()
     };
 
-    if groups == c && cg == 1 && kg == 1 {
-        // Depthwise fast path, f32 flavour: direct per-plane taps instead
-        // of c one-row GEMMs over 1-channel patch matrices.
-        let mut out = vec![0.0f32; n * k * ncols];
-        gate(flops >= PAR_FLOP_THRESHOLD, || {
-            par_chunks_mut(&mut out, ncols, |ci, orow| {
-                let (i, ch) = (ci / c, ci % c);
-                let plane = &xq.data()[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
-                let wrow = &wdata[ch * gemm.cols..(ch + 1) * gemm.cols];
-                let (a, bias) = (gemm.scale[ch], gemm.bias[ch]);
-                let mut jp = 0usize;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0f32;
-                        for ki in 0..r {
-                            let iy = (oy * stride + ki) as isize - pad as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kj in 0..s {
-                                let ix = (ox * stride + kj) as isize - pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                acc += wrow[ki * s + kj] * plane[iy as usize * w + ix as usize];
-                            }
-                        }
-                        orow[jp] = a * acc + bias;
-                        jp += 1;
-                    }
-                }
-            })
-        });
-        return Tensor::from_vec(vec![n, k, oh, ow], out);
+    if is_depthwise(cg, k, groups) {
+        // The integer depthwise loop on f32 lanes: real-valued taps, no
+        // activation scale to undo, no offset.
+        let tap = |t: usize| wdata[t];
+        return conv_dw::<TierF32>(gemm, tap, r, s, stride, pad, xq.data(), &vec![1.0; n], dims);
     }
 
     let wgs: Vec<Tensor> = (0..groups)
@@ -1175,10 +1159,10 @@ fn exec_linear(
     assert_eq!(f, g.cols, "linear in-feature mismatch");
 
     if g.storage.is_integer() {
-        if g.fused && crate::simd::fused_gemm_enabled() {
+        if let (KernelWeights::Words(ww), true) = (&g.kernel, crate::simd::fused_gemm_enabled()) {
             let fused = match &g.storage {
-                Storage::Nibble(_) => linear_fused::<FusedNibble>(g, x, bits, quantizer, aq),
-                Storage::I8(_) => linear_fused::<FusedI8>(g, x, bits, quantizer, aq),
+                Storage::Nibble(_) => linear_fused::<FusedNibble>(g, ww, x, bits, quantizer, aq),
+                Storage::I8(_) => linear_fused::<FusedI8>(g, ww, x, bits, quantizer, aq),
                 _ => None,
             };
             if let Some(y) = fused {
@@ -1219,3 +1203,6 @@ fn exec_linear(
     }
     Tensor::from_vec(vec![n, g.rows], out)
 }
+
+#[cfg(test)]
+mod tests;

@@ -16,8 +16,15 @@
 //! * A runtime bit-width switch ([`PackedModel::switch_to`]) just moves the
 //!   active-network index into the prebuilt table: no per-element weight
 //!   work (asserted by tests against [`PackedModel::pack_passes`]).
+//! * The same pass lays weights out the way the kernels read them
+//!   ([`KernelWeights`]): fused `u32` weight words for ≤ 8-bit layers on
+//!   CPUs with a fused kernel, the decoded tap table for depthwise layers.
+//!   A forward on those layers touches no weight-layout code at all; only
+//!   the decode-then-multiply tier path (9–16-bit layers, and the portable
+//!   fallback of fused layers) still decodes `Storage` rows as it goes.
 //! * Forwards quantize activations to integer codes between layers with
-//!   the exact SBM/DoReFa grids from `instantnet-quant`, then run
+//!   the exact SBM/DoReFa grids from `instantnet-quant` — one pass,
+//!   emitted directly in the consuming kernel's lane type — then run
 //!   i32-accumulate (i64 for 9–16 bit) GEMM and im2col-conv kernels,
 //!   row-parallel via `instantnet-parallel`. Integer accumulation is
 //!   exact, so results are bit-identical at any thread count.
@@ -278,11 +285,45 @@ pub struct PackedGemm {
     pub has_offset: bool,
     /// Overflow-safe accumulator tier for this layer.
     pub accum: Accum,
-    /// Whether this layer may route through the fused ≤ 8-bit kernels
-    /// (nibble/i8 storage whose shifted-code accumulation bound fits i32;
-    /// see `pack.rs`). The backend must also provide a fused kernel —
-    /// scalar dispatch always takes the decode-then-multiply tier path.
-    pub fused: bool,
+    /// The weights in the layout the layer's kernel reads, built once at
+    /// pack time.
+    pub kernel: KernelWeights,
+}
+
+/// Kernel-layout weights derived from the quantizer's codes at pack time,
+/// so a forward does no weight-layout work.
+#[derive(Debug, Clone)]
+pub enum KernelWeights {
+    /// Nothing beyond [`PackedGemm::storage`]: the tier path decodes rows
+    /// as it multiplies.
+    Decode,
+    /// Fused ≤ 8-bit GEMM words, `cols.div_ceil(group)` per row: four
+    /// `w + 8` bytes (nibble storage) or two `i16` codes (i8 storage) per
+    /// `u32`. Present when the shifted-code accumulation bound fits i32
+    /// (`pack.rs`) *and* this CPU has a fused kernel; the scalar backend
+    /// and [`with_fused_gemm`]`(false)` ignore them and decode `storage`.
+    Words(Vec<u32>),
+    /// Depthwise tap table: the `channels × r·s` re-centered codes,
+    /// decoded. Depthwise layers never read `storage` in a forward.
+    Taps(Vec<i32>),
+}
+
+impl KernelWeights {
+    /// Bytes held on top of the layer's [`Storage`].
+    pub fn bytes(&self) -> usize {
+        match self {
+            KernelWeights::Decode => 0,
+            KernelWeights::Words(w) => 4 * w.len(),
+            KernelWeights::Taps(t) => 4 * t.len(),
+        }
+    }
+}
+
+/// Whether a conv is depthwise (one input channel and one filter per
+/// group) — the shape `pack` builds a tap table for and `exec` convolves
+/// plane by plane instead of through a patch matrix.
+pub(crate) fn is_depthwise(cg: usize, filters: usize, groups: usize) -> bool {
+    cg == 1 && filters == groups
 }
 
 /// One executable operation of a packed network.
@@ -489,11 +530,14 @@ impl PackedModel {
         Arc::ptr_eq(&self.nets, &other.nets)
     }
 
-    /// Total bytes of packed weight storage across all bit-widths.
+    /// Total bytes of packed weights across all bit-widths: the storage
+    /// codes plus the kernel-layout copies built beside them.
     pub fn packed_bytes(&self) -> usize {
         fn op_bytes(op: &PackedOp) -> usize {
             match op {
-                PackedOp::Conv { gemm, .. } | PackedOp::Linear { gemm } => gemm.storage.bytes(),
+                PackedOp::Conv { gemm, .. } | PackedOp::Linear { gemm } => {
+                    gemm.storage.bytes() + gemm.kernel.bytes()
+                }
                 PackedOp::Residual { body, shortcut, .. } => {
                     body.iter().map(op_bytes).sum::<usize>()
                         + shortcut.iter().map(op_bytes).sum::<usize>()
@@ -596,7 +640,8 @@ impl PackedModel {
     /// bit-identical to a batch-of-one forward of that sample — requests
     /// aggregated by the serving queue cannot observe their batch-mates,
     /// at any bit-width and any thread count. The batch still shares all
-    /// fixed per-forward costs: weights are decoded once per layer,
+    /// fixed per-forward costs: weights are read in their pack-time
+    /// kernel layout (or decoded once per layer on the tier path),
     /// `im2col` patch matrices and column sums are built in one pass, and
     /// one parallel region covers `samples × output rows`.
     ///
@@ -825,6 +870,83 @@ mod tests {
         // Independently packed models do not share tables.
         let other = PackedModel::prepack(&net, &bits, Quantizer::Sbm).unwrap();
         assert!(!packed.shares_packed_tables(&other));
+    }
+
+    /// Every GEMM of every packed net, residual branches flattened.
+    fn gemms(ops: &[PackedOp]) -> Vec<(&PackedGemm, bool)> {
+        ops.iter()
+            .flat_map(|op| match op {
+                PackedOp::Conv {
+                    gemm, cg, groups, ..
+                } => vec![(gemm, is_depthwise(*cg, gemm.rows, *groups))],
+                PackedOp::Linear { gemm } => vec![(gemm, false)],
+                PackedOp::Residual { body, shortcut, .. } => {
+                    [gemms(body), gemms(shortcut)].concat()
+                }
+                _ => Vec::new(),
+            })
+            .collect()
+    }
+
+    /// The kernel-layout weights are built once, at pack time, in exactly
+    /// the layout the kernels read — re-derived here the slow way from
+    /// the decoded storage rows — and `packed_bytes` counts them.
+    #[test]
+    fn kernel_layout_weights_are_built_at_pack_time() {
+        let bits = BitWidthSet::large_range();
+        let net = models::mobilenet_v2(0.25, 2, 10, (16, 16), bits.len(), 9);
+        for q in [Quantizer::Sbm, Quantizer::Dorefa] {
+            let packed = PackedModel::prepack(&net, &bits, q).unwrap();
+            let can_fuse = avx2_available() || neon_available();
+            let (mut bytes, mut words, mut taps) = (0usize, 0usize, 0usize);
+            for net in packed.nets.iter() {
+                for (g, depthwise) in gemms(&net.ops) {
+                    bytes += g.storage.bytes() + g.kernel.bytes();
+                    if !g.storage.is_integer() {
+                        assert!(matches!(g.kernel, KernelWeights::Decode));
+                        continue;
+                    }
+                    let mut d = vec![0i32; g.rows * g.cols];
+                    for (row, out) in d.chunks_mut(g.cols).enumerate() {
+                        g.storage.decode_row_scalar(row, g.cols, out);
+                    }
+                    let nibble = matches!(g.storage, Storage::Nibble(_));
+                    match &g.kernel {
+                        KernelWeights::Taps(t) => {
+                            assert!(depthwise);
+                            assert_eq!(t, &d, "taps are the decoded codes");
+                            taps += 1;
+                        }
+                        KernelWeights::Words(w) => {
+                            assert!(can_fuse && !depthwise && net.bits.get() <= 8);
+                            let want: Vec<u32> = d
+                                .chunks(g.cols)
+                                .flat_map(|row| row.chunks(if nibble { 4 } else { 2 }))
+                                .map(|lanes| {
+                                    let mut word = 0u32;
+                                    for (k, &c) in lanes.iter().enumerate() {
+                                        word |= if nibble {
+                                            u32::from((c + 8) as u8) << (8 * k)
+                                        } else {
+                                            u32::from(c as i16 as u16) << (16 * k)
+                                        };
+                                    }
+                                    word
+                                })
+                                .collect();
+                            assert_eq!(w, &want, "{q:?} @ {}: fused words", net.bits);
+                            words += 1;
+                        }
+                        KernelWeights::Decode => {
+                            assert!(!depthwise && (net.bits.get() > 8 || !can_fuse));
+                        }
+                    }
+                }
+            }
+            assert_eq!(packed.packed_bytes(), bytes);
+            assert!(taps > 0, "the model has depthwise layers");
+            assert_eq!(words > 0, can_fuse, "words exist iff the CPU can fuse");
+        }
     }
 
     #[test]

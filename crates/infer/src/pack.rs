@@ -1,7 +1,9 @@
 //! Plan-to-packed compilation: weight code generation, BN folding, and
 //! storage-tier selection, performed once per bit-width at construction.
 
-use crate::{Accum, InferError, PackedGemm, PackedOp, Storage};
+use crate::exec::{FusedI8, FusedNibble, FusedTier};
+use crate::simd::{avx2_available, neon_available};
+use crate::{is_depthwise, Accum, InferError, KernelWeights, PackedGemm, PackedOp, Storage};
 use instantnet_nn::plan::PlanOp;
 use instantnet_quant::{BitWidth, Quantizer};
 use instantnet_tensor::Tensor;
@@ -55,9 +57,28 @@ fn act_code_abs_max(bits: BitWidth) -> i64 {
     (1i64 << i64::from(bits.get().min(31))) - 1
 }
 
+/// Word-packs re-centered codes `d` (`[rows, cols]`) for the fused tier
+/// `F`: [`FusedTier::GROUP`] reduction lanes per little-endian `u32`, each
+/// shifted by [`FusedTier::WEIGHT_BIAS`]. A row's final partial word keeps
+/// its missing lanes zero; they meet only zero-padded activation lanes.
+fn pack_words<F: FusedTier>(d: &[i32], cols: usize) -> Vec<u32> {
+    let lane_bits = 32 / F::GROUP;
+    let mask = u32::MAX >> (32 - lane_bits);
+    d.chunks(cols)
+        .flat_map(|row| row.chunks(F::GROUP))
+        .map(|lanes| {
+            lanes.iter().enumerate().fold(0u32, |word, (k, &c)| {
+                word | ((((c + F::WEIGHT_BIAS) as u32) & mask) << (lane_bits * k))
+            })
+        })
+        .collect()
+}
+
 /// Packs one weight matrix (+ optional folded BN / linear bias) for one
 /// bit-width. `quantize_input` mirrors the plan flag: when false the layer
 /// consumes raw f32 activations and must stay on the f32 kernel path.
+/// `depthwise` layers get a decoded tap table instead of GEMM words.
+#[allow(clippy::too_many_arguments)]
 fn pack_gemm(
     weight: &Tensor,
     bn: Option<BnFold>,
@@ -65,6 +86,7 @@ fn pack_gemm(
     bits: BitWidth,
     quantizer: Quantizer,
     quantize_input: bool,
+    depthwise: bool,
     pack_passes: &mut usize,
 ) -> Result<PackedGemm, InferError> {
     let rows = weight.dims()[0];
@@ -108,7 +130,7 @@ fn pack_gemm(
             bias,
             has_offset: false,
             accum: Accum::F32,
-            fused: false,
+            kernel: KernelWeights::Decode,
         });
     }
 
@@ -121,20 +143,21 @@ fn pack_gemm(
     let cb = (wc.code_min + wc.code_max + 1).div_euclid(2);
     let max_code_abs = (wc.code_min - cb).abs().max((wc.code_max - cb).abs());
     *pack_passes += 1;
+    let d: Vec<i32> = wc.codes.iter().map(|&c| c - cb).collect();
     let storage = if bits.get() <= 4 {
         debug_assert!(max_code_abs <= 8, "nibble storage holds [-8, 7]");
         let stride = cols.div_ceil(2);
         let mut data = vec![0u8; rows * stride];
-        for (e, &c) in wc.codes.iter().enumerate() {
+        for (e, &c) in d.iter().enumerate() {
             let (row, j) = (e / cols, e % cols);
-            let nib = ((c - cb) as u8) & 0xF;
+            let nib = (c as u8) & 0xF;
             data[row * stride + j / 2] |= if j % 2 == 0 { nib } else { nib << 4 };
         }
         Storage::Nibble(data)
     } else if bits.get() <= 8 {
-        Storage::I8(wc.codes.iter().map(|&c| (c - cb) as i8).collect())
+        Storage::I8(d.iter().map(|&c| c as i8).collect())
     } else {
-        Storage::I16(wc.codes.iter().map(|&c| (c - cb) as i16).collect())
+        Storage::I16(d.iter().map(|&c| c as i16).collect())
     };
 
     let per_row_scale = |k: usize| wc.scales[k.min(wc.scales.len() - 1)];
@@ -170,12 +193,21 @@ fn pack_gemm(
     // as-is, and both need the i32 column-sum correction `Σ a` (≤ max|a| ·
     // cols) to stay exact. Mirror the main bound's ×2 slack on each — the
     // same argument that picks the tier above, restated for the shifted
-    // arithmetic (DESIGN.md §6g).
+    // arithmetic (DESIGN.md §6g). Whether this CPU *has* a fused kernel is
+    // a hardware fact, not a setting, so the words are there for any
+    // `with_simd_backend` override to find.
     let act_bound = act_code_abs_max(bits) * cols as i64;
-    let fused = match &storage {
-        Storage::Nibble(_) => 15 * act_bound <= i64::from(i32::MAX) / 2,
-        Storage::I8(_) => i64::from(max_code_abs).max(1) * act_bound <= i64::from(i32::MAX) / 2,
-        _ => false,
+    let fits = |max_w: i64| max_w * act_bound <= i64::from(i32::MAX) / 2;
+    let can_fuse = avx2_available() || neon_available();
+    let kernel = match &storage {
+        _ if depthwise => KernelWeights::Taps(d),
+        Storage::Nibble(_) if can_fuse && fits(15) => {
+            KernelWeights::Words(pack_words::<FusedNibble>(&d, cols))
+        }
+        Storage::I8(_) if can_fuse && fits(i64::from(max_code_abs).max(1)) => {
+            KernelWeights::Words(pack_words::<FusedI8>(&d, cols))
+        }
+        _ => KernelWeights::Decode,
     };
 
     Ok(PackedGemm {
@@ -187,7 +219,7 @@ fn pack_gemm(
         bias,
         has_offset,
         accum,
-        fused,
+        kernel,
     })
 }
 
@@ -247,6 +279,7 @@ pub(crate) fn pack_plan(
                     bits,
                     quantizer,
                     *quantize_input,
+                    is_depthwise(cg, k, *groups),
                     pack_passes,
                 )?;
                 out.push(PackedOp::Conv {
@@ -281,6 +314,7 @@ pub(crate) fn pack_plan(
                     bits,
                     quantizer,
                     true,
+                    false,
                     pack_passes,
                 )?;
                 out.push(PackedOp::Linear { gemm });

@@ -30,7 +30,7 @@
 //! The PR 6 kernels decode every weight code to the accumulator type
 //! before multiplying, so 4-bit GEMM ran no faster than 8-bit. The
 //! `gemm_nibble`/`gemm_i8` slots multiply on packed codes instead
-//! (activations pre-narrowed to `i8`/`i16` and interleaved by
+//! (activations emitted as `i8`/`i16` codes and interleaved by
 //! `crate::exec`):
 //!
 //! * **nibble** (≤ 4-bit weights): codes ship as `w + 8 ∈ [0, 15]`
@@ -42,10 +42,11 @@
 //!   (x86) / `smull`+pairwise-add (NEON) forms i32 pair sums directly —
 //!   each product is bounded by 128·255, so the i32 pair sum is exact.
 //!
-//! Pack time guarantees the whole shifted reduction and the column sums
-//! fit i32 with ×2 slack (`PackedGemm::fused`, mirroring the 2^24 f32
-//! bound; DESIGN.md §6g) — so the fused accumulator equals the tier
-//! accumulator as a mathematical integer, and results stay bit-identical.
+//! Pack time builds the weight words (`KernelWeights::Words`) only when
+//! the whole shifted reduction and the column sums fit i32 with ×2 slack
+//! (mirroring the 2^24 f32 bound; DESIGN.md §6g) — so the fused
+//! accumulator equals the tier accumulator as a mathematical integer, and
+//! results stay bit-identical.
 //!
 //! # Bit-identity contract
 //!
@@ -330,7 +331,7 @@ fn fused_default() -> bool {
     })
 }
 
-/// Whether eligible layers (`PackedGemm::fused` + a backend that provides
+/// Whether eligible layers (`KernelWeights::Words` + a backend that provides
 /// fused kernels) route through the fused ≤ 8-bit GEMM paths. On by
 /// default; `INSTANTNET_FUSED=0|off|false` disables it process-wide, and
 /// [`with_fused_gemm`] overrides it for a scope. Both routes compute
@@ -1221,26 +1222,43 @@ mod tests {
         }
     }
 
+    /// With `FORCE_LOCK` held no sibling test can be inside its own
+    /// override scope, so anything but the process default here means an
+    /// override leaked. (Sampling the "ambient" backend outside the lock
+    /// races with parallel tests' overrides.)
+    fn assert_backend_restored() {
+        let _quiesce = FORCE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        assert_eq!(active_simd_backend(), default_kernels().backend);
+    }
+
+    /// The fused-toggle twin of [`assert_backend_restored`].
+    fn assert_fused_restored() {
+        let _quiesce = FUSED_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        assert_eq!(fused_gemm_enabled(), fused_default());
+    }
+
     #[test]
     fn forced_backend_is_scoped_and_restored() {
-        let ambient = active_simd_backend();
         let inside = with_simd_backend(SimdBackend::Scalar, active_simd_backend);
         assert_eq!(inside, SimdBackend::Scalar);
-        assert_eq!(active_simd_backend(), ambient);
+        assert_backend_restored();
         if avx2_available() {
             let inside = with_simd_backend(SimdBackend::Avx2, active_simd_backend);
             assert_eq!(inside, SimdBackend::Avx2);
-            assert_eq!(active_simd_backend(), ambient);
+            assert_backend_restored();
         }
     }
 
     #[test]
     fn forced_backend_is_restored_on_panic() {
-        let ambient = active_simd_backend();
         let result =
             std::panic::catch_unwind(|| with_simd_backend(SimdBackend::Scalar, || panic!("boom")));
         assert!(result.is_err());
-        assert_eq!(active_simd_backend(), ambient);
+        assert_backend_restored();
     }
 
     /// Random `[rows, ncols]` problems, including ragged tails around the
@@ -1464,26 +1482,26 @@ mod tests {
 
     #[test]
     fn fused_toggle_is_scoped_and_restored() {
-        let ambient = fused_gemm_enabled();
         let inside = with_fused_gemm(false, fused_gemm_enabled);
         assert!(!inside);
-        assert_eq!(fused_gemm_enabled(), ambient);
+        assert_fused_restored();
         let inside = with_fused_gemm(true, fused_gemm_enabled);
         assert!(inside);
-        assert_eq!(fused_gemm_enabled(), ambient);
+        assert_fused_restored();
         // Nests with backend forcing in either order.
         let inside = with_simd_backend(SimdBackend::Scalar, || {
             with_fused_gemm(false, || (active_simd_backend(), fused_gemm_enabled()))
         });
         assert_eq!(inside, (SimdBackend::Scalar, false));
-        assert_eq!(fused_gemm_enabled(), ambient);
+        assert_fused_restored();
+        assert_backend_restored();
     }
 
     #[test]
     fn fused_toggle_is_restored_on_panic() {
-        let ambient = fused_gemm_enabled();
-        let result = std::panic::catch_unwind(|| with_fused_gemm(!ambient, || panic!("boom")));
+        let result =
+            std::panic::catch_unwind(|| with_fused_gemm(!fused_default(), || panic!("boom")));
         assert!(result.is_err());
-        assert_eq!(fused_gemm_enabled(), ambient);
+        assert_fused_restored();
     }
 }

@@ -276,6 +276,88 @@ fn dorefa_weight_codes(data: &[f32], bits: u8) -> Vec<i32> {
     }
 }
 
+/// `v.round() as i32` without the libm call `f32::round` lowers to on
+/// baseline x86-64: truncate, then step away from zero when the (exactly
+/// representable) fractional part reaches one half. Bit-identical to
+/// round-half-away-from-zero for every finite `|v| ≤ 2^31` — below 2^23
+/// both the truncation and `v - t` are exact, above it `v` is already an
+/// integer and `f` is zero — and NaN maps to 0 like the saturating cast
+/// it is built on.
+#[inline]
+pub fn round_half_away_i32(v: f32) -> i32 {
+    let t = v as i32;
+    let f = v - t as f32;
+    t + i32::from(f >= 0.5) - i32::from(f <= -0.5)
+}
+
+/// `1.5 · 2^23`: for `|v| < 2^22` the sum `v + ROUND_MAGIC` lies in
+/// `[2^23, 2^24)`, where one ulp is exactly 1 — the add rounds `v` to the
+/// nearest integer (ties to even) and leaves it in the low mantissa bits.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+/// Widest grid [`round_half_away_small`] covers: `2^bits - 1 < 2^22`.
+const SMALL_GRID_BITS: u8 = 22;
+
+/// [`round_half_away_i32`] for `|v| < 2^22` (or NaN → 0) with no
+/// float→int cast at all — LLVM scalarises Rust's saturating cast, and
+/// with it the whole code-emission loop, on every x86-64 level. Reads the
+/// ties-to-even integer out of the mantissa of `v + ROUND_MAGIC`, then
+/// repairs the one case that differs: an exact `.5` tie (`d = ±0.5`, the
+/// subtraction is exact) that ties-to-even resolved toward zero.
+#[inline]
+fn round_half_away_small(v: f32) -> i32 {
+    let v = if v.is_nan() { 0.0 } else { v };
+    let biased = v + ROUND_MAGIC;
+    let even = (biased.to_bits() as i32).wrapping_sub(ROUND_MAGIC.to_bits() as i32);
+    let d = v - (biased - ROUND_MAGIC);
+    even + i32::from(d == 0.5 && v > 0.0) - i32::from(d == -0.5 && v < 0.0)
+}
+
+/// Emits `round_half_away(grid(v))` for every activation, in lane type
+/// `L`. `grid` maps a value onto the code axis, within `±(2^bits - 1)` or
+/// NaN. One loop per rounding routine so each stays a straight-line,
+/// vectorisable body; only grids above [`SMALL_GRID_BITS`] (which the
+/// integer engine never packs) pay for the cast.
+fn emit_codes<L: CodeLane>(x: &[f32], out: &mut [L], bits: u8, grid: impl Fn(f32) -> f32) {
+    if bits <= SMALL_GRID_BITS {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = L::from_code(round_half_away_small(grid(v)));
+        }
+    } else {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = L::from_code(round_half_away_i32(grid(v)));
+        }
+    }
+}
+
+/// A lane type activation codes can be emitted in directly
+/// ([`Quantizer::activation_codes_into`]): the integer engine's kernels
+/// consume `i8`/`i16` (fused), `i32` (integer tiers) or exact `f32` lanes.
+pub trait CodeLane: Copy + Send + Sync {
+    /// Narrows (or converts) one code; the caller guarantees it fits.
+    fn from_code(code: i32) -> Self;
+}
+
+impl CodeLane for i8 {
+    fn from_code(code: i32) -> i8 {
+        code as i8
+    }
+}
+impl CodeLane for i16 {
+    fn from_code(code: i32) -> i16 {
+        code as i16
+    }
+}
+impl CodeLane for i32 {
+    fn from_code(code: i32) -> i32 {
+        code
+    }
+}
+impl CodeLane for f32 {
+    fn from_code(code: i32) -> f32 {
+        code as f32
+    }
+}
+
 /// Integer weight codes plus the affine decode parameters, the prepack
 /// input for the integer inference engine (`crates/infer`).
 ///
@@ -457,36 +539,48 @@ impl Quantizer {
     /// decoded value `scale * code` matches
     /// [`Self::quantize_activations_tensor`] up to f32 rounding.
     pub fn activation_codes(&self, x: &[f32], bits: BitWidth) -> Option<ActivationCodes> {
+        let mut codes = vec![0i32; x.len()];
+        let scale = self.activation_codes_into(x, bits, &mut codes)?;
+        Some(ActivationCodes {
+            codes,
+            scale,
+            // Below full precision `bits ≤ 31`, so the grid top fits i32.
+            code_abs_max: ((1u64 << bits.get()) - 1) as i32,
+        })
+    }
+
+    /// [`Self::activation_codes`] emitted straight into the consumer's lane
+    /// type: one pass over `x`, no intermediate `i32` buffer. Returns the
+    /// decode scale, or `None` (leaving `out` untouched) where no integer
+    /// grid exists. The caller picks a lane wide enough for `2^bits - 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != x.len()`.
+    pub fn activation_codes_into<L: CodeLane>(
+        &self,
+        x: &[f32],
+        bits: BitWidth,
+        out: &mut [L],
+    ) -> Option<f32> {
         if bits.is_full_precision() || matches!(self, Quantizer::Identity) {
             return None;
         }
+        assert_eq!(out.len(), x.len(), "one code per activation");
+        let qmax = ((1u64 << bits.get()) - 1) as f32;
         match self {
             Quantizer::Identity => unreachable!(),
             Quantizer::Dorefa => {
-                let n = ((1u64 << bits.get()) - 1) as f32;
-                let codes = x
-                    .iter()
-                    .map(|&v| (v.clamp(0.0, 1.0) * n).round() as i32)
-                    .collect();
-                Some(ActivationCodes {
-                    codes,
-                    scale: 1.0 / n,
-                    code_abs_max: (n as i32).max(1),
-                })
+                emit_codes(x, out, bits.get(), |v| v.clamp(0.0, 1.0) * qmax);
+                Some(1.0 / qmax)
             }
             Quantizer::Sbm => {
-                let qmax = ((1u64 << bits.get().min(31)) - 1) as f32;
                 let max = x.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8);
                 let s = max / qmax;
-                let codes = x
-                    .iter()
-                    .map(|&v| (v / s).round().clamp(-qmax, qmax) as i32)
-                    .collect();
-                Some(ActivationCodes {
-                    codes,
-                    scale: s,
-                    code_abs_max: qmax as i32,
-                })
+                // Clamping before rounding equals rounding before clamping:
+                // rounding is monotone and the bounds are integers.
+                emit_codes(x, out, bits.get(), |v| (v / s).clamp(-qmax, qmax));
+                Some(s)
             }
         }
     }
@@ -771,6 +865,170 @@ mod tests {
                         (decoded - f).abs() < 1e-5,
                         "{q:?} bits {bits}: {decoded} vs {f}"
                     );
+                }
+            }
+        }
+    }
+
+    /// Values where rounding is most likely to go wrong: every `k ± 0.5`
+    /// tie with its ±1-ulp neighbours (0.49999997 is the classic
+    /// `floor(v + 0.5)` counter-example), signed zeros, subnormals, the
+    /// exact-integer range above 2^23, and NaN.
+    fn rounding_corpus() -> Vec<f32> {
+        let ulps = |v: f32| {
+            [
+                f32::from_bits(v.to_bits() - 1),
+                v,
+                f32::from_bits(v.to_bits() + 1),
+            ]
+        };
+        let mut out = vec![0.0, -0.0, f32::NAN, f32::MIN_POSITIVE, f32::from_bits(1)];
+        let ks = [
+            0u32,
+            1,
+            2,
+            3,
+            7,
+            8,
+            14,
+            15,
+            16,
+            127,
+            128,
+            254,
+            255,
+            256,
+            4094,
+            4095,
+            32767,
+            65534,
+            65535,
+            65536,
+            1 << 22,
+            (1 << 23) - 1,
+            1 << 23,
+            (1 << 24) + 2,
+            1 << 30,
+        ];
+        for k in ks {
+            for base in [k as f32 - 0.5, k as f32, k as f32 + 0.5] {
+                for v in ulps(base.abs().max(f32::MIN_POSITIVE)) {
+                    out.extend([v, -v]);
+                }
+            }
+        }
+        out.push(2_147_483_520.0); // largest f32 below 2^31
+        out.push(-2_147_483_648.0);
+        out
+    }
+
+    #[test]
+    fn round_half_away_matches_libm_round_on_its_whole_domain() {
+        let mut rng = StdRng::seed_from_u64(0x0A11);
+        let random = (0..20_000).map(|i| {
+            let mag = [1.0f32, 20.0, 300.0, 70_000.0, 1e7, 2e9][i % 6];
+            rng.gen_range(-mag..mag)
+        });
+        for v in rounding_corpus().into_iter().chain(random) {
+            let want = v.round() as i32;
+            assert_eq!(round_half_away_i32(v), want, "{v:e} ({:#x})", v.to_bits());
+            if v.abs() < (1u32 << SMALL_GRID_BITS) as f32 || v.is_nan() {
+                assert_eq!(
+                    round_half_away_small(v),
+                    want,
+                    "small: {v:e} ({:#x})",
+                    v.to_bits()
+                );
+            }
+        }
+    }
+
+    /// The pre-vectorisation emission rules, kept as the oracle: libm
+    /// `round`, clamp after rounding.
+    fn reference_codes(q: Quantizer, x: &[f32], bits: u8) -> (Vec<i32>, f32) {
+        let qmax = ((1u64 << bits) - 1) as f32;
+        match q {
+            Quantizer::Dorefa => (
+                x.iter()
+                    .map(|&v| (v.clamp(0.0, 1.0) * qmax).round() as i32)
+                    .collect(),
+                1.0 / qmax,
+            ),
+            Quantizer::Sbm => {
+                let max = x.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8);
+                let s = max / qmax;
+                (
+                    x.iter()
+                        .map(|&v| (v / s).round().clamp(-qmax, qmax) as i32)
+                        .collect(),
+                    s,
+                )
+            }
+            Quantizer::Identity => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn code_emission_matches_reference_in_every_lane_at_every_width() {
+        fn lane<L: CodeLane + Default + PartialEq + std::fmt::Debug>(
+            q: Quantizer,
+            x: &[f32],
+            bits: u8,
+            want: &[i32],
+            scale: f32,
+        ) {
+            let mut out = vec![L::default(); x.len()];
+            let s = q
+                .activation_codes_into(x, BitWidth::new(bits), &mut out)
+                .unwrap();
+            assert_eq!(s.to_bits(), scale.to_bits(), "{q:?} {bits}b scale");
+            for (j, (o, &c)) in out.iter().zip(want).enumerate() {
+                assert_eq!(*o, L::from_code(c), "{q:?} {bits}b x[{j}] = {:e}", x[j]);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        // Every width the integer engine packs, plus both sides of the
+        // switch between the two rounding routines.
+        for bits in (1u8..=16).chain([SMALL_GRID_BITS, SMALL_GRID_BITS + 1]) {
+            let qmax = ((1u64 << bits) - 1) as f32;
+            // Code-space boundaries mapped back to input space with a
+            // power-of-two step: the slice's max is exactly `qmax · step`,
+            // so the SBM scale is exactly `step` and `v / s` lands on
+            // every tie exactly.
+            let step = 0.03125f32;
+            let mut finite: Vec<f32> = rounding_corpus()
+                .into_iter()
+                .filter(|v| v.abs() <= qmax || v.is_nan())
+                .chain([qmax, -qmax, qmax * (1.0 - f32::EPSILON)])
+                .map(|v| v * step)
+                .collect();
+            finite.extend((0..500).map(|_| rng.gen_range(-qmax * step..qmax * step)));
+            // `±qmax·(1+ε)` nudges the scale off the power of two, so
+            // quotients straddle the clamp bound.
+            let mut over = finite.clone();
+            over.extend([qmax * (1.0 + f32::EPSILON) * step, -qmax * step]);
+            // DoReFa's grid lives on [0, 1]: the same corpus in units of
+            // one code step, ties included.
+            let unit: Vec<f32> = finite.iter().map(|&v| v / (step * qmax)).collect();
+            // A non-finite input poisons the SBM scale; codes must still
+            // follow the reference (NaN → 0).
+            let mut poisoned = finite.clone();
+            poisoned.extend([f32::INFINITY, f32::NEG_INFINITY]);
+            for q in [Quantizer::Sbm, Quantizer::Dorefa] {
+                for x in [&finite, &over, &unit, &poisoned] {
+                    let (want, scale) = reference_codes(q, x, bits);
+                    lane::<i32>(q, x, bits, &want, scale);
+                    lane::<f32>(q, x, bits, &want, scale);
+                    if bits <= 15 {
+                        lane::<i16>(q, x, bits, &want, scale);
+                    }
+                    if bits <= 7 {
+                        lane::<i8>(q, x, bits, &want, scale);
+                    }
+                    let ac = q.activation_codes(x, BitWidth::new(bits)).unwrap();
+                    assert_eq!(ac.codes, want, "{q:?} {bits}b");
+                    assert_eq!(ac.scale.to_bits(), scale.to_bits());
+                    assert_eq!(ac.code_abs_max, qmax as i32);
                 }
             }
         }

@@ -20,6 +20,10 @@
 //!   self-exec, since the default is latched once per process).
 //! * **Forced fallback**: `with_simd_backend(Scalar)` pins scalar even on
 //!   AVX2 hosts, scoped and restored.
+//! * **Pack-time kernel layout**: a model whose fused words and depthwise
+//!   tap tables were built at prepack serves every route — fused,
+//!   fused-off, forced scalar, a replica clone — bit-identically, and no
+//!   forward repacks.
 //! * **Proptest**: random (rows, cols, batch, bit-width, quantizer)
 //!   linear and conv problems produce identical results under both
 //!   backends at 1 vs 3 threads.
@@ -116,8 +120,24 @@ fn forward_batch_bit_identical_scalar_vs_dispatched_everywhere() {
     }
 }
 
+/// The override is process-global, so "restored" is only observable where
+/// no sibling test can be inside its own `with_simd_backend` scope: the
+/// assertions run in a fresh subprocess filtered to this one test.
 #[test]
 fn forced_scalar_overrides_dispatch_on_any_host() {
+    const ISOLATED: &str = "INSTANTNET_SIMD_PARITY_ISOLATED";
+    if std::env::var_os(ISOLATED).is_none() {
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = std::process::Command::new(exe)
+            .args(["forced_scalar_overrides_dispatch_on_any_host", "--exact"])
+            .env(ISOLATED, "1")
+            .output()
+            .expect("self-exec");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "isolated run failed: {stdout}");
+        assert!(stdout.contains("1 passed"), "isolated run ran no test");
+        return;
+    }
     let ambient = active_simd_backend();
     let inside = with_simd_backend(SimdBackend::Scalar, active_simd_backend);
     assert_eq!(inside, SimdBackend::Scalar, "forcing scalar must stick");
@@ -234,6 +254,67 @@ fn adversarial_shapes_fused_widen_scalar_parity() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Weights laid out for the kernels at pack time (fused words, depthwise
+/// taps) must serve every dispatch route bit-identically: the routes that
+/// ignore them (forced scalar, fused off) decode the storage codes
+/// instead. MobileNetV2 covers in-place 1×1 patch matrices, depthwise tap
+/// tables and a linear head; the grouped strided 3×3 covers `im2col` +
+/// interleave.
+#[test]
+fn prepacked_kernel_weights_serve_every_route_bit_identically() {
+    let bits = BitWidthSet::large_range();
+    let mut rng = StdRng::seed_from_u64(0x9AC4);
+    let mbv2 = models::mobilenet_v2(0.25, 2, 10, (16, 16), bits.len(), 5);
+    let grouped = QuantConv2d::new(&mut rng, "g", 6, 8, 3, 2, 1, 2, true);
+    let nets: [(&dyn instantnet_nn::Module, [usize; 3]); 2] =
+        [(&mbv2, [3, 16, 16]), (&grouped, [6, 9, 7])];
+    for q in [Quantizer::Sbm, Quantizer::Dorefa] {
+        for (net, dims) in &nets {
+            let packed = PackedModel::prepack(*net, &bits, q).unwrap();
+            let passes = packed.pack_passes();
+            let replica = packed.clone();
+            assert!(packed.shares_packed_tables(&replica));
+            for batch in [1usize, 3] {
+                let x = init::uniform(&mut rng, &[batch, dims[0], dims[1], dims[2]], -0.6, 1.2);
+                for i in 0..bits.len() {
+                    let ctx = format!("{q:?} @ {}b batch {batch}", bits.widths()[i]);
+                    let scalar =
+                        with_simd_backend(SimdBackend::Scalar, || packed.forward_batch_at(i, &x));
+                    let routes = [
+                        ("ambient", packed.forward_batch_at(i, &x)),
+                        ("replica", replica.forward_batch_at(i, &x)),
+                        (
+                            "fused off",
+                            with_fused_gemm(false, || packed.forward_batch_at(i, &x)),
+                        ),
+                        (
+                            "scalar, fused forced on",
+                            with_simd_backend(SimdBackend::Scalar, || {
+                                with_fused_gemm(true, || packed.forward_batch_at(i, &x))
+                            }),
+                        ),
+                    ];
+                    for (route, y) in &routes {
+                        assert_bits_eq(y, &scalar, &format!("{route}: {ctx}"));
+                    }
+                    if avx2_available() {
+                        let avx2 =
+                            with_simd_backend(SimdBackend::Avx2, || packed.forward_batch_at(i, &x));
+                        assert_bits_eq(&avx2, &scalar, &format!("forced avx2: {ctx}"));
+                    }
+                    // Whole-tensor activation scales take the same kernels.
+                    let per_batch = packed.forward_at(i, &x);
+                    let per_batch_scalar =
+                        with_simd_backend(SimdBackend::Scalar, || packed.forward_at(i, &x));
+                    assert_bits_eq(&per_batch, &per_batch_scalar, &format!("forward_at: {ctx}"));
+                }
+            }
+            assert_eq!(packed.pack_passes(), passes, "forwards must not repack");
+            assert_eq!(replica.pack_passes(), passes);
         }
     }
 }
