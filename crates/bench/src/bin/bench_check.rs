@@ -28,6 +28,10 @@
 //!   activation quantize and depthwise, not GEMM, dominate). Skipped with
 //!   a notice on non-AVX2 runners, where both sides run the same scalar
 //!   kernels;
+//! * kernels: the depthwise 3×3 forward, which does 1/16 of the dense
+//!   `conv2d_forward` entry's MACs, may cost at most 4× as much per MAC
+//!   (both on one kernel thread) — a depthwise plane is tiny work, and a
+//!   kernel that pays for bounds checks instead of arithmetic shows here;
 //! * serving: batch-16 request aggregation must keep at least 2× the
 //!   requests/sec of batch-1 serving on the same 48 requests — if it
 //!   decays, the batching amortization itself (shared weight decode, one
@@ -332,6 +336,26 @@ fn main() -> ExitCode {
                 check.run("infer", &infer, &mut failures, &mut gates);
             }
         }
+    }
+
+    // Within-run depthwise-cost ceiling, one kernel thread on both sides:
+    // the depthwise entry does 1/16 of the dense entry's MACs (one input
+    // plane per filter instead of 16), so a median ratio of 1/16 is cost
+    // parity per MAC. Parity is out of reach for a kernel that streams each
+    // plane once per tap where the dense product reuses every loaded patch
+    // 32 times; the ceiling is 4x the dense cost per MAC — the per-pixel,
+    // per-tap-bounds-checked loop this guards against cost 14x.
+    const KERNELS_CHECK: RatioCheck = RatioCheck {
+        gate: "depthwise vs dense conv forward (1/16 of the MACs)",
+        num: "depthwise_conv2d_4x32x16x16",
+        den: "conv2d_forward_4x16x16x16",
+        bound: 4.0 / 16.0,
+        floor: false,
+    };
+    let kernels_path = current_dir.join("BENCH_kernels.json");
+    if kernels_path.exists() {
+        let kernels = parse_medians(&kernels_path).unwrap();
+        KERNELS_CHECK.run("kernels", &kernels, &mut failures, &mut gates);
     }
 
     // Within-run batching-throughput floor: both configurations serve the

@@ -18,14 +18,18 @@
 //!   "sample_size": 20,
 //!   "benchmarks": [
 //!     {"name": "matmul_64x64", "mean_ns": 1234.5, "median_ns": 1200.0,
-//!      "min_ns": 1100.0, "max_ns": 1500.0, "samples": 20, "cores": 8}
+//!      "min_ns": 1100.0, "max_ns": 1500.0, "samples": 20, "cores": 8,
+//!      "simd": "avx2"}
 //!   ]
 //! }
 //! ```
 //!
-//! Every entry carries the runner's available core count (`"cores"`), so
-//! downstream comparisons (`bench_check`) can refuse to compare numbers
-//! recorded on differently-sized machines like-for-like.
+//! Every entry carries the runner's available core count (`"cores"`) and
+//! the widest SIMD backend its CPU offers the engine's dispatcher
+//! (`"simd"`: `avx2`, `neon` or `scalar`), so downstream comparisons
+//! (`bench_check`) can refuse to compare numbers recorded on
+//! differently-sized machines like-for-like and a reader knows which
+//! kernels a number was measured on.
 
 use std::time::{Duration, Instant};
 
@@ -155,7 +159,8 @@ impl Criterion {
         for (i, r) in self.results.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"mean_ns\": {:.1}, \"median_ns\": {:.1}, \
-                 \"min_ns\": {:.1}, \"max_ns\": {:.1}, \"samples\": {}, \"cores\": {}}}{}\n",
+                 \"min_ns\": {:.1}, \"max_ns\": {:.1}, \"samples\": {}, \"cores\": {}, \
+                 \"simd\": \"{}\"}}{}\n",
                 r.name,
                 r.mean_ns,
                 r.median_ns,
@@ -163,11 +168,27 @@ impl Criterion {
                 r.max_ns,
                 r.samples,
                 cores,
+                simd_backend(),
                 if i + 1 < self.results.len() { "," } else { "" }
             ));
         }
         out.push_str("  ]\n}\n");
         out
+    }
+}
+
+/// The widest SIMD backend this CPU offers, in the spelling of the engine's
+/// `INSTANTNET_SIMD` knob (detected here, not imported: the shim depends on
+/// nothing in the workspace).
+fn simd_backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    if cfg!(target_arch = "aarch64") {
+        "neon"
+    } else {
+        "scalar"
     }
 }
 
@@ -321,8 +342,8 @@ mod tests {
         assert!(json.contains("\"name\": \"a\""));
         assert!(json.contains("\"name\": \"b\""));
         assert!(
-            json.contains("\"cores\": "),
-            "every entry records the runner's core count"
+            json.contains("\"cores\": ") && json.contains("\"simd\": \""),
+            "every entry records the runner's core count and SIMD backend"
         );
         // Last entry must not have a trailing comma.
         assert!(json.contains("}\n  ]"));

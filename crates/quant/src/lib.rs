@@ -27,6 +27,7 @@
 //! # Ok::<(), instantnet_quant::BitWidthError>(())
 //! ```
 
+use instantnet_tensor::tensor::round_half_away;
 use instantnet_tensor::{ops, Tensor, Var};
 use std::error::Error;
 use std::fmt;
@@ -241,7 +242,7 @@ impl fmt::Display for Precision {
 /// primitive shared by DoReFa weights and activations.
 fn quantize_unit(x: f32, bits: u8) -> f32 {
     let n = ((1u64 << bits) - 1) as f32;
-    (x * n).round() / n
+    round_half_away(x * n) / n
 }
 
 /// DoReFa weight codes `c = round((tanh(w) / (2·max|tanh(w)|) + 0.5) · n)`
@@ -271,23 +272,17 @@ fn dorefa_weight_codes(data: &[f32], bits: u8) -> Vec<i32> {
     } else {
         let half_inv = 0.5 / tmax;
         data.iter()
-            .map(|&v| ((v.tanh() * half_inv + 0.5) * n).round().clamp(0.0, n) as i32)
+            .map(|&v| round_half_away((v.tanh() * half_inv + 0.5) * n).clamp(0.0, n) as i32)
             .collect()
     }
 }
 
 /// `v.round() as i32` without the libm call `f32::round` lowers to on
-/// baseline x86-64: truncate, then step away from zero when the (exactly
-/// representable) fractional part reaches one half. Bit-identical to
-/// round-half-away-from-zero for every finite `|v| ≤ 2^31` — below 2^23
-/// both the truncation and `v - t` are exact, above it `v` is already an
-/// integer and `f` is zero — and NaN maps to 0 like the saturating cast
-/// it is built on.
+/// baseline x86-64: [`round_half_away`] is that rounding bit for bit, and
+/// the saturating cast maps NaN to 0.
 #[inline]
 pub fn round_half_away_i32(v: f32) -> i32 {
-    let t = v as i32;
-    let f = v - t as f32;
-    t + i32::from(f >= 0.5) - i32::from(f <= -0.5)
+    round_half_away(v) as i32
 }
 
 /// `1.5 · 2^23`: for `|v| < 2^22` the sum `v + ROUND_MAGIC` lies in
@@ -436,7 +431,7 @@ impl Quantizer {
                 let qmax = ((1u64 << (bits.get().min(31) - 1)) - 1).max(1) as f32;
                 if dims.len() < 2 {
                     let s = w.max_abs().max(1e-8) / qmax;
-                    return w.map(|v| (v / s).round().clamp(-qmax, qmax) * s);
+                    return w.map(|v| round_half_away(v / s).clamp(-qmax, qmax) * s);
                 }
                 let per: usize = dims[1..].iter().product();
                 let mut out = w.clone();
@@ -445,7 +440,7 @@ impl Quantizer {
                     let max = chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8);
                     let s = max / qmax;
                     for (o, &v) in out.data_mut()[k * per..(k + 1) * per].iter_mut().zip(chunk) {
-                        *o = (v / s).round().clamp(-qmax, qmax) * s;
+                        *o = round_half_away(v / s).clamp(-qmax, qmax) * s;
                     }
                 }
                 out
@@ -466,7 +461,7 @@ impl Quantizer {
                 let qmax = ((1u64 << bits.get().min(31)) - 1) as f32;
                 let max = x.max_abs().max(1e-8);
                 let s = max / qmax;
-                x.map(|v| (v / s).round().clamp(-qmax, qmax) * s)
+                x.map(|v| round_half_away(v / s).clamp(-qmax, qmax) * s)
             }
         }
     }
@@ -940,6 +935,63 @@ mod tests {
                     v.to_bits()
                 );
             }
+        }
+    }
+
+    /// The fake-quant (tensor) path rounds through the libm-free routine;
+    /// the formulas it replaced, with libm `round`, are the oracle — on bits,
+    /// `-0.0` and NaN included.
+    #[test]
+    fn fake_quant_tensor_path_matches_the_libm_formulas_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x7E45);
+        let mut values = rounding_corpus();
+        values.extend((0..4096 - values.len() % 4096).map(|_| rng.gen_range(-3.0f32..3.0)));
+        let same = |what: &str, got: &Tensor, want: Vec<f32>| {
+            for (i, (a, b)) in got.data().iter().zip(&want).enumerate() {
+                assert!(
+                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                    "{what}[{i}] of {:e}: {a:e} vs {b:e}",
+                    values[i]
+                );
+            }
+        };
+        let rows = values.len() / 64;
+        for bits in [1u8, 2, 4, 8, 12, 16, 22, 23, 31] {
+            let b = BitWidth::new(bits);
+            for dims in [vec![values.len()], vec![rows, 64]] {
+                let per = values.len() / if dims.len() == 1 { 1 } else { rows };
+                let w = Tensor::from_vec(dims, values.clone());
+                let qmax = ((1u64 << (bits - 1)) - 1).max(1) as f32;
+                let want = values.chunks(per).flat_map(|row| {
+                    let s = row.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8) / qmax;
+                    row.iter()
+                        .map(move |&v| (v / s).round().clamp(-qmax, qmax) * s)
+                });
+                same(
+                    "sbm weights",
+                    &Quantizer::Sbm.quantize_weights_tensor(&w, b),
+                    want.collect(),
+                );
+            }
+            let x = Tensor::from_vec(vec![values.len()], values.clone());
+            let qmax = ((1u64 << bits) - 1) as f32;
+            let s = x.max_abs().max(1e-8) / qmax;
+            let want = values
+                .iter()
+                .map(|&v| (v / s).round().clamp(-qmax, qmax) * s);
+            same(
+                "sbm activations",
+                &Quantizer::Sbm.quantize_activations_tensor(&x, b),
+                want.collect(),
+            );
+            let want = values
+                .iter()
+                .map(|&v| (v.clamp(0.0, 1.0) * qmax).round() / qmax);
+            same(
+                "dorefa activations",
+                &Quantizer::Dorefa.quantize_activations_tensor(&x, b),
+                want.collect(),
+            );
         }
     }
 

@@ -7,7 +7,7 @@
 //! and runs the closures in reverse order.
 
 use crate::tensor::Tensor;
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
@@ -15,9 +15,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Gradient function: receives the gradient w.r.t. this node's output and
-/// the node's parents, and accumulates contributions into each parent.
-pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &[Var])>;
+/// Gradient function: receives (owns) the gradient w.r.t. this node's output
+/// and the node's parents, and accumulates contributions into each parent.
+pub(crate) type BackwardFn = Box<dyn Fn(Tensor, &[Var])>;
 
 pub(crate) struct Node {
     pub(crate) id: u64,
@@ -94,12 +94,18 @@ impl Var {
 
     /// Clones the forward value out of the node.
     pub fn value(&self) -> Tensor {
-        self.node.value.borrow().clone()
+        self.value_ref().clone()
+    }
+
+    /// Borrows the forward value: what operators and backward closures read
+    /// instead of a per-call copy.
+    pub(crate) fn value_ref(&self) -> Ref<'_, Tensor> {
+        self.node.value.borrow()
     }
 
     /// Shape dims of the forward value.
     pub fn dims(&self) -> Vec<usize> {
-        self.node.value.borrow().dims().to_vec()
+        self.value_ref().dims().to_vec()
     }
 
     /// Scalar forward value.
@@ -150,14 +156,16 @@ impl Var {
         Var::constant(self.value())
     }
 
-    pub(crate) fn accumulate_grad(&self, g: &Tensor) {
+    /// Adds `g` to this node's gradient; the first contribution is moved
+    /// into the empty slot, not copied.
+    pub(crate) fn accumulate_grad(&self, g: Tensor) {
         if !self.node.requires_grad {
             return;
         }
         let mut slot = self.node.grad.borrow_mut();
         match slot.as_mut() {
-            Some(existing) => existing.add_assign(g),
-            None => *slot = Some(g.clone()),
+            Some(existing) => existing.add_assign(&g),
+            None => *slot = Some(g),
         }
     }
 
@@ -202,15 +210,15 @@ impl Var {
                 }
             }
         }
-        self.accumulate_grad(&seed);
+        self.accumulate_grad(seed);
         for v in order.iter().rev() {
-            let grad = v.node.grad.borrow().clone();
-            if let (Some(g), Some(back)) = (grad, v.node.backward.as_ref()) {
-                back(&g, &v.node.parents);
-            }
-            // Free interior gradients eagerly; leaves keep theirs.
-            if v.node.backward.is_some() {
-                *v.node.grad.borrow_mut() = None;
+            // Interior gradients are taken (and so freed) as they are
+            // consumed; leaves keep theirs.
+            if let Some(back) = v.node.backward.as_ref() {
+                let grad = v.node.grad.borrow_mut().take();
+                if let Some(g) = grad {
+                    back(g, &v.node.parents);
+                }
             }
         }
     }

@@ -27,6 +27,8 @@ pub mod autograd;
 pub mod check;
 pub mod init;
 pub mod ops;
+#[cfg(test)]
+mod reference_tests;
 pub mod shape;
 pub mod tensor;
 

@@ -2,15 +2,20 @@
 //!
 //! Every function here performs an eager forward computation and registers a
 //! closure computing the exact analytic vector-Jacobian product for the
-//! backward pass. Convolution caches the `im2col` patch matrices computed in
-//! the forward pass and reuses them in the backward closure, so the backward
-//! pass costs two matmuls plus a `col2im` per sample/group instead of
-//! re-unfolding the input. Batch samples are independent and run through the
-//! shared parallel layer ([`instantnet_parallel`]); reductions stay in fixed
-//! sample order, so gradients are bit-identical at any thread count.
+//! backward pass. Operators borrow their inputs from the graph and closures
+//! own the incoming gradient, so nothing is copied that is not also changed.
+//! Dense convolution is batch-level work: one patch matrix, one product per
+//! group and one layout swap per pass; depthwise convolution runs one flat
+//! axpy per tap over zero-padded planes, batch norm over plane slices with
+//! several channels' sums in flight. What each kernel sums, and in which
+//! order, is fixed per output element (DESIGN.md §6b), so values and
+//! gradients are bit-identical at any thread count.
 
 use crate::autograd::Var;
-use crate::tensor::{col2im, im2col, Tensor};
+use crate::tensor::{
+    axpy, fold_plane, im2col_batch, matmul_into, round_half_away, transpose_into, ConvGeom, Tensor,
+    PAR_FLOP_THRESHOLD,
+};
 use instantnet_parallel as parallel;
 
 // ---------------------------------------------------------------------------
@@ -19,12 +24,14 @@ use instantnet_parallel as parallel;
 
 /// Elementwise `a + b` (shapes must match).
 pub fn add(a: &Var, b: &Var) -> Var {
-    let out = a.node.value.borrow().add(&b.node.value.borrow());
+    let out = a.value_ref().add(&b.value_ref());
     Var::from_op(
         out,
         vec![a.clone(), b.clone()],
         Box::new(|g, parents| {
-            parents[0].accumulate_grad(g);
+            if parents[0].requires_grad() {
+                parents[0].accumulate_grad(g.clone());
+            }
             parents[1].accumulate_grad(g);
         }),
     )
@@ -32,45 +39,46 @@ pub fn add(a: &Var, b: &Var) -> Var {
 
 /// Elementwise `a - b` (shapes must match).
 pub fn sub(a: &Var, b: &Var) -> Var {
-    let out = a.node.value.borrow().sub(&b.node.value.borrow());
+    let out = a.value_ref().sub(&b.value_ref());
     Var::from_op(
         out,
         vec![a.clone(), b.clone()],
         Box::new(|g, parents| {
+            let neg = g.scale(-1.0);
             parents[0].accumulate_grad(g);
-            parents[1].accumulate_grad(&g.scale(-1.0));
+            parents[1].accumulate_grad(neg);
         }),
     )
 }
 
 /// Elementwise `a * b` (Hadamard product, shapes must match).
 pub fn mul(a: &Var, b: &Var) -> Var {
-    let out = a.node.value.borrow().mul(&b.node.value.borrow());
+    let out = a.value_ref().mul(&b.value_ref());
     Var::from_op(
         out,
         vec![a.clone(), b.clone()],
         Box::new(|g, parents| {
-            let av = parents[0].value();
-            let bv = parents[1].value();
-            parents[0].accumulate_grad(&g.mul(&bv));
-            parents[1].accumulate_grad(&g.mul(&av));
+            let da = g.mul(&parents[1].value_ref());
+            let db = g.mul(&parents[0].value_ref());
+            parents[0].accumulate_grad(da);
+            parents[1].accumulate_grad(db);
         }),
     )
 }
 
 /// Scales every element by the constant `s`.
 pub fn scale(x: &Var, s: f32) -> Var {
-    let out = x.node.value.borrow().scale(s);
+    let out = x.value_ref().scale(s);
     Var::from_op(
         out,
         vec![x.clone()],
-        Box::new(move |g, parents| parents[0].accumulate_grad(&g.scale(s))),
+        Box::new(move |g, parents| parents[0].accumulate_grad(g.scale(s))),
     )
 }
 
 /// Adds the constant `c` to every element.
 pub fn add_scalar(x: &Var, c: f32) -> Var {
-    let out = x.node.value.borrow().map(|v| v + c);
+    let out = x.value_ref().map(|v| v + c);
     Var::from_op(
         out,
         vec![x.clone()],
@@ -84,20 +92,20 @@ pub fn add_scalar(x: &Var, c: f32) -> Var {
 
 /// Sum of all elements, as a `[1]` tensor.
 pub fn sum(x: &Var) -> Var {
-    let out = Tensor::scalar(x.node.value.borrow().sum());
+    let out = Tensor::scalar(x.value_ref().sum());
     Var::from_op(
         out,
         vec![x.clone()],
         Box::new(|g, parents| {
             let dims = parents[0].dims();
-            parents[0].accumulate_grad(&Tensor::full(&dims, g.item()));
+            parents[0].accumulate_grad(Tensor::full(&dims, g.item()));
         }),
     )
 }
 
 /// Mean of all elements, as a `[1]` tensor.
 pub fn mean(x: &Var) -> Var {
-    let n = x.node.value.borrow().len() as f32;
+    let n = x.value_ref().len() as f32;
     scale(&sum(x), 1.0 / n)
 }
 
@@ -107,16 +115,16 @@ pub fn mean(x: &Var) -> Var {
 
 /// Matrix product `[m,k] x [k,n] -> [m,n]`.
 pub fn matmul(a: &Var, b: &Var) -> Var {
-    let out = a.node.value.borrow().matmul(&b.node.value.borrow());
+    let out = a.value_ref().matmul(&b.value_ref());
     Var::from_op(
         out,
         vec![a.clone(), b.clone()],
         Box::new(|g, parents| {
-            let av = parents[0].value();
-            let bv = parents[1].value();
             // dA = g . B^T ; dB = A^T . g
-            parents[0].accumulate_grad(&g.matmul(&bv.transpose2d()));
-            parents[1].accumulate_grad(&av.transpose2d().matmul(g));
+            let da = g.matmul(&parents[1].value_ref().transpose2d());
+            let db = parents[0].value_ref().transpose2d().matmul(&g);
+            parents[0].accumulate_grad(da);
+            parents[1].accumulate_grad(db);
         }),
     )
 }
@@ -133,11 +141,11 @@ pub fn linear(x: &Var, w: &Var, b: Option<&Var>) -> Var {
 
 /// Matrix transpose as a graph op.
 pub fn transpose2d(x: &Var) -> Var {
-    let out = x.node.value.borrow().transpose2d();
+    let out = x.value_ref().transpose2d();
     Var::from_op(
         out,
         vec![x.clone()],
-        Box::new(|g, parents| parents[0].accumulate_grad(&g.transpose2d())),
+        Box::new(|g, parents| parents[0].accumulate_grad(g.transpose2d())),
     )
 }
 
@@ -149,31 +157,18 @@ pub fn transpose2d(x: &Var) -> Var {
 /// Panics if the input rank is not 2 or 4, or the bias length differs from
 /// the channel extent.
 pub fn bias_add(x: &Var, b: &Var) -> Var {
-    let xv = x.node.value.borrow().clone();
-    let bv = b.node.value.borrow().clone();
-    let dims = xv.dims().to_vec();
-    let c = match dims.len() {
-        2 => dims[1],
-        4 => dims[1],
+    let mut out = x.value();
+    let c = match out.dims().len() {
+        2 | 4 => out.dims()[1],
         r => panic!("bias_add expects rank 2 or 4 input, got rank {r}"),
     };
+    let bv = b.value_ref();
     assert_eq!(bv.len(), c, "bias length must equal channel count");
-    let spatial: usize = if dims.len() == 4 {
-        dims[2] * dims[3]
-    } else {
-        1
-    };
-    let n = dims[0];
-    let mut out = xv.clone();
-    {
-        let data = out.data_mut();
-        let bd = bv.data();
-        for i in 0..n {
-            for (ch, &bch) in bd.iter().enumerate() {
-                let base = (i * c + ch) * spatial;
-                for s in 0..spatial {
-                    data[base + s] += bch;
-                }
+    let spatial = out.len() / (out.dims()[0] * c);
+    for sample in out.data_mut().chunks_exact_mut(c * spatial) {
+        for (plane, &bch) in sample.chunks_exact_mut(spatial).zip(bv.data()) {
+            for v in plane {
+                *v += bch;
             }
         }
     }
@@ -181,18 +176,9 @@ pub fn bias_add(x: &Var, b: &Var) -> Var {
         out,
         vec![x.clone(), b.clone()],
         Box::new(move |g, parents| {
+            let db = channel_sums(g.len() / (c * spatial), c, spatial, |_, at| g.data()[at]);
             parents[0].accumulate_grad(g);
-            let mut db = vec![0.0f32; c];
-            let gd = g.data();
-            for i in 0..n {
-                for (ch, dbch) in db.iter_mut().enumerate() {
-                    let base = (i * c + ch) * spatial;
-                    for s in 0..spatial {
-                        *dbch += gd[base + s];
-                    }
-                }
-            }
-            parents[1].accumulate_grad(&Tensor::from_vec(vec![c], db));
+            parents[1].accumulate_grad(Tensor::from_vec(vec![c], db));
         }),
     )
 }
@@ -214,215 +200,11 @@ pub fn bias_add(x: &Var, b: &Var) -> Var {
 /// Panics if shapes are inconsistent with `groups`, or the kernel does not
 /// fit the padded input.
 pub fn conv2d(x: &Var, w: &Var, stride: usize, pad: usize, groups: usize) -> Var {
-    let xv = x.node.value.borrow().clone();
-    let wv = w.node.value.borrow().clone();
-    if groups > 1 && xv.dims().len() == 4 && groups == xv.dims()[1] && groups == wv.dims()[0] {
-        return conv2d_depthwise(x, &xv, w, &wv, stride, pad);
-    }
-    let (out, oh, ow, cols_cache) = conv2d_forward(&xv, &wv, stride, pad, groups);
-    let (n, c) = (xv.dims()[0], xv.dims()[1]);
-    let (h, wdt) = (xv.dims()[2], xv.dims()[3]);
-    let (k, cg, r, s) = (wv.dims()[0], wv.dims()[1], wv.dims()[2], wv.dims()[3]);
-    Var::from_op(
-        out,
-        vec![x.clone(), w.clone()],
-        Box::new(move |g, parents| {
-            let wv = parents[1].value();
-            let kg = k / groups;
-            let mut dx = Tensor::zeros(&[n, c, h, wdt]);
-            let mut dw = Tensor::zeros(&[k, cg, r, s]);
-            let gd = g.data();
-            // Transposed per-group weight matrices, hoisted out of the
-            // sample loop.
-            let wgt: Vec<Tensor> = (0..groups)
-                .map(|gi| {
-                    let mut wg = Tensor::zeros(&[kg, cg * r * s]);
-                    for kk in 0..kg {
-                        let src = (gi * kg + kk) * cg * r * s;
-                        wg.data_mut()[kk * cg * r * s..(kk + 1) * cg * r * s]
-                            .copy_from_slice(&wv.data()[src..src + cg * r * s]);
-                    }
-                    wg.transpose2d()
-                })
-                .collect();
-            // Per-sample gradients are independent: compute them in
-            // parallel from the cached forward patch matrices, then reduce
-            // dw serially in ascending sample order so the accumulation
-            // order (and hence the float result) never depends on the
-            // thread count.
-            let flops = 4 * n * kg * cg * r * s * oh * ow * groups;
-            let sample_grad = |i: usize| {
-                let mut dx_i = vec![0.0f32; c * h * wdt];
-                let mut dwgs = Vec::with_capacity(groups);
-                for gi in 0..groups {
-                    // Cached patch matrix for this sample/group:
-                    // [cg*r*s, oh*ow] — computed once in the forward pass.
-                    let cols = &cols_cache[i * groups + gi];
-                    // dy for this sample/group: [kg, oh*ow].
-                    let mut dy = Tensor::zeros(&[kg, oh * ow]);
-                    for kk in 0..kg {
-                        let src = ((i * k) + gi * kg + kk) * oh * ow;
-                        dy.data_mut()[kk * oh * ow..(kk + 1) * oh * ow]
-                            .copy_from_slice(&gd[src..src + oh * ow]);
-                    }
-                    // dW[g] contribution: dy . cols^T
-                    dwgs.push(dy.matmul(&cols.transpose2d()));
-                    // dcols = W[g]^T . dy ; dx = col2im(dcols)
-                    let dcols = wgt[gi].matmul(&dy);
-                    let dxg = col2im(&dcols, cg, h, wdt, r, s, stride, pad);
-                    let dst = gi * cg * h * wdt;
-                    for (j, &v) in dxg.iter().enumerate() {
-                        dx_i[dst + j] += v;
-                    }
-                }
-                (dx_i, dwgs)
-            };
-            let per_sample = if flops < crate::tensor::PAR_FLOP_THRESHOLD {
-                parallel::with_threads(1, || parallel::parallel_map_indexed(n, sample_grad))
-            } else {
-                parallel::parallel_map_indexed(n, sample_grad)
-            };
-            for (i, (dx_i, dwgs)) in per_sample.into_iter().enumerate() {
-                dx.data_mut()[i * c * h * wdt..(i + 1) * c * h * wdt].copy_from_slice(&dx_i);
-                for (gi, dwg) in dwgs.iter().enumerate() {
-                    for kk in 0..kg {
-                        let dst = (gi * kg + kk) * cg * r * s;
-                        let row = &dwg.data()[kk * cg * r * s..(kk + 1) * cg * r * s];
-                        for (j, &v) in row.iter().enumerate() {
-                            dw.data_mut()[dst + j] += v;
-                        }
-                    }
-                }
-            }
-            parents[0].accumulate_grad(&dx);
-            parents[1].accumulate_grad(&dw);
-        }),
-    )
-}
-
-/// Depthwise fast path (`groups == C == K`): every filter reads exactly
-/// one input plane, so both passes run direct tap loops — no per-group
-/// 1-column patch matrices are built, cached for backward, or multiplied
-/// through 1×(R·S) GEMMs. Forward memory drops to the output itself and
-/// the backward scatters `dx` / reduces `dw` straight from `g` and `x`.
-/// Per-(sample, channel) chunks are index-addressed with disjoint writes,
-/// and `dw` folds serially in ascending sample order, so results are
-/// bit-identical at any thread count.
-fn conv2d_depthwise(x: &Var, xv: &Tensor, w: &Var, wv: &Tensor, stride: usize, pad: usize) -> Var {
+    let (xv, wv) = (x.value_ref(), w.value_ref());
     assert_eq!(xv.dims().len(), 4, "conv2d input must be [N,C,H,W]");
     assert_eq!(wv.dims().len(), 4, "conv2d weight must be [K,C/g,R,S]");
     let (n, c, h, wdt) = (xv.dims()[0], xv.dims()[1], xv.dims()[2], xv.dims()[3]);
-    let (cg, r, s) = (wv.dims()[1], wv.dims()[2], wv.dims()[3]);
-    assert_eq!(cg, 1, "depthwise weight must be [C, 1, R, S]");
-    assert!(
-        h + 2 * pad >= r && wdt + 2 * pad >= s,
-        "kernel {r}x{s} does not fit padded input {h}x{wdt} (pad {pad})"
-    );
-    let oh = (h + 2 * pad - r) / stride + 1;
-    let ow = (wdt + 2 * pad - s) / stride + 1;
-    let flops = 2 * n * c * r * s * oh * ow;
-
-    let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    parallel::gate(flops >= crate::tensor::PAR_FLOP_THRESHOLD, || {
-        parallel::par_chunks_mut(out.data_mut(), oh * ow, |ci, orow| {
-            let (i, ch) = (ci / c, ci % c);
-            let plane = &xv.data()[(i * c + ch) * h * wdt..(i * c + ch + 1) * h * wdt];
-            let wrow = &wv.data()[ch * r * s..(ch + 1) * r * s];
-            let mut jp = 0usize;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ki in 0..r {
-                        let iy = (oy * stride + ki) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kj in 0..s {
-                            let ix = (ox * stride + kj) as isize - pad as isize;
-                            if ix < 0 || ix >= wdt as isize {
-                                continue;
-                            }
-                            acc += wrow[ki * s + kj] * plane[iy as usize * wdt + ix as usize];
-                        }
-                    }
-                    orow[jp] = acc;
-                    jp += 1;
-                }
-            }
-        })
-    });
-
-    Var::from_op(
-        out,
-        vec![x.clone(), w.clone()],
-        Box::new(move |g, parents| {
-            let xv = parents[0].value();
-            let wv = parents[1].value();
-            let gd = g.data();
-            let sample_grad = |i: usize| {
-                let mut dx_i = vec![0.0f32; c * h * wdt];
-                let mut dw_i = vec![0.0f32; c * r * s];
-                for ch in 0..c {
-                    let plane = &xv.data()[(i * c + ch) * h * wdt..(i * c + ch + 1) * h * wdt];
-                    let grow = &gd[(i * c + ch) * oh * ow..(i * c + ch + 1) * oh * ow];
-                    let dxp = &mut dx_i[ch * h * wdt..(ch + 1) * h * wdt];
-                    let wrow = &wv.data()[ch * r * s..(ch + 1) * r * s];
-                    let dwr = &mut dw_i[ch * r * s..(ch + 1) * r * s];
-                    let mut jp = 0usize;
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let gv = grow[jp];
-                            jp += 1;
-                            for ki in 0..r {
-                                let iy = (oy * stride + ki) as isize - pad as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kj in 0..s {
-                                    let ix = (ox * stride + kj) as isize - pad as isize;
-                                    if ix < 0 || ix >= wdt as isize {
-                                        continue;
-                                    }
-                                    let xi = iy as usize * wdt + ix as usize;
-                                    dxp[xi] += gv * wrow[ki * s + kj];
-                                    dwr[ki * s + kj] += gv * plane[xi];
-                                }
-                            }
-                        }
-                    }
-                }
-                (dx_i, dw_i)
-            };
-            let per_sample = parallel::gate(2 * flops >= crate::tensor::PAR_FLOP_THRESHOLD, || {
-                parallel::parallel_map_indexed(n, sample_grad)
-            });
-            let mut dx = Tensor::zeros(&[n, c, h, wdt]);
-            let mut dw = Tensor::zeros(&[c, 1, r, s]);
-            for (i, (dx_i, dw_i)) in per_sample.into_iter().enumerate() {
-                dx.data_mut()[i * c * h * wdt..(i + 1) * c * h * wdt].copy_from_slice(&dx_i);
-                for (o, &v) in dw.data_mut().iter_mut().zip(&dw_i) {
-                    *o += v;
-                }
-            }
-            parents[0].accumulate_grad(&dx);
-            parents[1].accumulate_grad(&dw);
-        }),
-    )
-}
-
-/// Forward conv plus the per-sample/group `im2col` patch matrices (indexed
-/// `i * groups + gi`), which [`conv2d`] hands to its backward closure.
-fn conv2d_forward(
-    x: &Tensor,
-    w: &Tensor,
-    stride: usize,
-    pad: usize,
-    groups: usize,
-) -> (Tensor, usize, usize, Vec<Tensor>) {
-    assert_eq!(x.dims().len(), 4, "conv2d input must be [N,C,H,W]");
-    assert_eq!(w.dims().len(), 4, "conv2d weight must be [K,C/g,R,S]");
-    let (n, c, h, wdt) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-    let (k, cg, r, s) = (w.dims()[0], w.dims()[1], w.dims()[2], w.dims()[3]);
+    let (k, cg, r, s) = (wv.dims()[0], wv.dims()[1], wv.dims()[2], wv.dims()[3]);
     assert_eq!(
         c % groups,
         0,
@@ -438,49 +220,388 @@ fn conv2d_forward(
         h + 2 * pad >= r && wdt + 2 * pad >= s,
         "kernel {r}x{s} does not fit padded input {h}x{wdt} (pad {pad})"
     );
-    let oh = (h + 2 * pad - r) / stride + 1;
-    let ow = (wdt + 2 * pad - s) / stride + 1;
-    let kg = k / groups;
-    // Per-group weight matrices, hoisted out of the sample loop.
-    let wgs: Vec<Tensor> = (0..groups)
-        .map(|gi| {
-            let mut wg = Tensor::zeros(&[kg, cg * r * s]);
-            for kk in 0..kg {
-                let src = (gi * kg + kk) * cg * r * s;
-                wg.data_mut()[kk * cg * r * s..(kk + 1) * cg * r * s]
-                    .copy_from_slice(&w.data()[src..src + cg * r * s]);
-            }
-            wg
-        })
-        .collect();
-    // Each sample is independent (im2col + one matmul per group), so the
-    // batch loop fans out across threads; results are stitched back in
-    // sample order. Small convolutions stay on the calling thread.
-    let flops = 2 * n * kg * cg * r * s * oh * ow * groups;
-    let sample_fwd = |i: usize| {
-        let mut out_i = vec![0.0f32; k * oh * ow];
-        let mut cols_i = Vec::with_capacity(groups);
-        for gi in 0..groups {
-            let xin = &x.data()[(i * c + gi * cg) * h * wdt..(i * c + (gi + 1) * cg) * h * wdt];
-            let (cols, _, _) = im2col(xin, cg, h, wdt, r, s, stride, pad);
-            let y = wgs[gi].matmul(&cols); // [kg, oh*ow]
-            out_i[gi * kg * oh * ow..(gi + 1) * kg * oh * ow].copy_from_slice(y.data());
-            cols_i.push(cols);
-        }
-        (out_i, cols_i)
-    };
-    let per_sample = if flops < crate::tensor::PAR_FLOP_THRESHOLD {
-        parallel::with_threads(1, || parallel::parallel_map_indexed(n, sample_fwd))
+    let geom = ConvGeom::new(h, wdt, r, s, stride, pad);
+    let out_dims = [n, k, geom.oh, geom.ow];
+    if groups > 1 && groups == c && groups == k {
+        conv_op(Depthwise::new(c, geom), out_dims, x, w)
     } else {
-        parallel::parallel_map_indexed(n, sample_fwd)
-    };
-    let mut out = Tensor::zeros(&[n, k, oh, ow]);
-    let mut cols_cache = Vec::with_capacity(n * groups);
-    for (i, (out_i, cols_i)) in per_sample.into_iter().enumerate() {
-        out.data_mut()[i * k * oh * ow..(i + 1) * k * oh * ow].copy_from_slice(&out_i);
-        cols_cache.extend(cols_i);
+        let dense = DenseConv { c, k, groups, geom };
+        conv_op(dense, out_dims, x, w)
     }
-    (out, oh, ow, cols_cache)
+}
+
+/// A convolution over one contiguous block of `nb` samples, run serially.
+trait ConvKernel: Sync + 'static {
+    /// The block's output `[nb, K, OH, OW]` and whatever the backward pass
+    /// wants kept.
+    fn forward(&self, nb: usize, x: &[f32], w: &[f32]) -> (Vec<f32>, Option<Vec<f32>>);
+
+    /// The block's `dx` and one `dw`-shaped partial per sample, each summed
+    /// from zero over that sample's positions.
+    fn backward(
+        &self,
+        nb: usize,
+        g: &[f32],
+        x: &[f32],
+        w: &[f32],
+        saved: Option<&[f32]>,
+    ) -> (Vec<f32>, Vec<f32>);
+}
+
+/// Runs `kernel` as a graph op. Each pass is one parallel region over blocks
+/// of consecutive samples — a single block when the work is small or the
+/// budget is one thread — and `dw` is the per-sample partials folded in
+/// ascending sample order afterwards, so no sum depends on the thread count.
+fn conv_op(kernel: impl ConvKernel, out_dims: [usize; 4], x: &Var, w: &Var) -> Var {
+    let (xv, wv) = (x.value_ref(), w.value_ref());
+    let (xd, wd) = (xv.data(), wv.data());
+    let (n, x_len, w_len) = (out_dims[0], xd.len() / out_dims[0], wd.len());
+    let flops = 2 * out_dims.iter().product::<usize>() * w_len / out_dims[1];
+    let (per_block, blocks) = parallel::gate(flops >= PAR_FLOP_THRESHOLD, || {
+        let per_block = n.div_ceil(parallel::max_threads());
+        let blocks = parallel::parallel_map_indexed(n.div_ceil(per_block), |b| {
+            let samples = b * per_block..n.min((b + 1) * per_block);
+            let xb = &xd[samples.start * x_len..samples.end * x_len];
+            kernel.forward(samples.len(), xb, wd)
+        });
+        (per_block, blocks)
+    });
+    let (out, saved): (Vec<_>, Vec<_>) = blocks.into_iter().unzip();
+    Var::from_op(
+        Tensor::from_vec(out_dims.to_vec(), join_blocks(out)),
+        vec![x.clone(), w.clone()],
+        Box::new(move |g, parents| {
+            let (xv, wv) = (parents[0].value_ref(), parents[1].value_ref());
+            let (gd, xd, wd, g_len) = (g.data(), xv.data(), wv.data(), g.len() / n);
+            let blocks = parallel::gate(2 * flops >= PAR_FLOP_THRESHOLD, || {
+                parallel::parallel_map(&saved, |b, saved_b| {
+                    let (i0, i1) = (b * per_block, n.min((b + 1) * per_block));
+                    let (gb, xb) = (&gd[i0 * g_len..i1 * g_len], &xd[i0 * x_len..i1 * x_len]);
+                    kernel.backward(i1 - i0, gb, xb, wd, saved_b.as_deref())
+                })
+            });
+            let (dx, partials): (Vec<_>, Vec<_>) = blocks.into_iter().unzip();
+            let mut dw = vec![0.0f32; w_len];
+            for partial in partials.iter().flat_map(|p| p.chunks_exact(w_len)) {
+                for (d, &v) in dw.iter_mut().zip(partial) {
+                    *d += v;
+                }
+            }
+            parents[0].accumulate_grad(Tensor::from_vec(xv.dims().to_vec(), join_blocks(dx)));
+            parents[1].accumulate_grad(Tensor::from_vec(wv.dims().to_vec(), dw));
+        }),
+    )
+}
+
+/// The blocks' results as one buffer; the usual single block is moved, not
+/// copied.
+fn join_blocks(mut blocks: Vec<Vec<f32>>) -> Vec<f32> {
+    match blocks.len() {
+        1 => blocks.pop().expect("one block"),
+        _ => blocks.concat(),
+    }
+}
+
+/// `[a, b, p] -> [b, a, p]`: swaps the two leading axes, moving whole
+/// `p`-long rows. Conv tensors are sample-major (`[N, K, OH*OW]`), the
+/// products below want channel-major (`[K, N*OH*OW]`) operands and results.
+fn swap_leading(src: &[f32], a: usize, b: usize, p: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; src.len()];
+    for (ai, slab) in src.chunks_exact(b * p).enumerate() {
+        for (bi, row) in slab.chunks_exact(p).enumerate() {
+            out[(bi * a + ai) * p..(bi * a + ai + 1) * p].copy_from_slice(row);
+        }
+    }
+    out
+}
+
+/// Dense (non-depthwise) grouped convolution as block-level matrix work.
+///
+/// With `q = C/g·R·S` and `P = OH·OW`, a block's patch matrix `cols` is
+/// `[C·R·S, nb·P]`: group `gi` owns rows `gi·q..`, sample `i` columns `i·P..`.
+struct DenseConv {
+    c: usize,
+    k: usize,
+    groups: usize,
+    geom: ConvGeom,
+}
+
+impl DenseConv {
+    /// `(q, P, K/g)`.
+    fn sizes(&self) -> (usize, usize, usize) {
+        let g = &self.geom;
+        (
+            self.c / self.groups * g.kh * g.kw,
+            g.oh * g.ow,
+            self.k / self.groups,
+        )
+    }
+
+    /// A 1×1/stride-1/pad-0 conv's patch matrix is `x` itself, channel-major:
+    /// no `im2col`, and nothing worth keeping for the backward pass.
+    fn pointwise(&self) -> bool {
+        let g = &self.geom;
+        g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
+    }
+
+    /// `[rows_g, inner] · [inner, l]` per group into the matching rows of a
+    /// `[groups·rows_g, l]` result; `lhs` is `[groups·rows_g, inner]`, `rhs`
+    /// `[groups·inner, l]`.
+    fn grouped_product(
+        &self,
+        lhs: &[f32],
+        rhs: &[f32],
+        (rows_g, inner, l): (usize, usize, usize),
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.groups * rows_g * l];
+        for (gi, out_g) in out.chunks_exact_mut(rows_g * l).enumerate() {
+            let lhs_g = &lhs[gi * rows_g * inner..(gi + 1) * rows_g * inner];
+            matmul_into(lhs_g, &rhs[gi * inner * l..], l, out_g, inner, l);
+        }
+        out
+    }
+}
+
+impl ConvKernel for DenseConv {
+    /// Per element the `q` products `w·patch` in ascending `(c, ki, kj)`.
+    fn forward(&self, nb: usize, x: &[f32], w: &[f32]) -> (Vec<f32>, Option<Vec<f32>>) {
+        let (q, p, kg) = self.sizes();
+        let cols = if self.pointwise() {
+            swap_leading(x, nb, self.c, p)
+        } else {
+            im2col_batch(x, nb, self.c, &self.geom)
+        };
+        let y = self.grouped_product(w, &cols, (kg, q, nb * p));
+        let keep = (!self.pointwise()).then_some(cols);
+        (swap_leading(&y, self.k, nb, p), keep)
+    }
+
+    /// `dx`: per group `dcols = Wᵀ·dy` (filters ascending per element), then
+    /// folded back onto the input planes. Partials: `dy_i · colsᵀ_i` per
+    /// sample (positions ascending per element).
+    fn backward(
+        &self,
+        nb: usize,
+        g: &[f32],
+        x: &[f32],
+        w: &[f32],
+        cols: Option<&[f32]>,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let (c, k, groups, geom) = (self.c, self.k, self.groups, &self.geom);
+        let (q, p, kg) = self.sizes();
+        let (l, crs, plane, taps) = (nb * p, groups * q, geom.h * geom.w, geom.kh * geom.kw);
+        let mut wt = vec![0.0f32; k * q];
+        for (wg, wtg) in w.chunks_exact(kg * q).zip(wt.chunks_exact_mut(kg * q)) {
+            transpose_into(wg, q, kg, q, wtg);
+        }
+        let dcols = self.grouped_product(&wt, &swap_leading(g, nb, k, p), (q, kg, l));
+        let dx = if self.pointwise() {
+            swap_leading(&dcols, c, nb, p)
+        } else {
+            let mut dx = vec![0.0f32; nb * c * plane];
+            for (ci, dxp) in dx.chunks_exact_mut(plane).enumerate() {
+                fold_plane(&dcols[ci % c * taps * l + ci / c * p..], l, dxp, geom);
+            }
+            dx
+        };
+        // colsᵀ `[l, C·R·S]`, one sample's `[C·R·S, P]` block at a time: one
+        // patch per row, so the partial products stream it with unit stride.
+        // A pointwise conv's block is the sample of `x` itself.
+        let (src, ld, step) = match cols {
+            Some(cols) => (cols, l, p),
+            None => (x, p, c * p),
+        };
+        let mut cols_t = vec![0.0f32; l * crs];
+        for (i, ti) in cols_t.chunks_exact_mut(p * crs).enumerate() {
+            transpose_into(&src[i * step..], ld, crs, p, ti);
+        }
+        let mut partials = vec![0.0f32; nb * k * q];
+        for (row, part) in partials.chunks_exact_mut(kg * q).enumerate() {
+            let (i, gi) = (row / groups, row % groups);
+            let dy = &g[row * kg * p..(row + 1) * kg * p];
+            matmul_into(dy, &cols_t[i * p * crs + gi * q..], crs, part, p, q);
+        }
+        (dx, partials)
+    }
+}
+
+/// Widest vector accumulator of the depthwise `dw` pass (one per kernel row,
+/// or per [`DW_LANES`] columns of a wider kernel).
+const DW_LANES: usize = 8;
+/// Samples whose `dw` chains run side by side, to hide the add latency of
+/// each one's strictly sequential sum.
+const DW_SAMPLES: usize = 4;
+
+/// Depthwise convolution (`groups == C == K`) on zero-padded planes.
+///
+/// Every filter reads exactly one input plane. Each plane is embedded in a
+/// zeroed `hp x wp` frame and outputs live in rows of the same pitch `wp`,
+/// so output `j = oy·wp + ox` reads input `stride·j + offs[t]` for tap `t`
+/// at *every* `j` of the plane: a whole plane is one flat axpy per tap, with
+/// no row or border handling (columns `ox >= ow` of a wide row are scratch
+/// in the forward pass and zero in the backward pass). Padding taps then
+/// contribute `w·0 = ±0`, which leaves a sum that started from `+0`
+/// unchanged, so every element still equals its in-range taps added in the
+/// documented order.
+struct Depthwise {
+    c: usize,
+    geom: ConvGeom,
+    wp: usize,
+    /// Values in a padded input plane; the slack lets the `dw` pass read a
+    /// full vector at the last tap.
+    pad_len: usize,
+    /// Values in a wide output plane.
+    wide_len: usize,
+    /// Flat outputs per plane: `(oh - 1)·wp + ow`.
+    span: usize,
+    /// `offs[ki·kw + kj] = ki·wp + kj`, ascending.
+    offs: Vec<usize>,
+}
+
+/// Embeds every dense `rows x cols` plane of `src` in a zeroed frame of
+/// `frame_len` values and row pitch `pitch` with its origin at `(r0, c0)`
+/// — or, with `embed` false, crops that window back out of every frame.
+fn reframe(
+    src: &[f32],
+    (rows, cols): (usize, usize),
+    (frame_len, pitch): (usize, usize),
+    (r0, c0): (usize, usize),
+    embed: bool,
+) -> Vec<f32> {
+    let (from_len, to_len) = match embed {
+        true => (rows * cols, frame_len),
+        false => (frame_len, rows * cols),
+    };
+    let mut out = vec![0.0f32; src.len() / from_len * to_len];
+    for (sp, dp) in src.chunks_exact(from_len).zip(out.chunks_exact_mut(to_len)) {
+        for r in 0..rows {
+            let (dense, framed) = (r * cols, (r0 + r) * pitch + c0);
+            match embed {
+                true => dp[framed..framed + cols].copy_from_slice(&sp[dense..dense + cols]),
+                false => dp[dense..dense + cols].copy_from_slice(&sp[framed..framed + cols]),
+            }
+        }
+    }
+    out
+}
+
+impl Depthwise {
+    fn new(c: usize, geom: ConvGeom) -> Self {
+        let (hp, wp) = (geom.h + 2 * geom.pad, geom.w + 2 * geom.pad);
+        Depthwise {
+            c,
+            wp,
+            pad_len: hp * wp + DW_LANES,
+            wide_len: geom.oh * wp,
+            span: (geom.oh - 1) * wp + geom.ow,
+            offs: (0..geom.kh)
+                .flat_map(|ki| (0..geom.kw).map(move |kj| ki * wp + kj))
+                .collect(),
+            geom,
+        }
+    }
+
+    fn pad_input(&self, x: &[f32]) -> Vec<f32> {
+        let (g, origin) = (&self.geom, (self.geom.pad, self.geom.pad));
+        reframe(x, (g.h, g.w), (self.pad_len, self.wp), origin, true)
+    }
+
+    /// Per-sample `dw` partials `[nb, C·R·S]` from wide gradient planes and
+    /// padded input planes: one `LANES`-wide accumulator per kernel row (lane
+    /// `kj` is tap `(ki, kj)`; lanes past `kw` are scratch, a wider row takes
+    /// several) runs over a plane's flat positions in ascending order,
+    /// [`DW_SAMPLES`] samples side by side.
+    fn weight_grads<const LANES: usize>(&self, nb: usize, gwide: &[f32], xpad: &[f32]) -> Vec<f32> {
+        let (g, c, taps) = (&self.geom, self.c, self.offs.len());
+        let mut out = vec![0.0f32; nb * c * taps];
+        for ch in 0..c {
+            for i0 in (0..nb).step_by(DW_SAMPLES) {
+                // A short last group repeats its final sample: the same
+                // sums again, stored to the same place.
+                let planes: [usize; DW_SAMPLES] =
+                    std::array::from_fn(|b| (i0 + b).min(nb - 1) * c + ch);
+                let gs = planes.map(|pl| &gwide[pl * self.wide_len..][..self.span]);
+                for (ki, kj0) in
+                    (0..g.kh).flat_map(|ki| (0..g.kw).step_by(LANES).map(move |kj0| (ki, kj0)))
+                {
+                    let (t0, lanes) = (ki * g.kw + kj0, LANES.min(g.kw - kj0));
+                    let xs = planes.map(|pl| &xpad[pl * self.pad_len + self.offs[t0]..]);
+                    let mut acc = [[0.0f32; LANES]; DW_SAMPLES];
+                    for j in 0..self.span {
+                        for ((a, gw), xw) in acc.iter_mut().zip(&gs).zip(&xs) {
+                            let win = &xw[g.stride * j..g.stride * j + LANES];
+                            for (a, &xv) in a.iter_mut().zip(win) {
+                                *a += gw[j] * xv;
+                            }
+                        }
+                    }
+                    for (a, pl) in acc.iter().zip(planes) {
+                        out[pl * taps + t0..][..lanes].copy_from_slice(&a[..lanes]);
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+impl ConvKernel for Depthwise {
+    /// Per element: the taps in ascending `(ki, kj)`.
+    fn forward(&self, _nb: usize, x: &[f32], w: &[f32]) -> (Vec<f32>, Option<Vec<f32>>) {
+        let (g, taps) = (&self.geom, self.offs.len());
+        let xpad = self.pad_input(x);
+        let mut wide = vec![0.0f32; xpad.len() / self.pad_len * self.wide_len];
+        for (ci, (o, xp)) in wide
+            .chunks_exact_mut(self.wide_len)
+            .zip(xpad.chunks_exact(self.pad_len))
+            .enumerate()
+        {
+            let wrow = &w[ci % self.c * taps..(ci % self.c + 1) * taps];
+            for (&wv, &off) in wrow.iter().zip(&self.offs) {
+                axpy(&mut o[..self.span], 1, wv, &xp[off..], g.stride);
+            }
+        }
+        let frame = (self.wide_len, self.wp);
+        (reframe(&wide, (g.oh, g.ow), frame, (0, 0), false), None)
+    }
+
+    /// `dx`: per element its contributions in ascending `(oy, ox)` — the taps
+    /// in *descending* order, since a later tap reaches the same input from
+    /// an earlier output. Partials: per tap a sample's positions in ascending
+    /// `(oy, ox)`.
+    fn backward(
+        &self,
+        nb: usize,
+        gd: &[f32],
+        x: &[f32],
+        w: &[f32],
+        _saved: Option<&[f32]>,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let (g, taps) = (&self.geom, self.offs.len());
+        let gwide = reframe(gd, (g.oh, g.ow), (self.wide_len, self.wp), (0, 0), true);
+        let mut dxpad = vec![0.0f32; nb * self.c * self.pad_len];
+        for (ci, (dp, gw)) in dxpad
+            .chunks_exact_mut(self.pad_len)
+            .zip(gwide.chunks_exact(self.wide_len))
+            .enumerate()
+        {
+            let wrow = &w[ci % self.c * taps..(ci % self.c + 1) * taps];
+            for (&wv, &off) in wrow.iter().zip(&self.offs).rev() {
+                axpy(&mut dp[off..], g.stride, wv, &gw[..self.span], 1);
+            }
+        }
+        let xpad = self.pad_input(x);
+        // A narrow kernel row fits half-width accumulators.
+        let partials = match g.kw {
+            0..=4 => self.weight_grads::<4>(nb, &gwide, &xpad),
+            _ => self.weight_grads::<DW_LANES>(nb, &gwide, &xpad),
+        };
+        let frame = (self.pad_len, self.wp);
+        (
+            reframe(&dxpad, (g.h, g.w), frame, (g.pad, g.pad), false),
+            partials,
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -499,6 +620,35 @@ pub struct BatchNormOutput {
     pub var: Tensor,
 }
 
+/// Channels whose reduction chains [`channel_sums`] keeps in flight at once:
+/// each chain is one dependent add per element, so a few independent ones
+/// hide the add latency without touching any chain's order.
+const BN_LANES: usize = 8;
+
+/// Per-channel sums over an `[n, c, hw]` layout of `term(channel, flat
+/// index)`: every channel adds its terms in ascending (sample, position)
+/// order, starting from zero.
+fn channel_sums(n: usize, c: usize, hw: usize, term: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    let mut sums = vec![0.0f32; c];
+    for i in 0..n {
+        for c0 in (0..c).step_by(BN_LANES) {
+            // A short last block repeats its final channel: the same chain
+            // computed again, storing the same value.
+            let chs: [usize; BN_LANES] = std::array::from_fn(|lane| (c0 + lane).min(c - 1));
+            let mut acc = chs.map(|ch| sums[ch]);
+            for s in 0..hw {
+                for (a, &ch) in acc.iter_mut().zip(&chs) {
+                    *a += term(ch, (i * c + ch) * hw + s);
+                }
+            }
+            for (&a, &ch) in acc.iter().zip(&chs) {
+                sums[ch] = a;
+            }
+        }
+    }
+    sums
+}
+
 /// Batch normalization over `[N, C, H, W]` (statistics per channel).
 ///
 /// With `stats = None` the batch statistics are computed and fully
@@ -515,113 +665,72 @@ pub fn batch_norm2d(
     eps: f32,
     stats: Option<(Tensor, Tensor)>,
 ) -> BatchNormOutput {
-    let xv = x.node.value.borrow().clone();
+    let xv = x.value_ref();
     assert_eq!(xv.dims().len(), 4, "batch_norm2d input must be [N,C,H,W]");
-    let (n, c, h, w) = (xv.dims()[0], xv.dims()[1], xv.dims()[2], xv.dims()[3]);
-    let gv = gamma.node.value.borrow().clone();
-    let bv = beta.node.value.borrow().clone();
+    let (n, c, hw) = (xv.dims()[0], xv.dims()[1], xv.dims()[2] * xv.dims()[3]);
+    let (gv, bv) = (gamma.value_ref(), beta.value_ref());
     assert_eq!(gv.len(), c, "gamma length must equal channel count");
     assert_eq!(bv.len(), c, "beta length must equal channel count");
-    let m = (n * h * w) as f32;
+    let m = (n * hw) as f32;
     let use_batch_stats = stats.is_none();
-    let (mean, var) = match stats {
-        Some((mu, va)) => (mu, va),
-        None => {
-            let mut mu = vec![0.0f32; c];
-            let mut va = vec![0.0f32; c];
-            for i in 0..n {
-                for (ch, much) in mu.iter_mut().enumerate() {
-                    let base = (i * c + ch) * h * w;
-                    for s in 0..h * w {
-                        *much += xv.data()[base + s];
-                    }
-                }
-            }
-            for v in mu.iter_mut() {
-                *v /= m;
-            }
-            for i in 0..n {
-                for ch in 0..c {
-                    let base = (i * c + ch) * h * w;
-                    for s in 0..h * w {
-                        let d = xv.data()[base + s] - mu[ch];
-                        va[ch] += d * d;
-                    }
-                }
-            }
-            for v in va.iter_mut() {
-                *v /= m;
-            }
-            (Tensor::from_vec(vec![c], mu), Tensor::from_vec(vec![c], va))
-        }
-    };
+    let xd = xv.data();
+    let (mean, var) = stats.unwrap_or_else(|| {
+        let mut mu = channel_sums(n, c, hw, |_, at| xd[at]);
+        mu.iter_mut().for_each(|v| *v /= m);
+        let mut va = channel_sums(n, c, hw, |ch, at| {
+            let d = xd[at] - mu[ch];
+            d * d
+        });
+        va.iter_mut().for_each(|v| *v /= m);
+        (Tensor::from_vec(vec![c], mu), Tensor::from_vec(vec![c], va))
+    });
     let invstd: Vec<f32> = var.data().iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
-    // xhat and y
-    let mut xhat = Tensor::zeros(&[n, c, h, w]);
-    let mut y = Tensor::zeros(&[n, c, h, w]);
-    for i in 0..n {
-        for (ch, &is) in invstd.iter().enumerate() {
-            let base = (i * c + ch) * h * w;
-            for s in 0..h * w {
-                let xh = (xv.data()[base + s] - mean.data()[ch]) * is;
-                xhat.data_mut()[base + s] = xh;
-                y.data_mut()[base + s] = gv.data()[ch] * xh + bv.data()[ch];
-            }
+    let mut xhat = vec![0.0f32; xd.len()];
+    let mut y = vec![0.0f32; xd.len()];
+    let planes = xd
+        .chunks_exact(hw)
+        .zip(xhat.chunks_exact_mut(hw).zip(y.chunks_exact_mut(hw)));
+    for (idx, (xp, (xhp, yp))) in planes.enumerate() {
+        let ch = idx % c;
+        let (mu, is, ga, be) = (mean.data()[ch], invstd[ch], gv.data()[ch], bv.data()[ch]);
+        for ((&xv, xh), yv) in xp.iter().zip(xhp).zip(yp) {
+            *xh = (xv - mu) * is;
+            *yv = ga * *xh + be;
         }
     }
-    let xhat_saved = xhat.clone();
-    let invstd_saved = invstd.clone();
-    let mean_out = mean.clone();
-    let var_out = var.clone();
+    let dims = xv.dims().to_vec();
     let out = Var::from_op(
-        y,
+        Tensor::from_vec(dims.clone(), y),
         vec![x.clone(), gamma.clone(), beta.clone()],
         Box::new(move |g, parents| {
-            let gv = parents[1].value();
             let gd = g.data();
-            let mut dgamma = vec![0.0f32; c];
-            let mut dbeta = vec![0.0f32; c];
-            let mut sum_dy = vec![0.0f32; c];
-            let mut sum_dy_xhat = vec![0.0f32; c];
-            for i in 0..n {
-                for ch in 0..c {
-                    let base = (i * c + ch) * h * w;
-                    for s in 0..h * w {
-                        let dy = gd[base + s];
-                        let xh = xhat_saved.data()[base + s];
-                        dgamma[ch] += dy * xh;
-                        dbeta[ch] += dy;
-                        sum_dy[ch] += dy;
-                        sum_dy_xhat[ch] += dy * xh;
-                    }
+            // dbeta = Σ dy and dgamma = Σ dy·x̂ are also the two batch
+            // reductions the input gradient needs.
+            let sum_dy = channel_sums(n, c, hw, |_, at| gd[at]);
+            let sum_dy_xhat = channel_sums(n, c, hw, |_, at| gd[at] * xhat[at]);
+            let gamma = parents[1].value_ref();
+            let mut dx = vec![0.0f32; gd.len()];
+            let planes = gd
+                .chunks_exact(hw)
+                .zip(xhat.chunks_exact(hw).zip(dx.chunks_exact_mut(hw)));
+            for (idx, (gp, (xhp, dxp))) in planes.enumerate() {
+                let ch = idx % c;
+                let gsc = gamma.data()[ch] * invstd[ch];
+                let (scale, sdy, sdx) = (gsc / m, sum_dy[ch], sum_dy_xhat[ch]);
+                for ((&dy, &xh), d) in gp.iter().zip(xhp).zip(dxp) {
+                    *d = if use_batch_stats {
+                        scale * (m * dy - sdy - xh * sdx)
+                    } else {
+                        gsc * dy
+                    };
                 }
             }
-            let mut dx = Tensor::zeros(&[n, c, h, w]);
-            for i in 0..n {
-                for ch in 0..c {
-                    let base = (i * c + ch) * h * w;
-                    let gsc = gv.data()[ch] * invstd_saved[ch];
-                    for s in 0..h * w {
-                        let dy = gd[base + s];
-                        let xh = xhat_saved.data()[base + s];
-                        dx.data_mut()[base + s] = if use_batch_stats {
-                            gsc / m * (m * dy - sum_dy[ch] - xh * sum_dy_xhat[ch])
-                        } else {
-                            gsc * dy
-                        };
-                    }
-                }
-            }
-            parents[0].accumulate_grad(&dx);
-            parents[1].accumulate_grad(&Tensor::from_vec(vec![c], dgamma));
-            parents[2].accumulate_grad(&Tensor::from_vec(vec![c], dbeta));
+            parents[0].accumulate_grad(Tensor::from_vec(dims.clone(), dx));
+            parents[1].accumulate_grad(Tensor::from_vec(vec![c], sum_dy_xhat));
+            parents[2].accumulate_grad(Tensor::from_vec(vec![c], sum_dy));
         }),
     );
-    BatchNormOutput {
-        out,
-        mean: mean_out,
-        var: var_out,
-    }
+    BatchNormOutput { out, mean, var }
 }
 
 // ---------------------------------------------------------------------------
@@ -638,119 +747,75 @@ pub fn relu6(x: &Var) -> Var {
     clamp(x, 0.0, 6.0)
 }
 
+/// Zeroes the gradient entries whose forward input fails `pass`.
+fn mask_grad(mut g: Tensor, x: &Tensor, pass: impl Fn(f32) -> bool) -> Tensor {
+    for (gi, &vi) in g.data_mut().iter_mut().zip(x.data()) {
+        *gi = if pass(vi) { *gi } else { 0.0 };
+    }
+    g
+}
+
 /// Elementwise clamp with pass-through gradient strictly inside the range.
 pub fn clamp(x: &Var, lo: f32, hi: f32) -> Var {
-    let xv = x.node.value.borrow().clone();
-    let out = xv.map(|v| v.clamp(lo, hi));
+    let out = x.value_ref().map(|v| v.clamp(lo, hi));
     Var::from_op(
         out,
         vec![x.clone()],
         Box::new(move |g, parents| {
-            let xv = parents[0].value();
-            let dx = g.zip_map(&xv, |gi, vi| if vi > lo && vi < hi { gi } else { 0.0 });
-            parents[0].accumulate_grad(&dx);
+            let dx = mask_grad(g, &parents[0].value_ref(), |v| v > lo && v < hi);
+            parents[0].accumulate_grad(dx);
         }),
     )
 }
-
 // ---------------------------------------------------------------------------
 // Pooling & reshape
 // ---------------------------------------------------------------------------
 
-/// Non-overlapping-friendly average pooling over `[N,C,H,W]`.
+/// Non-overlapping-friendly average pooling over `[N,C,H,W]`: a depthwise
+/// convolution with unit taps (which adds each window, and scatters each
+/// gradient, in the order the window loops would), scaled by the window size.
 ///
 /// # Panics
 ///
 /// Panics if the window does not tile the input exactly.
 pub fn avg_pool2d(x: &Var, kernel: usize, stride: usize) -> Var {
-    let xv = x.node.value.borrow().clone();
-    assert_eq!(xv.dims().len(), 4, "avg_pool2d input must be [N,C,H,W]");
-    let (n, c, h, w) = (xv.dims()[0], xv.dims()[1], xv.dims()[2], xv.dims()[3]);
+    let dims = x.dims();
+    assert_eq!(dims.len(), 4, "avg_pool2d input must be [N,C,H,W]");
+    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
     assert!(
         (h - kernel).is_multiple_of(stride) && (w - kernel).is_multiple_of(stride),
         "pool window {kernel}/{stride} must tile {h}x{w}"
     );
-    let oh = (h - kernel) / stride + 1;
-    let ow = (w - kernel) / stride + 1;
-    let inv = 1.0 / (kernel * kernel) as f32;
-    let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    for i in 0..n {
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0;
-                    for ky in 0..kernel {
-                        for kx in 0..kernel {
-                            acc += xv.data()
-                                [((i * c + ch) * h + oy * stride + ky) * w + ox * stride + kx];
-                        }
-                    }
-                    out.data_mut()[((i * c + ch) * oh + oy) * ow + ox] = acc * inv;
-                }
-            }
-        }
-    }
-    Var::from_op(
-        out,
-        vec![x.clone()],
-        Box::new(move |g, parents| {
-            let mut dx = Tensor::zeros(&[n, c, h, w]);
-            let gd = g.data();
-            for i in 0..n {
-                for ch in 0..c {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let go = gd[((i * c + ch) * oh + oy) * ow + ox] * inv;
-                            for ky in 0..kernel {
-                                for kx in 0..kernel {
-                                    dx.data_mut()[((i * c + ch) * h + oy * stride + ky) * w
-                                        + ox * stride
-                                        + kx] += go;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            parents[0].accumulate_grad(&dx);
-        }),
-    )
+    let geom = ConvGeom::new(h, w, kernel, kernel, stride, 0);
+    let out_dims = [n, c, geom.oh, geom.ow];
+    let ones = Var::constant(Tensor::ones(&[c, 1, kernel, kernel]));
+    let sums = conv_op(Depthwise::new(c, geom), out_dims, x, &ones);
+    scale(&sums, 1.0 / (kernel * kernel) as f32)
 }
 
 /// Global average pooling: `[N,C,H,W] -> [N,C]`.
 pub fn global_avg_pool(x: &Var) -> Var {
-    let xv = x.node.value.borrow().clone();
+    let xv = x.value_ref();
     assert_eq!(
         xv.dims().len(),
         4,
         "global_avg_pool input must be [N,C,H,W]"
     );
-    let (n, c, h, w) = (xv.dims()[0], xv.dims()[1], xv.dims()[2], xv.dims()[3]);
-    let inv = 1.0 / (h * w) as f32;
-    let mut out = Tensor::zeros(&[n, c]);
-    for i in 0..n {
-        for ch in 0..c {
-            let base = (i * c + ch) * h * w;
-            let acc: f32 = xv.data()[base..base + h * w].iter().sum();
-            out.data_mut()[i * c + ch] = acc * inv;
-        }
-    }
+    let (dims, hw) = (xv.dims().to_vec(), xv.dims()[2] * xv.dims()[3]);
+    let inv = 1.0 / hw as f32;
+    let means = xv
+        .data()
+        .chunks_exact(hw)
+        .map(|plane| plane.iter().sum::<f32>() * inv);
     Var::from_op(
-        out,
+        Tensor::from_vec(dims[..2].to_vec(), means.collect()),
         vec![x.clone()],
         Box::new(move |g, parents| {
-            let mut dx = Tensor::zeros(&[n, c, h, w]);
-            let gd = g.data();
-            for i in 0..n {
-                for ch in 0..c {
-                    let go = gd[i * c + ch] * inv;
-                    let base = (i * c + ch) * h * w;
-                    for s in 0..h * w {
-                        dx.data_mut()[base + s] = go;
-                    }
-                }
+            let mut dx = Tensor::zeros(&dims);
+            for (plane, &go) in dx.data_mut().chunks_exact_mut(hw).zip(g.data()) {
+                plane.fill(go * inv);
             }
-            parents[0].accumulate_grad(&dx);
+            parents[0].accumulate_grad(dx);
         }),
     )
 }
@@ -761,7 +826,7 @@ pub fn global_avg_pool(x: &Var) -> Var {
 ///
 /// Panics if the window does not tile the input exactly.
 pub fn max_pool2d(x: &Var, kernel: usize, stride: usize) -> Var {
-    let xv = x.node.value.borrow().clone();
+    let xv = x.value_ref();
     assert_eq!(xv.dims().len(), 4, "max_pool2d input must be [N,C,H,W]");
     let (n, c, h, w) = (xv.dims()[0], xv.dims()[1], xv.dims()[2], xv.dims()[3]);
     assert!(
@@ -802,20 +867,20 @@ pub fn max_pool2d(x: &Var, kernel: usize, stride: usize) -> Var {
             for (o, &src) in arg.iter().enumerate() {
                 dx.data_mut()[src] += g.data()[o];
             }
-            parents[0].accumulate_grad(&dx);
+            parents[0].accumulate_grad(dx);
         }),
     )
 }
 
 /// Shape-changing view (data order preserved).
 pub fn reshape(x: &Var, dims: &[usize]) -> Var {
-    let out = x.node.value.borrow().reshape(dims);
+    let out = x.value_ref().reshape(dims);
     Var::from_op(
         out,
         vec![x.clone()],
         Box::new(|g, parents| {
             let dims = parents[0].dims();
-            parents[0].accumulate_grad(&g.reshape(&dims));
+            parents[0].accumulate_grad(g.reshape(&dims));
         }),
     )
 }
@@ -831,13 +896,12 @@ pub fn reshape(x: &Var, dims: &[usize]) -> Var {
 /// Panics if `parts` is empty or trailing shapes disagree.
 pub fn concat0(parts: &[Var]) -> Var {
     assert!(!parts.is_empty(), "concat0 needs at least one input");
-    let first = parts[0].node.value.borrow().clone();
-    let tail_shape: Vec<usize> = first.dims()[1..].to_vec();
+    let tail_shape: Vec<usize> = parts[0].value_ref().dims()[1..].to_vec();
     let mut rows = 0usize;
     let mut data = Vec::new();
     let mut sizes = Vec::with_capacity(parts.len());
     for p in parts {
-        let v = p.node.value.borrow().clone();
+        let v = p.value_ref();
         assert_eq!(
             &v.dims()[1..],
             tail_shape.as_slice(),
@@ -857,7 +921,7 @@ pub fn concat0(parts: &[Var]) -> Var {
             for (p, &len) in parents.iter().zip(&sizes) {
                 let dims = p.dims();
                 let chunk = Tensor::from_vec(dims, g.data()[offset..offset + len].to_vec());
-                p.accumulate_grad(&chunk);
+                p.accumulate_grad(chunk);
                 offset += len;
             }
         }),
@@ -870,7 +934,7 @@ pub fn concat0(parts: &[Var]) -> Var {
 ///
 /// Panics if the range exceeds the axis-0 extent or `len == 0`.
 pub fn slice0(x: &Var, start: usize, len: usize) -> Var {
-    let xv = x.node.value.borrow().clone();
+    let xv = x.value_ref();
     let rows = xv.dims()[0];
     assert!(len > 0, "slice length must be positive");
     assert!(
@@ -889,7 +953,7 @@ pub fn slice0(x: &Var, start: usize, len: usize) -> Var {
             let pdims = parents[0].dims();
             let mut dx = Tensor::zeros(&pdims);
             dx.data_mut()[start * per..(start + len) * per].copy_from_slice(g.data());
-            parents[0].accumulate_grad(&dx);
+            parents[0].accumulate_grad(dx);
         }),
     )
 }
@@ -904,7 +968,7 @@ pub fn slice0(x: &Var, start: usize, len: usize) -> Var {
 ///
 /// Panics if the input is not rank 1.
 pub fn softmax_1d(x: &Var) -> Var {
-    let xv = x.node.value.borrow().clone();
+    let xv = x.value_ref();
     assert_eq!(xv.dims().len(), 1, "softmax_1d input must be rank 1");
     let y = xv
         .reshape(&[1, xv.len()])
@@ -922,13 +986,15 @@ pub fn softmax_1d(x: &Var) -> Var {
                 .zip(y_saved.data())
                 .map(|(&gi, &yi)| gi * yi)
                 .sum();
-            let dx = y_saved.zip_map(g, |yi, gi| yi * (gi - dot));
-            parents[0].accumulate_grad(&dx);
+            let dx = y_saved.zip_map(&g, |yi, gi| yi * (gi - dot));
+            parents[0].accumulate_grad(dx);
         }),
     )
 }
 
-/// Fused softmax + cross-entropy over `[N, C]` logits with integer labels.
+/// Fused softmax + cross-entropy over `[N, C]` logits with integer labels:
+/// [`softmax_cross_entropy_smoothed`] without smoothing (bit for bit — a zero
+/// target adds no loss term and subtracts `0.0` from its gradient entry).
 ///
 /// Returns the mean negative log-likelihood as a `[1]` tensor.
 ///
@@ -936,7 +1002,18 @@ pub fn softmax_1d(x: &Var) -> Var {
 ///
 /// Panics if `labels.len() != N` or any label is out of range.
 pub fn softmax_cross_entropy(logits: &Var, labels: &[usize]) -> Var {
-    let lv = logits.node.value.borrow().clone();
+    softmax_cross_entropy_smoothed(logits, labels, 0.0)
+}
+
+/// Softmax cross-entropy with label smoothing: the target distribution is
+/// `(1 - eps) * onehot + eps / C`.
+///
+/// # Panics
+///
+/// Panics on label/shape mismatch or `eps` outside `[0, 1)`.
+pub fn softmax_cross_entropy_smoothed(logits: &Var, labels: &[usize], eps: f32) -> Var {
+    assert!((0.0..1.0).contains(&eps), "eps must be in [0, 1)");
+    let lv = logits.value_ref();
     assert_eq!(lv.dims().len(), 2, "logits must be [N, C]");
     let (n, c) = (lv.dims()[0], lv.dims()[1]);
     assert_eq!(labels.len(), n, "labels length must equal batch size");
@@ -944,42 +1021,6 @@ pub fn softmax_cross_entropy(logits: &Var, labels: &[usize]) -> Var {
         labels.iter().all(|&l| l < c),
         "label out of range for {c} classes"
     );
-    let probs = lv.softmax_rows();
-    let mut loss = 0.0f32;
-    for (i, &l) in labels.iter().enumerate() {
-        loss -= probs.data()[i * c + l].max(1e-12).ln();
-    }
-    loss /= n as f32;
-    let labels_owned = labels.to_vec();
-    Var::from_op(
-        Tensor::scalar(loss),
-        vec![logits.clone()],
-        Box::new(move |g, parents| {
-            let go = g.item() / n as f32;
-            let mut dl = probs.clone();
-            for (i, &l) in labels_owned.iter().enumerate() {
-                dl.data_mut()[i * c + l] -= 1.0;
-            }
-            parents[0].accumulate_grad(&dl.scale(go));
-        }),
-    )
-}
-
-/// Softmax cross-entropy with label smoothing: the target distribution is
-/// `(1 - eps) * onehot + eps / C`.
-///
-/// With `eps = 0` this equals [`softmax_cross_entropy`].
-///
-/// # Panics
-///
-/// Panics on label/shape mismatch or `eps` outside `[0, 1)`.
-pub fn softmax_cross_entropy_smoothed(logits: &Var, labels: &[usize], eps: f32) -> Var {
-    assert!((0.0..1.0).contains(&eps), "eps must be in [0, 1)");
-    let lv = logits.node.value.borrow().clone();
-    assert_eq!(lv.dims().len(), 2, "logits must be [N, C]");
-    let (n, c) = (lv.dims()[0], lv.dims()[1]);
-    assert_eq!(labels.len(), n, "labels length must equal batch size");
-    assert!(labels.iter().all(|&l| l < c), "label out of range");
     let probs = lv.softmax_rows();
     let unif = eps / c as f32;
     let mut loss = 0.0f32;
@@ -1005,7 +1046,7 @@ pub fn softmax_cross_entropy_smoothed(logits: &Var, labels: &[usize], eps: f32) 
                     dl.data_mut()[i * c + j] -= target;
                 }
             }
-            parents[0].accumulate_grad(&dl.scale(go));
+            parents[0].accumulate_grad(dl.scale(go));
         }),
     )
 }
@@ -1029,7 +1070,7 @@ pub fn mse_loss(a: &Var, b: &Var) -> Var {
 /// Panics on shape mismatch or non-positive temperature.
 pub fn distill_kl(student_logits: &Var, teacher_logits: &Tensor, temperature: f32) -> Var {
     assert!(temperature > 0.0, "temperature must be positive");
-    let sv = student_logits.node.value.borrow().clone();
+    let sv = student_logits.value_ref();
     assert_eq!(sv.dims().len(), 2, "logits must be [N, C]");
     assert_eq!(
         sv.shape(),
@@ -1055,7 +1096,7 @@ pub fn distill_kl(student_logits: &Var, teacher_logits: &Tensor, temperature: f3
             // d/dz_s = (softmax(z_s/T) - p_teacher) * T / N  (times T^2/T).
             let go = g.item() * t / n as f32;
             let dl = p_student.sub(&p_teacher).scale(go);
-            parents[0].accumulate_grad(&dl);
+            parents[0].accumulate_grad(dl);
         }),
     )
 }
@@ -1081,7 +1122,7 @@ pub fn ste_apply(
     forward: impl Fn(&Tensor) -> Tensor,
     grad_mask: Option<GradMaskFn>,
 ) -> Var {
-    let xv = x.node.value.borrow().clone();
+    let xv = x.value_ref();
     let out = forward(&xv);
     assert_eq!(
         out.shape(),
@@ -1093,10 +1134,10 @@ pub fn ste_apply(
         vec![x.clone()],
         Box::new(move |g, parents| {
             let dx = match &grad_mask {
-                Some(mask) => g.mul(&mask(&parents[0].value())),
-                None => g.clone(),
+                Some(mask) => g.mul(&mask(&parents[0].value_ref())),
+                None => g,
             };
-            parents[0].accumulate_grad(&dx);
+            parents[0].accumulate_grad(dx);
         }),
     )
 }
@@ -1113,28 +1154,26 @@ pub fn ste_apply(
 /// Panics if `alpha` is not a positive scalar or `bits == 0`.
 pub fn pact(x: &Var, alpha: &Var, bits: u8) -> Var {
     assert!(bits >= 1, "bits must be positive");
-    let a = alpha.node.value.borrow().item().max(1e-3);
+    let a = alpha.value_ref().item().max(1e-3);
     let levels = ((1u64 << bits.min(31)) - 1) as f32;
-    let xv = x.node.value.borrow().clone();
-    let out = xv.map(|v| {
+    let out = x.value_ref().map(|v| {
         let c = v.clamp(0.0, a);
-        (c * levels / a).round() * a / levels
+        round_half_away(c * levels / a) * a / levels
     });
     Var::from_op(
         out,
         vec![x.clone(), alpha.clone()],
         Box::new(move |g, parents| {
-            let xv = parents[0].value();
-            let a = parents[1].value().item().max(1e-3);
-            let dx = g.zip_map(&xv, |gi, vi| if (0.0..=a).contains(&vi) { gi } else { 0.0 });
-            parents[0].accumulate_grad(&dx);
+            let xv = parents[0].value_ref();
+            let a = parents[1].value_ref().item().max(1e-3);
             let dalpha: f32 = g
                 .data()
                 .iter()
                 .zip(xv.data())
                 .map(|(&gi, &vi)| if vi > a { gi } else { 0.0 })
                 .sum();
-            parents[1].accumulate_grad(&Tensor::scalar(dalpha));
+            parents[0].accumulate_grad(mask_grad(g, &xv, |v| (0.0..=a).contains(&v)));
+            parents[1].accumulate_grad(Tensor::scalar(dalpha));
         }),
     )
 }
@@ -1149,16 +1188,14 @@ pub fn pact(x: &Var, alpha: &Var, bits: u8) -> Var {
 ///
 /// Panics if `idx` is out of range for `w`.
 pub fn scale_by_element(x: &Var, w: &Var, idx: usize) -> Var {
-    let wv = w.node.value.borrow().clone();
+    let wv = w.value_ref();
     assert!(idx < wv.len(), "weight index {idx} out of range");
-    let out = x.node.value.borrow().scale(wv.data()[idx]);
+    let out = x.value_ref().scale(wv.data()[idx]);
     Var::from_op(
         out,
         vec![x.clone(), w.clone()],
         Box::new(move |g, parents| {
-            let xv = parents[0].value();
-            let wv = parents[1].value();
-            parents[0].accumulate_grad(&g.scale(wv.data()[idx]));
+            let (xv, wv) = (parents[0].value_ref(), parents[1].value_ref());
             let mut dw = Tensor::zeros(&[wv.len()]);
             dw.data_mut()[idx] = g
                 .data()
@@ -1166,7 +1203,8 @@ pub fn scale_by_element(x: &Var, w: &Var, idx: usize) -> Var {
                 .zip(xv.data())
                 .map(|(&gi, &xi)| gi * xi)
                 .sum();
-            parents[1].accumulate_grad(&dw);
+            parents[0].accumulate_grad(g.scale(wv.data()[idx]));
+            parents[1].accumulate_grad(dw);
         }),
     )
 }
@@ -1180,7 +1218,7 @@ pub fn scale_by_element(x: &Var, w: &Var, idx: usize) -> Var {
 ///
 /// Panics if lengths differ.
 pub fn dot_const(x: &Var, consts: &[f32]) -> Var {
-    let xv = x.node.value.borrow().clone();
+    let xv = x.value_ref();
     assert_eq!(xv.len(), consts.len(), "dot_const length mismatch");
     let out: f32 = xv.data().iter().zip(consts).map(|(&a, &b)| a * b).sum();
     let consts = consts.to_vec();
@@ -1190,7 +1228,7 @@ pub fn dot_const(x: &Var, consts: &[f32]) -> Var {
         Box::new(move |g, parents| {
             let go = g.item();
             let dx = Tensor::from_vec(vec![consts.len()], consts.iter().map(|&c| c * go).collect());
-            parents[0].accumulate_grad(&dx);
+            parents[0].accumulate_grad(dx);
         }),
     )
 }
@@ -1329,9 +1367,15 @@ mod tests {
         );
         // The generic grouped path, reached directly (conv2d itself would
         // route groups == C == K to the fast path).
-        let (generic, _, _, _) = conv2d_forward(&xv, &wv, 1, 1, 5);
-        assert_eq!(fast.value().dims(), generic.dims());
-        for (a, b) in fast.value().data().iter().zip(generic.data()) {
+        let dense = DenseConv {
+            c: 5,
+            k: 5,
+            groups: 5,
+            geom: ConvGeom::new(7, 7, 3, 3, 1, 1),
+        };
+        let (generic, _) = dense.forward(2, xv.data(), wv.data());
+        assert_eq!(fast.value().len(), generic.len());
+        for (a, b) in fast.value().data().iter().zip(&generic) {
             assert!((a - b).abs() <= 1e-5 + 1e-5 * b.abs(), "{a} vs {b}");
         }
     }

@@ -3,41 +3,84 @@
 use crate::shape::Shape;
 use instantnet_parallel as parallel;
 use std::fmt;
+use std::ops::Range;
 
 /// Kernels whose flop count falls below this run serially; thread spawn
 /// costs more than it saves on small inputs.
 pub(crate) const PAR_FLOP_THRESHOLD: usize = 1 << 18;
 
-/// Depth of the k-dimension blocking in [`matmul_row_block`]: one block of
+/// Depth of the k-dimension blocking in [`matmul_into`]: one block of
 /// rhs rows (64 × n floats) stays cache-resident while every output row of
 /// the chunk accumulates it.
 const K_BLOCK: usize = 64;
 
-/// Computes output rows `row0..row0 + out.len() / n` of an `[m, k] x [k, n]`
-/// product into `out`, which holds exactly those rows.
-///
-/// The accumulation order over `k` is fixed (block-major, ascending within
-/// each block — i.e. plain ascending `p`), so the result for a given row is
-/// bit-identical however the rows are chunked across threads.
-fn matmul_row_block(lhs: &[f32], rhs: &[f32], row0: usize, out: &mut [f32], k: usize, n: usize) {
-    let rows = out.len() / n;
+/// Accumulates `lhs · rhs` into `out` without allocating: `lhs` holds
+/// `out.len() / n` rows of `k` values, row `p` of `rhs` starts at
+/// `rhs[p * ldb]`, `out` rows are `n` long. Every element receives its terms
+/// in ascending `p` (zero `lhs` values are skipped), so a result never
+/// depends on how rows or columns are chunked across threads or calls.
+pub(crate) fn matmul_into(
+    lhs: &[f32],
+    rhs: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+) {
     for p0 in (0..k).step_by(K_BLOCK) {
         let p1 = (p0 + K_BLOCK).min(k);
-        for r in 0..rows {
-            let lhs_row = &lhs[(row0 + r) * k..(row0 + r) * k + k];
-            let out_row = &mut out[r * n..(r + 1) * n];
+        for (lhs_row, out_row) in lhs.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
             // i-k-j order: streams the rhs row-major, good cache behaviour.
             for p in p0..p1 {
                 let a = lhs_row[p];
                 if a == 0.0 {
                     continue;
                 }
-                let rhs_row = &rhs[p * n..(p + 1) * n];
-                for j in 0..n {
-                    out_row[j] += a * rhs_row[j];
-                }
+                axpy(out_row, 1, a, &rhs[p * ldb..p * ldb + n], 1);
             }
         }
+    }
+}
+
+/// `dst[j * ds] += a * src[j * ss]` for every `j` both sides hold.
+pub(crate) fn axpy(dst: &mut [f32], ds: usize, a: f32, src: &[f32], ss: usize) {
+    if ds == 1 && ss == 1 {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d += a * v;
+        }
+    } else {
+        for (d, &v) in dst.iter_mut().step_by(ds).zip(src.iter().step_by(ss)) {
+            *d += a * v;
+        }
+    }
+}
+
+/// `dst[j * rows + i] = src[i * ld + j]`: the `rows x cols` block at `src`
+/// (row pitch `ld`), transposed into the dense `cols x rows` `dst`.
+pub(crate) fn transpose_into(src: &[f32], ld: usize, rows: usize, cols: usize, dst: &mut [f32]) {
+    for i in 0..rows {
+        let row = &src[i * ld..i * ld + cols];
+        for (d, &v) in dst[i..].iter_mut().step_by(rows).zip(row) {
+            *d = v;
+        }
+    }
+}
+
+/// `f32::round` without the libm call it lowers to on baseline x86-64,
+/// bit-identical on every input. For `|v| < 2^23`, `|v| + 2^23` has an ulp of
+/// 1, so the add rounds to the nearest integer (ties to even) and the
+/// subtraction recovers it; the one case to repair is a tie resolved toward
+/// zero (`|v| - t == 0.5`). From `2^23` up every `f32` is an integer.
+#[inline]
+pub fn round_half_away(v: f32) -> f32 {
+    const INTEGRAL: f32 = 8_388_608.0;
+    let a = v.abs();
+    let t = (a + INTEGRAL) - INTEGRAL;
+    let r = if a - t == 0.5 { t + 1.0 } else { t };
+    if a < INTEGRAL {
+        r.copysign(v)
+    } else {
+        v
     }
 }
 
@@ -243,9 +286,7 @@ impl Tensor {
             "add_scaled_assign shape mismatch {} vs {}",
             self.shape, other.shape
         );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += s * b;
-        }
+        axpy(&mut self.data, 1, s, &other.data, 1);
     }
 
     /// Sum of all elements.
@@ -328,21 +369,20 @@ impl Tensor {
         let (k2, n) = (other.shape.dim(0), other.shape.dim(1));
         assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
         let mut out = vec![0.0f32; m * n];
-        if n > 0 {
-            // Output rows are independent (row i reads lhs row i and all of
-            // rhs), so splitting over row chunks is bit-identical to the
-            // serial loop for any thread count. Small products stay serial:
-            // a single chunk covering every row.
-            let rows_per_chunk = if 2 * m * k * n < PAR_FLOP_THRESHOLD {
-                m
-            } else {
-                m.div_ceil(parallel::max_threads()).max(1)
-            };
-            let (lhs, rhs) = (&self.data, &other.data);
-            parallel::par_chunks_mut(&mut out, rows_per_chunk * n, |ci, out_chunk| {
-                matmul_row_block(lhs, rhs, ci * rows_per_chunk, out_chunk, k, n);
-            });
-        }
+        // Output rows are independent (row i reads lhs row i and all of
+        // rhs), so splitting over row chunks is bit-identical to the
+        // serial loop for any thread count. Small products stay serial:
+        // a single chunk covering every row.
+        let rows_per_chunk = if 2 * m * k * n < PAR_FLOP_THRESHOLD {
+            m
+        } else {
+            m.div_ceil(parallel::max_threads()).max(1)
+        };
+        let (lhs, rhs) = (&self.data, &other.data);
+        parallel::par_chunks_mut(&mut out, rows_per_chunk * n, |ci, out_chunk| {
+            let rows = ci * rows_per_chunk * k..(ci * rows_per_chunk + out_chunk.len() / n) * k;
+            matmul_into(&lhs[rows], rhs, n, out_chunk, k, n);
+        });
         Tensor::from_vec(vec![m, n], out)
     }
 
@@ -355,11 +395,7 @@ impl Tensor {
         assert_eq!(self.shape.rank(), 2, "transpose2d needs a matrix");
         let (m, n) = (self.shape.dim(0), self.shape.dim(1));
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
+        transpose_into(&self.data, n, m, n, &mut out);
         Tensor::from_vec(vec![n, m], out)
     }
 }
@@ -374,6 +410,91 @@ impl fmt::Debug for Tensor {
         }
         Ok(())
     }
+}
+
+/// One conv plane's geometry: `h x w` input, `kh x kw` kernel, square
+/// `stride`, zero `pad` on every side, `oh x ow` output — plus, per kernel
+/// row and column, the span of outputs whose tap reads inside the plane.
+/// Hoisting those spans out of the pixel loops is what lets every conv
+/// kernel run bounds-free row segments.
+pub(crate) struct ConvGeom {
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) kh: usize,
+    pub(crate) kw: usize,
+    pub(crate) stride: usize,
+    pub(crate) pad: usize,
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
+    /// `ys[ki]`: output rows `oy` with `0 <= oy * stride + ki - pad < h`.
+    pub(crate) ys: Vec<Range<usize>>,
+    /// `xs[kj]`: output columns `ox` with `0 <= ox * stride + kj - pad < w`.
+    pub(crate) xs: Vec<Range<usize>>,
+}
+
+impl ConvGeom {
+    pub(crate) fn new(h: usize, w: usize, kh: usize, kw: usize, stride: usize, pad: usize) -> Self {
+        let oh = (h + 2 * pad - kh) / stride + 1;
+        let ow = (w + 2 * pad - kw) / stride + 1;
+        let span = |k: usize, in_len: usize, out_len: usize| {
+            let lo = pad.saturating_sub(k).div_ceil(stride).min(out_len);
+            let hi = (in_len + pad).saturating_sub(k).div_ceil(stride);
+            lo..hi.clamp(lo, out_len)
+        };
+        ConvGeom {
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad,
+            oh,
+            ow,
+            ys: (0..kh).map(|ki| span(ki, h, oh)).collect(),
+            xs: (0..kw).map(|kj| span(kj, w, ow)).collect(),
+        }
+    }
+}
+
+/// Pairs one plane with its `kh * kw` patch rows (`ki`-major, row `t` at
+/// offset `t * ld`, `oh * ow` values each): calls `seg(patch_at, plane_at,
+/// len)` for every in-plane row segment, taps in ascending `(ki, kj)` and
+/// rows ascending within a tap. Plane positions inside a segment are
+/// `g.stride` apart; padding positions are never visited.
+fn for_each_segment(g: &ConvGeom, ld: usize, mut seg: impl FnMut(usize, usize, usize)) {
+    for (ki, ys) in g.ys.iter().enumerate() {
+        for (kj, xs) in g.xs.iter().enumerate().filter(|(_, xs)| !xs.is_empty()) {
+            let (row, ix0) = ((ki * g.kw + kj) * ld, xs.start * g.stride + kj - g.pad);
+            for oy in ys.clone() {
+                let iy = oy * g.stride + ki - g.pad;
+                seg(row + oy * g.ow + xs.start, iy * g.w + ix0, xs.len());
+            }
+        }
+    }
+}
+
+/// Unfolds one `[h, w]` plane into patch rows at `dst`; `ld` and the offset
+/// of `dst` place a sample's columns inside a wider matrix.
+fn unfold_plane<T: Copy>(plane: &[T], dst: &mut [T], ld: usize, g: &ConvGeom) {
+    for_each_segment(g, ld, |at, from, len| {
+        let out = &mut dst[at..at + len];
+        // At stride 1 the gather is one span copy of the input row.
+        if g.stride == 1 {
+            out.copy_from_slice(&plane[from..from + len]);
+        } else {
+            for (o, &v) in out.iter_mut().zip(plane[from..].iter().step_by(g.stride)) {
+                *o = v;
+            }
+        }
+    });
+}
+
+/// Adjoint of [`unfold_plane`]: accumulates patch rows back into `plane`, in
+/// [`for_each_segment`]'s order — the order every `dx` element is summed in.
+pub(crate) fn fold_plane(src: &[f32], ld: usize, plane: &mut [f32], g: &ConvGeom) {
+    for_each_segment(g, ld, |at, to, len| {
+        axpy(&mut plane[to..], g.stride, 1.0, &src[at..at + len], 1);
+    });
 }
 
 /// Unfolds conv input patches into columns (`im2col`).
@@ -411,110 +532,63 @@ pub fn im2col_generic<T: Copy + Default + Send + Sync>(
     stride: usize,
     pad: usize,
 ) -> (Vec<T>, usize, usize) {
-    let oh = (h + 2 * pad - kh) / stride + 1;
-    let ow = (w + 2 * pad - kw) / stride + 1;
-    let rows = c * kh * kw;
-    let cols = oh * ow;
-    let mut out = vec![T::default(); rows * cols];
-    // Channel ci owns the contiguous output rows [ci*kh*kw, (ci+1)*kh*kw),
-    // so channels parallelize with disjoint writes and no ordering effects.
-    let per_channel = kh * kw * cols;
-    let fill = |ci: usize, chunk: &mut [T]| {
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = ki * kw + kj;
-                // At stride 1 the gather is contiguous: `ix = ox + kj - pad`
-                // walks in lockstep with `ox`, so each output row is one
-                // span copy of the input row, clipped to the valid range.
-                let shift = kj as isize - pad as isize;
-                let ox0 = (-shift).max(0) as usize;
-                let ox1 = (w as isize - shift).clamp(0, ow as isize) as usize;
-                for oy in 0..oh {
-                    let iy = (oy * stride + ki) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src_row = (ci * h + iy as usize) * w;
-                    let dst_row = row * cols + oy * ow;
-                    if stride == 1 {
-                        if ox0 < ox1 {
-                            let ix0 = (ox0 as isize + shift) as usize;
-                            chunk[dst_row + ox0..dst_row + ox1]
-                                .copy_from_slice(&input[src_row + ix0..src_row + ix0 + ox1 - ox0]);
-                        }
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * stride + kj) as isize - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        chunk[dst_row + ox] = input[src_row + ix as usize];
-                    }
-                }
-            }
-        }
-    };
-    if rows * cols < PAR_FLOP_THRESHOLD {
-        parallel::with_threads(1, || parallel::par_chunks_mut(&mut out, per_channel, fill));
-    } else {
-        parallel::par_chunks_mut(&mut out, per_channel, fill);
-    }
-    (out, oh, ow)
+    let g = ConvGeom::new(h, w, kh, kw, stride, pad);
+    (im2col_batch(input, 1, c, &g), g.oh, g.ow)
 }
 
-/// Folds columns back into an image, accumulating overlaps (`col2im`); the
-/// adjoint of [`im2col`].
-#[allow(clippy::too_many_arguments)]
-pub fn col2im(
-    cols: &Tensor,
+/// Batch-level `im2col` of `x` `[n, c, h, w]` into one
+/// `[c * kh * kw, n * oh * ow]` matrix; sample `i` owns columns
+/// `i * oh * ow..(i + 1) * oh * ow` of every row.
+pub(crate) fn im2col_batch<T: Copy + Default + Send + Sync>(
+    x: &[T],
+    n: usize,
     c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-) -> Vec<f32> {
-    let oh = (h + 2 * pad - kh) / stride + 1;
-    let ow = (w + 2 * pad - kw) / stride + 1;
-    let ncols = oh * ow;
-    let mut out = vec![0.0f32; c * h * w];
-    let data = cols.data();
-    // Channel ci only accumulates into its own `h * w` image plane, and the
-    // accumulation order within a plane matches the serial loop exactly, so
-    // the fold is deterministic under any thread count.
-    let fold = |ci: usize, plane: &mut [f32]| {
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = (ci * kh + ki) * kw + kj;
-                for oy in 0..oh {
-                    let iy = (oy * stride + ki) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * stride + kj) as isize - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        plane[iy as usize * w + ix as usize] += data[row * ncols + oy * ow + ox];
-                    }
-                }
+    g: &ConvGeom,
+) -> Vec<T> {
+    let (plane, p) = (g.h * g.w, g.oh * g.ow);
+    let mut out = vec![T::default(); c * g.kh * g.kw * n * p];
+    // Channel ci owns the contiguous output rows [ci*kh*kw, (ci+1)*kh*kw),
+    // so channels parallelize with disjoint writes and no ordering effects.
+    parallel::gate(out.len() >= PAR_FLOP_THRESHOLD, || {
+        parallel::par_chunks_mut(&mut out, g.kh * g.kw * n * p, |ci, chunk| {
+            for i in 0..n {
+                let src = &x[(i * c + ci) * plane..(i * c + ci + 1) * plane];
+                unfold_plane(src, &mut chunk[i * p..], n * p, g);
             }
-        }
-    };
-    if c * kh * kw * ncols < PAR_FLOP_THRESHOLD {
-        parallel::with_threads(1, || parallel::par_chunks_mut(&mut out, h * w, fold));
-    } else {
-        parallel::par_chunks_mut(&mut out, h * w, fold);
-    }
+        })
+    });
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_half_away_is_libm_round_bit_for_bit() {
+        // Every 4099th bit pattern (all exponents, both signs, NaNs and
+        // infinities included) plus each tie and its neighbours up to 2^24.
+        let sweep = (0..=u32::MAX).step_by(4099).map(f32::from_bits);
+        let ties = (0..1 << 24).step_by(1 << 10).flat_map(|i| {
+            let t = i as f32 + 0.5;
+            [
+                t,
+                -t,
+                f32::from_bits(t.to_bits() - 1),
+                f32::from_bits(t.to_bits() + 1),
+            ]
+        });
+        for v in sweep
+            .chain(ties)
+            .chain([0.0, -0.0, 0.5, -0.5, 0.49999997, 8388607.5])
+        {
+            let (got, want) = (round_half_away(v), v.round());
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "round({v:?}): {got:?} vs {want:?}"
+            );
+        }
+    }
 
     #[test]
     fn matmul_identity() {
@@ -556,13 +630,19 @@ mod tests {
 
     #[test]
     fn im2col_col2im_adjoint_on_ones() {
-        // col2im(im2col(x)) counts how many patches cover each pixel.
+        // col2im (`fold_plane`) of im2col counts the patches covering each pixel.
         let (c, h, w, k, s, p) = (1, 4, 4, 3, 1, 1);
         let input = vec![1.0f32; c * h * w];
         let (cols, oh, ow) = im2col(&input, c, h, w, k, k, s, p);
         assert_eq!(oh, 4);
         assert_eq!(ow, 4);
-        let back = col2im(&cols, c, h, w, k, k, s, p);
+        let mut back = vec![0.0f32; h * w];
+        fold_plane(
+            cols.data(),
+            oh * ow,
+            &mut back,
+            &ConvGeom::new(h, w, k, k, s, p),
+        );
         // Centre pixels are covered by all 9 offsets; corners by 4.
         assert_eq!(back[5], 9.0);
         assert_eq!(back[0], 4.0);

@@ -66,3 +66,88 @@ fn generate_and_deploy_stages_compose() {
     assert_eq!(report.arch(), desc);
     assert_eq!(report.flops(), net.flops());
 }
+
+/// `(dataset seed, derived architecture, CRC32 of the saved checkpoint)`
+/// captured on the commit before the f32 training kernels were restructured
+/// (PR 13). Every weight, BN affine and running statistic is in the
+/// checkpoint, so any change to what a kernel adds, or in which order, moves
+/// the CRC; a rewrite that only removes instructions around the arithmetic
+/// does not.
+const GENERATION_PINS: [(u64, &str, u32); 2] = [
+    (1, "e3k3|e3k5|e6k5", 0x914f_983a),
+    (2, "e3k3|e1k3|e1k5", 0x050e_7586),
+];
+
+#[test]
+fn generation_is_bit_identical_to_the_recorded_digests() {
+    for (seed, arch, crc) in GENERATION_PINS {
+        let ds = Dataset::generate(&DatasetSpec::tiny().with_seed(seed));
+        let (net, desc) = Pipeline::new(PipelineConfig::quick()).generate_and_train(&ds);
+        let path =
+            std::env::temp_dir().join(format!("instantnet_pin_{}_{seed}.ckpt", std::process::id()));
+        instantnet_nn::checkpoint::save(&net, &path).expect("checkpoint saves");
+        let bytes = std::fs::read(&path).expect("checkpoint reads back");
+        std::fs::remove_file(&path).ok();
+        let got = instantnet_nn::checkpoint::crc32(&bytes);
+        assert_eq!(
+            (desc.as_str(), got),
+            (arch, crc),
+            "dataset seed {seed}: generation drifted from the recorded digest ({got:#010x})"
+        );
+    }
+}
+
+/// Paper-fidelity guard: cascade distillation exists to fix the
+/// switchable-precision failure mode where the lowest bit-width of a
+/// wide-range network lags (Switchable-Precision Networks, PAPERS.md). On a
+/// fixed seed set, at a 2-to-32-bit range, the lowest rung trained with CDT
+/// is on average at least as accurate as with SP's vanilla distillation and
+/// with AdaBits' joint training — so a kernel or autograd change that breaks
+/// gradients fails a claim of the paper, not just a digest.
+#[test]
+fn cdt_lowest_bit_accuracy_is_at_least_sp_and_adabits() {
+    use instantnet_train::{PrecisionLadder, Strategy, TrainConfig, Trainer};
+    let bits = BitWidthSet::new(vec![2, 4, 8, 32]).unwrap();
+    let ladder = PrecisionLadder::uniform(&bits);
+    let seeds = 1..=6u64;
+    let mean_lowest = |strategy: Strategy| -> f32 {
+        let total: f32 = seeds
+            .clone()
+            .map(|seed| {
+                let ds = Dataset::generate(&DatasetSpec::tiny().with_seed(seed));
+                let net = instantnet_nn::models::small_cnn(
+                    6,
+                    ds.num_classes(),
+                    (ds.hw(), ds.hw()),
+                    bits.len(),
+                    100 + seed,
+                );
+                let cfg = TrainConfig {
+                    epochs: 8,
+                    batch_size: 12,
+                    lr: 0.05,
+                    seed,
+                    ..TrainConfig::default()
+                };
+                Trainer::new(cfg)
+                    .train(&net, &ds, &ladder, strategy)
+                    .accuracy_per_rung[0]
+            })
+            .sum();
+        total / seeds.clone().count() as f32
+    };
+    let (cdt, sp, adabits) = (
+        mean_lowest(Strategy::cdt()),
+        mean_lowest(Strategy::sp_net()),
+        mean_lowest(Strategy::AdaBits),
+    );
+    assert!(cdt >= sp, "2-bit rung: CDT {cdt} below SP {sp}");
+    assert!(
+        cdt >= adabits,
+        "2-bit rung: CDT {cdt} below AdaBits {adabits}"
+    );
+    assert!(
+        cdt > 0.6,
+        "2-bit rung under CDT barely learns: {cdt} (chance 0.25)"
+    );
+}

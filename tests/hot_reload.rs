@@ -43,6 +43,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
+/// How a publisher thread paces itself: on what the registry shows — a
+/// canary decided, an epoch moved — never on the clock. Spins, yielding the
+/// core to the serving threads, until `ready()` holds; `false` when the
+/// (generous) spin budget runs out first, e.g. because traffic drained
+/// before a canary saw enough batches to be decided.
+fn wait_until(ready: impl Fn() -> bool) -> bool {
+    for _ in 0..200_000 {
+        if ready() {
+            return true;
+        }
+        std::thread::yield_now();
+    }
+    ready()
+}
+
 /// Worker counts under test: the CI matrix pins one via
 /// `INSTANTNET_WALLCLOCK_WORKERS`; locally the default sweeps three.
 fn worker_counts() -> Vec<usize> {
@@ -627,11 +642,16 @@ fn wallclock_two_publishes_clean_then_divergent_rollback() {
     let (stats, outcomes) = std::thread::scope(|s| {
         let reg = &registry;
         let publisher = s.spawn(move || {
-            // Publish while traffic is flowing: the run spans
-            // steps × step_us = 12ms of paced arrivals.
-            std::thread::sleep(Duration::from_micros(2 * step_us));
+            // The run spans steps × step_us = 12ms of paced arrivals and
+            // the publisher is not paced at all, so both publishes land
+            // with traffic still ahead of them. The canary starts only
+            // once the clean swap is visible to every worker.
+            let before = reg.epoch();
             reg.publish(clean, "v2", None).unwrap();
-            std::thread::sleep(Duration::from_micros(2 * step_us));
+            assert!(
+                wait_until(|| reg.epoch() > before),
+                "the swap bumps the epoch"
+            );
             reg.publish(
                 divergent,
                 "bad",
@@ -818,7 +838,14 @@ proptest! {
             let bits_ref = &bits;
             let publisher = s.spawn(move || {
                 for k in 0..reloads {
-                    std::thread::sleep(Duration::from_micros(2 * step_us));
+                    // The next publish waits for the previous canary to be
+                    // decided by the traffic it shadows — which also lands
+                    // it mid-traffic — and clears it by hand if traffic
+                    // drained first: a publish can never meet
+                    // `PublishError::CanaryInFlight`.
+                    if !wait_until(|| reg.candidate().is_none()) {
+                        reg.rollback();
+                    }
                     if k % 2 == 0 {
                         // Equivalent weights: a clean direct swap.
                         reg.publish(packed(bits_ref, 71), format!("v{}", k + 2), None)
