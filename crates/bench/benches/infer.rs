@@ -11,13 +11,18 @@
 //! fused speedup is floored within-run too. The batch-1 MobileNetV2-block
 //! pair (4-bit packed vs the 32-bit f32 fallback) is the regime where
 //! activation quantize and depthwise — not GEMM — dominate; `bench_check`
-//! ceilings 4-bit at 1.0× the 32-bit forward.
+//! ceilings 4-bit at 1.0× the 32-bit forward. The whole-model entries run
+//! the serving stack's two networks as a worker does (`forward_batch_at`,
+//! one kernel thread): the cheap CNN at batch 1 and 16 — `bench_check`
+//! ceilings the batch-16 forward at a quarter of sixteen batch-1 forwards,
+//! the amortization a batch exists to buy — and MobileNetV2 at batch 8.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use instantnet_infer::{with_fused_gemm, with_simd_backend, PackedModel, SimdBackend};
-use instantnet_nn::blocks::InvertedResidual;
-use instantnet_nn::layers::{QuantConv2d, QuantLinear};
-use instantnet_nn::{ForwardCtx, Module};
+use instantnet_nn::blocks::{ConvBnAct, InvertedResidual};
+use instantnet_nn::layers::{Activation, GlobalAvgPool, QuantConv2d, QuantLinear};
+use instantnet_nn::models::mobilenet_v2;
+use instantnet_nn::{ForwardCtx, Module, Sequential};
 use instantnet_parallel::with_threads;
 use instantnet_quant::{BitWidthSet, Quantizer};
 use instantnet_tensor::{init, Var};
@@ -149,6 +154,41 @@ fn bench_mbv2_block(c: &mut Criterion) {
     });
 }
 
+/// The two served networks, batched: the benchmark's cheap CNN (f32 stem,
+/// one 4-bit 3×3 conv down to a 2×2 map, three linears) at batch 1 and 16,
+/// and its MobileNetV2 at batch 8.
+fn bench_models(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(4);
+    let relu = Activation::Relu;
+    let mut cnn = Sequential::new();
+    cnn.push(Box::new(ConvBnAct::new(
+        &mut rng, "stem", 3, 8, 3, 2, 1, 1, relu, false,
+    )));
+    cnn.push(Box::new(ConvBnAct::new(
+        &mut rng, "conv2", 8, 32, 3, 2, 1, 1, relu, true,
+    )));
+    cnn.push(Box::new(GlobalAvgPool));
+    cnn.push(Box::new(QuantLinear::new(&mut rng, "fc1", 32, 256)));
+    cnn.push(Box::new(QuantLinear::new(&mut rng, "fc2", 256, 256)));
+    cnn.push(Box::new(QuantLinear::new(&mut rng, "fc3", 256, 10)));
+    let bits = BitWidthSet::new(vec![4]).unwrap();
+    let cnn = PackedModel::prepack(&cnn, &bits, Quantizer::Sbm).unwrap();
+    let mbv2 = mobilenet_v2(0.25, 2, 10, (16, 16), 1, 5);
+    let mbv2 = PackedModel::prepack(&mbv2, &bits, Quantizer::Sbm).unwrap();
+    for (name, model, dims) in [
+        ("packed_cnn_4bit_1x3x8x8", &cnn, [1, 3, 8, 8]),
+        ("packed_cnn_4bit_16x3x8x8", &cnn, [16, 3, 8, 8]),
+        ("packed_mbv2_4bit_8x3x16x16", &mbv2, [8, 3, 16, 16]),
+    ] {
+        let x = init::uniform(&mut rng, &dims, -0.3, 1.2);
+        c.bench_function(name, |b| {
+            with_threads(1, || {
+                b.iter(|| std::hint::black_box(model.forward_batch_at(0, &x)))
+            })
+        });
+    }
+}
+
 fn bench_switch(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let layer = QuantLinear::new(&mut rng, "fc", 256, 256);
@@ -168,6 +208,6 @@ fn bench_switch(c: &mut Criterion) {
 criterion_group! {
     name = infer;
     config = Criterion::default().sample_size(20);
-    targets = bench_gemm, bench_conv, bench_mbv2_block, bench_switch
+    targets = bench_gemm, bench_conv, bench_mbv2_block, bench_models, bench_switch
 }
 criterion_main!(infer);

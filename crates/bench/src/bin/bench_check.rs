@@ -25,9 +25,12 @@
 //!   the fused multiply-on-packed-codes win — and a batch-1 4-bit
 //!   MobileNetV2 block must not be slower than the same block on the
 //!   32-bit f32 fallback (the low-bit network is the cheap one even when
-//!   activation quantize and depthwise, not GEMM, dominate). Skipped with
-//!   a notice on non-AVX2 runners, where both sides run the same scalar
-//!   kernels;
+//!   activation quantize and depthwise, not GEMM, dominate), and a
+//!   batch-16 forward of the serving CNN may cost at most a quarter of
+//!   sixteen batch-1 forwards (the batch is a GEMM dimension: if a batch
+//!   stops amortizing, the queue, the batch controller and `max_batch`
+//!   above it buy nothing). Skipped with a notice on non-AVX2 runners,
+//!   where both sides run the same scalar kernels;
 //! * kernels: the depthwise 3×3 forward, which does 1/16 of the dense
 //!   `conv2d_forward` entry's MACs, may cost at most 4× as much per MAC
 //!   (both on one kernel thread) — a depthwise plane is tiny work, and a
@@ -52,7 +55,9 @@
 //! notice where the gate fails; a single end-of-run summary block replays
 //! every gated floor with its RAN pass / RAN FAIL / SKIPPED (reason)
 //! status, so one glance at the log tail shows which guarantees this run
-//! actually exercised.
+//! actually exercised. A core-gated floor whose committed baseline entry
+//! was itself recorded below the gate's core count reads NEVER-RAN rather
+//! than SKIPPED: no recorded number has ever been through it.
 //!
 //! On failure every offending group/benchmark is listed by name with its
 //! measured-vs-baseline (or within-run) ratio, so a CI log is enough to
@@ -273,7 +278,7 @@ fn main() -> ExitCode {
     // speedup from machine drift. Only meaningful where the dispatcher
     // actually selects AVX2 — probed here with the same detection macro
     // the engine uses (the checker runs on the same host as the bench).
-    const INFER_CHECKS: [RatioCheck; 4] = [
+    const INFER_CHECKS: [RatioCheck; 5] = [
         RatioCheck {
             gate: "SIMD vs scalar 16-bit GEMM",
             num: "packed_gemm_16bit_64x256x256_scalar",
@@ -311,6 +316,17 @@ fn main() -> ExitCode {
             bound: 1.0,
             floor: false,
         },
+        // The batch is a column dimension of every GEMM: sixteen requests
+        // in one forward may cost at most a quarter of sixteen forwards
+        // (0.31 with a patch matrix and a kernel call per sample, 0.17-0.21
+        // with one per batch).
+        RatioCheck {
+            gate: "batch-16 vs 16 x batch-1 serving CNN forward",
+            num: "packed_cnn_4bit_16x3x8x8",
+            den: "packed_cnn_4bit_1x3x8x8",
+            bound: 0.25 * 16.0,
+            floor: false,
+        },
     ];
     let infer_path = current_dir.join("BENCH_infer.json");
     if infer_path.exists() {
@@ -321,8 +337,8 @@ fn main() -> ExitCode {
         if !avx2 {
             println!(
                 "BENCH_infer.json: no AVX2 on this runner, skipping SIMD speedup, \
-                 4-vs-8-bit ordering, fused-GEMM and 4-vs-32-bit block checks \
-                 (scalar backend on both sides)"
+                 4-vs-8-bit ordering, fused-GEMM, 4-vs-32-bit block and batch \
+                 amortization checks (scalar backend on both sides)"
             );
             for check in &INFER_CHECKS {
                 gates.push((
@@ -501,12 +517,26 @@ fn main() -> ExitCode {
                 "BENCH_wallclock.json: only {cores} core(s) on this runner, skipping \
                  wall-clock worker-scaling and sharded-queue floors (need 4)"
             );
-            let reason = format!("SKIPPED (only {cores} core(s), needs 4)");
+            // A floor whose committed baseline was itself recorded below
+            // the gate has never judged a recorded number: say so, instead
+            // of a SKIPPED that reads as "passes elsewhere".
+            let baseline_cores = parse_cores(&baseline_dir.join("BENCH_wallclock.json"));
+            let fate = |entry: &str| {
+                match baseline_cores.get(entry) {
+                Some(&recorded) if recorded < 4 => format!(
+                    "NEVER-RAN (only {cores} core(s) here, baseline recorded on {recorded}, needs 4)"
+                ),
+                _ => format!("SKIPPED (only {cores} core(s), needs 4)"),
+            }
+            };
             gates.push((
                 "wallclock: 4-worker vs 1-worker scaling".into(),
-                reason.clone(),
+                fate("wallclock_sustained_workers4"),
             ));
-            gates.push(("wallclock: sharded vs shared skew queue".into(), reason));
+            gates.push((
+                "wallclock: sharded vs shared skew queue".into(),
+                fate("wallclock_sustained_skew_sharded4"),
+            ));
         } else {
             let wallclock = parse_medians(&wallclock_path).unwrap();
             match (

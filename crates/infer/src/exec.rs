@@ -2,16 +2,28 @@
 //! packed layers, f32 fallbacks for unpacked ones, activation
 //! re-quantization between layers.
 //!
-//! The engine is **batch-aware**: a multi-sample input runs one kernel
-//! invocation per layer — weights are read in their pack-time kernel
-//! layout ([`KernelWeights`]; tier-path rows are decoded once for the
-//! whole batch), per-column activation sums are computed once per
-//! (sample, group) patch matrix, and the parallel split distributes over
-//! `samples × output rows` so small layers still saturate threads.
-//! Because every accumulator tier computes an *exact* sum (integers, or
-//! f32 lanes bounded below 2^24), batching never changes a sample's
-//! result: with per-sample activation scales ([`ActQuant::PerSample`])
-//! each sample's output is bit-identical to running it alone.
+//! **The batch is a GEMM dimension.** Every dense conv route builds one
+//! `[cg·r·s, n·oh·ow]` patch matrix per group for the batch
+//! ([`conv_blocks`]: sample `i` owns columns `i·oh·ow..`; a layer whose
+//! matrix would outgrow L1 goes in blocks of whole samples instead), every
+//! linear quantizes its samples straight into the `[features, n]` operand
+//! its kernel reads, and the kernel runs once per weight row over all of
+//! those columns; the dequant epilogue then stores each sample's segment of
+//! the row into the sample-major output with that sample's own activation
+//! scale. Weights are read in their pack-time kernel layout
+//! ([`KernelWeights`]; the tier path decodes each row once per matrix).
+//! The parallel split is over weight rows ([`par_rows`]) — over sample
+//! blocks where a batch takes several — and patch matrices unfold
+//! channel-parallel; depthwise layers have no GEMM and convolve plane by
+//! plane, split over `samples × channels`.
+//!
+//! A sample cannot observe its batch-mates: a column's accumulator is the
+//! *exact* sum over that column's own patch (integers, or f32 lanes bounded
+//! below 2^24; on the f32 fallback one k-ascending chain per element),
+//! batching adds columns, never reduction length, and with per-sample
+//! activation scales ([`ActQuant::PerSample`]) a segment's epilogue reads
+//! nothing of another sample — every output is bit-identical to running
+//! its sample alone.
 //!
 //! Determinism contract (mirrors `instantnet-tensor`): accumulation is
 //! exact, dequantization is elementwise, and every parallel region
@@ -20,10 +32,12 @@
 
 use crate::{is_depthwise, Accum, KernelWeights, PackedGemm, PackedOp, Storage};
 use instantnet_nn::layers::Activation;
-use instantnet_parallel::{gate, max_threads, par_chunks_mut, parallel_map_indexed};
+use instantnet_parallel::{gate, max_threads, par_chunks_mut};
 use instantnet_quant::{BitWidth, CodeLane, Quantizer};
-use instantnet_tensor::tensor::{im2col, im2col_generic};
+use instantnet_tensor::tensor::{im2col_batch, ConvGeom};
 use instantnet_tensor::Tensor;
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Work threshold below which kernels run single-threaded (same policy and
 /// value as the tensor crate's, which is crate-private there).
@@ -42,7 +56,9 @@ pub(crate) enum ActQuant {
     PerSample,
 }
 
-/// Runs `ops` in order over `x`.
+/// Runs `ops` in order over `x`. Every op reads its operand by reference
+/// and activations rewrite the running tensor in place, so the input is
+/// copied only when an activation is the first thing to touch it.
 pub(crate) fn exec_ops(
     ops: &[PackedOp],
     x: &Tensor,
@@ -50,11 +66,22 @@ pub(crate) fn exec_ops(
     quantizer: Quantizer,
     aq: ActQuant,
 ) -> Tensor {
-    let mut cur = x.clone();
+    let mut cur: Option<Tensor> = None;
     for op in ops {
-        cur = exec_op(op, &cur, bits, quantizer, aq);
+        match op {
+            PackedOp::Act(Activation::None) => {}
+            PackedOp::Act(a) => {
+                let data = cur.get_or_insert_with(|| x.clone()).data_mut();
+                match a {
+                    Activation::Relu => data.iter_mut().for_each(|v| *v = v.max(0.0)),
+                    Activation::Relu6 => data.iter_mut().for_each(|v| *v = v.clamp(0.0, 6.0)),
+                    Activation::None => {}
+                }
+            }
+            _ => cur = Some(exec_op(op, cur.as_ref().unwrap_or(x), bits, quantizer, aq)),
+        }
     }
-    cur
+    cur.unwrap_or_else(|| x.clone())
 }
 
 fn exec_op(
@@ -74,51 +101,41 @@ fn exec_op(
             pad,
             groups,
             quantize_input,
-        } => exec_conv(
-            gemm,
-            *cg,
-            *r,
-            *s,
-            *stride,
-            *pad,
-            *groups,
-            *quantize_input,
-            x,
-            bits,
-            quantizer,
-            aq,
-        ),
+        } => {
+            let dims = x.dims();
+            assert_eq!(dims.len(), 4, "conv input must be rank 4");
+            assert_eq!(dims[1], cg * groups, "conv input channel mismatch");
+            let geom = ConvGeom::new(dims[2], dims[3], *r, *s, *stride, *pad);
+            exec_conv(
+                gemm,
+                &geom,
+                *groups,
+                *quantize_input,
+                x,
+                bits,
+                quantizer,
+                aq,
+            )
+        }
         PackedOp::Linear { gemm } => exec_linear(gemm, x, bits, quantizer, aq),
-        PackedOp::Act(a) => match a {
-            Activation::Relu => x.map(|v| v.max(0.0)),
-            Activation::Relu6 => x.map(|v| v.clamp(0.0, 6.0)),
-            Activation::None => x.clone(),
-        },
+        PackedOp::Act(_) => unreachable!("exec_ops applies activations in place"),
         PackedOp::GlobalAvgPool => global_avg_pool(x),
         PackedOp::Residual {
             body,
             shortcut,
             post_relu,
         } => {
-            let b = exec_ops(body, x, bits, quantizer, aq);
-            let s = if shortcut.is_empty() {
-                x.clone()
-            } else {
-                exec_ops(shortcut, x, bits, quantizer, aq)
-            };
+            let mut b = exec_ops(body, x, bits, quantizer, aq);
+            let s = (!shortcut.is_empty()).then(|| exec_ops(shortcut, x, bits, quantizer, aq));
+            let s = s.as_ref().unwrap_or(x);
             assert_eq!(b.dims(), s.dims(), "residual branch shapes must match");
-            let mut data: Vec<f32> = b
-                .data()
-                .iter()
-                .zip(s.data())
-                .map(|(&u, &v)| u + v)
-                .collect();
-            if *post_relu {
-                for v in &mut data {
-                    *v = v.max(0.0);
+            for (u, &v) in b.data_mut().iter_mut().zip(s.data()) {
+                *u += v;
+                if *post_relu {
+                    *u = u.max(0.0);
                 }
             }
-            Tensor::from_vec(b.dims().to_vec(), data)
+            b
         }
     }
 }
@@ -147,6 +164,23 @@ fn global_avg_pool(x: &Tensor) -> Tensor {
 // Accumulator tiers
 // ---------------------------------------------------------------------------
 
+/// What the dequant epilogue reads accumulators and column sums through:
+/// exact integers (or integer-valued f32 lanes) as `f32`.
+trait ToF32: Copy {
+    fn to_f32(self) -> f32;
+}
+
+macro_rules! to_f32 {
+    ($($t:ty),*) => {$(
+        impl ToF32 for $t {
+            fn to_f32(self) -> f32 {
+                self as f32
+            }
+        }
+    )*};
+}
+to_f32!(f32, i32, i64);
+
 /// One exact accumulator tier of the packed GEMM: the lane type codes
 /// travel in (`Code`), the type partial sums reduce into (`Acc`), and the
 /// type column sums reduce into (`Cs`). Every tier computes the *same
@@ -155,8 +189,8 @@ fn global_avg_pool(x: &Tensor) -> Tensor {
 /// packing, and the thread count.
 trait Tier: Sync {
     type Code: CodeLane + Default;
-    type Acc: Copy + Default;
-    type Cs: Copy + Default;
+    type Acc: ToF32 + Default;
+    type Cs: ToF32 + Default;
 
     /// Decodes one weight row of `cols` codes into `out`.
     fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [Self::Code]);
@@ -164,8 +198,6 @@ trait Tier: Sync {
     fn accumulate(acc: &mut [Self::Acc], wrow: &[Self::Code], acts: &[Self::Code]);
     fn mad(acc: Self::Acc, w: Self::Code, a: Self::Code) -> Self::Acc;
     fn cs_add(cs: Self::Cs, a: Self::Code) -> Self::Cs;
-    fn acc_f32(a: Self::Acc) -> f32;
-    fn cs_f32(c: Self::Cs) -> f32;
 
     /// Per-column sums of a `[rows, ncols]` code block (the colsum
     /// correction input, consumed by offset-carrying layers).
@@ -176,7 +208,7 @@ trait Tier: Sync {
                 *o = Self::cs_add(*o, v);
             }
         }
-        cs.into_iter().map(Self::cs_f32).collect()
+        cs.into_iter().map(ToF32::to_f32).collect()
     }
 }
 
@@ -205,12 +237,6 @@ impl Tier for TierF32 {
     fn cs_add(cs: f32, a: f32) -> f32 {
         cs + a
     }
-    fn acc_f32(a: f32) -> f32 {
-        a
-    }
-    fn cs_f32(c: f32) -> f32 {
-        c
-    }
 }
 
 impl Tier for TierI32 {
@@ -232,12 +258,6 @@ impl Tier for TierI32 {
     fn cs_add(cs: i64, a: i32) -> i64 {
         cs + i64::from(a)
     }
-    fn acc_f32(a: i32) -> f32 {
-        a as f32
-    }
-    fn cs_f32(c: i64) -> f32 {
-        c as f32
-    }
 }
 
 impl Tier for TierI64 {
@@ -256,12 +276,6 @@ impl Tier for TierI64 {
     }
     fn cs_add(cs: i64, a: i32) -> i64 {
         cs + i64::from(a)
-    }
-    fn acc_f32(a: i64) -> f32 {
-        a as f32
-    }
-    fn cs_f32(c: i64) -> f32 {
-        c as f32
     }
 }
 
@@ -388,10 +402,10 @@ pub(crate) fn accumulate_f32_scalar(acc: &mut [f32], wrow: &[f32], acts: &[f32])
 // Batched integer execution
 // ---------------------------------------------------------------------------
 
-/// Quantizes the batch to codes in the consuming kernel's lane type `L` —
-/// one pass into one buffer — plus one decode scale per sample (`PerBatch`
-/// replicates the single whole-tensor scale). Shared by the tier path
-/// (`L = T::Code`) and the fused path (`L = F::Lane`).
+/// Quantizes the batch to sample-major codes in the consuming kernel's lane
+/// type `L` — one pass into one buffer — plus one decode scale per sample
+/// (`PerBatch` replicates the single whole-tensor scale). Shared by the tier
+/// path (`L = T::Code`) and the fused path (`L = F::Lane`).
 fn sample_codes<L: CodeLane + Default>(
     x: &Tensor,
     n: usize,
@@ -426,152 +440,244 @@ fn sample_codes<L: CodeLane + Default>(
     (codes, scales)
 }
 
-/// Runs `f(row, out_row, scratch)` over the `ncols`-wide rows of `out` in
-/// parallel, handing each worker one contiguous run of rows and one
-/// `scratch()` value for the whole run — accumulator buffers are allocated
-/// per worker, not per output row. Rows are disjoint and indexed, so the
-/// result is independent of the thread count.
-fn par_rows<S>(
-    out: &mut [f32],
-    ncols: usize,
-    scratch: impl Fn() -> S + Sync,
-    f: impl Fn(usize, &mut [f32], &mut S) + Sync,
-) {
-    if ncols == 0 {
-        return;
-    }
-    let per_worker = (out.len() / ncols).div_ceil(max_threads()).max(1);
-    par_chunks_mut(out, per_worker * ncols, |ci, run| {
-        let mut s = scratch();
-        for (j, orow) in run.chunks_mut(ncols).enumerate() {
-            f(ci * per_worker + j, orow, &mut s);
-        }
-    });
+/// Quantizes a linear layer's `[n, f]` input straight into the operand its
+/// kernel reads, samples as columns: feature `p` of sample `i` lands at
+/// `[(p / group · n + i) · group + p % group]` — the `[f, n]` matrix of the
+/// tier path at `group = 1`, the fused `[f/G, n, G]` interleave (last group
+/// zero-padded) at `group = G`. Scales as in [`sample_codes`].
+fn linear_operand<L: CodeLane + Default>(
+    x: &Tensor,
+    group: usize,
+    bits: BitWidth,
+    quantizer: Quantizer,
+    aq: ActQuant,
+) -> (Vec<L>, Vec<f32>) {
+    let (n, f) = (x.dims()[0], x.dims()[1]);
+    let grid_of = |src: &[f32]| {
+        quantizer
+            .activation_grid(src, bits)
+            .expect("integer storage implies quantized activations")
+    };
+    let batch_grid = matches!(aq, ActQuant::PerBatch).then(|| grid_of(x.data()));
+    let mut codes = vec![L::default(); f.div_ceil(group) * n * group];
+    let scales = (0..n)
+        .map(|i| {
+            let src = &x.data()[i * f..(i + 1) * f];
+            let grid = batch_grid.unwrap_or_else(|| grid_of(src));
+            grid.emit(src, &mut codes[i * group..], group, n * group);
+            grid.scale()
+        })
+        .collect();
+    (codes, scales)
 }
 
-/// Decodes the whole packed weight matrix once per forward on the tier
-/// path; the decoded rows are shared by every sample of the batch (and by
-/// every chunk of the parallel GEMM), so decode cost is independent of the
-/// batch size.
-fn decode_all<T: Tier>(storage: &Storage, rows: usize, cols: usize) -> Vec<T::Code> {
-    let mut out = vec![T::Code::default(); rows * cols];
-    for (row, chunk) in out.chunks_mut(cols).enumerate() {
-        T::decode_row(storage, row, cols, chunk);
+/// The patch matrix `[c·kh·kw, n·oh·ow]` of `n` samples — the unfold
+/// training uses. Group `gi` of a grouped conv owns the `cg·kh·kw` rows
+/// from `gi·cg·kh·kw`, sample `i` columns `i·oh·ow..` of every row. A lone
+/// sample under a 1×1, stride-1, unpadded kernel unfolds to itself, so its
+/// GEMM reads the code planes in place.
+fn patch_matrix<'a, L: Copy + Default + Send + Sync>(
+    codes: &'a [L],
+    n: usize,
+    c: usize,
+    g: &ConvGeom,
+) -> Cow<'a, [L]> {
+    if n == 1 && g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0 {
+        Cow::Borrowed(codes)
+    } else {
+        Cow::Owned(im2col_batch(codes, n, c, g))
     }
+}
+
+/// Bytes one group's patch matrix may span: every weight row streams it
+/// once, so it has to stay in L1 between rows, beside the accumulators and
+/// the row's weights — half of a 32 KiB L1 (24 KiB already measured slower
+/// than per-sample matrices on 12 KiB-per-sample i16 layers).
+const PATCH_BLOCK_BYTES: usize = 16 << 10;
+
+/// Runs a dense conv's GEMM over the batch: `gemm(cols, samples, out)` gets
+/// the [`patch_matrix`] of the samples `samples` and their `[.., k, p]` slab
+/// of the result. The whole batch is one patch matrix while a group's
+/// `[cols, n·p]` block fits [`PATCH_BLOCK_BYTES`] — the kernel then runs
+/// once per weight row over every sample's pixels, and `gemm` splits its
+/// rows over the thread budget; larger layers go in blocks of whole samples
+/// (down to one, where a lone sample already fills the cache), and the
+/// blocks are what runs in parallel. Samples never share a column, so the
+/// blocking is invisible in the result.
+fn conv_blocks<L: Copy + Default + Send + Sync>(
+    gemm: &PackedGemm,
+    g: &ConvGeom,
+    codes: &[L],
+    (n, c): (usize, usize),
+    f: impl Fn(&[L], Range<usize>, &mut [f32]) + Sync,
+) -> Vec<f32> {
+    let (k, q, p, chw) = (gemm.rows, gemm.cols, g.oh * g.ow, c * g.h * g.w);
+    let per_block = (PATCH_BLOCK_BYTES / (q * p * std::mem::size_of::<L>()).max(1)).clamp(1, n);
+    let mut out = vec![0.0f32; n * k * p];
+    gate(2 * n * k * q * p >= PAR_FLOP_THRESHOLD, || {
+        par_chunks_mut(&mut out, (per_block * k * p).max(1), |bi, slab| {
+            let at = bi * per_block..bi * per_block + slab.len() / (k * p);
+            let cols = patch_matrix(&codes[at.start * chw..at.end * chw], at.len(), c, g);
+            f(&cols, at, slab);
+        })
+    });
     out
 }
 
-/// Whether the `[cg·r·s, oh·ow]` patch matrix of a conv *is* its input
-/// block: a 1×1, stride-1, unpadded kernel unfolds to the identity, so the
-/// GEMM reads the code planes in place and `im2col` is skipped.
-fn patches_are_input(r: usize, s: usize, stride: usize, pad: usize) -> bool {
-    r == 1 && s == 1 && stride == 1 && pad == 0
+/// Drives a GEMM whose `[n, k, p]` output is `out`, weight row by weight
+/// row: `kernel(row, scratch)` reduces row `row` over all `n·p` columns,
+/// then `store(row, scratch, at, runs)` writes every sample's `p` outputs of
+/// that row, sample `i`'s to `runs[i][at]`. Each worker owns one contiguous
+/// run of rows — in every sample the matching slab of `out`, its `runs` —
+/// and one `scratch()` value for the whole run; rows are disjoint and
+/// indexed, so the result is independent of the thread count (one worker
+/// below [`PAR_FLOP_THRESHOLD`] `flops`).
+fn par_rows<S>(
+    out: &mut [f32],
+    (k, p): (usize, usize),
+    flops: usize,
+    scratch: impl Fn() -> S + Sync,
+    kernel: impl Fn(usize, &mut S) + Sync,
+    store: impl Fn(usize, &S, Range<usize>, &mut [&mut [f32]]) + Sync,
+) {
+    if out.is_empty() {
+        return;
+    }
+    gate(flops >= PAR_FLOP_THRESHOLD, || {
+        let per_worker = k.div_ceil(max_threads());
+        let mut work: Vec<Vec<&mut [f32]>> = Vec::new();
+        work.resize_with(k.div_ceil(per_worker), Vec::new);
+        for sample in out.chunks_mut(k * p) {
+            for (runs, run) in work.iter_mut().zip(sample.chunks_mut(per_worker * p)) {
+                runs.push(run);
+            }
+        }
+        par_chunks_mut(&mut work, 1, |wi, item| {
+            let (runs, mut s) = (&mut item[0], scratch());
+            for j in 0..runs[0].len() / p {
+                let row = wi * per_worker + j;
+                kernel(row, &mut s);
+                store(row, &s, j * p..(j + 1) * p, runs);
+            }
+        });
+    });
 }
 
-/// Batched integer conv: per-sample activation codes, per-(sample, group)
-/// `im2col` patch matrices and column sums computed once per forward, and
-/// one GEMM parallelized over `samples × output rows` (each chunk is one
-/// output row of one sample — disjoint writes, deterministic).
+/// The affine dequantization of the crate docs over one weight row of a
+/// GEMM: sample `i`'s accumulators `acc[i·p..(i+1)·p]` (`p = at.len()`)
+/// become `sa_i · (A·acc + B·colsum) + bias` in `runs[i][at]`, the colsum
+/// term only where the layer carries an offset (`cs` is `Some`). The f32
+/// routes pass unit `scales`, which multiply exactly.
+fn dequant<A: ToF32, C: ToF32>(
+    g: &PackedGemm,
+    row: usize,
+    scales: &[f32],
+    acc: &[A],
+    cs: Option<&[C]>,
+    at: Range<usize>,
+    runs: &mut [&mut [f32]],
+) {
+    let (a, bias, bco, p) = (g.scale[row], g.bias[row], g.colsum_coef[row], at.len());
+    let plain = |sa: f32, v: A| sa * a * v.to_f32() + bias;
+    let offset = |sa: f32, v: A, c: C| sa * (a * v.to_f32() + bco * c.to_f32()) + bias;
+    if p == 1 {
+        // A linear layer: one output per sample, stored at stride `rows`.
+        for (i, (run, &sa)) in runs.iter_mut().zip(scales).enumerate() {
+            run[at.start] = match cs {
+                Some(cs) => offset(sa, acc[i], cs[i]),
+                None => plain(sa, acc[i]),
+            };
+        }
+        return;
+    }
+    for (i, (run, &sa)) in runs.iter_mut().zip(scales).enumerate() {
+        let (seg, acc) = (&mut run[at.clone()], &acc[i * p..(i + 1) * p]);
+        match cs {
+            Some(cs) => {
+                for ((o, &v), &c) in seg.iter_mut().zip(acc).zip(&cs[i * p..]) {
+                    *o = offset(sa, v, c);
+                }
+            }
+            None => {
+                for (o, &v) in seg.iter_mut().zip(acc) {
+                    *o = plain(sa, v);
+                }
+            }
+        }
+    }
+}
+
+/// Maps a weight row of a `k`-row layer to its group; the usual ungrouped
+/// layer pays no division per row.
+fn group_of(k: usize, groups: usize) -> impl Fn(usize) -> usize {
+    let kg = k / groups;
+    move |row| if groups == 1 { 0 } else { row / kg }
+}
+
+/// Tier-path GEMM over the operand `cols` — per group a `[g.cols, l]` code
+/// block, `l = n·p` columns with sample `i` owning columns `i·p..` — into
+/// the `[n, k, p]` result `out`: each weight row is decoded once and
+/// multiplied against every column of its group's block, and each sample's
+/// segment is dequantized with that sample's scale.
 ///
 /// The pack-time accumulator tier stays safe at any batch size: batching
-/// adds GEMM *columns* (more output pixels), never reduction *length*, so
-/// the worst-case partial-sum bound `max|w|·max|a|·cols` is unchanged.
-#[allow(clippy::too_many_arguments)]
+/// adds GEMM *columns*, never reduction *length*, so the worst-case
+/// partial-sum bound `max|w|·max|a|·cols` is unchanged.
+fn gemm_tier<T: Tier>(
+    g: &PackedGemm,
+    cols: &[T::Code],
+    groups: usize,
+    (n, p): (usize, usize),
+    scales: &[f32],
+    out: &mut [f32],
+) {
+    let (k, q, l) = (g.rows, g.cols, n * p);
+    let group = group_of(k, groups);
+    let colsums: Option<Vec<f32>> = g.has_offset.then(|| {
+        cols.chunks(q * l)
+            .flat_map(|block| T::colsums(block, q, l))
+            .collect()
+    });
+    par_rows(
+        out,
+        (k, p),
+        2 * k * q * l,
+        || (vec![T::Code::default(); q], vec![T::Acc::default(); l]),
+        |row, (wrow, acc)| {
+            T::decode_row(&g.storage, row, q, wrow);
+            acc.fill(T::Acc::default());
+            T::accumulate(acc, wrow, &cols[group(row) * q * l..][..q * l]);
+        },
+        |row, (_, acc), at, runs| {
+            let cs = colsums.as_ref().map(|cs| &cs[group(row) * l..][..l]);
+            dequant(g, row, scales, acc, cs, at, runs);
+        },
+    );
+}
+
+/// Batched integer conv on the tier path: per-sample activation codes, the
+/// batch's patch matrix ([`conv_blocks`]), [`gemm_tier`]. Depthwise layers
+/// (tap table) convolve directly instead.
 fn conv_int<T: Tier>(
     gemm: &PackedGemm,
-    cg: usize,
-    r: usize,
-    s: usize,
-    stride: usize,
-    pad: usize,
+    g: &ConvGeom,
     groups: usize,
     x: &Tensor,
     bits: BitWidth,
     quantizer: Quantizer,
     aq: ActQuant,
 ) -> Tensor {
-    let dims = x.dims();
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let k = gemm.rows;
-    let kg = k / groups;
-    let oh = (h + 2 * pad - r) / stride + 1;
-    let ow = (w + 2 * pad - s) / stride + 1;
-    let ncols = oh * ow;
-
-    let (codes, scales) = sample_codes::<T::Code>(x, n, c * h * w, bits, quantizer, aq);
-
-    if let KernelWeights::Taps(taps) = &gemm.kernel {
+    let (n, c, p) = (x.dims()[0], x.dims()[1], g.oh * g.ow);
+    let (codes, scales) = sample_codes::<T::Code>(x, n, c * g.h * g.w, bits, quantizer, aq);
+    let out = if let KernelWeights::Taps(taps) = &gemm.kernel {
         let tap = |t: usize| T::Code::from_code(taps[t]);
-        return conv_dw::<T>(gemm, tap, r, s, stride, pad, &codes, &scales, dims);
-    }
-
-    // Patch matrices, one `[cols, ncols]` block per (sample, group).
-    let plane = cg * h * w;
-    let patches: Vec<Vec<T::Code>> = if patches_are_input(r, s, stride, pad) {
-        Vec::new()
+        conv_dw::<T>(gemm, tap, g, &codes, &scales)
     } else {
-        gate(n * groups * gemm.cols * ncols >= PAR_FLOP_THRESHOLD, || {
-            parallel_map_indexed(n * groups, |e| {
-                im2col_generic(
-                    &codes[e * plane..(e + 1) * plane],
-                    cg,
-                    h,
-                    w,
-                    r,
-                    s,
-                    stride,
-                    pad,
-                )
-                .0
-            })
+        conv_blocks(gemm, g, &codes, (n, c), |cols, at, out| {
+            gemm_tier::<T>(gemm, cols, groups, (at.len(), p), &scales[at], out)
         })
     };
-    let block = |e: usize| match patches.get(e) {
-        Some(b) => &b[..],
-        None => &codes[e * plane..(e + 1) * plane],
-    };
-    let colsums: Option<Vec<Vec<f32>>> = gemm.has_offset.then(|| {
-        (0..n * groups)
-            .map(|e| T::colsums(block(e), gemm.cols, ncols))
-            .collect()
-    });
-    let wdec = decode_all::<T>(&gemm.storage, k, gemm.cols);
-
-    let mut out = vec![0.0f32; n * k * ncols];
-    let flops = 2 * n * k * gemm.cols * ncols;
-    gate(flops >= PAR_FLOP_THRESHOLD, || {
-        par_rows(
-            &mut out,
-            ncols,
-            || vec![T::Acc::default(); ncols],
-            |ci, orow, acc| {
-                let (i, row) = (ci / k, ci % k);
-                let e = i * groups + row / kg;
-                acc.fill(T::Acc::default());
-                T::accumulate(acc, &wdec[row * gemm.cols..(row + 1) * gemm.cols], block(e));
-                let (a, bias, bco, sa) = (
-                    gemm.scale[row],
-                    gemm.bias[row],
-                    gemm.colsum_coef[row],
-                    scales[i],
-                );
-                match &colsums {
-                    Some(cs) => {
-                        let cs = &cs[e];
-                        for (j, o) in orow.iter_mut().enumerate() {
-                            *o = sa * (a * T::acc_f32(acc[j]) + bco * cs[j]) + bias;
-                        }
-                    }
-                    None => {
-                        for (o, &v) in orow.iter_mut().zip(acc.iter()) {
-                            *o = sa * a * T::acc_f32(v) + bias;
-                        }
-                    }
-                }
-            },
-        )
-    });
-    Tensor::from_vec(vec![n, k, oh, ow], out)
+    Tensor::from_vec(vec![n, gemm.rows, g.oh, g.ow], out)
 }
 
 /// `dst[j] = f(dst[j], src[j · stride])` — one tap of one output row. The
@@ -596,23 +702,20 @@ fn axpy_strided<A: Copy, C: Copy>(dst: &mut [A], src: &[C], stride: usize, f: im
 /// `im2col` row order, so the result matches the generic path bit for bit
 /// — including the f32 fallback, which runs this same loop with
 /// `T = TierF32`, real-valued `tap`s and unit `scales`. The column sum
-/// rides along only for offset-carrying (DoReFa) layers.
-#[allow(clippy::too_many_arguments)]
+/// rides along only for offset-carrying (DoReFa) layers. Planes are
+/// independent, so this is the one conv whose parallel split is over
+/// `samples × channels`: each worker takes a contiguous run of planes and
+/// one accumulator. Returns `[n, c, oh, ow]` for the `scales.len()` samples
+/// of `codes`.
 fn conv_dw<T: Tier>(
     gemm: &PackedGemm,
     tap: impl Fn(usize) -> T::Code + Sync,
-    r: usize,
-    s: usize,
-    stride: usize,
-    pad: usize,
+    g: &ConvGeom,
     codes: &[T::Code],
     scales: &[f32],
-    dims: &[usize],
-) -> Tensor {
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let oh = (h + 2 * pad - r) / stride + 1;
-    let ow = (w + 2 * pad - s) / stride + 1;
-    let ncols = oh * ow;
+) -> Vec<f32> {
+    let (n, c, p, hw) = (scales.len(), gemm.rows, g.oh * g.ow, g.h * g.w);
+    let (h, w, oh, ow, r, s, stride, pad) = (g.h, g.w, g.oh, g.ow, g.kh, g.kw, g.stride, g.pad);
     // Output positions whose tap `k` lands inside an `len`-long input axis:
     // 0 ≤ o·stride + k − pad < len.
     let span = |k: usize, len: usize, olen: usize| {
@@ -620,61 +723,49 @@ fn conv_dw<T: Tier>(
         let hi = (len + pad).saturating_sub(k).div_ceil(stride).min(olen);
         lo..hi.max(lo)
     };
-    let mut out = vec![0.0f32; n * c * ncols];
-    let flops = 2 * n * c * r * s * ncols;
-    let scratch = || {
-        let cs = if gemm.has_offset { ncols } else { 0 };
-        (vec![T::Acc::default(); ncols], vec![T::Cs::default(); cs])
-    };
-    gate(flops >= PAR_FLOP_THRESHOLD, || {
-        par_rows(&mut out, ncols, scratch, |ci, orow, (acc, cs)| {
-            let (i, ch) = (ci / c, ci % c);
-            let plane = &codes[ci * h * w..(ci + 1) * h * w];
-            acc.fill(T::Acc::default());
-            cs.fill(T::Cs::default());
-            for ki in 0..r {
-                for kj in 0..s {
-                    let wv = tap(ch * r * s + ki * s + kj);
-                    let xs = span(kj, w, ow);
-                    if xs.is_empty() {
-                        continue;
-                    }
-                    let ix0 = xs.start * stride + kj - pad;
-                    for oy in span(ki, h, oh) {
-                        let src = &plane[(oy * stride + ki - pad) * w + ix0..];
-                        let at = oy * ow;
-                        let dst = &mut acc[at + xs.start..at + xs.end];
-                        axpy_strided(dst, src, stride, |o, v| T::mad(o, wv, v));
-                        if gemm.has_offset {
-                            let dst = &mut cs[at + xs.start..at + xs.end];
-                            axpy_strided(dst, src, stride, T::cs_add);
+    let mut out = vec![0.0f32; n * c * p];
+    gate(2 * n * c * r * s * p >= PAR_FLOP_THRESHOLD, || {
+        let per_worker = (n * c).div_ceil(max_threads());
+        par_chunks_mut(&mut out, (per_worker * p).max(1), |wi, run| {
+            let mut acc = vec![T::Acc::default(); p];
+            let mut cs = vec![T::Cs::default(); if gemm.has_offset { p } else { 0 }];
+            for (j, orow) in run.chunks_mut(p).enumerate() {
+                let ci = wi * per_worker + j;
+                let (i, ch) = (ci / c, ci % c);
+                let plane = &codes[ci * hw..(ci + 1) * hw];
+                acc.fill(T::Acc::default());
+                cs.fill(T::Cs::default());
+                for ki in 0..r {
+                    for kj in 0..s {
+                        let wv = tap(ch * r * s + ki * s + kj);
+                        let xs = span(kj, w, ow);
+                        if xs.is_empty() {
+                            continue;
+                        }
+                        let ix0 = xs.start * stride + kj - pad;
+                        for oy in span(ki, h, oh) {
+                            let src = &plane[(oy * stride + ki - pad) * w + ix0..];
+                            let at = oy * ow;
+                            let dst = &mut acc[at + xs.start..at + xs.end];
+                            axpy_strided(dst, src, stride, |o, v| T::mad(o, wv, v));
+                            if gemm.has_offset {
+                                let dst = &mut cs[at + xs.start..at + xs.end];
+                                axpy_strided(dst, src, stride, T::cs_add);
+                            }
                         }
                     }
                 }
-            }
-            let (a, bias, bco, sa) = (
-                gemm.scale[ch],
-                gemm.bias[ch],
-                gemm.colsum_coef[ch],
-                scales[i],
-            );
-            if gemm.has_offset {
-                for (j, o) in orow.iter_mut().enumerate() {
-                    *o = sa * (a * T::acc_f32(acc[j]) + bco * T::cs_f32(cs[j])) + bias;
-                }
-            } else {
-                for (o, &v) in orow.iter_mut().zip(acc.iter()) {
-                    *o = sa * a * T::acc_f32(v) + bias;
-                }
+                let cs = gemm.has_offset.then_some(&cs[..]);
+                dequant(gemm, ch, &scales[i..=i], &acc, cs, 0..p, &mut [orow]);
             }
         })
     });
-    Tensor::from_vec(vec![n, c, oh, ow], out)
+    out
 }
 
-/// Batched integer linear: samples travel as GEMM columns (codes
-/// transposed to `[features, n]`), so one weight-row decode serves the
-/// whole batch and the dequant applies each column's own sample scale.
+/// Batched integer linear on the tier path: the conv GEMM with one column
+/// per sample — codes are quantized straight into the `[features, n]`
+/// operand, the epilogue stores `out[i · rows + row]`.
 fn linear_int<T: Tier>(
     g: &PackedGemm,
     x: &Tensor,
@@ -682,55 +773,10 @@ fn linear_int<T: Tier>(
     quantizer: Quantizer,
     aq: ActQuant,
 ) -> Tensor {
-    let (n, f) = (x.dims()[0], x.dims()[1]);
-    let (codes, scales) = sample_codes::<T::Code>(x, n, f, bits, quantizer, aq);
-    // Per-sample colsum = the transposed GEMM's per-column sum.
-    let colsums: Option<Vec<f32>> = g.has_offset.then(|| {
-        (0..n)
-            .map(|i| {
-                let mut cs = T::Cs::default();
-                for &v in &codes[i * f..(i + 1) * f] {
-                    cs = T::cs_add(cs, v);
-                }
-                T::cs_f32(cs)
-            })
-            .collect()
-    });
-    let mut tcodes = vec![T::Code::default(); f * n];
-    for i in 0..n {
-        for p in 0..f {
-            tcodes[p * n + i] = codes[i * f + p];
-        }
-    }
-    let mut tmp = vec![0.0f32; g.rows * n];
-    let flops = 2 * g.rows * f * n;
-    let scratch = || (vec![T::Code::default(); f], vec![T::Acc::default(); n]);
-    gate(flops >= PAR_FLOP_THRESHOLD, || {
-        par_rows(&mut tmp, n, scratch, |row, orow, (wrow, acc)| {
-            T::decode_row(&g.storage, row, f, wrow);
-            acc.fill(T::Acc::default());
-            T::accumulate(acc, wrow, &tcodes);
-            let (a, bias, bco) = (g.scale[row], g.bias[row], g.colsum_coef[row]);
-            match &colsums {
-                Some(cs) => {
-                    for (i, o) in orow.iter_mut().enumerate() {
-                        *o = scales[i] * (a * T::acc_f32(acc[i]) + bco * cs[i]) + bias;
-                    }
-                }
-                None => {
-                    for (i, o) in orow.iter_mut().enumerate() {
-                        *o = scales[i] * a * T::acc_f32(acc[i]) + bias;
-                    }
-                }
-            }
-        })
-    });
+    let n = x.dims()[0];
+    let (cols, scales) = linear_operand::<T::Code>(x, 1, bits, quantizer, aq);
     let mut out = vec![0.0f32; n * g.rows];
-    for kk in 0..g.rows {
-        for i in 0..n {
-            out[i * g.rows + kk] = tmp[kk * n + i];
-        }
-    }
+    gemm_tier::<T>(g, &cols, 1, (n, 1), &scales, &mut out);
     Tensor::from_vec(vec![n, g.rows], out)
 }
 
@@ -783,60 +829,103 @@ impl FusedTier for FusedI8 {
     }
 }
 
-/// Repacks a `[rows, ncols]` activation block into the fused layout: rows
-/// group `G` at a time and each group's lanes sit adjacent per column
-/// (`out[(q·ncols + j)·G + k] = block[(q·G + k)·ncols + j]`), with the
-/// final partial group zero-padded. One contiguous load then feeds a whole
-/// weight word's worth of multiplies per column block.
-fn interleave_block<L: Copy + Default>(block: &[L], rows: usize, ncols: usize, g: usize) -> Vec<L> {
-    let groups = rows.div_ceil(g);
-    let mut out = vec![L::default(); groups * g * ncols];
-    for p in 0..rows {
-        let (q, k) = (p / g, p % g);
-        let src = &block[p * ncols..(p + 1) * ncols];
-        let dst = &mut out[q * g * ncols..(q + 1) * g * ncols];
-        for (j, &v) in src.iter().enumerate() {
-            dst[j * g + k] = v;
-        }
-    }
+/// Repacks the `groups` back-to-back `[rows, ncols]` code blocks of `cols`
+/// into the fused layout, group by group: rows go `G` at a time and each
+/// such row group's lanes sit adjacent per column (`out[(q·ncols + j)·G + k]
+/// = block[(q·G + k)·ncols + j]`), the final partial row group zero-padded.
+/// One contiguous load then feeds a whole weight word's worth of multiplies
+/// per column block.
+fn interleave_blocks<L: Copy + Default + Send + Sync>(
+    cols: &[L],
+    groups: usize,
+    rows: usize,
+    ncols: usize,
+    g: usize,
+) -> Vec<L> {
+    let padded = rows.div_ceil(g) * g * ncols;
+    let mut out = vec![L::default(); groups * padded];
+    gate(cols.len() >= PAR_FLOP_THRESHOLD, || {
+        par_chunks_mut(&mut out, padded.max(1), |gi, dst| {
+            let block = &cols[gi * rows * ncols..(gi + 1) * rows * ncols];
+            for (p, src) in block.chunks_exact(ncols).enumerate() {
+                let (q, k) = (p / g, p % g);
+                let dst = &mut dst[q * g * ncols..(q + 1) * g * ncols];
+                for (j, &v) in src.iter().enumerate() {
+                    dst[j * g + k] = v;
+                }
+            }
+        })
+    });
     out
 }
 
-/// Exact i32 per-column sums of an interleaved block (zero padding adds
-/// nothing). Feeds the `-WEIGHT_BIAS·colsum` re-centering correction and
-/// the offset dequant term; pack time builds fused words only for layers
-/// whose sums fit.
-fn colsums_i32<L: Copy + Into<i32>>(inter: &[L], ncols: usize, g: usize) -> Vec<i32> {
-    let mut cs = vec![0i32; ncols];
-    for gchunk in inter.chunks(g * ncols) {
-        for (j, lanes) in gchunk.chunks(g).enumerate() {
-            for &v in lanes {
-                cs[j] += v.into();
+/// Fused ≤ 8-bit GEMM over interleaved operands (`inter` holds `groups`
+/// blocks in [`interleave_blocks`] layout, each `[g.cols, l]` with `l =
+/// n·p` columns): same structure as [`gemm_tier`], but the kernel multiplies
+/// on packed codes — activations in the storage-matched lane type, weights
+/// the pack-time `wwords` — once per weight row over all `l` columns. Bit-
+/// identity with the tier path: the kernel accumulates the exact integer
+/// sum (pack time bounds it inside i32), the re-centering correction is
+/// exact integer arithmetic, and [`dequant`] casts `i32 → f32` exactly as
+/// every tier's accumulator does.
+#[allow(clippy::too_many_arguments)]
+fn gemm_fused<F: FusedTier>(
+    g: &PackedGemm,
+    wwords: &[u32],
+    kernel: crate::simd::FusedKernel<F::Lane>,
+    inter: &[F::Lane],
+    groups: usize,
+    (n, p): (usize, usize),
+    scales: &[f32],
+    out: &mut [f32],
+) {
+    let (k, l, padded) = (g.rows, n * p, inter.len() / groups);
+    let group = group_of(k, groups);
+    let wstride = g.cols.div_ceil(F::GROUP);
+    // Exact i32 per-column sums (zero padding adds nothing) for the
+    // `-WEIGHT_BIAS·colsum` re-centering — which the nibble kernel needs
+    // even for symmetric codes — and the offset dequant term; pack time
+    // builds fused words only for layers whose sums fit.
+    let need_cs = F::WEIGHT_BIAS != 0 || g.has_offset;
+    let mut colsums = vec![0i32; if need_cs { groups * l } else { 0 }];
+    for (cs, block) in colsums.chunks_mut(l).zip(inter.chunks(padded)) {
+        for row_group in block.chunks_exact(F::GROUP * l) {
+            for (c, lanes) in cs.iter_mut().zip(row_group.chunks_exact(F::GROUP)) {
+                *c += lanes.iter().map(|&v| v.into()).sum::<i32>();
             }
         }
     }
-    cs
+    par_rows(
+        out,
+        (k, p),
+        2 * k * g.cols * l,
+        || vec![0i32; l],
+        |row, acc| {
+            acc.fill(0);
+            let (wrow, gi) = (&wwords[row * wstride..(row + 1) * wstride], group(row));
+            kernel(acc, wrow, &inter[gi * padded..(gi + 1) * padded], l);
+            if F::WEIGHT_BIAS != 0 {
+                for (a, &c) in acc.iter_mut().zip(&colsums[gi * l..]) {
+                    *a -= F::WEIGHT_BIAS * c;
+                }
+            }
+        },
+        |row, acc, at, runs| {
+            let cs = g.has_offset.then(|| &colsums[group(row) * l..][..l]);
+            dequant(g, row, scales, acc, cs, at, runs);
+        },
+    );
 }
 
-/// Fused ≤ 8-bit conv: same structure as [`conv_int`], but the GEMM
-/// multiplies on packed codes — activations are emitted in the
-/// storage-matched lane type and interleaved once per (sample, group)
-/// (straight from the code planes for 1×1 convs), weights are the
-/// pack-time `wwords`. Returns `None` when the active backend has no fused
-/// kernel; the caller falls back to the tier path. Bit-identity with that
-/// path: the kernel accumulates the exact integer sum (pack time bounds it
-/// inside i32), the correction is exact integer arithmetic, and the
-/// dequant expressions below match the tier path's term for term with
-/// `i32 → f32` casts that round identically to every tier's `acc_f32`.
+/// Fused ≤ 8-bit conv: the batch-level patch matrix is interleaved once (a
+/// lone sample's 1×1 conv straight from its code planes) and handed to
+/// [`gemm_fused`]. Returns `None` when the active backend has no fused
+/// kernel; the caller falls back to the tier path.
 #[allow(clippy::too_many_arguments)]
 fn conv_fused<F: FusedTier>(
     gemm: &PackedGemm,
     wwords: &[u32],
-    cg: usize,
-    r: usize,
-    s: usize,
-    stride: usize,
-    pad: usize,
+    g: &ConvGeom,
     groups: usize,
     x: &Tensor,
     bits: BitWidth,
@@ -844,87 +933,19 @@ fn conv_fused<F: FusedTier>(
     aq: ActQuant,
 ) -> Option<Tensor> {
     let kernel = F::kernel()?;
-    let dims = x.dims();
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let k = gemm.rows;
-    let kg = k / groups;
-    let oh = (h + 2 * pad - r) / stride + 1;
-    let ow = (w + 2 * pad - s) / stride + 1;
-    let ncols = oh * ow;
-
-    let (codes, scales) = sample_codes::<F::Lane>(x, n, c * h * w, bits, quantizer, aq);
-
-    // The nibble correction needs column sums even for symmetric codes.
-    let need_cs = F::WEIGHT_BIAS != 0 || gemm.has_offset;
-    let plane = cg * h * w;
-    let unfold = !patches_are_input(r, s, stride, pad);
-    let blocks: Vec<(Vec<F::Lane>, Vec<i32>)> =
-        gate(n * groups * gemm.cols * ncols >= PAR_FLOP_THRESHOLD, || {
-            parallel_map_indexed(n * groups, |e| {
-                let input = &codes[e * plane..(e + 1) * plane];
-                let inter = if unfold {
-                    let (block, _, _) = im2col_generic(input, cg, h, w, r, s, stride, pad);
-                    interleave_block(&block, gemm.cols, ncols, F::GROUP)
-                } else {
-                    interleave_block(input, gemm.cols, ncols, F::GROUP)
-                };
-                let cs = if need_cs {
-                    colsums_i32(&inter, ncols, F::GROUP)
-                } else {
-                    Vec::new()
-                };
-                (inter, cs)
-            })
-        });
-    let wstride = gemm.cols.div_ceil(F::GROUP);
-
-    let mut out = vec![0.0f32; n * k * ncols];
-    let flops = 2 * n * k * gemm.cols * ncols;
-    gate(flops >= PAR_FLOP_THRESHOLD, || {
-        par_rows(
-            &mut out,
-            ncols,
-            || vec![0i32; ncols],
-            |ci, orow, acc| {
-                let (i, row) = (ci / k, ci % k);
-                let (block, cs) = &blocks[i * groups + row / kg];
-                acc.fill(0);
-                kernel(
-                    acc,
-                    &wwords[row * wstride..(row + 1) * wstride],
-                    block,
-                    ncols,
-                );
-                if F::WEIGHT_BIAS != 0 {
-                    for (a, &c) in acc.iter_mut().zip(cs.iter()) {
-                        *a -= F::WEIGHT_BIAS * c;
-                    }
-                }
-                let (a, bias, bco, sa) = (
-                    gemm.scale[row],
-                    gemm.bias[row],
-                    gemm.colsum_coef[row],
-                    scales[i],
-                );
-                if gemm.has_offset {
-                    for (j, o) in orow.iter_mut().enumerate() {
-                        *o = sa * (a * acc[j] as f32 + bco * cs[j] as f32) + bias;
-                    }
-                } else {
-                    for (o, &v) in orow.iter_mut().zip(acc.iter()) {
-                        *o = sa * a * v as f32 + bias;
-                    }
-                }
-            },
-        )
+    let (n, c, p) = (x.dims()[0], x.dims()[1], g.oh * g.ow);
+    let (codes, scales) = sample_codes::<F::Lane>(x, n, c * g.h * g.w, bits, quantizer, aq);
+    let out = conv_blocks(gemm, g, &codes, (n, c), |cols, at, out| {
+        let (m, scales) = (at.len(), &scales[at]);
+        let inter = interleave_blocks(cols, groups, gemm.cols, m * p, F::GROUP);
+        gemm_fused::<F>(gemm, wwords, kernel, &inter, groups, (m, p), scales, out)
     });
-    Some(Tensor::from_vec(vec![n, k, oh, ow], out))
+    Some(Tensor::from_vec(vec![n, gemm.rows, g.oh, g.ow], out))
 }
 
-/// Fused ≤ 8-bit linear: samples travel as GEMM columns exactly as in
-/// [`linear_int`], with the transposed code block built directly in the
-/// interleaved layout. Same fallback and bit-identity contract as
-/// [`conv_fused`].
+/// Fused ≤ 8-bit linear: codes are quantized straight into the interleaved
+/// `[f/G, n, G]` operand — [`conv_fused`]'s GEMM with one column per
+/// sample. Same fallback contract.
 fn linear_fused<F: FusedTier>(
     g: &PackedGemm,
     wwords: &[u32],
@@ -934,60 +955,10 @@ fn linear_fused<F: FusedTier>(
     aq: ActQuant,
 ) -> Option<Tensor> {
     let kernel = F::kernel()?;
-    let (n, f) = (x.dims()[0], x.dims()[1]);
-    let (codes, scales) = sample_codes::<F::Lane>(x, n, f, bits, quantizer, aq);
-
-    let fgroups = f.div_ceil(F::GROUP);
-    let mut inter = vec![F::Lane::default(); fgroups * F::GROUP * n];
-    for i in 0..n {
-        for (p, &v) in codes[i * f..(i + 1) * f].iter().enumerate() {
-            let (q, kk) = (p / F::GROUP, p % F::GROUP);
-            inter[(q * n + i) * F::GROUP + kk] = v;
-        }
-    }
-    let cs: Vec<i32> = if F::WEIGHT_BIAS != 0 || g.has_offset {
-        (0..n)
-            .map(|i| codes[i * f..(i + 1) * f].iter().map(|&v| v.into()).sum())
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let wstride = f.div_ceil(F::GROUP);
-
-    let mut tmp = vec![0.0f32; g.rows * n];
-    let flops = 2 * g.rows * f * n;
-    gate(flops >= PAR_FLOP_THRESHOLD, || {
-        par_rows(
-            &mut tmp,
-            n,
-            || vec![0i32; n],
-            |row, orow, acc| {
-                acc.fill(0);
-                kernel(acc, &wwords[row * wstride..(row + 1) * wstride], &inter, n);
-                if F::WEIGHT_BIAS != 0 {
-                    for (a, &c) in acc.iter_mut().zip(&cs) {
-                        *a -= F::WEIGHT_BIAS * c;
-                    }
-                }
-                let (a, bias, bco) = (g.scale[row], g.bias[row], g.colsum_coef[row]);
-                if g.has_offset {
-                    for (i, o) in orow.iter_mut().enumerate() {
-                        *o = scales[i] * (a * acc[i] as f32 + bco * cs[i] as f32) + bias;
-                    }
-                } else {
-                    for (i, o) in orow.iter_mut().enumerate() {
-                        *o = scales[i] * a * acc[i] as f32 + bias;
-                    }
-                }
-            },
-        )
-    });
+    let n = x.dims()[0];
+    let (inter, scales) = linear_operand::<F::Lane>(x, F::GROUP, bits, quantizer, aq);
     let mut out = vec![0.0f32; n * g.rows];
-    for kk in 0..g.rows {
-        for i in 0..n {
-            out[i * g.rows + kk] = tmp[kk * n + i];
-        }
-    }
+    gemm_fused::<F>(g, wwords, kernel, &inter, 1, (n, 1), &scales, &mut out);
     Some(Tensor::from_vec(vec![n, g.rows], out))
 }
 
@@ -995,48 +966,35 @@ fn linear_fused<F: FusedTier>(
 // f32 fallback path (full precision, raw-input stems, > 16 bits)
 // ---------------------------------------------------------------------------
 
-/// Quantizes activations at the requested granularity on the f32 path.
-/// `PerSample` slices keep serving outputs bit-identical to batch-of-one
-/// forwards; full-precision bit-widths pass through unchanged either way.
-fn quantize_acts_f32(x: &Tensor, bits: BitWidth, quantizer: Quantizer, aq: ActQuant) -> Tensor {
-    match aq {
+/// Fake-quantizes activations at the requested granularity on the f32 path
+/// (`PerSample` slices keep serving outputs bit-identical to batch-of-one
+/// forwards); where there is no grid the input is passed through uncopied.
+fn quantize_acts_f32<'a>(
+    x: &'a Tensor,
+    bits: BitWidth,
+    quantizer: Quantizer,
+    aq: ActQuant,
+) -> Cow<'a, Tensor> {
+    if bits.is_full_precision() || matches!(quantizer, Quantizer::Identity) {
+        return Cow::Borrowed(x);
+    }
+    Cow::Owned(match aq {
         ActQuant::PerBatch => quantizer.quantize_activations_tensor(x, bits),
         ActQuant::PerSample => {
-            let n = x.dims()[0];
-            let sample_len = x.len() / n.max(1);
-            let mut data = Vec::with_capacity(x.len());
-            for i in 0..n {
-                let sample = Tensor::from_vec(
-                    vec![sample_len],
-                    x.data()[i * sample_len..(i + 1) * sample_len].to_vec(),
-                );
-                data.extend_from_slice(quantizer.quantize_activations_tensor(&sample, bits).data());
+            let mut xq = x.clone();
+            let sample_len = x.len() / x.dims()[0].max(1);
+            for sample in xq.data_mut().chunks_mut(sample_len.max(1)) {
+                quantizer.quantize_activations_in_place(sample, bits);
             }
-            Tensor::from_vec(x.dims().to_vec(), data)
+            xq
         }
-    }
-}
-
-/// Dispatches per-sample work on the f32 path: serial for batch 1 (keeps
-/// row-level parallelism inside the matmul live), serialized under the
-/// threshold, sample-parallel otherwise. All three produce identical
-/// results.
-fn run_samples(n: usize, flops: usize, f: impl Fn(usize) -> Vec<f32> + Sync) -> Vec<Vec<f32>> {
-    if n == 1 {
-        vec![f(0)]
-    } else {
-        gate(flops >= PAR_FLOP_THRESHOLD, || parallel_map_indexed(n, &f))
-    }
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
 fn exec_conv(
     gemm: &PackedGemm,
-    cg: usize,
-    r: usize,
-    s: usize,
-    stride: usize,
-    pad: usize,
+    g: &ConvGeom,
     groups: usize,
     quantize_input: bool,
     x: &Tensor,
@@ -1044,21 +1002,16 @@ fn exec_conv(
     quantizer: Quantizer,
     aq: ActQuant,
 ) -> Tensor {
-    let dims = x.dims();
-    assert_eq!(dims.len(), 4, "conv input must be rank 4");
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    assert_eq!(c, cg * groups, "conv input channel mismatch");
-
     if gemm.storage.is_integer() {
         if let (KernelWeights::Words(ww), true) = (&gemm.kernel, crate::simd::fused_gemm_enabled())
         {
             let fused = match &gemm.storage {
-                Storage::Nibble(_) => conv_fused::<FusedNibble>(
-                    gemm, ww, cg, r, s, stride, pad, groups, x, bits, quantizer, aq,
-                ),
-                Storage::I8(_) => conv_fused::<FusedI8>(
-                    gemm, ww, cg, r, s, stride, pad, groups, x, bits, quantizer, aq,
-                ),
+                Storage::Nibble(_) => {
+                    conv_fused::<FusedNibble>(gemm, ww, g, groups, x, bits, quantizer, aq)
+                }
+                Storage::I8(_) => {
+                    conv_fused::<FusedI8>(gemm, ww, g, groups, x, bits, quantizer, aq)
+                }
                 _ => None,
             };
             if let Some(y) = fused {
@@ -1066,84 +1019,55 @@ fn exec_conv(
             }
         }
         return match gemm.accum {
-            Accum::F32 => {
-                conv_int::<TierF32>(gemm, cg, r, s, stride, pad, groups, x, bits, quantizer, aq)
-            }
-            Accum::I32 => {
-                conv_int::<TierI32>(gemm, cg, r, s, stride, pad, groups, x, bits, quantizer, aq)
-            }
-            Accum::I64 => {
-                conv_int::<TierI64>(gemm, cg, r, s, stride, pad, groups, x, bits, quantizer, aq)
-            }
+            Accum::F32 => conv_int::<TierF32>(gemm, g, groups, x, bits, quantizer, aq),
+            Accum::I32 => conv_int::<TierI32>(gemm, g, groups, x, bits, quantizer, aq),
+            Accum::I64 => conv_int::<TierI64>(gemm, g, groups, x, bits, quantizer, aq),
         };
     }
 
     let Storage::F32(wdata) = &gemm.storage else {
         unreachable!("non-integer storage is f32");
     };
-    let k = gemm.rows;
-    let kg = k / groups;
-    let oh = (h + 2 * pad - r) / stride + 1;
-    let ow = (w + 2 * pad - s) / stride + 1;
-    let ncols = oh * ow;
-    let flops = 2 * n * k * gemm.cols * ncols;
+    let (n, c) = (x.dims()[0], x.dims()[1]);
+    let (k, q, p) = (gemm.rows, gemm.cols, g.oh * g.ow);
     let xq = if quantize_input {
         quantize_acts_f32(x, bits, quantizer, aq)
     } else {
-        x.clone()
+        Cow::Borrowed(x)
     };
-
-    if is_depthwise(cg, k, groups) {
-        // The integer depthwise loop on f32 lanes: real-valued taps, no
-        // activation scale to undo, no offset.
-        let tap = |t: usize| wdata[t];
-        return conv_dw::<TierF32>(gemm, tap, r, s, stride, pad, xq.data(), &vec![1.0; n], dims);
-    }
-
-    let wgs: Vec<Tensor> = (0..groups)
-        .map(|gi| {
-            let start = gi * kg * gemm.cols;
-            Tensor::from_vec(
-                vec![kg, gemm.cols],
-                wdata[start..start + kg * gemm.cols].to_vec(),
-            )
-        })
-        .collect();
-    let sample = |i: usize| -> Vec<f32> {
-        let mut out_i = vec![0.0f32; k * ncols];
-        for gi in 0..groups {
-            let base = (i * c + gi * cg) * h * w;
-            let (cols_t, _, _) = im2col(
-                &xq.data()[base..base + cg * h * w],
-                cg,
-                h,
-                w,
-                r,
-                s,
-                stride,
-                pad,
+    // f32 lanes, real weights, no activation scale to undo, no offset.
+    let unit = vec![1.0f32; n];
+    let out = if is_depthwise(c / groups, k, groups) {
+        conv_dw::<TierF32>(gemm, |t| wdata[t], g, xq.data(), &unit)
+    } else {
+        // Per element one chain over the reduction in ascending order,
+        // zero weights skipped — `Tensor::matmul`'s order, which does not
+        // depend on the column count.
+        let group = group_of(k, groups);
+        conv_blocks(gemm, g, xq.data(), (n, c), |cols, at, out| {
+            let l = at.len() * p;
+            par_rows(
+                out,
+                (k, p),
+                2 * k * q * l,
+                || vec![0.0f32; l],
+                |row, acc| {
+                    acc.fill(0.0);
+                    let (wrow, block) =
+                        (&wdata[row * q..(row + 1) * q], &cols[group(row) * q * l..]);
+                    for (&a, prow) in wrow.iter().zip(block.chunks_exact(l)) {
+                        if a != 0.0 {
+                            for (o, &v) in acc.iter_mut().zip(prow) {
+                                *o += a * v;
+                            }
+                        }
+                    }
+                },
+                |row, acc, at, runs| dequant(gemm, row, &unit, acc, None::<&[f32]>, at, runs),
             );
-            let mm = wgs[gi].matmul(&cols_t);
-            let og = &mut out_i[gi * kg * ncols..(gi + 1) * kg * ncols];
-            for kk in 0..kg {
-                let row = gi * kg + kk;
-                let (a, b) = (gemm.scale[row], gemm.bias[row]);
-                for (o, &v) in og[kk * ncols..(kk + 1) * ncols]
-                    .iter_mut()
-                    .zip(&mm.data()[kk * ncols..(kk + 1) * ncols])
-                {
-                    *o = a * v + b;
-                }
-            }
-        }
-        out_i
+        })
     };
-    let outs = run_samples(n, flops, sample);
-    let mut data = Vec::with_capacity(n * k * ncols);
-    for o in outs {
-        data.extend(o);
-    }
-    Tensor::from_vec(vec![n, k, oh, ow], data)
+    Tensor::from_vec(vec![n, k, g.oh, g.ow], out)
 }
 
 fn exec_linear(
@@ -1179,26 +1103,38 @@ fn exec_linear(
     let Storage::F32(wdata) = &g.storage else {
         unreachable!("non-integer storage is f32");
     };
-    let fp = bits.is_full_precision() || matches!(quantizer, Quantizer::Identity);
-    let xq = if fp {
-        x.clone()
-    } else {
-        quantize_acts_f32(x, bits, quantizer, aq)
-    };
-    // Each matmul output row reads only its own lhs row (fixed k-block
-    // order), so batching samples as rows keeps every row bit-identical
-    // to a batch-of-one product — no per-sample split needed here.
-    let mut wt = vec![0.0f32; f * g.rows];
-    for kk in 0..g.rows {
+    let xq = quantize_acts_f32(x, bits, quantizer, aq);
+    // `out[i][row] = Σ_p x[i][p] · w[row][p]`, read from the `[rows, f]`
+    // pack-time buffer in place: per element one chain in ascending `p`,
+    // zero activations skipped — `Tensor::matmul`'s order with the sample
+    // as the lhs row, so a sample's row never depends on the batch. Eight
+    // weight rows at a time: their column `p` is gathered once for the
+    // whole batch and each sample advances eight independent chains.
+    const LANES: usize = 8;
+    let mut out = vec![0.0f32; n * g.rows];
+    let mut acc = vec![[0.0f32; LANES]; n];
+    for row0 in (0..g.rows).step_by(LANES) {
+        let lanes = LANES.min(g.rows - row0);
+        acc.fill([0.0; LANES]);
         for p in 0..f {
-            wt[p * g.rows + kk] = wdata[kk * f + p];
+            // A short last block re-reads its final row; those chains are
+            // never stored.
+            let w: [f32; LANES] =
+                std::array::from_fn(|lane| wdata[(row0 + lane.min(lanes - 1)) * f + p]);
+            for (chains, xrow) in acc.iter_mut().zip(xq.data().chunks_exact(f)) {
+                // A skipped term and an added `+0.0` leave a chain that
+                // started at `+0.0` bit-identical; the select keeps the loop
+                // branch-free under post-ReLU inputs.
+                let a = xrow[p];
+                for (s, &wv) in chains.iter_mut().zip(&w) {
+                    *s += if a != 0.0 { a * wv } else { 0.0 };
+                }
+            }
         }
-    }
-    let mm = xq.matmul(&Tensor::from_vec(vec![f, g.rows], wt));
-    let mut out = mm.data().to_vec();
-    for i in 0..n {
-        for (kk, o) in out[i * g.rows..(i + 1) * g.rows].iter_mut().enumerate() {
-            *o = g.scale[kk] * *o + g.bias[kk];
+        for (chains, orow) in acc.iter().zip(out.chunks_exact_mut(g.rows)) {
+            for (lane, o) in orow[row0..row0 + lanes].iter_mut().enumerate() {
+                *o = g.scale[row0 + lane] * chains[lane] + g.bias[row0 + lane];
+            }
         }
     }
     Tensor::from_vec(vec![n, g.rows], out)

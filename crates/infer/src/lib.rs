@@ -639,11 +639,14 @@ impl PackedModel {
     /// with the exact accumulator tiers, that makes each sample's output
     /// bit-identical to a batch-of-one forward of that sample — requests
     /// aggregated by the serving queue cannot observe their batch-mates,
-    /// at any bit-width and any thread count. The batch still shares all
-    /// fixed per-forward costs: weights are read in their pack-time
-    /// kernel layout (or decoded once per layer on the tier path),
-    /// `im2col` patch matrices and column sums are built in one pass, and
-    /// one parallel region covers `samples × output rows`.
+    /// at any bit-width and any thread count. The batch is a column
+    /// dimension of every GEMM: a conv unfolds all samples into one
+    /// `[cg·r·s, n·oh·ow]` patch matrix per group (blocks of whole samples
+    /// once that outgrows L1), a linear quantizes them straight into its
+    /// `[features, n]` operand, and each weight row — read in its
+    /// pack-time kernel layout — meets all of those columns in one kernel
+    /// call; the parallel split is over weight rows (over sample blocks
+    /// where a batch takes several, over planes for depthwise layers).
     ///
     /// # Panics
     ///

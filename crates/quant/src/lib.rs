@@ -307,19 +307,69 @@ fn round_half_away_small(v: f32) -> i32 {
     even + i32::from(d == 0.5 && v > 0.0) - i32::from(d == -0.5 && v < 0.0)
 }
 
+/// Codes [`emit_codes`] rounds contiguously before scattering short groups.
+const EMIT_TILE: usize = 256;
+
 /// Emits `round_half_away(grid(v))` for every activation, in lane type
-/// `L`. `grid` maps a value onto the code axis, within `±(2^bits - 1)` or
-/// NaN. One loop per rounding routine so each stays a straight-line,
-/// vectorisable body; only grids above [`SMALL_GRID_BITS`] (which the
-/// integer engine never packs) pay for the cast.
-fn emit_codes<L: CodeLane>(x: &[f32], out: &mut [L], bits: u8, grid: impl Fn(f32) -> f32) {
-    if bits <= SMALL_GRID_BITS {
-        for (o, &v) in out.iter_mut().zip(x) {
-            *o = L::from_code(round_half_away_small(grid(v)));
+/// `L`: the code of `x[p]` lands at `out[p / group * pitch + p % group]`
+/// (`group == pitch == x.len()` is the plain contiguous emission). `grid`
+/// maps a value onto the code axis, within `±(2^bits - 1)` or NaN. One loop
+/// per rounding routine so each stays a straight-line, vectorisable body;
+/// only grids above [`SMALL_GRID_BITS`] (which the integer engine never
+/// packs) pay for the cast. Groups too short to vectorise over are rounded
+/// a tile at a time and then scattered, lane by lane or — four-lane groups —
+/// a group at a time.
+fn emit_codes<L: CodeLane>(
+    x: &[f32],
+    out: &mut [L],
+    (group, pitch): (usize, usize),
+    bits: u8,
+    grid: impl Fn(f32) -> f32,
+) {
+    let round = |xs: &[f32], os: &mut [L]| {
+        if bits <= SMALL_GRID_BITS {
+            for (o, &v) in os.iter_mut().zip(xs) {
+                *o = L::from_code(round_half_away_small(grid(v)));
+            }
+        } else {
+            for (o, &v) in os.iter_mut().zip(xs) {
+                *o = L::from_code(round_half_away_i32(grid(v)));
+            }
         }
-    } else {
-        for (o, &v) in out.iter_mut().zip(x) {
-            *o = L::from_code(round_half_away_i32(grid(v)));
+    };
+    if group == pitch {
+        return round(x, out);
+    }
+    if group >= EMIT_TILE / 4 {
+        for (xs, os) in x.chunks(group).zip(out.chunks_mut(pitch)) {
+            round(xs, os);
+        }
+        return;
+    }
+    let mut tile = [L::from_code(0); EMIT_TILE];
+    let per_tile = EMIT_TILE / group;
+    for (xs, os) in x
+        .chunks(per_tile * group)
+        .zip(out.chunks_mut(per_tile * pitch))
+    {
+        let tile = &mut tile[..xs.len()];
+        round(xs, tile);
+        if group == 4 {
+            // The nibble kernels' group: a constant-length copy is one move.
+            let (mut groups, mut dsts) = (tile.chunks_exact(4), os.chunks_mut(pitch));
+            for (src, dst) in groups.by_ref().zip(dsts.by_ref()) {
+                dst[..4].copy_from_slice(src);
+            }
+            if let Some(dst) = dsts.next() {
+                dst[..groups.remainder().len()].copy_from_slice(groups.remainder());
+            }
+            continue;
+        }
+        for lane in 0..group {
+            let codes = tile.iter().skip(lane).step_by(group);
+            for (o, &c) in os.iter_mut().skip(lane).step_by(pitch).zip(codes) {
+                *o = c;
+            }
         }
     }
 }
@@ -385,6 +435,54 @@ pub struct ActivationCodes {
     pub scale: f32,
     /// Largest |code| that can occur (overflow-bound input for kernels).
     pub code_abs_max: i32,
+}
+
+/// The integer grid of one activation tensor ([`Quantizer::activation_grid`]):
+/// with the scale fixed up front, codes can be emitted slice by slice into
+/// whatever layout the consuming kernel reads.
+#[derive(Debug, Clone, Copy)]
+pub struct ActivationGrid {
+    dorefa: bool,
+    bits: u8,
+    qmax: f32,
+    scale: f32,
+}
+
+impl ActivationGrid {
+    /// The decode scale (`value = scale * code`).
+    pub fn scale(&self) -> f32 {
+        self.scale
+    }
+
+    /// Emits the code of `x[p]` at `out[p / group * pitch + p % group]`, in
+    /// lane type `L` (the caller picks one wide enough for `2^bits - 1`):
+    /// `group == pitch == x.len()` writes the codes contiguously, a short
+    /// `group` scatters them `group` lanes at a time — how one sample lands
+    /// in a matrix whose columns are samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is 0 or exceeds `pitch`, or `out` is too short.
+    pub fn emit<L: CodeLane>(&self, x: &[f32], out: &mut [L], group: usize, pitch: usize) {
+        assert!(group <= pitch, "groups of {group} overlap at pitch {pitch}");
+        let last = x.len().saturating_sub(1) / group;
+        assert!(
+            out.len() >= last * pitch + (x.len() - last * group),
+            "the last group must fit"
+        );
+        let (qmax, s) = (self.qmax, self.scale);
+        if self.dorefa {
+            emit_codes(x, out, (group, pitch), self.bits, |v| {
+                v.clamp(0.0, 1.0) * qmax
+            });
+        } else {
+            // Clamping before rounding equals rounding before clamping:
+            // rounding is monotone and the bounds are integers.
+            emit_codes(x, out, (group, pitch), self.bits, |v| {
+                (v / s).clamp(-qmax, qmax)
+            });
+        }
+    }
 }
 
 /// The quantization rule applied to weights and activations.
@@ -462,6 +560,30 @@ impl Quantizer {
                 let max = x.max_abs().max(1e-8);
                 let s = max / qmax;
                 x.map(|v| round_half_away(v / s).clamp(-qmax, qmax) * s)
+            }
+        }
+    }
+
+    /// [`Self::quantize_activations_tensor`] over a slice, in place: the
+    /// same values bit for bit, for callers that quantize one sample of a
+    /// batch at a time.
+    pub fn quantize_activations_in_place(&self, x: &mut [f32], bits: BitWidth) {
+        if bits.is_full_precision() {
+            return;
+        }
+        match self {
+            Quantizer::Identity => {}
+            Quantizer::Dorefa => {
+                for v in x {
+                    *v = quantize_unit(v.clamp(0.0, 1.0), bits.get());
+                }
+            }
+            Quantizer::Sbm => {
+                let qmax = ((1u64 << bits.get().min(31)) - 1) as f32;
+                let s = x.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8) / qmax;
+                for v in x {
+                    *v = round_half_away(*v / s).clamp(-qmax, qmax) * s;
+                }
             }
         }
     }
@@ -558,26 +680,30 @@ impl Quantizer {
         bits: BitWidth,
         out: &mut [L],
     ) -> Option<f32> {
+        let grid = self.activation_grid(x, bits)?;
+        assert_eq!(out.len(), x.len(), "one code per activation");
+        grid.emit(x, out, x.len().max(1), x.len().max(1));
+        Some(grid.scale)
+    }
+
+    /// The grid [`Self::activation_codes`] would quantize `x` on — its
+    /// data-dependent decode scale fixed before any code is emitted — or
+    /// `None` where no integer grid exists.
+    pub fn activation_grid(&self, x: &[f32], bits: BitWidth) -> Option<ActivationGrid> {
         if bits.is_full_precision() || matches!(self, Quantizer::Identity) {
             return None;
         }
-        assert_eq!(out.len(), x.len(), "one code per activation");
         let qmax = ((1u64 << bits.get()) - 1) as f32;
-        match self {
-            Quantizer::Identity => unreachable!(),
-            Quantizer::Dorefa => {
-                emit_codes(x, out, bits.get(), |v| v.clamp(0.0, 1.0) * qmax);
-                Some(1.0 / qmax)
-            }
-            Quantizer::Sbm => {
-                let max = x.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8);
-                let s = max / qmax;
-                // Clamping before rounding equals rounding before clamping:
-                // rounding is monotone and the bounds are integers.
-                emit_codes(x, out, bits.get(), |v| (v / s).clamp(-qmax, qmax));
-                Some(s)
-            }
-        }
+        let scale = match self {
+            Quantizer::Sbm => x.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8) / qmax,
+            _ => 1.0 / qmax,
+        };
+        Some(ActivationGrid {
+            dorefa: matches!(self, Quantizer::Dorefa),
+            bits: bits.get(),
+            qmax,
+            scale,
+        })
     }
 
     /// Differentiable weight quantization (straight-through gradient).
@@ -1081,6 +1207,58 @@ mod tests {
                     assert_eq!(ac.codes, want, "{q:?} {bits}b");
                     assert_eq!(ac.scale.to_bits(), scale.to_bits());
                     assert_eq!(ac.code_abs_max, qmax as i32);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grid_emits_the_same_codes_into_any_layout() {
+        // Lengths around the tile and with ragged last groups; layouts from
+        // the engine (one sample among `n` columns, `group` lanes at a time)
+        // plus a long-group one that skips the tile.
+        for len in [1usize, 5, 255, 256, 257, 700] {
+            let x = random_tensor(len as u64, &[len]);
+            for q in [Quantizer::Sbm, Quantizer::Dorefa] {
+                for bits in [4u8, 8, 16, 24] {
+                    let bw = BitWidth::new(bits);
+                    let want = q.activation_codes(x.data(), bw).unwrap();
+                    let grid = q.activation_grid(x.data(), bw).unwrap();
+                    assert_eq!(grid.scale().to_bits(), want.scale.to_bits());
+                    for (group, n, i) in [(1, 3, 2), (2, 5, 0), (4, 16, 7), (4, 1, 0), (100, 2, 1)]
+                    {
+                        let pitch = n * group;
+                        let mut out = vec![i32::MIN; len.div_ceil(group) * pitch];
+                        grid.emit(x.data(), &mut out[i * group..], group, pitch);
+                        for (p, &c) in want.codes.iter().enumerate() {
+                            let at = p / group * pitch + i * group + p % group;
+                            assert_eq!(out[at], c, "{q:?} {bits}b len {len} group {group} p {p}");
+                        }
+                        let written = out.iter().filter(|&&c| c != i32::MIN).count();
+                        assert_eq!(written, len, "nothing outside the sample's lanes");
+                    }
+                }
+            }
+        }
+        assert!(Quantizer::Identity
+            .activation_grid(&[1.0], BitWidth::new(4))
+            .is_none());
+        assert!(Quantizer::Sbm
+            .activation_grid(&[1.0], BitWidth::FULL)
+            .is_none());
+    }
+
+    #[test]
+    fn in_place_activation_quantization_matches_the_tensor_path_bit_for_bit() {
+        let x = random_tensor(77, &[3, 41]);
+        for q in [Quantizer::Identity, Quantizer::Sbm, Quantizer::Dorefa] {
+            for bits in [2u8, 4, 8, 16, 24, 32] {
+                let bw = BitWidth::new(bits);
+                let want = q.quantize_activations_tensor(&x, bw);
+                let mut got = x.clone();
+                q.quantize_activations_in_place(got.data_mut(), bw);
+                for (a, b) in got.data().iter().zip(want.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{q:?} {bits}b");
                 }
             }
         }

@@ -417,23 +417,25 @@ impl fmt::Debug for Tensor {
 /// row and column, the span of outputs whose tap reads inside the plane.
 /// Hoisting those spans out of the pixel loops is what lets every conv
 /// kernel run bounds-free row segments.
-pub(crate) struct ConvGeom {
-    pub(crate) h: usize,
-    pub(crate) w: usize,
-    pub(crate) kh: usize,
-    pub(crate) kw: usize,
-    pub(crate) stride: usize,
-    pub(crate) pad: usize,
-    pub(crate) oh: usize,
-    pub(crate) ow: usize,
+pub struct ConvGeom {
+    pub h: usize,
+    pub w: usize,
+    pub kh: usize,
+    pub kw: usize,
+    pub stride: usize,
+    pub pad: usize,
+    pub oh: usize,
+    pub ow: usize,
     /// `ys[ki]`: output rows `oy` with `0 <= oy * stride + ki - pad < h`.
-    pub(crate) ys: Vec<Range<usize>>,
+    pub ys: Vec<Range<usize>>,
     /// `xs[kj]`: output columns `ox` with `0 <= ox * stride + kj - pad < w`.
-    pub(crate) xs: Vec<Range<usize>>,
+    pub xs: Vec<Range<usize>>,
 }
 
 impl ConvGeom {
-    pub(crate) fn new(h: usize, w: usize, kh: usize, kw: usize, stride: usize, pad: usize) -> Self {
+    /// The caller ensures the kernel fits the padded plane (`h + 2 * pad >= kh`,
+    /// likewise for `w`) and `stride >= 1`.
+    pub fn new(h: usize, w: usize, kh: usize, kw: usize, stride: usize, pad: usize) -> Self {
         let oh = (h + 2 * pad - kh) / stride + 1;
         let ow = (w + 2 * pad - kw) / stride + 1;
         let span = |k: usize, in_len: usize, out_len: usize| {
@@ -497,49 +499,12 @@ pub(crate) fn fold_plane(src: &[f32], ld: usize, plane: &mut [f32], g: &ConvGeom
     });
 }
 
-/// Unfolds conv input patches into columns (`im2col`).
-///
-/// Input is `[c, h, w]` for a single sample; output is
-/// `[c * kh * kw, oh * ow]` where `oh/ow` follow the usual conv arithmetic
-/// with the given `stride` and zero `pad`.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col(
-    input: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-) -> (Tensor, usize, usize) {
-    let (out, oh, ow) = im2col_generic(input, c, h, w, kh, kw, stride, pad);
-    let rows = c * kh * kw;
-    (Tensor::from_vec(vec![rows, oh * ow], out), oh, ow)
-}
-
-/// Element-type-generic [`im2col`]: identical patch layout, but over raw
-/// slices of any copyable element (the integer engine unfolds `i32`
-/// activation codes). Padding positions take `T::default()`.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_generic<T: Copy + Default + Send + Sync>(
-    input: &[T],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-) -> (Vec<T>, usize, usize) {
-    let g = ConvGeom::new(h, w, kh, kw, stride, pad);
-    (im2col_batch(input, 1, c, &g), g.oh, g.ow)
-}
-
 /// Batch-level `im2col` of `x` `[n, c, h, w]` into one
 /// `[c * kh * kw, n * oh * ow]` matrix; sample `i` owns columns
-/// `i * oh * ow..(i + 1) * oh * ow` of every row.
-pub(crate) fn im2col_batch<T: Copy + Default + Send + Sync>(
+/// `i * oh * ow..(i + 1) * oh * ow` of every row. Generic over the element so
+/// the integer engine unfolds activation codes with the unfold training uses;
+/// padding positions take `T::default()`.
+pub fn im2col_batch<T: Copy + Default + Send + Sync>(
     x: &[T],
     n: usize,
     c: usize,
@@ -633,16 +598,11 @@ mod tests {
         // col2im (`fold_plane`) of im2col counts the patches covering each pixel.
         let (c, h, w, k, s, p) = (1, 4, 4, 3, 1, 1);
         let input = vec![1.0f32; c * h * w];
-        let (cols, oh, ow) = im2col(&input, c, h, w, k, k, s, p);
-        assert_eq!(oh, 4);
-        assert_eq!(ow, 4);
+        let g = ConvGeom::new(h, w, k, k, s, p);
+        let cols = im2col_batch(&input, 1, c, &g);
+        assert_eq!((g.oh, g.ow), (4, 4));
         let mut back = vec![0.0f32; h * w];
-        fold_plane(
-            cols.data(),
-            oh * ow,
-            &mut back,
-            &ConvGeom::new(h, w, k, k, s, p),
-        );
+        fold_plane(&cols, g.oh * g.ow, &mut back, &g);
         // Centre pixels are covered by all 9 offsets; corners by 4.
         assert_eq!(back[5], 9.0);
         assert_eq!(back[0], 4.0);
@@ -652,9 +612,10 @@ mod tests {
     fn im2col_stride_two_shrinks_output() {
         let (c, h, w) = (2, 8, 8);
         let input = vec![0.5f32; c * h * w];
-        let (cols, oh, ow) = im2col(&input, c, h, w, 3, 3, 2, 1);
-        assert_eq!((oh, ow), (4, 4));
-        assert_eq!(cols.dims(), &[2 * 9, 16]);
+        let g = ConvGeom::new(h, w, 3, 3, 2, 1);
+        let cols = im2col_batch(&input, 1, c, &g);
+        assert_eq!((g.oh, g.ow), (4, 4));
+        assert_eq!(cols.len(), 2 * 9 * 16);
     }
 
     #[test]

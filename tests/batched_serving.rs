@@ -257,6 +257,52 @@ fn forward_batch_matches_per_sample_forward_including_depthwise() {
     }
 }
 
+/// The batch is a column dimension of every GEMM of the forward: on a whole
+/// MobileNetV2 (f32 stem, pointwise, depthwise, residual, linear) every
+/// sample's slice of a batch — sizes around the SIMD column blocks — must
+/// equal its batch-of-one forward bit for bit, at every width and at 1 and
+/// 3 kernel threads.
+#[test]
+fn mobilenet_batch_slices_equal_batch_of_one_forwards_at_every_width() {
+    const MAX_N: usize = 17;
+    let bits = BitWidthSet::large_range();
+    let net = models::mobilenet_v2(0.25, 2, 10, (16, 16), bits.len(), 7);
+    let mut rng = StdRng::seed_from_u64(71);
+    let x = init::uniform(&mut rng, &[MAX_N, 3, 16, 16], -1.0, 1.0);
+    let sample_len = x.len() / MAX_N;
+    let first =
+        |n: usize| Tensor::from_vec(vec![n, 3, 16, 16], x.data()[..n * sample_len].to_vec());
+    for q in [Quantizer::Sbm, Quantizer::Dorefa] {
+        let model = PackedModel::prepack(&net, &bits, q).unwrap();
+        for i in 0..bits.len() {
+            let solo: Vec<Tensor> = (0..MAX_N)
+                .map(|j| {
+                    let xj = x.data()[j * sample_len..(j + 1) * sample_len].to_vec();
+                    model.forward_batch_at(i, &Tensor::from_vec(vec![1, 3, 16, 16], xj))
+                })
+                .collect();
+            for n in [1, 2, 7, 16, MAX_N] {
+                for threads in [1, 3] {
+                    let batched = with_threads(threads, || model.forward_batch_at(i, &first(n)));
+                    let out_len = batched.len() / n;
+                    for (j, want) in solo.iter().enumerate().take(n) {
+                        let got = &batched.data()[j * out_len..(j + 1) * out_len];
+                        let same = got
+                            .iter()
+                            .zip(want.data())
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(
+                            same,
+                            "{q:?} @ {} bits, {threads} threads: sample {j} of {n}",
+                            bits.widths()[i]
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
