@@ -16,6 +16,14 @@
 //! one kernel thread): the cheap CNN at batch 1 and 16 — `bench_check`
 //! ceilings the batch-16 forward at a quarter of sixteen batch-1 forwards,
 //! the amortization a batch exists to buy — and MobileNetV2 at batch 8.
+//! The small-plane entries are the layers that own a batch-1 MobileNetV2
+//! forward (`forward_batch_at`, one kernel thread): depthwise on 4×4 and
+//! 2×2 planes and at stride 2, whose channels — not pixels — fill the SIMD
+//! lanes, and GEMMs with fewer columns than one column block (a 2×2
+//! pointwise, a small-batch linear), whose reduction does. `bench_check`
+//! ceilings one sample at 0.75× two on the 2×2 pointwise, the batch-1
+//! linear at 0.5× the batch-8 one, and the 96-channel 4×4 depthwise at 3×
+//! the pointwise on the same plane.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use instantnet_infer::{with_fused_gemm, with_simd_backend, PackedModel, SimdBackend};
@@ -133,6 +141,61 @@ fn bench_conv(c: &mut Criterion) {
     });
 }
 
+/// The layers of a batch-1 MobileNetV2 forward whose planes are too small
+/// for pixel lanes: each single layer as a serving worker runs it.
+fn bench_small_planes(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(6);
+    let bits = BitWidthSet::new(vec![4]).unwrap();
+    let dw =
+        |rng: &mut StdRng, ch, stride| QuantConv2d::new(rng, "dw", ch, ch, 3, stride, 1, ch, true);
+    let pw = |rng: &mut StdRng, cin, cout| QuantConv2d::new(rng, "pw", cin, cout, 1, 1, 0, 1, true);
+    let pw240 = pw(&mut rng, 240, 80);
+    let fc = QuantLinear::new(&mut rng, "fc", 256, 256);
+    let layers: [(&str, &dyn Module, Vec<usize>); 8] = [
+        (
+            "packed_depthwise_4bit_1x96x4x4",
+            &dw(&mut rng, 96, 1),
+            vec![1, 96, 4, 4],
+        ),
+        (
+            "packed_depthwise_4bit_1x240x2x2",
+            &dw(&mut rng, 240, 1),
+            vec![1, 240, 2, 2],
+        ),
+        (
+            "packed_depthwise_4bit_1x36x16x16_s2",
+            &dw(&mut rng, 36, 2),
+            vec![1, 36, 16, 16],
+        ),
+        (
+            "packed_pointwise_4bit_1x16to96x4x4",
+            &pw(&mut rng, 16, 96),
+            vec![1, 16, 4, 4],
+        ),
+        (
+            "packed_pointwise_4bit_1x240to80x2x2",
+            &pw240,
+            vec![1, 240, 2, 2],
+        ),
+        (
+            "packed_pointwise_4bit_2x240to80x2x2",
+            &pw240,
+            vec![2, 240, 2, 2],
+        ),
+        ("packed_linear_4bit_1x256x256", &fc, vec![1, 256]),
+        ("packed_linear_4bit_8x256x256", &fc, vec![8, 256]),
+    ];
+    for (name, layer, dims) in layers {
+        let packed = PackedModel::prepack(layer, &bits, Quantizer::Sbm).unwrap();
+        let x = init::uniform(&mut rng, &dims, -0.3, 1.2);
+        c.bench_function(name, |b| {
+            with_threads(1, || {
+                b.iter(|| std::hint::black_box(packed.forward_batch_at(0, &x)))
+            })
+        });
+    }
+}
+
 /// One MobileNetV2 inverted-residual block (1×1 expand ×6 → 3×3 depthwise
 /// → 1×1 project, residual) at batch 1 on one kernel thread: the shape a
 /// serving worker runs, where per-forward overheads outweigh the GEMM.
@@ -208,6 +271,7 @@ fn bench_switch(c: &mut Criterion) {
 criterion_group! {
     name = infer;
     config = Criterion::default().sample_size(20);
-    targets = bench_gemm, bench_conv, bench_mbv2_block, bench_models, bench_switch
+    targets = bench_gemm, bench_conv, bench_small_planes, bench_mbv2_block, bench_models,
+        bench_switch
 }
 criterion_main!(infer);

@@ -29,8 +29,15 @@
 //!   batch-16 forward of the serving CNN may cost at most a quarter of
 //!   sixteen batch-1 forwards (the batch is a GEMM dimension: if a batch
 //!   stops amortizing, the queue, the batch controller and `max_batch`
-//!   above it buy nothing). Skipped with a notice on non-AVX2 runners,
-//!   where both sides run the same scalar kernels;
+//!   above it buy nothing), and the layers of a batch-1 MobileNetV2
+//!   forward whose planes cannot fill pixel lanes must keep the lanes on
+//!   their long axis: one sample on a 2×2 pointwise at most 0.75× two (a
+//!   GEMM below one column block takes the reduction-lane kernel instead
+//!   of a scalar tail), a batch-1 linear at most 0.5× the batch-8 one, and
+//!   a 96-channel depthwise on a 4×4 plane at most 3× the pointwise that
+//!   feeds it (channel lanes: it does less arithmetic than the pointwise).
+//!   Skipped with a notice on non-AVX2 runners, where both sides run the
+//!   same scalar kernels;
 //! * kernels: the depthwise 3×3 forward, which does 1/16 of the dense
 //!   `conv2d_forward` entry's MACs, may cost at most 4× as much per MAC
 //!   (both on one kernel thread) — a depthwise plane is tiny work, and a
@@ -278,7 +285,7 @@ fn main() -> ExitCode {
     // speedup from machine drift. Only meaningful where the dispatcher
     // actually selects AVX2 — probed here with the same detection macro
     // the engine uses (the checker runs on the same host as the bench).
-    const INFER_CHECKS: [RatioCheck; 5] = [
+    const INFER_CHECKS: [RatioCheck; 8] = [
         RatioCheck {
             gate: "SIMD vs scalar 16-bit GEMM",
             num: "packed_gemm_16bit_64x256x256_scalar",
@@ -327,6 +334,36 @@ fn main() -> ExitCode {
             bound: 0.25 * 16.0,
             floor: false,
         },
+        // Lanes follow the long axis. Four columns cannot fill a column
+        // block, so one sample on a 2x2 map runs the reduction-lane kernel
+        // (0.34 measured) where the column kernels' scalar tail made it
+        // cost more than two samples (1.24).
+        RatioCheck {
+            gate: "1 vs 2 samples, 240->80 pointwise on 2x2",
+            num: "packed_pointwise_4bit_1x240to80x2x2",
+            den: "packed_pointwise_4bit_2x240to80x2x2",
+            bound: 0.75,
+            floor: false,
+        },
+        // The same for a linear's one column (0.31 measured, 0.95 before).
+        RatioCheck {
+            gate: "batch-1 vs batch-8 256x256 linear",
+            num: "packed_linear_4bit_1x256x256",
+            den: "packed_linear_4bit_8x256x256",
+            bound: 0.5,
+            floor: false,
+        },
+        // A 4x4 plane's rows cannot fill a vector but its 96 channels can:
+        // the depthwise does 0.56x the pointwise's MACs on the same plane
+        // and may cost at most 3x it (1.9 measured with channel lanes, 6.6
+        // with one axpy of <= 4 pixels per tap per row).
+        RatioCheck {
+            gate: "depthwise 96ch vs pointwise 16->96 on 4x4",
+            num: "packed_depthwise_4bit_1x96x4x4",
+            den: "packed_pointwise_4bit_1x16to96x4x4",
+            bound: 3.0,
+            floor: false,
+        },
     ];
     let infer_path = current_dir.join("BENCH_infer.json");
     if infer_path.exists() {
@@ -337,8 +374,9 @@ fn main() -> ExitCode {
         if !avx2 {
             println!(
                 "BENCH_infer.json: no AVX2 on this runner, skipping SIMD speedup, \
-                 4-vs-8-bit ordering, fused-GEMM, 4-vs-32-bit block and batch \
-                 amortization checks (scalar backend on both sides)"
+                 4-vs-8-bit ordering, fused-GEMM, 4-vs-32-bit block, batch \
+                 amortization and lane-orientation checks (scalar backend on \
+                 both sides)"
             );
             for check in &INFER_CHECKS {
                 gates.push((

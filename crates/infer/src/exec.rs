@@ -17,6 +17,15 @@
 //! channel-parallel; depthwise layers have no GEMM and convolve plane by
 //! plane, split over `samples × channels`.
 //!
+//! **Lanes follow the long axis** (`crate::route`, a function of the layer's
+//! geometry and the backend's lane count): a depthwise layer vectorises over
+//! pixels — one flat axpy per tap over a zero-padded frame — where an output
+//! row fills a vector, over channels (`[hw, c]` codes, `[r·s, c]` taps)
+//! where it cannot ([`Depthwise`]); a fused GEMM with fewer columns than one
+//! column block dots along the reduction instead of running a scalar tail
+//! ([`FusedTier::route`]). Every orientation accumulates the same exact
+//! value, so none of this is observable in the result.
+//!
 //! A sample cannot observe its batch-mates: a column's accumulator is the
 //! *exact* sum over that column's own patch (integers, or f32 lanes bounded
 //! below 2^24; on the f32 fallback one k-ascending chain per element),
@@ -30,14 +39,17 @@
 //! assigns disjoint output slices by index — results are bit-identical at
 //! any thread count.
 
-use crate::{is_depthwise, Accum, KernelWeights, PackedGemm, PackedOp, Storage};
+use crate::route::{describe, dw_lanes, Arith, Lanes};
+use crate::simd::{kernels, FusedKernel, Kernels};
+use crate::{is_depthwise, Accum, KernelWeights, OpProfile, PackedGemm, PackedOp, Storage};
 use instantnet_nn::layers::Activation;
 use instantnet_parallel::{gate, max_threads, par_chunks_mut};
-use instantnet_quant::{BitWidth, CodeLane, Quantizer};
+use instantnet_quant::{ActivationGrid, BitWidth, CodeLane, Quantizer};
 use instantnet_tensor::tensor::{im2col_batch, ConvGeom};
 use instantnet_tensor::Tensor;
 use std::borrow::Cow;
 use std::ops::Range;
+use std::time::Instant;
 
 /// Work threshold below which kernels run single-threaded (same policy and
 /// value as the tensor crate's, which is crate-private there).
@@ -56,88 +68,100 @@ pub(crate) enum ActQuant {
     PerSample,
 }
 
+/// How a forward quantizes activations: the grid and the granularity of its
+/// data-dependent scale.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ActRule {
+    pub(crate) bits: BitWidth,
+    pub(crate) quantizer: Quantizer,
+    pub(crate) aq: ActQuant,
+}
+
+/// Receives one [`OpProfile`] per executed op of a profiled forward.
+pub(crate) type Sink<'a> = &'a mut (dyn FnMut(OpProfile) + 'a);
+
+/// `Option::as_deref_mut` for a [`Sink`] (which cannot shorten the trait
+/// object's own lifetime through the `Option`).
+fn reborrow<'s>(sink: &'s mut Option<Sink<'_>>) -> Option<Sink<'s>> {
+    match sink {
+        Some(s) => Some(&mut **s),
+        None => None,
+    }
+}
+
 /// Runs `ops` in order over `x`. Every op reads its operand by reference
 /// and activations rewrite the running tensor in place, so the input is
-/// copied only when an activation is the first thing to touch it.
+/// copied only when an activation is the first thing to touch it. With a
+/// `sink`, every op is timed and reported as it finishes (a residual's
+/// branches op by op, then its add); without one no clock is read.
 pub(crate) fn exec_ops(
     ops: &[PackedOp],
     x: &Tensor,
-    bits: BitWidth,
-    quantizer: Quantizer,
-    aq: ActQuant,
+    rule: ActRule,
+    mut sink: Option<Sink>,
 ) -> Tensor {
     let mut cur: Option<Tensor> = None;
     for op in ops {
-        match op {
-            PackedOp::Act(Activation::None) => {}
+        let input = cur.as_ref().unwrap_or(x);
+        let mut start = sink.is_some().then(Instant::now);
+        let mut dims = start.map(|_| input.dims().to_vec());
+        let y = match op {
+            PackedOp::Act(Activation::None) => continue,
             PackedOp::Act(a) => {
-                let data = cur.get_or_insert_with(|| x.clone()).data_mut();
+                let mut y = cur.take().unwrap_or_else(|| x.clone());
+                let data = y.data_mut().iter_mut();
                 match a {
-                    Activation::Relu => data.iter_mut().for_each(|v| *v = v.max(0.0)),
-                    Activation::Relu6 => data.iter_mut().for_each(|v| *v = v.clamp(0.0, 6.0)),
+                    Activation::Relu => data.for_each(|v| *v = v.max(0.0)),
+                    Activation::Relu6 => data.for_each(|v| *v = v.clamp(0.0, 6.0)),
                     Activation::None => {}
                 }
+                y
             }
-            _ => cur = Some(exec_op(op, cur.as_ref().unwrap_or(x), bits, quantizer, aq)),
+            PackedOp::Conv {
+                gemm,
+                cg,
+                r,
+                s,
+                stride,
+                pad,
+                groups,
+                quantize_input,
+            } => {
+                let d = input.dims();
+                assert_eq!(d.len(), 4, "conv input must be rank 4");
+                assert_eq!(d[1], cg * groups, "conv input channel mismatch");
+                let g = ConvGeom::new(d[2], d[3], *r, *s, *stride, *pad);
+                exec_conv(gemm, &g, *groups, *quantize_input, input, rule)
+            }
+            PackedOp::Linear { gemm } => exec_linear(gemm, input, rule),
+            PackedOp::GlobalAvgPool => global_avg_pool(input),
+            PackedOp::Residual {
+                body,
+                shortcut,
+                post_relu,
+            } => {
+                let mut b = exec_ops(body, input, rule, reborrow(&mut sink));
+                let s = (!shortcut.is_empty())
+                    .then(|| exec_ops(shortcut, input, rule, reborrow(&mut sink)));
+                let s = s.as_ref().unwrap_or(input);
+                assert_eq!(b.dims(), s.dims(), "residual branch shapes must match");
+                // The branches reported themselves: the residual is its add.
+                (start, dims) = (start.map(|_| Instant::now()), Some(b.dims().to_vec()));
+                for (u, &v) in b.data_mut().iter_mut().zip(s.data()) {
+                    *u += v;
+                    if *post_relu {
+                        *u = u.max(0.0);
+                    }
+                }
+                b
+            }
+        };
+        cur = Some(y);
+        if let (Some(sink), Some(start), Some(dims)) = (reborrow(&mut sink), start, dims) {
+            sink(describe(op, &dims, start));
         }
     }
     cur.unwrap_or_else(|| x.clone())
-}
-
-fn exec_op(
-    op: &PackedOp,
-    x: &Tensor,
-    bits: BitWidth,
-    quantizer: Quantizer,
-    aq: ActQuant,
-) -> Tensor {
-    match op {
-        PackedOp::Conv {
-            gemm,
-            cg,
-            r,
-            s,
-            stride,
-            pad,
-            groups,
-            quantize_input,
-        } => {
-            let dims = x.dims();
-            assert_eq!(dims.len(), 4, "conv input must be rank 4");
-            assert_eq!(dims[1], cg * groups, "conv input channel mismatch");
-            let geom = ConvGeom::new(dims[2], dims[3], *r, *s, *stride, *pad);
-            exec_conv(
-                gemm,
-                &geom,
-                *groups,
-                *quantize_input,
-                x,
-                bits,
-                quantizer,
-                aq,
-            )
-        }
-        PackedOp::Linear { gemm } => exec_linear(gemm, x, bits, quantizer, aq),
-        PackedOp::Act(_) => unreachable!("exec_ops applies activations in place"),
-        PackedOp::GlobalAvgPool => global_avg_pool(x),
-        PackedOp::Residual {
-            body,
-            shortcut,
-            post_relu,
-        } => {
-            let mut b = exec_ops(body, x, bits, quantizer, aq);
-            let s = (!shortcut.is_empty()).then(|| exec_ops(shortcut, x, bits, quantizer, aq));
-            let s = s.as_ref().unwrap_or(x);
-            assert_eq!(b.dims(), s.dims(), "residual branch shapes must match");
-            for (u, &v) in b.data_mut().iter_mut().zip(s.data()) {
-                *u += v;
-                if *post_relu {
-                    *u = u.max(0.0);
-                }
-            }
-            b
-        }
-    }
 }
 
 fn global_avg_pool(x: &Tensor) -> Tensor {
@@ -229,7 +253,7 @@ impl Tier for TierF32 {
         storage.decode_row_f32(row, cols, out);
     }
     fn accumulate(acc: &mut [f32], wrow: &[f32], acts: &[f32]) {
-        (crate::simd::kernels().accumulate_f32)(acc, wrow, acts);
+        (kernels().accumulate_f32)(acc, wrow, acts);
     }
     fn mad(acc: f32, w: f32, a: f32) -> f32 {
         acc + w * a
@@ -250,7 +274,7 @@ impl Tier for TierI32 {
         storage.decode_row(row, cols, out);
     }
     fn accumulate(acc: &mut [i32], wrow: &[i32], acts: &[i32]) {
-        (crate::simd::kernels().accumulate_i32)(acc, wrow, acts);
+        (kernels().accumulate_i32)(acc, wrow, acts);
     }
     fn mad(acc: i32, w: i32, a: i32) -> i32 {
         acc + w * a
@@ -269,7 +293,7 @@ impl Tier for TierI64 {
         storage.decode_row(row, cols, out);
     }
     fn accumulate(acc: &mut [i64], wrow: &[i32], acts: &[i32]) {
-        (crate::simd::kernels().accumulate_i64)(acc, wrow, acts);
+        (kernels().accumulate_i64)(acc, wrow, acts);
     }
     fn mad(acc: i64, w: i32, a: i32) -> i64 {
         acc + i64::from(w) * i64::from(a)
@@ -305,6 +329,9 @@ const I64_LANES: usize = 4;
 /// tail columns see the same association order as blocked ones (exact for
 /// integers by associativity, exact for the f32 tier by the sub-2^24
 /// bound).
+// Inlined on purpose: as an out-of-line instance LLVM compiled the same
+// loop 1.25–2.5× slower under the AVX2 kernels' one-column i64 GEMMs.
+#[inline(always)]
 pub(crate) fn accumulate_col_tail<C: Copy, A: Copy + Default + std::ops::Add<Output = A>>(
     acc: &mut [A],
     wrow: &[C],
@@ -402,73 +429,57 @@ pub(crate) fn accumulate_f32_scalar(acc: &mut [f32], wrow: &[f32], acts: &[f32])
 // Batched integer execution
 // ---------------------------------------------------------------------------
 
+/// One activation grid per sample: its own under [`ActQuant::PerSample`],
+/// the whole tensor's under [`ActQuant::PerBatch`].
+fn sample_grids(x: &Tensor, n: usize, rule: ActRule) -> Vec<ActivationGrid> {
+    let grid_of = |src: &[f32]| {
+        (rule.quantizer.activation_grid(src, rule.bits))
+            .expect("integer storage implies quantized activations")
+    };
+    let len = x.len() / n;
+    match rule.aq {
+        ActQuant::PerBatch => vec![grid_of(x.data()); n],
+        ActQuant::PerSample => (0..n)
+            .map(|i| grid_of(&x.data()[i * len..(i + 1) * len]))
+            .collect(),
+    }
+}
+
 /// Quantizes the batch to sample-major codes in the consuming kernel's lane
 /// type `L` — one pass into one buffer — plus one decode scale per sample
 /// (`PerBatch` replicates the single whole-tensor scale). Shared by the tier
 /// path (`L = T::Code`) and the fused path (`L = F::Lane`).
-fn sample_codes<L: CodeLane + Default>(
-    x: &Tensor,
-    n: usize,
-    sample_len: usize,
-    bits: BitWidth,
-    quantizer: Quantizer,
-    aq: ActQuant,
-) -> (Vec<L>, Vec<f32>) {
-    let mut codes = vec![L::default(); n * sample_len];
-    let mut scales = vec![0.0f32; n];
-    let quantize = |src: &[f32], dst: &mut [L]| {
-        quantizer
-            .activation_codes_into(src, bits, dst)
-            .expect("integer storage implies quantized activations")
-    };
-    match aq {
-        ActQuant::PerBatch => scales.fill(quantize(x.data(), &mut codes)),
-        ActQuant::PerSample => {
-            // One work item per sample: its scale slot and its code slice.
-            let mut work: Vec<(&mut f32, &mut [L])> = scales
-                .iter_mut()
-                .zip(codes.chunks_mut(sample_len.max(1)))
-                .collect();
-            gate(n * sample_len >= PAR_FLOP_THRESHOLD, || {
-                par_chunks_mut(&mut work, 1, |i, item| {
-                    let (scale, dst) = &mut item[0];
-                    **scale = quantize(&x.data()[i * sample_len..(i + 1) * sample_len], dst);
-                })
-            });
-        }
-    }
-    (codes, scales)
+fn sample_codes<L: CodeLane + Default>(x: &Tensor, n: usize, rule: ActRule) -> (Vec<L>, Vec<f32>) {
+    let (grids, len) = (sample_grids(x, n, rule), (x.len() / n).max(1));
+    let mut codes = vec![L::default(); x.len()];
+    gate(x.len() >= PAR_FLOP_THRESHOLD, || {
+        par_chunks_mut(&mut codes, len, |i, dst| {
+            grids[i].emit(&x.data()[i * len..(i + 1) * len], dst, len, len);
+        })
+    });
+    (codes, grids.iter().map(ActivationGrid::scale).collect())
 }
 
 /// Quantizes a linear layer's `[n, f]` input straight into the operand its
 /// kernel reads, samples as columns: feature `p` of sample `i` lands at
 /// `[(p / group · n + i) · group + p % group]` — the `[f, n]` matrix of the
 /// tier path at `group = 1`, the fused `[f/G, n, G]` interleave (last group
-/// zero-padded) at `group = G`. Scales as in [`sample_codes`].
+/// zero-padded) at `group = G`, and at `group ≥ f` the thin kernels' operand:
+/// every sample contiguous, zero-padded to `group`. Scales as in
+/// [`sample_codes`].
 fn linear_operand<L: CodeLane + Default>(
     x: &Tensor,
     group: usize,
-    bits: BitWidth,
-    quantizer: Quantizer,
-    aq: ActQuant,
+    rule: ActRule,
 ) -> (Vec<L>, Vec<f32>) {
     let (n, f) = (x.dims()[0], x.dims()[1]);
-    let grid_of = |src: &[f32]| {
-        quantizer
-            .activation_grid(src, bits)
-            .expect("integer storage implies quantized activations")
-    };
-    let batch_grid = matches!(aq, ActQuant::PerBatch).then(|| grid_of(x.data()));
+    let grids = sample_grids(x, n, rule);
     let mut codes = vec![L::default(); f.div_ceil(group) * n * group];
-    let scales = (0..n)
-        .map(|i| {
-            let src = &x.data()[i * f..(i + 1) * f];
-            let grid = batch_grid.unwrap_or_else(|| grid_of(src));
-            grid.emit(src, &mut codes[i * group..], group, n * group);
-            grid.scale()
-        })
-        .collect();
-    (codes, scales)
+    for (i, grid) in grids.iter().enumerate() {
+        let src = &x.data()[i * f..(i + 1) * f];
+        grid.emit(src, &mut codes[i * group..], group, n * group);
+    }
+    (codes, grids.iter().map(ActivationGrid::scale).collect())
 }
 
 /// The patch matrix `[c·kh·kw, n·oh·ow]` of `n` samples — the unfold
@@ -563,11 +574,34 @@ fn par_rows<S>(
     });
 }
 
-/// The affine dequantization of the crate docs over one weight row of a
-/// GEMM: sample `i`'s accumulators `acc[i·p..(i+1)·p]` (`p = at.len()`)
-/// become `sa_i · (A·acc + B·colsum) + bias` in `runs[i][at]`, the colsum
-/// term only where the layer carries an offset (`cs` is `Some`). The f32
-/// routes pass unit `scales`, which multiply exactly.
+/// The affine dequantization of the crate docs for one weight row, `(A, B,
+/// bias)` — the one place its arithmetic is written down. The f32 routes
+/// pass a unit `sa`, which multiplies exactly.
+#[derive(Clone, Copy)]
+struct Affine(f32, f32, f32);
+
+impl Affine {
+    fn of(g: &PackedGemm, row: usize) -> Affine {
+        Affine(g.scale[row], g.colsum_coef[row], g.bias[row])
+    }
+
+    /// `sa·A·acc + bias`: a layer without offset.
+    #[inline(always)]
+    fn plain(self, sa: f32, v: impl ToF32) -> f32 {
+        sa * self.0 * v.to_f32() + self.2
+    }
+
+    /// `sa·(A·acc + B·colsum) + bias`: an offset-carrying layer.
+    #[inline(always)]
+    fn offset(self, sa: f32, v: impl ToF32, c: impl ToF32) -> f32 {
+        sa * (self.0 * v.to_f32() + self.1 * c.to_f32()) + self.2
+    }
+}
+
+/// [`Affine`] over one weight row of a GEMM: sample `i`'s accumulators
+/// `acc[i·p..(i+1)·p]` (`p = at.len()`) dequantize into `runs[i][at]` with
+/// that sample's scale, the colsum term only where the layer carries an
+/// offset (`cs` is `Some`).
 fn dequant<A: ToF32, C: ToF32>(
     g: &PackedGemm,
     row: usize,
@@ -577,15 +611,13 @@ fn dequant<A: ToF32, C: ToF32>(
     at: Range<usize>,
     runs: &mut [&mut [f32]],
 ) {
-    let (a, bias, bco, p) = (g.scale[row], g.bias[row], g.colsum_coef[row], at.len());
-    let plain = |sa: f32, v: A| sa * a * v.to_f32() + bias;
-    let offset = |sa: f32, v: A, c: C| sa * (a * v.to_f32() + bco * c.to_f32()) + bias;
+    let (f, p) = (Affine::of(g, row), at.len());
     if p == 1 {
         // A linear layer: one output per sample, stored at stride `rows`.
         for (i, (run, &sa)) in runs.iter_mut().zip(scales).enumerate() {
             run[at.start] = match cs {
-                Some(cs) => offset(sa, acc[i], cs[i]),
-                None => plain(sa, acc[i]),
+                Some(cs) => f.offset(sa, acc[i], cs[i]),
+                None => f.plain(sa, acc[i]),
             };
         }
         return;
@@ -595,12 +627,12 @@ fn dequant<A: ToF32, C: ToF32>(
         match cs {
             Some(cs) => {
                 for ((o, &v), &c) in seg.iter_mut().zip(acc).zip(&cs[i * p..]) {
-                    *o = offset(sa, v, c);
+                    *o = f.offset(sa, v, c);
                 }
             }
             None => {
                 for (o, &v) in seg.iter_mut().zip(acc) {
-                    *o = plain(sa, v);
+                    *o = f.plain(sa, v);
                 }
             }
         }
@@ -657,22 +689,36 @@ fn gemm_tier<T: Tier>(
 
 /// Batched integer conv on the tier path: per-sample activation codes, the
 /// batch's patch matrix ([`conv_blocks`]), [`gemm_tier`]. Depthwise layers
-/// (tap table) convolve directly instead.
+/// (tap table) convolve directly instead ([`Depthwise`]).
 fn conv_int<T: Tier>(
     gemm: &PackedGemm,
     g: &ConvGeom,
     groups: usize,
     x: &Tensor,
-    bits: BitWidth,
-    quantizer: Quantizer,
-    aq: ActQuant,
+    rule: ActRule,
 ) -> Tensor {
     let (n, c, p) = (x.dims()[0], x.dims()[1], g.oh * g.ow);
-    let (codes, scales) = sample_codes::<T::Code>(x, n, c * g.h * g.w, bits, quantizer, aq);
     let out = if let KernelWeights::Taps(taps) = &gemm.kernel {
-        let tap = |t: usize| T::Code::from_code(taps[t]);
-        conv_dw::<T>(gemm, tap, g, &codes, &scales)
+        let taps: Vec<T::Code> = taps.iter().map(|&t| T::Code::from_code(t)).collect();
+        let grids = sample_grids(x, n, rule);
+        let scales: Vec<f32> = grids.iter().map(ActivationGrid::scale).collect();
+        let lanes = dw_lanes(g, kernels());
+        let fill = |i: usize, src: &[f32], dst: &mut [T::Code], (group, pitch, step)| {
+            grids[i].emit_strided(src, dst, group, pitch, step)
+        };
+        let operand = dw_operand(x.data(), (n, c), g, lanes, fill);
+        let (taps, operand, scales) = (&taps[..], &operand[..], &scales[..]);
+        Depthwise::<T> {
+            gemm,
+            taps,
+            g,
+            lanes,
+            operand,
+            scales,
+        }
+        .run()
     } else {
+        let (codes, scales) = sample_codes::<T::Code>(x, n, rule);
         conv_blocks(gemm, g, &codes, (n, c), |cols, at, out| {
             gemm_tier::<T>(gemm, cols, groups, (at.len(), p), &scales[at], out)
         })
@@ -680,101 +726,186 @@ fn conv_int<T: Tier>(
     Tensor::from_vec(vec![n, gemm.rows, g.oh, g.ow], out)
 }
 
-/// `dst[j] = f(dst[j], src[j · stride])` — one tap of one output row. The
-/// stride-1 arm is a plain zip the compiler vectorises.
-fn axpy_strided<A: Copy, C: Copy>(dst: &mut [A], src: &[C], stride: usize, f: impl Fn(A, C) -> A) {
-    if stride == 1 {
-        for (o, &v) in dst.iter_mut().zip(src) {
-            *o = f(*o, v);
-        }
-    } else {
-        for (o, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
-            *o = f(*o, v);
-        }
-    }
-}
-
-/// Depthwise conv (`groups == channels`): no patch matrix, no
-/// 1-column-per-group GEMM — each (sample, channel) plane is convolved
-/// directly, one tap at a time: tap `(ki, kj)` is a single axpy over the
-/// valid span of every output row (bounds hoisted out of the pixel loop,
-/// contiguous at stride 1). Every pixel still accumulates its taps in
-/// `im2col` row order, so the result matches the generic path bit for bit
-/// — including the f32 fallback, which runs this same loop with
-/// `T = TierF32`, real-valued `tap`s and unit `scales`. The column sum
-/// rides along only for offset-carrying (DoReFa) layers. Planes are
-/// independent, so this is the one conv whose parallel split is over
-/// `samples × channels`: each worker takes a contiguous run of planes and
-/// one accumulator. Returns `[n, c, oh, ow]` for the `scales.len()` samples
-/// of `codes`.
-fn conv_dw<T: Tier>(
-    gemm: &PackedGemm,
-    tap: impl Fn(usize) -> T::Code + Sync,
+/// Lays a depthwise layer's `[n, c, h, w]` input out for `lanes`, the
+/// layer's [`dw_lanes`], decided once per execution (the active kernel table
+/// may change under a running forward; layout and kernel must agree): per
+/// sample `[h·w, c]` (channels in the lanes), or per plane a zero-padded
+/// `[h + 2·pad, w + 2·pad]` frame (pixels in the lanes). `fill(i, src, dst,
+/// (group, pitch, step))` writes element `p` of sample `i`'s values `src` to
+/// `dst[p / group · pitch + p % group · step]` — activation codes on the
+/// integer tiers, the values themselves on the f32 path.
+fn dw_operand<L: Copy + Default + Send + Sync>(
+    x: &[f32],
+    (n, c): (usize, usize),
     g: &ConvGeom,
-    codes: &[T::Code],
-    scales: &[f32],
-) -> Vec<f32> {
-    let (n, c, p, hw) = (scales.len(), gemm.rows, g.oh * g.ow, g.h * g.w);
-    let (h, w, oh, ow, r, s, stride, pad) = (g.h, g.w, g.oh, g.ow, g.kh, g.kw, g.stride, g.pad);
-    // Output positions whose tap `k` lands inside an `len`-long input axis:
-    // 0 ≤ o·stride + k − pad < len.
-    let span = |k: usize, len: usize, olen: usize| {
-        let lo = pad.saturating_sub(k).div_ceil(stride);
-        let hi = (len + pad).saturating_sub(k).div_ceil(stride).min(olen);
-        lo..hi.max(lo)
-    };
-    let mut out = vec![0.0f32; n * c * p];
-    gate(2 * n * c * r * s * p >= PAR_FLOP_THRESHOLD, || {
-        let per_worker = (n * c).div_ceil(max_threads());
-        par_chunks_mut(&mut out, (per_worker * p).max(1), |wi, run| {
-            let mut acc = vec![T::Acc::default(); p];
-            let mut cs = vec![T::Cs::default(); if gemm.has_offset { p } else { 0 }];
-            for (j, orow) in run.chunks_mut(p).enumerate() {
-                let ci = wi * per_worker + j;
-                let (i, ch) = (ci / c, ci % c);
-                let plane = &codes[ci * hw..(ci + 1) * hw];
-                acc.fill(T::Acc::default());
-                cs.fill(T::Cs::default());
-                for ki in 0..r {
-                    for kj in 0..s {
-                        let wv = tap(ch * r * s + ki * s + kj);
-                        let xs = span(kj, w, ow);
-                        if xs.is_empty() {
-                            continue;
-                        }
-                        let ix0 = xs.start * stride + kj - pad;
-                        for oy in span(ki, h, oh) {
-                            let src = &plane[(oy * stride + ki - pad) * w + ix0..];
-                            let at = oy * ow;
-                            let dst = &mut acc[at + xs.start..at + xs.end];
-                            axpy_strided(dst, src, stride, |o, v| T::mad(o, wv, v));
-                            if gemm.has_offset {
-                                let dst = &mut cs[at + xs.start..at + xs.end];
-                                axpy_strided(dst, src, stride, T::cs_add);
-                            }
-                        }
-                    }
+    lanes: Lanes,
+    fill: impl Fn(usize, &[f32], &mut [L], (usize, usize, usize)) + Sync,
+) -> Vec<L> {
+    let (hw, fw) = (g.h * g.w, g.w + 2 * g.pad);
+    let frame = (g.h + 2 * g.pad) * fw;
+    let pixels = lanes == Lanes::Pixels;
+    let per_sample = if pixels { c * frame } else { hw * c };
+    let mut out = vec![L::default(); n * per_sample];
+    gate(x.len() >= PAR_FLOP_THRESHOLD, || {
+        par_chunks_mut(&mut out, per_sample.max(1), |i, dst| {
+            let src = &x[i * c * hw..(i + 1) * c * hw];
+            if pixels {
+                for (plane, dst) in src.chunks(hw.max(1)).zip(dst.chunks_mut(frame)) {
+                    fill(i, plane, &mut dst[g.pad * fw + g.pad..], (g.w, fw, 1));
                 }
-                let cs = gemm.has_offset.then_some(&cs[..]);
-                dequant(gemm, ch, &scales[i..=i], &acc, cs, 0..p, &mut [orow]);
+            } else {
+                fill(i, src, dst, (hw, 1, c));
             }
         })
     });
     out
 }
 
+/// A depthwise conv (`groups == channels`) over the [`dw_operand`] of
+/// `scales.len()` samples, `taps` the pack-time `[r·s, c]` table: no patch
+/// matrix, no 1-column-per-group GEMM, and the SIMD lanes follow the long
+/// axis (`lanes`, the operand's). Either way a pixel accumulates its taps in
+/// `im2col` row order, exactly (integers, or f32 lanes below 2^24) — so the
+/// result matches the grouped-GEMM path bit for bit in every tier; on the
+/// f32 fallback (`T = TierF32`, real-valued taps, unit `scales`) a frame's
+/// zero padding adds `±0.0` terms to a chain that started at `+0.0`, which
+/// leaves every partial sum's bits alone.
+struct Depthwise<'a, T: Tier> {
+    gemm: &'a PackedGemm,
+    taps: &'a [T::Code],
+    g: &'a ConvGeom,
+    lanes: Lanes,
+    operand: &'a [T::Code],
+    scales: &'a [f32],
+}
+
+impl<T: Tier> Depthwise<'_, T> {
+    /// The `[n, c, oh, ow]` result. Planes are independent, so the parallel
+    /// split is over `samples × channels`: each worker takes a contiguous
+    /// run of planes — its slab of the result — by index.
+    fn run(&self) -> Vec<f32> {
+        let (g, n, c, p) = (
+            self.g,
+            self.scales.len(),
+            self.gemm.rows,
+            self.g.oh * self.g.ow,
+        );
+        let mut out = vec![0.0f32; n * c * p];
+        gate(2 * n * c * g.kh * g.kw * p >= PAR_FLOP_THRESHOLD, || {
+            let per_worker = (n * c).div_ceil(max_threads());
+            par_chunks_mut(&mut out, (per_worker * p).max(1), |wi, run| {
+                let planes = wi * per_worker..wi * per_worker + run.len() / p;
+                if self.lanes == Lanes::Pixels {
+                    self.pixels(planes, run);
+                } else {
+                    self.channels(planes, run);
+                }
+            })
+        });
+        out
+    }
+
+    /// Pixels in the lanes: tap `(ki, kj)` of a plane is one flat axpy of
+    /// its frame, shifted by `ki·fw + kj`, into an accumulator that keeps
+    /// the frame's row pitch `fw` (the `fw − ow` columns between output rows
+    /// accumulate garbage nobody reads). Stride 1 only.
+    fn pixels(&self, planes: Range<usize>, run: &mut [f32]) {
+        let (gemm, g, c) = (self.gemm, self.g, self.gemm.rows);
+        let fw = g.w + 2 * g.pad;
+        let (frame, span) = ((g.h + 2 * g.pad) * fw, (g.oh - 1) * fw + g.ow);
+        let mut acc = vec![T::Acc::default(); span];
+        let mut cs = vec![T::Cs::default(); if gemm.has_offset { span } else { 0 }];
+        for (ci, orow) in planes.zip(run.chunks_mut(g.oh * g.ow)) {
+            let (i, ch) = (ci / c, ci % c);
+            acc.fill(T::Acc::default());
+            cs.fill(T::Cs::default());
+            for t in 0..g.kh * g.kw {
+                let wv = self.taps[t * c + ch];
+                let src = &self.operand[ci * frame + t / g.kw * fw + t % g.kw..][..span];
+                for (a, &v) in acc.iter_mut().zip(src) {
+                    *a = T::mad(*a, wv, v);
+                }
+                for (o, &v) in cs.iter_mut().zip(src) {
+                    *o = T::cs_add(*o, v);
+                }
+            }
+            for oy in 0..g.oh {
+                let (at, to) = (oy * fw..oy * fw + g.ow, oy * g.ow..(oy + 1) * g.ow);
+                let cs = gemm.has_offset.then(|| &cs[at.clone()]);
+                dequant(
+                    gemm,
+                    ch,
+                    &self.scales[i..=i],
+                    &acc[at],
+                    cs,
+                    to,
+                    &mut [&mut *orow],
+                );
+            }
+        }
+    }
+
+    /// Channels in the lanes: every valid `(pixel, tap)` pair — the tap plan
+    /// `g.ys × g.xs`, computed once per layer — is one elementwise
+    /// multiply-add over the run's channels of that sample, at any stride;
+    /// the `[p, channels]` accumulator is dequantized channel by channel.
+    fn channels(&self, planes: Range<usize>, run: &mut [f32]) {
+        let (gemm, g, c) = (self.gemm, self.g, self.gemm.rows);
+        let (p, hw) = (g.oh * g.ow, g.h * g.w);
+        let (mut acc, mut cs) = (Vec::new(), Vec::new());
+        let mut ci = planes.start;
+        while ci < planes.end {
+            // The run's channels `c0..c0 + cr` of sample `i`.
+            let (i, c0) = (ci / c, ci % c);
+            let cr = (c - c0).min(planes.end - ci);
+            acc.clear();
+            acc.resize(p * cr, T::Acc::default());
+            cs.clear();
+            cs.resize(if gemm.has_offset { p * cr } else { 0 }, T::Cs::default());
+            for (ki, ys) in g.ys.iter().enumerate() {
+                for (kj, xs) in g.xs.iter().enumerate() {
+                    let ws = &self.taps[(ki * g.kw + kj) * c + c0..][..cr];
+                    for (oy, ox) in ys.clone().flat_map(|oy| xs.clone().map(move |ox| (oy, ox))) {
+                        let from = (oy * g.stride + ki - g.pad) * g.w + ox * g.stride + kj - g.pad;
+                        let src = &self.operand[(i * hw + from) * c + c0..][..cr];
+                        let at = (oy * g.ow + ox) * cr;
+                        for ((a, &w), &v) in acc[at..at + cr].iter_mut().zip(ws).zip(src) {
+                            *a = T::mad(*a, w, v);
+                        }
+                        for (o, &v) in cs.iter_mut().skip(at).zip(src) {
+                            *o = T::cs_add(*o, v);
+                        }
+                    }
+                }
+            }
+            let (sa, out) = (
+                self.scales[i],
+                &mut run[(ci - planes.start) * p..][..cr * p],
+            );
+            for (k, orow) in out.chunks_mut(p).enumerate() {
+                let (f, acc) = (Affine::of(gemm, c0 + k), acc.iter().skip(k).step_by(cr));
+                if gemm.has_offset {
+                    let cs = cs.iter().skip(k).step_by(cr);
+                    for ((o, &v), &c) in orow.iter_mut().zip(acc).zip(cs) {
+                        *o = f.offset(sa, v, c);
+                    }
+                } else {
+                    for (o, &v) in orow.iter_mut().zip(acc) {
+                        *o = f.plain(sa, v);
+                    }
+                }
+            }
+            ci += cr;
+        }
+    }
+}
+
 /// Batched integer linear on the tier path: the conv GEMM with one column
 /// per sample — codes are quantized straight into the `[features, n]`
 /// operand, the epilogue stores `out[i · rows + row]`.
-fn linear_int<T: Tier>(
-    g: &PackedGemm,
-    x: &Tensor,
-    bits: BitWidth,
-    quantizer: Quantizer,
-    aq: ActQuant,
-) -> Tensor {
+fn linear_int<T: Tier>(g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
     let n = x.dims()[0];
-    let (cols, scales) = linear_operand::<T::Code>(x, 1, bits, quantizer, aq);
+    let (cols, scales) = linear_operand::<T::Code>(x, 1, rule);
     let mut out = vec![0.0f32; n * g.rows];
     gemm_tier::<T>(g, &cols, 1, (n, 1), &scales, &mut out);
     Tensor::from_vec(vec![n, g.rows], out)
@@ -801,9 +932,25 @@ pub(crate) trait FusedTier {
     /// accumulator is off by `WEIGHT_BIAS · colsum` per column, which the
     /// driver subtracts exactly in i32.
     const WEIGHT_BIAS: i32;
-    /// The active backend's fused kernel, or `None` (scalar backend) —
-    /// callers fall back to the decode-then-multiply tier path.
-    fn kernel() -> Option<crate::simd::FusedKernel<Self::Lane>>;
+    /// What [`Arith::of`] calls a layer routed here.
+    const ARITH: Arith;
+    /// Table `k`'s fused kernel with `lanes` in its SIMD lanes, or `None` —
+    /// [`Arith::of`] routes here only where there is one.
+    fn kernel(k: &Kernels, lanes: Lanes) -> Option<FusedKernel<Self::Lane>>;
+
+    /// The kernel for a GEMM over `l` columns and the interleave group of
+    /// its operand: [`Self::GROUP`] lanes per column per weight word for the
+    /// column-block kernels; for the thin ones the whole reduction (`q`
+    /// rows, zero-padded to their vector step), i.e. every column contiguous.
+    fn route(k: &Kernels, q: usize, l: usize) -> (FusedKernel<Self::Lane>, usize) {
+        let lanes = Self::ARITH.gemm_lanes(l, k);
+        let words = q.div_ceil(Self::GROUP);
+        let group = match lanes {
+            Lanes::Reduction => words.next_multiple_of(crate::simd::THIN_WORDS) * Self::GROUP,
+            _ => Self::GROUP,
+        };
+        (Self::kernel(k, lanes).expect("Arith::of found it"), group)
+    }
 }
 
 /// Nibble storage (≤ 4-bit weights): `maddubs`-class kernels.
@@ -815,8 +962,13 @@ impl FusedTier for FusedNibble {
     type Lane = i8;
     const GROUP: usize = 4;
     const WEIGHT_BIAS: i32 = 8;
-    fn kernel() -> Option<crate::simd::FusedKernel<i8>> {
-        crate::simd::kernels().gemm_nibble
+    const ARITH: Arith = Arith::FusedNibble;
+    fn kernel(k: &Kernels, lanes: Lanes) -> Option<FusedKernel<i8>> {
+        if lanes == Lanes::Reduction {
+            k.gemm_nibble_thin
+        } else {
+            k.gemm_nibble
+        }
     }
 }
 
@@ -824,17 +976,23 @@ impl FusedTier for FusedI8 {
     type Lane = i16;
     const GROUP: usize = 2;
     const WEIGHT_BIAS: i32 = 0;
-    fn kernel() -> Option<crate::simd::FusedKernel<i16>> {
-        crate::simd::kernels().gemm_i8
+    const ARITH: Arith = Arith::FusedI8;
+    fn kernel(k: &Kernels, lanes: Lanes) -> Option<FusedKernel<i16>> {
+        if lanes == Lanes::Reduction {
+            k.gemm_i8_thin
+        } else {
+            k.gemm_i8
+        }
     }
 }
 
 /// Repacks the `groups` back-to-back `[rows, ncols]` code blocks of `cols`
-/// into the fused layout, group by group: rows go `G` at a time and each
-/// such row group's lanes sit adjacent per column (`out[(q·ncols + j)·G + k]
-/// = block[(q·G + k)·ncols + j]`), the final partial row group zero-padded.
+/// into the fused layout, group by group: rows go `g` at a time and each
+/// such row group's lanes sit adjacent per column (`out[(q·ncols + j)·g + k]
+/// = block[(q·g + k)·ncols + j]`), the final partial row group zero-padded.
 /// One contiguous load then feeds a whole weight word's worth of multiplies
-/// per column block.
+/// per column block — or, at `g ≥ rows`, a whole column's reduction (the
+/// transposed, column-major operand of the thin kernels).
 fn interleave_blocks<L: Copy + Default + Send + Sync>(
     cols: &[L],
     groups: usize,
@@ -860,25 +1018,27 @@ fn interleave_blocks<L: Copy + Default + Send + Sync>(
 }
 
 /// Fused ≤ 8-bit GEMM over interleaved operands (`inter` holds `groups`
-/// blocks in [`interleave_blocks`] layout, each `[g.cols, l]` with `l =
-/// n·p` columns): same structure as [`gemm_tier`], but the kernel multiplies
-/// on packed codes — activations in the storage-matched lane type, weights
-/// the pack-time `wwords` — once per weight row over all `l` columns. Bit-
-/// identity with the tier path: the kernel accumulates the exact integer
-/// sum (pack time bounds it inside i32), the re-centering correction is
-/// exact integer arithmetic, and [`dequant`] casts `i32 → f32` exactly as
-/// every tier's accumulator does.
-#[allow(clippy::too_many_arguments)]
+/// blocks in [`interleave_blocks`] layout at group `ig`, each `[g.cols, l]`
+/// with `l = n·p` columns): same structure as [`gemm_tier`], but `kernel`
+/// — [`FusedTier::route`]'s, with `ig` — multiplies on packed codes,
+/// activations in the storage-matched lane type, weights the pack-time
+/// words, once per weight row over all `l` columns. Bit-identity with
+/// the tier path: either orientation accumulates the exact integer sum (pack
+/// time bounds every partial sum of it inside i32, in any order), the
+/// re-centering correction is exact integer arithmetic, and [`dequant`]
+/// casts `i32 → f32` exactly as every tier's accumulator does.
 fn gemm_fused<F: FusedTier>(
     g: &PackedGemm,
-    wwords: &[u32],
-    kernel: crate::simd::FusedKernel<F::Lane>,
+    (kernel, ig): (FusedKernel<F::Lane>, usize),
     inter: &[F::Lane],
     groups: usize,
     (n, p): (usize, usize),
     scales: &[f32],
     out: &mut [f32],
 ) {
+    let KernelWeights::Words(wwords) = &g.kernel else {
+        unreachable!("Arith::of routes only layers with weight words here");
+    };
     let (k, l, padded) = (g.rows, n * p, inter.len() / groups);
     let group = group_of(k, groups);
     let wstride = g.cols.div_ceil(F::GROUP);
@@ -889,9 +1049,15 @@ fn gemm_fused<F: FusedTier>(
     let need_cs = F::WEIGHT_BIAS != 0 || g.has_offset;
     let mut colsums = vec![0i32; if need_cs { groups * l } else { 0 }];
     for (cs, block) in colsums.chunks_mut(l).zip(inter.chunks(padded)) {
-        for row_group in block.chunks_exact(F::GROUP * l) {
-            for (c, lanes) in cs.iter_mut().zip(row_group.chunks_exact(F::GROUP)) {
-                *c += lanes.iter().map(|&v| v.into()).sum::<i32>();
+        if ig == F::GROUP {
+            for row_group in block.chunks_exact(F::GROUP * l) {
+                for (c, lanes) in cs.iter_mut().zip(row_group.chunks_exact(F::GROUP)) {
+                    *c += lanes.iter().map(|&v| v.into()).sum::<i32>();
+                }
+            }
+        } else {
+            for (c, col) in cs.iter_mut().zip(block.chunks_exact(ig)) {
+                *c = col.iter().map(|&v| v.into()).sum();
             }
         }
     }
@@ -919,47 +1085,36 @@ fn gemm_fused<F: FusedTier>(
 
 /// Fused ≤ 8-bit conv: the batch-level patch matrix is interleaved once (a
 /// lone sample's 1×1 conv straight from its code planes) and handed to
-/// [`gemm_fused`]. Returns `None` when the active backend has no fused
-/// kernel; the caller falls back to the tier path.
-#[allow(clippy::too_many_arguments)]
+/// [`gemm_fused`], in the orientation the whole batch's `n·p` columns pick.
 fn conv_fused<F: FusedTier>(
+    k: &Kernels,
     gemm: &PackedGemm,
-    wwords: &[u32],
     g: &ConvGeom,
     groups: usize,
     x: &Tensor,
-    bits: BitWidth,
-    quantizer: Quantizer,
-    aq: ActQuant,
-) -> Option<Tensor> {
-    let kernel = F::kernel()?;
+    rule: ActRule,
+) -> Tensor {
     let (n, c, p) = (x.dims()[0], x.dims()[1], g.oh * g.ow);
-    let (codes, scales) = sample_codes::<F::Lane>(x, n, c * g.h * g.w, bits, quantizer, aq);
+    let route = F::route(k, gemm.cols, n * p);
+    let (codes, scales) = sample_codes::<F::Lane>(x, n, rule);
     let out = conv_blocks(gemm, g, &codes, (n, c), |cols, at, out| {
         let (m, scales) = (at.len(), &scales[at]);
-        let inter = interleave_blocks(cols, groups, gemm.cols, m * p, F::GROUP);
-        gemm_fused::<F>(gemm, wwords, kernel, &inter, groups, (m, p), scales, out)
+        let inter = interleave_blocks(cols, groups, gemm.cols, m * p, route.1);
+        gemm_fused::<F>(gemm, route, &inter, groups, (m, p), scales, out)
     });
-    Some(Tensor::from_vec(vec![n, gemm.rows, g.oh, g.ow], out))
+    Tensor::from_vec(vec![n, gemm.rows, g.oh, g.ow], out)
 }
 
 /// Fused ≤ 8-bit linear: codes are quantized straight into the interleaved
 /// `[f/G, n, G]` operand — [`conv_fused`]'s GEMM with one column per
-/// sample. Same fallback contract.
-fn linear_fused<F: FusedTier>(
-    g: &PackedGemm,
-    wwords: &[u32],
-    x: &Tensor,
-    bits: BitWidth,
-    quantizer: Quantizer,
-    aq: ActQuant,
-) -> Option<Tensor> {
-    let kernel = F::kernel()?;
+/// sample, each sample's codes left contiguous below one column block.
+fn linear_fused<F: FusedTier>(k: &Kernels, g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
     let n = x.dims()[0];
-    let (inter, scales) = linear_operand::<F::Lane>(x, F::GROUP, bits, quantizer, aq);
+    let route = F::route(k, g.cols, n);
+    let (inter, scales) = linear_operand::<F::Lane>(x, route.1, rule);
     let mut out = vec![0.0f32; n * g.rows];
-    gemm_fused::<F>(g, wwords, kernel, &inter, 1, (n, 1), &scales, &mut out);
-    Some(Tensor::from_vec(vec![n, g.rows], out))
+    gemm_fused::<F>(g, route, &inter, 1, (n, 1), &scales, &mut out);
+    Tensor::from_vec(vec![n, g.rows], out)
 }
 
 // ---------------------------------------------------------------------------
@@ -969,16 +1124,12 @@ fn linear_fused<F: FusedTier>(
 /// Fake-quantizes activations at the requested granularity on the f32 path
 /// (`PerSample` slices keep serving outputs bit-identical to batch-of-one
 /// forwards); where there is no grid the input is passed through uncopied.
-fn quantize_acts_f32<'a>(
-    x: &'a Tensor,
-    bits: BitWidth,
-    quantizer: Quantizer,
-    aq: ActQuant,
-) -> Cow<'a, Tensor> {
+fn quantize_acts_f32<'a>(x: &'a Tensor, rule: ActRule) -> Cow<'a, Tensor> {
+    let (bits, quantizer) = (rule.bits, rule.quantizer);
     if bits.is_full_precision() || matches!(quantizer, Quantizer::Identity) {
         return Cow::Borrowed(x);
     }
-    Cow::Owned(match aq {
+    Cow::Owned(match rule.aq {
         ActQuant::PerBatch => quantizer.quantize_activations_tensor(x, bits),
         ActQuant::PerSample => {
             let mut xq = x.clone();
@@ -998,31 +1149,16 @@ fn exec_conv(
     groups: usize,
     quantize_input: bool,
     x: &Tensor,
-    bits: BitWidth,
-    quantizer: Quantizer,
-    aq: ActQuant,
+    rule: ActRule,
 ) -> Tensor {
-    if gemm.storage.is_integer() {
-        if let (KernelWeights::Words(ww), true) = (&gemm.kernel, crate::simd::fused_gemm_enabled())
-        {
-            let fused = match &gemm.storage {
-                Storage::Nibble(_) => {
-                    conv_fused::<FusedNibble>(gemm, ww, g, groups, x, bits, quantizer, aq)
-                }
-                Storage::I8(_) => {
-                    conv_fused::<FusedI8>(gemm, ww, g, groups, x, bits, quantizer, aq)
-                }
-                _ => None,
-            };
-            if let Some(y) = fused {
-                return y;
-            }
-        }
-        return match gemm.accum {
-            Accum::F32 => conv_int::<TierF32>(gemm, g, groups, x, bits, quantizer, aq),
-            Accum::I32 => conv_int::<TierI32>(gemm, g, groups, x, bits, quantizer, aq),
-            Accum::I64 => conv_int::<TierI64>(gemm, g, groups, x, bits, quantizer, aq),
-        };
+    let table = kernels();
+    match Arith::of(gemm, table) {
+        Arith::F32 => {}
+        Arith::FusedNibble => return conv_fused::<FusedNibble>(table, gemm, g, groups, x, rule),
+        Arith::FusedI8 => return conv_fused::<FusedI8>(table, gemm, g, groups, x, rule),
+        Arith::Tier(Accum::F32) => return conv_int::<TierF32>(gemm, g, groups, x, rule),
+        Arith::Tier(Accum::I32) => return conv_int::<TierI32>(gemm, g, groups, x, rule),
+        Arith::Tier(Accum::I64) => return conv_int::<TierI64>(gemm, g, groups, x, rule),
     }
 
     let Storage::F32(wdata) = &gemm.storage else {
@@ -1031,14 +1167,33 @@ fn exec_conv(
     let (n, c) = (x.dims()[0], x.dims()[1]);
     let (k, q, p) = (gemm.rows, gemm.cols, g.oh * g.ow);
     let xq = if quantize_input {
-        quantize_acts_f32(x, bits, quantizer, aq)
+        quantize_acts_f32(x, rule)
     } else {
         Cow::Borrowed(x)
     };
     // f32 lanes, real weights, no activation scale to undo, no offset.
     let unit = vec![1.0f32; n];
     let out = if is_depthwise(c / groups, k, groups) {
-        conv_dw::<TierF32>(gemm, |t| wdata[t], g, xq.data(), &unit)
+        // Depthwise f32 weights are stored tap-major, `[r·s, c]` (`pack.rs`).
+        let lanes = dw_lanes(g, table);
+        let fill = |_, src: &[f32], dst: &mut [f32], (group, pitch, step)| {
+            for (r, row) in src.chunks(group).enumerate() {
+                for (k, &v) in row.iter().enumerate() {
+                    dst[r * pitch + k * step] = v;
+                }
+            }
+        };
+        let operand = dw_operand(xq.data(), (n, c), g, lanes, fill);
+        let (taps, operand, scales) = (&wdata[..], &operand[..], &unit[..]);
+        Depthwise::<TierF32> {
+            gemm,
+            taps,
+            g,
+            lanes,
+            operand,
+            scales,
+        }
+        .run()
     } else {
         // Per element one chain over the reduction in ascending order,
         // zero weights skipped — `Tensor::matmul`'s order, which does not
@@ -1070,40 +1225,26 @@ fn exec_conv(
     Tensor::from_vec(vec![n, k, g.oh, g.ow], out)
 }
 
-fn exec_linear(
-    g: &PackedGemm,
-    x: &Tensor,
-    bits: BitWidth,
-    quantizer: Quantizer,
-    aq: ActQuant,
-) -> Tensor {
+fn exec_linear(g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
     let dims = x.dims();
     assert_eq!(dims.len(), 2, "linear input must be rank 2");
     let (n, f) = (dims[0], dims[1]);
     assert_eq!(f, g.cols, "linear in-feature mismatch");
 
-    if g.storage.is_integer() {
-        if let (KernelWeights::Words(ww), true) = (&g.kernel, crate::simd::fused_gemm_enabled()) {
-            let fused = match &g.storage {
-                Storage::Nibble(_) => linear_fused::<FusedNibble>(g, ww, x, bits, quantizer, aq),
-                Storage::I8(_) => linear_fused::<FusedI8>(g, ww, x, bits, quantizer, aq),
-                _ => None,
-            };
-            if let Some(y) = fused {
-                return y;
-            }
-        }
-        return match g.accum {
-            Accum::F32 => linear_int::<TierF32>(g, x, bits, quantizer, aq),
-            Accum::I32 => linear_int::<TierI32>(g, x, bits, quantizer, aq),
-            Accum::I64 => linear_int::<TierI64>(g, x, bits, quantizer, aq),
-        };
+    let k = kernels();
+    match Arith::of(g, k) {
+        Arith::F32 => {}
+        Arith::FusedNibble => return linear_fused::<FusedNibble>(k, g, x, rule),
+        Arith::FusedI8 => return linear_fused::<FusedI8>(k, g, x, rule),
+        Arith::Tier(Accum::F32) => return linear_int::<TierF32>(g, x, rule),
+        Arith::Tier(Accum::I32) => return linear_int::<TierI32>(g, x, rule),
+        Arith::Tier(Accum::I64) => return linear_int::<TierI64>(g, x, rule),
     }
 
     let Storage::F32(wdata) = &g.storage else {
         unreachable!("non-integer storage is f32");
     };
-    let xq = quantize_acts_f32(x, bits, quantizer, aq);
+    let xq = quantize_acts_f32(x, rule);
     // `out[i][row] = Σ_p x[i][p] · w[row][p]`, read from the `[rows, f]`
     // pack-time buffer in place: per element one chain in ascending `p`,
     // zero activations skipped — `Tensor::matmul`'s order with the sample

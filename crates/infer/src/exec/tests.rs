@@ -1,6 +1,6 @@
-//! Kernel-path equivalence tests that need the private entry points: the
-//! row-wise depthwise kernel against the generic grouped-GEMM path (integer
-//! tiers) and against a per-pixel reference loop (f32 fallback); the
+//! Kernel-path equivalence tests that need the private entry points: both
+//! orientations of the depthwise kernel against the generic grouped-GEMM path
+//! (integer tiers) and against a per-pixel reference loop (f32 fallback); the
 //! batch-invariance matrix (every sample of a batch against its batch-of-one
 //! forward, on every route); and the pack-time overflow bounds against an
 //! i128 oracle at their admission boundaries.
@@ -21,6 +21,14 @@ fn uniform(rng: &mut StdRng, dims: &[usize], lo: f32, hi: f32) -> Tensor {
         dims.to_vec(),
         (0..n).map(|_| rng.gen_range(lo..hi)).collect(),
     )
+}
+
+fn per_sample(bits: BitWidth, quantizer: Quantizer) -> ActRule {
+    ActRule {
+        bits,
+        quantizer,
+        aq: ActQuant::PerSample,
+    }
 }
 
 fn assert_bits_eq(a: &Tensor, b: &Tensor, ctx: &str) {
@@ -92,8 +100,9 @@ fn pack_depthwise(
     .clone()
 }
 
-/// The pre-row-wise depthwise loop, kept as the f32 oracle: every pixel
-/// walks its taps in `(ki, kj)` order with per-tap bounds checks.
+/// The per-pixel depthwise loop, kept as the f32 oracle: every pixel walks
+/// its taps in `(ki, kj)` order with per-tap bounds checks (`wdata` is the
+/// pack-time tap-major `[k·k, c]` table).
 #[allow(clippy::too_many_arguments)]
 fn depthwise_per_pixel(
     wdata: &[f32],
@@ -120,7 +129,7 @@ fn depthwise_per_pixel(
                             continue;
                         }
                         let v = x.data()[(plane * h + iy as usize) * w + ix as usize];
-                        acc += wdata[ch * k * k + ki * k + kj] * v;
+                        acc += wdata[(ki * k + kj) * c + ch] * v;
                     }
                 }
                 out.push(gemm.scale[ch] * acc + gemm.bias[ch]);
@@ -130,68 +139,98 @@ fn depthwise_per_pixel(
     Tensor::from_vec(vec![n, c, oh, ow], out)
 }
 
+/// The depthwise shape matrix: planes from 1×1 to 16×16 × stride × pad ×
+/// kernel, with channels, batch and quantizer rotating through their values
+/// (pruned so the suite runs in seconds), at every `large_range()` width.
+/// Both SIMD orientations and the boundary between them (7- vs 8-wide output
+/// rows) must equal the per-pixel f32 oracle on the f32 fallback and the
+/// grouped-GEMM path in every valid tier, on bits, at 1 and 3 threads — the
+/// last case above `PAR_FLOP_THRESHOLD`, where the plane split is live.
 #[test]
-fn depthwise_rows_match_generic_path_in_every_tier() {
+fn depthwise_orientations_match_oracle_and_generic_path_on_the_shape_matrix() {
     let mut rng = StdRng::seed_from_u64(0xD3);
-    let c = 5;
-    for q in [Quantizer::Sbm, Quantizer::Dorefa] {
-        for (stride, pad, k, n) in [1usize, 2]
+    let planes = [
+        (1usize, 1usize),
+        (2, 2),
+        (3, 5),
+        (4, 4),
+        (7, 7),
+        (8, 8),
+        (9, 17),
+        (16, 16),
+    ];
+    let mut shapes = Vec::new();
+    for (h, w) in planes {
+        for (stride, pad, k) in [1usize, 2, 3]
             .into_iter()
             .flat_map(|st| [0usize, 1, 2].map(move |p| (st, p)))
             .flat_map(|(st, p)| [1usize, 3, 5].map(move |k| (st, p, k)))
-            .flat_map(|(st, p, k)| [1usize, 3].map(move |n| (st, p, k, n)))
+            .filter(|&(_, pad, k)| h + 2 * pad >= k && w + 2 * pad >= k)
         {
-            for (h, w) in [(7usize, 5usize), (5, 9)] {
-                if h + 2 * pad < k || w + 2 * pad < k {
-                    continue;
-                }
-                let x = uniform(&mut rng, &[n, c, h, w], -0.4, 1.3);
-                for bits in [4u8, 8, 12, 16, 32] {
-                    let gemm = pack_depthwise(&mut rng, c, k, stride, pad, bits, q);
-                    let bw = BitWidth::new(bits);
-                    let aq = if n == 1 {
-                        ActQuant::PerBatch
-                    } else {
-                        ActQuant::PerSample
-                    };
-                    let ctx = format!("{q:?} {bits}b k{k} s{stride} p{pad} {n}x{c}x{h}x{w}");
-                    let geom = ConvGeom::new(h, w, k, k, stride, pad);
-                    if let Storage::F32(wdata) = &gemm.storage {
-                        let got = exec_conv(&gemm, &geom, c, true, &x, bw, q, aq);
-                        let want = depthwise_per_pixel(wdata, &gemm, k, stride, pad, &x);
-                        assert_bits_eq(&got, &want, &format!("f32: {ctx}"));
-                        continue;
-                    }
-                    assert!(
-                        matches!(gemm.kernel, KernelWeights::Taps(ref t) if t.len() == c * k * k)
-                    );
-                    assert_eq!(gemm.has_offset, q == Quantizer::Dorefa, "{ctx}");
-                    // Same codes without the tap table: `conv_int` takes the
-                    // grouped patch-matrix GEMM (one row per group).
-                    let generic = PackedGemm {
-                        kernel: KernelWeights::Decode,
-                        ..gemm.clone()
-                    };
-                    // The packed tier and every wider one are exact.
-                    let run = |g: &PackedGemm, tier: Accum| match tier {
-                        Accum::F32 => conv_int::<TierF32>(g, &geom, c, &x, bw, q, aq),
-                        Accum::I32 => conv_int::<TierI32>(g, &geom, c, &x, bw, q, aq),
-                        Accum::I64 => conv_int::<TierI64>(g, &geom, c, &x, bw, q, aq),
-                    };
-                    let tiers: &[Accum] = match gemm.accum {
-                        Accum::F32 => &[Accum::F32, Accum::I32, Accum::I64],
-                        Accum::I32 => &[Accum::I32, Accum::I64],
-                        Accum::I64 => &[Accum::I64],
-                    };
-                    let want = run(&generic, gemm.accum);
-                    for &tier in tiers {
-                        assert_bits_eq(&run(&gemm, tier), &want, &format!("{tier:?}: {ctx}"));
-                    }
-                    let routed = exec_conv(&gemm, &geom, c, true, &x, bw, q, aq);
-                    assert_bits_eq(&routed, &want, &format!("routed: {ctx}"));
-                }
-            }
+            let i = shapes.len();
+            let (c, n) = ([1usize, 3, 8, 13, 96][i % 5], [1usize, 3][i / 5 % 2]);
+            let q = [Quantizer::Sbm, Quantizer::Dorefa][i / 10 % 2];
+            shapes.push((h, w, stride, pad, k, c, n, q));
         }
+    }
+    // 2·3·96·9·256 flops: the one parallel case.
+    shapes.push((16, 16, 1, 1, 3, 96, 3, Quantizer::Dorefa));
+    let mut seen = Vec::new();
+    for (h, w, stride, pad, k, c, n, q) in shapes {
+        let x = uniform(&mut rng, &[n, c, h, w], -0.4, 1.3);
+        let geom = ConvGeom::new(h, w, k, k, stride, pad);
+        seen.push(dw_lanes(&geom, kernels()));
+        for bits in [4u8, 8, 12, 16, 32] {
+            let gemm = pack_depthwise(&mut rng, c, k, stride, pad, bits, q);
+            let aq = if n == 1 {
+                ActQuant::PerBatch
+            } else {
+                ActQuant::PerSample
+            };
+            let rule = ActRule {
+                bits: BitWidth::new(bits),
+                quantizer: q,
+                aq,
+            };
+            let ctx = format!("{q:?} {bits}b k{k} s{stride} p{pad} {n}x{c}x{h}x{w}");
+            let routed = |threads: usize| {
+                with_threads(threads, || exec_conv(&gemm, &geom, c, true, &x, rule))
+            };
+            if let Storage::F32(wdata) = &gemm.storage {
+                let want = depthwise_per_pixel(wdata, &gemm, k, stride, pad, &x);
+                assert_bits_eq(&routed(1), &want, &format!("f32: {ctx}"));
+                assert_bits_eq(&routed(3), &want, &format!("f32, 3 threads: {ctx}"));
+                continue;
+            }
+            assert!(matches!(gemm.kernel, KernelWeights::Taps(ref t) if t.len() == c * k * k));
+            assert_eq!(gemm.has_offset, q == Quantizer::Dorefa, "{ctx}");
+            // Same codes without the tap table: `conv_int` takes the
+            // grouped patch-matrix GEMM (one row per group).
+            let generic = PackedGemm {
+                kernel: KernelWeights::Decode,
+                ..gemm.clone()
+            };
+            // The packed tier and every wider one are exact.
+            let run = |g: &PackedGemm, tier: Accum| match tier {
+                Accum::F32 => conv_int::<TierF32>(g, &geom, c, &x, rule),
+                Accum::I32 => conv_int::<TierI32>(g, &geom, c, &x, rule),
+                Accum::I64 => conv_int::<TierI64>(g, &geom, c, &x, rule),
+            };
+            let tiers: &[Accum] = match gemm.accum {
+                Accum::F32 => &[Accum::F32, Accum::I32, Accum::I64],
+                Accum::I32 => &[Accum::I32, Accum::I64],
+                Accum::I64 => &[Accum::I64],
+            };
+            let want = run(&generic, gemm.accum);
+            for &tier in tiers {
+                assert_bits_eq(&run(&gemm, tier), &want, &format!("{tier:?}: {ctx}"));
+            }
+            assert_bits_eq(&routed(1), &want, &format!("routed: {ctx}"));
+            assert_bits_eq(&routed(3), &want, &format!("routed, 3 threads: {ctx}"));
+        }
+    }
+    for lanes in [Lanes::Channels, Lanes::Pixels] {
+        assert!(seen.contains(&lanes), "no shape ran with {lanes:?} lanes");
     }
 }
 
@@ -219,6 +258,23 @@ fn every_sample_of_a_batch_equals_its_batch_of_one_forward_on_every_route() {
         "1x1".into(),
         conv(&mut rng, 6, 8, 1, 0, 1, true),
         vec![6, 5, 4],
+    ));
+    // p = 4 output pixels: the column count crosses one column block
+    // between n = 1 (thin kernels), n = 2 (exactly one block) and n = 3.
+    layers.push((
+        "1x1 on 2x2".into(),
+        conv(&mut rng, 6, 8, 1, 0, 1, true),
+        vec![6, 2, 2],
+    ));
+    layers.push((
+        "3x3 s2 to 2x2".into(),
+        conv_plan(&mut rng, 6, 8, 3, 2, 1, 1, true),
+        vec![6, 4, 4],
+    ));
+    layers.push((
+        "groups 2 to 2x2".into(),
+        conv_plan(&mut rng, 6, 8, 3, 2, 1, 2, true),
+        vec![6, 3, 4],
     ));
     layers.push((
         "groups 2".into(),
@@ -258,7 +314,7 @@ fn every_sample_of_a_batch_equals_its_batch_of_one_forward_on_every_route() {
             for &bw in BitWidthSet::large_range().widths() {
                 let ops = pack(plan, bw.get(), q);
                 let solo: Vec<Tensor> = (0..MAX_N)
-                    .map(|i| exec_ops(&ops, &samples(&x, i..i + 1), bw, q, ActQuant::PerSample))
+                    .map(|i| exec_ops(&ops, &samples(&x, i..i + 1), per_sample(bw, q), None))
                     .collect();
                 cases.push((format!("{name} {q:?} {bw}"), ops, bw, q, x.clone(), solo));
             }
@@ -267,9 +323,9 @@ fn every_sample_of_a_batch_equals_its_batch_of_one_forward_on_every_route() {
     let check = |route: &str| {
         for (ctx, ops, bw, q, x, solo) in &cases {
             for threads in [1, 3] {
-                for n in [1, 2, 7, 16, MAX_N] {
+                for n in [1, 2, 3, 7, 16, MAX_N] {
                     let y = with_threads(threads, || {
-                        exec_ops(ops, &samples(x, 0..n), *bw, *q, ActQuant::PerSample)
+                        exec_ops(ops, &samples(x, 0..n), per_sample(*bw, *q), None)
                     });
                     for (i, want) in solo.iter().enumerate().take(n) {
                         let ctx = format!("{ctx} [{route}, {threads} threads] sample {i} of {n}");
@@ -365,9 +421,9 @@ fn admitted_layers_never_overflow_and_refused_ones_change_route() {
                         (KernelWeights::Words(_), Storage::Nibble(_)) => 8,
                         _ => 0,
                     };
-                    let got = exec_ops(&ops, &x, bw, q, ActQuant::PerSample);
+                    let got = exec_ops(&ops, &x, per_sample(bw, q), None);
                     let tier =
-                        with_fused_gemm(false, || exec_ops(&ops, &x, bw, q, ActQuant::PerSample));
+                        with_fused_gemm(false, || exec_ops(&ops, &x, per_sample(bw, q), None));
                     assert_bits_eq(&got, &tier, &format!("{ctx} n {n}: fused vs tier"));
                     for row in 0..2 {
                         let (want, peak) = oracle(g, row, &codes.codes, codes.scale, shift);

@@ -18,7 +18,8 @@
 //!   work (asserted by tests against [`PackedModel::pack_passes`]).
 //! * The same pass lays weights out the way the kernels read them
 //!   ([`KernelWeights`]): fused `u32` weight words for ≤ 8-bit layers on
-//!   CPUs with a fused kernel, the decoded tap table for depthwise layers.
+//!   CPUs with a fused kernel, the decoded tap-major table for depthwise
+//!   layers.
 //!   A forward on those layers touches no weight-layout code at all; only
 //!   the decode-then-multiply tier path (9–16-bit layers, and the portable
 //!   fallback of fused layers) still decodes `Storage` rows as it goes.
@@ -28,6 +29,14 @@
 //!   i32-accumulate (i64 for 9–16 bit) GEMM and im2col-conv kernels,
 //!   row-parallel via `instantnet-parallel`. Integer accumulation is
 //!   exact, so results are bit-identical at any thread count.
+//! * Each layer's SIMD lanes follow its long axis, chosen from its geometry
+//!   and the backend's lane count with no knob (the `route` module's rules,
+//!   DESIGN.md §6c): depthwise layers vectorise over pixels where an output
+//!   row fills a vector and over channels where it cannot, and a GEMM with
+//!   fewer columns than one column block (a lone sample on a 2×2 map, a
+//!   small-batch linear) dots along its reduction. Every orientation
+//!   accumulates the same exact value. [`PackedModel::forward_profiled`]
+//!   reports each executed op with the route it took.
 //! * The hot reduction kernels run through a one-time runtime-dispatched
 //!   backend table ([`mod@simd`]): explicit AVX2 kernels where the CPU
 //!   supports them, portable scalar Rust everywhere else, overridable
@@ -57,6 +66,7 @@ use std::sync::Arc;
 
 mod exec;
 mod pack;
+mod route;
 pub mod simd;
 
 pub use simd::{
@@ -147,6 +157,8 @@ pub enum Storage {
     I16(Vec<i16>),
     /// Plain f32 weights: full precision, stem layers whose input is not
     /// quantized, or bit-widths above 16 (already fake-quantized values).
+    /// Row-major `[rows, cols]`, except depthwise layers: tap-major
+    /// `[r·s, channels]`, like [`KernelWeights::Taps`].
     F32(Vec<f32>),
 }
 
@@ -303,8 +315,10 @@ pub enum KernelWeights {
     /// (`pack.rs`) *and* this CPU has a fused kernel; the scalar backend
     /// and [`with_fused_gemm`]`(false)` ignore them and decode `storage`.
     Words(Vec<u32>),
-    /// Depthwise tap table: the `channels × r·s` re-centered codes,
-    /// decoded. Depthwise layers never read `storage` in a forward.
+    /// Depthwise tap table: the re-centered codes, decoded and tap-major
+    /// (`[r·s, channels]`, a tap's channels contiguous — what either SIMD
+    /// orientation of the depthwise kernel reads). Depthwise layers never
+    /// read `storage` in a forward.
     Taps(Vec<i32>),
 }
 
@@ -317,6 +331,23 @@ impl KernelWeights {
             KernelWeights::Taps(t) => 4 * t.len(),
         }
     }
+}
+
+/// One executed op of [`PackedModel::forward_profiled`].
+#[derive(Debug, Clone)]
+pub struct OpProfile {
+    /// `depthwise`, `pointwise`, `conv`, `linear`, `act`, `pool` or `add`
+    /// (a residual's elementwise sum; its branches report op by op).
+    pub kind: &'static str,
+    /// The op's input dims, and for a GEMM layer ` -> ` its output rows,
+    /// kernel, stride, padding and groups.
+    pub shape: String,
+    /// The arithmetic the op ran on the active backend and what its SIMD
+    /// lanes held, `{arith}/{lanes}` (`FusedNibble/Reduction`,
+    /// `Tier(F32)/Channels`, …); `f32` for the ops that have no kernel choice.
+    pub route: String,
+    /// Wall time of the op.
+    pub elapsed: std::time::Duration,
 }
 
 /// Whether a conv is depthwise (one input channel and one filter per
@@ -571,6 +602,15 @@ impl PackedModel {
         validate_ops_input(&self.nets[index].ops, dims)
     }
 
+    /// The activation rule of net `index` at scale granularity `aq`.
+    fn rule(&self, index: usize, aq: exec::ActQuant) -> exec::ActRule {
+        exec::ActRule {
+            bits: self.nets[index].bits,
+            quantizer: self.quantizer,
+            aq,
+        }
+    }
+
     /// Runs the packed network at the active bit-width.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         self.forward_at(self.active, x)
@@ -606,14 +646,8 @@ impl PackedModel {
     /// [`InferError::Input`] when `x` does not fit the first layer.
     pub fn try_forward_at(&self, index: usize, x: &Tensor) -> Result<Tensor, InferError> {
         self.validate_input(index, x)?;
-        let net = &self.nets[index];
-        Ok(exec::exec_ops(
-            &net.ops,
-            x,
-            net.bits,
-            self.quantizer,
-            exec::ActQuant::PerBatch,
-        ))
+        let rule = self.rule(index, exec::ActQuant::PerBatch);
+        Ok(exec::exec_ops(&self.nets[index].ops, x, rule, None))
     }
 
     /// Runs an aggregated request batch at the active bit-width — the
@@ -668,14 +702,31 @@ impl PackedModel {
     /// [`InferError::Input`] when `x` does not fit the first layer.
     pub fn try_forward_batch_at(&self, index: usize, x: &Tensor) -> Result<Tensor, InferError> {
         self.validate_input(index, x)?;
-        let net = &self.nets[index];
-        Ok(exec::exec_ops(
-            &net.ops,
-            x,
-            net.bits,
-            self.quantizer,
-            exec::ActQuant::PerSample,
-        ))
+        let rule = self.rule(index, exec::ActQuant::PerSample);
+        Ok(exec::exec_ops(&self.nets[index].ops, x, rule, None))
+    }
+
+    /// [`Self::forward_batch_at`], reporting every op it executes to `sink`
+    /// as the op finishes: kind, shape, route and elapsed time (the per-op
+    /// table of EXPERIMENTS.md as a command — `examples/forward_profile.rs`
+    /// prints it). The same code path with a clock read around each op:
+    /// the output is bit-identical, and the unprofiled forwards read no
+    /// clock at all.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::forward_batch_at`].
+    pub fn forward_profiled(
+        &self,
+        index: usize,
+        x: &Tensor,
+        sink: &mut dyn FnMut(OpProfile),
+    ) -> Tensor {
+        if let Err(e) = self.validate_input(index, x) {
+            panic!("forward_profiled: {e}");
+        }
+        let rule = self.rule(index, exec::ActQuant::PerSample);
+        exec::exec_ops(&self.nets[index].ops, x, rule, Some(sink))
     }
 }
 
@@ -917,7 +968,10 @@ mod tests {
                     match &g.kernel {
                         KernelWeights::Taps(t) => {
                             assert!(depthwise);
-                            assert_eq!(t, &d, "taps are the decoded codes");
+                            let want: Vec<i32> = (0..g.cols)
+                                .flat_map(|tap| d.iter().skip(tap).step_by(g.cols).copied())
+                                .collect();
+                            assert_eq!(t, &want, "taps are the decoded codes, tap-major");
                             taps += 1;
                         }
                         KernelWeights::Words(w) => {

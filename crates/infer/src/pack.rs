@@ -74,10 +74,19 @@ fn pack_words<F: FusedTier>(d: &[i32], cols: usize) -> Vec<u32> {
         .collect()
 }
 
+/// A depthwise layer's `[c, r·s]` weights tap-major, `[r·s, c]`: what both
+/// SIMD orientations of `exec::Depthwise` read (a tap's channels contiguous).
+fn tap_major<T: Copy>(w: &[T], taps: usize) -> Vec<T> {
+    (0..taps)
+        .flat_map(|t| w.iter().skip(t).step_by(taps).copied())
+        .collect()
+}
+
 /// Packs one weight matrix (+ optional folded BN / linear bias) for one
 /// bit-width. `quantize_input` mirrors the plan flag: when false the layer
 /// consumes raw f32 activations and must stay on the f32 kernel path.
-/// `depthwise` layers get a decoded tap table instead of GEMM words.
+/// `depthwise` layers get a decoded tap table instead of GEMM words, and on
+/// the f32 path their weights themselves, both [`tap_major`].
 #[allow(clippy::too_many_arguments)]
 fn pack_gemm(
     weight: &Tensor,
@@ -124,7 +133,7 @@ fn pack_gemm(
         return Ok(PackedGemm {
             rows,
             cols,
-            storage: Storage::F32(w),
+            storage: Storage::F32(if depthwise { tap_major(&w, cols) } else { w }),
             scale: bn_scale,
             colsum_coef: vec![0.0; rows],
             bias,
@@ -200,7 +209,7 @@ fn pack_gemm(
     let fits = |max_w: i64| max_w * act_bound <= i64::from(i32::MAX) / 2;
     let can_fuse = avx2_available() || neon_available();
     let kernel = match &storage {
-        _ if depthwise => KernelWeights::Taps(d),
+        _ if depthwise => KernelWeights::Taps(tap_major(&d, cols)),
         Storage::Nibble(_) if can_fuse && fits(15) => {
             KernelWeights::Words(pack_words::<FusedNibble>(&d, cols))
         }

@@ -42,6 +42,15 @@
 //!   (x86) / `smull`+pairwise-add (NEON) forms i32 pair sums directly —
 //!   each product is bounded by 128·255, so the i32 pair sum is exact.
 //!
+//! Each has a **thin** orientation (`gemm_nibble_thin`/`gemm_i8_thin`, AVX2)
+//! for GEMMs with fewer columns than the column block, which the kernels
+//! above would run entirely in their scalar tail: the register holds
+//! consecutive *reduction* lanes of one column against the matching weight
+//! words (the same pack-time words, read in place), accumulates lane-wise
+//! down the reduction and sums horizontally. Every lane's partial sum, and
+//! their sum, is a sub-sum of the shifted reduction pack time bounds, so the
+//! same admission gate covers both orientations.
+//!
 //! Pack time builds the weight words (`KernelWeights::Words`) only when
 //! the whole shifted reduction and the column sums fit i32 with ×2 slack
 //! (mirroring the 2^24 f32 bound; DESIGN.md §6g) — so the fused
@@ -81,7 +90,10 @@
 //!    from a bounds-checked subslice of exactly the lanes it touches, so
 //!    the unsafe surface is the intrinsic call itself, never the
 //!    addressing. Slice-shape contracts (`acts.len() == wrow.len() *
-//!    acc.len()`) are debug-asserted at the wrapper boundary.
+//!    acc.len()`) are debug-asserted at the wrapper boundary; the thin
+//!    kernels' (each column whole vector steps covering the weight row) is
+//!    an `assert!`, because violating it would read a neighbouring column
+//!    in bounds — wrong, not unsafe — rather than panic.
 
 use crate::Storage;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -113,6 +125,10 @@ impl SimdBackend {
 /// backend; [`kernels`] picks which one the engine routes through.
 pub(crate) struct Kernels {
     pub(crate) backend: SimdBackend,
+    /// i32/f32 lanes per register — the column block of every kernel below.
+    /// What `crate::exec` measures a layer's axes against when it picks
+    /// which one goes in the lanes.
+    pub(crate) lanes: usize,
     /// `acc[j] += Σ_p wrow[p] · acts[p · acc.len() + j]` in i32.
     pub(crate) accumulate_i32: fn(&mut [i32], &[i32], &[i32]),
     /// The i64-accumulator variant (12/16-bit layers).
@@ -130,14 +146,27 @@ pub(crate) struct Kernels {
     /// Fused i8 GEMM: same contract over i16 weight pairs and an
     /// interleaved i16 block, no shift.
     pub(crate) gemm_i8: Option<FusedKernel<i16>>,
+    /// The thin orientation of `gemm_nibble`, for fewer than `lanes`
+    /// columns: the operand is column-major (`[ncols, stride]`, `stride` a
+    /// zero-padded multiple of [`THIN_WORDS`] words' worth of lanes) and the
+    /// SIMD lanes run along the reduction, `acc[j] += Σ_q Σ_k byte_k(w[q]) ·
+    /// block[j·stride + 4·q + k]` (`None`: thin GEMMs take `gemm_nibble`).
+    pub(crate) gemm_nibble_thin: Option<FusedKernel<i8>>,
+    /// The thin orientation of `gemm_i8`, same contract over i16 pairs.
+    pub(crate) gemm_i8_thin: Option<FusedKernel<i16>>,
 }
 
 /// A fused GEMM kernel: `(acc, packed weight words, interleaved activation
 /// block, ncols)`.
 pub(crate) type FusedKernel<L> = fn(&mut [i32], &[u32], &[L], usize);
 
+/// Weight words one vector step of a thin kernel consumes; thin operands pad
+/// every column to a whole number of steps.
+pub(crate) const THIN_WORDS: usize = 8;
+
 static SCALAR: Kernels = Kernels {
     backend: SimdBackend::Scalar,
+    lanes: 8,
     accumulate_i32: crate::exec::accumulate_i32_scalar,
     accumulate_i64: crate::exec::accumulate_i64_scalar,
     accumulate_f32: crate::exec::accumulate_f32_scalar,
@@ -147,11 +176,14 @@ static SCALAR: Kernels = Kernels {
     // parity suite measures everything against.
     gemm_nibble: None,
     gemm_i8: None,
+    gemm_nibble_thin: None,
+    gemm_i8_thin: None,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX2: Kernels = Kernels {
     backend: SimdBackend::Avx2,
+    lanes: 8,
     accumulate_i32: avx2::accumulate_i32,
     accumulate_i64: avx2::accumulate_i64,
     accumulate_f32: avx2::accumulate_f32,
@@ -159,11 +191,14 @@ static AVX2: Kernels = Kernels {
     decode_row_f32: avx2::decode_row_f32,
     gemm_nibble: Some(avx2::gemm_nibble),
     gemm_i8: Some(avx2::gemm_i8),
+    gemm_nibble_thin: Some(avx2::gemm_nibble_thin),
+    gemm_i8_thin: Some(avx2::gemm_i8_thin),
 };
 
 #[cfg(target_arch = "aarch64")]
 static NEON: Kernels = Kernels {
     backend: SimdBackend::Neon,
+    lanes: 4,
     accumulate_i32: neon::accumulate_i32,
     accumulate_i64: neon::accumulate_i64,
     accumulate_f32: neon::accumulate_f32,
@@ -173,6 +208,9 @@ static NEON: Kernels = Kernels {
     decode_row_f32: Storage::decode_row_f32_scalar,
     gemm_nibble: Some(neon::gemm_nibble),
     gemm_i8: Some(neon::gemm_i8),
+    // Below four columns the column kernels' scalar tail stays the route.
+    gemm_nibble_thin: None,
+    gemm_i8_thin: None,
 };
 
 fn table(backend: SimdBackend) -> &'static Kernels {
@@ -432,6 +470,11 @@ mod avx2 {
         _mm256_storeu_ps, _mm256_storeu_si256, _mm256_unpackhi_epi32, _mm256_unpackhi_epi64,
         _mm256_unpacklo_epi32, _mm256_unpacklo_epi64, _mm_loadl_epi64, _mm_loadu_si128,
     };
+    // The thin kernels' horizontal sum.
+    use core::arch::x86_64::{
+        _mm256_castsi256_si128, _mm256_extracti128_si256, _mm_add_epi32, _mm_cvtsi128_si32,
+        _mm_shuffle_epi32,
+    };
 
     /// i32/f32 lanes per 256-bit register.
     const L: usize = 8;
@@ -491,6 +534,18 @@ mod avx2 {
         );
         // SAFETY: as in `accumulate_i32`.
         unsafe { gemm_i8_kernel(acc, wpairs, block, ncols) }
+    }
+
+    pub(super) fn gemm_nibble_thin(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize) {
+        debug_assert_eq!(acc.len(), ncols);
+        // SAFETY: as in `accumulate_i32`.
+        unsafe { gemm_nibble_thin_kernel(acc, wquads, block) }
+    }
+
+    pub(super) fn gemm_i8_thin(acc: &mut [i32], wpairs: &[u32], block: &[i16], ncols: usize) {
+        debug_assert_eq!(acc.len(), ncols);
+        // SAFETY: as in `accumulate_i32`.
+        unsafe { gemm_i8_thin_kernel(acc, wpairs, block) }
     }
 
     pub(super) fn decode_row_i32(storage: &Storage, row: usize, cols: usize, out: &mut [i32]) {
@@ -795,6 +850,84 @@ mod avx2 {
             j += L;
         }
         super::gemm_i8_ref(acc, wpairs, block, ncols, j);
+    }
+
+    // --- thin fused GEMM kernels (lanes along the reduction) ---
+
+    /// Loads one thin vector step of weight words.
+    #[target_feature(enable = "avx2")]
+    fn load_words(s: &[u32]) -> __m256i {
+        let lane = &s[..super::THIN_WORDS];
+        // SAFETY: 8 readable u32 words per the slice above; unaligned load.
+        unsafe { _mm256_loadu_si256(lane.as_ptr().cast()) }
+    }
+
+    /// Sum of the eight i32 lanes.
+    #[target_feature(enable = "avx2")]
+    fn hsum_i32(v: __m256i) -> i32 {
+        let q = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+        let d = _mm_add_epi32(q, _mm_shuffle_epi32::<0b00_00_11_10>(q));
+        _mm_cvtsi128_si32(_mm_add_epi32(d, _mm_shuffle_epi32::<0b00_00_00_01>(d)))
+    }
+
+    /// Walks a thin GEMM over a column-major operand of `len` lanes, `lanes`
+    /// of them per vector step: `acc[j] += Σ step(weights, at)` over column
+    /// `j`'s steps — the row's whole steps, then its ragged tail copied once
+    /// into a zeroed step (it meets the column's zero padding) — summed
+    /// across the register. Every lane adds a subset of the column's terms
+    /// and the horizontal sum adds the lanes, so all of it stays inside the
+    /// whole shifted reduction pack time admits to i32.
+    #[target_feature(enable = "avx2")]
+    fn thin_columns(
+        acc: &mut [i32],
+        wrow: &[u32],
+        (len, lanes): (usize, usize),
+        step: impl Fn(__m256i, usize) -> __m256i,
+    ) {
+        let stride = len / acc.len().max(1);
+        // Columns are whole steps that cover the weight row: a step never
+        // reads a neighbouring column's lanes (or, the loads being
+        // bounds-checked subslices, past the operand).
+        assert!(
+            stride * acc.len() == len && stride >= wrow.len().div_ceil(super::THIN_WORDS) * lanes,
+            "thin operand must be [ncols, whole steps covering the weight row]"
+        );
+        let (full, tail) = wrow.split_at(wrow.len() / super::THIN_WORDS * super::THIN_WORDS);
+        let mut last = [0u32; super::THIN_WORDS];
+        last[..tail.len()].copy_from_slice(tail);
+        for (j, a) in acc.iter_mut().enumerate() {
+            let (mut s, mut at) = (_mm256_setzero_si256(), j * stride);
+            for w in full.chunks_exact(super::THIN_WORDS) {
+                s = _mm256_add_epi32(s, step(load_words(w), at));
+                at += lanes;
+            }
+            if !tail.is_empty() {
+                s = _mm256_add_epi32(s, step(load_words(&last), at));
+            }
+            *a += hsum_i32(s);
+        }
+    }
+
+    /// Thin nibble GEMM: [`gemm_nibble_kernel`]'s `maddubs` → `madd`-by-ones
+    /// contraction (pairs ≤ 450, no saturation), but a register holds 32
+    /// consecutive reduction lanes of *one* column against the 32 matching
+    /// `w + 8` bytes of the weight row.
+    #[target_feature(enable = "avx2")]
+    fn gemm_nibble_thin_kernel(acc: &mut [i32], wquads: &[u32], block: &[i8]) {
+        let ones = _mm256_set1_epi16(1);
+        thin_columns(acc, wquads, (block.len(), 32), |w, at| {
+            _mm256_madd_epi16(_mm256_maddubs_epi16(w, load_i8_32(block, at)), ones)
+        });
+    }
+
+    /// Thin i8 GEMM: [`gemm_i8_kernel`]'s `madd` on i16 pairs (products ≤
+    /// 128·255, exact i32 pair sums) over 16 consecutive reduction lanes of
+    /// one column.
+    #[target_feature(enable = "avx2")]
+    fn gemm_i8_thin_kernel(acc: &mut [i32], wpairs: &[u32], block: &[i16]) {
+        thin_columns(acc, wpairs, (block.len(), 16), |w, at| {
+            _mm256_madd_epi16(w, load_i16_16(block, at))
+        });
     }
 
     // --- decode kernels ---
@@ -1353,6 +1486,30 @@ mod tests {
         }
     }
 
+    /// Scalar reference of the thin nibble kernel ([`Kernels::gemm_nibble_thin`]'s
+    /// contract, column `j` at `block[j·stride..]`).
+    #[cfg(target_arch = "x86_64")]
+    fn gemm_nibble_thin_ref(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize) {
+        for (a, col) in acc.iter_mut().zip(block.chunks_exact(block.len() / ncols)) {
+            for (&wq, lanes) in wquads.iter().zip(col.chunks_exact(4)) {
+                for (k, &v) in lanes.iter().enumerate() {
+                    *a += (((wq >> (8 * k)) & 0xFF) as i32) * i32::from(v);
+                }
+            }
+        }
+    }
+
+    /// Scalar reference of the thin i8 kernel.
+    #[cfg(target_arch = "x86_64")]
+    fn gemm_i8_thin_ref(acc: &mut [i32], wpairs: &[u32], block: &[i16], ncols: usize) {
+        for (a, col) in acc.iter_mut().zip(block.chunks_exact(block.len() / ncols)) {
+            for (&wp, lanes) in wpairs.iter().zip(col.chunks_exact(2)) {
+                *a += i32::from((wp & 0xFFFF) as u16 as i16) * i32::from(lanes[0])
+                    + i32::from((wp >> 16) as u16 as i16) * i32::from(lanes[1]);
+            }
+        }
+    }
+
     /// Naive fused-nibble model: unsigned-shifted weight bytes times i8
     /// activation lanes, straight i32 arithmetic.
     fn naive_nibble(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize) {
@@ -1478,6 +1635,139 @@ mod tests {
                 assert_eq!(want, fused, "i8 avx2: ncols {ncols} edge {edge}");
             }
         }
+    }
+
+    /// Thin AVX2 kernels vs their scalar references at every column count
+    /// around the block width × reduction lengths around the 8-word vector
+    /// step (ragged tails of 1 and 7 words, none, one past), random and
+    /// saturation-edge codes. The operand's padding lanes carry garbage:
+    /// the kernel must owe nothing to them (the row's zeroed tail step
+    /// silences them), and must never read a neighbouring column.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn thin_gemm_kernels_match_reference_bit_for_bit() {
+        if !avx2_available() {
+            eprintln!("skipping: no AVX2 on this CPU");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0x7415);
+        for ncols in 1usize..=9 {
+            for words in [1usize, 7, 8, 9, 17, 60, 64] {
+                for edge in [false, true] {
+                    let init: Vec<i32> =
+                        (0..ncols).map(|_| rng.gen_range(-1000i32..1000)).collect();
+                    let steps = words.div_ceil(THIN_WORDS) * THIN_WORDS;
+                    let mut pick = |lo: i32, hi: i32| {
+                        if edge {
+                            [lo, hi][rng.gen_range(0..2usize)]
+                        } else {
+                            rng.gen_range(lo..=hi)
+                        }
+                    };
+
+                    let wquads: Vec<u32> = (0..words)
+                        .map(|_| (0..4).fold(0u32, |w, k| w | (pick(0, 15) as u32) << (8 * k)))
+                        .collect();
+                    let block: Vec<i8> = (0..ncols * steps * 4)
+                        .map(|_| pick(-15, 15) as i8)
+                        .collect();
+                    let (mut want, mut got) = (init.clone(), init.clone());
+                    gemm_nibble_thin_ref(&mut want, &wquads, &block, ncols);
+                    avx2::gemm_nibble_thin(&mut got, &wquads, &block, ncols);
+                    assert_eq!(
+                        want, got,
+                        "nibble: {ncols} cols, {words} words, edge {edge}"
+                    );
+
+                    let wpairs: Vec<u32> = (0..words)
+                        .map(|_| {
+                            let (lo, hi) = (pick(-128, 127) as i16, pick(-128, 127) as i16);
+                            u32::from(lo as u16) | (u32::from(hi as u16) << 16)
+                        })
+                        .collect();
+                    let block: Vec<i16> = (0..ncols * steps * 2)
+                        .map(|_| pick(-255, 255) as i16)
+                        .collect();
+                    let (mut want, mut got) = (init.clone(), init);
+                    gemm_i8_thin_ref(&mut want, &wpairs, &block, ncols);
+                    avx2::gemm_i8_thin(&mut got, &wpairs, &block, ncols);
+                    assert_eq!(want, got, "i8: {ncols} cols, {words} words, edge {edge}");
+                }
+            }
+        }
+    }
+
+    /// The thin kernels' overflow argument at the pack-time admission
+    /// boundary (`pack.rs`: `max_w · max|a| · cols ≤ i32::MAX / 2`) and one
+    /// reduction row either side: with every weight and activation at its
+    /// worst-case code, the lane-wise i32 accumulation and its horizontal sum
+    /// equal an i128 oracle, and the accumulator peak stays inside i32.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn thin_kernels_are_exact_at_the_admission_boundary() {
+        if !avx2_available() {
+            eprintln!("skipping: no AVX2 on this CPU");
+            return;
+        }
+        fn padded<L: Copy + Default>(col: &[L], group: usize) -> Vec<L> {
+            let mut col = col.to_vec();
+            col.resize(
+                col.len().div_ceil(THIN_WORDS * group) * THIN_WORDS * group,
+                L::default(),
+            );
+            col
+        }
+        let limit = i128::from(i32::MAX) / 2;
+        let nibble = (limit / (15 * 15)) as usize;
+        for rows in [nibble - 1, nibble, nibble + 1] {
+            for a in [15i8, -15] {
+                // Shifted top code 15 in every byte; the last word's missing
+                // lanes stay zero, as `pack_words` leaves them.
+                let mut wquads = vec![0x0F0F_0F0Fu32; rows.div_ceil(4)];
+                *wquads.last_mut().unwrap() >>= 8 * (wquads.len() * 4 - rows);
+                let mut acc = [0i32];
+                avx2::gemm_nibble_thin(&mut acc, &wquads, &padded(&vec![a; rows], 4), 1);
+                let want = 15 * i128::from(a) * rows as i128;
+                assert_eq!(i128::from(acc[0]), want, "nibble, {rows} rows of {a}");
+                assert!(want.abs() <= i128::from(i32::MAX));
+            }
+        }
+        let i8_rows = (limit / (128 * 255)) as usize;
+        for rows in [i8_rows - 1, i8_rows, i8_rows + 1] {
+            for a in [255i16, -255] {
+                let half = u32::from(-128i16 as u16);
+                let mut wpairs = vec![half | half << 16; rows.div_ceil(2)];
+                if rows % 2 == 1 {
+                    *wpairs.last_mut().unwrap() = half;
+                }
+                let mut acc = [0i32];
+                avx2::gemm_i8_thin(&mut acc, &wpairs, &padded(&vec![a; rows], 2), 1);
+                let want = -128 * i128::from(a) * rows as i128;
+                assert_eq!(i128::from(acc[0]), want, "i8, {rows} rows of {a}");
+                assert!(want.abs() <= i128::from(i32::MAX));
+            }
+        }
+    }
+
+    /// The shape contract the thin kernels' in-bounds argument rests on is
+    /// checked in release builds: a column that is not whole vector steps
+    /// covering the weight row is refused, not read past.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn thin_kernels_refuse_operands_that_do_not_cover_the_weight_row() {
+        if !avx2_available() {
+            eprintln!("skipping: no AVX2 on this CPU");
+            return;
+        }
+        // 9 words need two 8-word steps per column; one is offered.
+        let short = std::panic::catch_unwind(|| {
+            avx2::gemm_nibble_thin(&mut [0; 2], &[0; 9], &[0i8; 2 * 32], 2);
+        });
+        assert!(short.is_err());
+        let ragged = std::panic::catch_unwind(|| {
+            avx2::gemm_i8_thin(&mut [0; 3], &[0; 8], &[0i16; 3 * 16 + 1], 3);
+        });
+        assert!(ragged.is_err());
     }
 
     #[test]

@@ -307,22 +307,26 @@ fn round_half_away_small(v: f32) -> i32 {
     even + i32::from(d == 0.5 && v > 0.0) - i32::from(d == -0.5 && v < 0.0)
 }
 
-/// Codes [`emit_codes`] rounds contiguously before scattering short groups.
+/// Codes [`emit_codes`] rounds contiguously before scattering them.
 const EMIT_TILE: usize = 256;
+/// Shortest row [`emit_codes`] rounds in place at its pitch: one vector of
+/// f32 inputs. Shorter rows do not amortise a rounding loop of their own.
+const EMIT_ROW: usize = 8;
 
 /// Emits `round_half_away(grid(v))` for every activation, in lane type
-/// `L`: the code of `x[p]` lands at `out[p / group * pitch + p % group]`
-/// (`group == pitch == x.len()` is the plain contiguous emission). `grid`
-/// maps a value onto the code axis, within `±(2^bits - 1)` or NaN. One loop
-/// per rounding routine so each stays a straight-line, vectorisable body;
-/// only grids above [`SMALL_GRID_BITS`] (which the integer engine never
-/// packs) pay for the cast. Groups too short to vectorise over are rounded
-/// a tile at a time and then scattered, lane by lane or — four-lane groups —
-/// a group at a time.
+/// `L`: the code of `x[p]` lands at `out[p / group * pitch + p % group *
+/// step]` (`step == 1` with `group == pitch` or `group >= x.len()` is the
+/// plain contiguous emission; `pitch == 1` with `step` the row count is a
+/// transposition). `grid` maps a value onto the code axis, within `±(2^bits -
+/// 1)` or NaN. One rounding loop, whatever the layout — only grids above
+/// [`SMALL_GRID_BITS`] (which the integer engine never packs) pay for the
+/// cast: rows of at least [`EMIT_ROW`] contiguous codes are rounded where
+/// they land; anything else is rounded a tile at a time and scattered, the
+/// longer of the tile's two axes innermost.
 fn emit_codes<L: CodeLane>(
     x: &[f32],
     out: &mut [L],
-    (group, pitch): (usize, usize),
+    (group, pitch, step): (usize, usize, usize),
     bits: u8,
     grid: impl Fn(f32) -> f32,
 ) {
@@ -337,40 +341,90 @@ fn emit_codes<L: CodeLane>(
             }
         }
     };
-    if group == pitch {
+    if step == 1 && (group == pitch || group >= x.len()) {
         return round(x, out);
     }
-    if group >= EMIT_TILE / 4 {
+    if step == 1 && group >= EMIT_ROW {
         for (xs, os) in x.chunks(group).zip(out.chunks_mut(pitch)) {
             round(xs, os);
         }
         return;
     }
     let mut tile = [L::from_code(0); EMIT_TILE];
-    let per_tile = EMIT_TILE / group;
-    for (xs, os) in x
-        .chunks(per_tile * group)
-        .zip(out.chunks_mut(per_tile * pitch))
-    {
+    // Whole groups per tile where a group fits one; longer groups go a
+    // tile-length piece at a time.
+    let per_tile = if group < EMIT_TILE {
+        EMIT_TILE / group * group
+    } else {
+        EMIT_TILE
+    };
+    for (ti, xs) in x.chunks(per_tile).enumerate() {
         let tile = &mut tile[..xs.len()];
         round(xs, tile);
-        if group == 4 {
-            // The nibble kernels' group: a constant-length copy is one move.
-            let (mut groups, mut dsts) = (tile.chunks_exact(4), os.chunks_mut(pitch));
-            for (src, dst) in groups.by_ref().zip(dsts.by_ref()) {
-                dst[..4].copy_from_slice(src);
-            }
-            if let Some(dst) = dsts.next() {
-                dst[..groups.remainder().len()].copy_from_slice(groups.remainder());
-            }
-            continue;
-        }
-        for lane in 0..group {
-            let codes = tile.iter().skip(lane).step_by(group);
-            for (o, &c) in os.iter_mut().skip(lane).step_by(pitch).zip(codes) {
+        // The tile starts at lane `k` of group `r`: the rest of that group
+        // (`k > 0` only where groups outgrow a tile), then whole groups — a
+        // `[rows, group]` matrix — then the start of a last, partial one.
+        let (r, k) = (ti * per_tile / group, ti * per_tile % group);
+        let (head, body) = tile.split_at(if k == 0 { 0 } else { xs.len().min(group - k) });
+        let (body, tail) = body.split_at(body.len() / group * group);
+        scatter(
+            head,
+            (1, head.len()),
+            out,
+            r * pitch + k * step,
+            (pitch, step),
+        );
+        let (r, rows) = (r + usize::from(k > 0), body.len() / group);
+        scatter(body, (rows, group), out, r * pitch, (pitch, step));
+        scatter(
+            tail,
+            (1, tail.len()),
+            out,
+            (r + rows) * pitch,
+            (pitch, step),
+        );
+    }
+}
+
+/// `out[at + r * pitch + k * step] = tile[r * group + k]` over a `[rows,
+/// group]` tile, the longer of the two axes innermost.
+fn scatter<L: Copy>(
+    tile: &[L],
+    (rows, group): (usize, usize),
+    out: &mut [L],
+    at: usize,
+    (pitch, step): (usize, usize),
+) {
+    if tile.is_empty() {
+        return;
+    }
+    let out = &mut out[at..];
+    if step == 1 && group == 2 {
+        // The fused kernels' interleave groups: a constant-length copy is
+        // one move.
+        copy_groups::<L, 2>(tile, out, pitch);
+    } else if step == 1 && group == 4 {
+        copy_groups::<L, 4>(tile, out, pitch);
+    } else if rows >= group {
+        for k in 0..group {
+            let src = tile[k..].iter().step_by(group);
+            for (o, &c) in out[k * step..].iter_mut().step_by(pitch).zip(src) {
                 *o = c;
             }
         }
+    } else {
+        for (src, r) in tile.chunks_exact(group).zip(0..) {
+            for (o, &c) in out[r * pitch..].iter_mut().step_by(step).zip(src) {
+                *o = c;
+            }
+        }
+    }
+}
+
+/// Group `r` of `tile` (`G` adjacent lanes) to `out[r * pitch..]`.
+fn copy_groups<L: Copy, const G: usize>(tile: &[L], out: &mut [L], pitch: usize) {
+    for (src, dst) in tile.chunks_exact(G).zip(out.chunks_mut(pitch)) {
+        dst[..G].copy_from_slice(src);
     }
 }
 
@@ -465,20 +519,43 @@ impl ActivationGrid {
     /// Panics if `group` is 0 or exceeds `pitch`, or `out` is too short.
     pub fn emit<L: CodeLane>(&self, x: &[f32], out: &mut [L], group: usize, pitch: usize) {
         assert!(group <= pitch, "groups of {group} overlap at pitch {pitch}");
+        self.emit_strided(x, out, group, pitch, 1);
+    }
+
+    /// [`Self::emit`] with the lanes of a group `step` apart: the code of
+    /// `x[p]` lands at `out[p / group * pitch + p % group * step]`. With `x`
+    /// a row-major `[rows, group]` matrix, `pitch = 1` and `step = rows`
+    /// emit it transposed — a `[channels, pixels]` sample straight into the
+    /// `[pixels, channels]` operand of a kernel whose lanes are channels —
+    /// in one call, scattered a rounded tile at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is 0 or `out` is too short for the farthest code.
+    pub fn emit_strided<L: CodeLane>(
+        &self,
+        x: &[f32],
+        out: &mut [L],
+        group: usize,
+        pitch: usize,
+        step: usize,
+    ) {
         let last = x.len().saturating_sub(1) / group;
+        let far = |row: usize, lanes: usize| row * pitch + lanes.saturating_sub(1) * step;
+        let full = if last > 0 { far(last - 1, group) } else { 0 };
         assert!(
-            out.len() >= last * pitch + (x.len() - last * group),
-            "the last group must fit"
+            x.is_empty() || out.len() > far(last, x.len() - last * group).max(full),
+            "every group must fit"
         );
         let (qmax, s) = (self.qmax, self.scale);
         if self.dorefa {
-            emit_codes(x, out, (group, pitch), self.bits, |v| {
+            emit_codes(x, out, (group, pitch, step), self.bits, |v| {
                 v.clamp(0.0, 1.0) * qmax
             });
         } else {
             // Clamping before rounding equals rounding before clamping:
             // rounding is monotone and the bounds are integers.
-            emit_codes(x, out, (group, pitch), self.bits, |v| {
+            emit_codes(x, out, (group, pitch, step), self.bits, |v| {
                 (v / s).clamp(-qmax, qmax)
             });
         }
@@ -1212,34 +1289,73 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grid_emits_the_same_codes_into_any_layout() {
-        // Lengths around the tile and with ragged last groups; layouts from
-        // the engine (one sample among `n` columns, `group` lanes at a time)
-        // plus a long-group one that skips the tile.
-        for len in [1usize, 5, 255, 256, 257, 700] {
+    /// Every layout the engine emits into — `(group, pitch)` rows on both
+    /// sides of [`EMIT_ROW`] and of the tile, one sample among `n` columns,
+    /// padded frames, and the `[rows, cols] → [cols, rows]` transposition at
+    /// row pitches with and without padding — against the contiguous emit,
+    /// in lane `L`: the same code for every `x[p]` at its slot, nothing
+    /// written anywhere else.
+    fn layouts_match_contiguous<L>(q: Quantizer, bits: u8, untouched: L)
+    where
+        L: CodeLane + PartialEq + std::fmt::Debug,
+    {
+        let bw = BitWidth::new(bits);
+        for len in [1usize, 5, 16, 64, 255, 256, 257, 700] {
             let x = random_tensor(len as u64, &[len]);
-            for q in [Quantizer::Sbm, Quantizer::Dorefa] {
-                for bits in [4u8, 8, 16, 24] {
-                    let bw = BitWidth::new(bits);
-                    let want = q.activation_codes(x.data(), bw).unwrap();
-                    let grid = q.activation_grid(x.data(), bw).unwrap();
-                    assert_eq!(grid.scale().to_bits(), want.scale.to_bits());
-                    for (group, n, i) in [(1, 3, 2), (2, 5, 0), (4, 16, 7), (4, 1, 0), (100, 2, 1)]
-                    {
-                        let pitch = n * group;
-                        let mut out = vec![i32::MIN; len.div_ceil(group) * pitch];
-                        grid.emit(x.data(), &mut out[i * group..], group, pitch);
-                        for (p, &c) in want.codes.iter().enumerate() {
-                            let at = p / group * pitch + i * group + p % group;
-                            assert_eq!(out[at], c, "{q:?} {bits}b len {len} group {group} p {p}");
-                        }
-                        let written = out.iter().filter(|&&c| c != i32::MIN).count();
-                        assert_eq!(written, len, "nothing outside the sample's lanes");
-                    }
+            let grid = q.activation_grid(x.data(), bw).unwrap();
+            let mut want = vec![untouched; len];
+            grid.emit(x.data(), &mut want, len, len);
+            let codes = q.activation_codes(x.data(), bw).unwrap().codes;
+            assert!(want.iter().zip(&codes).all(|(w, &c)| *w == L::from_code(c)));
+            let mut layouts = Vec::new();
+            for group in [1usize, 2, 3, 4, 7, 8, 9, 16, 17, 63, 64, 65, 100, 256, 300] {
+                for pitch in [group, group + 2, 3 * group] {
+                    layouts.push((group, pitch, 1));
                 }
             }
+            // `x` as `[rows, cols]`, transposed: lanes of a row `pitch` apart.
+            for cols in [1usize, 2, 4, 5, 16, 64, 100, 255, 256, 257, 300] {
+                let rows = len.div_ceil(cols);
+                layouts.extend([(cols, 1, rows), (cols, 1, rows + 3)]);
+            }
+            for (group, pitch, step) in layouts {
+                let at = |p: usize| p / group * pitch + p % group * step;
+                // One leading slot, as when a sample lands among others.
+                let mut out = vec![untouched; (0..len).map(at).max().unwrap() + 2];
+                grid.emit_strided(x.data(), &mut out[1..], group, pitch, step);
+                let ctx = format!("{q:?} {bits}b len {len} layout ({group}, {pitch}, {step})");
+                for (p, w) in want.iter().enumerate() {
+                    assert_eq!(out[1 + at(p)], *w, "{ctx}: x[{p}]");
+                }
+                let written = out.iter().filter(|&&c| c != untouched).count();
+                assert_eq!(written, len, "{ctx}: nothing outside the layout's slots");
+            }
         }
+    }
+
+    #[test]
+    fn grid_emits_the_same_codes_into_any_layout() {
+        for q in [Quantizer::Sbm, Quantizer::Dorefa] {
+            for bits in [2u8, 4, 8, 16] {
+                // Sentinels no code can take: below every lane's grid.
+                layouts_match_contiguous::<i32>(q, bits, i32::MIN);
+                layouts_match_contiguous::<f32>(q, bits, f32::MIN);
+                if bits <= 15 {
+                    layouts_match_contiguous::<i16>(q, bits, i16::MIN);
+                }
+                if bits <= 7 {
+                    layouts_match_contiguous::<i8>(q, bits, i8::MIN);
+                }
+            }
+            // The cast-rounding routine scatters through the same loops.
+            layouts_match_contiguous::<i32>(q, SMALL_GRID_BITS + 1, i32::MIN);
+        }
+        let grid = Quantizer::Sbm.activation_grid(&[1.0; 6], BitWidth::new(4));
+        let short = std::panic::catch_unwind(|| {
+            grid.unwrap()
+                .emit_strided(&[1.0; 6], &mut [0i32; 8], 3, 1, 4);
+        });
+        assert!(short.is_err(), "the farthest code must fit");
         assert!(Quantizer::Identity
             .activation_grid(&[1.0], BitWidth::new(4))
             .is_none());

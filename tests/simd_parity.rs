@@ -24,6 +24,9 @@
 //!   tap tables were built at prepack serves every route — fused,
 //!   fused-off, forced scalar, a replica clone — bit-identically, and no
 //!   forward repacks.
+//! * **Thin layers**: GEMMs with fewer columns than one column block (2×2
+//!   maps, small-batch linears) take the reduction-lane kernels; every route
+//!   agrees on them bit for bit, across the block boundary.
 //! * **Proptest**: random (rows, cols, batch, bit-width, quantizer)
 //!   linear and conv problems produce identical results under both
 //!   backends at 1 vs 3 threads.
@@ -317,6 +320,107 @@ fn prepacked_kernel_weights_serve_every_route_bit_identically() {
             assert_eq!(replica.pack_passes(), passes);
         }
     }
+}
+
+/// Whole layers whose GEMM has fewer columns than one column block — the
+/// thin, reduction-lane kernels' territory — and just past it: a 1×1 and a
+/// strided 3×3 onto a 2×2 map, a grouped conv, and a linear at every batch
+/// from 1 to 9 (the block boundary is 8 columns on AVX2). Dispatched, fused
+/// off, forced scalar and forced AVX2 must agree on every bit, at 1 and 3
+/// threads, per-sample and whole-tensor scales alike.
+#[test]
+fn thin_layers_serve_every_route_bit_identically() {
+    let bits = BitWidthSet::large_range();
+    let mut rng = StdRng::seed_from_u64(0x7411);
+    let pointwise = QuantConv2d::new(&mut rng, "pw", 40, 24, 1, 1, 0, 1, true);
+    let strided = QuantConv2d::new(&mut rng, "c3", 8, 32, 3, 2, 1, 1, true);
+    let grouped = QuantConv2d::new(&mut rng, "g2", 6, 8, 3, 2, 1, 2, true);
+    let linear = QuantLinear::new(&mut rng, "fc", 67, 19);
+    // (name, layer, sample dims, batch sizes)
+    type Layer<'a> = (
+        &'a str,
+        &'a dyn instantnet_nn::Module,
+        Vec<usize>,
+        Vec<usize>,
+    );
+    let layers: [Layer; 4] = [
+        ("1x1 on 2x2", &pointwise, vec![40, 2, 2], vec![1, 2, 3]),
+        ("3x3 s2 to 2x2", &strided, vec![8, 4, 4], vec![1, 2, 3]),
+        ("groups 2 to 1x2", &grouped, vec![6, 2, 3], vec![1, 3, 4, 5]),
+        ("linear", &linear, vec![67], (1..=9).collect()),
+    ];
+    for q in [Quantizer::Sbm, Quantizer::Dorefa] {
+        for (name, layer, dims, batches) in &layers {
+            let packed = PackedModel::prepack(*layer, &bits, q).unwrap();
+            for &n in batches {
+                let mut full = vec![n];
+                full.extend(dims);
+                let x = init::uniform(&mut rng, &full, -0.7, 1.2);
+                for i in 0..bits.len() {
+                    for threads in [1usize, 3] {
+                        let run = || with_threads(threads, || packed.forward_batch_at(i, &x));
+                        let ctx = format!(
+                            "{name} {q:?} @ {}b batch {n} threads {threads}",
+                            bits.widths()[i]
+                        );
+                        let scalar = with_simd_backend(SimdBackend::Scalar, run);
+                        assert_bits_eq(&run(), &scalar, &format!("dispatched: {ctx}"));
+                        let widen = with_fused_gemm(false, run);
+                        assert_bits_eq(&widen, &scalar, &format!("fused off: {ctx}"));
+                        if avx2_available() {
+                            let avx2 = with_simd_backend(SimdBackend::Avx2, run);
+                            assert_bits_eq(&avx2, &scalar, &format!("forced avx2: {ctx}"));
+                        }
+                        let whole = with_threads(threads, || packed.forward_at(i, &x));
+                        let whole_scalar = with_simd_backend(SimdBackend::Scalar, || {
+                            with_threads(threads, || packed.forward_at(i, &x))
+                        });
+                        assert_bits_eq(&whole, &whole_scalar, &format!("forward_at: {ctx}"));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The overrides are process-global, so a forward running *outside* a
+/// `with_simd_backend` / `with_fused_gemm` scope may see the active kernel
+/// table change under it. Every layer takes one snapshot of the table and
+/// routes on that alone — a route that straddled two tables would look up a
+/// fused kernel in a table that has none. Here one thread flips both
+/// overrides as fast as it can while another serves; every output must still
+/// be the reference, bit for bit.
+#[test]
+fn forwards_are_unmoved_by_overrides_flipping_under_them() {
+    let bits = BitWidthSet::large_range();
+    let net = models::mobilenet_v2(0.25, 2, 10, (16, 16), bits.len(), 5);
+    let packed = PackedModel::prepack(&net, &bits, Quantizer::Sbm).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xF11B);
+    let x = init::uniform(&mut rng, &[2, 3, 16, 16], -0.6, 1.2);
+    let want: Vec<Tensor> = (0..bits.len())
+        .map(|i| with_simd_backend(SimdBackend::Scalar, || packed.forward_batch_at(i, &x)))
+        .collect();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for flip in 0..4000 {
+                with_simd_backend(SimdBackend::Scalar, std::thread::yield_now);
+                with_fused_gemm(flip % 2 == 0, std::thread::yield_now);
+            }
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+        });
+        let mut served = 0usize;
+        while !done.load(std::sync::atomic::Ordering::SeqCst) || served < 50 {
+            let i = served % bits.len();
+            let y = packed.forward_batch_at(i, &x);
+            assert_bits_eq(
+                &y,
+                &want[i],
+                &format!("forward {served} @ {}b", bits.widths()[i]),
+            );
+            served += 1;
+        }
+    });
 }
 
 proptest! {
