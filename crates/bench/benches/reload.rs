@@ -14,9 +14,8 @@
 //!   published mid-drain from a publisher thread. The swap re-pins every
 //!   worker (an O(1) Arc clone each at the next batch boundary), so the
 //!   throughput dip is bounded: `bench_check` enforces
-//!   `reload_on / reload_off ≤ 1.1×`, mirroring the resilience ceiling —
-//!   hot reload is supposed to be bookkeeping on top of serving, not a
-//!   second serving path. (`reload_wall_{off,on}` record the criterion
+//!   `reload_on / reload_off ≤ 1.1×` — hot reload is supposed to be
+//!   bookkeeping on top of serving, not a second serving path. (`reload_wall_{off,on}` record the criterion
 //!   wall-time medians of the same two runs, for the cross-run history.)
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,27 +1,18 @@
-//! Overhead of the resilient serving path.
+//! The simulated step loop with every resilience option on.
 //!
-//! Three configurations push the same 48 requests through the same packed
-//! 4-bit CNN as the `serving` group:
-//!
-//! * `resilience_off` — the plain `simulate_serving_batched` baseline;
-//! * `resilience_defaults` — `simulate_serving_resilient` with every knob
-//!   at its default and no faults. This is the price of the resilient
-//!   machinery itself (admission checks, per-request status, the
-//!   `catch_unwind` fence) on the path that must stay bit-identical to
-//!   the baseline — `bench_check` holds it to ≤1.1× within the same run;
-//! * `resilience_chaos` — deadlines, a queue cap, retries, degradation,
-//!   and a seeded fault plan all active, as an informational upper bound
-//!   (it does strictly more bookkeeping *and* retries real forwards).
-//!
-//! Requests/sec is `48 / t` for the first two; the chaos row serves
-//! however many survive its fault plan.
+//! `resilience_chaos` pushes 48 requests through the same packed CNN as
+//! the `serving` group with deadlines, a queue cap, retries with backoff,
+//! step-time capacity, degradation and a seeded fault plan all active: the
+//! informational upper bound of the loop's bookkeeping (it serves however
+//! many requests survive its fault plan, and retries real forwards). The
+//! fault-free defaults are the `serving` group's batched runs — the same
+//! loop, so there is no second path to price against it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use instantnet::faults::{FaultPlan, FaultRates};
 use instantnet::resilience::{simulate_serving_resilient, DegradationConfig, ResilienceConfig};
-use instantnet::runtime::{
-    simulate_serving_batched, EnergyTrace, Policy, RequestTrace, ServingConfig, SimulationConfig,
-};
+use instantnet::runtime::{EnergyTrace, Policy, RequestTrace, ServingConfig, SimulationConfig};
+use instantnet::sharding::ShardConfig;
 use instantnet::{DeploymentReport, OperatingPoint};
 use instantnet_infer::PackedModel;
 use instantnet_nn::blocks::ConvBnAct;
@@ -96,43 +87,6 @@ fn bench_resilience(c: &mut Criterion) {
     let serving = ServingConfig { max_batch: 4 };
     let sim = SimulationConfig::default();
 
-    c.bench_function("resilience_off", |b| {
-        b.iter(|| {
-            std::hint::black_box(simulate_serving_batched(
-                &report,
-                &trace,
-                &requests,
-                Policy::Greedy,
-                &sim,
-                &serving,
-                &mut model,
-                &inputs,
-            ))
-        })
-    });
-
-    let defaults = ResilienceConfig::default();
-    let no_faults = FaultPlan::none();
-    c.bench_function("resilience_defaults", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                simulate_serving_resilient(
-                    &report,
-                    &trace,
-                    &requests,
-                    Policy::Greedy,
-                    &sim,
-                    &serving,
-                    &defaults,
-                    &no_faults,
-                    &mut model,
-                    &inputs,
-                )
-                .expect("default config is valid"),
-            )
-        })
-    });
-
     let chaos_cfg = ResilienceConfig {
         deadline_steps: Some(4),
         max_queue_depth: Some(24),
@@ -144,6 +98,7 @@ fn bench_resilience(c: &mut Criterion) {
             backlog_low: 2,
             recovery_window: 2,
         }),
+        ..ShardConfig::default()
     };
     // Transients and stalls only: injected panics would spam the bench log
     // through the panic hook (the simulator still isolates them — that

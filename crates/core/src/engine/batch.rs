@@ -1,25 +1,72 @@
-//! Batch tensor assembly, per-request output scatter, and the dynamic
-//! batch controller, shared by every serving path.
+//! The batch executor both clocks share: configuration checks, batch
+//! tensor assembly, the isolated forward, per-request output scatter, the
+//! canary shadow compare, and the dynamic batch controller.
 //!
-//! The contract all paths inherit: request `id` reuses
+//! The contract both clocks inherit: request `id` reuses
 //! `inputs[id % inputs.len()]`, batches are built by concatenating the
 //! chosen samples along dim 0, and the batch output is sliced back into
 //! `[1, …]` per-request tensors in batch order. Because the packed engine
 //! quantizes activations per sample, each scattered output is
 //! bit-identical to a batch-of-one forward of the same input at the same
-//! bit-width — which is what lets every higher serving layer claim
-//! bit-identity with the layer below. [`BatchController`] sizes batches
-//! from observed latency instead of the static `max_batch` knob; because
-//! of the same per-sample quantization, a changing batch cap never
-//! changes any request's output — only the timing statistics.
+//! bit-width — which is what makes a request's output independent of its
+//! batch-mates, its replica or worker, and its clock. [`BatchController`]
+//! sizes batches from observed latency instead of the static `max_batch`
+//! knob; because of the same per-sample quantization, a changing batch
+//! cap never changes any request's output — only the timing statistics.
 
 use crate::engine::stats::wait_summary;
+use crate::faults::FaultKind;
+use crate::registry::ModelRegistry;
+use crate::resilience::{config_err, ServingError};
+use crate::DeploymentReport;
+use instantnet_infer::{InferError, PackedModel};
+use instantnet_quant::BitWidth;
 use instantnet_tensor::Tensor;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// The configuration checks both clocks share: a non-empty fleet of
+/// `fleet` replicas or workers, `max_batch ≥ 1`, a well-formed
+/// degradation band `(backlog_high, backlog_low, window_positive)`, a
+/// valid input set, and every report point switchable on `model` — so a
+/// bad report/model pairing fails the run up front instead of mid-trace
+/// on a worker. Each clock checks its own knobs first.
+pub(crate) fn validate(
+    report: &DeploymentReport,
+    model: &PackedModel,
+    inputs: &[Tensor],
+    (fleet, max_batch): (usize, usize),
+    band: Option<(usize, usize, bool)>,
+) -> Result<(), ServingError> {
+    if fleet < 1 {
+        return config_err("at least one replica (worker) is required");
+    }
+    if max_batch < 1 {
+        return config_err("max_batch must be at least 1");
+    }
+    if let Some((high, low, window_positive)) = band {
+        if low >= high {
+            return config_err(format!(
+                "degradation backlog_low {low} must be below backlog_high {high}"
+            ));
+        }
+        if !window_positive {
+            return config_err("degradation recovery_window must be positive");
+        }
+    }
+    validate_inputs(inputs).map_err(ServingError::Config)?;
+    match report
+        .points()
+        .iter()
+        .find(|p| model.bit_widths().index_of(p.bits).is_none())
+    {
+        Some(p) => Err(ServingError::Infer(InferError::BitWidth(p.bits))),
+        None => Ok(()),
+    }
+}
 
 /// Validates a request-input set: non-empty, every tensor `[1, …]`, all
 /// one shape. Returns `(sample_dims, sample_len)` on success and the
-/// human-readable config complaint otherwise (the simulated batched path
-/// asserts on it; the fallible paths wrap it in a config error).
+/// human-readable config complaint otherwise.
 pub(crate) fn validate_inputs(inputs: &[Tensor]) -> Result<(Vec<usize>, usize), String> {
     let Some(first) = inputs.first() else {
         return Err("at least one request input is required".to_string());
@@ -66,6 +113,70 @@ pub(crate) fn scatter_outputs(y: &Tensor, n: usize) -> Vec<Tensor> {
         .collect()
 }
 
+/// Runs one batch through one replica's engine at `bits`, with the
+/// injected `fault` (a transient error or a panic) applied, and isolates
+/// the forward with `catch_unwind`: a panic — injected or genuine — fails
+/// this batch alone and never the replica or worker. Sound because a
+/// forward never mutates the packed tables, so no torn state can escape.
+/// The error string is built only on the failure path.
+pub(crate) fn forward(
+    model: &mut PackedModel,
+    bits: BitWidth,
+    batch: &Tensor,
+    fault: Option<FaultKind>,
+    step: usize,
+) -> Result<Tensor, String> {
+    let run = || match fault {
+        Some(FaultKind::TransientError) => Err(format!("injected transient fault at step {step}")),
+        Some(FaultKind::ForwardPanic) => panic!("injected forward panic at step {step}"),
+        _ => model
+            .try_switch_to_bits(bits)
+            .and_then(|()| model.try_forward_batch(batch))
+            .map_err(|e| e.to_string()),
+    };
+    catch_unwind(AssertUnwindSafe(run))
+        .unwrap_or_else(|_| Err(format!("isolated forward panic at step {step}")))
+}
+
+/// The canary shadow: runs the candidate over the same batch at the same
+/// bit-width, compares its per-sample outputs bit-exactly against the
+/// stable ones the batch was already answered with, and reports the
+/// verdict (or a candidate fault) to the registry. The candidate forward
+/// is isolated with `catch_unwind`, so a crashing candidate rolls itself
+/// back without touching the batch. `now` times the candidate for the
+/// registry's latency band against `stable_us`; the simulated clock has
+/// no wall time and passes a constant, so its band never trips.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn shadow_compare(
+    registry: &ModelRegistry,
+    pinned_epoch: u64,
+    cand: &mut PackedModel,
+    bits: BitWidth,
+    batch: &Tensor,
+    stable_outs: &[Tensor],
+    stable_us: u64,
+    now: &dyn Fn() -> u64,
+) {
+    let start = now();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        cand.try_switch_to_bits(bits)
+            .and_then(|()| cand.try_forward_batch(batch))
+    }));
+    let candidate_us = now().saturating_sub(start);
+    let n = stable_outs.len();
+    match result {
+        Ok(Ok(y)) => {
+            let diverged = (stable_outs.iter().zip(scatter_outputs(&y, n)))
+                .filter(|(a, b)| a.data() != b.data())
+                .count();
+            registry.report_shadow(pinned_epoch, n, diverged, stable_us, candidate_us);
+        }
+        _ => {
+            registry.report_candidate_fault(pinned_epoch);
+        }
+    }
+}
+
 /// SLO-driven batch sizing: grow the batch cap while the measured p99
 /// batch latency leaves slack against the deadline target, shrink it on a
 /// breach.
@@ -83,7 +194,7 @@ pub(crate) fn scatter_outputs(y: &Tensor, n: usize) -> Vec<Tensor> {
 ///   the cap from oscillating when p99 hovers near the target.
 ///
 /// Priority against the precision-downshift controller is decided by the
-/// driver, not here: the wall-clock loop suppresses bit downshifts while
+/// wall-clock worker, not here: it suppresses bit downshifts while
 /// `current() > 1` — batch shrinks before bits drop — so the cheap,
 /// output-invariant lever (smaller batches) is exhausted before the
 /// accuracy-visible one (lower precision) engages.

@@ -1,5 +1,4 @@
-//! The exact-key LRU content cache in front of dispatch (moved here from
-//! the sharded path so future front-ends share one implementation).
+//! The exact-key LRU content cache in front of the step loop's forwards.
 
 use instantnet_quant::BitWidth;
 use instantnet_tensor::Tensor;

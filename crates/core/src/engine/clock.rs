@@ -1,7 +1,7 @@
 //! The wall-clock run clock: monotone microseconds since serving start.
 //!
 //! This is the wall-clock half of the clock abstraction the engine
-//! modules are parameterized over. The simulated paths' "clock" is the
+//! modules are parameterized over. The step loop's "clock" is the
 //! step index `t`; the wall-clock loop measures an `Instant` anchor and
 //! maps elapsed microseconds back onto trace steps with
 //! [`RunClock::step_of`], so the same per-step budget schedule drives

@@ -1,13 +1,37 @@
-//! The hysteresis precision-downshift controller, shared by the simulated
-//! resilient path and the wall-clock loop.
+//! The serving-point rule and the hysteresis precision-downshift
+//! controller, shared by the simulated step loop and the wall-clock
+//! workers.
 //!
 //! The controller watches queue depth (the leading indicator of tail
 //! latency) against a hysteresis band and holds the serving point a number
 //! of operating-point *levels* below the policy's pick, moving at most one
 //! level per recovery window. It is parameterized over an abstract
-//! monotone `u64` tick so both drivers run the identical state machine:
-//! the simulated path feeds step indices with a window in steps, the
-//! wall-clock loop feeds elapsed microseconds with a window as a duration.
+//! monotone `u64` tick so both clocks run the identical state machine:
+//! the step loop feeds step indices with a window in steps, the
+//! wall-clock workers feed elapsed microseconds with a window as a
+//! duration.
+
+use crate::OperatingPoint;
+
+/// Report index of the point a policy selected.
+pub(crate) fn point_index(points: &[OperatingPoint], pick: &OperatingPoint) -> usize {
+    points
+        .iter()
+        .position(|q| q.bits == pick.bits)
+        .expect("selected point comes from the report")
+}
+
+/// The serving-point rule: serve `levels` operating points below the
+/// policy's pick at report index `pick` (never below the cheapest point).
+/// Returns the point and whether it is below the pick — a degraded serve.
+pub(crate) fn serve_point(
+    points: &[OperatingPoint],
+    pick: usize,
+    levels: usize,
+) -> (&OperatingPoint, bool) {
+    let idx = pick - levels.min(pick);
+    (&points[idx], idx < pick)
+}
 
 /// Hysteresis state machine over `(tick, depth, policy_idx)` observations.
 pub(crate) struct HysteresisController {
@@ -20,7 +44,7 @@ pub(crate) struct HysteresisController {
 
 impl HysteresisController {
     /// `recovery_window` is in the caller's tick unit and must be ≥ 1
-    /// (validated by each driver's config check).
+    /// (validated by [`crate::engine::batch::validate`]).
     pub(crate) fn new(backlog_high: usize, backlog_low: usize, recovery_window: u64) -> Self {
         HysteresisController {
             backlog_high,

@@ -1,30 +1,38 @@
-//! Shared serving-engine internals.
+//! The serving core both clocks share.
 //!
-//! Every serving front-end in this crate — the simulated paths
-//! ([`crate::runtime::simulate_serving_batched`],
-//! [`crate::resilience::simulate_serving_resilient`],
-//! [`crate::sharding::simulate_serving_sharded`]) and the wall-clock loop
-//! ([`crate::wallclock::serve_wallclock`]) — is a different *driver* over
-//! the same policy machinery. This module holds that machinery once:
+//! The paper's runtime does one thing: admit a request, queue it, serve
+//! it at the selected bit-width in a packed forward, count it. This crate
+//! runs that on two clocks — the simulated step loop
+//! ([`crate::sharding::simulate_serving_sharded_versioned`], behind every
+//! `simulate_serving*` entry point) and the wall-clock workers
+//! ([`crate::wallclock::serve_wallclock_streaming`], behind every
+//! `serve_wallclock*` entry point). The two loops keep only their clock's
+//! decisions — *when* a batch is taken and *from which queue*; everything
+//! a batch goes through once taken lives here, once:
 //!
-//! * [`stats`] — the single nearest-rank wait-percentile definition
-//!   (mean/p50/p99/p99.9) every path reports;
-//! * [`batch`] — request-input validation, batch tensor assembly, and
-//!   per-request output scatter;
-//! * [`degrade`] — the hysteresis precision-downshift controller,
+//! * [`batch`] — the shared half of configuration validation, batch
+//!   gather and scatter, the `catch_unwind`-isolated forward with the
+//!   injected fault, the canary shadow compare, and the dynamic batch
+//!   controller;
+//! * [`degrade`] — the serving-point rule (the policy's pick, minus the
+//!   degradation levels) and the hysteresis downshift controller,
 //!   parameterized over an abstract monotone tick so simulated steps and
 //!   wall-clock microseconds drive the same state machine;
+//! * [`stats`] — the accumulator each replica or worker owns and its one
+//!   merge into [`crate::runtime::RuntimeStats`] (counters, histogram,
+//!   `time_in_bits`, generations, mean accuracy, switch energy, wait
+//!   percentiles, registry activity);
 //! * [`cache`] — the exact-key LRU content cache;
-//! * [`queue`] — the bounded MPMC ingress queue the wall-clock loop's
-//!   threads share;
+//! * [`queue`] — the bounded MPMC ingress queues the wall-clock threads
+//!   share;
 //! * [`clock`] — the wall-clock run clock mapping `Instant`s onto trace
 //!   steps.
 //!
-//! The twin guarantee rests on this layout: because both the simulated
-//! and wall-clock drivers call the same selection, degradation, batching,
-//! and accounting code, a fault-free wall-clock run over a frozen trace
-//! completes the same request set with bit-identical outputs as its
-//! simulated twin — only the timing-derived statistics differ.
+//! The twin guarantee rests on this layout: because both clocks select,
+//! degrade, execute and account through the same code, and the packed
+//! engine quantizes activations per sample, a fault-free wall-clock run
+//! over a frozen trace completes the same request set with bit-identical
+//! outputs as the step loop — only the timing-derived statistics differ.
 
 pub(crate) mod batch;
 pub(crate) mod cache;

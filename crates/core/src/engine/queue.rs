@@ -5,7 +5,7 @@
 //! Both are `Mutex<VecDeque>` + `Condvar` constructions — no external
 //! crates, no tokio. The capacity bound *is* the admission cap: a full
 //! queue rejects the push and the ingress thread records the request as
-//! shed, exactly like the simulated paths' `max_queue_depth`. Re-queues
+//! shed, exactly like the step loop's `max_queue_depth`. Re-queues
 //! (retries, budget-infeasible batches handed back) go to the head and
 //! bypass the cap — those requests were already admitted once.
 //!
@@ -22,8 +22,8 @@
 //! gives each consumer its own deque (uncontended in the steady state),
 //! dispatches at ingress to the least-loaded shard, and lets an idle
 //! consumer steal **half the chosen victim's backlog from the head** —
-//! the same steal-half-of-deepest semantics as the simulated sharded
-//! path's `ShardConfig::work_stealing`, refined by deadline slack: a peer
+//! the wall-clock form of the step loop's `ShardConfig::work_stealing`
+//! (which drains the deepest queue), refined by deadline slack: a peer
 //! whose head request expires soonest is preferred over the merely
 //! deepest one.
 

@@ -1,11 +1,12 @@
-//! Deterministic fault injection for the resilient serving simulator.
+//! Deterministic fault injection for both serving clocks.
 //!
 //! A [`FaultPlan`] pins down *exactly* which timesteps misbehave and how,
 //! either from an explicit schedule or expanded from a seed — so a chaos
 //! scenario that shakes out a bug replays bit-for-bit in CI. The plan is
-//! pure data; [`crate::resilience::simulate_serving_resilient`] interprets
-//! it (stalls skip the step, transient errors and panics fail the batch
-//! and trigger retry accounting).
+//! pure data; the simulated step loop ([`crate::sharding`]) and the
+//! wall-clock workers ([`crate::wallclock`]) interpret it (a stall idles
+//! a replica or a worker, transient errors and panics fail the batch and
+//! trigger retry accounting).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,14 +15,16 @@ use std::collections::BTreeMap;
 /// What goes wrong at one timestep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The worker is unavailable for the whole step: nothing is selected
-    /// or served, arrivals still queue.
+    /// The target replica (or the worker that claims the step) is
+    /// unavailable for the whole step: it serves nothing, arrivals still
+    /// queue.
     Stall,
     /// The batch forward reports a transient error; its requests re-queue
     /// for retry (with backoff) up to their retry budget.
     TransientError,
-    /// The batch forward panics. The simulator isolates the panic with
-    /// `catch_unwind`, fails only that batch, and keeps serving.
+    /// The batch forward panics. The shared batch executor isolates the
+    /// panic with `catch_unwind`, fails only that batch, and keeps
+    /// serving.
     ForwardPanic,
 }
 

@@ -1,38 +1,36 @@
 //! Resilient batched serving: deadlines, load shedding, retry-with-backoff,
-//! precision-downshift degradation, and fault isolation.
+//! precision-downshift degradation, and fault isolation — the simulated
+//! step loop's resilience options and the types both clocks report them
+//! with.
 //!
-//! [`simulate_serving_resilient`] is [`crate::runtime::simulate_serving_batched`]
-//! hardened for the paper's deployment story: when traffic outruns the
-//! engine, the cheapest lever an SP-Net has is the one InstantNet makes
-//! free — *switch to fewer bits*. A hysteresis [`DegradationConfig`]
-//! controller watches the queue (depth is the leading indicator of p99
-//! wait: with bounded service rate, every queued request is future tail
-//! latency) and downshifts the [`PackedModel`] one operating point at a
-//! time, recovering once the backlog drains. Deadlines, an admission cap,
-//! and retry budgets turn overload and injected faults
-//! ([`crate::faults::FaultPlan`]) into *accounted* outcomes — shed,
-//! expired, failed — instead of unbounded queues or a dead process;
-//! worker panics are isolated per batch with `catch_unwind`.
+//! When traffic outruns the engine, the cheapest lever an SP-Net has is
+//! the one InstantNet makes free — *switch to fewer bits*. A hysteresis
+//! [`DegradationConfig`] controller watches the queue (depth is the
+//! leading indicator of p99 wait: with bounded service rate, every queued
+//! request is future tail latency) and downshifts the serving point one
+//! operating point at a time, recovering once the backlog drains.
+//! Deadlines, an admission cap, and retry budgets turn overload and
+//! injected faults ([`crate::faults::FaultPlan`]) into *accounted*
+//! outcomes — shed, expired, failed — instead of unbounded queues or a
+//! dead process; worker panics are isolated per batch with
+//! `catch_unwind`.
 //!
-//! With every knob at its [`ResilienceConfig::default`] and an empty
-//! fault plan, this path reproduces `simulate_serving_batched`
-//! bit-for-bit — same outputs, same schedule, same queueing stats — at
-//! every bit-width and thread count. Resilience is strictly additive.
+//! [`simulate_serving_resilient`] is the simulated step loop of
+//! [`crate::sharding`] over a frozen model; [`ResilienceConfig`] is its
+//! [`crate::sharding::ShardConfig`]. With every knob at its default and
+//! an empty fault plan it *is* [`crate::runtime::simulate_serving_batched`]
+//! — same outputs, same schedule, same queueing stats.
 
-use crate::engine::batch::{gather_batch, scatter_outputs, validate_inputs};
-use crate::engine::degrade::HysteresisController;
-use crate::engine::stats::finish_wait_stats;
-use crate::faults::{FaultKind, FaultPlan};
+use crate::faults::FaultPlan;
+use crate::registry::ModelRegistry;
 use crate::runtime::{
-    EnergyTrace, Policy, PolicySelector, RequestTrace, RuntimeStats, ServingConfig,
+    EnergyTrace, Policy, RequestOutcome, RequestTrace, RuntimeStats, ServingConfig,
     SimulationConfig,
 };
+use crate::sharding::{serve_steps, Sim};
 use crate::DeploymentReport;
 use instantnet_infer::{InferError, PackedModel};
-use instantnet_quant::BitWidth;
 use instantnet_tensor::Tensor;
-use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Hysteresis thresholds for the precision-downshift controller, in queue
 /// depth after each step's arrivals.
@@ -49,38 +47,17 @@ pub struct DegradationConfig {
     pub recovery_window: usize,
 }
 
-/// Knobs of the resilient serving queue. The default is fully permissive —
-/// no deadlines, no cap, no retries, no degradation — and makes
-/// [`simulate_serving_resilient`] behave exactly like
-/// [`crate::runtime::simulate_serving_batched`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ResilienceConfig {
-    /// Relative deadline: a request arriving at step `t` must be served by
-    /// step `t + deadline_steps` or it expires. `None` = no deadlines.
-    pub deadline_steps: Option<usize>,
-    /// Admission cap: arrivals finding this many requests queued are shed.
-    /// `None` = unbounded queue.
-    pub max_queue_depth: Option<usize>,
-    /// How many times a fault-hit request re-queues before it is failed.
-    pub max_retries: usize,
-    /// Extra steps a retried request waits before becoming eligible again.
-    pub retry_backoff_steps: usize,
-    /// Wall-clock length of one simulated step, in seconds. When set, a
-    /// step's batch capacity becomes
-    /// `min(max_batch, floor(step_time_s / point.latency_s))`, so
-    /// downshifting to a lower-latency operating point genuinely raises
-    /// throughput — the mechanism degradation trades accuracy for.
-    /// `None` keeps capacity at `max_batch` regardless of bit-width.
-    pub step_time_s: Option<f64>,
-    /// The precision-downshift controller. `None` = policy picks alone.
-    pub degradation: Option<DegradationConfig>,
-}
+/// Knobs of the resilient serving queue: the simulated loop's one config
+/// struct. The default is fully permissive — no deadlines, no cap, no
+/// retries, no degradation — and is plain batched serving.
+pub type ResilienceConfig = crate::sharding::ShardConfig;
 
 /// Terminal (or end-of-trace) state of one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RequestStatus {
     /// Still queued when the trace ended (counts toward
     /// [`RuntimeStats::backlog`]).
+    #[default]
     Pending,
     /// Served within deadline at the policy-selected bit-width.
     Completed,
@@ -96,34 +73,16 @@ pub enum RequestStatus {
     Failed,
 }
 
-/// Per-request record of a resilient run, index-aligned with arrival
-/// order — [`crate::runtime::RequestOutcome`] plus status, retry count,
-/// and deadline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientOutcome {
-    /// Timestep the request arrived.
-    pub arrived_at: usize,
-    /// Timestep it was served, if it was.
-    pub served_at: Option<usize>,
-    /// Bit-width of the batch that served it.
-    pub bits: Option<u8>,
-    /// The packed forward's output — still bit-identical to a batch-of-one
-    /// forward at the same bit-width.
-    pub output: Option<Tensor>,
-    /// How the request ended.
-    pub status: RequestStatus,
-    /// Forward attempts that included this request (0 if never batched).
-    pub attempts: usize,
-    /// Absolute deadline step, when deadlines are configured.
-    pub deadline: Option<usize>,
-}
+/// Per-request record of a resilient run — an alias of the one outcome
+/// type every simulated entry point returns.
+pub type ResilientOutcome = RequestOutcome;
 
-/// Why a resilient run could not start (or continue).
+/// Why a serving run could not start (or continue).
 #[derive(Debug)]
 pub enum ServingError {
-    /// Inconsistent traces, shapes, or resilience knobs.
+    /// Inconsistent traces, shapes, or serving knobs.
     Config(String),
-    /// The packed engine rejected an operation (e.g. the selected
+    /// The packed engine rejected an operation (e.g. a report point's
     /// bit-width is not in the model's set).
     Infer(InferError),
 }
@@ -152,74 +111,27 @@ impl From<InferError> for ServingError {
     }
 }
 
-/// One queued request: its outcome index plus the first step it may be
-/// batched again after a retry backoff.
-struct QEntry {
-    id: usize,
-    eligible_at: usize,
-}
-
-/// Shorthand for a [`ServingError::Config`] — shared with the sharded
-/// path so both report configuration problems through one type.
+/// Shorthand for a [`ServingError::Config`], shared by every validator so
+/// both clocks report configuration problems through one type.
 pub(crate) fn config_err<T>(msg: impl Into<String>) -> Result<T, ServingError> {
     Err(ServingError::Config(msg.into()))
 }
 
-#[allow(clippy::too_many_lines)]
-fn validate(
-    trace: &EnergyTrace,
-    requests: &RequestTrace,
-    serving: &ServingConfig,
-    resilience: &ResilienceConfig,
-    inputs: &[Tensor],
-) -> Result<(), ServingError> {
-    if requests.len() != trace.len() {
-        return config_err(format!(
-            "request trace covers {} steps but energy trace covers {}",
-            requests.len(),
-            trace.len()
-        ));
-    }
-    if serving.max_batch < 1 {
-        return config_err("max_batch must be at least 1");
-    }
-    if let Err(msg) = validate_inputs(inputs) {
-        return config_err(msg);
-    }
-    if let Some(st) = resilience.step_time_s {
-        if !st.is_finite() || st <= 0.0 {
-            return config_err(format!("step_time_s must be finite and positive, got {st}"));
-        }
-    }
-    if let Some(dc) = &resilience.degradation {
-        if dc.backlog_low >= dc.backlog_high {
-            return config_err(format!(
-                "degradation backlog_low {} must be below backlog_high {}",
-                dc.backlog_low, dc.backlog_high
-            ));
-        }
-        if dc.recovery_window < 1 {
-            return config_err("degradation recovery_window must be at least 1");
-        }
-    }
-    Ok(())
-}
-
 /// Batched serving with deadlines, shedding, retries, precision-downshift
-/// degradation, and deterministic fault injection.
+/// degradation, and deterministic fault injection, over one frozen model
+/// (cloned, never switched).
 ///
-/// Each timestep, in order: the energy policy selects an operating point
-/// ([`FaultKind::Stall`] skips the step entirely); arrivals are admitted,
-/// shed over the queue cap, or shed when their deadline is unmeetable;
-/// requests whose deadline has passed expire; the degradation controller
-/// compares the queue depth against its hysteresis band and moves the
-/// serving point at most one step per recovery window; then up to the
-/// step's capacity of backoff-eligible requests run as **one** packed
-/// batch at the (possibly downshifted) bit-width. A batch that faults —
-/// injected transient error, injected panic (isolated via
-/// `catch_unwind`; the model is immutable during a forward, so its state
-/// stays consistent), or a genuine [`InferError`] — fails only its own
-/// requests, which re-queue at the head with
+/// Each timestep, in order: arrivals are admitted, shed over the queue
+/// cap, or shed when their deadline is unmeetable; requests whose
+/// deadline has passed expire; the energy policy selects an operating
+/// point ([`crate::faults::FaultKind::Stall`] skips the step on a single
+/// replica); the degradation controller compares the queue depth against
+/// its hysteresis band and moves the serving point at most one step per
+/// recovery window; then up to the step's capacity of backoff-eligible
+/// requests run as **one** packed batch at the (possibly downshifted)
+/// bit-width. A batch that faults — injected transient error, injected
+/// panic (isolated via `catch_unwind`), or a genuine [`InferError`] —
+/// fails only its own requests, which re-queue at the head with
 /// [`ResilienceConfig::retry_backoff_steps`] until their retry budget is
 /// spent. Energy and accuracy are charged per *successful* inference at
 /// the serving point.
@@ -232,9 +144,9 @@ fn validate(
 /// # Errors
 ///
 /// [`ServingError::Config`] for inconsistent traces, input shapes, or
-/// resilience knobs; [`ServingError::Infer`] if the model cannot switch
-/// to a selected bit-width (report and model built from different sets).
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+/// knobs; [`ServingError::Infer`] if a report point's bit-width is missing
+/// from the model's set (report and model built from different sets).
+#[allow(clippy::too_many_arguments)]
 pub fn simulate_serving_resilient(
     report: &DeploymentReport,
     trace: &EnergyTrace,
@@ -247,224 +159,7 @@ pub fn simulate_serving_resilient(
     model: &mut PackedModel,
     inputs: &[Tensor],
 ) -> Result<(RuntimeStats, Vec<ResilientOutcome>), ServingError> {
-    validate(trace, requests, serving, resilience, inputs)?;
-    let sample_dims = inputs[0].dims().to_vec();
-    let sample_len = inputs[0].len();
-    let points = report.points();
-
-    let mut outcomes: Vec<ResilientOutcome> = Vec::with_capacity(requests.total());
-    let mut queue: VecDeque<QEntry> = VecDeque::new();
-    let mut wait_steps: Vec<usize> = Vec::new();
-    let mut histogram = vec![0usize; serving.max_batch + 1];
-    let mut max_depth = 0usize;
-    let mut time_in_bits: BTreeMap<u8, usize> = BTreeMap::new();
-    let mut degradation_events: Vec<(usize, usize)> = Vec::new();
-
-    let mut selector = PolicySelector::new(report, policy);
-    let mut prev_bits: Option<BitWidth> = None;
-    let mut stats = RuntimeStats::default();
-    let mut acc_sum = 0.0f32;
-    let mut schedule: Vec<Option<u8>> = Vec::with_capacity(trace.len());
-
-    // Degradation controller: how many operating points below the
-    // policy's pick the model is held. Simulated driver, so its tick is
-    // the step index (the wall-clock loop feeds the same state machine
-    // microseconds instead).
-    let mut controller = resilience.degradation.as_ref().map(|dc| {
-        HysteresisController::new(dc.backlog_high, dc.backlog_low, dc.recovery_window as u64)
-    });
-
-    for (t, &budget) in trace.budgets().iter().enumerate() {
-        let fault = faults.at(t);
-
-        // 1. Bit-width selection (stalls skip it, like an infeasible step).
-        let policy_point = if fault == Some(FaultKind::Stall) {
-            stats.stalled_steps += 1;
-            selector.reset();
-            None
-        } else {
-            match selector.select(budget) {
-                Some(p) => Some(p),
-                None => {
-                    stats.dropped += 1;
-                    None
-                }
-            }
-        };
-
-        // 2. Arrivals with admission control.
-        let deadline = |arrived: usize| resilience.deadline_steps.map(|d| arrived + d);
-        for _ in 0..requests.arrivals()[t] {
-            let id = outcomes.len();
-            let mut rec = ResilientOutcome {
-                arrived_at: t,
-                served_at: None,
-                bits: None,
-                output: None,
-                status: RequestStatus::Pending,
-                attempts: 0,
-                deadline: deadline(t),
-            };
-            let over_cap = resilience
-                .max_queue_depth
-                .is_some_and(|cap| queue.len() >= cap);
-            // Best case the queue drains `max_batch` per step, so a request
-            // behind `pos` others waits at least `pos / max_batch` steps.
-            let hopeless = resilience
-                .deadline_steps
-                .is_some_and(|d| queue.len() / serving.max_batch > d);
-            if over_cap || hopeless {
-                rec.status = RequestStatus::Shed;
-                stats.shed += 1;
-            } else {
-                queue.push_back(QEntry { id, eligible_at: t });
-            }
-            outcomes.push(rec);
-        }
-        max_depth = max_depth.max(queue.len());
-
-        // 3. Expire requests that can no longer meet their deadline.
-        if resilience.deadline_steps.is_some() {
-            queue.retain(|e| {
-                let live = outcomes[e.id].deadline.is_none_or(|d| d >= t);
-                if !live {
-                    outcomes[e.id].status = RequestStatus::Expired;
-                    stats.expired += 1;
-                }
-                live
-            });
-        }
-
-        // 4. Degradation controller: one move per recovery window, driven
-        // by queue depth against the hysteresis band.
-        if let (Some(c), Some(p)) = (controller.as_mut(), policy_point) {
-            let idx = points
-                .iter()
-                .position(|q| q.bits == p.bits)
-                .expect("selected point comes from the report");
-            if let Some(levels) = c.observe(t as u64, queue.len(), idx) {
-                degradation_events.push((t, levels));
-            }
-        }
-
-        // 5. Serve one batch at the (possibly downshifted) bit-width.
-        let Some(p) = policy_point else {
-            prev_bits = None;
-            schedule.push(None);
-            continue;
-        };
-        let idx = points
-            .iter()
-            .position(|q| q.bits == p.bits)
-            .expect("selected point comes from the report");
-        let degrade_levels = controller.as_ref().map_or(0, HysteresisController::levels);
-        let serve_idx = idx - degrade_levels.min(idx);
-        let point = &points[serve_idx];
-        let degraded = serve_idx < idx;
-
-        if prev_bits != Some(point.bits) {
-            stats.switches += 1;
-        }
-        prev_bits = Some(point.bits);
-        schedule.push(Some(point.bits.get()));
-        *time_in_bits.entry(point.bits.get()).or_insert(0) += 1;
-
-        let capacity = match resilience.step_time_s {
-            None => serving.max_batch,
-            Some(st) => (st / point.latency_s).floor().max(0.0) as usize,
-        }
-        .min(serving.max_batch);
-
-        // Pull the first `capacity` backoff-eligible requests, FIFO,
-        // leaving ineligible ones in place.
-        let mut taken: Vec<QEntry> = Vec::new();
-        let mut kept: VecDeque<QEntry> = VecDeque::with_capacity(queue.len());
-        while let Some(e) = queue.pop_front() {
-            if taken.len() < capacity && e.eligible_at <= t {
-                taken.push(e);
-            } else {
-                kept.push_back(e);
-            }
-        }
-        queue = kept;
-        histogram[taken.len()] += 1;
-        if taken.is_empty() {
-            continue;
-        }
-
-        model.try_switch_to_bits(point.bits)?;
-        let ids: Vec<usize> = taken.iter().map(|e| e.id).collect();
-        let batch = gather_batch(inputs, &sample_dims, sample_len, &ids);
-
-        // The forward is immutable on the model, so an isolated panic
-        // cannot leave the engine in a torn state.
-        let forward = || -> Result<Tensor, InferError> {
-            match fault {
-                Some(FaultKind::TransientError) => Err(InferError::Input(format!(
-                    "injected transient fault at step {t}"
-                ))),
-                Some(FaultKind::ForwardPanic) => panic!("injected forward panic at step {t}"),
-                _ => model.try_forward_batch(&batch),
-            }
-        };
-        match catch_unwind(AssertUnwindSafe(forward)) {
-            Ok(Ok(y)) => {
-                let take = taken.len();
-                let outs = scatter_outputs(&y, take);
-                for (e, out) in taken.iter().zip(outs) {
-                    let rec = &mut outcomes[e.id];
-                    rec.served_at = Some(t);
-                    rec.bits = Some(point.bits.get());
-                    rec.attempts += 1;
-                    rec.output = Some(out);
-                    rec.status = if degraded {
-                        stats.completed_degraded += 1;
-                        RequestStatus::CompletedDegraded
-                    } else {
-                        stats.completed += 1;
-                        RequestStatus::Completed
-                    };
-                    wait_steps.push(t - rec.arrived_at);
-                }
-                acc_sum += point.accuracy * take as f32;
-                stats.energy_pj += point.energy_pj * take as f64;
-            }
-            // A typed forward error or an isolated panic fails this batch
-            // alone: its requests retry (with backoff) or are abandoned.
-            Ok(Err(_)) | Err(_) => {
-                for e in taken.iter().rev() {
-                    let rec = &mut outcomes[e.id];
-                    rec.attempts += 1;
-                    if rec.attempts > resilience.max_retries {
-                        rec.status = RequestStatus::Failed;
-                        stats.failed += 1;
-                    } else {
-                        stats.retried += 1;
-                        queue.push_front(QEntry {
-                            id: e.id,
-                            eligible_at: t + 1 + resilience.retry_backoff_steps,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    stats.served_requests = stats.completed + stats.completed_degraded;
-    stats.mean_accuracy = if stats.served_requests > 0 {
-        acc_sum / stats.served_requests as f32
-    } else {
-        0.0
-    };
-    stats.switch_energy_pj = stats.switches as f64 * cfg.switch_cost_pj;
-    stats.energy_pj += stats.switch_energy_pj;
-    stats.schedule = schedule;
-    stats.backlog = queue.len();
-    stats.max_queue_depth = max_depth;
-    stats.batch_histogram = histogram;
-    stats.faults_injected = faults.count_before(trace.len());
-    stats.time_in_bits = time_in_bits.into_iter().collect();
-    stats.degradation_events = degradation_events;
-    finish_wait_stats(&mut stats, wait_steps);
-    Ok((stats, outcomes))
+    let registry = ModelRegistry::new(model.clone(), "pinned");
+    let sim = Sim(report, trace, requests, policy, cfg, serving, inputs);
+    serve_steps(sim, resilience, faults, &registry, &mut |_, _| {})
 }

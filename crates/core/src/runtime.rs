@@ -4,15 +4,25 @@
 //! The paper's motivation is that "IoT applications often have dynamic
 //! time/energy constraints over time"; an SP-Net lets the runtime allocate
 //! bit-widths on the fly. This module provides synthetic harvested-energy
-//! traces and switching policies over a [`crate::DeploymentReport`], so the
-//! end-to-end benefit of instantaneous switching can be quantified.
+//! and request traces, the switching policies over a
+//! [`crate::DeploymentReport`], the [`RuntimeStats`] every serving path
+//! reports, and two ways to run a trace:
+//!
+//! * [`simulate`] / [`simulate_serving`] step the policy alone, one
+//!   inference per affordable timestep, with no queue;
+//! * [`simulate_serving_batched`] queues requests and serves them in
+//!   packed batches — a wrapper over the one simulated step loop
+//!   ([`crate::sharding::simulate_serving_sharded_versioned`]) with its
+//!   default configuration.
 
-use crate::engine::stats::finish_wait_stats;
+use crate::faults::FaultPlan;
+use crate::registry::ModelRegistry;
+use crate::resilience::RequestStatus;
+use crate::sharding::{serve_steps, ShardConfig, Sim};
 use crate::{DeploymentReport, OperatingPoint};
 use instantnet_infer::PackedModel;
 use instantnet_quant::BitWidth;
 use instantnet_tensor::Tensor;
-use std::collections::VecDeque;
 
 /// A per-timestep energy budget trace (pJ available per inference).
 #[derive(Debug, Clone, PartialEq)]
@@ -124,21 +134,36 @@ impl Default for ServingConfig {
     }
 }
 
-/// Per-request record of a batched serving run, index-aligned with
+/// Per-request record of a simulated serving run, index-aligned with
 /// arrival order (request ids are assigned FIFO as arrivals enqueue).
-#[derive(Debug, Clone, PartialEq)]
+/// Every simulated entry point returns this type
+/// ([`crate::resilience::ResilientOutcome`] and
+/// [`crate::sharding::ShardedOutcome`] are aliases).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RequestOutcome {
-    /// Timestep the request entered the queue.
+    /// Timestep the request arrived.
     pub arrived_at: usize,
-    /// Timestep it was served, or `None` if it was still queued when the
-    /// trace ended (counted in [`RuntimeStats::backlog`]).
+    /// Timestep it was served, or `None` if it never was.
     pub served_at: Option<usize>,
-    /// Bit-width of the batch that served it.
+    /// Bit-width of the forward (or cached result) that served it.
     pub bits: Option<u8>,
-    /// The packed forward's output for this request — bit-identical to a
-    /// batch-of-one forward of the same input at the same bit-width, no
-    /// matter which batch-mates it shared the GEMM with.
+    /// The output — bit-identical to a batch-of-one forward of the same
+    /// input at `bits`, whichever batch-mates, replica or cache entry it
+    /// came from.
     pub output: Option<Tensor>,
+    /// How the request ended ([`RequestStatus::Pending`] = still queued
+    /// when the trace ended, counted in [`RuntimeStats::backlog`]).
+    pub status: RequestStatus,
+    /// Forward attempts that included this request (cache hits run no
+    /// forward and leave this at 0).
+    pub attempts: usize,
+    /// Absolute deadline step, when deadlines are configured.
+    pub deadline: Option<usize>,
+    /// Replica that served (or would have served) it; `None` until
+    /// dispatched, and kept at the serving replica afterwards.
+    pub replica: Option<usize>,
+    /// Whether the output came from the content cache.
+    pub cached: bool,
 }
 
 /// Bit-width switching policy.
@@ -174,48 +199,59 @@ impl Default for SimulationConfig {
     }
 }
 
-/// Outcome of a runtime simulation.
+/// Outcome of a runtime simulation or serving run.
 ///
-/// The queueing fields (`served_requests` through `p99_wait_steps`) are
-/// populated by [`simulate_serving_batched`]; the per-timestep paths
-/// leave them at their empty defaults except `served_requests`, which
-/// counts one inference per served timestep. The per-outcome resilience
-/// fields (`completed` through `degradation_events`) are populated by
-/// [`crate::resilience::simulate_serving_resilient`];
-/// [`crate::sharding::simulate_serving_sharded`] fills the outcome
-/// counters too (it never degrades, and tracks bit-width dwell per
-/// replica instead of globally), and alone fills the cache counters and
-/// the per-replica breakdown.
+/// Three kinds of run fill it. The *policy simulation* ([`simulate`],
+/// [`simulate_serving`]: no queue, one inference per affordable step)
+/// fills only the policy fields — `mean_accuracy` through
+/// `served_requests`. The *simulated clock* (the step loop behind
+/// [`simulate_serving_batched`],
+/// [`crate::resilience::simulate_serving_resilient`] and
+/// [`crate::sharding::simulate_serving_sharded`]) and the *wall clock*
+/// ([`crate::wallclock::serve_wallclock`] and its registry and streaming
+/// forms) fill every field through one accumulator merge, except the
+/// ones marked as belonging to one clock. A counter whose option is off
+/// (no cache, no faults, no registry activity) reads zero.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RuntimeStats {
-    /// Mean accuracy over served inferences (one per served timestep in
-    /// the per-timestep paths, one per request in the batched path).
+    /// Mean accuracy over served inferences: one per affordable step in a
+    /// policy simulation, one per completed request otherwise.
     pub mean_accuracy: f32,
-    /// Number of bit-width reconfigurations performed.
+    /// Bit-width reconfigurations: changes of the scheduled width
+    /// (policy simulation, simulated clock), or of a worker's serving
+    /// width, summed over workers (wall clock).
     pub switches: usize,
-    /// Timesteps where no operating point fit the budget (inference
-    /// skipped).
+    /// Budget-infeasible selections: timesteps where no operating point
+    /// fit the budget, or (wall clock) batch attempts that found none.
     pub dropped: usize,
-    /// Total energy consumed (pJ): one inference charge per served
-    /// request, plus reconfiguration.
+    /// Total energy consumed (pJ): one inference charge per
+    /// forward-served request at its serving point, plus reconfiguration.
     pub energy_pj: f64,
     /// Energy spent on reconfigurations alone
     /// (`switches × switch_cost_pj`).
     pub switch_energy_pj: f64,
-    /// Chosen bit-width per timestep (`None` = dropped).
+    /// The fleet's serving bit-width per timestep (`None` = dropped, or a
+    /// stall that left no replica). Policy simulation and simulated clock;
+    /// the wall clock has no global step loop and leaves it empty (its
+    /// per-request widths live in the outcomes).
     pub schedule: Vec<Option<u8>>,
-    /// Inferences actually run (requests served, in the batched path).
+    /// Inferences run (policy simulation), or requests completed —
+    /// `completed + completed_degraded`.
     pub served_requests: usize,
-    /// Requests still queued when the trace ended.
+    /// Requests still queued when the trace ended (on the wall clock:
+    /// requests the trace's final budget could never afford).
     pub backlog: usize,
-    /// Deepest the queue got, measured after each step's arrivals.
+    /// Deepest the total queue got: after each step's arrivals
+    /// (simulated), or its high-water mark (wall clock).
     pub max_queue_depth: usize,
-    /// `batch_histogram[b]` = number of budget-served timesteps that
-    /// aggregated exactly `b` requests (index 0 = idle steps); length
-    /// `max_batch + 1`. Empty for the per-timestep paths.
+    /// `batch_histogram[b]` = batches of exactly `b` requests, length
+    /// `max_batch + 1`. Simulated clock: one entry per serving replica per
+    /// step, so index 0 counts idle serving steps; wall clock: one per
+    /// forward (never 0).
     pub batch_histogram: Vec<usize>,
-    /// Queueing delay (serve step − arrival step) per served request, in
-    /// serve order.
+    /// Queueing delay per completed request, replica by replica (worker by
+    /// worker) in completion order: serve step − arrival step (simulated),
+    /// or completion − arrival in microseconds (wall clock).
     pub wait_steps: Vec<usize>,
     /// Mean of [`RuntimeStats::wait_steps`] (0 when nothing was served).
     pub mean_wait_steps: f64,
@@ -243,53 +279,48 @@ pub struct RuntimeStats {
     /// Total re-queues of fault-hit requests (a request retried twice
     /// counts twice).
     pub retried: usize,
-    /// Timesteps lost to injected stalls (the worker served nothing).
+    /// Injected stalls that idled a replica for a step (simulated), or a
+    /// worker to the step boundary (wall clock).
     pub stalled_steps: usize,
-    /// Injected faults that landed inside the trace.
+    /// Injected faults that landed inside the trace (simulated), or that a
+    /// worker consumed (wall clock; at most one per step).
     pub faults_injected: usize,
-    /// Steps the engine spent configured at each serving bit-width,
-    /// ascending by bits — makes degradation dwell time observable.
+    /// Serving dwell per bit-width, ascending by bits: the sum of
+    /// [`crate::sharding::ReplicaStats::time_in_bits`] over the replicas
+    /// or workers — steps configured at each width (simulated), batches
+    /// served at it (wall clock).
     pub time_in_bits: Vec<(u8, usize)>,
     /// Degradation-controller transitions as `(step, levels)` where
     /// `levels` is how many operating points below the policy's pick the
-    /// controller holds the model after the transition (0 = recovered).
+    /// controller holds the fleet after the transition (0 = recovered).
     pub degradation_events: Vec<(usize, usize)>,
-    /// Work-steal operations between per-worker queues (each moves half
-    /// a victim's backlog to an idle worker). Zero unless the wall-clock
-    /// loop runs `QueueMode::Sharded` with stealing on.
+    /// Wall clock only: work-steal operations between per-worker queues
+    /// (each moves half a victim's backlog to an idle worker) under
+    /// `QueueMode::Sharded` with stealing on.
     pub steals: usize,
-    /// Dynamic-batch-controller transitions as `(step, new_cap)` — the
-    /// batch cap in force after each grow/shrink decision. Empty unless
-    /// the wall-clock loop runs with
-    /// [`crate::wallclock::WallclockConfig::batch_control`] set.
+    /// Wall clock only: dynamic-batch-controller transitions as
+    /// `(step, new_cap)` under
+    /// [`crate::wallclock::WallclockConfig::batch_control`].
     pub batch_limit_events: Vec<(usize, usize)>,
-    /// Requests answered straight from the content-keyed output cache
-    /// (no forward ran). Zero unless the sharded path runs with its
-    /// cache enabled.
+    /// Simulated clock only: requests answered straight from the
+    /// content-keyed output cache (no forward ran).
     pub cache_hits: usize,
-    /// Cache probes that missed and fell through to a packed forward.
-    /// Zero unless the sharded path runs with its cache enabled.
+    /// Simulated clock only: cache probes that missed and fell through to
+    /// a packed forward.
     pub cache_misses: usize,
-    /// Entries evicted from the content cache to stay within
-    /// [`crate::sharding::ShardConfig::cache_capacity`]. Zero unless the
-    /// sharded path runs with its cache enabled and overflows the cap.
+    /// Simulated clock only: entries evicted from the content cache to
+    /// stay within [`crate::sharding::ShardConfig::cache_capacity`].
     pub cache_evictions: usize,
-    /// Per-replica breakdown, indexed by replica id. Populated by
-    /// [`crate::sharding::simulate_serving_sharded`] (one entry per
-    /// replica) and [`crate::wallclock::serve_wallclock`] (one entry per
-    /// worker); empty elsewhere.
+    /// Per-replica (simulated) or per-worker (wall clock) breakdown, in
+    /// replica or worker order.
     pub replicas: Vec<crate::sharding::ReplicaStats>,
-    /// Wall-clock duration of the run in microseconds. Populated only by
-    /// [`crate::wallclock::serve_wallclock`]; zero for the simulated
-    /// paths, whose time is the step index.
+    /// Wall clock only: duration of the run in microseconds.
     pub elapsed_us: u64,
-    /// Sustained completed requests per second over the whole run —
-    /// `served_requests / elapsed`. Populated only by
-    /// [`crate::wallclock::serve_wallclock`].
+    /// Wall clock only: sustained completed requests per second over the
+    /// whole run — `served_requests / elapsed`.
     pub requests_per_sec: f64,
     /// Stable-version swaps (direct publishes plus canary promotions)
     /// the [`crate::registry::ModelRegistry`] applied during the run.
-    /// Zero for non-registry paths.
     pub reloads: usize,
     /// Canary candidates auto-rolled back during the run (divergence,
     /// latency band, or candidate fault).
@@ -305,18 +336,15 @@ pub struct RuntimeStats {
     /// from the stable version's at the same bit-width.
     pub divergences: usize,
     /// Work done on each model generation, ascending by generation id:
-    /// batches per generation in [`crate::wallclock::serve_wallclock_registry`],
-    /// timesteps per generation in
-    /// [`crate::sharding::simulate_serving_sharded_versioned`]. Empty for
-    /// non-registry paths.
+    /// timesteps per generation (simulated — the fleet re-pins together),
+    /// batches per generation (wall clock).
     pub time_per_generation: Vec<(u64, usize)>,
 }
 
-/// The per-timestep bit-width selection shared by every simulation path:
-/// budget-constrained greedy / hysteresis choice over a report's operating
-/// points, carrying the hysteresis state between steps. Extracted from the
-/// policy loop so the resilient path selects *identically* to
-/// [`simulate_serving_batched`] — the fault-free bit-identity contract.
+/// The bit-width selection every path shares — the policy simulation, the
+/// simulated step loop and the wall-clock workers: budget-constrained
+/// greedy / hysteresis choice over a report's operating points, carrying
+/// the hysteresis state between selections.
 pub(crate) struct PolicySelector<'r> {
     report: &'r DeploymentReport,
     policy: Policy,
@@ -356,7 +384,7 @@ impl<'r> PolicySelector<'r> {
     }
 
     /// Drops the hysteresis anchor, as a budget-infeasible step does —
-    /// used by the resilient path when an injected stall skips selection.
+    /// used by the step loop when a stall leaves no replica to select for.
     pub(crate) fn reset(&mut self) {
         self.current = None;
     }
@@ -418,23 +446,26 @@ pub fn simulate_serving(
 /// and every budget-served timestep aggregates up to
 /// [`ServingConfig::max_batch`] pending requests into **one** packed
 /// multi-sample forward at the policy-selected bit-width. Request `r`
-/// reuses `inputs[r % inputs.len()]` (each a `[1, …]` tensor).
+/// reuses `inputs[r % inputs.len()]` (each a `[1, …]` tensor). This is
+/// the simulated step loop with the default
+/// [`crate::sharding::ShardConfig`] and no faults; `model` is cloned (an
+/// O(1) copy over shared packed tables), never switched.
 ///
 /// Aggregation is invisible to individual requests: the batched forward
 /// quantizes activations per sample ([`PackedModel::forward_batch`]), so
 /// every [`RequestOutcome::output`] is bit-identical to serving that
 /// request alone at the same bit-width — at every bit-width, both
 /// quantizers, and any thread count. What batching changes is throughput
-/// and latency, which the returned [`RuntimeStats`] now measures:
-/// per-request wait times, batch-size histogram, p50/p99 queueing delay,
-/// and end-of-trace backlog. Energy and accuracy are charged per request
+/// and latency, which the returned [`RuntimeStats`] measures: per-request
+/// wait times, batch-size histogram, p50/p99 queueing delay, and
+/// end-of-trace backlog. Energy and accuracy are charged per request
 /// served (an idle served step charges nothing).
 ///
 /// # Panics
 ///
 /// Panics if the traces' lengths differ, `inputs` is empty or holds
 /// differently-shaped non-`[1, …]` tensors, `max_batch` is zero, or a
-/// selected bit-width is missing from the packed model's set.
+/// report point's bit-width is missing from the packed model's set.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_serving_batched(
     report: &DeploymentReport,
@@ -446,75 +477,16 @@ pub fn simulate_serving_batched(
     model: &mut PackedModel,
     inputs: &[Tensor],
 ) -> (RuntimeStats, Vec<RequestOutcome>) {
-    assert_eq!(
-        requests.len(),
-        trace.len(),
-        "request trace and energy trace must cover the same timesteps"
-    );
-    assert!(serving.max_batch >= 1, "max_batch must be at least 1");
-    let (sample_dims, sample_len) = match crate::engine::batch::validate_inputs(inputs) {
-        Ok(v) => v,
-        Err(msg) => panic!("{msg}"),
-    };
-
-    let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(requests.total());
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut wait_steps: Vec<usize> = Vec::new();
-    let mut histogram = vec![0usize; serving.max_batch + 1];
-    let mut max_depth = 0usize;
-    let mut t = 0usize;
-    let mut stats = run_simulation(report, trace, policy, cfg, |bits| {
-        for _ in 0..requests.arrivals()[t] {
-            queue.push_back(outcomes.len());
-            outcomes.push(RequestOutcome {
-                arrived_at: t,
-                served_at: None,
-                bits: None,
-                output: None,
-            });
-        }
-        max_depth = max_depth.max(queue.len());
-        let served = match bits {
-            Some(b) => {
-                let take = queue.len().min(serving.max_batch);
-                histogram[take] += 1;
-                if take > 0 {
-                    assert!(
-                        model.switch_to_bits(b),
-                        "operating point {b} is not in the packed model's bit-width set"
-                    );
-                    let ids: Vec<usize> = queue.drain(..take).collect();
-                    let batch =
-                        crate::engine::batch::gather_batch(inputs, &sample_dims, sample_len, &ids);
-                    let y = model.forward_batch(&batch);
-                    let outs = crate::engine::batch::scatter_outputs(&y, take);
-                    for (&rid, out) in ids.iter().zip(outs) {
-                        let rec = &mut outcomes[rid];
-                        rec.served_at = Some(t);
-                        rec.bits = Some(b.get());
-                        rec.output = Some(out);
-                        wait_steps.push(t - rec.arrived_at);
-                    }
-                }
-                take
-            }
-            None => 0,
-        };
-        t += 1;
-        served
-    });
-    stats.backlog = queue.len();
-    stats.max_queue_depth = max_depth;
-    stats.batch_histogram = histogram;
-    finish_wait_stats(&mut stats, wait_steps);
-    (stats, outcomes)
+    let registry = ModelRegistry::new(model.clone(), "pinned");
+    let sim = Sim(report, trace, requests, policy, cfg, serving, inputs);
+    let (shard, faults) = (ShardConfig::default(), FaultPlan::none());
+    serve_steps(sim, &shard, &faults, &registry, &mut |_, _| {}).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Shared policy loop; `on_step` observes every timestep's selection and
-/// returns how many inferences it ran under that selection (the
-/// per-timestep paths return 1 per served step; the batched path returns
-/// the aggregated batch size). Accuracy and inference energy are charged
-/// per inference.
+/// The policy simulation's loop; `on_step` observes every timestep's
+/// selection and returns how many inferences it ran under that selection
+/// (1 per served step). Accuracy and inference energy are charged per
+/// inference.
 fn run_simulation(
     report: &DeploymentReport,
     trace: &EnergyTrace,

@@ -1,67 +1,63 @@
-//! Sharded serving: one request stream fanned out over N `PackedModel`
-//! replicas, with a content-keyed output cache in front of dispatch.
+//! The simulated serving loop: one request stream over N `PackedModel`
+//! replicas in simulated time, with every serving option of the
+//! simulated clock.
 //!
-//! [`simulate_serving_sharded`] scales the batched queue of
-//! [`crate::runtime::simulate_serving_batched`] past a single engine.
-//! Replica clones are free — [`PackedModel::clone`] shares the immutable
-//! packed weight tables behind an `Arc`, so N replicas cost N cursors,
-//! not N repacks — and each step every replica drains up to
-//! [`ServingConfig::max_batch`] requests from its own queue into its own
-//! packed forward, the forwards running concurrently on
-//! [`instantnet_parallel`] scoped threads. Per-sample activation
-//! quantization keeps every output bit-identical to serving that request
-//! alone, so *which* replica serves a request is invisible to the caller;
-//! what sharding changes is drain rate, and the per-replica
-//! [`ReplicaStats`] embedded in [`RuntimeStats`] measure exactly that.
+//! [`simulate_serving_sharded_versioned`] runs the only simulated step
+//! loop in the crate; [`crate::runtime::simulate_serving_batched`],
+//! [`crate::resilience::simulate_serving_resilient`] and
+//! [`simulate_serving_sharded`] are wrappers over it with a
+//! single-version [`ModelRegistry`] and, for the first, the default
+//! [`ShardConfig`] and no faults. The wall-clock workers of
+//! [`crate::wallclock`] share its batch executor, serving-point rule,
+//! accumulator and validator ([`crate::engine`]); what this module keeps
+//! is the simulated clock's *when* and *from which queue*.
 //!
-//! Three dispatchers are provided: round-robin, join-shortest-queue
-//! ([`DispatchPolicy::LeastLoaded`]), and — the InstantNet twist — a
-//! bit-width-specialized mode ([`ShardConfig::pinned`]) where each
-//! replica is pinned to one operating point of the report and arrivals
-//! route on their projected deadline slack: requests that can still
-//! afford the accurate replica's queue go there, urgent ones divert to
-//! the fastest replica. The global budget policy is still the single
-//! [`crate::runtime::Policy`] selector shared with every other serving
-//! path; a pinned replica only serves on steps where its point fits the
-//! step's budget.
+//! Each step, in order: the step hook runs and the fleet re-pins the
+//! registry if it moved (so no batch straddles a publish); arrivals are
+//! admitted against the fleet's total backlog and dispatched — round
+//! robin, join-shortest-queue, or by deadline slack when
+//! [`ShardConfig::pinned`]; queued requests past their deadline expire;
+//! the budget policy picks one operating point for the fleet and the
+//! degradation controller shifts it; then every serving replica drains
+//! its queue (cache hits complete on the spot) and the non-empty batches
+//! run as one packed forward per replica, concurrently on
+//! [`instantnet_parallel`] scoped threads. Replica clones are free —
+//! [`PackedModel::clone`] shares the packed tables behind an `Arc` — and
+//! per-sample activation quantization keeps every output bit-identical to
+//! serving that request alone, so *which* replica serves a request, and
+//! when, never changes its output.
 //!
-//! Faults compose per replica: a [`FaultPlan`] targets
-//! [`ShardConfig::fault_replica`] alone, its forwards are isolated with
-//! `catch_unwind`, and the other replicas keep serving — the sharded
-//! answer to the resilient path's single-worker fault story.
+//! Where the fleet and one worker could disagree, one rule holds:
 //!
-//! Hot reload composes at step boundaries:
-//! [`simulate_serving_sharded_versioned`] serves the whole fleet out of a
-//! [`crate::registry::ModelRegistry`], observing it exactly once per
-//! timestep (before any batch is drained) so all replicas adopt a publish
-//! together and no in-flight batch straddles a swap; a per-step hook
-//! gives tests a deterministic place to publish mid-traffic, and canary
-//! batches shadow-compare through the candidate exactly as in the
-//! wall-clock path. [`simulate_serving_sharded`] is the degenerate
-//! wrapper over a single-version registry.
-//!
-//! With 1 replica, round-robin dispatch, the cache off, and no faults,
-//! this path reproduces `simulate_serving_batched` bit-for-bit — same
-//! outputs, schedule, switches, energy, and queue stats — at every
-//! bit-width and thread count. Sharding is strictly additive.
+//! * **Stall scope.** A [`FaultKind::Stall`] idles
+//!   [`ShardConfig::fault_replica`]. When that leaves no replica — a
+//!   fleet of one — the step skips selection: it schedules nothing and
+//!   resets the hysteresis anchor, but is not a budget drop.
+//! * **Hopeless deadlines.** An arrival is shed when
+//!   `backlog / (replicas × max_batch) > deadline_steps`: even draining a
+//!   full batch per replica per step it would expire.
+//! * **Retries.** A faulted batch's requests re-queue at the head of the
+//!   least-loaded *other* replica (the same one in a fleet of one),
+//!   eligible at `t + 1 + retry_backoff_steps`.
+//! * **Degradation** shifts the fleet's pick, so it cannot combine with
+//!   pinned replicas (a [`ServingError::Config`]).
 
-use crate::engine::batch::{gather_batch, scatter_outputs, validate_inputs};
+use crate::engine::batch::{forward, gather_batch, scatter_outputs, shadow_compare, validate};
 use crate::engine::cache::{cache_key, LruCache};
-use crate::engine::stats::{finish_wait_stats, wait_summary};
+use crate::engine::degrade::{point_index, serve_point, HysteresisController};
+use crate::engine::stats::Acc;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::registry::ModelRegistry;
-use crate::resilience::{config_err, RequestStatus, ServingError};
+use crate::resilience::{config_err, DegradationConfig, RequestStatus, ServingError};
 use crate::runtime::{
-    EnergyTrace, Policy, PolicySelector, RequestTrace, RuntimeStats, ServingConfig,
+    EnergyTrace, Policy, PolicySelector, RequestOutcome, RequestTrace, RuntimeStats, ServingConfig,
     SimulationConfig,
 };
 use crate::{DeploymentReport, OperatingPoint};
-use instantnet_infer::{InferError, PackedModel};
+use instantnet_infer::PackedModel;
 use instantnet_parallel::par_chunks_mut;
-use instantnet_quant::BitWidth;
 use instantnet_tensor::Tensor;
-use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::VecDeque;
 
 /// How arrivals are spread across replica queues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,10 +82,10 @@ pub struct PinnedConfig {
     pub urgent_slack: usize,
 }
 
-/// Knobs of the sharded serving fan-out. The default — one replica,
-/// round-robin, cache off, nothing pinned, fully permissive queue — makes
-/// [`simulate_serving_sharded`] behave exactly like
-/// [`crate::runtime::simulate_serving_batched`].
+/// Knobs of the simulated serving loop (also
+/// [`crate::resilience::ResilienceConfig`]). The default — one replica,
+/// round-robin, cache off, nothing pinned, no deadlines, no cap, no
+/// retries, no degradation — is plain batched serving.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardConfig {
     /// Number of `PackedModel` replicas (each an O(1) clone).
@@ -97,41 +93,45 @@ pub struct ShardConfig {
     /// How arrivals pick a replica queue (ignored when `pinned` is set —
     /// pinned mode routes by deadline slack).
     pub dispatch: DispatchPolicy,
-    /// Enable the content-keyed output cache in front of dispatch: a
-    /// request whose `(bit-width, input bytes)` was already computed this
-    /// run completes instantly from the cached tensor, charging no energy
-    /// and consuming no batch slot.
+    /// Enable the content-keyed output cache in front of the forwards: a
+    /// request whose `(generation, bit-width, input bytes)` was already
+    /// computed this run completes instantly from the cached tensor,
+    /// charging no energy and consuming no batch slot.
     pub cache: bool,
     /// Maximum entries the content cache holds; the least-recently-used
-    /// entry is evicted to admit a new one past the cap (evictions are
-    /// counted in [`RuntimeStats::cache_evictions`]). Eviction only costs
-    /// recompute — outputs stay bit-identical because every miss reruns
-    /// the same exact forward. Must be ≥ 1 when `cache` is on; the
-    /// generous default keeps prior unbounded-cache behavior for any
-    /// realistic trace.
+    /// entry is evicted to admit a new one past the cap. Eviction only
+    /// costs recompute — every miss reruns the same exact forward. Must be
+    /// ≥ 1 when `cache` is on.
     pub cache_capacity: usize,
     /// Bit-width specialization; requires `deadline_steps` (slack routing
     /// needs deadlines to measure slack against).
     pub pinned: Option<PinnedConfig>,
     /// Relative deadline: a request arriving at step `t` expires if still
-    /// queued after step `t + deadline_steps`. `None` = no deadlines.
+    /// queued after step `t + deadline_steps`, and is shed on arrival when
+    /// even best-case service would miss it. `None` = no deadlines.
     pub deadline_steps: Option<usize>,
     /// Admission cap on the *total* queued across all replicas; arrivals
     /// over the cap are shed. `None` = unbounded.
     pub max_queue_depth: Option<usize>,
     /// How many times a fault-hit request re-queues before it is failed.
-    /// With more than one replica, a retry re-dispatches to the
-    /// least-loaded *other* replica — never back onto the replica whose
-    /// fault just failed it.
     pub max_retries: usize,
+    /// Extra steps a retried request waits before becoming eligible again.
+    pub retry_backoff_steps: usize,
+    /// Wall-clock length of one simulated step, in seconds. When set, a
+    /// replica's batch capacity at a point is
+    /// `min(max_batch, floor(step_time_s / point.latency_s))`, so
+    /// downshifting to a lower-latency point genuinely raises throughput —
+    /// the mechanism degradation trades accuracy for. `None` keeps
+    /// capacity at `max_batch` regardless of bit-width.
+    pub step_time_s: Option<f64>,
+    /// The precision-downshift controller over the fleet's total backlog.
+    /// `None` = policy picks alone.
+    pub degradation: Option<DegradationConfig>,
     /// Which replica the [`FaultPlan`] targets; the others never fault.
     pub fault_replica: usize,
     /// Work stealing between replica queues: a replica that would serve
-    /// this step but drained nothing from its own queue takes up to
-    /// `max_batch` eligible requests from the head of the deepest other
-    /// queue (ties to the lowest index) and serves them at its own point.
-    /// Off by default; with stealing off the dispatch is bit-identical to
-    /// the pre-stealing path.
+    /// this step but drained nothing from its own queue drains the deepest
+    /// other queue (ties to the lowest index) at its own point.
     pub work_stealing: bool,
 }
 
@@ -146,14 +146,17 @@ impl Default for ShardConfig {
             deadline_steps: None,
             max_queue_depth: None,
             max_retries: 0,
+            retry_backoff_steps: 0,
+            step_time_s: None,
+            degradation: None,
             fault_replica: 0,
             work_stealing: false,
         }
     }
 }
 
-/// Per-replica slice of a sharded run, embedded in
-/// [`RuntimeStats::replicas`] (indexed by replica id).
+/// Per-replica (simulated clock) or per-worker (wall clock) slice of a
+/// run, embedded in [`RuntimeStats::replicas`] in replica/worker order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReplicaStats {
     /// Requests this replica completed, including its cache hits.
@@ -162,114 +165,77 @@ pub struct ReplicaStats {
     pub batches: usize,
     /// Forwards that faulted (injected or genuine) on this replica.
     pub faulted_batches: usize,
-    /// Requests still in this replica's queue when the trace ended.
+    /// Requests still in this replica's queue when the trace ended
+    /// (simulated clock; the wall clock's backlog is global).
     pub backlog: usize,
-    /// Deepest this replica's own queue got, after each step's arrivals.
+    /// Deepest this replica's own queue got: after each step's arrivals
+    /// (simulated), or its shard's high-water mark under
+    /// [`crate::wallclock::QueueMode::Sharded`] (wall clock; 0 under the
+    /// shared queue, whose mark is the global one).
     pub max_queue_depth: usize,
     /// Requests this replica answered from the output cache.
     pub cache_hits: usize,
     /// Mean queueing delay of the requests this replica served.
     pub mean_wait_steps: f64,
-    /// Nearest-rank p99 queueing delay of this replica's requests —
-    /// same percentile definition as the global
-    /// [`RuntimeStats::p99_wait_steps`].
+    /// Nearest-rank p99 queueing delay of this replica's requests — same
+    /// percentile definition as the global [`RuntimeStats::p99_wait_steps`].
     pub p99_wait_steps: f64,
-    /// Steps this replica spent configured at each serving bit-width,
-    /// ascending by bits (stalled and budget-excluded steps don't count).
+    /// Serving dwell per bit-width, ascending by bits: steps configured at
+    /// each width (simulated) or batches served at it (wall clock).
     pub time_in_bits: Vec<(u8, usize)>,
     /// Model generation this replica was pinned to when the run ended.
-    /// The registry-free entry points run over a degenerate single-version
-    /// registry, so they always report generation 1.
     pub generation: u64,
 }
 
-/// Per-request record of a sharded run, index-aligned with arrival order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedOutcome {
-    /// Timestep the request arrived.
-    pub arrived_at: usize,
-    /// Timestep it was served, if it was.
-    pub served_at: Option<usize>,
-    /// Bit-width of the forward (or cached result) that served it.
-    pub bits: Option<u8>,
-    /// The output — bit-identical to a batch-of-one forward at `bits`
-    /// whether it came from a replica forward or the cache.
-    pub output: Option<Tensor>,
-    /// How the request ended (sharding never degrades, so
-    /// [`RequestStatus::CompletedDegraded`] does not occur here).
-    pub status: RequestStatus,
-    /// Replica that served (or would have served) it; `None` until
-    /// dispatched, and kept at the serving replica afterwards.
-    pub replica: Option<usize>,
-    /// Whether the output came from the content cache.
-    pub cached: bool,
-    /// Absolute deadline step, when deadlines are configured.
-    pub deadline: Option<usize>,
-    /// Forward attempts that included this request (cache hits run no
-    /// forward and leave this at 0).
-    pub attempts: usize,
-}
+/// Per-request record of a simulated run — an alias of the one outcome
+/// type every simulated entry point returns.
+pub type ShardedOutcome = RequestOutcome;
 
 /// One queued request: outcome index plus first step it may batch again.
+#[derive(Clone)]
 struct QEntry {
     id: usize,
     eligible_at: usize,
 }
 
-/// One replica's drained batch for the current step, with the operating
-/// point it will serve at.
-struct PlannedBatch {
-    taken: Vec<QEntry>,
-    bits: BitWidth,
-    accuracy: f32,
-    energy_pj: f64,
-}
+/// The arguments every simulated entry point shares, in their order:
+/// report, energy trace, request trace, policy, simulation and serving
+/// configs, request inputs.
+#[derive(Clone, Copy)]
+pub(crate) struct Sim<'a>(
+    pub &'a DeploymentReport,
+    pub &'a EnergyTrace,
+    pub &'a RequestTrace,
+    pub Policy,
+    pub &'a SimulationConfig,
+    pub &'a ServingConfig,
+    pub &'a [Tensor],
+);
 
-/// Per-replica accumulators carried across steps.
-#[derive(Default)]
-struct ReplicaAcc {
-    served: usize,
-    batches: usize,
-    faulted_batches: usize,
-    max_queue_depth: usize,
-    cache_hits: usize,
-    waits: Vec<usize>,
-    time_in_bits: BTreeMap<u8, usize>,
-}
-
-/// Per-step, per-replica work slot handed to the scoped-thread fan-out.
-/// The model reference is the replica's own clone, so slots are disjoint.
-struct StepSlot<'m> {
+/// One replica's work for the current step, run on its own model by the
+/// scoped-thread fan-out; slots borrow disjoint models.
+struct Slot<'m> {
     model: &'m mut PackedModel,
-    bits: BitWidth,
+    point: Option<&'m OperatingPoint>,
+    taken: Vec<QEntry>,
     batch: Option<Tensor>,
     fault: Option<FaultKind>,
-    /// `Some(Ok)` = forward output; `Some(Err)` = fault description
-    /// (injected, typed engine error, or isolated panic).
     result: Option<Result<Tensor, String>>,
 }
 
-fn validate(
-    report: &DeploymentReport,
-    trace: &EnergyTrace,
-    requests: &RequestTrace,
-    serving: &ServingConfig,
+/// The simulated clock's own checks, then the ones both clocks share.
+fn validate_sim(
+    sim: Sim<'_>,
     shard: &ShardConfig,
     model: &PackedModel,
-    inputs: &[Tensor],
 ) -> Result<(), ServingError> {
+    let Sim(report, trace, requests, _, _, serving, inputs) = sim;
     if requests.len() != trace.len() {
         return config_err(format!(
-            "request trace covers {} steps but energy trace covers {}",
+            "request trace ({} steps) and energy trace ({} steps) must cover the same timesteps",
             requests.len(),
             trace.len()
         ));
-    }
-    if serving.max_batch < 1 {
-        return config_err("max_batch must be at least 1");
-    }
-    if shard.replicas < 1 {
-        return config_err("at least one replica is required");
     }
     if shard.fault_replica >= shard.replicas {
         return config_err(format!(
@@ -280,8 +246,8 @@ fn validate(
     if shard.cache && shard.cache_capacity == 0 {
         return config_err("cache_capacity must be at least 1 when the cache is enabled");
     }
-    if let Err(msg) = validate_inputs(inputs) {
-        return config_err(msg);
+    if let Some(st) = shard.step_time_s.filter(|st| !st.is_finite() || *st <= 0.0) {
+        return config_err(format!("step_time_s must be finite and positive, got {st}"));
     }
     if let Some(pc) = &shard.pinned {
         if pc.point_indices.len() != shard.replicas {
@@ -291,127 +257,49 @@ fn validate(
                 shard.replicas
             ));
         }
-        if let Some(&bad) = pc
+        if let Some(bad) = pc
             .point_indices
             .iter()
             .find(|&&i| i >= report.points().len())
         {
-            return config_err(format!(
-                "pinned point index {bad} out of range for {} operating points",
-                report.points().len()
-            ));
+            return config_err(format!("pinned point index {bad} out of range"));
         }
         if shard.deadline_steps.is_none() {
             return config_err("pinned routing requires deadline_steps (it routes on slack)");
         }
-    }
-    // Every operating point must be switchable up front, so a bad
-    // report/model pairing fails fast instead of mid-trace on a worker.
-    for p in report.points() {
-        if model.bit_widths().index_of(p.bits).is_none() {
-            return Err(ServingError::Infer(InferError::BitWidth(p.bits)));
+        if shard.degradation.is_some() {
+            return config_err("degradation shifts the fleet's pick; pinned replicas have none");
         }
     }
-    Ok(())
+    let band = shard
+        .degradation
+        .as_ref()
+        .map(|d| (d.backlog_high, d.backlog_low, d.recovery_window >= 1));
+    validate(
+        report,
+        model,
+        inputs,
+        (shard.replicas, serving.max_batch),
+        band,
+    )
 }
 
-/// Pulls up to `max_take` backoff-eligible requests from the head of
-/// `queue`, FIFO, leaving ineligible ones in place — completing cache
-/// hits on the spot (free, and without consuming a batch slot) when the
-/// cache is on. Shared by a replica's own drain and the work-stealing
-/// pass, so stolen requests get the identical cache/accounting treatment;
-/// `acc_r` is the *serving* replica's accumulator either way.
-/// `generation` is the pinned stable version's — cache probes are
-/// version-aware, so entries computed by superseded weights never answer
-/// post-reload traffic.
-#[allow(clippy::too_many_arguments)]
-fn drain_eligible(
-    queue: &mut VecDeque<QEntry>,
-    t: usize,
-    max_take: usize,
-    point: &OperatingPoint,
-    use_cache: bool,
-    generation: u64,
-    cache: &mut LruCache,
-    inputs: &[Tensor],
-    outcomes: &mut [ShardedOutcome],
-    stats: &mut RuntimeStats,
-    acc_r: &mut ReplicaAcc,
-    acc_sum: &mut f32,
-) -> Vec<QEntry> {
-    let mut taken: Vec<QEntry> = Vec::new();
-    let mut kept: VecDeque<QEntry> = VecDeque::with_capacity(queue.len());
-    while let Some(e) = queue.pop_front() {
-        if taken.len() >= max_take {
-            kept.push_back(e);
-            continue;
-        }
-        if e.eligible_at > t {
-            kept.push_back(e);
-            continue;
-        }
-        if use_cache {
-            let key = cache_key(generation, point.bits, &inputs[e.id % inputs.len()]);
-            if let Some(y) = cache.get(&key) {
-                let rec = &mut outcomes[e.id];
-                rec.served_at = Some(t);
-                rec.bits = Some(point.bits.get());
-                rec.output = Some(y.clone());
-                rec.status = RequestStatus::Completed;
-                rec.cached = true;
-                stats.completed += 1;
-                stats.cache_hits += 1;
-                acc_r.cache_hits += 1;
-                acc_r.served += 1;
-                acc_r.waits.push(t - rec.arrived_at);
-                *acc_sum += point.accuracy;
-                continue;
-            }
-            stats.cache_misses += 1;
-        }
-        taken.push(e);
-    }
-    *queue = kept;
-    taken
-}
-
-/// Batched serving over N packed replicas with content caching and
-/// per-replica fault isolation.
+/// Batched serving over N packed replicas with content caching,
+/// deadlines, degradation and per-replica fault isolation, over a frozen
+/// model: [`simulate_serving_sharded_versioned`] with a single-version
+/// registry and no step hook.
 ///
-/// Each timestep, in order: arrivals are admitted (or shed over
-/// [`ShardConfig::max_queue_depth`], counted on the *total* backlog) and
-/// dispatched to a replica queue — round-robin, join-shortest-queue, or
-/// slack-routed when pinned; queued requests past their deadline expire;
-/// the shared budget policy selects the step's operating point (`None`
-/// drops the step for every replica); then each serving replica drains up
-/// to `max_batch` cache-missing requests — cache hits complete instantly,
-/// free, and without consuming batch slots — and the non-empty batches
-/// run as one packed forward per replica, concurrently on scoped threads.
-/// A fault at this step hits only [`ShardConfig::fault_replica`]:
-/// [`FaultKind::Stall`] idles that replica for the step (the global
-/// selector is *not* reset — the other replicas still serve, so the
-/// budget anchor legitimately survives, unlike the single-worker
-/// resilient path), while transient errors and panics (isolated with
-/// `catch_unwind`) fail that replica's batch alone; its requests retry up
-/// to [`ShardConfig::max_retries`] times, re-dispatched to the head of
-/// the least-loaded *other* replica's queue (back onto the same queue
-/// only when it is the sole replica). [`ShardConfig::work_stealing`] lets
-/// otherwise-idle replicas drain the deepest queue's backlog.
-///
-/// Global [`RuntimeStats`] aggregate exactly as in the batched path
-/// (plus cache counters), `stats.replicas[r]` carries each replica's
-/// share, and `arrivals == completed + shed + expired + failed + backlog`
-/// always holds. Energy is charged per forward-served request at its
-/// serving point; cache hits charge nothing.
-///
-/// The model is taken by `&` and cloned once per replica — O(1) each, the
-/// packed tables are shared, never re-packed.
+/// Global [`RuntimeStats`] aggregate over the fleet, `stats.replicas[r]`
+/// carries each replica's share, and `arrivals == completed +
+/// completed_degraded + shed + expired + failed + backlog` always holds.
+/// Energy is charged per forward-served request at its serving point;
+/// cache hits charge nothing.
 ///
 /// # Errors
 ///
-/// [`ServingError::Config`] for inconsistent traces, shapes, or shard
-/// knobs; [`ServingError::Infer`] if any report point's bit-width is
-/// missing from the packed set (checked up front).
+/// [`ServingError::Config`] for inconsistent traces, shapes, or knobs;
+/// [`ServingError::Infer`] if any report point's bit-width is missing
+/// from the packed set (checked up front).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_serving_sharded(
     report: &DeploymentReport,
@@ -425,55 +313,34 @@ pub fn simulate_serving_sharded(
     model: &PackedModel,
     inputs: &[Tensor],
 ) -> Result<(RuntimeStats, Vec<ShardedOutcome>), ServingError> {
-    // The degenerate registry: one pinned version, canary off, no
-    // publishes. Bit-identical to the historical frozen-model loop —
-    // enforced in `tests/hot_reload.rs`.
     let registry = ModelRegistry::new(model.clone(), "pinned");
-    simulate_serving_sharded_versioned(
-        report,
-        trace,
-        requests,
-        policy,
-        cfg,
-        serving,
-        shard,
-        faults,
-        &registry,
-        &mut |_, _| {},
-        inputs,
-    )
+    let sim = Sim(report, trace, requests, policy, cfg, serving, inputs);
+    serve_steps(sim, shard, faults, &registry, &mut |_, _| {})
 }
 
-/// [`simulate_serving_sharded`] over a live [`ModelRegistry`]: every
+/// The simulated serving loop over a live [`ModelRegistry`]: every
 /// replica serves out of the registry's stable version, and the fleet
-/// observes the registry once per timestep — at the step boundary,
-/// before any batch is drained — so all batches of a step are served by
-/// one consistent (stable, canary) pair and no in-flight batch ever
-/// straddles a publish. `on_step(t, registry)` runs first at each step,
-/// which is where deterministic tests (and simulated publisher threads)
-/// inject mid-traffic publishes: a publish made inside the hook at step
-/// `t` is adopted by every replica for step `t`'s batches.
+/// observes the registry once per timestep — at the step boundary, before
+/// any batch is drained — so all batches of a step are served by one
+/// consistent (stable, canary) pair and no in-flight batch ever straddles
+/// a publish. `on_step(t, registry)` runs first at each step, which is
+/// where deterministic tests inject mid-traffic publishes: a publish made
+/// inside the hook at step `t` is adopted by every replica for step `t`'s
+/// batches.
 ///
 /// When a canary is in flight, its configured fraction of successful
 /// batches is shadow-forwarded through the candidate at the same
 /// bit-width and compared bit-exactly (requests are always answered from
 /// stable); divergences and candidate faults feed the registry's
-/// auto-rollback state machine exactly as in the wall-clock path. The
-/// simulated clock has no wall time, so both forwards report equal
-/// latency and the latency band never trips here.
-///
-/// Registry activity lands in [`RuntimeStats::reloads`], `rollbacks`,
-/// `rejected_publishes`, `canary_served`, `divergences`, and
-/// `time_per_generation` (timesteps per generation);
-/// `stats.replicas[r].generation` records the generation in force when
-/// the run ended.
+/// auto-rollback state machine. The simulated clock has no wall time, so
+/// the latency band never trips here.
 ///
 /// # Errors
 ///
 /// As [`simulate_serving_sharded`], validated against the registry's
 /// stable model (published candidates are guaranteed compatible by the
 /// registry).
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+#[allow(clippy::too_many_arguments)]
 pub fn simulate_serving_sharded_versioned(
     report: &DeploymentReport,
     trace: &EnergyTrace,
@@ -487,135 +354,119 @@ pub fn simulate_serving_sharded_versioned(
     on_step: &mut dyn FnMut(usize, &ModelRegistry),
     inputs: &[Tensor],
 ) -> Result<(RuntimeStats, Vec<ShardedOutcome>), ServingError> {
+    let sim = Sim(report, trace, requests, policy, cfg, serving, inputs);
+    serve_steps(sim, shard, faults, registry, on_step)
+}
+
+/// The step loop behind every simulated entry point (see the module docs
+/// for the order of a step and the rules it follows).
+#[allow(clippy::too_many_lines)]
+pub(crate) fn serve_steps(
+    sim: Sim<'_>,
+    shard: &ShardConfig,
+    faults: &FaultPlan,
+    registry: &ModelRegistry,
+    on_step: &mut dyn FnMut(usize, &ModelRegistry),
+) -> Result<(RuntimeStats, Vec<RequestOutcome>), ServingError> {
+    let Sim(report, trace, requests, policy, cfg, serving, inputs) = sim;
     let mut pin = registry.snapshot();
-    validate(
-        report,
-        trace,
-        requests,
-        serving,
-        shard,
-        pin.stable.model(),
-        inputs,
-    )?;
+    validate_sim(sim, shard, pin.stable.model())?;
     let metrics0 = registry.metrics();
-    let n = shard.replicas;
-    let points = report.points();
-    let sample_dims = inputs[0].dims().to_vec();
-    let sample_len = inputs[0].len();
-
-    let mut models: Vec<PackedModel> = (0..n).map(|_| pin.stable.model().clone()).collect();
-    let mut shadow: Option<PackedModel> = pin.canary.as_ref().map(|v| v.model().clone());
-    let mut gen_steps: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut queues: Vec<VecDeque<QEntry>> = (0..n).map(|_| VecDeque::new()).collect();
-    let mut acc: Vec<ReplicaAcc> = (0..n).map(|_| ReplicaAcc::default()).collect();
-    let mut outcomes: Vec<ShardedOutcome> = Vec::with_capacity(requests.total());
-    let mut cache = LruCache::new(shard.cache_capacity);
-    let mut wait_steps: Vec<usize> = Vec::new();
-    let mut histogram = vec![0usize; serving.max_batch + 1];
-    let mut max_depth = 0usize;
-    let mut rr_cursor = 0usize;
-
-    let mut selector = PolicySelector::new(report, policy);
-    let mut prev_bits: Option<BitWidth> = None;
+    let (n, points, max_batch) = (shard.replicas, report.points(), serving.max_batch);
+    let mut models = vec![pin.stable.model().clone(); n];
+    let mut shadow = pin.canary.as_ref().map(|v| v.model().clone());
+    let mut queues: Vec<VecDeque<QEntry>> = vec![VecDeque::new(); n];
+    let mut accs: Vec<Acc> = (0..n).map(|_| Acc::new(max_batch)).collect();
+    let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(requests.total());
+    let mut cache = shard.cache.then(|| LruCache::new(shard.cache_capacity));
     let mut stats = RuntimeStats::default();
-    let mut acc_sum = 0.0f32;
-    let mut schedule: Vec<Option<u8>> = Vec::with_capacity(trace.len());
-
-    // Pinned routing targets: the replica whose point is most accurate
-    // (where slack-rich requests go) and the one with the lowest latency
-    // (where urgent requests divert), ties to the lower index.
+    let mut selector = PolicySelector::new(report, policy);
+    let mut controller = shard.degradation.as_ref().map(|d| {
+        HysteresisController::new(d.backlog_high, d.backlog_low, d.recovery_window as u64)
+    });
+    let mut prev_bits = None;
+    let mut rr_cursor = 0usize;
+    let capacity = |p: &OperatingPoint| match shard.step_time_s {
+        Some(st) => ((st / p.latency_s).floor().max(0.0) as usize).min(max_batch),
+        None => max_batch,
+    };
+    // Pinned routing targets: the most accurate replica (where slack-rich
+    // arrivals go) and the fastest (where urgent ones divert), ties to the
+    // lower index (`max_by` keeps the last maximum, hence the `rev`).
     let routing = shard.pinned.as_ref().map(|pc| {
-        let by = |f: &dyn Fn(&OperatingPoint) -> f64, best_is_max: bool| {
-            let mut best = 0usize;
-            for r in 1..n {
-                let (cand, cur) = (
-                    f(&points[pc.point_indices[r]]),
-                    f(&points[pc.point_indices[best]]),
-                );
-                if (best_is_max && cand > cur) || (!best_is_max && cand < cur) {
-                    best = r;
-                }
-            }
-            best
-        };
-        let quality = by(&|p| f64::from(p.accuracy), true);
-        let fast = by(&|p| p.latency_s, false);
-        (quality, fast)
+        let at = |r: usize| &points[pc.point_indices[r]];
+        let quality = (0..n)
+            .rev()
+            .max_by(|&a, &b| at(a).accuracy.total_cmp(&at(b).accuracy));
+        let fast = (0..n).min_by(|&a, &b| at(a).latency_s.total_cmp(&at(b).latency_s));
+        (
+            quality.expect("a replica"),
+            fast.expect("a replica"),
+            pc.urgent_slack,
+        )
     });
 
     for (t, &budget) in trace.budgets().iter().enumerate() {
-        // 0. Version pinning: the hook may publish, then the fleet
-        // observes the registry — once, at the step boundary, before any
-        // batch is drained. Every batch of this step is served by one
-        // consistent (stable, canary) pair; re-pinning is O(1) Arc-shared
-        // clones per replica.
+        // 0. Version pinning at the step boundary; re-pinning is O(1)
+        // Arc-shared clones per replica. The fleet re-pins together, so
+        // replica 0 carries the steps-per-generation count.
         on_step(t, registry);
         if registry.epoch() != pin.epoch {
             pin = registry.snapshot();
-            for m in &mut models {
-                *m = pin.stable.model().clone();
-            }
+            models.fill(pin.stable.model().clone());
             shadow = pin.canary.as_ref().map(|v| v.model().clone());
         }
-        *gen_steps.entry(pin.stable.generation()).or_insert(0) += 1;
+        *accs[0].generations.entry(pin.generation()).or_insert(0) += 1;
         let fault = faults.at(t);
 
         // 1. Arrivals: admission against the total backlog, then dispatch.
         for _ in 0..requests.arrivals()[t] {
             let id = outcomes.len();
-            let mut rec = ShardedOutcome {
+            let backlog: usize = queues.iter().map(VecDeque::len).sum();
+            let mut rec = RequestOutcome {
                 arrived_at: t,
-                served_at: None,
-                bits: None,
-                output: None,
-                status: RequestStatus::Pending,
-                replica: None,
-                cached: false,
                 deadline: shard.deadline_steps.map(|d| t + d),
-                attempts: 0,
+                ..RequestOutcome::default()
             };
-            let total: usize = queues.iter().map(VecDeque::len).sum();
-            if shard.max_queue_depth.is_some_and(|cap| total >= cap) {
+            let hopeless = shard
+                .deadline_steps
+                .is_some_and(|d| backlog / (n * max_batch) > d);
+            if hopeless || shard.max_queue_depth.is_some_and(|cap| backlog >= cap) {
                 rec.status = RequestStatus::Shed;
                 stats.shed += 1;
                 outcomes.push(rec);
                 continue;
             }
-            let target = match (&shard.pinned, routing) {
-                (Some(pc), Some((quality, fast))) => {
-                    // Best case the quality replica drains max_batch per
-                    // step, so this request's service step is at earliest
-                    // t + queue/max_batch; route by the slack left then.
-                    let wait = queues[quality].len() / serving.max_batch;
-                    let slack = rec
-                        .deadline
-                        .expect("validated: pinned requires deadlines")
-                        .saturating_sub(t + wait);
-                    if slack <= pc.urgent_slack {
+            let r = match routing {
+                // Best case the quality replica drains max_batch per step,
+                // so the arrival is served at t + queue/max_batch at the
+                // earliest; route on the slack left then.
+                Some((quality, fast, urgent)) => {
+                    let served = t + queues[quality].len() / max_batch;
+                    let deadline = rec.deadline.expect("validated: pinned has deadlines");
+                    if deadline.saturating_sub(served) <= urgent {
                         fast
                     } else {
                         quality
                     }
                 }
-                _ => match shard.dispatch {
-                    DispatchPolicy::RoundRobin => {
-                        let r = rr_cursor;
-                        rr_cursor = (rr_cursor + 1) % n;
-                        r
-                    }
-                    DispatchPolicy::LeastLoaded => (0..n)
-                        .min_by_key(|&r| queues[r].len())
-                        .expect("at least one replica"),
-                },
+                None if shard.dispatch == DispatchPolicy::LeastLoaded => {
+                    (0..n).min_by_key(|&r| queues[r].len()).expect("a replica")
+                }
+                None => {
+                    let r = rr_cursor;
+                    rr_cursor = (r + 1) % n;
+                    r
+                }
             };
-            rec.replica = Some(target);
-            queues[target].push_back(QEntry { id, eligible_at: t });
+            rec.replica = Some(r);
+            queues[r].push_back(QEntry { id, eligible_at: t });
             outcomes.push(rec);
         }
-        let total_after: usize = queues.iter().map(VecDeque::len).sum();
-        max_depth = max_depth.max(total_after);
-        for r in 0..n {
-            acc[r].max_queue_depth = acc[r].max_queue_depth.max(queues[r].len());
+        let depth: usize = queues.iter().map(VecDeque::len).sum();
+        stats.max_queue_depth = stats.max_queue_depth.max(depth);
+        for (a, q) in accs.iter_mut().zip(&queues) {
+            a.max_queue_depth = a.max_queue_depth.max(q.len());
         }
 
         // 2. Expire requests whose deadline has passed.
@@ -632,346 +483,207 @@ pub fn simulate_serving_sharded_versioned(
             }
         }
 
-        // 3. The shared budget policy selects once for the whole fleet.
-        let Some(p) = selector.select(budget) else {
-            stats.dropped += 1;
+        // 3. One pick for the whole fleet, unless a stall left no replica.
+        let stalled = fault == Some(FaultKind::Stall);
+        let pick = if stalled && n == 1 {
+            stats.stalled_steps += 1;
+            selector.reset();
+            None
+        } else {
+            let pick = selector.select(budget);
+            stats.dropped += usize::from(pick.is_none());
+            pick
+        };
+        let Some(pick) = pick else {
             prev_bits = None;
-            schedule.push(None);
+            stats.schedule.push(None);
             continue;
         };
-        if prev_bits != Some(p.bits) {
-            stats.switches += 1;
-        }
-        prev_bits = Some(p.bits);
-        schedule.push(Some(p.bits.get()));
 
-        // 4. Plan each replica's serving point for the step. A pinned
-        // replica serves at its own point, but only on steps where that
-        // point fits the budget the selector just cleared; a stall idles
-        // the faulted replica.
-        let mut serve_points: Vec<Option<&OperatingPoint>> = Vec::with_capacity(n);
-        for r in 0..n {
-            let point = match &shard.pinned {
-                Some(pc) => {
-                    let q = &points[pc.point_indices[r]];
-                    if q.energy_pj > budget {
-                        serve_points.push(None);
+        // 4. Degradation: one move per recovery window on the backlog,
+        // then the fleet serves `levels` points below the pick.
+        let idx = point_index(points, pick);
+        let levels = controller.as_mut().map_or(0, |c| {
+            let depth = queues.iter().map(VecDeque::len).sum();
+            if let Some(lv) = c.observe(t as u64, depth, idx) {
+                stats.degradation_events.push((t, lv));
+            }
+            c.levels()
+        });
+        let (fleet, degraded) = serve_point(points, idx, levels);
+        stats.switches += usize::from(prev_bits != Some(fleet.bits));
+        prev_bits = Some(fleet.bits);
+        stats.schedule.push(Some(fleet.bits.get()));
+
+        // 5. Each replica's point: a pinned replica serves at its own
+        // point on steps that point fits the budget; a stall idles the
+        // faulted replica.
+        let mut serve: Vec<Option<&OperatingPoint>> = Vec::with_capacity(n);
+        for (r, a) in accs.iter_mut().enumerate() {
+            let point = shard
+                .pinned
+                .as_ref()
+                .map_or(fleet, |pc| &points[pc.point_indices[r]]);
+            if shard.pinned.is_some() && point.energy_pj > budget {
+                serve.push(None);
+            } else if stalled && r == shard.fault_replica {
+                stats.stalled_steps += 1;
+                serve.push(None);
+            } else {
+                *a.time_in_bits.entry(point.bits.get()).or_insert(0) += 1;
+                serve.push(Some(point));
+            }
+        }
+
+        // 6. Drain: up to the point's capacity of backoff-eligible
+        // requests from the head of a queue, FIFO. A cache hit completes
+        // on the spot on the serving replica's accumulator — free, and
+        // without taking a batch slot, so one step can clear hits plus a
+        // full batch.
+        let generation = pin.generation();
+        let mut drain = |queue: &mut VecDeque<QEntry>, a: &mut Acc, point: &OperatingPoint| {
+            let (mut taken, mut skipped) = (Vec::new(), Vec::new());
+            while taken.len() < capacity(point) {
+                let Some(e) = queue.pop_front() else { break };
+                if e.eligible_at > t {
+                    skipped.push(e);
+                    continue;
+                }
+                if let Some(c) = cache.as_mut() {
+                    let key = cache_key(generation, point.bits, &inputs[e.id % inputs.len()]);
+                    if let Some(y) = c.get(&key) {
+                        let rec = &mut outcomes[e.id];
+                        rec.status = a.complete(point, degraded, 1, true);
+                        (rec.served_at, rec.bits) = (Some(t), Some(point.bits.get()));
+                        (rec.output, rec.cached) = (Some(y.clone()), true);
+                        a.waits.push(t - rec.arrived_at);
                         continue;
                     }
-                    q
+                    a.cache_misses += 1;
                 }
-                None => p,
-            };
-            if fault == Some(FaultKind::Stall) && r == shard.fault_replica {
-                stats.stalled_steps += 1;
-                serve_points.push(None);
-                continue;
+                taken.push(e);
             }
-            *acc[r].time_in_bits.entry(point.bits.get()).or_insert(0) += 1;
-            serve_points.push(Some(point));
-        }
-
-        // Drain each serving replica's own queue, cache hits first-class:
-        // a hit completes on the spot and frees its batch slot for the
-        // next miss, so one step can clear hits + a full batch.
+            for e in skipped.into_iter().rev() {
+                queue.push_front(e);
+            }
+            taken
+        };
         let mut takes: Vec<Vec<QEntry>> = Vec::with_capacity(n);
-        for r in 0..n {
-            let taken = match serve_points[r] {
-                Some(point) => drain_eligible(
-                    &mut queues[r],
-                    t,
-                    serving.max_batch,
-                    point,
-                    shard.cache,
-                    pin.generation(),
-                    &mut cache,
-                    inputs,
-                    &mut outcomes,
-                    &mut stats,
-                    &mut acc[r],
-                    &mut acc_sum,
-                ),
-                None => Vec::new(),
-            };
-            takes.push(taken);
+        for (r, q) in queues.iter_mut().enumerate() {
+            takes.push(serve[r].map_or_else(Vec::new, |p| drain(q, &mut accs[r], p)));
         }
-
-        // 4b. Work stealing: a serving replica whose own drain came up
-        // empty takes from the head of the deepest other queue (strictly
-        // deeper wins, ties to the lowest index) and serves the steal at
-        // its own point. Runs after every own-queue drain so steals only
-        // target genuinely leftover backlog.
+        // Work stealing, after every own drain so it only takes leftover
+        // backlog: a serving replica whose drain came up empty drains the
+        // deepest other queue (ties to the lowest index) at its own point.
         if shard.work_stealing {
             for r in 0..n {
-                let Some(point) = serve_points[r] else {
+                let Some(p) = serve[r].filter(|_| takes[r].is_empty()) else {
                     continue;
                 };
-                if !takes[r].is_empty() {
-                    continue;
+                let deepest = (0..n).rev().filter(|&v| v != r && !queues[v].is_empty());
+                if let Some(v) = deepest.max_by_key(|&v| queues[v].len()) {
+                    takes[r] = drain(&mut queues[v], &mut accs[r], p);
                 }
-                let mut victim: Option<(usize, usize)> = None;
-                for (v, q) in queues.iter().enumerate() {
-                    if v == r {
-                        continue;
-                    }
-                    let len = q.len();
-                    if len > 0 && victim.is_none_or(|(_, best)| len > best) {
-                        victim = Some((v, len));
-                    }
-                }
-                let Some((v, _)) = victim else { continue };
-                let stolen = drain_eligible(
-                    &mut queues[v],
-                    t,
-                    serving.max_batch,
-                    point,
-                    shard.cache,
-                    pin.generation(),
-                    &mut cache,
-                    inputs,
-                    &mut outcomes,
-                    &mut stats,
-                    &mut acc[r],
-                    &mut acc_sum,
-                );
-                for e in &stolen {
+            }
+            for (r, taken) in takes.iter().enumerate() {
+                for e in taken {
                     outcomes[e.id].replica = Some(r);
                 }
-                takes[r] = stolen;
             }
         }
 
-        // Freeze the step's batches; the histogram counts post-steal takes.
-        let mut batches: Vec<Option<PlannedBatch>> = Vec::with_capacity(n);
-        for (r, taken) in takes.into_iter().enumerate() {
-            let Some(point) = serve_points[r] else {
-                batches.push(None);
-                continue;
-            };
-            histogram[taken.len()] += 1;
-            if taken.is_empty() {
-                batches.push(None);
-            } else {
-                batches.push(Some(PlannedBatch {
-                    taken,
-                    bits: point.bits,
-                    accuracy: point.accuracy,
-                    energy_pj: point.energy_pj,
-                }));
+        // 7. Run the non-empty batches, one scoped thread per replica
+        // (inline for a fleet of one). The histogram counts post-steal
+        // takes of every serving replica, idle ones included.
+        let mut slots: Vec<Slot<'_>> = Vec::with_capacity(n);
+        for ((r, model), taken) in models.iter_mut().enumerate().zip(takes) {
+            if serve[r].is_some() {
+                accs[r].histogram[taken.len()] += 1;
             }
-        }
-
-        // 5. Run the non-empty batches, one scoped thread per replica.
-        // Slots borrow each replica's own model, so the packed tables are
-        // shared read-only while the cursors stay disjoint.
-        let mut slots: Vec<StepSlot<'_>> = Vec::with_capacity(n);
-        for (r, m) in models.iter_mut().enumerate() {
-            let (batch, bits) = match &batches[r] {
-                Some(pb) => {
-                    let ids: Vec<usize> = pb.taken.iter().map(|e| e.id).collect();
-                    (
-                        Some(gather_batch(inputs, &sample_dims, sample_len, &ids)),
-                        pb.bits,
-                    )
-                }
-                None => (None, p.bits),
-            };
-            slots.push(StepSlot {
-                model: m,
-                bits,
+            let ids: Vec<usize> = taken.iter().map(|e| e.id).collect();
+            let batch = (!ids.is_empty())
+                .then(|| gather_batch(inputs, inputs[0].dims(), inputs[0].len(), &ids));
+            let fault = fault.filter(|_| r == shard.fault_replica);
+            let point = serve[r];
+            slots.push(Slot {
+                model,
+                point,
+                taken,
                 batch,
-                fault: if r == shard.fault_replica {
-                    fault
-                } else {
-                    None
-                },
+                fault,
                 result: None,
             });
         }
         par_chunks_mut(&mut slots, 1, |_, chunk| {
             let s = &mut chunk[0];
-            let Some(batch) = &s.batch else { return };
-            let run = || -> Result<Tensor, String> {
-                match s.fault {
-                    Some(FaultKind::TransientError) => {
-                        return Err(format!("injected transient fault at step {t}"))
-                    }
-                    Some(FaultKind::ForwardPanic) => panic!("injected forward panic at step {t}"),
-                    _ => {}
-                }
-                s.model
-                    .try_switch_to_bits(s.bits)
-                    .and_then(|()| s.model.try_forward_batch(batch))
-                    .map_err(|e| e.to_string())
-            };
-            s.result = Some(
-                catch_unwind(AssertUnwindSafe(run))
-                    .unwrap_or_else(|_| Err(format!("isolated forward panic at step {t}"))),
-            );
+            if let (Some(p), Some(batch)) = (s.point, &s.batch) {
+                s.result = Some(forward(s.model, p.bits, batch, s.fault, t));
+            }
         });
 
-        // 6. Join in replica order; a faulted batch fails or retries only
-        // its own replica's requests.
-        for (r, slot) in slots.into_iter().enumerate() {
-            let Some(PlannedBatch {
-                taken,
-                bits,
-                accuracy,
-                energy_pj,
-            }) = batches[r].take()
-            else {
+        // 8. Join in replica order; a faulted batch fails or retries only
+        // its own requests.
+        for (r, s) in slots.into_iter().enumerate() {
+            let (Some(p), Some(result)) = (s.point, s.result) else {
                 continue;
             };
-            acc[r].batches += 1;
-            let StepSlot { batch, result, .. } = slot;
-            match result.expect("non-empty batch always executes") {
-                Ok(y) => {
-                    let take = taken.len();
-                    let outs = scatter_outputs(&y, take);
-
-                    // 6a. Canary shadow: a ticketed fraction of successful
-                    // batches additionally runs through the candidate at
-                    // the same bit-width and is compared bit-exactly; the
-                    // requests below are still answered from the stable
-                    // outputs, so a divergent canary never reaches a
-                    // client. Both forwards report equal latency — the
-                    // simulated clock has no wall time.
-                    if let Some(cand) = shadow.as_mut() {
-                        if registry.canary_ticket(pin.epoch) {
-                            let b = batch.as_ref().expect("non-empty batch has inputs");
-                            let shadowed = catch_unwind(AssertUnwindSafe(|| {
-                                cand.try_switch_to_bits(bits)
-                                    .and_then(|()| cand.try_forward_batch(b))
-                            }));
-                            match shadowed {
-                                Ok(Ok(cy)) => {
-                                    let cand_outs = scatter_outputs(&cy, take);
-                                    let diverged = outs
-                                        .iter()
-                                        .zip(&cand_outs)
-                                        .filter(|(a, b)| a.data() != b.data())
-                                        .count();
-                                    registry.report_shadow(pin.epoch, take, diverged, 1, 1);
-                                }
-                                _ => {
-                                    registry.report_candidate_fault(pin.epoch);
-                                }
-                            }
-                        }
-                    }
-                    for (e, out) in taken.iter().zip(outs) {
-                        let rec = &mut outcomes[e.id];
-                        rec.served_at = Some(t);
-                        rec.bits = Some(bits.get());
-                        rec.attempts += 1;
-                        if shard.cache {
-                            cache.insert(
-                                cache_key(pin.generation(), bits, &inputs[e.id % inputs.len()]),
-                                &out,
-                            );
-                        }
-                        rec.output = Some(out);
-                        rec.status = RequestStatus::Completed;
-                        stats.completed += 1;
-                        acc[r].served += 1;
-                        acc[r].waits.push(t - rec.arrived_at);
-                        wait_steps.push(t - rec.arrived_at);
-                    }
-                    acc_sum += accuracy * take as f32;
-                    stats.energy_pj += energy_pj * take as f64;
-                }
-                Err(_) => {
-                    acc[r].faulted_batches += 1;
-                    // Retries re-dispatch away from the replica whose
-                    // fault just failed them: the least-loaded *other*
-                    // replica (ties to the lowest index). With a single
-                    // replica there is nowhere else to go.
-                    let retry_target = if n > 1 {
-                        let mut best = usize::from(r == 0);
-                        for v in 0..n {
-                            if v != r && queues[v].len() < queues[best].len() {
-                                best = v;
-                            }
-                        }
-                        best
+            let a = &mut accs[r];
+            a.batches += 1;
+            let Ok(y) = result else {
+                a.faulted_batches += 1;
+                let target = (0..n)
+                    .filter(|&v| v != r || n == 1)
+                    .min_by_key(|&v| queues[v].len())
+                    .expect("a replica");
+                for e in s.taken.iter().rev() {
+                    let rec = &mut outcomes[e.id];
+                    rec.attempts += 1;
+                    if a.retry(rec.attempts, shard.max_retries) {
+                        rec.replica = Some(target);
+                        let eligible_at = t + 1 + shard.retry_backoff_steps;
+                        queues[target].push_front(QEntry {
+                            id: e.id,
+                            eligible_at,
+                        });
                     } else {
-                        r
-                    };
-                    for e in taken.iter().rev() {
-                        let rec = &mut outcomes[e.id];
-                        rec.attempts += 1;
-                        if rec.attempts > shard.max_retries {
-                            rec.status = RequestStatus::Failed;
-                            stats.failed += 1;
-                        } else {
-                            stats.retried += 1;
-                            rec.replica = Some(retry_target);
-                            queues[retry_target].push_front(QEntry {
-                                id: e.id,
-                                eligible_at: t + 1,
-                            });
-                        }
+                        rec.status = RequestStatus::Failed;
                     }
                 }
+                continue;
+            };
+            let outs = scatter_outputs(&y, s.taken.len());
+            // The canary shadows a ticketed fraction of successful batches;
+            // requests are still answered from the stable outputs below.
+            if let Some(cand) = shadow
+                .as_mut()
+                .filter(|_| registry.canary_ticket(pin.epoch))
+            {
+                let batch = s.batch.as_ref().expect("a forward ran on this batch");
+                shadow_compare(registry, pin.epoch, cand, p.bits, batch, &outs, 0, &|| 0);
+            }
+            let status = a.complete(p, degraded, outs.len(), false);
+            for (e, out) in s.taken.iter().zip(outs) {
+                let rec = &mut outcomes[e.id];
+                if let Some(c) = cache.as_mut() {
+                    c.insert(
+                        cache_key(generation, p.bits, &inputs[e.id % inputs.len()]),
+                        &out,
+                    );
+                }
+                (rec.served_at, rec.bits, rec.status) = (Some(t), Some(p.bits.get()), status);
+                rec.output = Some(out);
+                rec.attempts += 1;
+                a.waits.push(t - rec.arrived_at);
             }
         }
     }
 
-    // Cache hits complete requests but run no forward, so they join the
-    // global wait list after the per-forward waits — in replica order,
-    // matching the per-replica lists (degenerate runs have none, keeping
-    // the batched wait order intact).
-    if shard.cache {
-        let mut hit_waits: Vec<usize> = outcomes
-            .iter()
-            .filter(|o| o.cached)
-            .map(|o| o.served_at.expect("cached implies served") - o.arrived_at)
-            .collect();
-        wait_steps.append(&mut hit_waits);
+    for (a, q) in accs.iter_mut().zip(&queues) {
+        a.backlog = q.len();
+        a.generation = pin.generation();
     }
-
-    stats.served_requests = stats.completed;
-    stats.mean_accuracy = if stats.served_requests > 0 {
-        acc_sum / stats.served_requests as f32
-    } else {
-        0.0
-    };
-    stats.switch_energy_pj = stats.switches as f64 * cfg.switch_cost_pj;
-    stats.energy_pj += stats.switch_energy_pj;
-    stats.schedule = schedule;
-    stats.backlog = queues.iter().map(VecDeque::len).sum();
-    stats.max_queue_depth = max_depth;
-    stats.batch_histogram = histogram;
-    stats.cache_evictions = cache.evictions();
     stats.faults_injected = faults.count_before(trace.len());
-    stats.replicas = acc
-        .into_iter()
-        .zip(&queues)
-        .map(|(a, q)| {
-            let w = wait_summary(&a.waits);
-            ReplicaStats {
-                served: a.served,
-                batches: a.batches,
-                faulted_batches: a.faulted_batches,
-                backlog: q.len(),
-                max_queue_depth: a.max_queue_depth,
-                cache_hits: a.cache_hits,
-                mean_wait_steps: w.mean,
-                p99_wait_steps: w.p99,
-                time_in_bits: a.time_in_bits.into_iter().collect(),
-                generation: pin.stable.generation(),
-            }
-        })
-        .collect();
-    stats.time_per_generation = gen_steps.into_iter().collect();
-    // Registry activity attributable to this run: the counters are
-    // monotone, so the delta over the run's span is exact.
-    let metrics1 = registry.metrics();
-    stats.reloads = metrics1.reloads - metrics0.reloads;
-    stats.rollbacks = metrics1.rollbacks - metrics0.rollbacks;
-    stats.rejected_publishes = metrics1.rejected_publishes - metrics0.rejected_publishes;
-    stats.canary_served = metrics1.canary_served - metrics0.canary_served;
-    stats.divergences = metrics1.divergences - metrics0.divergences;
-    finish_wait_stats(&mut stats, wait_steps);
+    stats.cache_evictions = cache.as_ref().map_or(0, LruCache::evictions);
+    Acc::merge(accs, &mut stats, cfg.switch_cost_pj, registry, &metrics0);
     Ok((stats, outcomes))
 }

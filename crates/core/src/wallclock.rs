@@ -11,17 +11,28 @@
 //! real time (step `t`'s arrivals are pushed at `t × step_time` on the
 //! wall clock); [`serve_wallclock_streaming`] accepts any producer set,
 //! e.g. a [`ChannelIngress`] fed live from another thread through a
-//! [`StreamSender`]. All of PR 4's resilience machinery runs here on
-//! `Instant`-derived time instead of step indices: the bounded queue
-//! *is* the admission cap, deadline-hopeless arrivals are shed at
-//! ingress, late requests expire at dequeue, and the hysteresis
+//! [`StreamSender`]. The simulated step loop's resilience rules run here
+//! on `Instant`-derived time instead of step indices: the bounded queue
+//! *is* the admission cap, an arrival is shed at ingress when even
+//! `backlog / (workers × max_batch)` best-case batches would miss its
+//! deadline, late requests expire at dequeue, and the hysteresis
 //! degradation controller ([`crate::engine::degrade`]) downshifts the
 //! fleet one operating point per recovery window as wall-clock backlog
 //! builds. The per-step energy budget still gates selection: a batch
 //! popped at elapsed time `e` is served under budget
 //! `budgets[min(e / step_time, len - 1)]` — the final step's budget
 //! persists through the drain phase — via the same shared
-//! [`PolicySelector`] every simulated path uses.
+//! [`PolicySelector`] the step loop uses.
+//!
+//! **What a worker decides, and what it shares.** A worker keeps only
+//! the wall clock's decisions — which queue it pops, when it waits out a
+//! stall or an unaffordable step, when it re-pins the registry, and the
+//! batch-before-bits interplay of the two controllers. Everything a batch
+//! goes through once popped is the crate's one serving core
+//! ([`crate::engine`]): the serving-point rule, the
+//! `catch_unwind`-isolated forward with the injected fault, the canary
+//! shadow compare, and the accumulator whose merge builds the run's
+//! [`RuntimeStats`] — the same code, per batch, as the step loop's.
 //!
 //! **Queue modes.** [`QueueMode::Shared`] — the bit-identity reference —
 //! funnels every request through one MPMC queue
@@ -32,8 +43,8 @@
 //! least-loaded shard, the hot pop path touches only the worker's own
 //! lock, and — with `stealing` on — an idle worker takes half the backlog
 //! of the peer whose head request has the least deadline slack (falling
-//! back to the deepest peer), mirroring the simulated sharded path's
-//! steal-half-of-deepest semantics. Because the packed engine quantizes
+//! back to the deepest peer), the wall-clock form of the step loop's
+//! steal-from-the-deepest rule. Because the packed engine quantizes
 //! activations per sample, the queue topology can never change a
 //! request's output — only which worker serves it, and when.
 //!
@@ -57,18 +68,17 @@
 //! failed + backlog` holds for every run (backlog = requests the trace's
 //! final budget could never afford).
 //!
-//! **The twin guarantee.** This loop and
-//! [`crate::runtime::simulate_serving_batched`] are two drivers over the
-//! same engine modules (selection, batching, scatter, accounting — see
-//! [`crate::engine`]), and the packed engine quantizes activations per
-//! sample, so a request's output depends only on its input and the
-//! serving bit-width — never on batch-mates, timing, or worker count. A
-//! fault-free wall-clock run whose budget affords one fixed operating
-//! point therefore completes the exact same request set with
-//! bit-identical outputs as its simulated twin on the frozen trace; only
+//! **The twin guarantee.** The workers and the step loop share that core,
+//! and the packed engine quantizes activations per sample, so a request's
+//! output depends only on its input and the serving bit-width — never on
+//! batch-mates, timing, or worker count. A fault-free wall-clock run
+//! whose budget affords one fixed operating point therefore completes the
+//! exact same request set with bit-identical outputs as
+//! [`crate::runtime::simulate_serving_batched`] on the frozen trace; only
 //! the timing-derived statistics differ (and those are tolerance-checked
-//! in tests, not pinned). `tests/wallclock_serving.rs` enforces this at
-//! every `large_range()` bit-width.
+//! in tests, not pinned). The twin table in `tests/wallclock_serving.rs`
+//! enforces this for every entry point at every `large_range()`
+//! bit-width.
 //!
 //! **Hot reload and faults.** [`serve_wallclock_registry`] is the full
 //! entry point: workers serve out of a [`ModelRegistry`] instead of one
@@ -92,24 +102,25 @@
 //! full kernel parallelism while a 4-worker fleet on 8 ambient threads
 //! runs 2 kernel threads per forward instead of oversubscribing 32.
 
-use crate::engine::batch::{gather_batch, scatter_outputs, validate_inputs, BatchController};
+use crate::engine::batch::{
+    forward, gather_batch, scatter_outputs, shadow_compare, validate, BatchController,
+};
 use crate::engine::clock::RunClock;
-use crate::engine::degrade::HysteresisController;
+use crate::engine::degrade::{point_index, serve_point, HysteresisController};
 use crate::engine::queue::{Popped, ShardedQueues, SharedQueue};
-use crate::engine::stats::{finish_wait_stats, wait_summary};
+use crate::engine::stats::Acc;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::registry::ModelRegistry;
 use crate::resilience::{config_err, RequestStatus, ServingError};
 use crate::runtime::{
     EnergyTrace, Policy, PolicySelector, RequestTrace, RuntimeStats, SimulationConfig,
 };
-use crate::sharding::ReplicaStats;
 use crate::DeploymentReport;
-use instantnet_infer::{InferError, PackedModel};
+use instantnet_infer::PackedModel;
 use instantnet_parallel::{max_threads, set_threads};
 use instantnet_quant::BitWidth;
 use instantnet_tensor::Tensor;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -413,54 +424,16 @@ struct Record {
     attempts: usize,
 }
 
-/// Everything one worker accumulated over its lifetime; merged into the
-/// global [`RuntimeStats`] after the join.
-struct WorkerAcc {
-    records: Vec<Record>,
-    waits_us: Vec<usize>,
-    completed: usize,
-    completed_degraded: usize,
-    expired: usize,
-    failed: usize,
-    retried: usize,
-    dropped: usize,
-    batches: usize,
-    faulted_batches: usize,
-    stalled: usize,
-    injected: usize,
-    switches: usize,
-    energy_pj: f64,
-    acc_sum: f32,
-    histogram: Vec<usize>,
-    time_in_bits: BTreeMap<u8, usize>,
-    /// Batches this worker ran per model generation it was pinned to.
-    generations: BTreeMap<u64, usize>,
-    /// Generation the worker was pinned to when it exited.
-    generation: u64,
-}
-
-impl WorkerAcc {
-    fn new(max_batch: usize) -> Self {
-        WorkerAcc {
-            records: Vec::new(),
-            waits_us: Vec::new(),
-            completed: 0,
-            completed_degraded: 0,
-            expired: 0,
-            failed: 0,
-            retried: 0,
-            dropped: 0,
-            batches: 0,
-            faulted_batches: 0,
-            stalled: 0,
-            injected: 0,
-            switches: 0,
-            energy_pj: 0.0,
-            acc_sum: 0.0,
-            histogram: vec![0; max_batch + 1],
-            time_in_bits: BTreeMap::new(),
-            generations: BTreeMap::new(),
-            generation: 0,
+impl Record {
+    /// A request that ended without an output (expired, failed, backlog).
+    fn unserved(req: &Request, status: RequestStatus) -> Self {
+        Record {
+            id: req.id,
+            status,
+            served_us: None,
+            bits: None,
+            output: None,
+            attempts: req.attempts,
         }
     }
 }
@@ -654,34 +627,18 @@ impl BatchShared {
     }
 }
 
-fn validate(
+/// The wall clock's own checks, then the ones both clocks share.
+fn validate_wall(
     report: &DeploymentReport,
     wall: &WallclockConfig,
     model: &PackedModel,
     inputs: &[Tensor],
 ) -> Result<(), ServingError> {
-    if wall.workers < 1 {
-        return config_err("at least one worker is required");
-    }
-    if wall.max_batch < 1 {
-        return config_err("max_batch must be at least 1");
-    }
     if wall.step_time.is_zero() {
         return config_err("step_time must be positive");
     }
     if wall.queue_capacity == Some(0) {
         return config_err("queue_capacity must be at least 1 when bounded");
-    }
-    if let Some(dc) = &wall.degradation {
-        if dc.backlog_low >= dc.backlog_high {
-            return config_err(format!(
-                "degradation backlog_low {} must be below backlog_high {}",
-                dc.backlog_low, dc.backlog_high
-            ));
-        }
-        if dc.recovery_window.is_zero() {
-            return config_err("degradation recovery_window must be positive");
-        }
     }
     if let Some(bc) = &wall.batch_control {
         if bc.target.is_zero() {
@@ -703,24 +660,18 @@ fn validate(
             ));
         }
     }
-    if let Err(msg) = validate_inputs(inputs) {
-        return config_err(msg);
-    }
-    // Every operating point must be switchable up front, so a bad
-    // report/model pairing fails fast instead of mid-run on a worker.
-    for p in report.points() {
-        if model.bit_widths().index_of(p.bits).is_none() {
-            return Err(ServingError::Infer(InferError::BitWidth(p.bits)));
-        }
-    }
-    Ok(())
+    let band = wall
+        .degradation
+        .as_ref()
+        .map(|d| (d.backlog_high, d.backlog_low, !d.recovery_window.is_zero()));
+    validate(report, model, inputs, (wall.workers, wall.max_batch), band)
 }
 
 /// Serves a [`RequestTrace`] in real time over `workers` threads; blocks
 /// until the trace has been fully played *and* drained, then returns the
 /// merged [`RuntimeStats`] and one [`WallclockOutcome`] per request.
 ///
-/// Compared to the simulated paths, the returned stats differ only where
+/// Compared to the step loop's, the returned stats differ only where
 /// time itself is the unit: `wait_steps` (and the mean/p50/p99/p99.9
 /// summary over it) is measured in **microseconds** of queueing +
 /// service delay, `elapsed_us`/`requests_per_sec` report the sustained
@@ -869,13 +820,10 @@ pub fn serve_wallclock_streaming(
     sources: Vec<Box<dyn IngressSource + '_>>,
     inputs: &[Tensor],
 ) -> Result<(RuntimeStats, Vec<WallclockOutcome>), ServingError> {
-    let stable0 = registry.current();
-    validate(report, wall, stable0.model(), inputs)?;
+    validate_wall(report, wall, registry.current().model(), inputs)?;
     let metrics0 = registry.metrics();
-    let (sample_dims, sample_len) = validate_inputs(inputs).expect("validated above");
-    let points = report.points();
-    let budgets = trace.budgets();
-    let steps = budgets.len();
+    let (points, budgets, steps) = (report.points(), trace.budgets(), trace.len());
+    let (sample_dims, sample_len) = (inputs[0].dims(), inputs[0].len());
     let step_us = u64::try_from(wall.step_time.as_micros())
         .unwrap_or(u64::MAX)
         .max(1);
@@ -883,8 +831,8 @@ pub fn serve_wallclock_streaming(
         .deadline
         .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
     // Best-case per-batch service time, for the hopeless-deadline
-    // admission check (the wall-clock analog of the resilient path's
-    // `queue / max_batch > deadline_steps`).
+    // admission check (the wall-clock form of the step loop's
+    // `backlog / (replicas × max_batch) > deadline_steps`).
     let min_latency_us = points
         .iter()
         .map(|p| p.latency_s)
@@ -913,8 +861,8 @@ pub fn serve_wallclock_streaming(
     let inner_threads = (max_threads() / wall.workers).max(1);
     let clock = RunClock::start();
     // At most one injected fault per trace step across all workers — the
-    // wall-clock analog of the simulated paths' one-fault-per-timestep
-    // plan. `insert` returning true claims the step's fault.
+    // wall-clock form of the step loop's one-fault-per-timestep plan.
+    // `insert` returning true claims the step's fault.
     let consumed_faults: Mutex<BTreeSet<usize>> = Mutex::new(BTreeSet::new());
 
     let arrivals: Mutex<Vec<Arrival>> = Mutex::new(Vec::new());
@@ -936,12 +884,11 @@ pub fn serve_wallclock_streaming(
     let selector_ref = &selector;
     let degrade_ref = &degrade;
     let batch_ref = batch_shared.as_ref();
-    let sample_dims_ref = &sample_dims;
     let consumed_ref = &consumed_faults;
     let sink_ref: &dyn IngressSink = &sink;
     let remaining_ref = &remaining;
 
-    let worker_accs: Vec<WorkerAcc> = thread::scope(|s| {
+    let worker_out: Vec<(Acc, Vec<Record>)> = thread::scope(|s| {
         if sources.is_empty() {
             queue.close();
         }
@@ -965,8 +912,23 @@ pub fn serve_wallclock_streaming(
                     pin.canary.as_ref().map(|v| v.model().clone());
                 s.spawn(move || {
                     set_threads(inner_threads);
-                    let mut acc = WorkerAcc::new(wall.max_batch);
+                    let mut acc = Acc::new(wall.max_batch);
+                    let mut records: Vec<Record> = Vec::new();
                     let mut prev_bits: Option<BitWidth> = None;
+                    // Hands a batch back to the queue head and sleeps out
+                    // the rest of `step`, for whoever dequeues it next.
+                    let wait_out = |live: Vec<Request>, step: usize| {
+                        queue_ref.push_front(w, live);
+                        let boundary = (step as u64 + 1) * step_us;
+                        let wait = boundary.saturating_sub(clock.now_us()).max(50);
+                        thread::sleep(Duration::from_micros(wait));
+                    };
+                    let claim = |step: usize| {
+                        consumed_ref
+                            .lock()
+                            .expect("fault mutex poisoned")
+                            .insert(step)
+                    };
                     loop {
                         // The dynamic cap is read fresh before every
                         // dequeue; without a controller it is the static
@@ -997,14 +959,7 @@ pub fn serve_wallclock_streaming(
                         for req in popped {
                             if req.deadline_us.is_some_and(|d| now > d) {
                                 acc.expired += 1;
-                                acc.records.push(Record {
-                                    id: req.id,
-                                    status: RequestStatus::Expired,
-                                    served_us: None,
-                                    bits: None,
-                                    output: None,
-                                    attempts: req.attempts,
-                                });
+                                records.push(Record::unserved(&req, RequestStatus::Expired));
                             } else {
                                 live.push(req);
                             }
@@ -1014,54 +969,32 @@ pub fn serve_wallclock_streaming(
                         }
 
                         // 2. The shared policy selects under the budget in
-                        // force at this wall-clock instant.
+                        // force at this wall-clock instant — unless an
+                        // injected stall idles the batch out to the step
+                        // boundary first (nothing selected or lost).
                         let step = RunClock::step_of(now, step_us, steps);
-
-                        // 2a. An injected stall idles this batch out to the
-                        // step boundary: hand it back, sleep, let whoever
-                        // dequeues it next serve it. Nothing is selected,
-                        // forwarded, or lost.
-                        if faults.at(step) == Some(FaultKind::Stall)
-                            && consumed_ref
-                                .lock()
-                                .expect("fault mutex poisoned")
-                                .insert(step)
-                        {
+                        if faults.at(step) == Some(FaultKind::Stall) && claim(step) {
                             acc.stalled += 1;
                             acc.injected += 1;
-                            queue_ref.push_front(w, live);
-                            let boundary = (step as u64 + 1) * step_us;
-                            let wait = boundary.saturating_sub(clock.now_us()).max(50);
-                            thread::sleep(Duration::from_micros(wait));
+                            wait_out(live, step);
                             continue;
                         }
                         let selected = selector_ref
                             .lock()
                             .expect("selector mutex poisoned")
                             .select(budgets[step]);
-                        let Some(p) = selected else {
+                        let Some(pick) = selected else {
                             acc.dropped += 1;
                             if queue_ref.is_closed() && step + 1 == steps {
                                 // The trace ended on an infeasible budget
                                 // that now persists forever: these
                                 // requests are the run's backlog.
-                                for req in live {
-                                    acc.records.push(Record {
-                                        id: req.id,
-                                        status: RequestStatus::Pending,
-                                        served_us: None,
-                                        bits: None,
-                                        output: None,
-                                        attempts: req.attempts,
-                                    });
-                                }
+                                let backlog = live
+                                    .iter()
+                                    .map(|r| Record::unserved(r, RequestStatus::Pending));
+                                records.extend(backlog);
                             } else {
-                                // Hand the batch back and wait out the
-                                // infeasible step.
-                                queue_ref.push_front(w, live);
-                                let boundary = (step as u64 + 1) * step_us;
-                                let wait = boundary.saturating_sub(clock.now_us()).max(50);
-                                thread::sleep(Duration::from_micros(wait));
+                                wait_out(live, step);
                             }
                             continue;
                         };
@@ -1075,10 +1008,7 @@ pub fn serve_wallclock_streaming(
                         // answered by smaller batches first, and accuracy
                         // only drops once the cap is floored at 1.
                         // Recovery observations are never withheld.
-                        let idx = points
-                            .iter()
-                            .position(|q| q.bits == p.bits)
-                            .expect("selected point comes from the report");
+                        let idx = point_index(points, pick);
                         let levels = if wall.degradation.is_none() {
                             0
                         } else {
@@ -1100,144 +1030,86 @@ pub fn serve_wallclock_streaming(
                                 None => 0,
                             }
                         };
-                        let serve_idx = idx - levels.min(idx);
-                        let point = &points[serve_idx];
-                        let degraded = serve_idx < idx;
+                        let (point, degraded) = serve_point(points, idx, levels);
 
-                        // 4. One packed forward for the whole batch —
-                        // wrapped in `catch_unwind` so a panicking forward
-                        // (injected or genuine) fails only this batch.
+                        // 4. One packed forward for the whole batch through
+                        // the shared batch executor, which isolates a
+                        // panicking forward (injected or genuine) to this
+                        // batch. Counted at freeze time, faulted or not —
+                        // as in the step loop.
                         if prev_bits != Some(point.bits) {
                             acc.switches += 1;
                             prev_bits = Some(point.bits);
                         }
-                        model
-                            .try_switch_to_bits(point.bits)
-                            .expect("validated: every report point is packed");
                         let ids: Vec<usize> = live.iter().map(|r| r.input).collect();
-                        let batch = gather_batch(inputs, sample_dims_ref, sample_len, &ids);
-                        // Counted at freeze time, faulted or not — the
-                        // same semantics as the sharded path's histogram.
+                        let batch = gather_batch(inputs, sample_dims, sample_len, &ids);
                         acc.batches += 1;
                         acc.histogram[live.len()] += 1;
-                        *acc.generations.entry(pin.stable.generation()).or_insert(0) += 1;
-                        let injected = match faults.at(step) {
-                            Some(k @ (FaultKind::TransientError | FaultKind::ForwardPanic))
-                                if consumed_ref
-                                    .lock()
-                                    .expect("fault mutex poisoned")
-                                    .insert(step) =>
-                            {
-                                acc.injected += 1;
-                                Some(k)
-                            }
-                            _ => None,
-                        };
+                        *acc.generations.entry(pin.generation()).or_insert(0) += 1;
+                        let injected = faults
+                            .at(step)
+                            .filter(|&k| k != FaultKind::Stall && claim(step));
+                        acc.injected += usize::from(injected.is_some());
                         let forward_start = clock.now_us();
-                        let forwarded = catch_unwind(AssertUnwindSafe(|| match injected {
-                            Some(FaultKind::TransientError) => Err(InferError::Input(format!(
-                                "injected transient fault at step {step}"
-                            ))),
-                            Some(FaultKind::ForwardPanic) => {
-                                panic!("injected forward panic at step {step}")
+                        let Ok(y) = forward(&mut model, point.bits, &batch, injected, step) else {
+                            // A failed forward fails only this batch: its
+                            // requests retry at the head until their
+                            // budget is spent.
+                            acc.faulted_batches += 1;
+                            let mut requeue: Vec<Request> = Vec::new();
+                            for mut req in live {
+                                req.attempts += 1;
+                                if acc.retry(req.attempts, wall.max_retries) {
+                                    requeue.push(req);
+                                } else {
+                                    records.push(Record::unserved(&req, RequestStatus::Failed));
+                                }
                             }
-                            _ => model.try_forward_batch(&batch),
-                        }))
-                        .unwrap_or_else(|_| {
-                            Err(InferError::Input(format!(
-                                "isolated forward panic at step {step}"
-                            )))
-                        });
-                        match forwarded {
-                            Ok(y) => {
-                                let take = live.len();
-                                *acc.time_in_bits.entry(point.bits.get()).or_insert(0) += 1;
-                                let served_us = clock.now_us();
-                                // Feed the batch controller the
-                                // dequeue→completion latency of this batch;
-                                // on a decision, publish the new cap for
-                                // every worker's next dequeue.
-                                if let Some(b) = batch_ref {
-                                    let latency_us = served_us.saturating_sub(now);
-                                    let mut c =
-                                        b.ctl.lock().expect("batch controller mutex poisoned");
-                                    if let Some(next) = c.observe(step, latency_us) {
-                                        b.cur.store(next, Ordering::Release);
-                                    }
-                                }
-                                let outs = scatter_outputs(&y, take);
-
-                                // 4a. Canary shadow: a ticketed fraction of
-                                // batches additionally runs through the
-                                // candidate at the same bit-width and is
-                                // compared bit-exactly. The request is
-                                // always answered from the stable output,
-                                // so a divergent canary never reaches a
-                                // client.
-                                if let Some(cand) = shadow.as_mut() {
-                                    if registry.canary_ticket(pin.epoch) {
-                                        shadow_compare(
-                                            registry,
-                                            pin.epoch,
-                                            cand,
-                                            point.bits,
-                                            &batch,
-                                            &outs,
-                                            served_us.saturating_sub(forward_start),
-                                            clock,
-                                        );
-                                    }
-                                }
-                                for (req, out) in live.iter().zip(outs) {
-                                    let status = if degraded {
-                                        acc.completed_degraded += 1;
-                                        RequestStatus::CompletedDegraded
-                                    } else {
-                                        acc.completed += 1;
-                                        RequestStatus::Completed
-                                    };
-                                    acc.waits_us.push((served_us - req.arrived_us) as usize);
-                                    acc.records.push(Record {
-                                        id: req.id,
-                                        status,
-                                        served_us: Some(served_us),
-                                        bits: Some(point.bits.get()),
-                                        output: Some(out),
-                                        attempts: req.attempts + 1,
-                                    });
-                                }
-                                acc.energy_pj += point.energy_pj * take as f64;
-                                acc.acc_sum += point.accuracy * take as f32;
-                            }
-                            Err(_) => {
-                                // A genuine engine error fails only this
-                                // batch: its requests retry at the head
-                                // until their budget is spent.
-                                acc.faulted_batches += 1;
-                                let mut requeue: Vec<Request> = Vec::new();
-                                for mut req in live {
-                                    req.attempts += 1;
-                                    if req.attempts > wall.max_retries {
-                                        acc.failed += 1;
-                                        acc.records.push(Record {
-                                            id: req.id,
-                                            status: RequestStatus::Failed,
-                                            served_us: None,
-                                            bits: None,
-                                            output: None,
-                                            attempts: req.attempts,
-                                        });
-                                    } else {
-                                        acc.retried += 1;
-                                        requeue.push(req);
-                                    }
-                                }
-                                queue_ref.push_front(w, requeue);
+                            queue_ref.push_front(w, requeue);
+                            continue;
+                        };
+                        *acc.time_in_bits.entry(point.bits.get()).or_insert(0) += 1;
+                        let served_us = clock.now_us();
+                        // Feed the batch controller the dequeue→completion
+                        // latency of this batch; on a decision, publish the
+                        // new cap for every worker's next dequeue.
+                        if let Some(b) = batch_ref {
+                            let latency_us = served_us.saturating_sub(now);
+                            let mut c = b.ctl.lock().expect("batch controller mutex poisoned");
+                            if let Some(next) = c.observe(step, latency_us) {
+                                b.cur.store(next, Ordering::Release);
                             }
                         }
+                        let outs = scatter_outputs(&y, live.len());
+                        // 4a. Canary shadow: a ticketed fraction of batches
+                        // also runs through the candidate; requests are
+                        // always answered from the stable outputs.
+                        let ticket = shadow
+                            .as_mut()
+                            .filter(|_| registry.canary_ticket(pin.epoch));
+                        if let Some(cand) = ticket {
+                            let stable_us = served_us.saturating_sub(forward_start);
+                            let now_us = || clock.now_us();
+                            shadow_compare(
+                                registry, pin.epoch, cand, point.bits, &batch, &outs, stable_us,
+                                &now_us,
+                            );
+                        }
+                        let status = acc.complete(point, degraded, live.len(), false);
+                        for (req, out) in live.iter().zip(outs) {
+                            acc.waits.push((served_us - req.arrived_us) as usize);
+                            records.push(Record {
+                                id: req.id,
+                                status,
+                                served_us: Some(served_us),
+                                bits: Some(point.bits.get()),
+                                output: Some(out),
+                                attempts: req.attempts + 1,
+                            });
+                        }
                     }
-                    acc.generation = pin.stable.generation();
-                    acc
+                    acc.generation = pin.generation();
+                    (acc, records)
                 })
             })
             .collect();
@@ -1255,7 +1127,7 @@ pub fn serve_wallclock_streaming(
     let elapsed_us = clock.now_us().max(1);
 
     // Merge: ingress seeds every outcome, worker records overwrite their
-    // terminal states, per-worker accumulators sum into the global stats.
+    // terminal states, and the workers' accumulators fold into the stats.
     let mut outcomes: Vec<WallclockOutcome> = arrivals_log
         .iter()
         .map(|a| WallclockOutcome {
@@ -1274,77 +1146,30 @@ pub fn serve_wallclock_streaming(
             input: a.input,
         })
         .collect();
-
     let mut stats = RuntimeStats {
         shed: arrivals_log.iter().filter(|a| a.shed).count(),
         ..RuntimeStats::default()
     };
-    let mut wait_us: Vec<usize> = Vec::new();
-    let mut histogram = vec![0usize; wall.max_batch + 1];
-    let mut time_in_bits: BTreeMap<u8, usize> = BTreeMap::new();
-    let mut generations: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut replicas: Vec<ReplicaStats> = Vec::with_capacity(wall.workers);
-    let mut acc_sum = 0.0f32;
-    for (w, acc) in worker_accs.into_iter().enumerate() {
-        for rec in acc.records {
+    let mut accs = Vec::with_capacity(wall.workers);
+    for (w, (mut acc, records)) in worker_out.into_iter().enumerate() {
+        for rec in records {
             let o = &mut outcomes[rec.id];
-            o.status = rec.status;
-            o.served_us = rec.served_us;
-            o.bits = rec.bits;
-            o.output = rec.output;
-            o.attempts = rec.attempts;
-            if matches!(
-                rec.status,
-                RequestStatus::Completed | RequestStatus::CompletedDegraded | RequestStatus::Failed
-            ) {
-                o.worker = Some(w);
-            }
+            o.worker = (rec.status != RequestStatus::Expired
+                && rec.status != RequestStatus::Pending)
+                .then_some(w);
+            (o.status, o.served_us, o.bits) = (rec.status, rec.served_us, rec.bits);
+            (o.output, o.attempts) = (rec.output, rec.attempts);
         }
-        stats.completed += acc.completed;
-        stats.completed_degraded += acc.completed_degraded;
-        stats.expired += acc.expired;
-        stats.failed += acc.failed;
-        stats.retried += acc.retried;
-        stats.dropped += acc.dropped;
-        stats.switches += acc.switches;
-        stats.energy_pj += acc.energy_pj;
-        stats.stalled_steps += acc.stalled;
-        stats.faults_injected += acc.injected;
-        acc_sum += acc.acc_sum;
-        for (i, h) in acc.histogram.iter().enumerate() {
-            histogram[i] += h;
-        }
-        for (&b, &n) in &acc.time_in_bits {
-            *time_in_bits.entry(b).or_insert(0) += n;
-        }
-        for (&g, &n) in &acc.generations {
-            *generations.entry(g).or_insert(0) += n;
-        }
-        let w_summary = wait_summary(&acc.waits_us);
-        replicas.push(ReplicaStats {
-            served: acc.completed + acc.completed_degraded,
-            batches: acc.batches,
-            faulted_batches: acc.faulted_batches,
-            backlog: 0,
-            max_queue_depth: queue.worker_max_depth(w),
-            cache_hits: 0,
-            mean_wait_steps: w_summary.mean,
-            p99_wait_steps: w_summary.p99,
-            time_in_bits: acc.time_in_bits.into_iter().collect(),
-            generation: acc.generation,
-        });
-        wait_us.extend(acc.waits_us);
+        acc.max_queue_depth = queue.worker_max_depth(w);
+        accs.push(acc);
     }
-
-    stats.served_requests = stats.completed + stats.completed_degraded;
+    Acc::merge(accs, &mut stats, cfg.switch_cost_pj, registry, &metrics0);
     stats.backlog = outcomes
         .iter()
         .filter(|o| o.status == RequestStatus::Pending)
         .count();
     stats.max_queue_depth = queue.max_depth();
     stats.steals = queue.steals();
-    stats.batch_histogram = histogram;
-    stats.time_in_bits = time_in_bits.into_iter().collect();
     stats.degradation_events = degrade.into_inner().expect("degrade mutex poisoned").events;
     stats.batch_limit_events = batch_shared.map_or_else(Vec::new, |b| {
         b.ctl
@@ -1352,71 +1177,7 @@ pub fn serve_wallclock_streaming(
             .expect("batch controller mutex poisoned")
             .into_events()
     });
-    stats.switch_energy_pj = stats.switches as f64 * cfg.switch_cost_pj;
-    stats.energy_pj += stats.switch_energy_pj;
-    stats.mean_accuracy = if stats.served_requests > 0 {
-        acc_sum / stats.served_requests as f32
-    } else {
-        0.0
-    };
     stats.elapsed_us = elapsed_us;
     stats.requests_per_sec = stats.served_requests as f64 / (elapsed_us as f64 * 1e-6);
-    stats.replicas = replicas;
-    stats.time_per_generation = generations.into_iter().collect();
-    // Registry activity attributable to this run: the counters are
-    // monotone, so the delta over the run's span is exact even when the
-    // caller reuses one registry across runs.
-    let metrics1 = registry.metrics();
-    stats.reloads = metrics1.reloads - metrics0.reloads;
-    stats.rollbacks = metrics1.rollbacks - metrics0.rollbacks;
-    stats.rejected_publishes = metrics1.rejected_publishes - metrics0.rejected_publishes;
-    stats.canary_served = metrics1.canary_served - metrics0.canary_served;
-    stats.divergences = metrics1.divergences - metrics0.divergences;
-    finish_wait_stats(&mut stats, wait_us);
     Ok((stats, outcomes))
-}
-
-/// Runs the canary candidate over the same batch at the same bit-width,
-/// compares per-sample outputs bit-exactly against the stable outputs,
-/// and reports the result (or a candidate fault) to the registry. The
-/// candidate's forward is isolated with `catch_unwind`: a crashing
-/// candidate rolls itself back without touching the batch, which was
-/// already answered by the stable version.
-#[allow(clippy::too_many_arguments)]
-fn shadow_compare(
-    registry: &ModelRegistry,
-    pinned_epoch: u64,
-    cand: &mut PackedModel,
-    bits: BitWidth,
-    batch: &Tensor,
-    stable_outs: &[Tensor],
-    stable_us: u64,
-    clock: RunClock,
-) {
-    let start = clock.now_us();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        cand.try_switch_to_bits(bits)
-            .and_then(|()| cand.try_forward_batch(batch))
-    }));
-    let candidate_us = clock.now_us().saturating_sub(start);
-    match result {
-        Ok(Ok(y)) => {
-            let cand_outs = scatter_outputs(&y, stable_outs.len());
-            let diverged = stable_outs
-                .iter()
-                .zip(&cand_outs)
-                .filter(|(a, b)| a.data() != b.data())
-                .count();
-            registry.report_shadow(
-                pinned_epoch,
-                stable_outs.len(),
-                diverged,
-                stable_us,
-                candidate_us,
-            );
-        }
-        _ => {
-            registry.report_candidate_fault(pinned_epoch);
-        }
-    }
 }

@@ -21,6 +21,7 @@ use instantnet::runtime::{
     simulate_serving_batched, EnergyTrace, Policy, RequestTrace, RuntimeStats, ServingConfig,
     SimulationConfig,
 };
+use instantnet::sharding::ShardConfig;
 use instantnet::{DeploymentReport, OperatingPoint};
 use instantnet_infer::PackedModel;
 use instantnet_nn::models;
@@ -245,6 +246,7 @@ fn overload_with_faults_meets_deadlines_by_downshifting() {
             backlog_low: 2,
             recovery_window: 3,
         }),
+        ..ShardConfig::default()
     };
     let (stats, outcomes) = simulate_serving_resilient(
         &report,
@@ -516,6 +518,7 @@ proptest! {
                 backlog_low: 1,
                 recovery_window: window,
             }),
+            ..ShardConfig::default()
         };
         let (stats, outcomes) = simulate_serving_resilient(
             &report,

@@ -1,4 +1,4 @@
-//! Sharded serving contract.
+//! Sharded serving contract: the simulated step loop over a fleet.
 //!
 //! * **Strictly additive**: with 1 replica, round-robin dispatch, the
 //!   cache off, and no faults, `simulate_serving_sharded` reproduces
@@ -13,12 +13,18 @@
 //!   and reconcile with the hit/miss counters.
 //! * **Fault isolation**: a `FaultPlan` aimed at one replica leaves the
 //!   other replicas' completions untouched.
-//! * **Conservation** (proptest): completed + shed + expired + failed +
-//!   backlog == arrivals across replicas × dispatchers × cache × faults,
+//! * **Conservation** (proptest over the whole merged config — replicas,
+//!   dispatchers, deadlines, caps, retries with backoff, step-time
+//!   capacity, degradation, cache, stealing, faults): completed +
+//!   completed_degraded + shed + expired + failed + backlog == arrivals,
 //!   and the per-replica stats sum to the global ones.
+//!
+//! Every entry point, fleets and registries included, is also pinned to
+//! `simulate_serving_batched` by the twin table in
+//! `tests/wallclock_serving.rs`.
 
 use instantnet::faults::{FaultKind, FaultPlan, FaultRates};
-use instantnet::resilience::{RequestStatus, ServingError};
+use instantnet::resilience::{DegradationConfig, RequestStatus, ServingError};
 use instantnet::runtime::{
     simulate_serving_batched, EnergyTrace, Policy, RequestTrace, ServingConfig, SimulationConfig,
 };
@@ -732,19 +738,30 @@ fn invalid_shard_configs_are_typed_errors_not_panics() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// Conservation over the whole merged config — replicas, dispatch,
+    /// deadlines, queue cap, retries with backoff, `step_time_s`
+    /// capacity, degradation, the LRU cache, stealing and seeded faults:
+    /// stats and per-request statuses agree and partition the arrivals,
+    /// per-replica stats sum to the global ones, serves are causal and
+    /// within deadline, retry budgets and the controller's recovery window
+    /// hold, faults stay on their replica, and energy reconciles.
     #[test]
     fn sharded_conservation_holds_across_replicas_dispatch_cache_faults(
         seed in 0u64..1_000_000,
-        steps in 4usize..20,
+        steps in 4usize..24,
         replicas in 1usize..5,
-        max_batch in 1usize..4,
+        max_batch in 1usize..5,
         least_loaded in 0usize..2,
         cache_flag in 0usize..2,
         deadline in prop::sample::select(vec![-1isize, 0, 2, 5]),
         cap in prop::sample::select(vec![-1isize, 3, 10]),
         max_retries in 0usize..3,
+        backoff in 0usize..3,
+        timed in 0usize..2,
+        degrade in 0usize..2,
+        window in 1usize..4,
     ) {
         use rand::Rng;
         let bits = BitWidthSet::new(vec![4, 8, 32]).unwrap();
@@ -777,14 +794,21 @@ proptest! {
             // Alternate a cap tiny enough to force evictions with the
             // generous default, so conservation holds under LRU churn too.
             cache_capacity: if seed % 2 == 0 { 1 } else { 65_536 },
-            pinned: None,
             deadline_steps: usize::try_from(deadline).ok(),
             max_queue_depth: usize::try_from(cap).ok(),
             max_retries,
+            retry_backoff_steps: backoff,
+            step_time_s: (timed == 1).then_some(3e-3),
+            degradation: (degrade == 1).then_some(DegradationConfig {
+                backlog_high: 4,
+                backlog_low: 1,
+                recovery_window: window,
+            }),
             fault_replica: seed as usize % replicas,
             // Every third case steals, so conservation is exercised with
             // batches migrating between replica queues mid-run too.
             work_stealing: seed % 3 == 0,
+            ..ShardConfig::default()
         };
         let (stats, outcomes) = simulate_serving_sharded(
             &report,
@@ -804,18 +828,21 @@ proptest! {
         let count = |s: RequestStatus| outcomes.iter().filter(|o| o.status == s).count();
         prop_assert_eq!(outcomes.len(), total);
         prop_assert_eq!(count(RequestStatus::Completed), stats.completed);
+        prop_assert_eq!(count(RequestStatus::CompletedDegraded), stats.completed_degraded);
         prop_assert_eq!(count(RequestStatus::Shed), stats.shed);
         prop_assert_eq!(count(RequestStatus::Expired), stats.expired);
         prop_assert_eq!(count(RequestStatus::Failed), stats.failed);
         prop_assert_eq!(count(RequestStatus::Pending), stats.backlog);
         prop_assert_eq!(
-            stats.completed + stats.shed + stats.expired + stats.failed + stats.backlog,
+            stats.completed + stats.completed_degraded + stats.shed + stats.expired
+                + stats.failed + stats.backlog,
             total
         );
+        prop_assert_eq!(stats.served_requests, stats.completed + stats.completed_degraded);
         prop_assert_eq!(stats.replicas.len(), replicas);
         prop_assert_eq!(
             stats.replicas.iter().map(|r| r.served).sum::<usize>(),
-            stats.completed
+            stats.served_requests
         );
         prop_assert_eq!(
             stats.replicas.iter().map(|r| r.backlog).sum::<usize>(),
@@ -845,22 +872,42 @@ proptest! {
             }
             prop_assert!(o.attempts <= 1 + max_retries, "request {} attempts", r);
             if o.cached {
+                // A hit runs no forward: any attempt it carries is a
+                // faulted one it was retried out of.
                 prop_assert!(cache, "request {} cached with the cache off", r);
-                prop_assert_eq!(o.attempts, 0);
+                prop_assert!(o.attempts <= max_retries, "request {} hit after a forward", r);
             }
         }
 
-        // Faults stay on their target replica.
+        // Controller oscillation bound: consecutive transitions are at
+        // least one recovery window apart.
+        for pair in stats.degradation_events.windows(2) {
+            prop_assert!(
+                pair[1].0 - pair[0].0 >= window,
+                "transitions at {} and {} violate window {}",
+                pair[0].0, pair[1].0, window
+            );
+        }
+        if shard.degradation.is_none() {
+            prop_assert!(stats.degradation_events.is_empty());
+            prop_assert_eq!(stats.completed_degraded, 0);
+        }
+
+        // Faults stay on their target replica; injections are counted; a
+        // stall on a fleet of one skips its step, on a fleet idles at most
+        // the target replica's.
         prop_assert_eq!(stats.faults_injected, faults.count_before(steps));
         for (r, rs) in stats.replicas.iter().enumerate() {
             if r != shard.fault_replica {
                 prop_assert_eq!(rs.faulted_batches, 0, "replica {} faulted", r);
             }
         }
-        prop_assert!(
-            stats.stalled_steps
-                <= faults.count_kind_before(steps, FaultKind::Stall)
-        );
+        let stalls = faults.count_kind_before(steps, FaultKind::Stall);
+        if replicas == 1 {
+            prop_assert_eq!(stats.stalled_steps, stalls);
+        } else {
+            prop_assert!(stats.stalled_steps <= stalls);
+        }
 
         // Energy reconciles: forward-served requests charge their point,
         // cache hits charge nothing (switching is free here).
@@ -877,6 +924,20 @@ proptest! {
             "energy {} vs recomputed {}",
             stats.energy_pj, inference
         );
+
+        // time_in_bits is the replicas' dwell summed: every replica on
+        // every scheduled step, less the steps a stall idled one (a fleet
+        // of one schedules nothing on its stalled steps).
+        let active = stats.schedule.iter().filter(|s| s.is_some()).count();
+        let dwell: usize = stats.time_in_bits.iter().map(|&(_, n)| n).sum();
+        let replica_dwell: usize = stats
+            .replicas
+            .iter()
+            .flat_map(|r| r.time_in_bits.iter().map(|&(_, n)| n))
+            .sum();
+        prop_assert_eq!(dwell, replica_dwell);
+        let idled = if replicas == 1 { 0 } else { stats.stalled_steps };
+        prop_assert_eq!(dwell, replicas * active - idled);
     }
 }
 

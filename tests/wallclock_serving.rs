@@ -1,10 +1,12 @@
-//! Wall-clock serving contract.
+//! Wall-clock serving contract, and the twin table for every entry point.
 //!
-//! * **The twin guarantee**: a fault-free wall-clock run whose budget
-//!   affords one fixed operating point completes the exact same request
-//!   set as `simulate_serving_batched` on the frozen trace, with
+//! * **The twin guarantee**, one table: every serving entry point runs
+//!   against the `simulate_serving_batched` reference. The simulated ones
+//!   are wrappers of one step loop and match it on full stats and
+//!   outcomes; a fault-free wall-clock run whose budget affords one fixed
+//!   operating point completes the exact same request set with
 //!   request-by-request bit-identical outputs — at every
-//!   `BitWidthSet::large_range()` bit-width and every worker count
+//!   `BitWidthSet::large_range()` bit-width, worker count and queue mode
 //!   (outputs depend only on input and bits, never on batching, timing,
 //!   or placement). Timing assertions are lower-bound only: real threads
 //!   on a loaded CI box are noisy, numerics are not.
@@ -26,14 +28,17 @@
 
 use instantnet::faults::{FaultKind, FaultPlan};
 use instantnet::registry::ModelRegistry;
-use instantnet::resilience::{RequestStatus, ServingError};
+use instantnet::resilience::{simulate_serving_resilient, RequestStatus, ServingError};
 use instantnet::runtime::{
-    simulate_serving_batched, EnergyTrace, Policy, RequestTrace, RuntimeStats, ServingConfig,
-    SimulationConfig,
+    simulate_serving_batched, EnergyTrace, Policy, RequestOutcome, RequestTrace, RuntimeStats,
+    ServingConfig, SimulationConfig,
+};
+use instantnet::sharding::{
+    simulate_serving_sharded, simulate_serving_sharded_versioned, DispatchPolicy, ShardConfig,
 };
 use instantnet::wallclock::{
     serve_wallclock, serve_wallclock_registry, serve_wallclock_streaming, stream_channel,
-    BatchControl, QueueMode, StreamRequest, WallclockConfig, WallclockDegradation,
+    BatchControl, QueueMode, StreamRequest, TraceIngress, WallclockConfig, WallclockDegradation,
     WallclockOutcome,
 };
 use instantnet::{DeploymentReport, OperatingPoint};
@@ -162,37 +167,177 @@ fn assert_wallclock_accounting(stats: &RuntimeStats, outcomes: &[WallclockOutcom
     }
 }
 
-/// The tentpole contract: at every `large_range()` bit-width and worker
-/// count, a fault-free wall-clock run over a frozen trace completes the
-/// same request set as the simulated twin with bit-identical outputs.
+/// One simulated entry point of the twin table, run under a policy.
+type SimRow<'a> = &'a dyn Fn(Policy, &mut PackedModel) -> (RuntimeStats, Vec<RequestOutcome>);
+/// One wall-clock entry point of the twin table.
+type WallRow<'a> = &'a dyn Fn() -> (RuntimeStats, Vec<WallclockOutcome>);
+
+/// The twin table: every serving entry point against the
+/// `simulate_serving_batched` reference on one frozen request trace.
+///
+/// * Simulated entry points — resilient, sharded under both dispatchers,
+///   and versioned over a single-version registry — must reproduce the
+///   reference's full `RuntimeStats` and outcomes under a budget sweep
+///   that serves every `large_range()` width and drops one step, for
+///   both policies at 1 and 3 kernel threads; a 2-replica fleet must be
+///   the same run with or without an explicit registry.
+/// * Wall-clock entry points — `serve_wallclock`, its registry form and
+///   its streaming form with a trace producer — must complete the
+///   reference's request set with bit-identical outputs at every width
+///   (frozen by a one-point report), worker count and queue mode, with no
+///   registry activity and one generation.
 #[test]
 fn wallclock_twin_bit_identical_to_batched_all_bitwidths_and_worker_counts() {
     let bits = BitWidthSet::large_range();
     let net = models::small_cnn(2, 4, (6, 6), bits.len(), 11);
     let mut model = PackedModel::prepack(&net, &bits, Quantizer::Sbm).unwrap();
     let steps = 12;
-    let trace = EnergyTrace::new(vec![100.0; steps]);
-    let arrivals: Vec<usize> = (0..steps).map(|t| (t * 3 + 1) % 4).collect();
-    let requests = RequestTrace::new(arrivals);
+    let requests = RequestTrace::new((0..steps).map(|t| (t * 3 + 1) % 4).collect());
     let total = requests.total();
     let mut rng = StdRng::seed_from_u64(31);
     let inputs = distinct_inputs(&mut rng, 5, &[1, 3, 6, 6]);
     let cfg = SimulationConfig {
         switch_cost_pj: 1.5,
     };
-    let step_us = 200u64;
+    let serving = ServingConfig { max_batch: 4 };
 
+    let report = report_for(&bits);
+    let sweep = EnergyTrace::new(
+        (0..steps)
+            .map(|t| match t {
+                1 => 5.0, // below the cheapest point: dropped
+                _ => 10.0 * ((t % bits.len()) + 1) as f64 + 1.0,
+            })
+            .collect(),
+    );
+    let none = FaultPlan::none();
+    let sim_rows: [(&str, SimRow); 4] = [
+        ("resilient", &|policy, m| {
+            let res = ShardConfig::default();
+            simulate_serving_resilient(
+                &report, &sweep, &requests, policy, &cfg, &serving, &res, &none, m, &inputs,
+            )
+            .unwrap()
+        }),
+        ("sharded, round robin", &|policy, m| {
+            let shard = ShardConfig::default();
+            simulate_serving_sharded(
+                &report, &sweep, &requests, policy, &cfg, &serving, &shard, &none, m, &inputs,
+            )
+            .unwrap()
+        }),
+        ("sharded, least loaded", &|policy, m| {
+            let shard = ShardConfig {
+                dispatch: DispatchPolicy::LeastLoaded,
+                ..ShardConfig::default()
+            };
+            simulate_serving_sharded(
+                &report, &sweep, &requests, policy, &cfg, &serving, &shard, &none, m, &inputs,
+            )
+            .unwrap()
+        }),
+        ("versioned", &|policy, m| {
+            let registry = ModelRegistry::new(m.clone(), "v1");
+            let shard = ShardConfig::default();
+            simulate_serving_sharded_versioned(
+                &report,
+                &sweep,
+                &requests,
+                policy,
+                &cfg,
+                &serving,
+                &shard,
+                &none,
+                &registry,
+                &mut |_, _| {},
+                &inputs,
+            )
+            .unwrap()
+        }),
+    ];
+    for policy in [Policy::Greedy, Policy::Hysteresis { margin: 0.08 }] {
+        for threads in [1, 3] {
+            let ctx = format!("{policy:?} @ {threads} threads");
+            let (base_stats, base) = with_threads(threads, || {
+                simulate_serving_batched(
+                    &report, &sweep, &requests, policy, &cfg, &serving, &mut model, &inputs,
+                )
+            });
+            // The reference itself: everything served, nothing resilience-,
+            // cache- or fleet-specific fired, one replica, one generation.
+            let served: std::collections::BTreeSet<u8> =
+                base.iter().filter_map(|o| o.bits).collect();
+            assert!(served.len() >= 3, "{ctx}: the sweep serves {served:?}");
+            assert_eq!(base_stats.dropped, 1, "{ctx}");
+            assert_eq!(base_stats.completed, base_stats.served_requests, "{ctx}");
+            assert_eq!(base_stats.completed_degraded + base_stats.shed, 0, "{ctx}");
+            let lost = base_stats.expired + base_stats.failed + base_stats.retried;
+            assert_eq!(lost, 0, "{ctx}");
+            assert_eq!(base_stats.cache_hits + base_stats.cache_misses, 0, "{ctx}");
+            assert!(base_stats.degradation_events.is_empty(), "{ctx}");
+            assert_eq!(base_stats.replicas.len(), 1, "{ctx}");
+            assert_eq!(base_stats.replicas[0].served, base_stats.completed, "{ctx}");
+            assert_eq!(base_stats.replicas[0].faulted_batches, 0, "{ctx}");
+            assert_eq!(base_stats.time_per_generation, vec![(1, steps)], "{ctx}");
+            assert!(base.iter().all(|o| !o.cached), "{ctx}");
+            for (name, run) in &sim_rows {
+                let (stats, outcomes) = with_threads(threads, || run(policy, &mut model));
+                assert_eq!(stats, base_stats, "{ctx}: {name} stats");
+                assert_eq!(outcomes, base, "{ctx}: {name} outcomes");
+            }
+            // A fleet is the same run with or without an explicit registry.
+            let shard = ShardConfig {
+                replicas: 2,
+                ..ShardConfig::default()
+            };
+            let (fleet_stats, fleet) = with_threads(threads, || {
+                simulate_serving_sharded(
+                    &report, &sweep, &requests, policy, &cfg, &serving, &shard, &none, &model,
+                    &inputs,
+                )
+                .unwrap()
+            });
+            let registry = ModelRegistry::new(model.clone(), "v1");
+            let (stats, outcomes) = with_threads(threads, || {
+                simulate_serving_sharded_versioned(
+                    &report,
+                    &sweep,
+                    &requests,
+                    policy,
+                    &cfg,
+                    &serving,
+                    &shard,
+                    &none,
+                    &registry,
+                    &mut |_, _| {},
+                    &inputs,
+                )
+                .unwrap()
+            });
+            assert_eq!(stats, fleet_stats, "{ctx}: 2 replicas, versioned stats");
+            assert_eq!(outcomes, fleet, "{ctx}: 2 replicas, versioned outcomes");
+            assert_eq!(stats.time_per_generation, vec![(1, steps)], "{ctx}");
+            outputs_match(
+                &ctx,
+                fleet.iter().map(|o| (o.bits, o.output.as_ref())),
+                &base,
+            );
+        }
+    }
+
+    let step_us = 200u64;
+    let flat = EnergyTrace::new(vec![100.0; steps]);
     for (i, &b) in bits.widths().iter().enumerate() {
-        // A one-point report freezes the serving bit-width: the twin
+        // A one-point report freezes the serving bit-width: the wall-clock
         // comparison is then pure numerics, no policy timing involved.
         let report = DeploymentReport::new("twin", 1, vec![point_for(b, i)]);
         let (base_stats, base) = simulate_serving_batched(
             &report,
-            &trace,
+            &flat,
             &requests,
             Policy::Greedy,
             &cfg,
-            &ServingConfig { max_batch: 4 },
+            &serving,
             &mut model,
             &inputs,
         );
@@ -200,59 +345,179 @@ fn wallclock_twin_bit_identical_to_batched_all_bitwidths_and_worker_counts() {
             base_stats.served_requests, total,
             "{b}-bit: batched serves all"
         );
-
         for workers in worker_counts() {
             for queue in queue_modes() {
-                let (stats, outcomes) = serve_wallclock(
-                    &report,
-                    &trace,
-                    &requests,
-                    Policy::Greedy,
-                    &cfg,
-                    &WallclockConfig {
-                        workers,
-                        max_batch: 4,
-                        step_time: Duration::from_micros(step_us),
-                        queue,
-                        batch_control: batch_control_env(),
-                        ..WallclockConfig::default()
-                    },
-                    &model,
-                    &inputs,
-                )
-                .unwrap();
-                let ctx = format!("{b}-bit @ {workers} workers, {queue:?}");
-
-                // Identical completion set...
-                assert_eq!(stats.completed, total, "{ctx}");
-                assert_wallclock_accounting(&stats, &outcomes, total);
-                // ...with request-by-request bit-identical outputs.
-                for (id, (w, s)) in outcomes.iter().zip(&base).enumerate() {
-                    assert_eq!(w.bits, s.bits, "{ctx}: request {id}");
-                    assert_eq!(
-                        w.output.as_ref().map(Tensor::data),
-                        s.output.as_ref().map(Tensor::data),
-                        "{ctx}: request {id} output must be bit-identical"
+                let wall = WallclockConfig {
+                    workers,
+                    max_batch: serving.max_batch,
+                    step_time: Duration::from_micros(step_us),
+                    queue,
+                    batch_control: batch_control_env(),
+                    ..WallclockConfig::default()
+                };
+                let wall_rows: [(&str, WallRow); 3] = [
+                    ("serve_wallclock", &|| {
+                        serve_wallclock(
+                            &report,
+                            &flat,
+                            &requests,
+                            Policy::Greedy,
+                            &cfg,
+                            &wall,
+                            &model,
+                            &inputs,
+                        )
+                        .unwrap()
+                    }),
+                    ("registry", &|| {
+                        let registry = ModelRegistry::new(model.clone(), "v1");
+                        serve_wallclock_registry(
+                            &report,
+                            &flat,
+                            &requests,
+                            Policy::Greedy,
+                            &cfg,
+                            &wall,
+                            &registry,
+                            &none,
+                            &inputs,
+                        )
+                        .unwrap()
+                    }),
+                    ("streaming", &|| {
+                        let registry = ModelRegistry::new(model.clone(), "v1");
+                        let trace_ingress = TraceIngress::new(&requests, wall.step_time);
+                        serve_wallclock_streaming(
+                            &report,
+                            &flat,
+                            Policy::Greedy,
+                            &cfg,
+                            &wall,
+                            &registry,
+                            &none,
+                            vec![Box::new(trace_ingress)],
+                            &inputs,
+                        )
+                        .unwrap()
+                    }),
+                ];
+                for (name, run) in &wall_rows {
+                    let ctx = format!("{b}-bit @ {workers} workers, {queue:?}, {name}");
+                    let (stats, outcomes) = run();
+                    // Identical completion set...
+                    assert_eq!(stats.completed, total, "{ctx}");
+                    assert_wallclock_accounting(&stats, &outcomes, total);
+                    // ...with request-by-request bit-identical outputs.
+                    outputs_match(
+                        &ctx,
+                        outcomes.iter().map(|o| (o.bits, o.output.as_ref())),
+                        &base,
                     );
+                    // Noise-tolerant timing: the producer must have paced
+                    // the full schedule in real time (lower bound only —
+                    // upper bounds flake on loaded machines).
+                    assert!(
+                        stats.elapsed_us >= (steps as u64 - 1) * step_us,
+                        "{ctx}: elapsed {}us is shorter than the schedule",
+                        stats.elapsed_us
+                    );
+                    assert!(stats.requests_per_sec > 0.0, "{ctx}");
+                    assert_eq!(stats.replicas.len(), workers, "{ctx}");
+                    assert_eq!(stats.shed + stats.expired + stats.failed, 0, "{ctx}");
+                    assert!(
+                        stats.energy_pj > 0.0 && stats.switch_energy_pj > 0.0,
+                        "{ctx}: energy accounting"
+                    );
+                    // A degenerate registry: no activity, one generation.
+                    assert_eq!(
+                        (stats.reloads, stats.rollbacks, stats.canary_served),
+                        (0, 0, 0),
+                        "{ctx}"
+                    );
+                    let batches: usize = stats.replicas.iter().map(|r| r.batches).sum();
+                    assert_eq!(stats.time_per_generation, vec![(1, batches)], "{ctx}");
+                    assert!(stats.replicas.iter().all(|r| r.generation == 1), "{ctx}");
                 }
-                // Noise-tolerant timing: the ingress thread must have paced
-                // the full schedule in real time (lower bound only — upper
-                // bounds flake on loaded machines).
-                assert!(
-                    stats.elapsed_us >= (steps as u64 - 1) * step_us,
-                    "{ctx}: elapsed {}us is shorter than the schedule",
-                    stats.elapsed_us
-                );
-                assert!(stats.requests_per_sec > 0.0, "{ctx}");
-                assert_eq!(stats.replicas.len(), workers, "{ctx}");
-                assert_eq!(stats.shed + stats.expired + stats.failed, 0, "{ctx}");
-                assert!(
-                    stats.energy_pj > 0.0 && stats.switch_energy_pj > 0.0,
-                    "{ctx}: energy accounting"
-                );
             }
         }
     }
+}
+
+/// Request-by-request equality of (bits, output) against the reference.
+fn outputs_match<'a>(
+    ctx: &str,
+    got: impl ExactSizeIterator<Item = (Option<u8>, Option<&'a Tensor>)>,
+    reference: &[RequestOutcome],
+) {
+    assert_eq!(got.len(), reference.len(), "{ctx}: same request set");
+    for (id, ((bits, output), want)) in got.zip(reference).enumerate() {
+        assert_eq!(bits, want.bits, "{ctx}: request {id} bits");
+        assert_eq!(
+            output.map(Tensor::data),
+            want.output.as_ref().map(Tensor::data),
+            "{ctx}: request {id} output must be bit-identical"
+        );
+    }
+}
+
+/// The global `time_in_bits` means one thing on both clocks: the sum of
+/// the per-replica (per-worker) dwell.
+#[test]
+fn time_in_bits_is_the_sum_over_replicas_on_both_clocks() {
+    let bits = BitWidthSet::new(vec![4, 8, 32]).unwrap();
+    let net = models::small_cnn(2, 4, (6, 6), bits.len(), 17);
+    let model = PackedModel::prepack(&net, &bits, Quantizer::Sbm).unwrap();
+    let report = report_for(&bits);
+    let steps = 8;
+    let trace = EnergyTrace::new((0..steps).map(|t| [15.0, 25.0, 35.0][t % 3]).collect());
+    let requests = RequestTrace::uniform(3, steps);
+    let mut rng = StdRng::seed_from_u64(19);
+    let inputs = distinct_inputs(&mut rng, 3, &[1, 3, 6, 6]);
+    let summed = |stats: &RuntimeStats| {
+        let mut sum = std::collections::BTreeMap::new();
+        for (b, n) in stats.replicas.iter().flat_map(|r| r.time_in_bits.iter()) {
+            *sum.entry(*b).or_insert(0) += n;
+        }
+        sum.into_iter().collect::<Vec<(u8, usize)>>()
+    };
+    let (sim, _) = simulate_serving_sharded(
+        &report,
+        &trace,
+        &requests,
+        Policy::Greedy,
+        &SimulationConfig::default(),
+        &ServingConfig { max_batch: 2 },
+        &ShardConfig {
+            replicas: 3,
+            ..ShardConfig::default()
+        },
+        &FaultPlan::from_schedule([(2, FaultKind::Stall)]),
+        &model,
+        &inputs,
+    )
+    .unwrap();
+    assert!(!sim.time_in_bits.is_empty(), "the simulated clock fills it");
+    assert_eq!(sim.time_in_bits, summed(&sim));
+    // Three replicas on 8 steps, one stalled once: 23 replica-steps.
+    assert_eq!(sim.time_in_bits.iter().map(|&(_, n)| n).sum::<usize>(), 23);
+    let (wall, _) = serve_wallclock(
+        &report,
+        &trace,
+        &requests,
+        Policy::Greedy,
+        &SimulationConfig::default(),
+        &WallclockConfig {
+            workers: 2,
+            max_batch: 2,
+            step_time: Duration::from_micros(200),
+            ..WallclockConfig::default()
+        },
+        &model,
+        &inputs,
+    )
+    .unwrap();
+    assert!(!wall.time_in_bits.is_empty(), "the wall clock fills it");
+    assert_eq!(wall.time_in_bits, summed(&wall));
 }
 
 /// The kernel-thread knob composes: a fleet under `with_threads` splits
