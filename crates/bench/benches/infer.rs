@@ -23,16 +23,25 @@
 //! pointwise, a small-batch linear), whose reduction does. `bench_check`
 //! ceilings one sample at 0.75× two on the 2×2 pointwise, the batch-1
 //! linear at 0.5× the batch-8 one, and the 96-channel 4×4 depthwise at 3×
-//! the pointwise on the same plane.
+//! the pointwise on the same plane. The activation-emission entries time
+//! one operand's quantization at 4 bits — max-abs, grid and code emission —
+//! in the three layouts a batch-1 MobileNetV2 forward emits most: contiguous
+//! `i8` codes, the fused kernels' 4-lane words over a 24-channel 16×16
+//! sample, and the `[hw, c]` f32 operand of a 36-channel 16×16 depthwise;
+//! `bench_check` floors the dispatched contiguous emission at 2× its
+//! `_scalar` twin on AVX2 hosts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use instantnet_infer::{with_fused_gemm, with_simd_backend, PackedModel, SimdBackend};
+use instantnet_infer::{
+    emit_activation_codes, with_fused_gemm, with_simd_backend, EmitLane, Layout, PackedModel,
+    SimdBackend,
+};
 use instantnet_nn::blocks::{ConvBnAct, InvertedResidual};
 use instantnet_nn::layers::{Activation, GlobalAvgPool, QuantConv2d, QuantLinear};
 use instantnet_nn::models::mobilenet_v2;
 use instantnet_nn::{ForwardCtx, Module, Sequential};
 use instantnet_parallel::with_threads;
-use instantnet_quant::{BitWidthSet, Quantizer};
+use instantnet_quant::{BitWidth, BitWidthSet, Quantizer};
 use instantnet_tensor::{init, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -252,6 +261,59 @@ fn bench_models(c: &mut Criterion) {
     }
 }
 
+/// One 4-bit operand's activation quantization (max-abs, grid, emission)
+/// in `layout`, and its forced-scalar twin.
+fn bench_emit_pair<L: EmitLane>(c: &mut Criterion, name: &str, x: &[f32], layout: Layout) {
+    let (bits, n) = (BitWidth::new(4), x.len());
+    let mut out = vec![L::default(); 4 * n];
+    let mut run = |b: &mut criterion::Bencher| {
+        b.iter(|| {
+            std::hint::black_box(emit_activation_codes(
+                Quantizer::Sbm,
+                bits,
+                x,
+                &mut out,
+                layout,
+            ))
+        })
+    };
+    c.bench_function(name, &mut run);
+    c.bench_function(&format!("{name}_scalar"), |b| {
+        with_simd_backend(SimdBackend::Scalar, || run(b))
+    });
+}
+
+fn bench_emit(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let x = init::uniform(&mut rng, &[36 * 256], -0.3, 1.2);
+    let x = x.data();
+    let contiguous = Layout::Rows {
+        width: 6144,
+        pitch: 6144,
+    };
+    bench_emit_pair::<i8>(
+        c,
+        "activation_emit_4bit_contiguous_6144",
+        &x[..6144],
+        contiguous,
+    );
+    let words = Layout::Words {
+        width: 256,
+        pitch: 4 * 256,
+    };
+    bench_emit_pair::<i8>(
+        c,
+        "activation_emit_4bit_interleave4_24x256",
+        &x[..6144],
+        words,
+    );
+    let transposed = Layout::Transposed {
+        width: 256,
+        pitch: 36,
+    };
+    bench_emit_pair::<f32>(c, "activation_emit_4bit_transposed_36x256", x, transposed);
+}
+
 fn bench_switch(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let layer = QuantLinear::new(&mut rng, "fc", 256, 256);
@@ -272,6 +334,6 @@ criterion_group! {
     name = infer;
     config = Criterion::default().sample_size(20);
     targets = bench_gemm, bench_conv, bench_small_planes, bench_mbv2_block, bench_models,
-        bench_switch
+        bench_emit, bench_switch
 }
 criterion_main!(infer);

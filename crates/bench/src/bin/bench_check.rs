@@ -25,7 +25,10 @@
 //!   the fused multiply-on-packed-codes win — and a batch-1 4-bit
 //!   MobileNetV2 block must not be slower than the same block on the
 //!   32-bit f32 fallback (the low-bit network is the cheap one even when
-//!   activation quantize and depthwise, not GEMM, dominate), and a
+//!   activation quantize and depthwise, not GEMM, dominate — it must be at
+//!   most 0.9× it), dispatched contiguous activation emission (max-abs,
+//!   grid and codes of one 6 144-value operand) must be at least 2× its
+//!   forced-scalar twin, and a
 //!   batch-16 forward of the serving CNN may cost at most a quarter of
 //!   sixteen batch-1 forwards (the batch is a GEMM dimension: if a batch
 //!   stops amortizing, the queue, the batch controller and `max_batch`
@@ -282,7 +285,7 @@ fn main() -> ExitCode {
     // speedup from machine drift. Only meaningful where the dispatcher
     // actually selects AVX2 — probed here with the same detection macro
     // the engine uses (the checker runs on the same host as the bench).
-    const INFER_CHECKS: [RatioCheck; 8] = [
+    const INFER_CHECKS: [RatioCheck; 9] = [
         RatioCheck {
             gate: "SIMD vs scalar 16-bit GEMM",
             num: "packed_gemm_16bit_64x256x256_scalar",
@@ -312,13 +315,28 @@ fn main() -> ExitCode {
         },
         // Batch 1, where per-forward overheads (activation quantize,
         // depthwise, weight layout) outweigh the GEMM: the packed 4-bit
-        // block must still not be slower than the f32 fallback.
+        // block must stay clearly cheaper than the f32 fallback (0.99-1.14
+        // with scalar activation quantization, 0.68-0.77 with it in vector
+        // lanes).
         RatioCheck {
             gate: "4-bit vs 32-bit MobileNetV2 block, batch 1",
             num: "packed_mbv2_block_4bit_1x16x16x16",
             den: "packed_mbv2_block_32bit_1x16x16x16",
-            bound: 1.0,
+            bound: 0.9,
             floor: false,
+        },
+        // Activation quantization in vector lanes: max-abs and code
+        // emission compiled for AVX2 against the same loops on the portable
+        // backend, whose baseline build already runs 4-wide SSE division —
+        // so the division throughput bounds this ratio near 2 on cores
+        // whose 8-wide divide is not twice the 4-wide one (2.1-2.26
+        // measured on the 2-core recording VM).
+        RatioCheck {
+            gate: "dispatched vs scalar contiguous activation emission",
+            num: "activation_emit_4bit_contiguous_6144_scalar",
+            den: "activation_emit_4bit_contiguous_6144",
+            bound: 2.0,
+            floor: true,
         },
         // The batch is a column dimension of every GEMM: sixteen requests
         // in one forward may cost at most a quarter of sixteen forwards
@@ -371,9 +389,9 @@ fn main() -> ExitCode {
         if !avx2 {
             println!(
                 "BENCH_infer.json: no AVX2 on this runner, skipping SIMD speedup, \
-                 4-vs-8-bit ordering, fused-GEMM, 4-vs-32-bit block, batch \
-                 amortization and lane-orientation checks (scalar backend on \
-                 both sides)"
+                 4-vs-8-bit ordering, fused-GEMM, 4-vs-32-bit block, emission, \
+                 batch amortization and lane-orientation checks (scalar backend \
+                 on both sides)"
             );
             for check in &INFER_CHECKS {
                 gates.push((

@@ -34,22 +34,31 @@
 //! nothing of another sample — every output is bit-identical to running
 //! its sample alone.
 //!
+//! **Quantize once, into the operand.** Each packed layer quantizes its
+//! input straight into the operand its kernel reads, through the kernel
+//! table's max-abs and emitters (`crate::simd::Layout`): contiguous codes
+//! for `im2col`, rows of a zero-padded depthwise frame, `[hw, c]` for
+//! channel lanes, a linear's samples as columns, and a pointwise conv's code
+//! planes straight into its fused word interleave or thin column-major
+//! operand — no intermediate code buffer, no interleave pass.
+//!
 //! Determinism contract (mirrors `instantnet-tensor`): accumulation is
 //! exact, dequantization is elementwise, and every parallel region
 //! assigns disjoint output slices by index — results are bit-identical at
 //! any thread count.
 
 use crate::route::{describe, dw_lanes, Arith, Lanes};
-use crate::simd::{kernels, FusedKernel, Kernels};
-use crate::{is_depthwise, Accum, KernelWeights, OpProfile, PackedGemm, PackedOp, Storage};
+use crate::simd::{kernels, EmitLane, FusedKernel, Kernels, Layout};
+use crate::{is_depthwise, Accum, KernelWeights, OpProfile, PackedGemm, PackedOp, Storage, Taps};
 use instantnet_nn::layers::Activation;
 use instantnet_parallel::{gate, max_threads, par_chunks_mut};
-use instantnet_quant::{ActivationGrid, BitWidth, CodeLane, Quantizer};
+use instantnet_quant::{ActivationGrid, BitWidth, Quantizer};
 use instantnet_tensor::tensor::{im2col_batch, ConvGeom};
 use instantnet_tensor::Tensor;
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::ops::Range;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Work threshold below which kernels run single-threaded (same policy and
 /// value as the tensor crate's, which is crate-private there).
@@ -89,11 +98,33 @@ fn reborrow<'s>(sink: &'s mut Option<Sink<'_>>) -> Option<Sink<'s>> {
     }
 }
 
+thread_local! {
+    /// Operand-building time of the op a profiled forward is running on
+    /// this thread; `None` outside one, so an unprofiled forward reads no
+    /// clock.
+    static OPERAND_TIME: Cell<Option<Duration>> = const { Cell::new(None) };
+}
+
+/// Runs `build` — laying a layer's input out as its kernel's operand:
+/// activation grid, code emission, layout — and, inside a profiled forward,
+/// adds its wall time to the op's quantize time (on the thread running the
+/// forward: all of it with one kernel thread). Never nested.
+fn timed_operand<R>(build: impl FnOnce() -> R) -> R {
+    let Some(spent) = OPERAND_TIME.get() else {
+        return build();
+    };
+    let start = Instant::now();
+    let out = build();
+    OPERAND_TIME.set(Some(spent + start.elapsed()));
+    out
+}
+
 /// Runs `ops` in order over `x`. Every op reads its operand by reference
 /// and activations rewrite the running tensor in place, so the input is
 /// copied only when an activation is the first thing to touch it. With a
 /// `sink`, every op is timed and reported as it finishes (a residual's
-/// branches op by op, then its add); without one no clock is read.
+/// branches op by op, then its add), its operand building separately
+/// ([`timed_operand`]); without one no clock is read.
 pub(crate) fn exec_ops(
     ops: &[PackedOp],
     x: &Tensor,
@@ -102,11 +133,16 @@ pub(crate) fn exec_ops(
 ) -> Tensor {
     let mut cur: Option<Tensor> = None;
     for op in ops {
+        if matches!(op, PackedOp::Act(Activation::None)) {
+            continue;
+        }
         let input = cur.as_ref().unwrap_or(x);
-        let mut start = sink.is_some().then(Instant::now);
+        let mut start = sink.is_some().then(|| {
+            OPERAND_TIME.set(Some(Duration::ZERO));
+            Instant::now()
+        });
         let mut dims = start.map(|_| input.dims().to_vec());
         let y = match op {
-            PackedOp::Act(Activation::None) => continue,
             PackedOp::Act(a) => {
                 let mut y = cur.take().unwrap_or_else(|| x.clone());
                 let data = y.data_mut().iter_mut();
@@ -158,7 +194,8 @@ pub(crate) fn exec_ops(
         };
         cur = Some(y);
         if let (Some(sink), Some(start), Some(dims)) = (reborrow(&mut sink), start, dims) {
-            sink(describe(op, &dims, start));
+            let quantize = OPERAND_TIME.take().unwrap_or_default();
+            sink(describe(op, &dims, start, quantize));
         }
     }
     cur.unwrap_or_else(|| x.clone())
@@ -212,12 +249,15 @@ to_f32!(f32, i32, i64);
 /// results are independent of the tier's internal order, the batch
 /// packing, and the thread count.
 trait Tier: Sync {
-    type Code: CodeLane + Default;
+    type Code: EmitLane;
     type Acc: ToF32 + Default;
     type Cs: ToF32 + Default;
 
     /// Decodes one weight row of `cols` codes into `out`.
     fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [Self::Code]);
+    /// A depthwise layer's pack-time tap table in this tier's lanes: read in
+    /// place in the tier it was packed for, converted for a wider one.
+    fn taps(taps: &Taps) -> Cow<'_, [Self::Code]>;
     /// `acc[j] += Σ_p wrow[p] · acts[p · acc.len() + j]`, exactly.
     fn accumulate(acc: &mut [Self::Acc], wrow: &[Self::Code], acts: &[Self::Code]);
     fn mad(acc: Self::Acc, w: Self::Code, a: Self::Code) -> Self::Acc;
@@ -252,6 +292,12 @@ impl Tier for TierF32 {
     fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [f32]) {
         storage.decode_row_f32(row, cols, out);
     }
+    fn taps(taps: &Taps) -> Cow<'_, [f32]> {
+        match taps {
+            Taps::F32(t) => Cow::Borrowed(t),
+            Taps::I32(t) => Cow::Owned(t.iter().map(|&c| c as f32).collect()),
+        }
+    }
     fn accumulate(acc: &mut [f32], wrow: &[f32], acts: &[f32]) {
         (kernels().accumulate_f32)(acc, wrow, acts);
     }
@@ -273,6 +319,9 @@ impl Tier for TierI32 {
     fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [i32]) {
         storage.decode_row(row, cols, out);
     }
+    fn taps(taps: &Taps) -> Cow<'_, [i32]> {
+        i32_taps(taps)
+    }
     fn accumulate(acc: &mut [i32], wrow: &[i32], acts: &[i32]) {
         (kernels().accumulate_i32)(acc, wrow, acts);
     }
@@ -292,6 +341,9 @@ impl Tier for TierI64 {
     fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [i32]) {
         storage.decode_row(row, cols, out);
     }
+    fn taps(taps: &Taps) -> Cow<'_, [i32]> {
+        i32_taps(taps)
+    }
     fn accumulate(acc: &mut [i64], wrow: &[i32], acts: &[i32]) {
         (kernels().accumulate_i64)(acc, wrow, acts);
     }
@@ -300,6 +352,14 @@ impl Tier for TierI64 {
     }
     fn cs_add(cs: i64, a: i32) -> i64 {
         cs + i64::from(a)
+    }
+}
+
+/// [`Tier::taps`] of the two i32-lane tiers.
+fn i32_taps(taps: &Taps) -> Cow<'_, [i32]> {
+    match taps {
+        Taps::I32(t) => Cow::Borrowed(t),
+        Taps::F32(t) => Cow::Owned(t.iter().map(|&c| c as i32).collect()),
     }
 }
 
@@ -430,11 +490,13 @@ pub(crate) fn accumulate_f32_scalar(acc: &mut [f32], wrow: &[f32], acts: &[f32])
 // ---------------------------------------------------------------------------
 
 /// One activation grid per sample: its own under [`ActQuant::PerSample`],
-/// the whole tensor's under [`ActQuant::PerBatch`].
-fn sample_grids(x: &Tensor, n: usize, rule: ActRule) -> Vec<ActivationGrid> {
+/// the whole tensor's under [`ActQuant::PerBatch`] — each max-abs on `k`.
+fn sample_grids(x: &Tensor, n: usize, rule: ActRule, k: &Kernels) -> Vec<ActivationGrid> {
     let grid_of = |src: &[f32]| {
-        (rule.quantizer.activation_grid(src, rule.bits))
-            .expect("integer storage implies quantized activations")
+        let grid = rule
+            .quantizer
+            .activation_grid_with(src, rule.bits, k.max_abs);
+        grid.expect("integer storage implies quantized activations")
     };
     let len = x.len() / n;
     match rule.aq {
@@ -445,19 +507,52 @@ fn sample_grids(x: &Tensor, n: usize, rule: ActRule) -> Vec<ActivationGrid> {
     }
 }
 
-/// Quantizes the batch to sample-major codes in the consuming kernel's lane
-/// type `L` — one pass into one buffer — plus one decode scale per sample
-/// (`PerBatch` replicates the single whole-tensor scale). Shared by the tier
-/// path (`L = T::Code`) and the fused path (`L = F::Lane`).
-fn sample_codes<L: CodeLane + Default>(x: &Tensor, n: usize, rule: ActRule) -> (Vec<L>, Vec<f32>) {
-    let (grids, len) = (sample_grids(x, n, rule), (x.len() / n).max(1));
+/// The decode scale of every sample (`PerBatch` replicates the one
+/// whole-tensor scale).
+fn scales(grids: &[ActivationGrid]) -> Vec<f32> {
+    grids.iter().map(ActivationGrid::scale).collect()
+}
+
+/// The batch's codes, sample-major and contiguous, in the consuming
+/// kernel's lane type `L` — what `im2col` unfolds for a conv with a real
+/// kernel window. Shared by the tier path (`L = T::Code`) and the fused path
+/// (`L = F::Lane`).
+fn sample_codes<L: EmitLane>(k: &Kernels, x: &Tensor, grids: &[ActivationGrid]) -> Vec<L> {
+    let (len, emit) = ((x.len() / grids.len()).max(1), L::emitter(k));
     let mut codes = vec![L::default(); x.len()];
     gate(x.len() >= PAR_FLOP_THRESHOLD, || {
         par_chunks_mut(&mut codes, len, |i, dst| {
-            grids[i].emit(&x.data()[i * len..(i + 1) * len], dst, len, len);
+            let (width, pitch) = (len, len);
+            let src = &x.data()[i * len..(i + 1) * len];
+            emit(&grids[i], src, dst, Layout::Rows { width, pitch });
         })
     });
-    (codes, grids.iter().map(ActivationGrid::scale).collect())
+    codes
+}
+
+/// The operand of the samples `at` of `x`, emitted straight from their
+/// values: each sample's `blocks` equal runs (a fused pointwise layer's
+/// channel groups; one otherwise) into a block of `len` lanes apiece,
+/// sample `at.start + i` at `place(i)` — an offset and a layout — inside
+/// every block.
+fn sample_operand<L: EmitLane>(
+    k: &Kernels,
+    x: &Tensor,
+    grids: &[ActivationGrid],
+    at: Range<usize>,
+    (blocks, len): (usize, usize),
+    place: impl Fn(usize) -> (usize, Layout),
+) -> Vec<L> {
+    let (emit, chw) = (L::emitter(k), x.len() / x.dims()[0]);
+    let mut out = vec![L::default(); blocks * len];
+    for (i, s) in at.enumerate() {
+        let (offset, layout) = place(i);
+        let sample = &x.data()[s * chw..(s + 1) * chw];
+        for (src, dst) in sample.chunks(chw / blocks).zip(out.chunks_mut(len)) {
+            emit(&grids[s], src, &mut dst[offset..], layout);
+        }
+    }
+    out
 }
 
 /// Quantizes a linear layer's `[n, f]` input straight into the operand its
@@ -465,38 +560,40 @@ fn sample_codes<L: CodeLane + Default>(x: &Tensor, n: usize, rule: ActRule) -> (
 /// `[(p / group · n + i) · group + p % group]` — the `[f, n]` matrix of the
 /// tier path at `group = 1`, the fused `[f/G, n, G]` interleave (last group
 /// zero-padded) at `group = G`, and at `group ≥ f` the thin kernels' operand:
-/// every sample contiguous, zero-padded to `group`. Scales as in
-/// [`sample_codes`].
-fn linear_operand<L: CodeLane + Default>(
+/// every sample contiguous, zero-padded to `group` — plus every sample's
+/// decode scale.
+fn linear_operand<L: EmitLane>(
+    k: &Kernels,
     x: &Tensor,
     group: usize,
     rule: ActRule,
 ) -> (Vec<L>, Vec<f32>) {
     let (n, f) = (x.dims()[0], x.dims()[1]);
-    let grids = sample_grids(x, n, rule);
-    let mut codes = vec![L::default(); f.div_ceil(group) * n * group];
-    for (i, grid) in grids.iter().enumerate() {
-        let src = &x.data()[i * f..(i + 1) * f];
-        grid.emit(src, &mut codes[i * group..], group, n * group);
-    }
-    (codes, grids.iter().map(ActivationGrid::scale).collect())
+    let grids = sample_grids(x, n, rule, k);
+    let (width, pitch) = (group.min(f), n * group);
+    let len = f.div_ceil(group) * n * group;
+    let codes = sample_operand(k, x, &grids, 0..n, (1, len), |i| {
+        (i * group, Layout::Rows { width, pitch })
+    });
+    (codes, scales(&grids))
 }
 
-/// The patch matrix `[c·kh·kw, n·oh·ow]` of `n` samples — the unfold
-/// training uses. Group `gi` of a grouped conv owns the `cg·kh·kw` rows
-/// from `gi·cg·kh·kw`, sample `i` columns `i·oh·ow..` of every row. A lone
-/// sample under a 1×1, stride-1, unpadded kernel unfolds to itself, so its
-/// GEMM reads the code planes in place.
-fn patch_matrix<'a, L: Copy + Default + Send + Sync>(
-    codes: &'a [L],
-    n: usize,
-    c: usize,
-    g: &ConvGeom,
-) -> Cow<'a, [L]> {
-    if n == 1 && g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0 {
-        Cow::Borrowed(codes)
+/// Whether a conv's patch matrix is its input: a 1×1, stride-1, unpadded
+/// window, whose operand is emitted straight from the sample planes.
+fn is_pointwise(g: &ConvGeom) -> bool {
+    g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
+}
+
+/// The patch matrix `[c·kh·kw, n·oh·ow]` of `n` samples of f32 activations
+/// — the unfold training uses. Group `gi` of a grouped conv owns the
+/// `cg·kh·kw` rows from `gi·cg·kh·kw`, sample `i` columns `i·oh·ow..` of
+/// every row. A lone sample under a pointwise window unfolds to itself, so
+/// its GEMM reads the planes in place.
+fn patch_matrix<'a>(x: &'a [f32], n: usize, c: usize, g: &ConvGeom) -> Cow<'a, [f32]> {
+    if n == 1 && is_pointwise(g) {
+        Cow::Borrowed(x)
     } else {
-        Cow::Owned(im2col_batch(codes, n, c, g))
+        Cow::Owned(im2col_batch(x, n, c, g))
     }
 }
 
@@ -506,30 +603,29 @@ fn patch_matrix<'a, L: Copy + Default + Send + Sync>(
 /// than per-sample matrices on 12 KiB-per-sample i16 layers).
 const PATCH_BLOCK_BYTES: usize = 16 << 10;
 
-/// Runs a dense conv's GEMM over the batch: `gemm(cols, samples, out)` gets
-/// the [`patch_matrix`] of the samples `samples` and their `[.., k, p]` slab
-/// of the result. The whole batch is one patch matrix while a group's
-/// `[cols, n·p]` block fits [`PATCH_BLOCK_BYTES`] — the kernel then runs
-/// once per weight row over every sample's pixels, and `gemm` splits its
-/// rows over the thread budget; larger layers go in blocks of whole samples
-/// (down to one, where a lone sample already fills the cache), and the
-/// blocks are what runs in parallel. Samples never share a column, so the
-/// blocking is invisible in the result.
-fn conv_blocks<L: Copy + Default + Send + Sync>(
+/// Runs a dense conv's GEMM over the batch, operand lanes `L`: `f(samples,
+/// out)` builds the operand of a block of whole samples — their `[cols,
+/// m·p]` patch matrix per group, in whatever layout the kernel reads — and
+/// multiplies it into their `[.., k, p]` slab of the result. The whole batch
+/// is one block while a group's `[cols, n·p]` operand fits
+/// [`PATCH_BLOCK_BYTES`] — the kernel then runs once per weight row over
+/// every sample's pixels, and `f` splits its rows over the thread budget;
+/// larger layers go in blocks of whole samples (down to one, where a lone
+/// sample already fills the cache), and the blocks are what runs in
+/// parallel. Samples never share a column, so the blocking is invisible in
+/// the result.
+fn conv_blocks<L>(
     gemm: &PackedGemm,
     g: &ConvGeom,
-    codes: &[L],
-    (n, c): (usize, usize),
-    f: impl Fn(&[L], Range<usize>, &mut [f32]) + Sync,
+    n: usize,
+    f: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) -> Vec<f32> {
-    let (k, q, p, chw) = (gemm.rows, gemm.cols, g.oh * g.ow, c * g.h * g.w);
+    let (k, q, p) = (gemm.rows, gemm.cols, g.oh * g.ow);
     let per_block = (PATCH_BLOCK_BYTES / (q * p * std::mem::size_of::<L>()).max(1)).clamp(1, n);
     let mut out = vec![0.0f32; n * k * p];
     gate(2 * n * k * q * p >= PAR_FLOP_THRESHOLD, || {
         par_chunks_mut(&mut out, (per_block * k * p).max(1), |bi, slab| {
-            let at = bi * per_block..bi * per_block + slab.len() / (k * p);
-            let cols = patch_matrix(&codes[at.start * chw..at.end * chw], at.len(), c, g);
-            f(&cols, at, slab);
+            f(bi * per_block..bi * per_block + slab.len() / (k * p), slab);
         })
     });
     out
@@ -687,9 +783,11 @@ fn gemm_tier<T: Tier>(
     );
 }
 
-/// Batched integer conv on the tier path: per-sample activation codes, the
-/// batch's patch matrix ([`conv_blocks`]), [`gemm_tier`]. Depthwise layers
-/// (tap table) convolve directly instead ([`Depthwise`]).
+/// Batched integer conv on the tier path: per-sample activation grids, the
+/// batch's patch matrix ([`conv_blocks`] — a pointwise conv's codes emitted
+/// straight into it, any other unfolded from contiguous codes),
+/// [`gemm_tier`]. Depthwise layers (tap table) convolve directly instead
+/// ([`Depthwise`]). Every choice is made on one kernel-table snapshot.
 fn conv_int<T: Tier>(
     gemm: &PackedGemm,
     g: &ConvGeom,
@@ -697,16 +795,15 @@ fn conv_int<T: Tier>(
     x: &Tensor,
     rule: ActRule,
 ) -> Tensor {
-    let (n, c, p) = (x.dims()[0], x.dims()[1], g.oh * g.ow);
+    let (k, (n, c, p)) = (kernels(), (x.dims()[0], x.dims()[1], g.oh * g.ow));
+    let grids = timed_operand(|| sample_grids(x, n, rule, k));
+    let scales = scales(&grids);
     let out = if let KernelWeights::Taps(taps) = &gemm.kernel {
-        let taps: Vec<T::Code> = taps.iter().map(|&t| T::Code::from_code(t)).collect();
-        let grids = sample_grids(x, n, rule);
-        let scales: Vec<f32> = grids.iter().map(ActivationGrid::scale).collect();
-        let lanes = dw_lanes(g, kernels());
-        let fill = |i: usize, src: &[f32], dst: &mut [T::Code], (group, pitch, step)| {
-            grids[i].emit_strided(src, dst, group, pitch, step)
+        let (taps, lanes, emit) = (T::taps(taps), dw_lanes(g, k), T::Code::emitter(k));
+        let fill = |i: usize, src: &[f32], dst: &mut [T::Code], layout| {
+            emit(&grids[i], src, dst, layout);
         };
-        let operand = dw_operand(x.data(), (n, c), g, lanes, fill);
+        let operand = timed_operand(|| dw_operand(x.data(), (n, c), g, lanes, fill));
         let (taps, operand, scales) = (&taps[..], &operand[..], &scales[..]);
         Depthwise::<T> {
             gemm,
@@ -718,9 +815,18 @@ fn conv_int<T: Tier>(
         }
         .run()
     } else {
-        let (codes, scales) = sample_codes::<T::Code>(x, n, rule);
-        conv_blocks(gemm, g, &codes, (n, c), |cols, at, out| {
-            gemm_tier::<T>(gemm, cols, groups, (at.len(), p), &scales[at], out)
+        let codes = (!is_pointwise(g)).then(|| timed_operand(|| sample_codes(k, x, &grids)));
+        let chw = c * g.h * g.w;
+        conv_blocks::<T::Code>(gemm, g, n, |at, out| {
+            let m = at.len();
+            let cols = timed_operand(|| match &codes {
+                None => sample_operand(k, x, &grids, at.clone(), (1, c * m * p), |i| {
+                    let (width, pitch) = (p, m * p);
+                    (i * p, Layout::Rows { width, pitch })
+                }),
+                Some(codes) => im2col_batch(&codes[at.start * chw..at.end * chw], m, c, g),
+            });
+            gemm_tier::<T>(gemm, &cols, groups, (m, p), &scales[at], out)
         })
     };
     Tensor::from_vec(vec![n, gemm.rows, g.oh, g.ow], out)
@@ -731,15 +837,15 @@ fn conv_int<T: Tier>(
 /// may change under a running forward; layout and kernel must agree): per
 /// sample `[h·w, c]` (channels in the lanes), or per plane a zero-padded
 /// `[h + 2·pad, w + 2·pad]` frame (pixels in the lanes). `fill(i, src, dst,
-/// (group, pitch, step))` writes element `p` of sample `i`'s values `src` to
-/// `dst[p / group · pitch + p % group · step]` — activation codes on the
-/// integer tiers, the values themselves on the f32 path.
+/// layout)` writes sample `i`'s values `src` — a plane's rows into a frame,
+/// or the whole sample transposed — to `dst` in `layout`: activation codes
+/// on the integer tiers, the values themselves on the f32 path.
 fn dw_operand<L: Copy + Default + Send + Sync>(
     x: &[f32],
     (n, c): (usize, usize),
     g: &ConvGeom,
     lanes: Lanes,
-    fill: impl Fn(usize, &[f32], &mut [L], (usize, usize, usize)) + Sync,
+    fill: impl Fn(usize, &[f32], &mut [L], Layout) + Sync,
 ) -> Vec<L> {
     let (hw, fw) = (g.h * g.w, g.w + 2 * g.pad);
     let frame = (g.h + 2 * g.pad) * fw;
@@ -750,11 +856,18 @@ fn dw_operand<L: Copy + Default + Send + Sync>(
         par_chunks_mut(&mut out, per_sample.max(1), |i, dst| {
             let src = &x[i * c * hw..(i + 1) * c * hw];
             if pixels {
+                let (width, pitch) = (g.w, fw);
                 for (plane, dst) in src.chunks(hw.max(1)).zip(dst.chunks_mut(frame)) {
-                    fill(i, plane, &mut dst[g.pad * fw + g.pad..], (g.w, fw, 1));
+                    fill(
+                        i,
+                        plane,
+                        &mut dst[g.pad * fw + g.pad..],
+                        Layout::Rows { width, pitch },
+                    );
                 }
             } else {
-                fill(i, src, dst, (hw, 1, c));
+                let (width, pitch) = (hw, c);
+                fill(i, src, dst, Layout::Transposed { width, pitch });
             }
         })
     });
@@ -905,7 +1018,7 @@ impl<T: Tier> Depthwise<'_, T> {
 /// operand, the epilogue stores `out[i · rows + row]`.
 fn linear_int<T: Tier>(g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
     let n = x.dims()[0];
-    let (cols, scales) = linear_operand::<T::Code>(x, 1, rule);
+    let (cols, scales) = timed_operand(|| linear_operand::<T::Code>(kernels(), x, 1, rule));
     let mut out = vec![0.0f32; n * g.rows];
     gemm_tier::<T>(g, &cols, 1, (n, 1), &scales, &mut out);
     Tensor::from_vec(vec![n, g.rows], out)
@@ -925,7 +1038,7 @@ fn linear_int<T: Tier>(g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
 pub(crate) trait FusedTier {
     /// Activation lane: `i8` for nibble weights (|a| ≤ 15 at ≤ 4 bits),
     /// `i16` for i8 weights (|a| ≤ 255 at ≤ 8 bits).
-    type Lane: CodeLane + Default + Into<i32>;
+    type Lane: EmitLane + Into<i32>;
     /// Reduction rows per packed weight word (4 bytes / 2 i16 halves).
     const GROUP: usize;
     /// Shift added to every weight code at word-pack time; the kernel's
@@ -992,7 +1105,9 @@ impl FusedTier for FusedI8 {
 /// = block[(q·g + k)·ncols + j]`), the final partial row group zero-padded.
 /// One contiguous load then feeds a whole weight word's worth of multiplies
 /// per column block — or, at `g ≥ rows`, a whole column's reduction (the
-/// transposed, column-major operand of the thin kernels).
+/// transposed, column-major operand of the thin kernels). Only a patch
+/// matrix `im2col` built needs it: a pointwise conv's codes are emitted in
+/// this layout directly ([`conv_fused`]).
 fn interleave_blocks<L: Copy + Default + Send + Sync>(
     cols: &[L],
     groups: usize,
@@ -1083,9 +1198,11 @@ fn gemm_fused<F: FusedTier>(
     );
 }
 
-/// Fused ≤ 8-bit conv: the batch-level patch matrix is interleaved once (a
-/// lone sample's 1×1 conv straight from its code planes) and handed to
-/// [`gemm_fused`], in the orientation the whole batch's `n·p` columns pick.
+/// Fused ≤ 8-bit conv, handed to [`gemm_fused`] in the orientation the
+/// whole batch's `n·p` columns pick: a pointwise conv's codes are emitted
+/// straight into the [`interleave_blocks`] layout — column-block words, or
+/// the thin kernels' padded columns — any other conv's patch matrix is
+/// unfolded from contiguous codes and interleaved.
 fn conv_fused<F: FusedTier>(
     k: &Kernels,
     gemm: &PackedGemm,
@@ -1095,12 +1212,33 @@ fn conv_fused<F: FusedTier>(
     rule: ActRule,
 ) -> Tensor {
     let (n, c, p) = (x.dims()[0], x.dims()[1], g.oh * g.ow);
-    let route = F::route(k, gemm.cols, n * p);
-    let (codes, scales) = sample_codes::<F::Lane>(x, n, rule);
-    let out = conv_blocks(gemm, g, &codes, (n, c), |cols, at, out| {
-        let (m, scales) = (at.len(), &scales[at]);
-        let inter = interleave_blocks(cols, groups, gemm.cols, m * p, route.1);
-        gemm_fused::<F>(gemm, route, &inter, groups, (m, p), scales, out)
+    let route @ (_, ig) = F::route(k, gemm.cols, n * p);
+    let grids = timed_operand(|| sample_grids(x, n, rule, k));
+    let scales = scales(&grids);
+    let codes = (!is_pointwise(g)).then(|| timed_operand(|| sample_codes::<F::Lane>(k, x, &grids)));
+    let chw = c * g.h * g.w;
+    let out = conv_blocks::<F::Lane>(gemm, g, n, |at, out| {
+        let m = at.len();
+        let inter = timed_operand(|| match &codes {
+            None => {
+                let block = (c / groups).div_ceil(ig) * ig * m * p;
+                sample_operand(k, x, &grids, at.clone(), (groups, block), |i| {
+                    let layout = if ig == F::GROUP {
+                        let (width, pitch) = (p, m * p * ig);
+                        Layout::Words { width, pitch }
+                    } else {
+                        let (width, pitch) = (p, ig);
+                        Layout::Transposed { width, pitch }
+                    };
+                    (i * p * ig, layout)
+                })
+            }
+            Some(codes) => {
+                let cols = im2col_batch(&codes[at.start * chw..at.end * chw], m, c, g);
+                interleave_blocks(&cols, groups, gemm.cols, m * p, ig)
+            }
+        });
+        gemm_fused::<F>(gemm, route, &inter, groups, (m, p), &scales[at], out)
     });
     Tensor::from_vec(vec![n, gemm.rows, g.oh, g.ow], out)
 }
@@ -1111,7 +1249,7 @@ fn conv_fused<F: FusedTier>(
 fn linear_fused<F: FusedTier>(k: &Kernels, g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
     let n = x.dims()[0];
     let route = F::route(k, g.cols, n);
-    let (inter, scales) = linear_operand::<F::Lane>(x, route.1, rule);
+    let (inter, scales) = timed_operand(|| linear_operand::<F::Lane>(k, x, route.1, rule));
     let mut out = vec![0.0f32; n * g.rows];
     gemm_fused::<F>(g, route, &inter, 1, (n, 1), &scales, &mut out);
     Tensor::from_vec(vec![n, g.rows], out)
@@ -1167,7 +1305,7 @@ fn exec_conv(
     let (n, c) = (x.dims()[0], x.dims()[1]);
     let (k, q, p) = (gemm.rows, gemm.cols, g.oh * g.ow);
     let xq = if quantize_input {
-        quantize_acts_f32(x, rule)
+        timed_operand(|| quantize_acts_f32(x, rule))
     } else {
         Cow::Borrowed(x)
     };
@@ -1176,14 +1314,19 @@ fn exec_conv(
     let out = if is_depthwise(c / groups, k, groups) {
         // Depthwise f32 weights are stored tap-major, `[r·s, c]` (`pack.rs`).
         let lanes = dw_lanes(g, table);
-        let fill = |_, src: &[f32], dst: &mut [f32], (group, pitch, step)| {
-            for (r, row) in src.chunks(group).enumerate() {
+        let fill = |_, src: &[f32], dst: &mut [f32], layout| {
+            let (width, pitch, step) = match layout {
+                Layout::Rows { width, pitch } => (width, pitch, 1),
+                Layout::Transposed { width, pitch } => (width, 1, pitch),
+                Layout::Words { .. } => unreachable!("a depthwise operand has no words"),
+            };
+            for (r, row) in src.chunks(width).enumerate() {
                 for (k, &v) in row.iter().enumerate() {
                     dst[r * pitch + k * step] = v;
                 }
             }
         };
-        let operand = dw_operand(xq.data(), (n, c), g, lanes, fill);
+        let operand = timed_operand(|| dw_operand(xq.data(), (n, c), g, lanes, fill));
         let (taps, operand, scales) = (&wdata[..], &operand[..], &unit[..]);
         Depthwise::<TierF32> {
             gemm,
@@ -1198,8 +1341,10 @@ fn exec_conv(
         // Per element one chain over the reduction in ascending order,
         // zero weights skipped — `Tensor::matmul`'s order, which does not
         // depend on the column count.
-        let group = group_of(k, groups);
-        conv_blocks(gemm, g, xq.data(), (n, c), |cols, at, out| {
+        let (group, chw) = (group_of(k, groups), c * g.h * g.w);
+        conv_blocks::<f32>(gemm, g, n, |at, out| {
+            let x = &xq.data()[at.start * chw..at.end * chw];
+            let cols = timed_operand(|| patch_matrix(x, at.len(), c, g));
             let l = at.len() * p;
             par_rows(
                 out,
@@ -1244,7 +1389,7 @@ fn exec_linear(g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
     let Storage::F32(wdata) = &g.storage else {
         unreachable!("non-integer storage is f32");
     };
-    let xq = quantize_acts_f32(x, rule);
+    let xq = timed_operand(|| quantize_acts_f32(x, rule));
     // `out[i][row] = Σ_p x[i][p] · w[row][p]`, read from the `[rows, f]`
     // pack-time buffer in place: per element one chain in ascending `p`,
     // zero activations skipped — `Tensor::matmul`'s order with the sample

@@ -24,8 +24,9 @@
 //!   the decode-then-multiply tier path (9–16-bit layers, and the portable
 //!   fallback of fused layers) still decodes `Storage` rows as it goes.
 //! * Forwards quantize activations to integer codes between layers with
-//!   the exact SBM/DoReFa grids from `instantnet-quant` — one pass,
-//!   emitted directly in the consuming kernel's lane type — then run
+//!   the exact SBM/DoReFa grids from `instantnet-quant` — a max-abs and
+//!   one pass of codes, both in vector lanes, written straight into the
+//!   operand the consuming kernel reads (its lane type and layout) — then run
 //!   i32-accumulate (i64 for 9–16 bit) GEMM and im2col-conv kernels,
 //!   row-parallel via `instantnet-parallel`. Integer accumulation is
 //!   exact, so results are bit-identical at any thread count.
@@ -70,8 +71,8 @@ mod route;
 pub mod simd;
 
 pub use simd::{
-    active_simd_backend, avx2_available, fused_gemm_enabled, neon_available, with_fused_gemm,
-    with_simd_backend, SimdBackend,
+    active_simd_backend, avx2_available, emit_activation_codes, fused_gemm_enabled, neon_available,
+    with_fused_gemm, with_simd_backend, EmitLane, Layout, SimdBackend,
 };
 
 /// Typed error for every fallible engine operation: plan compilation
@@ -317,9 +318,10 @@ pub enum KernelWeights {
     Words(Vec<u32>),
     /// Depthwise tap table: the re-centered codes, decoded and tap-major
     /// (`[r·s, channels]`, a tap's channels contiguous — what either SIMD
-    /// orientation of the depthwise kernel reads). Depthwise layers never
-    /// read `storage` in a forward.
-    Taps(Vec<i32>),
+    /// orientation of the depthwise kernel reads), in the lane type of the
+    /// layer's accumulator tier. Depthwise layers never read `storage` in a
+    /// forward.
+    Taps(Taps),
 }
 
 impl KernelWeights {
@@ -330,6 +332,32 @@ impl KernelWeights {
             KernelWeights::Words(w) => 4 * w.len(),
             KernelWeights::Taps(t) => 4 * t.len(),
         }
+    }
+}
+
+/// A depthwise layer's decoded tap table ([`KernelWeights::Taps`]), in the
+/// lanes its tier multiplies in: exact f32 for [`Accum::F32`] layers, i32
+/// for the integer tiers — so a forward reads it in place.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Taps {
+    /// The [`Accum::I32`] / [`Accum::I64`] tiers' lanes.
+    I32(Vec<i32>),
+    /// The [`Accum::F32`] tier's lanes (every code exactly representable).
+    F32(Vec<f32>),
+}
+
+impl Taps {
+    /// Number of taps (`r·s·channels`).
+    pub fn len(&self) -> usize {
+        match self {
+            Taps::I32(t) => t.len(),
+            Taps::F32(t) => t.len(),
+        }
+    }
+
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -348,6 +376,12 @@ pub struct OpProfile {
     pub route: String,
     /// Wall time of the op.
     pub elapsed: std::time::Duration,
+    /// The part of [`Self::elapsed`] spent building the operand the kernel
+    /// reads — activation grid, code emission, layout (`im2col` and
+    /// interleave included) — rather than in the kernel and its dequant
+    /// epilogue. Counted on the thread running the forward, so all of it on
+    /// one kernel thread; zero for ops without a kernel.
+    pub quantize: std::time::Duration,
 }
 
 /// Whether a conv is depthwise (one input channel and one filter per
@@ -971,6 +1005,13 @@ mod tests {
                             let want: Vec<i32> = (0..g.cols)
                                 .flat_map(|tap| d.iter().skip(tap).step_by(g.cols).copied())
                                 .collect();
+                            // In the lanes of the layer's tier: f32 where it
+                            // accumulates in f32, i32 otherwise.
+                            let want = if g.accum == Accum::F32 {
+                                Taps::F32(want.iter().map(|&c| c as f32).collect())
+                            } else {
+                                Taps::I32(want)
+                            };
                             assert_eq!(t, &want, "taps are the decoded codes, tap-major");
                             taps += 1;
                         }

@@ -3,7 +3,7 @@
 
 use crate::exec::{FusedI8, FusedNibble, FusedTier};
 use crate::simd::{avx2_available, neon_available};
-use crate::{is_depthwise, Accum, InferError, KernelWeights, PackedGemm, PackedOp, Storage};
+use crate::{is_depthwise, Accum, InferError, KernelWeights, PackedGemm, PackedOp, Storage, Taps};
 use instantnet_nn::plan::PlanOp;
 use instantnet_quant::{BitWidth, Quantizer};
 use instantnet_tensor::Tensor;
@@ -85,8 +85,9 @@ fn tap_major<T: Copy>(w: &[T], taps: usize) -> Vec<T> {
 /// Packs one weight matrix (+ optional folded BN / linear bias) for one
 /// bit-width. `quantize_input` mirrors the plan flag: when false the layer
 /// consumes raw f32 activations and must stay on the f32 kernel path.
-/// `depthwise` layers get a decoded tap table instead of GEMM words, and on
-/// the f32 path their weights themselves, both [`tap_major`].
+/// `depthwise` layers get a decoded tap table instead of GEMM words — in the
+/// lane type of their accumulator tier, so a forward reads it in place — and
+/// on the f32 path their weights themselves, both [`tap_major`].
 #[allow(clippy::too_many_arguments)]
 fn pack_gemm(
     weight: &Tensor,
@@ -209,7 +210,10 @@ fn pack_gemm(
     let fits = |max_w: i64| max_w * act_bound <= i64::from(i32::MAX) / 2;
     let can_fuse = avx2_available() || neon_available();
     let kernel = match &storage {
-        _ if depthwise => KernelWeights::Taps(tap_major(&d, cols)),
+        _ if depthwise => KernelWeights::Taps(match accum {
+            Accum::F32 => Taps::F32(tap_major(&d, cols).into_iter().map(|c| c as f32).collect()),
+            Accum::I32 | Accum::I64 => Taps::I32(tap_major(&d, cols)),
+        }),
         Storage::Nibble(_) if can_fuse && fits(15) => {
             KernelWeights::Words(pack_words::<FusedNibble>(&d, cols))
         }

@@ -20,7 +20,7 @@
 use crate::simd::{fused_gemm_enabled, kernels, Kernels};
 use crate::{is_depthwise, Accum, KernelWeights, OpProfile, PackedGemm, PackedOp, Storage};
 use instantnet_tensor::tensor::ConvGeom;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What a layer's SIMD lanes hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,8 +94,14 @@ pub(crate) fn dw_lanes(g: &ConvGeom, k: &Kernels) -> Lanes {
     }
 }
 
-/// The profile record of `op`, started at `start` on an input of `dims`.
-pub(crate) fn describe(op: &PackedOp, dims: &[usize], start: Instant) -> OpProfile {
+/// The profile record of `op`, started at `start` on an input of `dims`,
+/// `quantize` of it spent building the operand.
+pub(crate) fn describe(
+    op: &PackedOp,
+    dims: &[usize],
+    start: Instant,
+    quantize: Duration,
+) -> OpProfile {
     let (elapsed, k) = (start.elapsed(), kernels());
     // A GEMM layer over `l` columns: its arithmetic and what that puts in
     // the lanes.
@@ -139,5 +145,6 @@ pub(crate) fn describe(op: &PackedOp, dims: &[usize], start: Instant) -> OpProfi
         shape: dims.join("x") + &detail,
         route,
         elapsed,
+        quantize,
     }
 }

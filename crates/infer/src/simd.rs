@@ -57,6 +57,19 @@
 //! accumulator equals the tier accumulator as a mathematical integer, and
 //! results stay bit-identical.
 //!
+//! # Activation quantization
+//!
+//! Every packed layer quantizes its input — a per-sample max-abs, then one
+//! code per activation — straight into the operand its kernel reads, in
+//! that kernel's lane type and [`Layout`]. The table carries the max-abs
+//! and one emitter per lane type (`i8`, `i16`, `i32`, `f32`): the scalar
+//! table runs the quant crate's reference (`ActivationGrid::emit_strided`),
+//! the AVX2 one the same rounding loop (`ActivationGrid::emit_run`) and
+//! max-abs (`instantnet_quant::max_abs`) compiled for AVX2, plus in-register
+//! layouts — `u32` words shift-or'd from `G` rows of codes, transposition by
+//! 8×8 unpack blocks. Every emitter writes exactly the reference's codes
+//! into exactly the reference's slots (DESIGN.md §6g has why).
+//!
 //! # Bit-identity contract
 //!
 //! The SIMD kernels produce **bit-identical** output to the scalar ones
@@ -96,6 +109,7 @@
 //!    in bounds — wrong, not unsafe — rather than panic.
 
 use crate::Storage;
+use instantnet_quant::{ActivationGrid, BitWidth, CodeLane, Quantizer};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -122,8 +136,9 @@ impl SimdBackend {
 }
 
 /// The hot-kernel function table one backend provides. One static per
-/// backend; [`kernels`] picks which one the engine routes through.
-pub(crate) struct Kernels {
+/// backend; [`kernels`] picks which one the engine routes through. Opaque
+/// outside the crate.
+pub struct Kernels {
     pub(crate) backend: SimdBackend,
     /// i32/f32 lanes per register — the column block of every kernel below.
     /// What `crate::exec` measures a layer's axes against when it picks
@@ -154,11 +169,125 @@ pub(crate) struct Kernels {
     pub(crate) gemm_nibble_thin: Option<FusedKernel<i8>>,
     /// The thin orientation of `gemm_i8`, same contract over i16 pairs.
     pub(crate) gemm_i8_thin: Option<FusedKernel<i16>>,
+    /// `instantnet_quant::max_abs`: the SBM activation scale's max-abs.
+    pub(crate) max_abs: fn(&[f32]) -> f32,
+    /// Activation-code emitters, one per lane type ([`EmitLane`]).
+    pub(crate) emit_i8: Emit<i8>,
+    pub(crate) emit_i16: Emit<i16>,
+    pub(crate) emit_i32: Emit<i32>,
+    pub(crate) emit_f32: Emit<f32>,
 }
 
 /// A fused GEMM kernel: `(acc, packed weight words, interleaved activation
 /// block, ncols)`.
 pub(crate) type FusedKernel<L> = fn(&mut [i32], &[u32], &[L], usize);
+
+/// Where an emitter writes the code of `x[r·width + k]`, the source read as
+/// a row-major `[rows, width]` matrix (a last row may be shorter): the
+/// operand layouts the engine's kernels read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// `out[r·pitch + k]`: rows at a pitch — contiguous at `pitch == width`
+    /// (a sample's codes, a thin kernel's column), the rows of a zero-padded
+    /// depthwise frame, a linear's samples as columns.
+    Rows {
+        /// Source row length.
+        width: usize,
+        /// Distance between output rows.
+        pitch: usize,
+    },
+    /// `out[(r / G)·pitch + k·G + r % G]` with `G = 4 / size_of::<L>()`
+    /// lanes per `u32`: every `G` rows interleaved into one word per column
+    /// — the fused column kernels' operand, a 1×1 conv's code planes
+    /// straight into it. The missing lanes of a last group of fewer than
+    /// `G` rows are left alone.
+    Words {
+        /// Source row length (columns of the word block).
+        width: usize,
+        /// Distance between groups of `G` rows.
+        pitch: usize,
+    },
+    /// `out[k·pitch + r]`: the matrix transposed — `[channels, pixels]`
+    /// into the `[pixels, channels]` operand of channel-lane depthwise, a
+    /// 1×1 conv's code planes into a thin kernel's column-major operand.
+    Transposed {
+        /// Source row length (rows of the output).
+        width: usize,
+        /// Distance between output rows.
+        pitch: usize,
+    },
+}
+
+/// An activation-code emitter: the codes of `x` on `grid`, in lane type
+/// `L`, written into `out` in `layout` — the reference's codes at the
+/// reference's slots and nowhere else.
+pub type Emit<L> = fn(&ActivationGrid, &[f32], &mut [L], Layout);
+
+/// A lane type the engine emits activation codes in: `i8`/`i16` for the
+/// fused kernels, `i32`/`f32` for the accumulator tiers.
+pub trait EmitLane: CodeLane + Default + Send + Sync {
+    /// This lane type's emitter in the table `k`.
+    #[doc(hidden)]
+    fn emitter(k: &Kernels) -> Emit<Self>;
+}
+
+impl EmitLane for i8 {
+    fn emitter(k: &Kernels) -> Emit<i8> {
+        k.emit_i8
+    }
+}
+impl EmitLane for i16 {
+    fn emitter(k: &Kernels) -> Emit<i16> {
+        k.emit_i16
+    }
+}
+impl EmitLane for i32 {
+    fn emitter(k: &Kernels) -> Emit<i32> {
+        k.emit_i32
+    }
+}
+impl EmitLane for f32 {
+    fn emitter(k: &Kernels) -> Emit<f32> {
+        k.emit_f32
+    }
+}
+
+/// The reference emitter — every layout through the quant crate's
+/// [`ActivationGrid::emit_strided`]: the scalar and NEON tables' emitter
+/// (and so the AVX2 emitters' rare ragged tails), the AVX2 table's rows, and
+/// the oracle every emitter is tested against. Inlined so a caller compiled
+/// for wider vectors gets the rounding loop in them.
+#[inline(always)]
+fn emit_reference<L: CodeLane>(grid: &ActivationGrid, x: &[f32], out: &mut [L], layout: Layout) {
+    match layout {
+        Layout::Rows { width, pitch } => grid.emit_strided(x, out, width, pitch, 1),
+        Layout::Transposed { width, pitch } => grid.emit_strided(x, out, width, 1, pitch),
+        Layout::Words { width, pitch } => {
+            let g = 4 / std::mem::size_of::<L>();
+            for (q, block) in x.chunks(g * width).enumerate() {
+                grid.emit_strided(block, &mut out[q * pitch..], width, 1, g);
+            }
+        }
+    }
+}
+
+/// Quantizes `x` as a packed layer quantizes one sample of its input, on
+/// the active backend: the max-abs, the `bits`-bit grid of `quantizer`, and
+/// every code emitted into `out` in `layout`. Returns the decode scale, or
+/// `None` (leaving `out` untouched) where no integer grid exists. What the
+/// activation-emission benchmarks time.
+pub fn emit_activation_codes<L: EmitLane>(
+    quantizer: Quantizer,
+    bits: BitWidth,
+    x: &[f32],
+    out: &mut [L],
+    layout: Layout,
+) -> Option<f32> {
+    let k = kernels();
+    let grid = quantizer.activation_grid_with(x, bits, k.max_abs)?;
+    (L::emitter(k))(&grid, x, out, layout);
+    Some(grid.scale())
+}
 
 /// Weight words one vector step of a thin kernel consumes; thin operands pad
 /// every column to a whole number of steps.
@@ -178,6 +307,11 @@ static SCALAR: Kernels = Kernels {
     gemm_i8: None,
     gemm_nibble_thin: None,
     gemm_i8_thin: None,
+    max_abs: instantnet_quant::max_abs,
+    emit_i8: emit_reference,
+    emit_i16: emit_reference,
+    emit_i32: emit_reference,
+    emit_f32: emit_reference,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -193,6 +327,11 @@ static AVX2: Kernels = Kernels {
     gemm_i8: Some(avx2::gemm_i8),
     gemm_nibble_thin: Some(avx2::gemm_nibble_thin),
     gemm_i8_thin: Some(avx2::gemm_i8_thin),
+    max_abs: avx2::max_abs,
+    emit_i8: avx2::emit,
+    emit_i16: avx2::emit,
+    emit_i32: avx2::emit,
+    emit_f32: avx2::emit,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -211,6 +350,14 @@ static NEON: Kernels = Kernels {
     // Below four columns the column kernels' scalar tail stays the route.
     gemm_nibble_thin: None,
     gemm_i8_thin: None,
+    // ASIMD is baseline here, so the reference's rounding loop and the
+    // max-abs are already compiled for 128-bit lanes; the transposed and
+    // word layouts keep the reference's scalar scatter.
+    max_abs: instantnet_quant::max_abs,
+    emit_i8: emit_reference,
+    emit_i16: emit_reference,
+    emit_i32: emit_reference,
+    emit_f32: emit_reference,
 };
 
 fn table(backend: SimdBackend) -> &'static Kernels {
@@ -475,6 +622,13 @@ mod avx2 {
         _mm256_castsi256_si128, _mm256_extracti128_si256, _mm_add_epi32, _mm_cvtsi128_si32,
         _mm_shuffle_epi32,
     };
+    // The activation-code layouts.
+    use super::{EmitLane, Layout};
+    use core::arch::x86_64::{
+        _mm256_and_si256, _mm256_i32gather_epi32, _mm256_min_epi32, _mm256_or_si256,
+        _mm256_setr_epi32, _mm256_sll_epi32, _mm_cvtsi32_si128,
+    };
+    use instantnet_quant::ActivationGrid;
 
     /// i32/f32 lanes per 256-bit register.
     const L: usize = 8;
@@ -1064,6 +1218,215 @@ mod avx2 {
         }
         for (o, &c) in out[j..].iter_mut().zip(&codes[j..]) {
             *o = f32::from(c);
+        }
+    }
+
+    // --- activation quantization: the quant crate's loops compiled for
+    // AVX2, laid out in registers ---
+
+    pub(super) fn max_abs(x: &[f32]) -> f32 {
+        // SAFETY: as in `accumulate_i32`.
+        unsafe { max_abs_kernel(x) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn max_abs_kernel(x: &[f32]) -> f32 {
+        instantnet_quant::max_abs(x)
+    }
+
+    pub(super) fn emit<T: EmitLane>(
+        grid: &ActivationGrid,
+        x: &[f32],
+        out: &mut [T],
+        layout: Layout,
+    ) {
+        // SAFETY: as in `accumulate_i32`.
+        unsafe { emit_kernel(grid, x, out, layout) }
+    }
+
+    /// Rows go through the reference, whose rounding loop is inlined here
+    /// and so runs in AVX2 lanes; words and transposition are laid out in
+    /// registers.
+    #[target_feature(enable = "avx2")]
+    fn emit_kernel<T: EmitLane>(grid: &ActivationGrid, x: &[f32], out: &mut [T], layout: Layout) {
+        match layout {
+            Layout::Words { width, pitch } if std::mem::size_of::<T>() < 4 => {
+                emit_words(grid, x, out, width, pitch);
+            }
+            Layout::Transposed { width, pitch } => emit_transposed(grid, x, out, width, pitch),
+            _ => super::emit_reference(grid, x, out, layout),
+        }
+    }
+
+    /// Source columns one layout tile rounds at a time.
+    const TILE: usize = 256;
+
+    /// Stores the eight i32 codes of `v` to `out[..8]`, each narrowed as
+    /// `CodeLane::from_code` narrows it.
+    #[target_feature(enable = "avx2")]
+    fn store_codes<T: EmitLane>(out: &mut [T], v: __m256i) {
+        let mut codes = [0i32; L];
+        store_i32(&mut codes, 0, v);
+        for (o, c) in out[..L].iter_mut().zip(codes) {
+            *o = T::from_code(c);
+        }
+    }
+
+    /// [`Layout::Words`] for `G = 4 / size_of::<T>()` ∈ {2, 4} lanes per
+    /// word: each group of `G` source rows is rounded into an i32 tile, and
+    /// every eight of its columns become eight `u32` words — row `g`'s code
+    /// masked to its lane and shifted to bit `g·32/G` — stored as one
+    /// 256-bit run of `8·G` lanes (masking is the truncation `from_code`
+    /// does). Columns past the last eight, and a last group of fewer than
+    /// `G` rows, go through the reference.
+    #[target_feature(enable = "avx2")]
+    fn emit_words<T: EmitLane>(
+        grid: &ActivationGrid,
+        x: &[f32],
+        out: &mut [T],
+        width: usize,
+        pitch: usize,
+    ) {
+        let g = 4 / std::mem::size_of::<T>();
+        // The 256-bit store below writes `8·G` lanes: exactly 32 bytes.
+        assert_eq!(L * g * std::mem::size_of::<T>(), 32, "a word is 4 bytes");
+        let lane_bits = 32 / g as i32;
+        let mask = _mm256_set1_epi32((u32::MAX >> (32 - lane_bits)) as i32);
+        let full = x.len() / width / g * g;
+        let mut tile = [0i32; 4 * TILE];
+        for q in 0..full / g {
+            for k0 in (0..width).step_by(TILE) {
+                let cols = (width - k0).min(TILE);
+                for r in 0..g {
+                    let src = &x[(q * g + r) * width + k0..][..cols];
+                    grid.emit_run(src, &mut tile[r * cols..][..cols]);
+                }
+                let dst = &mut out[q * pitch + k0 * g..][..cols * g];
+                let mut k = 0;
+                while k + L <= cols {
+                    let mut word = _mm256_setzero_si256();
+                    for r in 0..g {
+                        let code = _mm256_and_si256(load_i32(&tile, r * cols + k), mask);
+                        let shift = _mm_cvtsi32_si128(r as i32 * lane_bits);
+                        word = _mm256_or_si256(word, _mm256_sll_epi32(code, shift));
+                    }
+                    let lanes = &mut dst[k * g..][..L * g];
+                    // SAFETY: 8·G writable lanes of 4/G bytes (32 bytes, per
+                    // the assert above) per the slice; unaligned store, and
+                    // any bit pattern is a valid lane of the i8/i16 the
+                    // tables instantiate this for.
+                    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), word) }
+                    k += L;
+                }
+                for k in k..cols {
+                    for r in 0..g {
+                        dst[k * g + r] = T::from_code(tile[r * cols + k]);
+                    }
+                }
+            }
+        }
+        if full * width < x.len() {
+            let layout = Layout::Words { width, pitch };
+            (T::emitter(&super::SCALAR))(
+                grid,
+                &x[full * width..],
+                &mut out[full / g * pitch..],
+                layout,
+            );
+        }
+    }
+
+    /// The 8×8 i32 matrix whose rows are `rows`, transposed: 32-bit, then
+    /// 64-bit unpacks within each 128-bit half, then the halves exchanged.
+    #[target_feature(enable = "avx2")]
+    fn transpose_8x8(rows: [__m256i; L]) -> [__m256i; L] {
+        let [a0, a1, a2, a3, a4, a5, a6, a7] = rows;
+        let (b0, b1) = (_mm256_unpacklo_epi32(a0, a1), _mm256_unpackhi_epi32(a0, a1));
+        let (b2, b3) = (_mm256_unpacklo_epi32(a2, a3), _mm256_unpackhi_epi32(a2, a3));
+        let (b4, b5) = (_mm256_unpacklo_epi32(a4, a5), _mm256_unpackhi_epi32(a4, a5));
+        let (b6, b7) = (_mm256_unpacklo_epi32(a6, a7), _mm256_unpackhi_epi32(a6, a7));
+        let (c0, c1) = (_mm256_unpacklo_epi64(b0, b2), _mm256_unpackhi_epi64(b0, b2));
+        let (c2, c3) = (_mm256_unpacklo_epi64(b1, b3), _mm256_unpackhi_epi64(b1, b3));
+        let (c4, c5) = (_mm256_unpacklo_epi64(b4, b6), _mm256_unpackhi_epi64(b4, b6));
+        let (c6, c7) = (_mm256_unpacklo_epi64(b5, b7), _mm256_unpackhi_epi64(b5, b7));
+        [
+            _mm256_permute2x128_si256::<0x20>(c0, c4),
+            _mm256_permute2x128_si256::<0x20>(c1, c5),
+            _mm256_permute2x128_si256::<0x20>(c2, c6),
+            _mm256_permute2x128_si256::<0x20>(c3, c7),
+            _mm256_permute2x128_si256::<0x31>(c0, c4),
+            _mm256_permute2x128_si256::<0x31>(c1, c5),
+            _mm256_permute2x128_si256::<0x31>(c2, c6),
+            _mm256_permute2x128_si256::<0x31>(c3, c7),
+        ]
+    }
+
+    /// [`Layout::Transposed`]: eight source rows at a time are rounded into
+    /// an i32 tile (row `i` at `i·cols`, whole rows in one contiguous run
+    /// where they fit); every eight of its columns are one 8×8 transpose
+    /// and the last ones an 8-lane gather each, stored as the runs
+    /// `out[k·pitch + r..][..8]`. A last block of fewer rows repeats its
+    /// last row in the lanes it does not store; a ragged last source row
+    /// goes through the reference.
+    #[target_feature(enable = "avx2")]
+    fn emit_transposed<T: EmitLane>(
+        grid: &ActivationGrid,
+        x: &[f32],
+        out: &mut [T],
+        width: usize,
+        pitch: usize,
+    ) {
+        let rows = x.len() / width;
+        let mut tile = [0i32; L * TILE];
+        for r0 in (0..rows).step_by(L) {
+            let rb = (rows - r0).min(L);
+            for k0 in (0..width).step_by(TILE) {
+                let cols = (width - k0).min(TILE);
+                // Whole rows are one run; pieces of longer ones one each.
+                let (runs, len) = if cols == width {
+                    (1, rb * width)
+                } else {
+                    (rb, cols)
+                };
+                for i in 0..runs {
+                    let src = &x[(r0 + i) * width + k0..][..len];
+                    grid.emit_run(src, &mut tile[i * cols..][..len]);
+                }
+                let store = |out: &mut [T], k: usize, codes: __m256i| {
+                    let dst = &mut out[(k0 + k) * pitch + r0..][..rb];
+                    if rb == L {
+                        store_codes(dst, codes);
+                    } else {
+                        let mut lanes = [T::default(); L];
+                        store_codes(&mut lanes, codes);
+                        dst.copy_from_slice(&lanes[..rb]);
+                    }
+                };
+                let mut k = 0;
+                while k + L <= cols {
+                    let block = std::array::from_fn(|i| load_i32(&tile, i.min(rb - 1) * cols + k));
+                    for (j, codes) in transpose_8x8(block).into_iter().enumerate() {
+                        store(out, k + j, codes);
+                    }
+                    k += L;
+                }
+                let lane_rows = _mm256_min_epi32(
+                    _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                    _mm256_set1_epi32(rb as i32 - 1),
+                );
+                let index = _mm256_mullo_epi32(lane_rows, _mm256_set1_epi32(cols as i32));
+                for k in k..cols {
+                    let column = &tile[k..][..(rb - 1) * cols + 1];
+                    // SAFETY: lane `i` reads `column[min(i, rb − 1)·cols]`,
+                    // inside the slice above.
+                    let codes = unsafe { _mm256_i32gather_epi32::<4>(column.as_ptr(), index) };
+                    store(out, k, codes);
+                }
+            }
+        }
+        if rows * width < x.len() {
+            let layout = Layout::Transposed { width, pitch };
+            (T::emitter(&super::SCALAR))(grid, &x[rows * width..], &mut out[rows..], layout);
         }
     }
 }
@@ -1768,6 +2131,231 @@ mod tests {
             avx2::gemm_i8_thin(&mut [0; 3], &[0; 8], &[0i16; 3 * 16 + 1], 3);
         });
         assert!(ragged.is_err());
+    }
+
+    /// An SBM grid of scale `2⁻⁵` exactly (its max-abs `qmax·2⁻⁵`), so
+    /// `(k + ½)·2⁻⁵` is an exact tie, or a DoReFa grid, at `bits`.
+    #[cfg(target_arch = "x86_64")]
+    fn grid(q: Quantizer, bits: u8) -> ActivationGrid {
+        let qmax = ((1u32 << bits) - 1) as f32;
+        let grid = q.activation_grid_with(&[], BitWidth::new(bits), |_| qmax / 32.0);
+        grid.expect("a quantizing rule below full precision")
+    }
+
+    /// `len` activations for `grid`'s rule: uniform across and past the
+    /// clamp bounds, exact ties, and NaN, ±inf, ±0.0 and subnormals.
+    #[cfg(target_arch = "x86_64")]
+    fn activations(rng: &mut StdRng, q: Quantizer, bits: u8, len: usize) -> Vec<f32> {
+        let top = ((1u32 << bits) - 1) as f32 / 32.0;
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1e-40];
+        (0..len)
+            .map(|_| match rng.gen_range(0..10) {
+                0 => specials[rng.gen_range(0..specials.len())],
+                1 if q == Quantizer::Sbm => {
+                    (rng.gen_range(-top * 32.0..top * 32.0)).floor() / 32.0 + 1.0 / 64.0
+                }
+                _ if q == Quantizer::Dorefa => rng.gen_range(-0.2f32..1.2),
+                _ => rng.gen_range(-1.2 * top..1.2 * top),
+            })
+            .collect()
+    }
+
+    /// Lanes `layout` addresses for `x.len()` codes in `[rows, width]`,
+    /// with `G` lanes per word.
+    #[cfg(target_arch = "x86_64")]
+    fn layout_len(layout: Layout, len: usize, g: usize) -> usize {
+        match layout {
+            Layout::Rows { width, pitch } => len.div_ceil(width) * pitch,
+            Layout::Words { width, pitch } => len.div_ceil(width).div_ceil(g) * pitch,
+            Layout::Transposed { width, pitch } => width * pitch,
+        }
+    }
+
+    /// Table `k`'s emitter against the scalar table's (the reference) into
+    /// a destination full of garbage: the same lanes written with the same
+    /// codes, every other lane left as it was.
+    #[cfg(target_arch = "x86_64")]
+    fn emitter_matches_reference<L>(
+        k: &Kernels,
+        grid: &ActivationGrid,
+        x: &[f32],
+        layout: Layout,
+        ctx: &str,
+    ) where
+        L: EmitLane + PartialEq + std::fmt::Debug,
+    {
+        let len = layout_len(layout, x.len(), 4 / std::mem::size_of::<L>());
+        let garbage: Vec<L> = (0..len as i32)
+            .map(|i| L::from_code(i * 37 % 251 - 125))
+            .collect();
+        let (mut want, mut got) = (garbage.clone(), garbage);
+        (L::emitter(&SCALAR))(grid, x, &mut want, layout);
+        (L::emitter(k))(grid, x, &mut got, layout);
+        assert_eq!(got, want, "{} lanes, {ctx}", std::any::type_name::<L>());
+    }
+
+    /// Every AVX2 emitter — every lane type × contiguous, rows at a pitch,
+    /// words (G = 4 for i8, 2 for i16, rows otherwise) and transposed —
+    /// against the reference at every width the engine packs and a few
+    /// wider, under SBM and DoReFa: contiguous lengths 1..=67 around the
+    /// vector and tile edges, and `[rows, width]` shapes whose rows include
+    /// the depthwise channel counts that are not multiples of 8.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_emitters_match_the_reference_in_every_lane_and_layout() {
+        if !avx2_available() {
+            eprintln!("skipping: no AVX2 on this CPU");
+            return;
+        }
+        let mut shapes: Vec<(usize, usize)> = (1..=67).map(|len| (1, len)).collect();
+        for rows in [2usize, 3, 5, 8, 9, 17, 36, 48, 144, 240] {
+            for width in [1usize, 2, 3, 4, 7, 8, 9, 16, 17, 64, 67, 300] {
+                shapes.push((rows, width));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0xE317);
+        for bits in [2u8, 4, 8, 12, 16] {
+            for q in [Quantizer::Sbm, Quantizer::Dorefa] {
+                let grid = grid(q, bits);
+                for &(rows, width) in &shapes {
+                    let x = activations(&mut rng, q, bits, rows * width);
+                    let layouts = [
+                        Layout::Rows {
+                            width,
+                            pitch: width,
+                        },
+                        Layout::Rows {
+                            width,
+                            pitch: width + 3,
+                        },
+                        Layout::Words {
+                            width,
+                            pitch: 4 * width + 5,
+                        },
+                        Layout::Transposed {
+                            width,
+                            pitch: rows + 3,
+                        },
+                    ];
+                    for layout in layouts {
+                        let ctx = format!("{q:?} {bits}b [{rows}, {width}] {layout:?}");
+                        emitter_matches_reference::<i8>(&AVX2, &grid, &x, layout, &ctx);
+                        emitter_matches_reference::<i16>(&AVX2, &grid, &x, layout, &ctx);
+                        emitter_matches_reference::<i32>(&AVX2, &grid, &x, layout, &ctx);
+                        emitter_matches_reference::<f32>(&AVX2, &grid, &x, layout, &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every table's max-abs against the `f32::max` fold of an SBM scale, on
+    /// bits: NaN of either sign, ±inf, ±0.0 and subnormals, at every length
+    /// around the 32-lane body.
+    #[test]
+    fn max_abs_equals_the_fold_on_every_table() {
+        let mut rng = StdRng::seed_from_u64(0x3AB5);
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1e-40,
+            -3.5,
+        ];
+        let mut tables = vec![&SCALAR];
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            tables.push(&AVX2);
+        }
+        for len in (0..=67).chain([100, 1000]) {
+            for _ in 0..10 {
+                let x: Vec<f32> = (0..len)
+                    .map(|_| {
+                        if rng.gen_range(0..4) == 0 {
+                            specials[rng.gen_range(0..specials.len())]
+                        } else {
+                            rng.gen_range(-2.0f32..2.0)
+                        }
+                    })
+                    .collect();
+                let fold = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+                for k in &tables {
+                    assert_eq!(
+                        (k.max_abs)(&x).to_bits(),
+                        fold.to_bits(),
+                        "{:?}: {x:?}",
+                        k.backend
+                    );
+                }
+            }
+        }
+    }
+
+    /// All 2³² f32 bit patterns through the AVX2 contiguous emitter against
+    /// the reference and the libm-`round` rule it replaced (and the AVX2
+    /// max-abs against the `f32::max` fold), a 2¹⁶-pattern slice at a time,
+    /// on three SBM grids and a DoReFa one. Every layout is built from the
+    /// same rounding loop, so this pins the per-element rule on every input
+    /// there is.
+    #[test]
+    #[ignore = "exhaustive: every f32 bit pattern, about 100 s in release; run by CI"]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_emission_matches_the_reference_on_every_f32() {
+        if !avx2_available() {
+            eprintln!("skipping: no AVX2 on this CPU");
+            return;
+        }
+        // (grid, the pre-vectorisation rule with libm `round` as a second
+        // oracle)
+        let sbm = |bits: u8, max: f32| {
+            let grid = Quantizer::Sbm.activation_grid_with(&[], BitWidth::new(bits), |_| max);
+            let (grid, qmax) = (grid.expect("quantized"), ((1u32 << bits) - 1) as f32);
+            let s = grid.scale();
+            let libm: Box<dyn Fn(f32) -> i32> =
+                Box::new(move |v| (v / s).round().clamp(-qmax, qmax) as i32);
+            (grid, libm)
+        };
+        let dorefa: Box<dyn Fn(f32) -> i32> =
+            Box::new(|v| (v.clamp(0.0, 1.0) * 15.0).round() as i32);
+        let grids = [
+            sbm(4, 1.0),
+            sbm(8, 6.0),
+            sbm(16, 0.37),
+            (grid(Quantizer::Dorefa, 4), dorefa),
+        ];
+        const SLICE: usize = 1 << 16;
+        let (mut x, mut want, mut got) = (vec![0f32; SLICE], vec![0i32; SLICE], vec![0i32; SLICE]);
+        let layout = Layout::Rows {
+            width: SLICE,
+            pitch: SLICE,
+        };
+        for hi in 0..1u32 << 16 {
+            for (lo, v) in x.iter_mut().enumerate() {
+                *v = f32::from_bits(hi << 16 | lo as u32);
+            }
+            let fold = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+            let max = (AVX2.max_abs)(&x);
+            assert_eq!(
+                max.to_bits(),
+                fold.to_bits(),
+                "max-abs, patterns {hi:#06x}xxxx"
+            );
+            for (grid, libm) in &grids {
+                (SCALAR.emit_i32)(grid, &x, &mut want, layout);
+                (AVX2.emit_i32)(grid, &x, &mut got, layout);
+                for ((&v, &w), &g) in x.iter().zip(&want).zip(&got) {
+                    assert!(
+                        g == w && w == libm(v),
+                        "{grid:?}: {v:e} ({:#x}) emits {g}, reference {w}, libm {}",
+                        v.to_bits(),
+                        libm(v)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -292,19 +292,105 @@ const ROUND_MAGIC: f32 = 12_582_912.0;
 /// Widest grid [`round_half_away_small`] covers: `2^bits - 1 < 2^22`.
 const SMALL_GRID_BITS: u8 = 22;
 
-/// [`round_half_away_i32`] for `|v| < 2^22` (or NaN → 0) with no
-/// float→int cast at all — LLVM scalarises Rust's saturating cast, and
-/// with it the whole code-emission loop, on every x86-64 level. Reads the
-/// ties-to-even integer out of the mantissa of `v + ROUND_MAGIC`, then
-/// repairs the one case that differs: an exact `.5` tie (`d = ±0.5`, the
-/// subtraction is exact) that ties-to-even resolved toward zero.
-#[inline]
-fn round_half_away_small(v: f32) -> i32 {
-    let v = if v.is_nan() { 0.0 } else { v };
+/// [`round_half_away_i32`] for `0 ≤ v < 2^22` with no float→int cast at
+/// all — LLVM scalarises Rust's saturating cast, and with it the whole
+/// code-emission loop, on every x86-64 level. Reads the ties-to-even integer
+/// out of the mantissa of `v + ROUND_MAGIC`, then repairs the one case that
+/// differs: an exact `.5` tie (the subtraction is exact) that ties-to-even
+/// resolved down.
+#[inline(always)]
+fn round_half_up_small(v: f32) -> i32 {
     let biased = v + ROUND_MAGIC;
     let even = (biased.to_bits() as i32).wrapping_sub(ROUND_MAGIC.to_bits() as i32);
-    let d = v - (biased - ROUND_MAGIC);
-    even + i32::from(d == 0.5 && v > 0.0) - i32::from(d == -0.5 && v < 0.0)
+    even + i32::from(v - (biased - ROUND_MAGIC) == 0.5)
+}
+
+/// `round_half_away_i32(v.clamp(−bound, bound))` for an integer `bound ≤
+/// 2^22`, NaN → 0 (what the cast did), branch-free: rounding is odd
+/// (`round(−v) = −round(v)`) and commutes with clamping to integer bounds,
+/// so the magnitude is clamped and rounded half up, and the sign of `v` is
+/// put back in integers (`(r ^ s) − s`, `s` the sign bit smeared) — fewer
+/// vector operations than clamping and repairing ties on both sides.
+#[inline(always)]
+fn round_half_away_small(v: f32, bound: f32) -> i32 {
+    // `|NaN|` fails the first compare and becomes 0.
+    let a = v.abs();
+    let a = if a > 0.0 { a } else { 0.0 };
+    let a = if a > bound { bound } else { a };
+    let sign = (v.to_bits() as i32) >> 31;
+    (round_half_up_small(a) ^ sign) - sign
+}
+
+/// `f32::clamp` without its per-call `lo <= hi` assert, which keeps a loop
+/// that calls it from vectorizing: the same two compares in the same order,
+/// so NaN passes through and every other value lands where `clamp` puts it.
+#[inline(always)]
+fn clamp(v: f32, lo: f32, hi: f32) -> f32 {
+    let v = if v < lo { lo } else { v };
+    if v > hi {
+        hi
+    } else {
+        v
+    }
+}
+
+/// Largest `|v|` over `x` (`+0.0` for an empty slice), NaN ignored: the
+/// `x.iter().fold(0.0, |m, &v| m.max(v.abs()))` of an SBM activation scale,
+/// bit for bit, as a branch-free integer max a vector unit runs lane-wise.
+/// A non-NaN `|v|` orders like its bits with the sign cleared (`+inf`
+/// included, `−0.0` becoming `+0.0`) — non-negative as `i32`, which needs no
+/// unsigned compare — and every NaN pattern lies above `+inf`'s and counts
+/// as `+0.0`, the value `f32::max` lets it lose to. Inlined so every caller
+/// compiles it for its own target features (`instantnet-infer` instantiates
+/// it under AVX2).
+#[inline(always)]
+pub fn max_abs(x: &[f32]) -> f32 {
+    /// Independent maxima in flight: four 8-lane vectors.
+    const LANES: usize = 32;
+    let bits = |v: f32| {
+        let b = (v.to_bits() & 0x7fff_ffff) as i32;
+        if b > f32::INFINITY.to_bits() as i32 {
+            0
+        } else {
+            b
+        }
+    };
+    let mut lanes = [0i32; LANES];
+    let mut chunks = x.chunks_exact(LANES);
+    for chunk in chunks.by_ref() {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = (*m).max(bits(v));
+        }
+    }
+    let tail = chunks.remainder().iter().fold(0, |m, &v| m.max(bits(v)));
+    f32::from_bits(lanes.into_iter().fold(tail, i32::max) as u32)
+}
+
+/// `out[p] = round_half_away(clamp(grid(x[p]), −qmax, qmax))` in lane type
+/// `L`, `grid` mapping a value onto the code axis.
+#[inline(always)]
+fn round_run<L: CodeLane>(
+    x: &[f32],
+    out: &mut [L],
+    (bits, qmax): (u8, f32),
+    grid: impl Fn(f32) -> f32,
+) {
+    if bits > SMALL_GRID_BITS {
+        return round_wide(x, out, qmax, &grid);
+    }
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = L::from_code(round_half_away_small(grid(v), qmax));
+    }
+}
+
+/// [`round_run`] for grids above [`SMALL_GRID_BITS`], which the integer
+/// engine never packs: the float→int cast keeps this loop scalar anyway,
+/// so it stays out of line — one copy per lane type, not one per caller.
+#[inline(never)]
+fn round_wide<L: CodeLane>(x: &[f32], out: &mut [L], qmax: f32, grid: &dyn Fn(f32) -> f32) {
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = L::from_code(round_half_away_i32(clamp(grid(v), -qmax, qmax)));
+    }
 }
 
 /// Codes [`emit_codes`] rounds contiguously before scattering them.
@@ -313,40 +399,37 @@ const EMIT_TILE: usize = 256;
 /// f32 inputs. Shorter rows do not amortise a rounding loop of their own.
 const EMIT_ROW: usize = 8;
 
-/// Emits `round_half_away(grid(v))` for every activation, in lane type
-/// `L`: the code of `x[p]` lands at `out[p / group * pitch + p % group *
-/// step]` (`step == 1` with `group == pitch` or `group >= x.len()` is the
-/// plain contiguous emission; `pitch == 1` with `step` the row count is a
-/// transposition). `grid` maps a value onto the code axis, within `±(2^bits -
-/// 1)` or NaN. One rounding loop, whatever the layout — only grids above
-/// [`SMALL_GRID_BITS`] (which the integer engine never packs) pay for the
-/// cast: rows of at least [`EMIT_ROW`] contiguous codes are rounded where
-/// they land; anything else is rounded a tile at a time and scattered, the
-/// longer of the tile's two axes innermost.
+/// Emits the code of every activation on `grid`, in lane type `L`: the code
+/// of `x[p]` lands at `out[p / group * pitch + p % group * step]` (`step ==
+/// 1` with `group == pitch` or `group >= x.len()` is the plain contiguous
+/// emission; `pitch == 1` with `step` the row count is a transposition).
+/// One rounding loop, [`ActivationGrid::emit_run`], whatever the layout:
+/// rows of at least [`EMIT_ROW`] contiguous codes are rounded where they
+/// land; anything else is rounded a tile at a time and scattered, the
+/// longer of the tile's two axes innermost. This is the reference every
+/// vectorized layout of `instantnet-infer` is tested against; inlined so a
+/// caller compiled for wider vectors gets its rounding loop in them.
+#[inline(always)]
 fn emit_codes<L: CodeLane>(
+    grid: &ActivationGrid,
     x: &[f32],
     out: &mut [L],
     (group, pitch, step): (usize, usize, usize),
-    bits: u8,
-    grid: impl Fn(f32) -> f32,
 ) {
-    let round = |xs: &[f32], os: &mut [L]| {
-        if bits <= SMALL_GRID_BITS {
-            for (o, &v) in os.iter_mut().zip(xs) {
-                *o = L::from_code(round_half_away_small(grid(v)));
-            }
-        } else {
-            for (o, &v) in os.iter_mut().zip(xs) {
-                *o = L::from_code(round_half_away_i32(grid(v)));
-            }
-        }
-    };
-    if step == 1 && (group == pitch || group >= x.len()) {
-        return round(x, out);
+    if x.is_empty() {
+        return;
     }
-    if step == 1 && group >= EMIT_ROW {
+    let contiguous = step == 1 && (group == pitch || group >= x.len());
+    if contiguous || (step == 1 && group >= EMIT_ROW) {
+        // One call site of the inlined loop for both, so each caller
+        // instantiates it once here and once for the tiles.
+        let (group, pitch) = if contiguous {
+            (x.len(), x.len())
+        } else {
+            (group, pitch)
+        };
         for (xs, os) in x.chunks(group).zip(out.chunks_mut(pitch)) {
-            round(xs, os);
+            grid.emit_run(xs, os);
         }
         return;
     }
@@ -360,7 +443,7 @@ fn emit_codes<L: CodeLane>(
     };
     for (ti, xs) in x.chunks(per_tile).enumerate() {
         let tile = &mut tile[..xs.len()];
-        round(xs, tile);
+        grid.emit_run(xs, tile);
         // The tile starts at lane `k` of group `r`: the rest of that group
         // (`k > 0` only where groups outgrow a tile), then whole groups — a
         // `[rows, group]` matrix — then the start of a last, partial one.
@@ -432,26 +515,31 @@ fn copy_groups<L: Copy, const G: usize>(tile: &[L], out: &mut [L], pitch: usize)
 /// ([`Quantizer::activation_codes_into`]): the integer engine's kernels
 /// consume `i8`/`i16` (fused), `i32` (integer tiers) or exact `f32` lanes.
 pub trait CodeLane: Copy + Send + Sync {
-    /// Narrows (or converts) one code; the caller guarantees it fits.
+    /// Narrows (or converts) one code; the caller guarantees it fits (a
+    /// code that does not is truncated, as `as` does).
     fn from_code(code: i32) -> Self;
 }
 
 impl CodeLane for i8 {
+    #[inline(always)]
     fn from_code(code: i32) -> i8 {
         code as i8
     }
 }
 impl CodeLane for i16 {
+    #[inline(always)]
     fn from_code(code: i32) -> i16 {
         code as i16
     }
 }
 impl CodeLane for i32 {
+    #[inline(always)]
     fn from_code(code: i32) -> i32 {
         code
     }
 }
 impl CodeLane for f32 {
+    #[inline(always)]
     fn from_code(code: i32) -> f32 {
         code as f32
     }
@@ -522,6 +610,27 @@ impl ActivationGrid {
         self.emit_strided(x, out, group, pitch, 1);
     }
 
+    /// Emits the code of `x[p]` at `out[p]` for every `p` both slices cover:
+    /// the one rounding loop every layout is built from. The rule is
+    /// `round_half_away(clamp(v / scale, −qmax, qmax))` (DoReFa:
+    /// `round_half_away(clamp(v, 0, 1) · qmax)`), NaN → 0, written
+    /// branch-free — the division stays a division, clamping precedes
+    /// rounding (the two commute: rounding is monotone and the bounds are
+    /// integers) and grids up to 22 bits round the clamped magnitude through
+    /// the mantissa with no float→int cast — so a vector unit runs it
+    /// lane-wise. Inlined so every caller compiles it for its own target
+    /// features: `instantnet-infer` instantiates it under AVX2, where it
+    /// runs eight codes per `vdivps`.
+    #[inline(always)]
+    pub fn emit_run<L: CodeLane>(&self, x: &[f32], out: &mut [L]) {
+        let (qmax, s) = (self.qmax, self.scale);
+        if self.dorefa {
+            round_run(x, out, (self.bits, qmax), |v| clamp(v, 0.0, 1.0) * qmax);
+        } else {
+            round_run(x, out, (self.bits, qmax), |v| v / s);
+        }
+    }
+
     /// [`Self::emit`] with the lanes of a group `step` apart: the code of
     /// `x[p]` lands at `out[p / group * pitch + p % group * step]`. With `x`
     /// a row-major `[rows, group]` matrix, `pitch = 1` and `step = rows`
@@ -532,6 +641,7 @@ impl ActivationGrid {
     /// # Panics
     ///
     /// Panics if `group` is 0 or `out` is too short for the farthest code.
+    #[inline(always)]
     pub fn emit_strided<L: CodeLane>(
         &self,
         x: &[f32],
@@ -547,18 +657,7 @@ impl ActivationGrid {
             x.is_empty() || out.len() > far(last, x.len() - last * group).max(full),
             "every group must fit"
         );
-        let (qmax, s) = (self.qmax, self.scale);
-        if self.dorefa {
-            emit_codes(x, out, (group, pitch, step), self.bits, |v| {
-                v.clamp(0.0, 1.0) * qmax
-            });
-        } else {
-            // Clamping before rounding equals rounding before clamping:
-            // rounding is monotone and the bounds are integers.
-            emit_codes(x, out, (group, pitch, step), self.bits, |v| {
-                (v / s).clamp(-qmax, qmax)
-            });
-        }
+        emit_codes(self, x, out, (group, pitch, step));
     }
 }
 
@@ -767,12 +866,25 @@ impl Quantizer {
     /// data-dependent decode scale fixed before any code is emitted — or
     /// `None` where no integer grid exists.
     pub fn activation_grid(&self, x: &[f32], bits: BitWidth) -> Option<ActivationGrid> {
+        self.activation_grid_with(x, bits, max_abs)
+    }
+
+    /// [`Self::activation_grid`] with the max-abs of `x` taken by `max_abs`
+    /// — called once, and only by the rule that needs it (SBM) — so a
+    /// caller can pass in a [`max_abs`] compiled for wider vectors. Any
+    /// function equal to [`max_abs`] yields the same grid bit for bit.
+    pub fn activation_grid_with(
+        &self,
+        x: &[f32],
+        bits: BitWidth,
+        max_abs: impl FnOnce(&[f32]) -> f32,
+    ) -> Option<ActivationGrid> {
         if bits.is_full_precision() || matches!(self, Quantizer::Identity) {
             return None;
         }
         let qmax = ((1u64 << bits.get()) - 1) as f32;
         let scale = match self {
-            Quantizer::Sbm => x.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8) / qmax,
+            Quantizer::Sbm => max_abs(x).max(1e-8) / qmax,
             _ => 1.0 / qmax,
         };
         Some(ActivationGrid {
@@ -1132,7 +1244,7 @@ mod tests {
             assert_eq!(round_half_away_i32(v), want, "{v:e} ({:#x})", v.to_bits());
             if v.abs() < (1u32 << SMALL_GRID_BITS) as f32 || v.is_nan() {
                 assert_eq!(
-                    round_half_away_small(v),
+                    round_half_away_small(v, (1u32 << SMALL_GRID_BITS) as f32),
                     want,
                     "small: {v:e} ({:#x})",
                     v.to_bits()
@@ -1362,6 +1474,43 @@ mod tests {
         assert!(Quantizer::Sbm
             .activation_grid(&[1.0], BitWidth::FULL)
             .is_none());
+    }
+
+    /// The integer-bits max-abs against the `f32::max` fold it replaces, on
+    /// bits: NaN of either sign and any payload, ±inf, ±0.0, subnormals and
+    /// the rounding corpus, at every length around its 32-lane body.
+    #[test]
+    fn max_abs_equals_the_f32_max_fold_bit_for_bit() {
+        let fold = |x: &[f32]| x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        let mut rng = StdRng::seed_from_u64(0x3A);
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0xffc0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE,
+            f32::MAX,
+        ];
+        let mut pool = rounding_corpus();
+        pool.extend(specials);
+        for len in (0..=67).chain([96, 255, 1000]) {
+            for _ in 0..20 {
+                let x: Vec<f32> = (0..len)
+                    .map(|_| pool[rng.gen_range(0..pool.len())])
+                    .collect();
+                assert_eq!(max_abs(&x).to_bits(), fold(&x).to_bits(), "{x:?}");
+            }
+        }
+        for v in pool {
+            for x in [vec![v], vec![-0.0, v], vec![v; 40]] {
+                assert_eq!(max_abs(&x).to_bits(), fold(&x).to_bits(), "{v:e}");
+            }
+        }
     }
 
     #[test]

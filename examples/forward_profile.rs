@@ -4,8 +4,10 @@
 //! Runs `PackedModel::forward_profiled` — the serving forward with a clock
 //! read around every op — on one of the benchmark's two models, on one
 //! kernel thread as a serving worker does, and prints the median time of
-//! every op with the route it took (arithmetic / what the SIMD lanes hold),
-//! then the same times summed per (kind, route) slice.
+//! every op with the route it took (arithmetic / what the SIMD lanes hold)
+//! and the part of it spent building the kernel's operand (activation grid,
+//! code emission, layout: `quantize µs`), then the same times summed per
+//! (kind, route) slice.
 //!
 //! ```sh
 //! cargo run --release -p instantnet --example forward_profile -- [mbv2|cnn|block] [bits] [batch] [reps]
@@ -78,7 +80,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One kernel thread, like a serving worker; per op, the median over
     // `reps` forwards (after a tenth as many to warm caches and allocator).
-    let mut ops: Vec<(OpProfile, Vec<f64>)> = Vec::new();
+    // Per op: its profile, and per forward its total and quantize time.
+    let mut ops: Vec<(OpProfile, Vec<f64>, Vec<f64>)> = Vec::new();
     let mut untimed = Vec::with_capacity(reps);
     with_threads(1, || {
         for _ in 0..reps.div_ceil(10) {
@@ -88,10 +91,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut at = 0;
             let y = packed.forward_profiled(0, &x, &mut |op| {
                 let us = op.elapsed.as_secs_f64() * 1e6;
+                let quantize = op.quantize.as_secs_f64() * 1e6;
                 if rep == 0 {
-                    ops.push((op, vec![us]));
+                    ops.push((op, vec![us], vec![quantize]));
                 } else {
                     ops[at].1.push(us);
+                    ops[at].2.push(quantize);
                 }
                 at += 1;
             });
@@ -110,36 +115,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the code costs when nothing else has the core (on a shared VM the two
     // can differ by half).
     println!(
-        "{:>3}  {:<10} {:<34} {:<26} {:>9} {:>8}",
-        "#", "op", "shape", "route", "median µs", "min µs"
+        "{:>3}  {:<10} {:<34} {:<26} {:>9} {:>8} {:>11}",
+        "#", "op", "shape", "route", "median µs", "min µs", "quantize µs"
     );
-    let mut slices: BTreeMap<(&str, String), (usize, f64, f64)> = BTreeMap::new();
-    let (mut total, mut total_min) = (0.0, 0.0);
-    for (i, (op, times)) in ops.iter_mut().enumerate() {
-        let (us, min) = (median(times), times[0]);
+    let mut slices: BTreeMap<(&str, String), (usize, f64, f64, f64)> = BTreeMap::new();
+    let (mut total, mut total_min, mut total_quantize) = (0.0, 0.0, 0.0);
+    for (i, (op, times, quantize)) in ops.iter_mut().enumerate() {
+        let (us, min, quantize) = (median(times), times[0], median(quantize));
         println!(
-            "{i:>3}  {:<10} {:<34} {:<26} {us:>9.2} {min:>8.2}",
+            "{i:>3}  {:<10} {:<34} {:<26} {us:>9.2} {min:>8.2} {quantize:>11.2}",
             op.kind, op.shape, op.route
         );
         let slice = slices.entry((op.kind, op.route.clone())).or_default();
-        *slice = (slice.0 + 1, slice.1 + us, slice.2 + min);
+        *slice = (slice.0 + 1, slice.1 + us, slice.2 + min, slice.3 + quantize);
         total += us;
         total_min += min;
+        total_quantize += quantize;
     }
     println!(
-        "\n{:<10} {:<26} {:>4} {:>10} {:>6} {:>8}",
-        "slice", "route", "ops", "median µs", "share", "min µs"
+        "\n{:<10} {:<26} {:>4} {:>10} {:>6} {:>8} {:>11}",
+        "slice", "route", "ops", "median µs", "share", "min µs", "quantize µs"
     );
     let mut slices: Vec<_> = slices.into_iter().collect();
     slices.sort_by(|a, b| b.1 .1.total_cmp(&a.1 .1));
-    for ((kind, route), (count, us, min)) in slices {
+    for ((kind, route), (count, us, min, quantize)) in slices {
         let share = 100.0 * us / total;
-        println!("{kind:<10} {route:<26} {count:>4} {us:>10.2} {share:>5.1}% {min:>8.2}");
+        println!(
+            "{kind:<10} {route:<26} {count:>4} {us:>10.2} {share:>5.1}% {min:>8.2} {quantize:>11.2}"
+        );
     }
     let untimed_median = median(&mut untimed);
     println!(
-        "\nsum of op medians {total:.1} µs (minima {total_min:.1}); untimed forward_batch_at \
-         median {untimed_median:.1} µs (min {:.1})",
+        "\nsum of op medians {total:.1} µs (minima {total_min:.1}), of which quantize \
+         {total_quantize:.1}; untimed forward_batch_at median {untimed_median:.1} µs (min {:.1})",
         untimed[0]
     );
     Ok(())
