@@ -2,18 +2,18 @@
 //! packed layers, f32 fallbacks for unpacked ones, activation
 //! re-quantization between layers.
 //!
-//! **The batch is a GEMM dimension.** Every dense conv route builds one
-//! `[cg·r·s, n·oh·ow]` patch matrix per group for the batch
-//! ([`conv_blocks`]: sample `i` owns columns `i·oh·ow..`; a layer whose
-//! matrix would outgrow L1 goes in blocks of whole samples instead), every
-//! linear quantizes its samples straight into the `[features, n]` operand
-//! its kernel reads, and the kernel runs once per weight row over all of
-//! those columns; the dequant epilogue then stores each sample's segment of
-//! the row into the sample-major output with that sample's own activation
-//! scale. Weights are read in their pack-time kernel layout
-//! ([`KernelWeights`]; the tier path decodes each row once per matrix).
-//! The parallel split is over weight rows ([`par_rows`]) — over sample
-//! blocks where a batch takes several — and patch matrices unfold
+//! **One integer GEMM driver, and the batch is a GEMM dimension.** Every
+//! integer conv and linear — the pointwise conv on a 1×1 map — runs
+//! [`gemm_int`] on its [`Route`], which builds one `[cg·r·s, n·oh·ow]` patch
+//! matrix per group for the batch ([`conv_blocks`]: sample `i` owns columns
+//! `i·oh·ow..`; a layer whose matrix would outgrow L1 goes in blocks of
+//! whole samples instead), and the kernel runs once per weight row over all
+//! of those columns ([`gemm_rows`]); the dequant epilogue then stores each
+//! sample's segment of the row into the sample-major output with that
+//! sample's own activation scale. Weights are read in their pack-time
+//! kernel layout ([`KernelWeights`]; the tiers decode each row once per
+//! matrix). The parallel split is over weight rows ([`par_rows`]) — over
+//! sample blocks where a batch takes several — and patch matrices unfold
 //! channel-parallel; depthwise layers have no GEMM and convolve plane by
 //! plane, split over `samples × channels`.
 //!
@@ -23,8 +23,8 @@
 //! row fills a vector, over channels (`[hw, c]` codes, `[r·s, c]` taps)
 //! where it cannot ([`Depthwise`]); a fused GEMM with fewer columns than one
 //! column block dots along the reduction instead of running a scalar tail
-//! ([`FusedTier::route`]). Every orientation accumulates the same exact
-//! value, so none of this is observable in the result.
+//! ([`Route::route`]). Every orientation accumulates the same exact value,
+//! so none of this is observable in the result.
 //!
 //! A sample cannot observe its batch-mates: a column's accumulator is the
 //! *exact* sum over that column's own patch (integers, or f32 lanes bounded
@@ -38,9 +38,9 @@
 //! input straight into the operand its kernel reads, through the kernel
 //! table's max-abs and emitters (`crate::simd::Layout`): contiguous codes
 //! for `im2col`, rows of a zero-padded depthwise frame, `[hw, c]` for
-//! channel lanes, a linear's samples as columns, and a pointwise conv's code
-//! planes straight into its fused word interleave or thin column-major
-//! operand — no intermediate code buffer, no interleave pass.
+//! channel lanes, and a pointwise layer's code planes straight into its
+//! `[c, n·p]` rows, fused word interleave or thin column-major operand — no
+//! intermediate code buffer, no interleave pass.
 //!
 //! Determinism contract (mirrors `instantnet-tensor`): accumulation is
 //! exact, dequantization is elementwise, and every parallel region
@@ -48,7 +48,7 @@
 //! any thread count.
 
 use crate::route::{describe, dw_lanes, Arith, Lanes};
-use crate::simd::{kernels, EmitLane, FusedKernel, Kernels, Layout};
+use crate::simd::{kernels, EmitLane, FusedKernel, Kernels, Layout, THIN_WORDS};
 use crate::{is_depthwise, Accum, KernelWeights, OpProfile, PackedGemm, PackedOp, Storage, Taps};
 use instantnet_nn::layers::Activation;
 use instantnet_parallel::{gate, max_threads, par_chunks_mut};
@@ -57,7 +57,10 @@ use instantnet_tensor::tensor::{im2col_batch, ConvGeom};
 use instantnet_tensor::Tensor;
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::ops::Range;
+use std::iter::Sum;
+use std::marker::PhantomData;
+use std::ops::{AddAssign, Range};
+use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
 /// Work threshold below which kernels run single-threaded (same policy and
@@ -125,12 +128,13 @@ fn timed_operand<R>(build: impl FnOnce() -> R) -> R {
 /// `sink`, every op is timed and reported as it finishes (a residual's
 /// branches op by op, then its add), its operand building separately
 /// ([`timed_operand`]); without one no clock is read.
-pub(crate) fn exec_ops(
-    ops: &[PackedOp],
-    x: &Tensor,
-    rule: ActRule,
-    mut sink: Option<Sink>,
-) -> Tensor {
+/// Every op, residual branch and profile label uses one snapshot of the
+/// kernel table, so no layer or label straddles two of them.
+pub(crate) fn exec_ops(ops: &[PackedOp], x: &Tensor, rule: ActRule, sink: Option<Sink>) -> Tensor {
+    run(kernels(), ops, x, rule, sink)
+}
+
+fn run(k: &Kernels, ops: &[PackedOp], x: &Tensor, rule: ActRule, mut sink: Option<Sink>) -> Tensor {
     let mut cur: Option<Tensor> = None;
     for op in ops {
         if matches!(op, PackedOp::Act(Activation::None)) {
@@ -167,18 +171,18 @@ pub(crate) fn exec_ops(
                 assert_eq!(d.len(), 4, "conv input must be rank 4");
                 assert_eq!(d[1], cg * groups, "conv input channel mismatch");
                 let g = ConvGeom::new(d[2], d[3], *r, *s, *stride, *pad);
-                exec_conv(gemm, &g, *groups, *quantize_input, input, rule)
+                exec_conv(k, gemm, &g, *groups, *quantize_input, input, rule)
             }
-            PackedOp::Linear { gemm } => exec_linear(gemm, input, rule),
+            PackedOp::Linear { gemm } => exec_linear(k, gemm, input, rule),
             PackedOp::GlobalAvgPool => global_avg_pool(input),
             PackedOp::Residual {
                 body,
                 shortcut,
                 post_relu,
             } => {
-                let mut b = exec_ops(body, input, rule, reborrow(&mut sink));
+                let mut b = run(k, body, input, rule, reborrow(&mut sink));
                 let s = (!shortcut.is_empty())
-                    .then(|| exec_ops(shortcut, input, rule, reborrow(&mut sink)));
+                    .then(|| run(k, shortcut, input, rule, reborrow(&mut sink)));
                 let s = s.as_ref().unwrap_or(input);
                 assert_eq!(b.dims(), s.dims(), "residual branch shapes must match");
                 // The branches reported themselves: the residual is its add.
@@ -195,7 +199,7 @@ pub(crate) fn exec_ops(
         cur = Some(y);
         if let (Some(sink), Some(start), Some(dims)) = (reborrow(&mut sink), start, dims) {
             let quantize = OPERAND_TIME.take().unwrap_or_default();
-            sink(describe(op, &dims, start, quantize));
+            sink(describe(op, &dims, k, start, quantize));
         }
     }
     cur.unwrap_or_else(|| x.clone())
@@ -227,7 +231,7 @@ fn global_avg_pool(x: &Tensor) -> Tensor {
 
 /// What the dequant epilogue reads accumulators and column sums through:
 /// exact integers (or integer-valued f32 lanes) as `f32`.
-trait ToF32: Copy {
+pub(crate) trait ToF32: Copy {
     fn to_f32(self) -> f32;
 }
 
@@ -242,37 +246,97 @@ macro_rules! to_f32 {
 }
 to_f32!(f32, i32, i64);
 
-/// One exact accumulator tier of the packed GEMM: the lane type codes
-/// travel in (`Code`), the type partial sums reduce into (`Acc`), and the
-/// type column sums reduce into (`Cs`). Every tier computes the *same
-/// exact value* — f32 arithmetic on integers below 2^24 is lossless — so
-/// results are independent of the tier's internal order, the batch
-/// packing, and the thread count.
-trait Tier: Sync {
-    type Code: EmitLane;
+/// One arithmetic of the integer GEMM driver ([`gemm_int`]): an accumulator
+/// [`Tier`] or a [`Fused`] flavour. Every route computes the *same exact
+/// value*, whatever its order, batch packing or thread count.
+pub(crate) trait Route: Sync {
+    /// The lane type activation codes are emitted in.
+    type Lane: EmitLane + Into<Self::Cs>;
     type Acc: ToF32 + Default;
-    type Cs: ToF32 + Default;
+    type Cs: ToF32 + Default + Copy + Send + Sync + Sum + AddAssign;
+    /// A layer's weight-row kernel, out of one kernel table.
+    type Kernel<'g>: Copy + Sync;
+    /// Reduction rows per pack-time weight word: the lanes of a column that
+    /// sit adjacent in the column kernels' operand (1: plain `[q, l]` rows).
+    const GROUP: usize = 1;
+    /// Shift added to every weight code at word-pack time; the kernel's
+    /// accumulator is off by `WEIGHT_BIAS · colsum` per column.
+    const WEIGHT_BIAS: i32 = 0;
 
-    /// Decodes one weight row of `cols` codes into `out`.
-    fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [Self::Code]);
+    /// Table `k`'s kernel for layer `g`'s GEMM over `l` columns and the
+    /// interleave group of its operand: [`Self::GROUP`] for the column-block
+    /// kernels, the whole reduction (zero-padded to their vector step) for
+    /// the thin ones — every column contiguous.
+    fn route<'g>(k: &Kernels, g: &'g PackedGemm, l: usize) -> (Self::Kernel<'g>, usize);
+    /// `acc` = weight row `row` times `block`, one group's operand, exactly
+    /// (`cs`: the block's column sums where needed; `wrow`: scratch).
+    fn step(
+        kernel: Self::Kernel<'_>,
+        row: usize,
+        block_cs: (&[Self::Lane], &[Self::Cs]),
+        wrow: &mut Vec<Self::Lane>,
+        acc: &mut [Self::Acc],
+    );
+
+    /// Adds the column sums of one group's operand `block`, in interleave
+    /// group `ig`, to `cs` — exact; zero padding adds nothing.
+    fn colsums(block: &[Self::Lane], ig: usize, cs: &mut [Self::Cs]) {
+        let sum = |lanes: &[Self::Lane]| lanes.iter().map(|&v| v.into()).sum::<Self::Cs>();
+        for rows in block.chunks_exact(ig * cs.len()) {
+            // The column kernels' group in a constant-width loop, which unrolls.
+            if ig == Self::GROUP {
+                let columns = cs.iter_mut().zip(rows.chunks_exact(Self::GROUP));
+                columns.for_each(|(c, lanes)| *c += sum(lanes));
+            } else {
+                let columns = cs.iter_mut().zip(rows.chunks_exact(ig));
+                columns.for_each(|(c, lanes)| *c += sum(lanes));
+            }
+        }
+    }
+}
+
+/// A tier's row kernels: decode a weight row, accumulate it over a block.
+type TierKernels<C, A> = (
+    fn(&Storage, usize, usize, &mut [C]),
+    fn(&mut [A], &[C], &[C]),
+);
+
+/// One exact accumulator tier — f32 arithmetic on integers below 2^24 is
+/// lossless: the [`Route`] that decodes each weight row, and the arithmetic
+/// of [`Depthwise`].
+pub(crate) trait Tier: Sync {
+    type Code: EmitLane + Into<Self::Cs>;
+    type Acc: ToF32 + Default;
+    type Cs: ToF32 + Default + Copy + Send + Sync + Sum + AddAssign;
+
+    /// Table `k`'s decode and accumulate kernels in this tier's lanes.
+    fn kernels(k: &Kernels) -> TierKernels<Self::Code, Self::Acc>;
     /// A depthwise layer's pack-time tap table in this tier's lanes: read in
     /// place in the tier it was packed for, converted for a wider one.
     fn taps(taps: &Taps) -> Cow<'_, [Self::Code]>;
-    /// `acc[j] += Σ_p wrow[p] · acts[p · acc.len() + j]`, exactly.
-    fn accumulate(acc: &mut [Self::Acc], wrow: &[Self::Code], acts: &[Self::Code]);
     fn mad(acc: Self::Acc, w: Self::Code, a: Self::Code) -> Self::Acc;
-    fn cs_add(cs: Self::Cs, a: Self::Code) -> Self::Cs;
+}
 
-    /// Per-column sums of a `[rows, ncols]` code block (the colsum
-    /// correction input, consumed by offset-carrying layers).
-    fn colsums(acts: &[Self::Code], rows: usize, ncols: usize) -> Vec<f32> {
-        let mut cs = vec![Self::Cs::default(); ncols];
-        for p in 0..rows {
-            for (o, &v) in cs.iter_mut().zip(&acts[p * ncols..(p + 1) * ncols]) {
-                *o = Self::cs_add(*o, v);
-            }
-        }
-        cs.into_iter().map(ToF32::to_f32).collect()
+impl<T: Tier> Route for T {
+    type Lane = T::Code;
+    type Acc = T::Acc;
+    type Cs = T::Cs;
+    type Kernel<'g> = (TierKernels<T::Code, T::Acc>, &'g Storage, usize);
+
+    fn route<'g>(k: &Kernels, g: &'g PackedGemm, _: usize) -> (Self::Kernel<'g>, usize) {
+        ((T::kernels(k), &g.storage, g.cols), 1)
+    }
+    fn step(
+        ((decode, accumulate), storage, q): Self::Kernel<'_>,
+        row: usize,
+        (block, _): (&[T::Code], &[T::Cs]),
+        wrow: &mut Vec<T::Code>,
+        acc: &mut [T::Acc],
+    ) {
+        wrow.resize(q, T::Code::default());
+        decode(storage, row, q, wrow);
+        acc.fill(T::Acc::default());
+        accumulate(acc, wrow, block);
     }
 }
 
@@ -289,8 +353,8 @@ impl Tier for TierF32 {
     type Acc = f32;
     type Cs = f32;
 
-    fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [f32]) {
-        storage.decode_row_f32(row, cols, out);
+    fn kernels(k: &Kernels) -> TierKernels<f32, f32> {
+        (k.decode_row_f32, k.accumulate_f32)
     }
     fn taps(taps: &Taps) -> Cow<'_, [f32]> {
         match taps {
@@ -298,14 +362,8 @@ impl Tier for TierF32 {
             Taps::I32(t) => Cow::Owned(t.iter().map(|&c| c as f32).collect()),
         }
     }
-    fn accumulate(acc: &mut [f32], wrow: &[f32], acts: &[f32]) {
-        (kernels().accumulate_f32)(acc, wrow, acts);
-    }
     fn mad(acc: f32, w: f32, a: f32) -> f32 {
         acc + w * a
-    }
-    fn cs_add(cs: f32, a: f32) -> f32 {
-        cs + a
     }
 }
 
@@ -316,20 +374,14 @@ impl Tier for TierI32 {
     // the i64 tier; cheap relative to the multiply loop).
     type Cs = i64;
 
-    fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [i32]) {
-        storage.decode_row(row, cols, out);
+    fn kernels(k: &Kernels) -> TierKernels<i32, i32> {
+        (k.decode_row_i32, k.accumulate_i32)
     }
     fn taps(taps: &Taps) -> Cow<'_, [i32]> {
         i32_taps(taps)
     }
-    fn accumulate(acc: &mut [i32], wrow: &[i32], acts: &[i32]) {
-        (kernels().accumulate_i32)(acc, wrow, acts);
-    }
     fn mad(acc: i32, w: i32, a: i32) -> i32 {
         acc + w * a
-    }
-    fn cs_add(cs: i64, a: i32) -> i64 {
-        cs + i64::from(a)
     }
 }
 
@@ -338,20 +390,14 @@ impl Tier for TierI64 {
     type Acc = i64;
     type Cs = i64;
 
-    fn decode_row(storage: &Storage, row: usize, cols: usize, out: &mut [i32]) {
-        storage.decode_row(row, cols, out);
+    fn kernels(k: &Kernels) -> TierKernels<i32, i64> {
+        (k.decode_row_i32, k.accumulate_i64)
     }
     fn taps(taps: &Taps) -> Cow<'_, [i32]> {
         i32_taps(taps)
     }
-    fn accumulate(acc: &mut [i64], wrow: &[i32], acts: &[i32]) {
-        (kernels().accumulate_i64)(acc, wrow, acts);
-    }
     fn mad(acc: i64, w: i32, a: i32) -> i64 {
         acc + i64::from(w) * i64::from(a)
-    }
-    fn cs_add(cs: i64, a: i32) -> i64 {
-        cs + i64::from(a)
     }
 }
 
@@ -489,9 +535,9 @@ pub(crate) fn accumulate_f32_scalar(acc: &mut [f32], wrow: &[f32], acts: &[f32])
 // Batched integer execution
 // ---------------------------------------------------------------------------
 
-/// One activation grid per sample: its own under [`ActQuant::PerSample`],
-/// the whole tensor's under [`ActQuant::PerBatch`] — each max-abs on `k`.
-fn sample_grids(x: &Tensor, n: usize, rule: ActRule, k: &Kernels) -> Vec<ActivationGrid> {
+/// One activation grid per sample of the `n` in `x` — its own, or the whole
+/// batch's under [`ActQuant::PerBatch`] — each max-abs on `k`.
+fn sample_grids(k: &Kernels, x: &[f32], n: usize, rule: ActRule) -> Vec<ActivationGrid> {
     let grid_of = |src: &[f32]| {
         let grid = rule
             .quantizer
@@ -500,82 +546,32 @@ fn sample_grids(x: &Tensor, n: usize, rule: ActRule, k: &Kernels) -> Vec<Activat
     };
     let len = x.len() / n;
     match rule.aq {
-        ActQuant::PerBatch => vec![grid_of(x.data()); n],
-        ActQuant::PerSample => (0..n)
-            .map(|i| grid_of(&x.data()[i * len..(i + 1) * len]))
-            .collect(),
+        ActQuant::PerBatch => vec![grid_of(x); n],
+        ActQuant::PerSample => (0..n).map(|i| grid_of(&x[i * len..][..len])).collect(),
     }
 }
 
-/// The decode scale of every sample (`PerBatch` replicates the one
-/// whole-tensor scale).
-fn scales(grids: &[ActivationGrid]) -> Vec<f32> {
-    grids.iter().map(ActivationGrid::scale).collect()
+/// Table `k`'s emitter for lanes `L`, handed every layout as
+/// [`Layout::canonical`]: the one way the engine calls an emitter.
+fn emitter<L: EmitLane>(k: &Kernels) -> impl Fn(&ActivationGrid, &[f32], &mut [L], Layout) + Sync {
+    let emit = L::emitter(k);
+    move |grid, src, dst, layout| emit(grid, src, dst, layout.canonical::<L>())
 }
 
 /// The batch's codes, sample-major and contiguous, in the consuming
 /// kernel's lane type `L` — what `im2col` unfolds for a conv with a real
-/// kernel window. Shared by the tier path (`L = T::Code`) and the fused path
-/// (`L = F::Lane`).
-fn sample_codes<L: EmitLane>(k: &Kernels, x: &Tensor, grids: &[ActivationGrid]) -> Vec<L> {
-    let (len, emit) = ((x.len() / grids.len()).max(1), L::emitter(k));
+/// kernel window.
+fn sample_codes<L: EmitLane>(k: &Kernels, x: &[f32], grids: &[ActivationGrid]) -> Vec<L> {
+    let (len, emit) = ((x.len() / grids.len()).max(1), emitter(k));
     let mut codes = vec![L::default(); x.len()];
     gate(x.len() >= PAR_FLOP_THRESHOLD, || {
         par_chunks_mut(&mut codes, len, |i, dst| {
             let (width, pitch) = (len, len);
-            let src = &x.data()[i * len..(i + 1) * len];
+            let src = &x[i * len..(i + 1) * len];
             emit(&grids[i], src, dst, Layout::Rows { width, pitch });
         })
     });
     codes
-}
-
-/// The operand of the samples `at` of `x`, emitted straight from their
-/// values: each sample's `blocks` equal runs (a fused pointwise layer's
-/// channel groups; one otherwise) into a block of `len` lanes apiece,
-/// sample `at.start + i` at `place(i)` — an offset and a layout — inside
-/// every block.
-fn sample_operand<L: EmitLane>(
-    k: &Kernels,
-    x: &Tensor,
-    grids: &[ActivationGrid],
-    at: Range<usize>,
-    (blocks, len): (usize, usize),
-    place: impl Fn(usize) -> (usize, Layout),
-) -> Vec<L> {
-    let (emit, chw) = (L::emitter(k), x.len() / x.dims()[0]);
-    let mut out = vec![L::default(); blocks * len];
-    for (i, s) in at.enumerate() {
-        let (offset, layout) = place(i);
-        let sample = &x.data()[s * chw..(s + 1) * chw];
-        for (src, dst) in sample.chunks(chw / blocks).zip(out.chunks_mut(len)) {
-            emit(&grids[s], src, &mut dst[offset..], layout);
-        }
-    }
-    out
-}
-
-/// Quantizes a linear layer's `[n, f]` input straight into the operand its
-/// kernel reads, samples as columns: feature `p` of sample `i` lands at
-/// `[(p / group · n + i) · group + p % group]` — the `[f, n]` matrix of the
-/// tier path at `group = 1`, the fused `[f/G, n, G]` interleave (last group
-/// zero-padded) at `group = G`, and at `group ≥ f` the thin kernels' operand:
-/// every sample contiguous, zero-padded to `group` — plus every sample's
-/// decode scale.
-fn linear_operand<L: EmitLane>(
-    k: &Kernels,
-    x: &Tensor,
-    group: usize,
-    rule: ActRule,
-) -> (Vec<L>, Vec<f32>) {
-    let (n, f) = (x.dims()[0], x.dims()[1]);
-    let grids = sample_grids(x, n, rule, k);
-    let (width, pitch) = (group.min(f), n * group);
-    let len = f.div_ceil(group) * n * group;
-    let codes = sample_operand(k, x, &grids, 0..n, (1, len), |i| {
-        (i * group, Layout::Rows { width, pitch })
-    });
-    (codes, scales(&grids))
 }
 
 /// Whether a conv's patch matrix is its input: a 1×1, stride-1, unpadded
@@ -742,94 +738,135 @@ fn group_of(k: usize, groups: usize) -> impl Fn(usize) -> usize {
     move |row| if groups == 1 { 0 } else { row / kg }
 }
 
-/// Tier-path GEMM over the operand `cols` — per group a `[g.cols, l]` code
-/// block, `l = n·p` columns with sample `i` owning columns `i·p..` — into
-/// the `[n, k, p]` result `out`: each weight row is decoded once and
-/// multiplied against every column of its group's block, and each sample's
-/// segment is dequantized with that sample's scale.
-///
-/// The pack-time accumulator tier stays safe at any batch size: batching
-/// adds GEMM *columns*, never reduction *length*, so the worst-case
-/// partial-sum bound `max|w|·max|a|·cols` is unchanged.
-fn gemm_tier<T: Tier>(
+/// The one row loop: route `R`'s GEMM over `operand` — per group a
+/// `[g.cols, l]` block in interleave group `ig`, sample `i` owning columns
+/// `i·p..` of the `l = n·p` — into the `[n, k, p]` result `out`, each
+/// sample's segment of a row dequantized with that sample's scale. The
+/// pack-time bounds hold at any batch size: batching adds GEMM *columns*,
+/// never reduction *length*.
+fn gemm_rows<R: Route>(
     g: &PackedGemm,
-    cols: &[T::Code],
+    (kernel, ig): (R::Kernel<'_>, usize),
+    operand: &[R::Lane],
     groups: usize,
     (n, p): (usize, usize),
     scales: &[f32],
     out: &mut [f32],
 ) {
-    let (k, q, l) = (g.rows, g.cols, n * p);
+    let (k, l, block) = (g.rows, n * p, operand.len() / groups);
     let group = group_of(k, groups);
-    let colsums: Option<Vec<f32>> = g.has_offset.then(|| {
-        cols.chunks(q * l)
-            .flat_map(|block| T::colsums(block, q, l))
-            .collect()
-    });
+    // The `-WEIGHT_BIAS·colsum` re-centering needs them even for symmetric
+    // codes, the offset dequant term for offset-carrying layers.
+    let need_cs = R::WEIGHT_BIAS != 0 || g.has_offset;
+    let mut colsums = vec![R::Cs::default(); if need_cs { groups * l } else { 0 }];
+    for (cs, b) in colsums.chunks_mut(l).zip(operand.chunks(block)) {
+        R::colsums(b, ig, cs);
+    }
     par_rows(
         out,
         (k, p),
-        2 * k * q * l,
-        || (vec![T::Code::default(); q], vec![T::Acc::default(); l]),
+        2 * k * g.cols * l,
+        || (Vec::new(), vec![R::Acc::default(); l]),
         |row, (wrow, acc)| {
-            T::decode_row(&g.storage, row, q, wrow);
-            acc.fill(T::Acc::default());
-            T::accumulate(acc, wrow, &cols[group(row) * q * l..][..q * l]);
+            let gi = group(row);
+            let at = (
+                &operand[gi * block..][..block],
+                colsums.get(gi * l..).unwrap_or_default(),
+            );
+            R::step(kernel, row, at, wrow, acc);
         },
         |row, (_, acc), at, runs| {
-            let cs = colsums.as_ref().map(|cs| &cs[group(row) * l..][..l]);
+            let cs = g.has_offset.then(|| &colsums[group(row) * l..][..l]);
             dequant(g, row, scales, acc, cs, at, runs);
         },
     );
 }
 
-/// Batched integer conv on the tier path: per-sample activation grids, the
-/// batch's patch matrix ([`conv_blocks`] — a pointwise conv's codes emitted
-/// straight into it, any other unfolded from contiguous codes),
-/// [`gemm_tier`]. Depthwise layers (tap table) convolve directly instead
-/// ([`Depthwise`]). Every choice is made on one kernel-table snapshot.
-fn conv_int<T: Tier>(
+/// The one integer GEMM driver: the dense conv `gemm` over the `n` samples
+/// of `x`, `[c, h, w]` apiece, on route `R` and table `k`, into the `[n, k,
+/// oh, ow]` result. Per block of samples ([`conv_blocks`]) the operand in
+/// the interleave group [`Route::route`] picks — a pointwise layer's codes
+/// emitted straight into it, any other conv's patch matrix unfolded from
+/// contiguous codes and interleaved — then [`gemm_rows`].
+fn gemm_int<R: Route>(
+    k: &Kernels,
     gemm: &PackedGemm,
     g: &ConvGeom,
     groups: usize,
-    x: &Tensor,
+    x: &[f32],
+    (n, c): (usize, usize),
     rule: ActRule,
-) -> Tensor {
-    let (k, (n, c, p)) = (kernels(), (x.dims()[0], x.dims()[1], g.oh * g.ow));
-    let grids = timed_operand(|| sample_grids(x, n, rule, k));
-    let scales = scales(&grids);
-    let out = if let KernelWeights::Taps(taps) = &gemm.kernel {
-        let (taps, lanes, emit) = (T::taps(taps), dw_lanes(g, k), T::Code::emitter(k));
-        let fill = |i: usize, src: &[f32], dst: &mut [T::Code], layout| {
-            emit(&grids[i], src, dst, layout);
-        };
-        let operand = timed_operand(|| dw_operand(x.data(), (n, c), g, lanes, fill));
-        let (taps, operand, scales) = (&taps[..], &operand[..], &scales[..]);
-        Depthwise::<T> {
-            gemm,
-            taps,
-            g,
-            lanes,
-            operand,
-            scales,
-        }
-        .run()
-    } else {
-        let codes = (!is_pointwise(g)).then(|| timed_operand(|| sample_codes(k, x, &grids)));
-        let chw = c * g.h * g.w;
-        conv_blocks::<T::Code>(gemm, g, n, |at, out| {
-            let m = at.len();
-            let cols = timed_operand(|| match &codes {
-                None => sample_operand(k, x, &grids, at.clone(), (1, c * m * p), |i| {
-                    let (width, pitch) = (p, m * p);
-                    (i * p, Layout::Rows { width, pitch })
-                }),
-                Some(codes) => im2col_batch(&codes[at.start * chw..at.end * chw], m, c, g),
-            });
-            gemm_tier::<T>(gemm, &cols, groups, (m, p), &scales[at], out)
-        })
+) -> Vec<f32> {
+    let (p, chw, cg) = (g.oh * g.ow, c * g.h * g.w, c / groups);
+    let route @ (_, ig) = R::route(k, gemm, n * p);
+    let grids = timed_operand(|| sample_grids(k, x, n, rule));
+    let scales: Vec<f32> = grids.iter().map(ActivationGrid::scale).collect();
+    let codes = (!is_pointwise(g)).then(|| timed_operand(|| sample_codes(k, x, &grids)));
+    conv_blocks::<R::Lane>(gemm, g, n, |at, out| {
+        let m = at.len();
+        let operand = timed_operand(|| match &codes {
+            // Each sample's channel groups straight into their blocks, the
+            // sample at column `i·p` of each.
+            None => {
+                let (emit, block) = (emitter(k), cg.div_ceil(ig) * ig * m * p);
+                let layout = if ig == R::GROUP {
+                    let (width, pitch) = (p, m * p * ig);
+                    Layout::Words { width, pitch }
+                } else {
+                    let (width, pitch) = (p, ig);
+                    Layout::Transposed { width, pitch }
+                };
+                let mut operand = vec![R::Lane::default(); groups * block];
+                for (i, s) in at.clone().enumerate() {
+                    let planes = x[s * chw..(s + 1) * chw].chunks(cg * p);
+                    for (src, dst) in planes.zip(operand.chunks_mut(block)) {
+                        emit(&grids[s], src, &mut dst[i * p * ig..], layout);
+                    }
+                }
+                operand
+            }
+            Some(codes) => {
+                let cols = im2col_batch(&codes[at.start * chw..at.end * chw], m, c, g);
+                match ig {
+                    1 => cols,
+                    _ => interleave_blocks(&cols, groups, gemm.cols, m * p, ig),
+                }
+            }
+        });
+        gemm_rows::<R>(gemm, route, &operand, groups, (m, p), &scales[at], out)
+    })
+}
+
+/// A depthwise conv on tier `T` and table `k` over the `n` samples of `x`:
+/// the [`dw_operand`] for the layer's [`dw_lanes`], then [`Depthwise`].
+fn depthwise<T: Tier>(
+    k: &Kernels,
+    gemm: &PackedGemm,
+    g: &ConvGeom,
+    x: &[f32],
+    (n, c): (usize, usize),
+    rule: ActRule,
+) -> Vec<f32> {
+    let KernelWeights::Taps(taps) = &gemm.kernel else {
+        unreachable!("exec_conv routes only layers with a tap table here");
     };
-    Tensor::from_vec(vec![n, gemm.rows, g.oh, g.ow], out)
+    let grids = timed_operand(|| sample_grids(k, x, n, rule));
+    let scales: Vec<f32> = grids.iter().map(ActivationGrid::scale).collect();
+    let (taps, lanes, emit) = (T::taps(taps), dw_lanes(g, k), emitter(k));
+    let fill = |i: usize, src: &[f32], dst: &mut [T::Code], layout| {
+        emit(&grids[i], src, dst, layout);
+    };
+    let operand = timed_operand(|| dw_operand(x, (n, c), g, lanes, fill));
+    let (taps, operand, scales) = (&taps[..], &operand[..], &scales[..]);
+    Depthwise::<T> {
+        gemm,
+        taps,
+        g,
+        lanes,
+        operand,
+        scales,
+    }
+    .run()
 }
 
 /// Lays a depthwise layer's `[n, c, h, w]` input out for `lanes`, the
@@ -939,7 +976,7 @@ impl<T: Tier> Depthwise<'_, T> {
                     *a = T::mad(*a, wv, v);
                 }
                 for (o, &v) in cs.iter_mut().zip(src) {
-                    *o = T::cs_add(*o, v);
+                    *o += v.into();
                 }
             }
             for oy in 0..g.oh {
@@ -986,7 +1023,7 @@ impl<T: Tier> Depthwise<'_, T> {
                             *a = T::mad(*a, w, v);
                         }
                         for (o, &v) in cs.iter_mut().skip(at).zip(src) {
-                            *o = T::cs_add(*o, v);
+                            *o += v.into();
                         }
                     }
                 }
@@ -1013,88 +1050,76 @@ impl<T: Tier> Depthwise<'_, T> {
     }
 }
 
-/// Batched integer linear on the tier path: the conv GEMM with one column
-/// per sample — codes are quantized straight into the `[features, n]`
-/// operand, the epilogue stores `out[i · rows + row]`.
-fn linear_int<T: Tier>(g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
-    let n = x.dims()[0];
-    let (cols, scales) = timed_operand(|| linear_operand::<T::Code>(kernels(), x, 1, rule));
-    let mut out = vec![0.0f32; n * g.rows];
-    gemm_tier::<T>(g, &cols, 1, (n, 1), &scales, &mut out);
-    Tensor::from_vec(vec![n, g.rows], out)
-}
-
 // ---------------------------------------------------------------------------
-// Fused low-bit execution (≤ 8-bit storage: multiply on packed codes)
+// Fused low-bit routes (≤ 8-bit storage: multiply on packed codes)
 // ---------------------------------------------------------------------------
 
-/// One fused-kernel flavour: which lane type activations are emitted in
-/// and how many reduction rows share one pack-time weight word
-/// (`pack::pack_words`). The fused kernels multiply directly on packed
-/// codes — nibble weights ride as `w + 8 ∈ [0, 15]` unsigned bytes so they
-/// can sit on `maddubs`' unsigned operand, and the shift is undone by an
-/// exact integer `-8·colsum` correction before dequant (DESIGN.md §6g has
-/// the overflow-bound argument; pack time gates eligibility).
-pub(crate) trait FusedTier {
-    /// Activation lane: `i8` for nibble weights (|a| ≤ 15 at ≤ 4 bits),
-    /// `i16` for i8 weights (|a| ≤ 255 at ≤ 8 bits).
-    type Lane: EmitLane + Into<i32>;
-    /// Reduction rows per packed weight word (4 bytes / 2 i16 halves).
-    const GROUP: usize;
-    /// Shift added to every weight code at word-pack time; the kernel's
-    /// accumulator is off by `WEIGHT_BIAS · colsum` per column, which the
-    /// driver subtracts exactly in i32.
+/// The fused flavour on `L`-lane codes: the kernels multiply directly on
+/// the pack-time weight words, [`Route::GROUP`] codes apiece — nibble
+/// weights as `w + 8 ∈ [0, 15]` unsigned bytes, which `maddubs` takes, the
+/// shift undone by an exact `-8·colsum` (DESIGN.md §6g has the bounds).
+pub(crate) struct Fused<L>(PhantomData<L>);
+/// ≤ 4-bit weights on `i8` codes (|a| ≤ 15): `maddubs`-class kernels.
+pub(crate) type FusedNibble = Fused<i8>;
+/// 5–8-bit weights on `i16` codes (|a| ≤ 255): `madd` on i16 pairs.
+pub(crate) type FusedI8 = Fused<i16>;
+
+/// An activation lane of a fused flavour: its [`Route::WEIGHT_BIAS`], what
+/// [`Arith::of`] calls it, and table `k`'s column-block and thin kernels.
+pub(crate) trait FusedLane: EmitLane + Into<i32> {
     const WEIGHT_BIAS: i32;
-    /// What [`Arith::of`] calls a layer routed here.
     const ARITH: Arith;
-    /// Table `k`'s fused kernel with `lanes` in its SIMD lanes, or `None` —
-    /// [`Arith::of`] routes here only where there is one.
-    fn kernel(k: &Kernels, lanes: Lanes) -> Option<FusedKernel<Self::Lane>>;
-
-    /// The kernel for a GEMM over `l` columns and the interleave group of
-    /// its operand: [`Self::GROUP`] lanes per column per weight word for the
-    /// column-block kernels; for the thin ones the whole reduction (`q`
-    /// rows, zero-padded to their vector step), i.e. every column contiguous.
-    fn route(k: &Kernels, q: usize, l: usize) -> (FusedKernel<Self::Lane>, usize) {
-        let lanes = Self::ARITH.gemm_lanes(l, k);
-        let words = q.div_ceil(Self::GROUP);
-        let group = match lanes {
-            Lanes::Reduction => words.next_multiple_of(crate::simd::THIN_WORDS) * Self::GROUP,
-            _ => Self::GROUP,
-        };
-        (Self::kernel(k, lanes).expect("Arith::of found it"), group)
-    }
+    fn kernels(k: &Kernels) -> [Option<FusedKernel<Self>>; 2];
 }
 
-/// Nibble storage (≤ 4-bit weights): `maddubs`-class kernels.
-pub(crate) struct FusedNibble;
-/// I8 storage (5–8-bit weights): `madd`-on-i16-pairs kernels.
-pub(crate) struct FusedI8;
-
-impl FusedTier for FusedNibble {
-    type Lane = i8;
-    const GROUP: usize = 4;
+impl FusedLane for i8 {
     const WEIGHT_BIAS: i32 = 8;
     const ARITH: Arith = Arith::FusedNibble;
-    fn kernel(k: &Kernels, lanes: Lanes) -> Option<FusedKernel<i8>> {
-        if lanes == Lanes::Reduction {
-            k.gemm_nibble_thin
-        } else {
-            k.gemm_nibble
-        }
+    fn kernels(k: &Kernels) -> [Option<FusedKernel<i8>>; 2] {
+        [k.gemm_nibble, k.gemm_nibble_thin]
     }
 }
 
-impl FusedTier for FusedI8 {
-    type Lane = i16;
-    const GROUP: usize = 2;
+impl FusedLane for i16 {
     const WEIGHT_BIAS: i32 = 0;
     const ARITH: Arith = Arith::FusedI8;
-    fn kernel(k: &Kernels, lanes: Lanes) -> Option<FusedKernel<i16>> {
-        if lanes == Lanes::Reduction {
-            k.gemm_i8_thin
-        } else {
-            k.gemm_i8
+    fn kernels(k: &Kernels) -> [Option<FusedKernel<i16>>; 2] {
+        [k.gemm_i8, k.gemm_i8_thin]
+    }
+}
+
+impl<L: FusedLane> Route for Fused<L> {
+    type Lane = L;
+    type Acc = i32;
+    type Cs = i32;
+    type Kernel<'g> = (FusedKernel<L>, &'g [u32], usize);
+    const GROUP: usize = 4 / std::mem::size_of::<L>();
+    const WEIGHT_BIAS: i32 = L::WEIGHT_BIAS;
+
+    fn route<'g>(k: &Kernels, g: &'g PackedGemm, l: usize) -> (Self::Kernel<'g>, usize) {
+        let KernelWeights::Words(words) = &g.kernel else {
+            unreachable!("Arith::of routes only layers with weight words here");
+        };
+        let ([columns, thin], stride) = (L::kernels(k), g.cols.div_ceil(Self::GROUP));
+        let (kernel, ig) = match L::ARITH.gemm_lanes(l, k) {
+            Lanes::Reduction => (thin, stride.next_multiple_of(THIN_WORDS) * Self::GROUP),
+            _ => (columns, Self::GROUP),
+        };
+        ((kernel.expect("Arith::of found it"), words, stride), ig)
+    }
+    fn step(
+        (kernel, words, stride): Self::Kernel<'_>,
+        row: usize,
+        (block, cs): (&[L], &[i32]),
+        _: &mut Vec<L>,
+        acc: &mut [i32],
+    ) {
+        acc.fill(0);
+        kernel(acc, &words[row * stride..][..stride], block, acc.len());
+        if L::WEIGHT_BIAS != 0 {
+            for (a, &c) in acc.iter_mut().zip(cs) {
+                *a -= L::WEIGHT_BIAS * c;
+            }
         }
     }
 }
@@ -1106,8 +1131,8 @@ impl FusedTier for FusedI8 {
 /// One contiguous load then feeds a whole weight word's worth of multiplies
 /// per column block — or, at `g ≥ rows`, a whole column's reduction (the
 /// transposed, column-major operand of the thin kernels). Only a patch
-/// matrix `im2col` built needs it: a pointwise conv's codes are emitted in
-/// this layout directly ([`conv_fused`]).
+/// matrix `im2col` built needs it: a pointwise layer's codes are emitted in
+/// this layout directly ([`gemm_int`]).
 fn interleave_blocks<L: Copy + Default + Send + Sync>(
     cols: &[L],
     groups: usize,
@@ -1130,129 +1155,6 @@ fn interleave_blocks<L: Copy + Default + Send + Sync>(
         })
     });
     out
-}
-
-/// Fused ≤ 8-bit GEMM over interleaved operands (`inter` holds `groups`
-/// blocks in [`interleave_blocks`] layout at group `ig`, each `[g.cols, l]`
-/// with `l = n·p` columns): same structure as [`gemm_tier`], but `kernel`
-/// — [`FusedTier::route`]'s, with `ig` — multiplies on packed codes,
-/// activations in the storage-matched lane type, weights the pack-time
-/// words, once per weight row over all `l` columns. Bit-identity with
-/// the tier path: either orientation accumulates the exact integer sum (pack
-/// time bounds every partial sum of it inside i32, in any order), the
-/// re-centering correction is exact integer arithmetic, and [`dequant`]
-/// casts `i32 → f32` exactly as every tier's accumulator does.
-fn gemm_fused<F: FusedTier>(
-    g: &PackedGemm,
-    (kernel, ig): (FusedKernel<F::Lane>, usize),
-    inter: &[F::Lane],
-    groups: usize,
-    (n, p): (usize, usize),
-    scales: &[f32],
-    out: &mut [f32],
-) {
-    let KernelWeights::Words(wwords) = &g.kernel else {
-        unreachable!("Arith::of routes only layers with weight words here");
-    };
-    let (k, l, padded) = (g.rows, n * p, inter.len() / groups);
-    let group = group_of(k, groups);
-    let wstride = g.cols.div_ceil(F::GROUP);
-    // Exact i32 per-column sums (zero padding adds nothing) for the
-    // `-WEIGHT_BIAS·colsum` re-centering — which the nibble kernel needs
-    // even for symmetric codes — and the offset dequant term; pack time
-    // builds fused words only for layers whose sums fit.
-    let need_cs = F::WEIGHT_BIAS != 0 || g.has_offset;
-    let mut colsums = vec![0i32; if need_cs { groups * l } else { 0 }];
-    for (cs, block) in colsums.chunks_mut(l).zip(inter.chunks(padded)) {
-        if ig == F::GROUP {
-            for row_group in block.chunks_exact(F::GROUP * l) {
-                for (c, lanes) in cs.iter_mut().zip(row_group.chunks_exact(F::GROUP)) {
-                    *c += lanes.iter().map(|&v| v.into()).sum::<i32>();
-                }
-            }
-        } else {
-            for (c, col) in cs.iter_mut().zip(block.chunks_exact(ig)) {
-                *c = col.iter().map(|&v| v.into()).sum();
-            }
-        }
-    }
-    par_rows(
-        out,
-        (k, p),
-        2 * k * g.cols * l,
-        || vec![0i32; l],
-        |row, acc| {
-            acc.fill(0);
-            let (wrow, gi) = (&wwords[row * wstride..(row + 1) * wstride], group(row));
-            kernel(acc, wrow, &inter[gi * padded..(gi + 1) * padded], l);
-            if F::WEIGHT_BIAS != 0 {
-                for (a, &c) in acc.iter_mut().zip(&colsums[gi * l..]) {
-                    *a -= F::WEIGHT_BIAS * c;
-                }
-            }
-        },
-        |row, acc, at, runs| {
-            let cs = g.has_offset.then(|| &colsums[group(row) * l..][..l]);
-            dequant(g, row, scales, acc, cs, at, runs);
-        },
-    );
-}
-
-/// Fused ≤ 8-bit conv, handed to [`gemm_fused`] in the orientation the
-/// whole batch's `n·p` columns pick: a pointwise conv's codes are emitted
-/// straight into the [`interleave_blocks`] layout — column-block words, or
-/// the thin kernels' padded columns — any other conv's patch matrix is
-/// unfolded from contiguous codes and interleaved.
-fn conv_fused<F: FusedTier>(
-    k: &Kernels,
-    gemm: &PackedGemm,
-    g: &ConvGeom,
-    groups: usize,
-    x: &Tensor,
-    rule: ActRule,
-) -> Tensor {
-    let (n, c, p) = (x.dims()[0], x.dims()[1], g.oh * g.ow);
-    let route @ (_, ig) = F::route(k, gemm.cols, n * p);
-    let grids = timed_operand(|| sample_grids(x, n, rule, k));
-    let scales = scales(&grids);
-    let codes = (!is_pointwise(g)).then(|| timed_operand(|| sample_codes::<F::Lane>(k, x, &grids)));
-    let chw = c * g.h * g.w;
-    let out = conv_blocks::<F::Lane>(gemm, g, n, |at, out| {
-        let m = at.len();
-        let inter = timed_operand(|| match &codes {
-            None => {
-                let block = (c / groups).div_ceil(ig) * ig * m * p;
-                sample_operand(k, x, &grids, at.clone(), (groups, block), |i| {
-                    let layout = if ig == F::GROUP {
-                        let (width, pitch) = (p, m * p * ig);
-                        Layout::Words { width, pitch }
-                    } else {
-                        let (width, pitch) = (p, ig);
-                        Layout::Transposed { width, pitch }
-                    };
-                    (i * p * ig, layout)
-                })
-            }
-            Some(codes) => {
-                let cols = im2col_batch(&codes[at.start * chw..at.end * chw], m, c, g);
-                interleave_blocks(&cols, groups, gemm.cols, m * p, ig)
-            }
-        });
-        gemm_fused::<F>(gemm, route, &inter, groups, (m, p), &scales[at], out)
-    });
-    Tensor::from_vec(vec![n, gemm.rows, g.oh, g.ow], out)
-}
-
-/// Fused ≤ 8-bit linear: codes are quantized straight into the interleaved
-/// `[f/G, n, G]` operand — [`conv_fused`]'s GEMM with one column per
-/// sample, each sample's codes left contiguous below one column block.
-fn linear_fused<F: FusedTier>(k: &Kernels, g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
-    let n = x.dims()[0];
-    let route = F::route(k, g.cols, n);
-    let (inter, scales) = timed_operand(|| linear_operand::<F::Lane>(k, x, route.1, rule));
-    let mut out = vec![0.0f32; n * g.rows];
-    gemm_fused::<F>(g, route, &inter, 1, (n, 1), &scales, &mut out);
-    Tensor::from_vec(vec![n, g.rows], out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1280,8 +1182,34 @@ fn quantize_acts_f32<'a>(x: &'a Tensor, rule: ActRule) -> Cow<'a, Tensor> {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
+/// An integer conv over the `n` samples of `x`, `[c, h, w]` apiece, on
+/// table `k`: [`Depthwise`] on a tap table, else [`gemm_int`] on the
+/// layer's [`Route`]; `None` for an f32 layer.
+fn exec_int(
+    k: &Kernels,
+    gemm: &PackedGemm,
+    g: &ConvGeom,
+    groups: usize,
+    x: &[f32],
+    nc: (usize, usize),
+    rule: ActRule,
+) -> Option<Vec<f32>> {
+    let taps = matches!(gemm.kernel, KernelWeights::Taps(_));
+    Some(match (Arith::of(gemm, k), taps) {
+        (Arith::F32, _) => return None,
+        (Arith::Tier(Accum::F32), true) => depthwise::<TierF32>(k, gemm, g, x, nc, rule),
+        (Arith::Tier(Accum::I32), true) => depthwise::<TierI32>(k, gemm, g, x, nc, rule),
+        (Arith::Tier(Accum::I64), true) => depthwise::<TierI64>(k, gemm, g, x, nc, rule),
+        (Arith::Tier(Accum::F32), _) => gemm_int::<TierF32>(k, gemm, g, groups, x, nc, rule),
+        (Arith::Tier(Accum::I32), _) => gemm_int::<TierI32>(k, gemm, g, groups, x, nc, rule),
+        (Arith::Tier(Accum::I64), _) => gemm_int::<TierI64>(k, gemm, g, groups, x, nc, rule),
+        (Arith::FusedNibble, _) => gemm_int::<FusedNibble>(k, gemm, g, groups, x, nc, rule),
+        (Arith::FusedI8, _) => gemm_int::<FusedI8>(k, gemm, g, groups, x, nc, rule),
+    })
+}
+
 fn exec_conv(
+    table: &Kernels,
     gemm: &PackedGemm,
     g: &ConvGeom,
     groups: usize,
@@ -1289,21 +1217,15 @@ fn exec_conv(
     x: &Tensor,
     rule: ActRule,
 ) -> Tensor {
-    let table = kernels();
-    match Arith::of(gemm, table) {
-        Arith::F32 => {}
-        Arith::FusedNibble => return conv_fused::<FusedNibble>(table, gemm, g, groups, x, rule),
-        Arith::FusedI8 => return conv_fused::<FusedI8>(table, gemm, g, groups, x, rule),
-        Arith::Tier(Accum::F32) => return conv_int::<TierF32>(gemm, g, groups, x, rule),
-        Arith::Tier(Accum::I32) => return conv_int::<TierI32>(gemm, g, groups, x, rule),
-        Arith::Tier(Accum::I64) => return conv_int::<TierI64>(gemm, g, groups, x, rule),
+    let (n, c) = (x.dims()[0], x.dims()[1]);
+    let (k, q, p) = (gemm.rows, gemm.cols, g.oh * g.ow);
+    let done = |out| Tensor::from_vec(vec![n, k, g.oh, g.ow], out);
+    if let Some(out) = exec_int(table, gemm, g, groups, x.data(), (n, c), rule) {
+        return done(out);
     }
-
     let Storage::F32(wdata) = &gemm.storage else {
         unreachable!("non-integer storage is f32");
     };
-    let (n, c) = (x.dims()[0], x.dims()[1]);
-    let (k, q, p) = (gemm.rows, gemm.cols, g.oh * g.ow);
     let xq = if quantize_input {
         timed_operand(|| quantize_acts_f32(x, rule))
     } else {
@@ -1367,25 +1289,21 @@ fn exec_conv(
             );
         })
     };
-    Tensor::from_vec(vec![n, k, g.oh, g.ow], out)
+    done(out)
 }
 
-fn exec_linear(g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
+fn exec_linear(k: &Kernels, g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
     let dims = x.dims();
     assert_eq!(dims.len(), 2, "linear input must be rank 2");
     let (n, f) = (dims[0], dims[1]);
     assert_eq!(f, g.cols, "linear in-feature mismatch");
 
-    let k = kernels();
-    match Arith::of(g, k) {
-        Arith::F32 => {}
-        Arith::FusedNibble => return linear_fused::<FusedNibble>(k, g, x, rule),
-        Arith::FusedI8 => return linear_fused::<FusedI8>(k, g, x, rule),
-        Arith::Tier(Accum::F32) => return linear_int::<TierF32>(g, x, rule),
-        Arith::Tier(Accum::I32) => return linear_int::<TierI32>(g, x, rule),
-        Arith::Tier(Accum::I64) => return linear_int::<TierI64>(g, x, rule),
+    // The pointwise conv on a 1×1 map: the `[n, f]` input read in place as
+    // `[n, f, 1, 1]`, the `[n, rows, 1, 1]` result stored as is.
+    static MAP: LazyLock<ConvGeom> = LazyLock::new(|| ConvGeom::new(1, 1, 1, 1, 1, 0));
+    if let Some(out) = exec_int(k, g, &MAP, 1, x.data(), (n, f), rule) {
+        return Tensor::from_vec(vec![n, g.rows], out);
     }
-
     let Storage::F32(wdata) = &g.storage else {
         unreachable!("non-integer storage is f32");
     };

@@ -139,6 +139,17 @@ fn depthwise_per_pixel(
     Tensor::from_vec(vec![n, c, oh, ow], out)
 }
 
+/// A depthwise layer on tier `T`: [`Depthwise`] against its tap table, or
+/// without one the grouped-GEMM route of the one integer driver.
+fn on_tier<T: Tier>(g: &PackedGemm, geom: &ConvGeom, x: &Tensor, rule: ActRule) -> Tensor {
+    let (k, (n, c)) = (kernels(), (x.dims()[0], x.dims()[1]));
+    let out = match g.kernel {
+        KernelWeights::Taps(_) => depthwise::<T>(k, g, geom, x.data(), (n, c), rule),
+        _ => gemm_int::<T>(k, g, geom, c, x.data(), (n, c), rule),
+    };
+    Tensor::from_vec(vec![n, c, geom.oh, geom.ow], out)
+}
+
 /// The depthwise shape matrix: planes from 1×1 to 16×16 × stride × pad ×
 /// kernel, with channels, batch and quantizer rotating through their values
 /// (pruned so the suite runs in seconds), at every `large_range()` width.
@@ -194,7 +205,9 @@ fn depthwise_orientations_match_oracle_and_generic_path_on_the_shape_matrix() {
             };
             let ctx = format!("{q:?} {bits}b k{k} s{stride} p{pad} {n}x{c}x{h}x{w}");
             let routed = |threads: usize| {
-                with_threads(threads, || exec_conv(&gemm, &geom, c, true, &x, rule))
+                with_threads(threads, || {
+                    exec_conv(kernels(), &gemm, &geom, c, true, &x, rule)
+                })
             };
             if let Storage::F32(wdata) = &gemm.storage {
                 let want = depthwise_per_pixel(wdata, &gemm, k, stride, pad, &x);
@@ -204,17 +217,17 @@ fn depthwise_orientations_match_oracle_and_generic_path_on_the_shape_matrix() {
             }
             assert!(matches!(gemm.kernel, KernelWeights::Taps(ref t) if t.len() == c * k * k));
             assert_eq!(gemm.has_offset, q == Quantizer::Dorefa, "{ctx}");
-            // Same codes without the tap table: `conv_int` takes the
-            // grouped patch-matrix GEMM (one row per group).
+            // Same codes without the tap table: `gemm_int` runs the grouped
+            // patch-matrix GEMM (one row per group).
             let generic = PackedGemm {
                 kernel: KernelWeights::Decode,
                 ..gemm.clone()
             };
             // The packed tier and every wider one are exact.
             let run = |g: &PackedGemm, tier: Accum| match tier {
-                Accum::F32 => conv_int::<TierF32>(g, &geom, c, &x, rule),
-                Accum::I32 => conv_int::<TierI32>(g, &geom, c, &x, rule),
-                Accum::I64 => conv_int::<TierI64>(g, &geom, c, &x, rule),
+                Accum::F32 => on_tier::<TierF32>(g, &geom, &x, rule),
+                Accum::I32 => on_tier::<TierI32>(g, &geom, &x, rule),
+                Accum::I64 => on_tier::<TierI64>(g, &geom, &x, rule),
             };
             let tiers: &[Accum] = match gemm.accum {
                 Accum::F32 => &[Accum::F32, Accum::I32, Accum::I64],
@@ -303,6 +316,16 @@ fn every_sample_of_a_batch_equals_its_batch_of_one_forward_on_every_route() {
         bias: uniform(&mut rng, &[11], -0.5, 0.5),
     };
     layers.push(("linear".into(), vec![linear], vec![37]));
+    // 1 200 B per sample in i32/f32 lanes: at n = 17 the `[f, n]` operand
+    // outgrows `PATCH_BLOCK_BYTES`, so `conv_blocks` runs the linear in
+    // sample blocks — in parallel from 2·16·29·300 flops.
+    const { assert!(MAX_N * 300 * 4 > PATCH_BLOCK_BYTES) };
+    let wide = PlanOp::Linear {
+        name: "fc".into(),
+        weight: uniform(&mut rng, &[29, 300], -1.0, 1.0),
+        bias: uniform(&mut rng, &[29], -0.5, 0.5),
+    };
+    layers.push(("linear 300->29".into(), vec![wide], vec![300]));
 
     // (context, ops, bits, quantizer, batch, batch-of-one outputs)
     let mut cases = Vec::new();

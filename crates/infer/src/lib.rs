@@ -179,19 +179,13 @@ impl Storage {
         }
     }
 
-    /// Decodes one row of `cols` codes into `out`, on the active SIMD
-    /// backend.
+    /// Decodes one row of `cols` codes into `out`: the scalar backend's
+    /// `decode_row_i32` (also the portable baseline the SIMD kernels are
+    /// tested bit-identical against).
     ///
     /// # Panics
     ///
     /// Panics if called on [`Storage::F32`] (the f32 path never decodes).
-    fn decode_row(&self, row: usize, cols: usize, out: &mut [i32]) {
-        (simd::kernels().decode_row_i32)(self, row, cols, out);
-    }
-
-    /// Scalar-backend body of [`Self::decode_row`] (referenced by the
-    /// dispatch table; also the portable baseline the SIMD kernels are
-    /// tested bit-identical against).
     fn decode_row_scalar(&self, row: usize, cols: usize, out: &mut [i32]) {
         match self {
             Storage::Nibble(data) => {
@@ -221,16 +215,11 @@ impl Storage {
 
     /// Decodes one row of `cols` codes into f32 lanes (the exact-f32
     /// accumulation tier; every code is a small integer so the conversion
-    /// is lossless), on the active SIMD backend.
+    /// is lossless): the scalar backend's `decode_row_f32`.
     ///
     /// # Panics
     ///
     /// Panics if called on [`Storage::F32`].
-    fn decode_row_f32(&self, row: usize, cols: usize, out: &mut [f32]) {
-        (simd::kernels().decode_row_f32)(self, row, cols, out);
-    }
-
-    /// Scalar-backend body of [`Self::decode_row_f32`].
     fn decode_row_f32_scalar(&self, row: usize, cols: usize, out: &mut [f32]) {
         match self {
             Storage::Nibble(data) => {
@@ -1067,7 +1056,7 @@ mod tests {
         let storage = Storage::Nibble(data);
         let mut out = vec![0i32; cols];
         for row in 0..rows {
-            storage.decode_row(row, cols, &mut out);
+            (simd::kernels().decode_row_i32)(&storage, row, cols, &mut out);
             assert_eq!(out, &padded[row * cols..(row + 1) * cols]);
         }
     }

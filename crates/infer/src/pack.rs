@@ -1,7 +1,7 @@
 //! Plan-to-packed compilation: weight code generation, BN folding, and
 //! storage-tier selection, performed once per bit-width at construction.
 
-use crate::exec::{FusedI8, FusedNibble, FusedTier};
+use crate::exec::{FusedI8, FusedNibble, Route};
 use crate::simd::{avx2_available, neon_available};
 use crate::{is_depthwise, Accum, InferError, KernelWeights, PackedGemm, PackedOp, Storage, Taps};
 use instantnet_nn::plan::PlanOp;
@@ -58,10 +58,10 @@ fn act_code_abs_max(bits: BitWidth) -> i64 {
 }
 
 /// Word-packs re-centered codes `d` (`[rows, cols]`) for the fused tier
-/// `F`: [`FusedTier::GROUP`] reduction lanes per little-endian `u32`, each
-/// shifted by [`FusedTier::WEIGHT_BIAS`]. A row's final partial word keeps
+/// `F`: [`Route::GROUP`] reduction lanes per little-endian `u32`, each
+/// shifted by [`Route::WEIGHT_BIAS`]. A row's final partial word keeps
 /// its missing lanes zero; they meet only zero-padded activation lanes.
-fn pack_words<F: FusedTier>(d: &[i32], cols: usize) -> Vec<u32> {
+fn pack_words<F: Route>(d: &[i32], cols: usize) -> Vec<u32> {
     let lane_bits = 32 / F::GROUP;
     let mask = u32::MAX >> (32 - lane_bits);
     d.chunks(cols)

@@ -17,7 +17,7 @@
 //! cannot fill a vector puts *channels* in the lanes, and a fused GEMM with
 //! fewer columns than one column block puts the *reduction* there.
 
-use crate::simd::{fused_gemm_enabled, kernels, Kernels};
+use crate::simd::{fused_gemm_enabled, Kernels};
 use crate::{is_depthwise, Accum, KernelWeights, OpProfile, PackedGemm, PackedOp, Storage};
 use instantnet_tensor::tensor::ConvGeom;
 use std::time::{Duration, Instant};
@@ -50,8 +50,8 @@ pub(crate) enum Arith {
 }
 
 impl Arith {
-    /// The arithmetic of layer `g` on the kernel table `k` — one snapshot of
-    /// [`kernels`] per layer execution, which every later choice reuses: a
+    /// The arithmetic of layer `g` on the kernel table `k` — the forward's
+    /// one snapshot of `simd::kernels`, which every later choice reuses: a
     /// concurrent `with_simd_backend` scope may swap the active table
     /// mid-forward, and a route must not straddle two of them.
     pub(crate) fn of(g: &PackedGemm, k: &Kernels) -> Arith {
@@ -94,15 +94,16 @@ pub(crate) fn dw_lanes(g: &ConvGeom, k: &Kernels) -> Lanes {
     }
 }
 
-/// The profile record of `op`, started at `start` on an input of `dims`,
-/// `quantize` of it spent building the operand.
+/// The profile record of `op` run on table `k`, started at `start` on an
+/// input of `dims`, `quantize` of it spent building the operand.
 pub(crate) fn describe(
     op: &PackedOp,
     dims: &[usize],
+    k: &Kernels,
     start: Instant,
     quantize: Duration,
 ) -> OpProfile {
-    let (elapsed, k) = (start.elapsed(), kernels());
+    let elapsed = start.elapsed();
     // A GEMM layer over `l` columns: its arithmetic and what that puts in
     // the lanes.
     let gemm_route = |g: &PackedGemm, l: usize| {

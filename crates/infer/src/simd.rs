@@ -21,17 +21,13 @@
 //!   and toggle the fused paths with [`with_fused_gemm`] (env default:
 //!   `INSTANTNET_FUSED`, on unless `0`/`off`/`false`).
 //!
-//! Every call site in the engine routes through [`kernels`], so batched,
-//! resilient, sharded, and wall-clock serving plus the f32-fallback path
-//! all inherit the active backend with no API change.
+//! A forward reads [`kernels`] once and runs every layer on that table, so
+//! every serving path inherits the active backend with no API change.
 //!
 //! # Fused ≤ 8-bit GEMM
 //!
-//! The PR 6 kernels decode every weight code to the accumulator type
-//! before multiplying, so 4-bit GEMM ran no faster than 8-bit. The
-//! `gemm_nibble`/`gemm_i8` slots multiply on packed codes instead
-//! (activations emitted as `i8`/`i16` codes and interleaved by
-//! `crate::exec`):
+//! The `gemm_nibble`/`gemm_i8` slots multiply on packed codes rather than
+//! decoded ones, activations emitted as `i8`/`i16` codes:
 //!
 //! * **nibble** (≤ 4-bit weights): codes ship as `w + 8 ∈ [0, 15]`
 //!   unsigned bytes, four to a `u32`; `maddubs`-class instructions form
@@ -140,9 +136,8 @@ impl SimdBackend {
 /// outside the crate.
 pub struct Kernels {
     pub(crate) backend: SimdBackend,
-    /// i32/f32 lanes per register — the column block of every kernel below.
-    /// What `crate::exec` measures a layer's axes against when it picks
-    /// which one goes in the lanes.
+    /// i32/f32 lanes per register: the column block of every kernel below,
+    /// which `crate::route` measures a layer's axes against.
     pub(crate) lanes: usize,
     /// `acc[j] += Σ_p wrow[p] · acts[p · acc.len() + j]` in i32.
     pub(crate) accumulate_i32: fn(&mut [i32], &[i32], &[i32]),
@@ -188,8 +183,8 @@ pub(crate) type FusedKernel<L> = fn(&mut [i32], &[u32], &[L], usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
     /// `out[r·pitch + k]`: rows at a pitch — contiguous at `pitch == width`
-    /// (a sample's codes, a thin kernel's column), the rows of a zero-padded
-    /// depthwise frame, a linear's samples as columns.
+    /// (a sample's codes), the rows of a zero-padded depthwise frame or of a
+    /// pointwise layer's `[c, n·p]` operand.
     Rows {
         /// Source row length.
         width: usize,
@@ -216,6 +211,21 @@ pub enum Layout {
         /// Distance between output rows.
         pitch: usize,
     },
+}
+
+impl Layout {
+    /// The same lanes in lanes `L`, one-column layouts as rows — `Words {
+    /// width: 1, pitch }` is `Rows { width: G, pitch }`, `Transposed { width:
+    /// 1, .. }` one run, and `G = 1` words rows — for emitters to run.
+    pub(crate) fn canonical<L>(self) -> Layout {
+        let g = 4 / std::mem::size_of::<L>();
+        match self {
+            Layout::Words { width: 1, pitch } => Layout::Rows { width: g, pitch },
+            Layout::Words { width, pitch } if g == 1 => Layout::Rows { width, pitch },
+            Layout::Transposed { width: 1, .. } => Layout::Rows { width: 1, pitch: 1 },
+            layout => layout,
+        }
+    }
 }
 
 /// An activation-code emitter: the codes of `x` on `grid`, in lane type
@@ -422,6 +432,15 @@ fn resolve(env: Option<&str>, avx2: bool, neon: bool) -> SimdBackend {
 static FORCED: AtomicU8 = AtomicU8::new(0);
 static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
+/// Puts an override's previous value back on drop (also on panic).
+struct Restore(&'static AtomicU8, u8);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        self.0.store(self.1, Ordering::SeqCst);
+    }
+}
+
 fn default_kernels() -> &'static Kernels {
     static DEFAULT: OnceLock<&'static Kernels> = OnceLock::new();
     DEFAULT.get_or_init(|| {
@@ -482,18 +501,7 @@ pub fn with_simd_backend<T>(backend: SimdBackend, f: impl FnOnce() -> T) -> T {
     let _serialize = FORCE_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED.store(self.0, Ordering::SeqCst);
-        }
-    }
-    let code = match backend {
-        SimdBackend::Scalar => 1,
-        SimdBackend::Avx2 => 2,
-        SimdBackend::Neon => 3,
-    };
-    let _restore = Restore(FORCED.swap(code, Ordering::SeqCst));
+    let _restore = Restore(&FORCED, FORCED.swap(backend as u8 + 1, Ordering::SeqCst));
     f()
 }
 
@@ -507,12 +515,8 @@ static FUSED_LOCK: Mutex<()> = Mutex::new(());
 fn fused_default() -> bool {
     static DEFAULT: OnceLock<bool> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        !std::env::var("INSTANTNET_FUSED").is_ok_and(|v| {
-            let v = v.trim();
-            v.eq_ignore_ascii_case("0")
-                || v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("false")
-        })
+        let knob = std::env::var("INSTANTNET_FUSED").map(|v| v.trim().to_ascii_lowercase());
+        !matches!(knob.as_deref(), Ok("0" | "off" | "false"))
     })
 }
 
@@ -538,13 +542,8 @@ pub fn with_fused_gemm<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
     let _serialize = FUSED_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FUSED_FORCED.store(self.0, Ordering::SeqCst);
-        }
-    }
-    let _restore = Restore(FUSED_FORCED.swap(if enabled { 2 } else { 1 }, Ordering::SeqCst));
+    let code = if enabled { 2 } else { 1 };
+    let _restore = Restore(&FUSED_FORCED, FUSED_FORCED.swap(code, Ordering::SeqCst));
     f()
 }
 
@@ -2173,7 +2172,9 @@ mod tests {
 
     /// Table `k`'s emitter against the scalar table's (the reference) into
     /// a destination full of garbage: the same lanes written with the same
-    /// codes, every other lane left as it was.
+    /// codes, every other lane left as it was — and, where
+    /// [`Layout::canonical`] rewrites `layout`, the reference writing exactly
+    /// the same lanes in the rewritten one.
     #[cfg(target_arch = "x86_64")]
     fn emitter_matches_reference<L>(
         k: &Kernels,
@@ -2188,18 +2189,27 @@ mod tests {
         let garbage: Vec<L> = (0..len as i32)
             .map(|i| L::from_code(i * 37 % 251 - 125))
             .collect();
-        let (mut want, mut got) = (garbage.clone(), garbage);
+        let (mut want, mut got) = (garbage.clone(), garbage.clone());
         (L::emitter(&SCALAR))(grid, x, &mut want, layout);
         (L::emitter(k))(grid, x, &mut got, layout);
-        assert_eq!(got, want, "{} lanes, {ctx}", std::any::type_name::<L>());
+        let lanes = std::any::type_name::<L>();
+        assert_eq!(got, want, "{lanes} lanes, {ctx}");
+        let canonical = layout.canonical::<L>();
+        if canonical != layout {
+            let mut rows = garbage;
+            (L::emitter(&SCALAR))(grid, x, &mut rows, canonical);
+            assert_eq!(rows, want, "{lanes} lanes, {ctx} as {canonical:?}");
+        }
     }
 
     /// Every AVX2 emitter — every lane type × contiguous, rows at a pitch,
     /// words (G = 4 for i8, 2 for i16, rows otherwise) and transposed —
     /// against the reference at every width the engine packs and a few
     /// wider, under SBM and DoReFa: contiguous lengths 1..=67 around the
-    /// vector and tile edges, and `[rows, width]` shapes whose rows include
-    /// the depthwise channel counts that are not multiples of 8.
+    /// vector and tile edges, one-column `[len, 1]` shapes of the same
+    /// lengths (where the one-column rule rewrites words and transposition
+    /// as rows), and `[rows, width]` shapes whose rows include the depthwise
+    /// channel counts that are not multiples of 8.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn avx2_emitters_match_the_reference_in_every_lane_and_layout() {
@@ -2208,6 +2218,7 @@ mod tests {
             return;
         }
         let mut shapes: Vec<(usize, usize)> = (1..=67).map(|len| (1, len)).collect();
+        shapes.extend((2..=67).map(|len| (len, 1)));
         for rows in [2usize, 3, 5, 8, 9, 17, 36, 48, 144, 240] {
             for width in [1usize, 2, 3, 4, 7, 8, 9, 16, 17, 64, 67, 300] {
                 shapes.push((rows, width));
