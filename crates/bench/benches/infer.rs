@@ -5,10 +5,10 @@
 //! Kernel-bound entries come in pairs: the plain name runs the default
 //! SIMD dispatch (AVX2 where detected), and the `_scalar` twin forces the
 //! portable kernels via `with_simd_backend` — `bench_check` floors the
-//! scalar/SIMD ratio on AVX2 hosts. The ≤8-bit tiers add a `_widen` twin
-//! that disables the fused multiply-on-packed-codes kernels via
-//! `with_fused_gemm(false)` (the PR 6 decode-then-multiply path), so the
-//! fused speedup is floored within-run too. The batch-1 MobileNetV2-block
+//! scalar/SIMD ratio on AVX2 hosts. On the ≤8-bit tiers the `_scalar` twin
+//! is also the decode-then-multiply route the fused multiply-on-packed-codes
+//! kernels replace, so `bench_check` floors the fused 4-bit GEMM against the
+//! scalar 8-bit one within-run too. The batch-1 MobileNetV2-block
 //! pair (4-bit packed vs the 32-bit f32 fallback) is the regime where
 //! activation quantize and depthwise — not GEMM — dominate; `bench_check`
 //! ceilings 4-bit at 1.0× the 32-bit forward. The whole-model entries run
@@ -33,8 +33,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use instantnet_infer::{
-    emit_activation_codes, with_fused_gemm, with_simd_backend, EmitLane, Layout, PackedModel,
-    SimdBackend,
+    emit_activation_codes, with_simd_backend, EmitLane, Layout, PackedModel, SimdBackend,
 };
 use instantnet_nn::blocks::{ConvBnAct, InvertedResidual};
 use instantnet_nn::layers::{Activation, GlobalAvgPool, QuantConv2d, QuantLinear};
@@ -61,18 +60,6 @@ fn bench_gemm(c: &mut Criterion) {
     // 16-bit lands on the i64 accumulator tier (long-reduction wide lanes).
     c.bench_function("packed_gemm_16bit_64x256x256", |b| {
         b.iter(|| std::hint::black_box(packed.forward_at(2, &x)))
-    });
-    // Fused kernels disabled: the widen-then-multiply path the fused
-    // kernels replace for the ≤8-bit storage tiers (bit-identical output).
-    c.bench_function("packed_gemm_4bit_64x256x256_widen", |b| {
-        with_fused_gemm(false, || {
-            b.iter(|| std::hint::black_box(packed.forward_at(0, &x)))
-        })
-    });
-    c.bench_function("packed_gemm_8bit_64x256x256_widen", |b| {
-        with_fused_gemm(false, || {
-            b.iter(|| std::hint::black_box(packed.forward_at(1, &x)))
-        })
     });
     // Forced-scalar twins of the three tiers (bit-identical outputs; only
     // the kernel backend differs).
@@ -114,11 +101,6 @@ fn bench_conv(c: &mut Criterion) {
     });
     c.bench_function("packed_conv_16bit_4x16x16x16", |b| {
         b.iter(|| std::hint::black_box(packed.forward_at(2, &x)))
-    });
-    c.bench_function("packed_conv_4bit_4x16x16x16_widen", |b| {
-        with_fused_gemm(false, || {
-            b.iter(|| std::hint::black_box(packed.forward_at(0, &x)))
-        })
     });
     c.bench_function("packed_conv_4bit_4x16x16x16_scalar", |b| {
         with_simd_backend(SimdBackend::Scalar, || {

@@ -21,8 +21,9 @@
 //!   16-bit GEMM must be at least 1.5× its forced-scalar twin, 4-bit
 //!   GEMM must not be slower than 8-bit (the precision/latency ordering
 //!   the whole serving stack exploits), and the fused 4-bit GEMM must be
-//!   at least 1.5× the widen-then-multiply 8-bit path (`_widen` twin) —
-//!   the fused multiply-on-packed-codes win — and a batch-1 4-bit
+//!   at least 1.5× the forced-scalar 8-bit one (`_scalar` twin, the
+//!   decode-then-multiply route fused kernels replace) — the fused
+//!   multiply-on-packed-codes win — and a batch-1 4-bit
 //!   MobileNetV2 block must not be slower than the same block on the
 //!   32-bit f32 fallback (the low-bit network is the cheap one even when
 //!   activation quantize and depthwise, not GEMM, dominate — it must be at
@@ -304,11 +305,12 @@ fn main() -> ExitCode {
             floor: false,
         },
         // The fused multiply-on-packed-codes 4-bit GEMM must beat the
-        // widen-then-multiply 8-bit path it replaces by this much — the
-        // low-bit advantage fused kernels exist to deliver.
+        // decode-then-multiply 8-bit route it replaces — the scalar table's
+        // — by this much: the low-bit advantage fused kernels exist to
+        // deliver.
         RatioCheck {
-            gate: "fused 4-bit vs widen 8-bit GEMM",
-            num: "packed_gemm_8bit_64x256x256_widen",
+            gate: "fused 4-bit vs scalar 8-bit GEMM",
+            num: "packed_gemm_8bit_64x256x256_scalar",
             den: "packed_gemm_4bit_64x256x256",
             bound: 1.5,
             floor: true,

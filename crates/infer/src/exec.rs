@@ -340,8 +340,11 @@ impl<T: Tier> Route for T {
     }
 }
 
-/// Bound < 2^24: exact f32 lanes (vectorizes on baseline x86-64, which
-/// has no packed i32 multiply).
+/// Bound < 2^24: exact f32 lanes (vectorizes on baseline x86-64, which has
+/// no packed i32 multiply), on the portable kernels on every backend: a
+/// ≤ 8-bit GEMM this tier admits also gets fused words (`pack.rs`), so on a
+/// fused-capable CPU only a 9–16-bit GEMM with a very short reduction (12-bit
+/// with ≤ 2 columns) lands here, and no benchmark model has one.
 struct TierF32;
 /// Bound ≤ i32::MAX / 2: native i32.
 struct TierI32;
@@ -353,8 +356,8 @@ impl Tier for TierF32 {
     type Acc = f32;
     type Cs = f32;
 
-    fn kernels(k: &Kernels) -> TierKernels<f32, f32> {
-        (k.decode_row_f32, k.accumulate_f32)
+    fn kernels(_: &Kernels) -> TierKernels<f32, f32> {
+        (Storage::decode_row_f32_scalar, accumulate_f32_scalar)
     }
     fn taps(taps: &Taps) -> Cow<'_, [f32]> {
         match taps {
@@ -432,9 +435,8 @@ const I64_LANES: usize = 4;
 ///
 /// The partial sum starts from the additive identity and is added to
 /// `acc[j]` once at the end, exactly like the in-register lane blocks, so
-/// tail columns see the same association order as blocked ones (exact for
-/// integers by associativity, exact for the f32 tier by the sub-2^24
-/// bound).
+/// tail columns see the same association order as blocked ones (every
+/// caller is an integer tier, exact by associativity anyway).
 // Inlined on purpose: as an out-of-line instance LLVM compiled the same
 // loop 1.25–2.5× slower under the AVX2 kernels' one-column i64 GEMMs.
 #[inline(always)]
@@ -508,7 +510,7 @@ pub(crate) fn accumulate_i64_scalar(acc: &mut [i64], wrow: &[i32], acts: &[i32])
 /// integer result, but f32 lanes vectorize on targets whose baseline ISA
 /// has no packed i32 multiply. Four weight rows per pass for
 /// instruction-level parallelism.
-pub(crate) fn accumulate_f32_scalar(acc: &mut [f32], wrow: &[f32], acts: &[f32]) {
+fn accumulate_f32_scalar(acc: &mut [f32], wrow: &[f32], acts: &[f32]) {
     let ncols = acc.len();
     let mut quads = wrow.chunks_exact(4);
     let mut base = 0usize;

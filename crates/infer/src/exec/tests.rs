@@ -7,7 +7,7 @@
 
 use super::*;
 use crate::pack::pack_plan;
-use crate::simd::{avx2_available, neon_available, with_fused_gemm, with_simd_backend};
+use crate::simd::{avx2_available, neon_available, with_simd_backend};
 use crate::SimdBackend;
 use instantnet_nn::plan::PlanOp;
 use instantnet_parallel::with_threads;
@@ -359,14 +359,16 @@ fn every_sample_of_a_batch_equals_its_batch_of_one_forward_on_every_route() {
         }
     };
     check("dispatched");
-    with_fused_gemm(false, || check("fused off"));
     with_simd_backend(SimdBackend::Scalar, || check("forced scalar"));
 }
 
 /// Worst-case linear layers at each pack-time admission boundary (and one
 /// reduction row either side): whatever the packer admits to a tier or to
 /// the fused words computes the exact sum at any batch size, and what it
-/// refuses gets the next tier (or no words).
+/// refuses gets the next tier (or no words). Every ≤ 8-bit layer the packer
+/// admits to the exact-f32 tier also carries fused words wherever the CPU
+/// has a fused kernel — why no SIMD table needs f32-tier GEMM kernels; the
+/// 2-, 4- and 8-bit rows at the 2^24 lane bound pin it at its edge.
 #[test]
 fn admitted_layers_never_overflow_and_refused_ones_change_route() {
     // i128 oracle of one output: `Σ d·a` and `Σ a` over the stored weight
@@ -400,6 +402,10 @@ fn admitted_layers_never_overflow_and_refused_ones_change_route() {
     for (bits, q, term, limit, fused) in [
         (8u8, Quantizer::Sbm, 127 * 255, lane_limit - 1, false),
         (8, Quantizer::Dorefa, 128 * 255, lane_limit - 1, false),
+        (4, Quantizer::Sbm, 7 * 15, lane_limit - 1, false),
+        (4, Quantizer::Dorefa, 8 * 15, lane_limit - 1, false),
+        (2, Quantizer::Sbm, 3, lane_limit - 1, false),
+        (2, Quantizer::Dorefa, 2 * 3, lane_limit - 1, false),
         (12, Quantizer::Sbm, 2047 * 4095, i32_limit, false),
         (8, Quantizer::Sbm, 127 * 255, i32_limit, true),
         (8, Quantizer::Dorefa, 128 * 255, i32_limit, true),
@@ -428,6 +434,10 @@ fn admitted_layers_never_overflow_and_refused_ones_change_route() {
                 let want = if admitted { Accum::F32 } else { Accum::I32 };
                 assert_eq!(g.accum, want, "{ctx}: tier");
             }
+            if bits <= 8 && g.accum == Accum::F32 {
+                let words = matches!(g.kernel, KernelWeights::Words(_));
+                assert_eq!(words, can_fuse, "{ctx}: an f32-tier layer without words");
+            }
             // The nibble boundary is 4.7 M columns: one batch size there.
             let batches: &[usize] = if cols > 1 << 20 { &[1] } else { &[1, 16] };
             for &n in batches {
@@ -445,9 +455,10 @@ fn admitted_layers_never_overflow_and_refused_ones_change_route() {
                         _ => 0,
                     };
                     let got = exec_ops(&ops, &x, per_sample(bw, q), None);
-                    let tier =
-                        with_fused_gemm(false, || exec_ops(&ops, &x, per_sample(bw, q), None));
-                    assert_bits_eq(&got, &tier, &format!("{ctx} n {n}: fused vs tier"));
+                    let tier = with_simd_backend(SimdBackend::Scalar, || {
+                        exec_ops(&ops, &x, per_sample(bw, q), None)
+                    });
+                    assert_bits_eq(&got, &tier, &format!("{ctx} n {n}: dispatched vs tier"));
                     for row in 0..2 {
                         let (want, peak) = oracle(g, row, &codes.codes, codes.scale, shift);
                         if matches!(g.kernel, KernelWeights::Words(_)) {

@@ -21,8 +21,9 @@
 //!   CPUs with a fused kernel, the decoded tap-major table for depthwise
 //!   layers.
 //!   A forward on those layers touches no weight-layout code at all; only
-//!   the decode-then-multiply tier path (9–16-bit layers, and the portable
-//!   fallback of fused layers) still decodes `Storage` rows as it goes.
+//!   the decode-then-multiply tier path (9–16-bit layers, and the scalar
+//!   table's route for ≤ 8-bit ones) still decodes `Storage` rows as it
+//!   goes.
 //! * Forwards quantize activations to integer codes between layers with
 //!   the exact SBM/DoReFa grids from `instantnet-quant` — a max-abs and
 //!   one pass of codes, both in vector lanes, written straight into the
@@ -40,9 +41,9 @@
 //!   reports each executed op with the route it took.
 //! * The hot reduction kernels run through a one-time runtime-dispatched
 //!   backend table ([`mod@simd`]): explicit AVX2 kernels where the CPU
-//!   supports them, portable scalar Rust everywhere else, overridable
-//!   with `INSTANTNET_SIMD=scalar|avx2`. Both backends are bit-identical,
-//!   so the dispatch choice is invisible to every serving layer.
+//!   supports them, portable scalar Rust everywhere else, forced portable
+//!   with `INSTANTNET_SIMD=scalar`. Both backends are bit-identical, so the
+//!   dispatch choice is invisible to every serving layer.
 //!
 //! Dequantization uses the affine identity
 //! `y[k][j] = sa · (A[k] · acc[k][j] + B[k] · colsum[j]) + bias[k]`
@@ -72,7 +73,7 @@ pub mod simd;
 
 pub use simd::{
     active_simd_backend, avx2_available, emit_activation_codes, fused_gemm_enabled, neon_available,
-    with_fused_gemm, with_simd_backend, EmitLane, Layout, SimdBackend,
+    with_simd_backend, EmitLane, Layout, SimdBackend,
 };
 
 /// Typed error for every fallible engine operation: plan compilation
@@ -215,7 +216,7 @@ impl Storage {
 
     /// Decodes one row of `cols` codes into f32 lanes (the exact-f32
     /// accumulation tier; every code is a small integer so the conversion
-    /// is lossless): the scalar backend's `decode_row_f32`.
+    /// is lossless): that tier's row decoder on every backend.
     ///
     /// # Panics
     ///
@@ -252,10 +253,15 @@ impl Storage {
 ///
 /// All three tiers compute the *same exact integer*: f32 arithmetic on
 /// integers below 2^24 is lossless (every product and partial sum is
-/// exactly representable), so the `F32` tier — which vectorizes on every
-/// target, unlike i32 multiplies on baseline x86-64 — is preferred
-/// whenever the bound allows. Exact arithmetic is associative, keeping the
-/// thread-count-determinism guarantee in all tiers.
+/// exactly representable), so the `F32` tier — which the portable kernels
+/// vectorize on every target, unlike i32 multiplies on baseline x86-64 — is
+/// preferred whenever the bound allows. Exact arithmetic is associative,
+/// keeping the thread-count-determinism guarantee in all tiers.
+///
+/// The tier is what a layer runs on when it has no fused route: every
+/// ≤ 8-bit GEMM at `F32` also carries [`KernelWeights::Words`] on a CPU
+/// with fused kernels, so there the tier serves the scalar table, depthwise
+/// layers and the rare short 9–16-bit reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Accum {
     /// Bound < 2^24: exact f32 lanes (all ≤ 8-bit layers in practice).
@@ -302,8 +308,9 @@ pub enum KernelWeights {
     /// Fused ≤ 8-bit GEMM words, `cols.div_ceil(group)` per row: four
     /// `w + 8` bytes (nibble storage) or two `i16` codes (i8 storage) per
     /// `u32`. Present when the shifted-code accumulation bound fits i32
-    /// (`pack.rs`) *and* this CPU has a fused kernel; the scalar backend
-    /// and [`with_fused_gemm`]`(false)` ignore them and decode `storage`.
+    /// (`pack.rs`) *and* this CPU has a fused kernel, and then the route of
+    /// every table with that kernel; only the forced-scalar table ignores
+    /// them and decodes `storage`.
     Words(Vec<u32>),
     /// Depthwise tap table: the re-centered codes, decoded and tap-major
     /// (`[r·s, channels]`, a tap's channels contiguous — what either SIMD

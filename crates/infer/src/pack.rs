@@ -184,11 +184,10 @@ fn pack_gemm(
     // holds at any serving batch size: batching adds GEMM *columns* (more
     // samples × output pixels), never reduction *length* — `cols` is fixed
     // at `cg*r*s` / in-features, and the only cross-sample sums (per-column
-    // activation colsums) are i64 regardless of tier. The same bound is
-    // what lets the SIMD backend (`crate::simd`) reassociate f32 partial
-    // sums into 8 lanes exactly: every partial sum in any association
-    // order is an integer below 2^24, so lane-wise accumulation is
-    // bit-identical to the scalar left-to-right order.
+    // activation colsums) are i64 regardless of tier. The same bound lets
+    // the f32 tier's kernels reassociate partial sums (four weight rows per
+    // pass, vector lanes) exactly: every partial sum in any association
+    // order is an integer below 2^24.
     let bound = i64::from(max_code_abs) * act_code_abs_max(bits) * cols as i64;
     let accum = if bound < 1 << 24 {
         Accum::F32
@@ -205,7 +204,9 @@ fn pack_gemm(
     // same argument that picks the tier above, restated for the shifted
     // arithmetic (DESIGN.md §6g). Whether this CPU *has* a fused kernel is
     // a hardware fact, not a setting, so the words are there for any
-    // `with_simd_backend` override to find.
+    // `with_simd_backend` override to find. A ≤ 8-bit layer the f32 tier
+    // admits (`max_code_abs ≥ 1`, so `act_bound < 2^24`) fits these too, so
+    // such a CPU runs no ≤ 8-bit GEMM on that tier.
     let act_bound = act_code_abs_max(bits) * cols as i64;
     let fits = |max_w: i64| max_w * act_bound <= i64::from(i32::MAX) / 2;
     let can_fuse = avx2_available() || neon_available();

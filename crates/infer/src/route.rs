@@ -17,7 +17,7 @@
 //! cannot fill a vector puts *channels* in the lanes, and a fused GEMM with
 //! fewer columns than one column block puts the *reduction* there.
 
-use crate::simd::{fused_gemm_enabled, Kernels};
+use crate::simd::Kernels;
 use crate::{is_depthwise, Accum, KernelWeights, OpProfile, PackedGemm, PackedOp, Storage};
 use instantnet_tensor::tensor::ConvGeom;
 use std::time::{Duration, Instant};
@@ -53,17 +53,16 @@ impl Arith {
     /// The arithmetic of layer `g` on the kernel table `k` — the forward's
     /// one snapshot of `simd::kernels`, which every later choice reuses: a
     /// concurrent `with_simd_backend` scope may swap the active table
-    /// mid-forward, and a route must not straddle two of them.
+    /// mid-forward, and a route must not straddle two of them. Pack-time
+    /// weight words and a table with the kernel make a layer fused; nothing
+    /// else does.
     pub(crate) fn of(g: &PackedGemm, k: &Kernels) -> Arith {
-        let fused = |kernel: bool| kernel && fused_gemm_enabled();
         match (&g.storage, &g.kernel) {
             (Storage::F32(_), _) => Arith::F32,
-            (Storage::Nibble(_), KernelWeights::Words(_)) if fused(k.gemm_nibble.is_some()) => {
+            (Storage::Nibble(_), KernelWeights::Words(_)) if k.gemm_nibble.is_some() => {
                 Arith::FusedNibble
             }
-            (Storage::I8(_), KernelWeights::Words(_)) if fused(k.gemm_i8.is_some()) => {
-                Arith::FusedI8
-            }
+            (Storage::I8(_), KernelWeights::Words(_)) if k.gemm_i8.is_some() => Arith::FusedI8,
             _ => Arith::Tier(g.accum),
         }
     }

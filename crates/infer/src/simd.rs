@@ -5,21 +5,24 @@
 //! and the per-row weight decode — are portable scalar Rust in
 //! [`crate::exec`] / [`crate::Storage`]. This module adds AVX2
 //! (`core::arch::x86_64`) and NEON (`core::arch::aarch64`)
-//! implementations of the same kernels, plus **fused** ≤ 8-bit GEMM
+//! implementations of the integer-tier kernels, plus **fused** ≤ 8-bit GEMM
 //! kernels that multiply directly on packed codes, and selects a backend
 //! **once per process** through a function table:
 //!
 //! * detection runs once ([`std::sync::OnceLock`]) via
 //!   `is_x86_feature_detected!("avx2")` (ASIMD is baseline on aarch64, so
 //!   NEON needs no runtime probe);
-//! * the `INSTANTNET_SIMD` environment variable overrides detection
-//!   (`scalar` forces the portable kernels anywhere; `avx2`/`neon`
-//!   request that backend and fall back to detection when the CPU lacks
-//!   it; anything else — including unset and `auto` — means "detect");
+//! * the `INSTANTNET_SIMD` environment variable has one value that does
+//!   anything: `scalar` forces the portable kernels anywhere; anything else
+//!   — unset, `auto`, `avx2`, `neon` or garbage — means "detect", since on
+//!   a real CPU an explicit request can only name what detection finds;
 //! * tests and benches can force a backend for a scoped region with
-//!   [`with_simd_backend`], which serializes callers on a global lock,
-//!   and toggle the fused paths with [`with_fused_gemm`] (env default:
-//!   `INSTANTNET_FUSED`, on unless `0`/`off`/`false`).
+//!   [`with_simd_backend`], which serializes callers on a global lock.
+//!
+//! Whether a layer runs fused is not a setting either: it is a function of
+//! its pack-time weights and the table ([`crate::route`]), and
+//! [`fused_gemm_enabled`] only reports whether the active table has fused
+//! kernels at all.
 //!
 //! A forward reads [`kernels`] once and runs every layer on that table, so
 //! every serving path inherits the active backend with no API change.
@@ -71,15 +74,15 @@
 //! The SIMD kernels produce **bit-identical** output to the scalar ones
 //! for every tier × bit-width × quantizer × batch size × thread count:
 //!
-//! * the i32/i64 kernels are integer arithmetic, which is associative and
-//!   commutative — lane order and write-back interleaving cannot change
-//!   the final sums;
-//! * the f32 kernels only ever see integer-valued lanes whose every
-//!   partial sum is bounded below 2^24 (the pack-time tier selection in
-//!   [`crate::pack`] guarantees the bound over the *whole* reduction, so
-//!   every prefix in any association order is an exactly representable
-//!   integer) — reassociating exact arithmetic is lossless;
+//! * the i32/i64 and fused kernels are integer arithmetic, which is
+//!   associative and commutative — lane order and write-back interleaving
+//!   cannot change the final sums;
 //! * `decode_row` is elementwise (no reduction at all).
+//!
+//! The exact-f32 tier ([`crate::Accum::F32`]) has no table slot: every
+//! backend runs it on the portable kernels. Any ≤ 8-bit GEMM that fits it
+//! also fits the fused admission bound, so on a CPU with fused kernels it
+//! never reaches that tier (DESIGN.md §6g).
 //!
 //! The contract is pinned by the kernel-level parity tests below and by
 //! `tests/simd_parity.rs`, which runs whole-model forwards under both
@@ -143,12 +146,8 @@ pub struct Kernels {
     pub(crate) accumulate_i32: fn(&mut [i32], &[i32], &[i32]),
     /// The i64-accumulator variant (12/16-bit layers).
     pub(crate) accumulate_i64: fn(&mut [i64], &[i32], &[i32]),
-    /// The exact-f32-lane variant (≤ 8-bit layers).
-    pub(crate) accumulate_f32: fn(&mut [f32], &[f32], &[f32]),
     /// Decodes one packed weight row into i32 codes.
     pub(crate) decode_row_i32: fn(&Storage, usize, usize, &mut [i32]),
-    /// Decodes one packed weight row into exact f32 lanes.
-    pub(crate) decode_row_f32: fn(&Storage, usize, usize, &mut [f32]),
     /// Fused nibble GEMM: `acc[j] += Σ_q Σ_k byte_k(w[q]) · block[(q·ncols
     /// + j)·4 + k]` over shifted `w + 8` bytes and an interleaved i8 block
     /// (`None`: backend multiplies on decoded codes only).
@@ -308,9 +307,7 @@ static SCALAR: Kernels = Kernels {
     lanes: 8,
     accumulate_i32: crate::exec::accumulate_i32_scalar,
     accumulate_i64: crate::exec::accumulate_i64_scalar,
-    accumulate_f32: crate::exec::accumulate_f32_scalar,
     decode_row_i32: Storage::decode_row_scalar,
-    decode_row_f32: Storage::decode_row_f32_scalar,
     // The scalar backend stays the pure decode-then-multiply reference the
     // parity suite measures everything against.
     gemm_nibble: None,
@@ -330,9 +327,7 @@ static AVX2: Kernels = Kernels {
     lanes: 8,
     accumulate_i32: avx2::accumulate_i32,
     accumulate_i64: avx2::accumulate_i64,
-    accumulate_f32: avx2::accumulate_f32,
     decode_row_i32: avx2::decode_row_i32,
-    decode_row_f32: avx2::decode_row_f32,
     gemm_nibble: Some(avx2::gemm_nibble),
     gemm_i8: Some(avx2::gemm_i8),
     gemm_nibble_thin: Some(avx2::gemm_nibble_thin),
@@ -350,11 +345,9 @@ static NEON: Kernels = Kernels {
     lanes: 4,
     accumulate_i32: neon::accumulate_i32,
     accumulate_i64: neon::accumulate_i64,
-    accumulate_f32: neon::accumulate_f32,
     // Decode is elementwise and cold next to the reductions (the fused
-    // paths never decode at all), so NEON keeps the scalar decoders.
+    // paths never decode at all), so NEON keeps the scalar decoder.
     decode_row_i32: Storage::decode_row_scalar,
-    decode_row_f32: Storage::decode_row_f32_scalar,
     gemm_nibble: Some(neon::gemm_nibble),
     gemm_i8: Some(neon::gemm_i8),
     // Below four columns the column kernels' scalar tail stays the route.
@@ -407,22 +400,15 @@ pub fn neon_available() -> bool {
 
 /// Pure resolution of (env override, detected AVX2/NEON) → backend, split
 /// out so the knob semantics are unit-testable without process-global
-/// state. An explicit backend request still needs the CPU to support it;
-/// degrade to detection instead of faulting on the first kernel.
+/// state: `scalar` forces the portable table, anything else detects (an
+/// `avx2`/`neon` request the CPU can run is what detection returns, and
+/// one it cannot run must not fault on the first kernel).
 fn resolve(env: Option<&str>, avx2: bool, neon: bool) -> SimdBackend {
-    let detected = if avx2 {
-        SimdBackend::Avx2
-    } else if neon {
-        SimdBackend::Neon
-    } else {
-        SimdBackend::Scalar
-    };
     match env.map(str::trim) {
         Some(v) if v.eq_ignore_ascii_case("scalar") => SimdBackend::Scalar,
-        Some(v) if v.eq_ignore_ascii_case("avx2") && avx2 => SimdBackend::Avx2,
-        Some(v) if v.eq_ignore_ascii_case("neon") && neon => SimdBackend::Neon,
-        // Unset, "auto", an unavailable request, or garbage: detect.
-        _ => detected,
+        _ if avx2 => SimdBackend::Avx2,
+        _ if neon => SimdBackend::Neon,
+        _ => SimdBackend::Scalar,
     }
 }
 
@@ -432,12 +418,12 @@ fn resolve(env: Option<&str>, avx2: bool, neon: bool) -> SimdBackend {
 static FORCED: AtomicU8 = AtomicU8::new(0);
 static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Puts an override's previous value back on drop (also on panic).
-struct Restore(&'static AtomicU8, u8);
+/// Puts the override's previous value back on drop (also on panic).
+struct Restore(u8);
 
 impl Drop for Restore {
     fn drop(&mut self) {
-        self.0.store(self.1, Ordering::SeqCst);
+        FORCED.store(self.0, Ordering::SeqCst);
     }
 }
 
@@ -501,50 +487,17 @@ pub fn with_simd_backend<T>(backend: SimdBackend, f: impl FnOnce() -> T) -> T {
     let _serialize = FORCE_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let _restore = Restore(&FORCED, FORCED.swap(backend as u8 + 1, Ordering::SeqCst));
+    let _restore = Restore(FORCED.swap(backend as u8 + 1, Ordering::SeqCst));
     f()
 }
 
-/// Fused-GEMM override (0 = none, 1 = forced off, 2 = forced on) with its
-/// own serialization lock — separate from `FORCE_LOCK` so a fused toggle
-/// can nest inside [`with_simd_backend`] (the parity tests and the
-/// fused-vs-widen benches do exactly that).
-static FUSED_FORCED: AtomicU8 = AtomicU8::new(0);
-static FUSED_LOCK: Mutex<()> = Mutex::new(());
-
-fn fused_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        let knob = std::env::var("INSTANTNET_FUSED").map(|v| v.trim().to_ascii_lowercase());
-        !matches!(knob.as_deref(), Ok("0" | "off" | "false"))
-    })
-}
-
-/// Whether eligible layers (`KernelWeights::Words` + a backend that provides
-/// fused kernels) route through the fused ≤ 8-bit GEMM paths. On by
-/// default; `INSTANTNET_FUSED=0|off|false` disables it process-wide, and
-/// [`with_fused_gemm`] overrides it for a scope. Both routes compute
-/// bit-identical results — only speed differs.
+/// Whether the active kernel table has fused ≤ 8-bit GEMM kernels: true on
+/// AVX2 and NEON, false on the scalar table (and inside a forced-scalar
+/// [`with_simd_backend`] scope). A query, not a setting — a layer runs fused
+/// exactly when its pack-time weights are words and the table has the
+/// kernel ([`crate::route`]).
 pub fn fused_gemm_enabled() -> bool {
-    match FUSED_FORCED.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => fused_default(),
-    }
-}
-
-/// Runs `f` with the fused ≤ 8-bit GEMM paths forced on or off, restoring
-/// the previous state afterwards (also on panic). Process-global and
-/// serialized like [`with_simd_backend`], on an independent lock so the
-/// two scopes nest in either order (do not nest `with_fused_gemm` inside
-/// itself; that deadlocks).
-pub fn with_fused_gemm<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
-    let _serialize = FUSED_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let code = if enabled { 2 } else { 1 };
-    let _restore = Restore(&FUSED_FORCED, FUSED_FORCED.swap(code, Ordering::SeqCst));
-    f()
+    kernels().gemm_nibble.is_some()
 }
 
 // ---------------------------------------------------------------------------
@@ -607,14 +560,13 @@ mod avx2 {
 
     use crate::Storage;
     use core::arch::x86_64::{
-        __m128i, __m256, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_ps,
-        _mm256_cvtepi16_epi32, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32, _mm256_cvtepu8_epi32,
-        _mm256_loadu_ps, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_maddubs_epi16,
-        _mm256_mul_epi32, _mm256_mul_ps, _mm256_mullo_epi32, _mm256_permute2x128_si256,
-        _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_setzero_si256, _mm256_shuffle_epi32, _mm256_slli_epi32, _mm256_srai_epi32,
-        _mm256_storeu_ps, _mm256_storeu_si256, _mm256_unpackhi_epi32, _mm256_unpackhi_epi64,
-        _mm256_unpacklo_epi32, _mm256_unpacklo_epi64, _mm_loadl_epi64, _mm_loadu_si128,
+        __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_cvtepi16_epi32,
+        _mm256_cvtepi8_epi32, _mm256_cvtepu8_epi32, _mm256_loadu_si256, _mm256_madd_epi16,
+        _mm256_maddubs_epi16, _mm256_mul_epi32, _mm256_mullo_epi32, _mm256_permute2x128_si256,
+        _mm256_set1_epi16, _mm256_set1_epi32, _mm256_setzero_si256, _mm256_shuffle_epi32,
+        _mm256_slli_epi32, _mm256_srai_epi32, _mm256_storeu_si256, _mm256_unpackhi_epi32,
+        _mm256_unpackhi_epi64, _mm256_unpacklo_epi32, _mm256_unpacklo_epi64, _mm_loadl_epi64,
+        _mm_loadu_si128,
     };
     // The thin kernels' horizontal sum.
     use core::arch::x86_64::{
@@ -629,7 +581,7 @@ mod avx2 {
     };
     use instantnet_quant::ActivationGrid;
 
-    /// i32/f32 lanes per 256-bit register.
+    /// i32 lanes per 256-bit register.
     const L: usize = 8;
 
     // --- safe wrappers: the only entry points into this module. Each
@@ -655,16 +607,6 @@ mod avx2 {
         );
         // SAFETY: as in `accumulate_i32`.
         unsafe { accumulate_i64_kernel(acc, wrow, acts) }
-    }
-
-    pub(super) fn accumulate_f32(acc: &mut [f32], wrow: &[f32], acts: &[f32]) {
-        debug_assert_eq!(
-            acts.len(),
-            wrow.len() * acc.len(),
-            "acts must be [rows, ncols]"
-        );
-        // SAFETY: as in `accumulate_i32`.
-        unsafe { accumulate_f32_kernel(acc, wrow, acts) }
     }
 
     pub(super) fn gemm_nibble(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize) {
@@ -721,25 +663,6 @@ mod avx2 {
         }
     }
 
-    pub(super) fn decode_row_f32(storage: &Storage, row: usize, cols: usize, out: &mut [f32]) {
-        let out = &mut out[..cols];
-        match storage {
-            Storage::Nibble(data) => {
-                let stride = cols.div_ceil(2);
-                // SAFETY: as in `decode_row_i32`.
-                unsafe { decode_nibble_f32_kernel(&data[row * stride..(row + 1) * stride], out) }
-            }
-            // SAFETY (both arms): as in `decode_row_i32`.
-            Storage::I8(data) => unsafe {
-                decode_i8_f32_kernel(&data[row * cols..(row + 1) * cols], out)
-            },
-            Storage::I16(data) => unsafe {
-                decode_i16_f32_kernel(&data[row * cols..(row + 1) * cols], out)
-            },
-            Storage::F32(_) => panic!("decode_row_f32 on f32 storage"),
-        }
-    }
-
     // --- bounds-checked load/store helpers: each takes its pointer from a
     // subslice of exactly the lanes it touches, so addressing is proven by
     // the slice check and only the intrinsic call itself is unsafe. ---
@@ -777,21 +700,6 @@ mod avx2 {
         let lane = &mut acc[at..at + 4];
         // SAFETY: 4 writable i64 lanes per the slice above; unaligned store.
         unsafe { _mm256_storeu_si256(lane.as_mut_ptr().cast(), sum) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn load_f32(s: &[f32], at: usize) -> __m256 {
-        let lane = &s[at..at + L];
-        // SAFETY: 8 readable f32 lanes per the slice above; unaligned load.
-        unsafe { _mm256_loadu_ps(lane.as_ptr()) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn add_store_f32(acc: &mut [f32], at: usize, v: __m256) {
-        let sum = _mm256_add_ps(load_f32(acc, at), v);
-        let lane = &mut acc[at..at + L];
-        // SAFETY: 8 writable f32 lanes per the slice above; unaligned store.
-        unsafe { _mm256_storeu_ps(lane.as_mut_ptr(), sum) }
     }
 
     /// Loads 8 bytes into the low half of an xmm register.
@@ -889,41 +797,6 @@ mod avx2 {
         crate::exec::accumulate_col_tail(acc, wrow, acts, j, |l, w, a| {
             l + i64::from(w) * i64::from(a)
         });
-    }
-
-    /// Exact-f32 column reduction (lanes are small integers; every partial
-    /// sum stays below 2^24, so mul+add here is lossless and bit-identical
-    /// to the scalar order). No FMA on purpose: `avx2` detection does not
-    /// imply `fma`, and exactness makes fusion pointless.
-    #[target_feature(enable = "avx2")]
-    fn accumulate_f32_kernel(acc: &mut [f32], wrow: &[f32], acts: &[f32]) {
-        let ncols = acc.len();
-        let mut j = 0usize;
-        while j + 2 * L <= ncols {
-            let mut s0 = _mm256_setzero_ps();
-            let mut s1 = _mm256_setzero_ps();
-            let mut base = j;
-            for &wv in wrow {
-                let w = _mm256_set1_ps(wv);
-                s0 = _mm256_add_ps(s0, _mm256_mul_ps(w, load_f32(acts, base)));
-                s1 = _mm256_add_ps(s1, _mm256_mul_ps(w, load_f32(acts, base + L)));
-                base += ncols;
-            }
-            add_store_f32(acc, j, s0);
-            add_store_f32(acc, j + L, s1);
-            j += 2 * L;
-        }
-        while j + L <= ncols {
-            let mut s = _mm256_setzero_ps();
-            let mut base = j;
-            for &wv in wrow {
-                s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_set1_ps(wv), load_f32(acts, base)));
-                base += ncols;
-            }
-            add_store_f32(acc, j, s);
-            j += L;
-        }
-        crate::exec::accumulate_col_tail(acc, wrow, acts, j, |l, w, a| l + w * a);
     }
 
     // --- fused GEMM kernels (multiply on packed codes) ---
@@ -1115,25 +988,6 @@ mod avx2 {
         decode_nibble_tail(row_bytes, b, out, j);
     }
 
-    #[target_feature(enable = "avx2")]
-    fn decode_nibble_f32_kernel(row_bytes: &[u8], out: &mut [f32]) {
-        let cols = out.len();
-        let (mut j, mut b) = (0usize, 0usize);
-        while j + 2 * L <= cols {
-            let (first, second) = decode_nibble_pair(load_8_bytes(row_bytes, b));
-            store_f32_from_i32(out, j, first);
-            store_f32_from_i32(out, j + L, second);
-            j += 2 * L;
-            b += L;
-        }
-        let mut tail = [0i32; 2 * L];
-        let n = cols - j;
-        decode_nibble_tail(row_bytes, b, &mut tail[..n], 0);
-        for (o, &c) in out[j..].iter_mut().zip(&tail[..n]) {
-            *o = c as f32;
-        }
-    }
-
     /// Scalar nibble tail, identical to `Storage::decode_row_scalar`'s
     /// per-byte decode (low nibble first, high nibble dropped past `cols`).
     fn decode_nibble_tail(row_bytes: &[u8], mut b: usize, out: &mut [i32], mut j: usize) {
@@ -1147,13 +1001,6 @@ mod avx2 {
             j += 2;
             b += 1;
         }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn store_f32_from_i32(s: &mut [f32], at: usize, v: __m256i) {
-        let lane = &mut s[at..at + L];
-        // SAFETY: 8 writable f32 lanes per the slice above; unaligned store.
-        unsafe { _mm256_storeu_ps(lane.as_mut_ptr(), _mm256_cvtepi32_ps(v)) }
     }
 
     #[target_feature(enable = "avx2")]
@@ -1173,22 +1020,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    fn decode_i8_f32_kernel(codes: &[i8], out: &mut [f32]) {
-        let cols = out.len();
-        let mut j = 0usize;
-        while j + L <= cols {
-            let lane = &codes[j..j + L];
-            // SAFETY: 8 readable bytes per the slice above; unaligned load.
-            let bytes = unsafe { _mm_loadl_epi64(lane.as_ptr().cast()) };
-            store_f32_from_i32(out, j, _mm256_cvtepi8_epi32(bytes));
-            j += L;
-        }
-        for (o, &c) in out[j..].iter_mut().zip(&codes[j..]) {
-            *o = f32::from(c);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
     fn decode_i16_i32_kernel(codes: &[i16], out: &mut [i32]) {
         let cols = out.len();
         let mut j = 0usize;
@@ -1201,22 +1032,6 @@ mod avx2 {
         }
         for (o, &c) in out[j..].iter_mut().zip(&codes[j..]) {
             *o = i32::from(c);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn decode_i16_f32_kernel(codes: &[i16], out: &mut [f32]) {
-        let cols = out.len();
-        let mut j = 0usize;
-        while j + L <= cols {
-            let lane = &codes[j..j + L];
-            // SAFETY: 8 readable i16 lanes per the slice above; unaligned load.
-            let words = unsafe { _mm_loadu_si128(lane.as_ptr().cast()) };
-            store_f32_from_i32(out, j, _mm256_cvtepi16_epi32(words));
-            j += L;
-        }
-        for (o, &c) in out[j..].iter_mut().zip(&codes[j..]) {
-            *o = f32::from(c);
         }
     }
 
@@ -1439,10 +1254,9 @@ mod neon {
     //! AArch64 ports of the AVX2 kernels: 128-bit registers, with the
     //! widening multiplies built on the `smull`/`smlal` instruction family
     //! (`vmull_*`/`vmlal_*` intrinsics) instead of `maddubs`/`madd`. Same
-    //! bit-identity contract: the integer kernels are exact, the f32
-    //! kernel reassociates exact sub-2^24 sums (`vmulq`+`vaddq`, no FMA —
-    //! mirroring the AVX2 choice), and the fused kernels accumulate the
-    //! same shifted integers the driver corrects with `-8·colsum`.
+    //! bit-identity contract: the integer kernels are exact, and the fused
+    //! kernels accumulate the same shifted integers `exec::gemm_int`
+    //! corrects with `-8·colsum`.
     //!
     //! Every `unsafe` block takes its pointers from bounds-checked
     //! subslices, exactly as in the AVX2 module; the value-only intrinsics
@@ -1453,7 +1267,7 @@ mod neon {
 
     use core::arch::aarch64::*;
 
-    /// i32/f32 lanes per 128-bit register.
+    /// i32 lanes per 128-bit register.
     const L: usize = 4;
 
     fn load_i32(s: &[i32], at: usize) -> int32x4_t {
@@ -1472,18 +1286,6 @@ mod neon {
         let lane = &mut acc[at..at + 2];
         // SAFETY: 2 readable+writable i64 lanes per the slice above.
         unsafe { vst1q_s64(lane.as_mut_ptr(), vaddq_s64(vld1q_s64(lane.as_ptr()), v)) }
-    }
-
-    fn load_f32(s: &[f32], at: usize) -> float32x4_t {
-        let lane = &s[at..at + L];
-        // SAFETY: 4 readable f32 lanes per the slice above.
-        unsafe { vld1q_f32(lane.as_ptr()) }
-    }
-
-    fn add_store_f32(acc: &mut [f32], at: usize, v: float32x4_t) {
-        let lane = &mut acc[at..at + L];
-        // SAFETY: 4 readable+writable f32 lanes per the slice above.
-        unsafe { vst1q_f32(lane.as_mut_ptr(), vaddq_f32(vld1q_f32(lane.as_ptr()), v)) }
     }
 
     /// Loads 16 i8 lanes (4 interleaved lanes × 4 columns).
@@ -1571,47 +1373,6 @@ mod neon {
         crate::exec::accumulate_col_tail(acc, wrow, acts, j, |l, w, a| {
             l + i64::from(w) * i64::from(a)
         });
-    }
-
-    pub(super) fn accumulate_f32(acc: &mut [f32], wrow: &[f32], acts: &[f32]) {
-        debug_assert_eq!(
-            acts.len(),
-            wrow.len() * acc.len(),
-            "acts must be [rows, ncols]"
-        );
-        let ncols = acc.len();
-        let mut j = 0usize;
-        while j + 2 * L <= ncols {
-            // SAFETY: as in `accumulate_i32`.
-            unsafe {
-                let mut s0 = vdupq_n_f32(0.0);
-                let mut s1 = vdupq_n_f32(0.0);
-                let mut base = j;
-                for &wv in wrow {
-                    let w = vdupq_n_f32(wv);
-                    s0 = vaddq_f32(s0, vmulq_f32(w, load_f32(acts, base)));
-                    s1 = vaddq_f32(s1, vmulq_f32(w, load_f32(acts, base + L)));
-                    base += ncols;
-                }
-                add_store_f32(acc, j, s0);
-                add_store_f32(acc, j + L, s1);
-            }
-            j += 2 * L;
-        }
-        while j + L <= ncols {
-            // SAFETY: as above.
-            unsafe {
-                let mut s = vdupq_n_f32(0.0);
-                let mut base = j;
-                for &wv in wrow {
-                    s = vaddq_f32(s, vmulq_f32(vdupq_n_f32(wv), load_f32(acts, base)));
-                    base += ncols;
-                }
-                add_store_f32(acc, j, s);
-            }
-            j += L;
-        }
-        crate::exec::accumulate_col_tail(acc, wrow, acts, j, |l, w, a| l + w * a);
     }
 
     /// Fused nibble GEMM: the quad of `w + 8 ∈ [0, 15]` bytes fits i8, so
@@ -1728,14 +1489,6 @@ mod tests {
         assert_eq!(active_simd_backend(), default_kernels().backend);
     }
 
-    /// The fused-toggle twin of [`assert_backend_restored`].
-    fn assert_fused_restored() {
-        let _quiesce = FUSED_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        assert_eq!(fused_gemm_enabled(), fused_default());
-    }
-
     #[test]
     fn forced_backend_is_scoped_and_restored() {
         let inside = with_simd_backend(SimdBackend::Scalar, active_simd_backend);
@@ -1786,19 +1539,6 @@ mod tests {
             (SCALAR.accumulate_i64)(&mut a64, &wrow, &acts);
             (AVX2.accumulate_i64)(&mut b64, &wrow, &acts);
             assert_eq!(a64, b64, "i64 case {case}: rows {rows} ncols {ncols}");
-
-            let wf: Vec<f32> = wrow.iter().map(|&v| v as f32).collect();
-            let af: Vec<f32> = acts.iter().map(|&v| v as f32).collect();
-            let initf: Vec<f32> = init.iter().map(|&v| v as f32).collect();
-            let mut aff = initf.clone();
-            let mut bff = initf;
-            (SCALAR.accumulate_f32)(&mut aff, &wf, &af);
-            (AVX2.accumulate_f32)(&mut bff, &wf, &af);
-            let (ab, bb): (Vec<u32>, Vec<u32>) = (
-                aff.iter().map(|v| v.to_bits()).collect(),
-                bff.iter().map(|v| v.to_bits()).collect(),
-            );
-            assert_eq!(ab, bb, "f32 case {case}: rows {rows} ncols {ncols}");
         }
     }
 
@@ -1837,12 +1577,6 @@ mod tests {
                     (SCALAR.decode_row_i32)(storage, row, cols, &mut a);
                     (AVX2.decode_row_i32)(storage, row, cols, &mut b);
                     assert_eq!(a, b, "i32 decode: cols {cols} row {row}");
-
-                    let mut af = vec![0f32; cols];
-                    let mut bf = vec![7f32; cols];
-                    (SCALAR.decode_row_f32)(storage, row, cols, &mut af);
-                    (AVX2.decode_row_f32)(storage, row, cols, &mut bf);
-                    assert_eq!(af, bf, "f32 decode: cols {cols} row {row}");
                 }
             }
         }
@@ -2369,27 +2103,42 @@ mod tests {
         }
     }
 
+    /// With `FORCE_LOCK` held no override is in effect, so the fused query
+    /// reads the process default: fused kernels wherever the CPU has a SIMD
+    /// backend, unless the process was started forced-scalar.
+    fn assert_fused_restored() {
+        let _quiesce = FORCE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let default_scalar = default_kernels().backend == SimdBackend::Scalar;
+        let want = !default_scalar && (avx2_available() || neon_available());
+        assert_eq!(fused_gemm_enabled(), want);
+    }
+
+    /// The fused routes have no switch of their own: they follow the table,
+    /// so a forced-scalar scope turns them off and leaving it turns them back
+    /// on.
     #[test]
     fn fused_toggle_is_scoped_and_restored() {
-        let inside = with_fused_gemm(false, fused_gemm_enabled);
+        let inside = with_simd_backend(SimdBackend::Scalar, fused_gemm_enabled);
         assert!(!inside);
         assert_fused_restored();
-        let inside = with_fused_gemm(true, fused_gemm_enabled);
-        assert!(inside);
-        assert_fused_restored();
-        // Nests with backend forcing in either order.
-        let inside = with_simd_backend(SimdBackend::Scalar, || {
-            with_fused_gemm(false, || (active_simd_backend(), fused_gemm_enabled()))
-        });
-        assert_eq!(inside, (SimdBackend::Scalar, false));
-        assert_fused_restored();
+        if avx2_available() {
+            let inside = with_simd_backend(SimdBackend::Avx2, fused_gemm_enabled);
+            assert!(inside);
+            assert_fused_restored();
+        }
         assert_backend_restored();
     }
 
     #[test]
     fn fused_toggle_is_restored_on_panic() {
-        let result =
-            std::panic::catch_unwind(|| with_fused_gemm(!fused_default(), || panic!("boom")));
+        let result = std::panic::catch_unwind(|| {
+            with_simd_backend(SimdBackend::Scalar, || {
+                assert!(!fused_gemm_enabled());
+                panic!("boom")
+            })
+        });
         assert!(result.is_err());
         assert_fused_restored();
     }

@@ -16,8 +16,9 @@
 //! Defaults: `mbv2 4 1 2000` — `mobilenet_v2(0.25, 2, 10, (16, 16))`, the
 //! model `steady_mbv2_w4` serves. `cnn` is the cheap serving CNN of
 //! `burst_drain_cnn` (3×8×8 inputs), `block` the inverted-residual block of
-//! `BENCH_infer.json` (16×16×16 inputs). Honours `INSTANTNET_SIMD` /
-//! `INSTANTNET_FUSED`, so the scalar and fused-off routes profile the same way.
+//! `BENCH_infer.json` (16×16×16 inputs). Honours `INSTANTNET_SIMD=scalar`, so
+//! the scalar table's routes — the widen-then-multiply path of every ≤ 8-bit
+//! GEMM — profile the same way.
 
 use instantnet_infer::{active_simd_backend, OpProfile, PackedModel};
 use instantnet_nn::blocks::{ConvBnAct, InvertedResidual};

@@ -10,20 +10,25 @@
 //!   quantizers × batch sizes {1, 16} × 1 vs N threads — so every
 //!   existing bit-identity guarantee (fake-quant parity, degenerate
 //!   serving-path equivalence) transfers to the SIMD backend for free.
-//! * **Fused parity**: the fused multiply-on-packed-codes kernels
-//!   (`INSTANTNET_FUSED`, AVX2 `maddubs`/`madd`, NEON `smull`/`smlal`)
-//!   equal the widen-then-multiply path and the scalar reference bit for
-//!   bit — including adversarial shapes: every tail width cols ∈ {1..67}
-//!   with saturation-edge codes (max-magnitude nibbles and activations).
-//! * **Knob round-trip**: `INSTANTNET_SIMD=scalar|avx2|neon|garbage`
-//!   resolves to the documented backend in a fresh process (subprocess
-//!   self-exec, since the default is latched once per process).
+//! * **Fused parity**: the fused multiply-on-packed-codes kernels (AVX2
+//!   `maddubs`/`madd`, NEON `smull`/`smlal`), which every ≤ 8-bit GEMM with
+//!   pack-time words takes on a table that has them, equal the scalar
+//!   table's widen-then-multiply route bit for bit — including adversarial
+//!   shapes: every tail width cols ∈ {1..67} with saturation-edge codes
+//!   (max-magnitude nibbles and activations).
+//! * **Knob round-trip**: `INSTANTNET_SIMD=scalar` forces the portable
+//!   backend and every other value (`avx2`, `neon`, `auto`, garbage) means
+//!   detection, in a fresh process (subprocess self-exec, since the default
+//!   is latched once per process).
 //! * **Forced fallback**: `with_simd_backend(Scalar)` pins scalar even on
 //!   AVX2 hosts, scoped and restored.
 //! * **Pack-time kernel layout**: a model whose fused words and depthwise
-//!   tap tables were built at prepack serves every route — fused,
-//!   fused-off, forced scalar, a replica clone — bit-identically, and no
+//!   tap tables were built at prepack serves every route — dispatched,
+//!   forced scalar, a replica clone on either — bit-identically, and no
 //!   forward repacks.
+//! * **Route census**: on the dispatched table no GEMM of MobileNetV2 or the
+//!   serving CNN lands on the exact-f32 tier at any width or batch; on the
+//!   scalar table every ≤ 8-bit one does.
 //! * **Thin layers**: GEMMs with fewer columns than one column block (2×2
 //!   maps, small-batch linears) take the reduction-lane kernels; every route
 //!   agrees on them bit for bit, across the block boundary.
@@ -32,12 +37,13 @@
 //!   backends at 1 vs 3 threads.
 
 use instantnet_infer::{
-    active_simd_backend, avx2_available, neon_available, with_fused_gemm, with_simd_backend,
+    active_simd_backend, avx2_available, fused_gemm_enabled, neon_available, with_simd_backend,
     PackedModel, SimdBackend,
 };
-use instantnet_nn::layers::{QuantConv2d, QuantLinear};
-use instantnet_nn::models;
+use instantnet_nn::blocks::ConvBnAct;
+use instantnet_nn::layers::{Activation, GlobalAvgPool, QuantConv2d, QuantLinear};
 use instantnet_nn::plan::PlanOp;
+use instantnet_nn::{models, Sequential};
 use instantnet_parallel::with_threads;
 use instantnet_quant::{BitWidthSet, Quantizer};
 use instantnet_tensor::{init, Tensor};
@@ -75,19 +81,6 @@ fn forward_batch_bit_identical_scalar_vs_dispatched_everywhere() {
                         &scalar,
                         &format!(
                             "{q:?} @ {}b batch {batch} threads {threads}",
-                            bits.widths()[i]
-                        ),
-                    );
-                    // Fused kernels off: the widen-then-multiply path must
-                    // also match, whatever backend is ambient.
-                    let widen = with_fused_gemm(false, || {
-                        with_threads(threads, || packed.forward_batch_at(i, &x))
-                    });
-                    assert_bits_eq(
-                        &widen,
-                        &scalar,
-                        &format!(
-                            "fused off: {q:?} @ {}b batch {batch} threads {threads}",
                             bits.widths()[i]
                         ),
                     );
@@ -210,8 +203,9 @@ fn env_knob_round_trips_in_fresh_process() {
 /// linear plans at every fused-tail width cols ∈ {1..67}, with weights
 /// pinned to ±1 (quantizing to each grid's extreme codes — max-magnitude
 /// nibbles under both quantizers) and inputs saturated to ±1 (extreme
-/// activation codes). Fused, widen-then-multiply, and scalar paths must
-/// agree bit for bit at batch {1, 16} × 1 vs 4 threads.
+/// activation codes). The dispatched (fused) route and the scalar table's
+/// widen-then-multiply route must agree bit for bit at batch {1, 16} × 1 vs
+/// 4 threads.
 #[test]
 fn adversarial_shapes_fused_widen_scalar_parity() {
     let bits = BitWidthSet::large_range();
@@ -246,14 +240,8 @@ fn adversarial_shapes_fused_widen_scalar_parity() {
                         let scalar = with_simd_backend(SimdBackend::Scalar, || {
                             with_threads(threads, || packed.forward_batch_at(i, &x))
                         });
-                        let fused = with_fused_gemm(true, || {
-                            with_threads(threads, || packed.forward_batch_at(i, &x))
-                        });
+                        let fused = with_threads(threads, || packed.forward_batch_at(i, &x));
                         assert_bits_eq(&fused, &scalar, &format!("fused: {ctx}"));
-                        let widen = with_fused_gemm(false, || {
-                            with_threads(threads, || packed.forward_batch_at(i, &x))
-                        });
-                        assert_bits_eq(&widen, &scalar, &format!("widen: {ctx}"));
                     }
                 }
             }
@@ -262,9 +250,8 @@ fn adversarial_shapes_fused_widen_scalar_parity() {
 }
 
 /// Weights laid out for the kernels at pack time (fused words, depthwise
-/// taps) must serve every dispatch route bit-identically: the routes that
-/// ignore them (forced scalar, fused off) decode the storage codes
-/// instead. MobileNetV2 covers in-place 1×1 patch matrices, depthwise tap
+/// taps) must serve every dispatch route bit-identically: the route that
+/// ignores the words (forced scalar) decodes the storage codes instead. MobileNetV2 covers in-place 1×1 patch matrices, depthwise tap
 /// tables and a linear head; the grouped strided 3×3 covers `im2col` +
 /// interleave.
 #[test]
@@ -291,13 +278,9 @@ fn prepacked_kernel_weights_serve_every_route_bit_identically() {
                         ("ambient", packed.forward_batch_at(i, &x)),
                         ("replica", replica.forward_batch_at(i, &x)),
                         (
-                            "fused off",
-                            with_fused_gemm(false, || packed.forward_batch_at(i, &x)),
-                        ),
-                        (
-                            "scalar, fused forced on",
+                            "replica, forced scalar",
                             with_simd_backend(SimdBackend::Scalar, || {
-                                with_fused_gemm(true, || packed.forward_batch_at(i, &x))
+                                replica.forward_batch_at(i, &x)
                             }),
                         ),
                     ];
@@ -325,9 +308,9 @@ fn prepacked_kernel_weights_serve_every_route_bit_identically() {
 /// Whole layers whose GEMM has fewer columns than one column block — the
 /// thin, reduction-lane kernels' territory — and just past it: a 1×1 and a
 /// strided 3×3 onto a 2×2 map, a grouped conv, and a linear at every batch
-/// from 1 to 9 (the block boundary is 8 columns on AVX2). Dispatched, fused
-/// off, forced scalar and forced AVX2 must agree on every bit, at 1 and 3
-/// threads, per-sample and whole-tensor scales alike.
+/// from 1 to 9 (the block boundary is 8 columns on AVX2). Dispatched, forced
+/// scalar and forced AVX2 must agree on every bit, at 1 and 3 threads,
+/// per-sample and whole-tensor scales alike.
 #[test]
 fn thin_layers_serve_every_route_bit_identically() {
     let bits = BitWidthSet::large_range();
@@ -365,8 +348,6 @@ fn thin_layers_serve_every_route_bit_identically() {
                         );
                         let scalar = with_simd_backend(SimdBackend::Scalar, run);
                         assert_bits_eq(&run(), &scalar, &format!("dispatched: {ctx}"));
-                        let widen = with_fused_gemm(false, run);
-                        assert_bits_eq(&widen, &scalar, &format!("fused off: {ctx}"));
                         if avx2_available() {
                             let avx2 = with_simd_backend(SimdBackend::Avx2, run);
                             assert_bits_eq(&avx2, &scalar, &format!("forced avx2: {ctx}"));
@@ -383,13 +364,13 @@ fn thin_layers_serve_every_route_bit_identically() {
     }
 }
 
-/// The overrides are process-global, so a forward running *outside* a
-/// `with_simd_backend` / `with_fused_gemm` scope may see the active kernel
-/// table change under it. Every layer takes one snapshot of the table and
-/// routes on that alone — a route that straddled two tables would look up a
-/// fused kernel in a table that has none. Here one thread flips both
-/// overrides as fast as it can while another serves; every output must still
-/// be the reference, bit for bit.
+/// The override is process-global, so a forward running *outside* a
+/// `with_simd_backend` scope may see the active kernel table change under
+/// it. Every layer takes one snapshot of the table and routes on that alone
+/// — a route that straddled two tables would look up a fused kernel in a
+/// table that has none. Here one thread flips the table between scalar and
+/// (where the CPU has it) AVX2 as fast as it can while another serves; every
+/// output must still be the reference, bit for bit.
 #[test]
 fn forwards_are_unmoved_by_overrides_flipping_under_them() {
     let bits = BitWidthSet::large_range();
@@ -403,9 +384,11 @@ fn forwards_are_unmoved_by_overrides_flipping_under_them() {
     let done = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            for flip in 0..4000 {
+            for _ in 0..4000 {
                 with_simd_backend(SimdBackend::Scalar, std::thread::yield_now);
-                with_fused_gemm(flip % 2 == 0, std::thread::yield_now);
+                if avx2_available() {
+                    with_simd_backend(SimdBackend::Avx2, std::thread::yield_now);
+                }
             }
             done.store(true, std::sync::atomic::Ordering::SeqCst);
         });
@@ -421,6 +404,81 @@ fn forwards_are_unmoved_by_overrides_flipping_under_them() {
             served += 1;
         }
     });
+}
+
+/// The census the f32 tier's lack of SIMD GEMM kernels rests on, read off
+/// `forward_profiled`'s route labels: on the table detection picks (forced,
+/// so no sibling test's scope can swap it mid-census) no GEMM — conv,
+/// pointwise or linear — of MobileNetV2 or the serving CNN reports
+/// `Tier(F32)`, at any `large_range()` width and batch {1, 16}; on the
+/// scalar table every ≤ 8-bit one does, having no fused route to take.
+/// Depthwise layers read pack-time taps on every table and are no GEMM.
+#[test]
+fn no_gemm_reaches_the_f32_tier_on_a_fused_table() {
+    let detected = if avx2_available() {
+        SimdBackend::Avx2
+    } else if neon_available() {
+        SimdBackend::Neon
+    } else {
+        eprintln!("skipping: no SIMD backend on this CPU");
+        return;
+    };
+    let bits = BitWidthSet::large_range();
+    let mut rng = StdRng::seed_from_u64(0xCE45);
+    let mbv2 = models::mobilenet_v2(0.25, 2, 10, (16, 16), bits.len(), 5);
+    let mbv2 = PackedModel::prepack(&mbv2, &bits, Quantizer::Sbm).unwrap();
+    // The stem + quantized-head CNN the burst workload serves, one width each.
+    let cnn = |rng: &mut StdRng, width: u8| {
+        let relu = Activation::Relu;
+        let mut cnn = Sequential::new();
+        cnn.push(Box::new(ConvBnAct::new(
+            rng, "stem", 3, 8, 3, 2, 1, 1, relu, false,
+        )));
+        cnn.push(Box::new(ConvBnAct::new(
+            rng, "conv2", 8, 32, 3, 2, 1, 1, relu, true,
+        )));
+        cnn.push(Box::new(GlobalAvgPool));
+        cnn.push(Box::new(QuantLinear::new(rng, "fc1", 32, 256)));
+        cnn.push(Box::new(QuantLinear::new(rng, "fc2", 256, 256)));
+        cnn.push(Box::new(QuantLinear::new(rng, "fc3", 256, 10)));
+        let set = BitWidthSet::new(vec![width]).unwrap();
+        PackedModel::prepack(&cnn, &set, Quantizer::Sbm).unwrap()
+    };
+    let routes = |packed: &PackedModel, i: usize, x: &Tensor| {
+        let mut ops = Vec::new();
+        packed.forward_profiled(i, x, &mut |op| ops.push((op.kind, op.route)));
+        ops
+    };
+    for batch in [1usize, 16] {
+        let x_mbv2 = init::uniform(&mut rng, &[batch, 3, 16, 16], -0.3, 1.2);
+        let x_cnn = init::uniform(&mut rng, &[batch, 3, 8, 8], -0.3, 1.2);
+        for (i, width) in bits.widths().iter().map(|w| w.get()).enumerate() {
+            let serving = cnn(&mut rng, width);
+            for (name, packed, index, x) in
+                [("mbv2", &mbv2, i, &x_mbv2), ("cnn", &serving, 0, &x_cnn)]
+            {
+                let dispatched = with_simd_backend(detected, || {
+                    assert!(fused_gemm_enabled());
+                    routes(packed, index, x)
+                });
+                let scalar = with_simd_backend(SimdBackend::Scalar, || routes(packed, index, x));
+                let mut gemms = 0;
+                for ((kind, route), (_, scalar_route)) in dispatched.iter().zip(&scalar) {
+                    if !matches!(*kind, "conv" | "pointwise" | "linear") {
+                        continue;
+                    }
+                    gemms += 1;
+                    let ctx = format!("{name} w{width} batch {batch}: {kind} #{gemms}");
+                    assert!(!route.starts_with("Tier(F32)"), "{ctx} took {route}");
+                    if width <= 8 && route != "F32/Columns" {
+                        let want = "Tier(F32)/Columns";
+                        assert_eq!(scalar_route, want, "{ctx} on the scalar table");
+                    }
+                }
+                assert!(gemms > 0, "{name}: no GEMM profiled");
+            }
+        }
+    }
 }
 
 proptest! {
