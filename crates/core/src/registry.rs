@@ -579,10 +579,11 @@ mod tests {
     use instantnet_nn::{checkpoint, models};
     use instantnet_quant::{BitWidthSet, Quantizer};
 
+    /// A temp file named per process: concurrent runs of this suite must
+    /// not share it.
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("instantnet-registry-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        let pid = std::process::id();
+        std::env::temp_dir().join(format!("instantnet-registry-{pid}-{name}"))
     }
 
     fn packed(seed: u64, bits: &BitWidthSet) -> PackedModel {
@@ -651,6 +652,7 @@ mod tests {
         let err = reg
             .publish_checkpoint(&net, &path, "corrupt", None)
             .unwrap_err();
+        std::fs::remove_file(&path).unwrap();
         assert!(
             matches!(err.checkpoint_error(), Some(CheckpointError::Corrupt(_))),
             "bit flip must surface as Corrupt, got {err}"
@@ -670,6 +672,7 @@ mod tests {
 
         let reg = ModelRegistry::new(packed(9, &bits), "seed");
         reg.publish_checkpoint(&net, &path, "v2", None).unwrap();
+        std::fs::remove_file(&path).unwrap();
         assert_eq!(reg.current().source_crc(), expected);
         assert_ne!(expected, 0);
     }

@@ -1,15 +1,16 @@
-//! Packed-network execution: exact integer/f32-lane GEMM kernels for
-//! packed layers, f32 fallbacks for unpacked ones, activation
-//! re-quantization between layers.
+//! Packed-network execution: one GEMM driver and one depthwise kernel for
+//! every packed layer at every width, activation re-quantization between
+//! layers.
 //!
-//! **One integer GEMM driver, and the batch is a GEMM dimension.** Every
-//! integer conv and linear — the pointwise conv on a 1×1 map — runs
-//! [`gemm_int`] on its [`Route`], which builds one `[cg·r·s, n·oh·ow]` patch
-//! matrix per group for the batch ([`conv_blocks`]: sample `i` owns columns
-//! `i·oh·ow..`; a layer whose matrix would outgrow L1 goes in blocks of
-//! whole samples instead), and the kernel runs once per weight row over all
-//! of those columns ([`gemm_rows`]); the dequant epilogue then stores each
-//! sample's segment of the row into the sample-major output with that
+//! **One GEMM driver, and the batch is a GEMM dimension.** Every conv and
+//! linear — the pointwise conv on a 1×1 map — runs [`gemm_int`] on its
+//! [`Route`], the f32 fallback ([`DenseF32`]: full precision, raw-input
+//! stems, 17–31 bits) as one more route. It builds one `[cg·r·s, n·oh·ow]`
+//! patch matrix per group for the batch ([`conv_blocks`]: sample `i` owns
+//! columns `i·oh·ow..`; a layer whose matrix would outgrow L1 goes in blocks
+//! of whole samples instead), and the kernel runs once per weight row over
+//! all of those columns ([`gemm_rows`]); the dequant epilogue then stores
+//! each sample's segment of the row into the sample-major output with that
 //! sample's own activation scale. Weights are read in their pack-time
 //! kernel layout ([`KernelWeights`]; the tiers decode each row once per
 //! matrix). The parallel split is over weight rows ([`par_rows`]) — over
@@ -34,13 +35,15 @@
 //! nothing of another sample — every output is bit-identical to running
 //! its sample alone.
 //!
-//! **Quantize once, into the operand.** Each packed layer quantizes its
-//! input straight into the operand its kernel reads, through the kernel
-//! table's max-abs and emitters (`crate::simd::Layout`): contiguous codes
-//! for `im2col`, rows of a zero-padded depthwise frame, `[hw, c]` for
-//! channel lanes, and a pointwise layer's code planes straight into its
-//! `[c, n·p]` rows, fused word interleave or thin column-major operand — no
-//! intermediate code buffer, no interleave pass.
+//! **Quantize once, into the operand.** Each layer lays its input straight
+//! into the operand its kernel reads, through its route's [`Source`]: on
+//! the integer routes the kernel table's max-abs and emitters
+//! (`crate::simd::Layout`) — contiguous codes for `im2col`, rows of a
+//! zero-padded depthwise frame, `[hw, c]` for channel lanes, and a pointwise
+//! layer's code planes straight into its `[c, n·p]` rows, fused word
+//! interleave or thin column-major operand — with no intermediate code
+//! buffer and no interleave pass; on the f32 fallback the values
+//! themselves, fake-quantized where a grid applies, in the same layouts.
 //!
 //! Determinism contract (mirrors `instantnet-tensor`): accumulation is
 //! exact, dequantization is elementwise, and every parallel region
@@ -246,9 +249,10 @@ macro_rules! to_f32 {
 }
 to_f32!(f32, i32, i64);
 
-/// One arithmetic of the integer GEMM driver ([`gemm_int`]): an accumulator
-/// [`Tier`] or a [`Fused`] flavour. Every route computes the *same exact
-/// value*, whatever its order, batch packing or thread count.
+/// One arithmetic of the GEMM driver ([`gemm_int`]): an accumulator [`Tier`]
+/// — the f32 fallback among them — or a [`Fused`] flavour. Every integer
+/// route computes the *same exact value*, whatever its order, batch packing
+/// or thread count.
 pub(crate) trait Route: Sync {
     /// The lane type activation codes are emitted in.
     type Lane: EmitLane + Into<Self::Cs>;
@@ -256,6 +260,8 @@ pub(crate) trait Route: Sync {
     type Cs: ToF32 + Default + Copy + Send + Sync + Sum + AddAssign;
     /// A layer's weight-row kernel, out of one kernel table.
     type Kernel<'g>: Copy + Sync;
+    /// A worker's scratch across its run of rows.
+    type Scratch: Default;
     /// Reduction rows per pack-time weight word: the lanes of a column that
     /// sit adjacent in the column kernels' operand (1: plain `[q, l]` rows).
     const GROUP: usize = 1;
@@ -263,20 +269,25 @@ pub(crate) trait Route: Sync {
     /// accumulator is off by `WEIGHT_BIAS · colsum` per column.
     const WEIGHT_BIAS: i32 = 0;
 
-    /// Table `k`'s kernel for layer `g`'s GEMM over `l` columns and the
-    /// interleave group of its operand: [`Self::GROUP`] for the column-block
-    /// kernels, the whole reduction (zero-padded to their vector step) for
-    /// the thin ones — every column contiguous.
-    fn route<'g>(k: &Kernels, g: &'g PackedGemm, l: usize) -> (Self::Kernel<'g>, usize);
+    /// Table `k`'s kernel for layer `g`'s GEMM over `n` samples of `p`
+    /// columns and the interleave group of its operand: [`Self::GROUP`] for
+    /// the column-block kernels, the whole reduction (zero-padded to their
+    /// vector step) for the thin ones — every column contiguous.
+    fn route<'g>(k: &Kernels, g: &'g PackedGemm, np: (usize, usize)) -> (Self::Kernel<'g>, usize);
     /// `acc` = weight row `row` times `block`, one group's operand, exactly
-    /// (`cs`: the block's column sums where needed; `wrow`: scratch).
+    /// (`cs`: the block's column sums where needed).
     fn step(
         kernel: Self::Kernel<'_>,
         row: usize,
         block_cs: (&[Self::Lane], &[Self::Cs]),
-        wrow: &mut Vec<Self::Lane>,
+        scratch: &mut Self::Scratch,
         acc: &mut [Self::Acc],
     );
+    /// The batch's activations as this route's operands read them: codes on
+    /// each sample's grid unless the route says otherwise.
+    fn source<'x>(k: &Kernels, x: &'x [f32], n: usize, rule: ActRule) -> Source<'x, Self::Lane> {
+        Source::codes(k, x, n, rule)
+    }
 
     /// Adds the column sums of one group's operand `block`, in interleave
     /// group `ig`, to `cs` — exact; zero padding adds nothing.
@@ -301,29 +312,35 @@ type TierKernels<C, A> = (
     fn(&mut [A], &[C], &[C]),
 );
 
-/// One exact accumulator tier — f32 arithmetic on integers below 2^24 is
-/// lossless: the [`Route`] that decodes each weight row, and the arithmetic
-/// of [`Depthwise`].
-pub(crate) trait Tier: Sync {
+/// A route that is an accumulator tier — an exact one (f32 arithmetic on
+/// integers below 2^24 is lossless), or the f32 fallback's real-valued
+/// chains: the arithmetic of [`Depthwise`].
+pub(crate) trait Tier: Route {
+    /// Depthwise layer `g`'s pack-time `[r·s, c]` taps in this tier's lanes:
+    /// read in place in the tier they were packed for, converted for a
+    /// wider one.
+    fn taps(g: &PackedGemm) -> Cow<'_, [Self::Lane]>;
+    fn mad(acc: Self::Acc, w: Self::Lane, a: Self::Lane) -> Self::Acc;
+}
+
+/// An exact tier's GEMM, the [`Route`] that decodes each weight row.
+pub(crate) trait Decode: Sync {
     type Code: EmitLane + Into<Self::Cs>;
     type Acc: ToF32 + Default;
     type Cs: ToF32 + Default + Copy + Send + Sync + Sum + AddAssign;
-
     /// Table `k`'s decode and accumulate kernels in this tier's lanes.
     fn kernels(k: &Kernels) -> TierKernels<Self::Code, Self::Acc>;
-    /// A depthwise layer's pack-time tap table in this tier's lanes: read in
-    /// place in the tier it was packed for, converted for a wider one.
-    fn taps(taps: &Taps) -> Cow<'_, [Self::Code]>;
-    fn mad(acc: Self::Acc, w: Self::Code, a: Self::Code) -> Self::Acc;
 }
 
-impl<T: Tier> Route for T {
+impl<T: Decode> Route for T {
     type Lane = T::Code;
     type Acc = T::Acc;
     type Cs = T::Cs;
     type Kernel<'g> = (TierKernels<T::Code, T::Acc>, &'g Storage, usize);
+    /// The decoded weight row.
+    type Scratch = Vec<T::Code>;
 
-    fn route<'g>(k: &Kernels, g: &'g PackedGemm, _: usize) -> (Self::Kernel<'g>, usize) {
+    fn route<'g>(k: &Kernels, g: &'g PackedGemm, _: (usize, usize)) -> (Self::Kernel<'g>, usize) {
         ((T::kernels(k), &g.storage, g.cols), 1)
     }
     fn step(
@@ -350,17 +367,26 @@ struct TierF32;
 struct TierI32;
 /// Anything wider (12/16-bit layers with long reductions).
 struct TierI64;
+/// The f32 fallback ([`Arith::F32`]: full precision, raw-input stems, 17–31
+/// bits): real-valued [`Storage::F32`] weights, read in place, against the
+/// activations themselves, fake-quantized where a grid applies, at unit
+/// scale ([`Source::values`]). Each output is one chain over the reduction
+/// in ascending order, started at `+0.0`, zero weights skipped —
+/// `Tensor::matmul`'s order, which no column count or batch changes.
+struct DenseF32;
 
-impl Tier for TierF32 {
+impl Decode for TierF32 {
     type Code = f32;
     type Acc = f32;
     type Cs = f32;
-
     fn kernels(_: &Kernels) -> TierKernels<f32, f32> {
-        (Storage::decode_row_f32_scalar, accumulate_f32_scalar)
+        (Storage::decode_row_scalar, accumulate_f32_scalar)
     }
-    fn taps(taps: &Taps) -> Cow<'_, [f32]> {
-        match taps {
+}
+
+impl Tier for TierF32 {
+    fn taps(g: &PackedGemm) -> Cow<'_, [f32]> {
+        match tap_table(g) {
             Taps::F32(t) => Cow::Borrowed(t),
             Taps::I32(t) => Cow::Owned(t.iter().map(|&c| c as f32).collect()),
         }
@@ -370,43 +396,152 @@ impl Tier for TierF32 {
     }
 }
 
-impl Tier for TierI32 {
+impl Decode for TierI32 {
     type Code = i32;
     type Acc = i32;
     // i64 column sums guard 16-bit × long-reduction overflow (shared with
     // the i64 tier; cheap relative to the multiply loop).
     type Cs = i64;
-
     fn kernels(k: &Kernels) -> TierKernels<i32, i32> {
         (k.decode_row_i32, k.accumulate_i32)
     }
-    fn taps(taps: &Taps) -> Cow<'_, [i32]> {
-        i32_taps(taps)
+}
+
+impl Tier for TierI32 {
+    fn taps(g: &PackedGemm) -> Cow<'_, [i32]> {
+        i32_taps(g)
     }
     fn mad(acc: i32, w: i32, a: i32) -> i32 {
         acc + w * a
     }
 }
 
-impl Tier for TierI64 {
+impl Decode for TierI64 {
     type Code = i32;
     type Acc = i64;
     type Cs = i64;
-
     fn kernels(k: &Kernels) -> TierKernels<i32, i64> {
         (k.decode_row_i32, k.accumulate_i64)
     }
-    fn taps(taps: &Taps) -> Cow<'_, [i32]> {
-        i32_taps(taps)
+}
+
+impl Tier for TierI64 {
+    fn taps(g: &PackedGemm) -> Cow<'_, [i32]> {
+        i32_taps(g)
     }
     fn mad(acc: i64, w: i32, a: i32) -> i64 {
         acc + i64::from(w) * i64::from(a)
     }
 }
 
+impl Tier for DenseF32 {
+    fn taps(g: &PackedGemm) -> Cow<'_, [f32]> {
+        let Storage::F32(w) = &g.storage else {
+            unreachable!("Arith::of routes only f32 storage here");
+        };
+        // Depthwise f32 weights are stored tap-major too (`pack.rs`).
+        Cow::Borrowed(w)
+    }
+    fn mad(acc: f32, w: f32, a: f32) -> f32 {
+        acc + w * a
+    }
+}
+
+impl DenseF32 {
+    /// Rows in the lanes: one register of f32 lanes on AVX2.
+    const ROWS: usize = 8;
+}
+
+impl Route for DenseF32 {
+    type Lane = f32;
+    type Acc = f32;
+    type Cs = f32;
+    /// The weights, the reduction length, and whether the rows go in the
+    /// lanes.
+    type Kernel<'g> = (&'g [f32], usize, bool);
+    /// With the rows in the lanes: the chains of the last block of
+    /// [`Self::ROWS`] rows, and which (first row, operand) they are for.
+    type Scratch = (Vec<f32>, Option<(usize, *const f32)>);
+
+    fn route<'g>(
+        _: &Kernels,
+        g: &'g PackedGemm,
+        (_, p): (usize, usize),
+    ) -> (Self::Kernel<'g>, usize) {
+        let Storage::F32(w) = &g.storage else {
+            unreachable!("Arith::of routes only f32 storage here");
+        };
+        ((w, g.cols, p < Self::ROWS), 1)
+    }
+    /// The columns go in the lanes, one row at a time, zero weights
+    /// skipped — where a sample's output map fills a register. Where it
+    /// does not (a linear's one pixel, a 2×2 map), one row's chain would
+    /// wait on its adder at small batch, so the rows go in the lanes: the
+    /// first row asked for of each aligned block of [`Self::ROWS`] reduces
+    /// the whole block — per column, lane `r` of its `[f32; ROWS]` in the
+    /// scratch is row `b + r`'s chain, a short last block running its final
+    /// row in the spare lanes — and the block's other rows are read back
+    /// from it. There zero activations are skipped, one test per column. On
+    /// finite values either skip drops only `±0.0` terms, which leave a
+    /// chain started at `+0.0` alone; the choice is the layer's geometry,
+    /// never its batch.
+    fn step(
+        (w, q, thin): Self::Kernel<'_>,
+        row: usize,
+        (block, _): (&[f32], &[f32]),
+        (chains, held): &mut Self::Scratch,
+        acc: &mut [f32],
+    ) {
+        let l = block.len() / q;
+        if !thin {
+            acc.fill(0.0);
+            for (&wv, arow) in w[row * q..][..q].iter().zip(block.chunks_exact(l)) {
+                if wv != 0.0 {
+                    for (o, &v) in acc.iter_mut().zip(arow) {
+                        *o += wv * v;
+                    }
+                }
+            }
+            return;
+        }
+        let b = row / Self::ROWS * Self::ROWS;
+        if *held != Some((b, block.as_ptr())) {
+            let rows = Self::ROWS.min(w.len() / q - b);
+            chains.clear();
+            chains.resize(Self::ROWS * l, 0.0);
+            let (chains, _) = chains.as_chunks_mut::<{ Self::ROWS }>();
+            for (p, arow) in block.chunks_exact(l).enumerate() {
+                let wp: [f32; Self::ROWS] =
+                    std::array::from_fn(|r| w[(b + r.min(rows - 1)) * q + p]);
+                for (lanes, &a) in chains.iter_mut().zip(arow) {
+                    for (s, &wv) in lanes.iter_mut().zip(&wp) {
+                        *s += if a != 0.0 { a * wv } else { 0.0 };
+                    }
+                }
+            }
+            *held = Some((b, block.as_ptr()));
+        }
+        let (chains, _) = chains.as_chunks::<{ Self::ROWS }>();
+        for (o, lanes) in acc.iter_mut().zip(chains) {
+            *o = lanes[row - b];
+        }
+    }
+    fn source<'x>(_: &Kernels, x: &'x [f32], n: usize, rule: ActRule) -> Source<'x, f32> {
+        Source::values(x, n, rule)
+    }
+}
+
+/// A depthwise layer's pack-time tap table.
+fn tap_table(g: &PackedGemm) -> &Taps {
+    let KernelWeights::Taps(taps) = &g.kernel else {
+        unreachable!("exec_int routes only layers with a tap table here");
+    };
+    taps
+}
+
 /// [`Tier::taps`] of the two i32-lane tiers.
-fn i32_taps(taps: &Taps) -> Cow<'_, [i32]> {
-    match taps {
+fn i32_taps(g: &PackedGemm) -> Cow<'_, [i32]> {
+    match tap_table(g) {
         Taps::I32(t) => Cow::Borrowed(t),
         Taps::F32(t) => Cow::Owned(t.iter().map(|&c| c as i32).collect()),
     }
@@ -534,65 +669,133 @@ fn accumulate_f32_scalar(acc: &mut [f32], wrow: &[f32], acts: &[f32]) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched integer execution
+// Batched execution
 // ---------------------------------------------------------------------------
 
-/// One activation grid per sample of the `n` in `x` — its own, or the whole
-/// batch's under [`ActQuant::PerBatch`] — each max-abs on `k`.
-fn sample_grids(k: &Kernels, x: &[f32], n: usize, rule: ActRule) -> Vec<ActivationGrid> {
-    let grid_of = |src: &[f32]| {
-        let grid = rule
-            .quantizer
-            .activation_grid_with(src, rule.bits, k.max_abs);
-        grid.expect("integer storage implies quantized activations")
-    };
-    let len = x.len() / n;
-    match rule.aq {
-        ActQuant::PerBatch => vec![grid_of(x); n],
-        ActQuant::PerSample => (0..n).map(|i| grid_of(&x[i * len..][..len])).collect(),
+/// A batch's activations as a route's operand builders read them — what
+/// [`Route::source`] answers: the values its emitter lays out, and each
+/// sample's activation scale.
+pub(crate) struct Source<'x, L> {
+    values: Cow<'x, [f32]>,
+    scales: Vec<f32>,
+    /// Writes sample `i`'s values `src` into `dst` in a [`Layout`].
+    #[allow(clippy::type_complexity)]
+    emit: Box<dyn Fn(usize, &[f32], &mut [L], Layout) + Sync + 'x>,
+    /// Values in lanes `L` where they are an operand as they stand (the f32
+    /// fallback's), else `None`.
+    direct: fn(&[f32]) -> Option<&[L]>,
+}
+
+impl<'x, L: EmitLane> Source<'x, L> {
+    /// The integer routes' source: codes on each sample's activation grid —
+    /// its own, or the whole batch's under [`ActQuant::PerBatch`] — through
+    /// table `k`'s max-abs and emitter, every layout handed to it as
+    /// [`Layout::canonical`].
+    fn codes(k: &Kernels, x: &'x [f32], n: usize, rule: ActRule) -> Self {
+        let grid_of = |src: &[f32]| {
+            let grid = rule
+                .quantizer
+                .activation_grid_with(src, rule.bits, k.max_abs);
+            grid.expect("integer storage implies quantized activations")
+        };
+        let len = x.len() / n;
+        let grids = match rule.aq {
+            ActQuant::PerBatch => vec![grid_of(x); n],
+            ActQuant::PerSample => (0..n).map(|i| grid_of(&x[i * len..][..len])).collect(),
+        };
+        let (scales, emit) = (
+            grids.iter().map(ActivationGrid::scale).collect(),
+            L::emitter(k),
+        );
+        Source {
+            values: Cow::Borrowed(x),
+            scales,
+            emit: Box::new(move |i, src, dst, layout| {
+                emit(&grids[i], src, dst, layout.canonical::<L>());
+            }),
+            direct: |_| None,
+        }
+    }
+
+    /// The batch's values, sample-major and contiguous, in lanes `L` — what
+    /// `im2col` unfolds for a conv with a real kernel window.
+    fn contiguous(&self) -> Cow<'_, [L]> {
+        let (x, n) = (&self.values[..], self.scales.len());
+        if let Some(x) = (self.direct)(x) {
+            return Cow::Borrowed(x);
+        }
+        let len = (x.len() / n).max(1);
+        let mut out = vec![L::default(); x.len()];
+        gate(x.len() >= PAR_FLOP_THRESHOLD, || {
+            par_chunks_mut(&mut out, len, |i, dst| {
+                let (width, pitch) = (len, len);
+                let src = &x[i * len..(i + 1) * len];
+                (self.emit)(i, src, dst, Layout::Rows { width, pitch });
+            })
+        });
+        Cow::Owned(out)
     }
 }
 
-/// Table `k`'s emitter for lanes `L`, handed every layout as
-/// [`Layout::canonical`]: the one way the engine calls an emitter.
-fn emitter<L: EmitLane>(k: &Kernels) -> impl Fn(&ActivationGrid, &[f32], &mut [L], Layout) + Sync {
-    let emit = L::emitter(k);
-    move |grid, src, dst, layout| emit(grid, src, dst, layout.canonical::<L>())
-}
-
-/// The batch's codes, sample-major and contiguous, in the consuming
-/// kernel's lane type `L` — what `im2col` unfolds for a conv with a real
-/// kernel window.
-fn sample_codes<L: EmitLane>(k: &Kernels, x: &[f32], grids: &[ActivationGrid]) -> Vec<L> {
-    let (len, emit) = ((x.len() / grids.len()).max(1), emitter(k));
-    let mut codes = vec![L::default(); x.len()];
-    gate(x.len() >= PAR_FLOP_THRESHOLD, || {
-        par_chunks_mut(&mut codes, len, |i, dst| {
-            let (width, pitch) = (len, len);
-            let src = &x[i * len..(i + 1) * len];
-            emit(&grids[i], src, dst, Layout::Rows { width, pitch });
-        })
-    });
-    codes
+impl<'x> Source<'x, f32> {
+    /// The f32 fallback's source ([`DenseF32`]): the values themselves,
+    /// fake-quantized on each sample's grid — the whole batch's under
+    /// [`ActQuant::PerBatch`] — where one applies (uncopied where none
+    /// does), at unit scale, copied into whatever layout the operand has.
+    fn values(x: &'x [f32], n: usize, rule: ActRule) -> Self {
+        let (bits, quantizer) = (rule.bits, rule.quantizer);
+        let values = if bits.is_full_precision() || matches!(quantizer, Quantizer::Identity) {
+            Cow::Borrowed(x)
+        } else {
+            let len = match rule.aq {
+                ActQuant::PerBatch => x.len(),
+                ActQuant::PerSample => x.len() / n,
+            };
+            let mut xq = x.to_vec();
+            for slice in xq.chunks_mut(len.max(1)) {
+                quantizer.quantize_activations_in_place(slice, bits);
+            }
+            Cow::Owned(xq)
+        };
+        // `dst[r·pitch + k·step] = src[r·width + k]`, the longer of the two
+        // axes innermost.
+        let copy = |_: usize, src: &[f32], dst: &mut [f32], layout: Layout| {
+            let (width, pitch, step) = match layout.canonical::<f32>() {
+                Layout::Rows { width, pitch } => (width, pitch, 1),
+                Layout::Transposed { width, pitch } => (width, 1, pitch),
+                Layout::Words { .. } => unreachable!("one-lane words are rows"),
+            };
+            if src.len() / width > width {
+                for k in 0..width {
+                    let to = dst[k * step..].iter_mut().step_by(pitch);
+                    to.zip(src[k..].iter().step_by(width))
+                        .for_each(|(o, &v)| *o = v);
+                }
+            } else if step == 1 {
+                for (r, row) in src.chunks(width).enumerate() {
+                    dst[r * pitch..][..row.len()].copy_from_slice(row);
+                }
+            } else {
+                for (r, row) in src.chunks(width).enumerate() {
+                    let to = dst[r..].iter_mut().step_by(step);
+                    to.zip(row).for_each(|(o, &v)| *o = v);
+                }
+            }
+        };
+        let (scales, emit) = (vec![1.0; n], Box::new(copy));
+        Source {
+            values,
+            scales,
+            emit,
+            direct: |x| Some(x),
+        }
+    }
 }
 
 /// Whether a conv's patch matrix is its input: a 1×1, stride-1, unpadded
 /// window, whose operand is emitted straight from the sample planes.
 fn is_pointwise(g: &ConvGeom) -> bool {
     g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
-}
-
-/// The patch matrix `[c·kh·kw, n·oh·ow]` of `n` samples of f32 activations
-/// — the unfold training uses. Group `gi` of a grouped conv owns the
-/// `cg·kh·kw` rows from `gi·cg·kh·kw`, sample `i` columns `i·oh·ow..` of
-/// every row. A lone sample under a pointwise window unfolds to itself, so
-/// its GEMM reads the planes in place.
-fn patch_matrix<'a>(x: &'a [f32], n: usize, c: usize, g: &ConvGeom) -> Cow<'a, [f32]> {
-    if n == 1 && is_pointwise(g) {
-        Cow::Borrowed(x)
-    } else {
-        Cow::Owned(im2col_batch(x, n, c, g))
-    }
 }
 
 /// Bytes one group's patch matrix may span: every weight row streams it
@@ -768,14 +971,14 @@ fn gemm_rows<R: Route>(
         out,
         (k, p),
         2 * k * g.cols * l,
-        || (Vec::new(), vec![R::Acc::default(); l]),
-        |row, (wrow, acc)| {
+        || (R::Scratch::default(), vec![R::Acc::default(); l]),
+        |row, (scratch, acc)| {
             let gi = group(row);
             let at = (
                 &operand[gi * block..][..block],
                 colsums.get(gi * l..).unwrap_or_default(),
             );
-            R::step(kernel, row, at, wrow, acc);
+            R::step(kernel, row, at, scratch, acc);
         },
         |row, (_, acc), at, runs| {
             let cs = g.has_offset.then(|| &colsums[group(row) * l..][..l]);
@@ -784,12 +987,13 @@ fn gemm_rows<R: Route>(
     );
 }
 
-/// The one integer GEMM driver: the dense conv `gemm` over the `n` samples
-/// of `x`, `[c, h, w]` apiece, on route `R` and table `k`, into the `[n, k,
-/// oh, ow]` result. Per block of samples ([`conv_blocks`]) the operand in
-/// the interleave group [`Route::route`] picks — a pointwise layer's codes
-/// emitted straight into it, any other conv's patch matrix unfolded from
-/// contiguous codes and interleaved — then [`gemm_rows`].
+/// The one GEMM driver: the dense conv `gemm` over the `n` samples of `x`,
+/// `[c, h, w]` apiece, on route `R` and table `k`, into the `[n, k, oh, ow]`
+/// result. Per block of samples ([`conv_blocks`]) the operand in the
+/// interleave group [`Route::route`] picks, from the route's [`Source`] — a
+/// pointwise layer's values emitted straight into it, any other conv's patch
+/// matrix unfolded from contiguous ones and interleaved — then
+/// [`gemm_rows`].
 fn gemm_int<R: Route>(
     k: &Kernels,
     gemm: &PackedGemm,
@@ -800,17 +1004,19 @@ fn gemm_int<R: Route>(
     rule: ActRule,
 ) -> Vec<f32> {
     let (p, chw, cg) = (g.oh * g.ow, c * g.h * g.w, c / groups);
-    let route @ (_, ig) = R::route(k, gemm, n * p);
-    let grids = timed_operand(|| sample_grids(k, x, n, rule));
-    let scales: Vec<f32> = grids.iter().map(ActivationGrid::scale).collect();
-    let codes = (!is_pointwise(g)).then(|| timed_operand(|| sample_codes(k, x, &grids)));
+    let route @ (_, ig) = R::route(k, gemm, (n, p));
+    let src = timed_operand(|| R::source(k, x, n, rule));
+    let codes = (!is_pointwise(g)).then(|| timed_operand(|| src.contiguous()));
     conv_blocks::<R::Lane>(gemm, g, n, |at, out| {
         let m = at.len();
-        let operand = timed_operand(|| match &codes {
+        let planes = (src.direct)(&src.values[at.start * chw..at.end * chw]);
+        let operand = timed_operand(|| match (&codes, planes) {
+            // A lone sample's planes are its plain-row operand as they stand.
+            (None, Some(planes)) if m == 1 && ig == 1 => Cow::Borrowed(planes),
             // Each sample's channel groups straight into their blocks, the
             // sample at column `i·p` of each.
-            None => {
-                let (emit, block) = (emitter(k), cg.div_ceil(ig) * ig * m * p);
+            (None, _) => {
+                let block = cg.div_ceil(ig) * ig * m * p;
                 let layout = if ig == R::GROUP {
                     let (width, pitch) = (p, m * p * ig);
                     Layout::Words { width, pitch }
@@ -820,22 +1026,22 @@ fn gemm_int<R: Route>(
                 };
                 let mut operand = vec![R::Lane::default(); groups * block];
                 for (i, s) in at.clone().enumerate() {
-                    let planes = x[s * chw..(s + 1) * chw].chunks(cg * p);
-                    for (src, dst) in planes.zip(operand.chunks_mut(block)) {
-                        emit(&grids[s], src, &mut dst[i * p * ig..], layout);
+                    let planes = src.values[s * chw..(s + 1) * chw].chunks(cg * p);
+                    for (plane, dst) in planes.zip(operand.chunks_mut(block)) {
+                        (src.emit)(s, plane, &mut dst[i * p * ig..], layout);
                     }
                 }
-                operand
+                Cow::Owned(operand)
             }
-            Some(codes) => {
+            (Some(codes), _) => {
                 let cols = im2col_batch(&codes[at.start * chw..at.end * chw], m, c, g);
-                match ig {
+                Cow::Owned(match ig {
                     1 => cols,
                     _ => interleave_blocks(&cols, groups, gemm.cols, m * p, ig),
-                }
+                })
             }
         });
-        gemm_rows::<R>(gemm, route, &operand, groups, (m, p), &scales[at], out)
+        gemm_rows::<R>(gemm, route, &operand, groups, (m, p), &src.scales[at], out)
     })
 }
 
@@ -849,17 +1055,10 @@ fn depthwise<T: Tier>(
     (n, c): (usize, usize),
     rule: ActRule,
 ) -> Vec<f32> {
-    let KernelWeights::Taps(taps) = &gemm.kernel else {
-        unreachable!("exec_conv routes only layers with a tap table here");
-    };
-    let grids = timed_operand(|| sample_grids(k, x, n, rule));
-    let scales: Vec<f32> = grids.iter().map(ActivationGrid::scale).collect();
-    let (taps, lanes, emit) = (T::taps(taps), dw_lanes(g, k), emitter(k));
-    let fill = |i: usize, src: &[f32], dst: &mut [T::Code], layout| {
-        emit(&grids[i], src, dst, layout);
-    };
-    let operand = timed_operand(|| dw_operand(x, (n, c), g, lanes, fill));
-    let (taps, operand, scales) = (&taps[..], &operand[..], &scales[..]);
+    let src = timed_operand(|| T::source(k, x, n, rule));
+    let (taps, lanes) = (T::taps(gemm), dw_lanes(g, k));
+    let operand = timed_operand(|| dw_operand(&src, c, g, lanes));
+    let (taps, operand, scales) = (&taps[..], &operand[..], &src.scales[..]);
     Depthwise::<T> {
         gemm,
         taps,
@@ -875,17 +1074,11 @@ fn depthwise<T: Tier>(
 /// layer's [`dw_lanes`], decided once per execution (the active kernel table
 /// may change under a running forward; layout and kernel must agree): per
 /// sample `[h·w, c]` (channels in the lanes), or per plane a zero-padded
-/// `[h + 2·pad, w + 2·pad]` frame (pixels in the lanes). `fill(i, src, dst,
-/// layout)` writes sample `i`'s values `src` — a plane's rows into a frame,
-/// or the whole sample transposed — to `dst` in `layout`: activation codes
-/// on the integer tiers, the values themselves on the f32 path.
-fn dw_operand<L: Copy + Default + Send + Sync>(
-    x: &[f32],
-    (n, c): (usize, usize),
-    g: &ConvGeom,
-    lanes: Lanes,
-    fill: impl Fn(usize, &[f32], &mut [L], Layout) + Sync,
-) -> Vec<L> {
+/// `[h + 2·pad, w + 2·pad]` frame (pixels in the lanes), each sample's
+/// values — a plane's rows into a frame, or the whole sample transposed —
+/// written by `src`'s emitter.
+fn dw_operand<L: EmitLane>(src: &Source<L>, c: usize, g: &ConvGeom, lanes: Lanes) -> Vec<L> {
+    let (x, n) = (&src.values[..], src.scales.len());
     let (hw, fw) = (g.h * g.w, g.w + 2 * g.pad);
     let frame = (g.h + 2 * g.pad) * fw;
     let pixels = lanes == Lanes::Pixels;
@@ -893,20 +1086,16 @@ fn dw_operand<L: Copy + Default + Send + Sync>(
     let mut out = vec![L::default(); n * per_sample];
     gate(x.len() >= PAR_FLOP_THRESHOLD, || {
         par_chunks_mut(&mut out, per_sample.max(1), |i, dst| {
-            let src = &x[i * c * hw..(i + 1) * c * hw];
+            let sample = &x[i * c * hw..(i + 1) * c * hw];
             if pixels {
                 let (width, pitch) = (g.w, fw);
-                for (plane, dst) in src.chunks(hw.max(1)).zip(dst.chunks_mut(frame)) {
-                    fill(
-                        i,
-                        plane,
-                        &mut dst[g.pad * fw + g.pad..],
-                        Layout::Rows { width, pitch },
-                    );
+                for (plane, dst) in sample.chunks(hw.max(1)).zip(dst.chunks_mut(frame)) {
+                    let dst = &mut dst[g.pad * fw + g.pad..];
+                    (src.emit)(i, plane, dst, Layout::Rows { width, pitch });
                 }
             } else {
                 let (width, pitch) = (hw, c);
-                fill(i, src, dst, Layout::Transposed { width, pitch });
+                (src.emit)(i, sample, dst, Layout::Transposed { width, pitch });
             }
         })
     });
@@ -919,15 +1108,15 @@ fn dw_operand<L: Copy + Default + Send + Sync>(
 /// axis (`lanes`, the operand's). Either way a pixel accumulates its taps in
 /// `im2col` row order, exactly (integers, or f32 lanes below 2^24) — so the
 /// result matches the grouped-GEMM path bit for bit in every tier; on the
-/// f32 fallback (`T = TierF32`, real-valued taps, unit `scales`) a frame's
+/// f32 fallback (`T = DenseF32`, real-valued taps, unit `scales`) a frame's
 /// zero padding adds `±0.0` terms to a chain that started at `+0.0`, which
 /// leaves every partial sum's bits alone.
 struct Depthwise<'a, T: Tier> {
     gemm: &'a PackedGemm,
-    taps: &'a [T::Code],
+    taps: &'a [T::Lane],
     g: &'a ConvGeom,
     lanes: Lanes,
-    operand: &'a [T::Code],
+    operand: &'a [T::Lane],
     scales: &'a [f32],
 }
 
@@ -1095,15 +1284,20 @@ impl<L: FusedLane> Route for Fused<L> {
     type Acc = i32;
     type Cs = i32;
     type Kernel<'g> = (FusedKernel<L>, &'g [u32], usize);
+    type Scratch = ();
     const GROUP: usize = 4 / std::mem::size_of::<L>();
     const WEIGHT_BIAS: i32 = L::WEIGHT_BIAS;
 
-    fn route<'g>(k: &Kernels, g: &'g PackedGemm, l: usize) -> (Self::Kernel<'g>, usize) {
+    fn route<'g>(
+        k: &Kernels,
+        g: &'g PackedGemm,
+        (n, p): (usize, usize),
+    ) -> (Self::Kernel<'g>, usize) {
         let KernelWeights::Words(words) = &g.kernel else {
             unreachable!("Arith::of routes only layers with weight words here");
         };
         let ([columns, thin], stride) = (L::kernels(k), g.cols.div_ceil(Self::GROUP));
-        let (kernel, ig) = match L::ARITH.gemm_lanes(l, k) {
+        let (kernel, ig) = match L::ARITH.gemm_lanes(n * p, k) {
             Lanes::Reduction => (thin, stride.next_multiple_of(THIN_WORDS) * Self::GROUP),
             _ => (columns, Self::GROUP),
         };
@@ -1113,7 +1307,7 @@ impl<L: FusedLane> Route for Fused<L> {
         (kernel, words, stride): Self::Kernel<'_>,
         row: usize,
         (block, cs): (&[L], &[i32]),
-        _: &mut Vec<L>,
+        _: &mut (),
         acc: &mut [i32],
     ) {
         acc.fill(0);
@@ -1159,55 +1353,33 @@ fn interleave_blocks<L: Copy + Default + Send + Sync>(
     out
 }
 
-// ---------------------------------------------------------------------------
-// f32 fallback path (full precision, raw-input stems, > 16 bits)
-// ---------------------------------------------------------------------------
-
-/// Fake-quantizes activations at the requested granularity on the f32 path
-/// (`PerSample` slices keep serving outputs bit-identical to batch-of-one
-/// forwards); where there is no grid the input is passed through uncopied.
-fn quantize_acts_f32<'a>(x: &'a Tensor, rule: ActRule) -> Cow<'a, Tensor> {
-    let (bits, quantizer) = (rule.bits, rule.quantizer);
-    if bits.is_full_precision() || matches!(quantizer, Quantizer::Identity) {
-        return Cow::Borrowed(x);
-    }
-    Cow::Owned(match rule.aq {
-        ActQuant::PerBatch => quantizer.quantize_activations_tensor(x, bits),
-        ActQuant::PerSample => {
-            let mut xq = x.clone();
-            let sample_len = x.len() / x.dims()[0].max(1);
-            for sample in xq.data_mut().chunks_mut(sample_len.max(1)) {
-                quantizer.quantize_activations_in_place(sample, bits);
-            }
-            xq
-        }
-    })
-}
-
-/// An integer conv over the `n` samples of `x`, `[c, h, w]` apiece, on
-/// table `k`: [`Depthwise`] on a tap table, else [`gemm_int`] on the
-/// layer's [`Route`]; `None` for an f32 layer.
+/// A conv over the `n` samples of `x`, `[c, h, w]` apiece, on table `k`:
+/// [`Depthwise`] on a depthwise layer's taps, else [`gemm_int`] on the
+/// layer's [`Route`].
 fn exec_int(
     k: &Kernels,
     gemm: &PackedGemm,
     g: &ConvGeom,
     groups: usize,
     x: &[f32],
-    nc: (usize, usize),
+    nc @ (_, c): (usize, usize),
     rule: ActRule,
-) -> Option<Vec<f32>> {
-    let taps = matches!(gemm.kernel, KernelWeights::Taps(_));
-    Some(match (Arith::of(gemm, k), taps) {
-        (Arith::F32, _) => return None,
+) -> Vec<f32> {
+    // A tap table, or f32 weights the packer stored tap-major.
+    let taps = matches!(gemm.kernel, KernelWeights::Taps(_))
+        || !gemm.storage.is_integer() && is_depthwise(c / groups, gemm.rows, groups);
+    match (Arith::of(gemm, k), taps) {
+        (Arith::F32, true) => depthwise::<DenseF32>(k, gemm, g, x, nc, rule),
         (Arith::Tier(Accum::F32), true) => depthwise::<TierF32>(k, gemm, g, x, nc, rule),
         (Arith::Tier(Accum::I32), true) => depthwise::<TierI32>(k, gemm, g, x, nc, rule),
         (Arith::Tier(Accum::I64), true) => depthwise::<TierI64>(k, gemm, g, x, nc, rule),
+        (Arith::F32, _) => gemm_int::<DenseF32>(k, gemm, g, groups, x, nc, rule),
         (Arith::Tier(Accum::F32), _) => gemm_int::<TierF32>(k, gemm, g, groups, x, nc, rule),
         (Arith::Tier(Accum::I32), _) => gemm_int::<TierI32>(k, gemm, g, groups, x, nc, rule),
         (Arith::Tier(Accum::I64), _) => gemm_int::<TierI64>(k, gemm, g, groups, x, nc, rule),
         (Arith::FusedNibble, _) => gemm_int::<FusedNibble>(k, gemm, g, groups, x, nc, rule),
         (Arith::FusedI8, _) => gemm_int::<FusedI8>(k, gemm, g, groups, x, nc, rule),
-    })
+    }
 }
 
 fn exec_conv(
@@ -1220,78 +1392,15 @@ fn exec_conv(
     rule: ActRule,
 ) -> Tensor {
     let (n, c) = (x.dims()[0], x.dims()[1]);
-    let (k, q, p) = (gemm.rows, gemm.cols, g.oh * g.ow);
-    let done = |out| Tensor::from_vec(vec![n, k, g.oh, g.ow], out);
-    if let Some(out) = exec_int(table, gemm, g, groups, x.data(), (n, c), rule) {
-        return done(out);
-    }
-    let Storage::F32(wdata) = &gemm.storage else {
-        unreachable!("non-integer storage is f32");
-    };
-    let xq = if quantize_input {
-        timed_operand(|| quantize_acts_f32(x, rule))
+    // A raw-input stem reads its input as it comes.
+    let rule = if quantize_input {
+        rule
     } else {
-        Cow::Borrowed(x)
+        let quantizer = Quantizer::Identity;
+        ActRule { quantizer, ..rule }
     };
-    // f32 lanes, real weights, no activation scale to undo, no offset.
-    let unit = vec![1.0f32; n];
-    let out = if is_depthwise(c / groups, k, groups) {
-        // Depthwise f32 weights are stored tap-major, `[r·s, c]` (`pack.rs`).
-        let lanes = dw_lanes(g, table);
-        let fill = |_, src: &[f32], dst: &mut [f32], layout| {
-            let (width, pitch, step) = match layout {
-                Layout::Rows { width, pitch } => (width, pitch, 1),
-                Layout::Transposed { width, pitch } => (width, 1, pitch),
-                Layout::Words { .. } => unreachable!("a depthwise operand has no words"),
-            };
-            for (r, row) in src.chunks(width).enumerate() {
-                for (k, &v) in row.iter().enumerate() {
-                    dst[r * pitch + k * step] = v;
-                }
-            }
-        };
-        let operand = timed_operand(|| dw_operand(xq.data(), (n, c), g, lanes, fill));
-        let (taps, operand, scales) = (&wdata[..], &operand[..], &unit[..]);
-        Depthwise::<TierF32> {
-            gemm,
-            taps,
-            g,
-            lanes,
-            operand,
-            scales,
-        }
-        .run()
-    } else {
-        // Per element one chain over the reduction in ascending order,
-        // zero weights skipped — `Tensor::matmul`'s order, which does not
-        // depend on the column count.
-        let (group, chw) = (group_of(k, groups), c * g.h * g.w);
-        conv_blocks::<f32>(gemm, g, n, |at, out| {
-            let x = &xq.data()[at.start * chw..at.end * chw];
-            let cols = timed_operand(|| patch_matrix(x, at.len(), c, g));
-            let l = at.len() * p;
-            par_rows(
-                out,
-                (k, p),
-                2 * k * q * l,
-                || vec![0.0f32; l],
-                |row, acc| {
-                    acc.fill(0.0);
-                    let (wrow, block) =
-                        (&wdata[row * q..(row + 1) * q], &cols[group(row) * q * l..]);
-                    for (&a, prow) in wrow.iter().zip(block.chunks_exact(l)) {
-                        if a != 0.0 {
-                            for (o, &v) in acc.iter_mut().zip(prow) {
-                                *o += a * v;
-                            }
-                        }
-                    }
-                },
-                |row, acc, at, runs| dequant(gemm, row, &unit, acc, None::<&[f32]>, at, runs),
-            );
-        })
-    };
-    done(out)
+    let out = exec_int(table, gemm, g, groups, x.data(), (n, c), rule);
+    Tensor::from_vec(vec![n, gemm.rows, g.oh, g.ow], out)
 }
 
 fn exec_linear(k: &Kernels, g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
@@ -1303,46 +1412,7 @@ fn exec_linear(k: &Kernels, g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor
     // The pointwise conv on a 1×1 map: the `[n, f]` input read in place as
     // `[n, f, 1, 1]`, the `[n, rows, 1, 1]` result stored as is.
     static MAP: LazyLock<ConvGeom> = LazyLock::new(|| ConvGeom::new(1, 1, 1, 1, 1, 0));
-    if let Some(out) = exec_int(k, g, &MAP, 1, x.data(), (n, f), rule) {
-        return Tensor::from_vec(vec![n, g.rows], out);
-    }
-    let Storage::F32(wdata) = &g.storage else {
-        unreachable!("non-integer storage is f32");
-    };
-    let xq = timed_operand(|| quantize_acts_f32(x, rule));
-    // `out[i][row] = Σ_p x[i][p] · w[row][p]`, read from the `[rows, f]`
-    // pack-time buffer in place: per element one chain in ascending `p`,
-    // zero activations skipped — `Tensor::matmul`'s order with the sample
-    // as the lhs row, so a sample's row never depends on the batch. Eight
-    // weight rows at a time: their column `p` is gathered once for the
-    // whole batch and each sample advances eight independent chains.
-    const LANES: usize = 8;
-    let mut out = vec![0.0f32; n * g.rows];
-    let mut acc = vec![[0.0f32; LANES]; n];
-    for row0 in (0..g.rows).step_by(LANES) {
-        let lanes = LANES.min(g.rows - row0);
-        acc.fill([0.0; LANES]);
-        for p in 0..f {
-            // A short last block re-reads its final row; those chains are
-            // never stored.
-            let w: [f32; LANES] =
-                std::array::from_fn(|lane| wdata[(row0 + lane.min(lanes - 1)) * f + p]);
-            for (chains, xrow) in acc.iter_mut().zip(xq.data().chunks_exact(f)) {
-                // A skipped term and an added `+0.0` leave a chain that
-                // started at `+0.0` bit-identical; the select keeps the loop
-                // branch-free under post-ReLU inputs.
-                let a = xrow[p];
-                for (s, &wv) in chains.iter_mut().zip(&w) {
-                    *s += if a != 0.0 { a * wv } else { 0.0 };
-                }
-            }
-        }
-        for (chains, orow) in acc.iter().zip(out.chunks_exact_mut(g.rows)) {
-            for (lane, o) in orow[row0..row0 + lanes].iter_mut().enumerate() {
-                *o = g.scale[row0 + lane] * chains[lane] + g.bias[row0 + lane];
-            }
-        }
-    }
+    let out = exec_int(k, g, &MAP, 1, x.data(), (n, f), rule);
     Tensor::from_vec(vec![n, g.rows], out)
 }
 

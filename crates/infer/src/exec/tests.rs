@@ -140,8 +140,8 @@ fn depthwise_per_pixel(
 }
 
 /// A depthwise layer on tier `T`: [`Depthwise`] against its tap table, or
-/// without one the grouped-GEMM route of the one integer driver.
-fn on_tier<T: Tier>(g: &PackedGemm, geom: &ConvGeom, x: &Tensor, rule: ActRule) -> Tensor {
+/// without one the grouped-GEMM route of the one GEMM driver.
+fn on_tier<T: Decode + Tier>(g: &PackedGemm, geom: &ConvGeom, x: &Tensor, rule: ActRule) -> Tensor {
     let (k, (n, c)) = (kernels(), (x.dims()[0], x.dims()[1]));
     let out = match g.kernel {
         KernelWeights::Taps(_) => depthwise::<T>(k, g, geom, x.data(), (n, c), rule),
@@ -154,7 +154,8 @@ fn on_tier<T: Tier>(g: &PackedGemm, geom: &ConvGeom, x: &Tensor, rule: ActRule) 
 /// kernel, with channels, batch and quantizer rotating through their values
 /// (pruned so the suite runs in seconds), at every `large_range()` width.
 /// Both SIMD orientations and the boundary between them (7- vs 8-wide output
-/// rows) must equal the per-pixel f32 oracle on the f32 fallback and the
+/// rows) must equal the per-pixel f32 oracle on the f32 fallback (at 24 bits
+/// with fake-quantized activations, at 32 with raw ones) and the
 /// grouped-GEMM path in every valid tier, on bits, at 1 and 3 threads — the
 /// last case above `PAR_FLOP_THRESHOLD`, where the plane split is live.
 #[test]
@@ -191,7 +192,7 @@ fn depthwise_orientations_match_oracle_and_generic_path_on_the_shape_matrix() {
         let x = uniform(&mut rng, &[n, c, h, w], -0.4, 1.3);
         let geom = ConvGeom::new(h, w, k, k, stride, pad);
         seen.push(dw_lanes(&geom, kernels()));
-        for bits in [4u8, 8, 12, 16, 32] {
+        for bits in [4u8, 8, 12, 16, 24, 32] {
             let gemm = pack_depthwise(&mut rng, c, k, stride, pad, bits, q);
             let aq = if n == 1 {
                 ActQuant::PerBatch
@@ -210,7 +211,8 @@ fn depthwise_orientations_match_oracle_and_generic_path_on_the_shape_matrix() {
                 })
             };
             if let Storage::F32(wdata) = &gemm.storage {
-                let want = depthwise_per_pixel(wdata, &gemm, k, stride, pad, &x);
+                let xq = fake_quantized(&x, rule);
+                let want = depthwise_per_pixel(wdata, &gemm, k, stride, pad, &xq);
                 assert_bits_eq(&routed(1), &want, &format!("f32: {ctx}"));
                 assert_bits_eq(&routed(3), &want, &format!("f32, 3 threads: {ctx}"));
                 continue;
@@ -244,6 +246,27 @@ fn depthwise_orientations_match_oracle_and_generic_path_on_the_shape_matrix() {
     }
     for lanes in [Lanes::Channels, Lanes::Pixels] {
         assert!(seen.contains(&lanes), "no shape ran with {lanes:?} lanes");
+    }
+}
+
+/// `x` fake-quantized as `rule` quantizes a layer's input, through the
+/// quantizer's tensor entry point: the whole batch on one grid, or each
+/// sample on its own.
+fn fake_quantized(x: &Tensor, rule: ActRule) -> Tensor {
+    let n = x.dims()[0];
+    let (bits, q) = (rule.bits, rule.quantizer);
+    match rule.aq {
+        ActQuant::PerBatch => q.quantize_activations_tensor(x, bits),
+        ActQuant::PerSample => {
+            let per: Vec<f32> = (0..n)
+                .flat_map(|i| {
+                    q.quantize_activations_tensor(&samples(x, i..i + 1), bits)
+                        .data()
+                        .to_vec()
+                })
+                .collect();
+            Tensor::from_vec(x.dims().to_vec(), per)
+        }
     }
 }
 
@@ -334,7 +357,9 @@ fn every_sample_of_a_batch_equals_its_batch_of_one_forward_on_every_route() {
             let mut full = vec![MAX_N];
             full.extend(dims);
             let x = uniform(&mut rng, &full, -0.4, 1.3);
-            for &bw in BitWidthSet::large_range().widths() {
+            // 24 bits: the f32 fallback with fake-quantized activations.
+            let widths = BitWidthSet::large_range().widths().to_vec();
+            for bw in widths.into_iter().chain([BitWidth::new(24)]) {
                 let ops = pack(plan, bw.get(), q);
                 let solo: Vec<Tensor> = (0..MAX_N)
                     .map(|i| exec_ops(&ops, &samples(&x, i..i + 1), per_sample(bw, q), None))
@@ -477,4 +502,143 @@ fn admitted_layers_never_overflow_and_refused_ones_change_route() {
             }
         }
     }
+}
+
+/// The f32 fallback (24 bits: fake-quantized activations and weights; 32:
+/// raw ones; a raw-input stem at both) against a naive oracle, bit for bit:
+/// per output `scale · Σ w·a + bias`, one chain over the reduction in
+/// ascending order from `+0.0`, zero weights skipped (on these finite
+/// values the same as skipping zero activations), weights fake-quantized by
+/// the quantizer's tensor entry point — on a 3×3 conv, a grouped conv, a
+/// pointwise conv on a map of a register's pixels and on one of fewer (the
+/// route's rows in the lanes), and linears, at batch 1 and above, per
+/// batch and per sample.
+#[test]
+fn f32_fallback_equals_an_ascending_chain_oracle_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0xF32);
+    // (name, plan, per-sample input dims)
+    let mut layers: Vec<(&str, Vec<PlanOp>, Vec<usize>)> = vec![
+        (
+            "3x3 s2 p1",
+            conv_plan(&mut rng, 5, 8, 3, 2, 1, 1, true),
+            vec![5, 7, 6],
+        ),
+        (
+            "groups 2",
+            conv_plan(&mut rng, 6, 8, 3, 1, 1, 2, true),
+            vec![6, 5, 4],
+        ),
+        (
+            "pointwise",
+            conv_plan(&mut rng, 12, 9, 1, 1, 0, 1, true),
+            vec![12, 4, 3],
+        ),
+        (
+            "pointwise on 2x2",
+            conv_plan(&mut rng, 12, 9, 1, 1, 0, 1, true),
+            vec![12, 2, 2],
+        ),
+        (
+            "raw stem",
+            conv_plan(&mut rng, 3, 8, 3, 2, 1, 1, false),
+            vec![3, 9, 8],
+        ),
+    ];
+    for (name, (rows, cols)) in [("linear", (11, 37)), ("linear 300->29", (29, 300))] {
+        let linear = PlanOp::Linear {
+            name: "fc".into(),
+            weight: uniform(&mut rng, &[rows, cols], -1.0, 1.0),
+            bias: uniform(&mut rng, &[rows], -0.5, 0.5),
+        };
+        layers.push((name, vec![linear], vec![cols]));
+    }
+    for (name, plan, dims) in &layers {
+        for q in [Quantizer::Sbm, Quantizer::Dorefa] {
+            for bits in [24u8, 32] {
+                let ops = pack(plan, bits, q);
+                let g = gemm_of(&ops);
+                let Storage::F32(_) = g.storage else {
+                    panic!("{name} at {bits} bits is not on the f32 fallback");
+                };
+                let weight = match &plan[0] {
+                    PlanOp::Conv { weight, .. } | PlanOp::Linear { weight, .. } => weight,
+                    other => panic!("unexpected plan op {other:?}"),
+                };
+                let w = q.quantize_weights_tensor(weight, BitWidth::new(bits));
+                for n in [1usize, 3, 16] {
+                    let mut full = vec![n];
+                    full.extend(dims);
+                    let x = uniform(&mut rng, &full, -0.4, 1.3);
+                    for aq in [ActQuant::PerBatch, ActQuant::PerSample] {
+                        let rule = ActRule {
+                            bits: BitWidth::new(bits),
+                            quantizer: q,
+                            aq,
+                        };
+                        let got = exec_ops(&ops, &x, rule, None);
+                        let a = match &ops[0] {
+                            PackedOp::Conv {
+                                quantize_input: false,
+                                ..
+                            } => x.clone(),
+                            _ => fake_quantized(&x, rule),
+                        };
+                        let want = naive_f32(&plan[0], w.data(), g, &a);
+                        let ctx = format!("{name} {q:?} {bits}b n {n} {aq:?}");
+                        assert_bits_eq(&got, &want, &ctx);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The naive f32 conv or linear of `plan` on activations `a`, weights `w`
+/// (row-major `[rows, cols]`) and `g`'s folded scale and bias.
+fn naive_f32(plan: &PlanOp, w: &[f32], g: &PackedGemm, a: &Tensor) -> Tensor {
+    let (rows, cols, n) = (g.rows, g.cols, a.dims()[0]);
+    let chain = |row: usize, act: &dyn Fn(usize) -> f32| {
+        let mut acc = 0.0f32;
+        for (p, &wv) in w[row * cols..(row + 1) * cols].iter().enumerate() {
+            if wv != 0.0 {
+                acc += wv * act(p);
+            }
+        }
+        g.scale[row] * acc + g.bias[row]
+    };
+    let PlanOp::Conv {
+        weight,
+        stride,
+        pad,
+        groups,
+        ..
+    } = plan
+    else {
+        let out = (0..n)
+            .flat_map(|i| (0..rows).map(move |row| (i, row)))
+            .map(|(i, row)| chain(row, &|p| a.data()[i * cols + p]))
+            .collect();
+        return Tensor::from_vec(vec![n, rows], out);
+    };
+    let (cg, r, s) = (weight.dims()[1], weight.dims()[2], weight.dims()[3]);
+    let (c, h, wd) = (a.dims()[1], a.dims()[2], a.dims()[3]);
+    let geom = ConvGeom::new(h, wd, r, s, *stride, *pad);
+    let mut out = Vec::with_capacity(n * rows * geom.oh * geom.ow);
+    for i in 0..n {
+        for row in 0..rows {
+            let c0 = row / (rows / groups) * cg;
+            for (oy, ox) in (0..geom.oh).flat_map(|oy| (0..geom.ow).map(move |ox| (oy, ox))) {
+                out.push(chain(row, &|p| {
+                    let (ci, ki, kj) = (p / (r * s), p / s % r, p % s);
+                    let iy = (oy * stride + ki) as isize - *pad as isize;
+                    let ix = (ox * stride + kj) as isize - *pad as isize;
+                    if iy < 0 || ix < 0 || iy >= h as isize || ix >= wd as isize {
+                        return 0.0;
+                    }
+                    a.data()[((i * c + c0 + ci) * h + iy as usize) * wd + ix as usize]
+                }));
+            }
+        }
+    }
+    Tensor::from_vec(vec![n, rows, geom.oh, geom.ow], out)
 }

@@ -180,70 +180,40 @@ impl Storage {
         }
     }
 
-    /// Decodes one row of `cols` codes into `out`: the scalar backend's
-    /// `decode_row_i32` (also the portable baseline the SIMD kernels are
-    /// tested bit-identical against).
+    /// Decodes one row of `cols` codes into `out`, in lanes `C`: the scalar
+    /// backend's `decode_row_i32` (also the portable baseline the SIMD
+    /// kernels are tested bit-identical against) and the exact-f32 tier's
+    /// row decoder on every backend (every code is a small integer, so the
+    /// conversion is lossless).
     ///
     /// # Panics
     ///
-    /// Panics if called on [`Storage::F32`] (the f32 path never decodes).
-    fn decode_row_scalar(&self, row: usize, cols: usize, out: &mut [i32]) {
+    /// Panics if called on [`Storage::F32`] (the f32 route reads its rows
+    /// itself).
+    fn decode_row_scalar<C: From<i8> + From<i16>>(&self, row: usize, cols: usize, out: &mut [C]) {
         match self {
             Storage::Nibble(data) => {
                 let stride = cols.div_ceil(2);
                 let row_bytes = &data[row * stride..row * stride + stride];
                 // Two sign-extended codes per byte, low nibble first.
                 for (pair, &byte) in out[..cols].chunks_mut(2).zip(row_bytes) {
-                    pair[0] = i32::from(((byte as i8) << 4) >> 4);
+                    pair[0] = C::from(((byte as i8) << 4) >> 4);
                     if let Some(hi) = pair.get_mut(1) {
-                        *hi = i32::from((byte as i8) >> 4);
+                        *hi = C::from((byte as i8) >> 4);
                     }
                 }
             }
             Storage::I8(data) => {
                 for (o, &v) in out.iter_mut().zip(&data[row * cols..(row + 1) * cols]) {
-                    *o = i32::from(v);
+                    *o = C::from(v);
                 }
             }
             Storage::I16(data) => {
                 for (o, &v) in out.iter_mut().zip(&data[row * cols..(row + 1) * cols]) {
-                    *o = i32::from(v);
+                    *o = C::from(v);
                 }
             }
             Storage::F32(_) => panic!("decode_row on f32 storage"),
-        }
-    }
-
-    /// Decodes one row of `cols` codes into f32 lanes (the exact-f32
-    /// accumulation tier; every code is a small integer so the conversion
-    /// is lossless): that tier's row decoder on every backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on [`Storage::F32`].
-    fn decode_row_f32_scalar(&self, row: usize, cols: usize, out: &mut [f32]) {
-        match self {
-            Storage::Nibble(data) => {
-                let stride = cols.div_ceil(2);
-                let row_bytes = &data[row * stride..row * stride + stride];
-                for (pair, &byte) in out[..cols].chunks_mut(2).zip(row_bytes) {
-                    pair[0] = f32::from(((byte as i8) << 4) >> 4);
-                    if let Some(hi) = pair.get_mut(1) {
-                        *hi = f32::from((byte as i8) >> 4);
-                    }
-                }
-            }
-            Storage::I8(data) => {
-                for (o, &v) in out.iter_mut().zip(&data[row * cols..(row + 1) * cols]) {
-                    *o = f32::from(v);
-                }
-            }
-            Storage::I16(data) => {
-                for (o, &v) in out.iter_mut().zip(&data[row * cols..(row + 1) * cols]) {
-                    *o = f32::from(v);
-                }
-            }
-            Storage::F32(_) => panic!("decode_row_f32 on f32 storage"),
         }
     }
 }

@@ -234,7 +234,7 @@ pub type Emit<L> = fn(&ActivationGrid, &[f32], &mut [L], Layout);
 
 /// A lane type the engine emits activation codes in: `i8`/`i16` for the
 /// fused kernels, `i32`/`f32` for the accumulator tiers.
-pub trait EmitLane: CodeLane + Default + Send + Sync {
+pub trait EmitLane: CodeLane + Default + Send + Sync + 'static {
     /// This lane type's emitter in the table `k`.
     #[doc(hidden)]
     fn emitter(k: &Kernels) -> Emit<Self>;

@@ -307,10 +307,11 @@ mod tests {
     use instantnet_quant::{BitWidthSet, Quantizer};
     use instantnet_tensor::Var;
 
+    /// A temp file named per process: concurrent runs of this suite must
+    /// not share it.
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("instantnet-ckpt-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        let pid = std::process::id();
+        std::env::temp_dir().join(format!("instantnet-ckpt-{pid}-{name}"))
     }
 
     #[test]
@@ -334,6 +335,7 @@ mod tests {
         };
         assert_ne!(fwd(&a), fwd(&b), "different seeds differ");
         load(&b, &path).unwrap();
+        std::fs::remove_file(&path).unwrap();
         assert_eq!(fwd(&a), fwd(&b), "loaded weights reproduce outputs");
     }
 
@@ -344,6 +346,7 @@ mod tests {
         save(&a, &path).unwrap();
         let wider = models::small_cnn(8, 5, (6, 6), 1, 1);
         let err = load(&wider, &path).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
     }
 
@@ -353,6 +356,7 @@ mod tests {
         std::fs::write(&path, b"definitely not a checkpoint").unwrap();
         let net = models::small_cnn(4, 5, (6, 6), 1, 1);
         let err = load(&net, &path).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
         assert!(
             matches!(err, CheckpointError::BadHeader | CheckpointError::Io(_)),
             "{err}"
@@ -365,6 +369,7 @@ mod tests {
         let path = tmp("names.bin");
         save(&net, &path).unwrap();
         let tensors = read_tensors(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
         assert_eq!(tensors.len(), net.params().len());
         assert!(tensors.keys().any(|k| k.contains("classifier")));
         assert!(tensors.keys().any(|k| k.contains("gamma")));
@@ -390,6 +395,7 @@ mod tests {
         save(&a, &path).unwrap();
         let b = models::small_cnn(4, 5, (6, 6), bits.len(), 2);
         load(&b, &path).unwrap();
+        std::fs::remove_file(&path).unwrap();
         let (ba, bb) = (a.buffers(), b.buffers());
         assert!(!ba.is_empty(), "small_cnn must expose BN buffers");
         assert_eq!(ba.len(), bb.len());
@@ -428,6 +434,7 @@ mod tests {
         let other = models::small_cnn(4, 5, (6, 6), 2, 2);
         load(&other, &path).unwrap();
         assert_eq!(read_tensors(&path).unwrap().len(), params.len());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -463,6 +470,7 @@ mod tests {
         bytes[victim] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
         load(&other, &path).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -484,6 +492,7 @@ mod tests {
         drop(w);
         let other = models::small_cnn(4, 5, (6, 6), 2, 2);
         load(&other, &path).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -370,9 +370,9 @@ fn corrupt_checkpoint_publish_is_rejected_and_stable_keeps_serving() {
     let net = models::small_cnn(2, 4, (6, 6), bits.len(), 23);
     let model = PackedModel::prepack(&net, &bits, Quantizer::Sbm).unwrap();
 
-    let dir = std::env::temp_dir().join("instantnet-hot-reload-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("corrupt-candidate.inet");
+    // Named per process: concurrent runs of this suite must not share it.
+    let name = format!("instantnet-hot-reload-{}-corrupt.inet", std::process::id());
+    let path = std::env::temp_dir().join(name);
     checkpoint::save(&net, &path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     let n = bytes.len();
@@ -435,6 +435,7 @@ fn corrupt_checkpoint_publish_is_rejected_and_stable_keeps_serving() {
         &inputs,
     )
     .unwrap();
+    std::fs::remove_file(&path).unwrap();
 
     assert_eq!(stats.rejected_publishes, 1, "the refusal is counted");
     assert_eq!(stats.reloads, 0, "no swap happened");

@@ -883,7 +883,9 @@ fn run_with_faults(
 /// Injected transient errors and panics fail only the batch they hit:
 /// with retries in budget every request still completes, the faulted
 /// batches and retries are counted, and outputs are bit-identical to a
-/// fault-free run — a retried forward is the same forward.
+/// fault-free run — a retried forward is the same forward. The plan also
+/// faults the trace's last step, which every dequeue after its start is
+/// clamped into, so a fault fires however late the workers first dequeue.
 #[test]
 fn wallclock_injected_faults_retry_and_stay_bit_identical() {
     let (report, trace, requests, model, inputs) = fault_fixture();
@@ -893,6 +895,7 @@ fn wallclock_injected_faults_retry_and_stay_bit_identical() {
         (1, FaultKind::ForwardPanic),
         (2, FaultKind::TransientError),
         (3, FaultKind::ForwardPanic),
+        (trace.len() - 1, FaultKind::TransientError),
     ]);
     for workers in worker_counts() {
         let (base_stats, base) = run_with_faults(
@@ -938,12 +941,14 @@ fn wallclock_injected_faults_retry_and_stay_bit_identical() {
 
 /// An injected stall consumes no requests: the batch is handed back,
 /// the step is waited out, and everything completes — the stall is
-/// visible only in `stalled_steps`.
+/// visible only in `stalled_steps`. The last step stalls too, so one fires
+/// on any schedule (see the test above).
 #[test]
 fn wallclock_injected_stall_delays_but_loses_nothing() {
     let (report, trace, requests, model, inputs) = fault_fixture();
     let total = requests.total();
-    let plan = FaultPlan::from_schedule((0..4).map(|t| (t, FaultKind::Stall)));
+    let steps = (0..4).chain([trace.len() - 1]);
+    let plan = FaultPlan::from_schedule(steps.map(|t| (t, FaultKind::Stall)));
     for workers in worker_counts() {
         let (stats, outcomes) = run_with_faults(
             &report, &trace, &requests, &model, &inputs, workers, 0, &plan,
