@@ -105,6 +105,15 @@ fn bench_train_steps(c: &mut Criterion) {
         vec![init::kaiming_uniform(&mut rng, &[64, 32, 1, 1])],
         |x, p| ops::conv2d(x, &p[0], 1, 0, 1),
     );
+    // The generate cycle's own depthwise geometry: a batch of 16 (two full
+    // sample-lane groups) on 6×6 planes of 48 channels.
+    bench_train_step(
+        c,
+        "depthwise_train_step_16x48x6x6",
+        init::uniform(&mut rng, &[16, 48, 6, 6], -1.0, 1.0),
+        vec![init::kaiming_uniform(&mut rng, &[48, 1, 3, 3])],
+        |x, p| ops::conv2d(x, &p[0], 1, 1, 48),
+    );
 }
 
 fn bench_quantizers(c: &mut Criterion) {
@@ -116,6 +125,11 @@ fn bench_quantizers(c: &mut Criterion) {
     });
     c.bench_function("dorefa_quantize_16k_weights", |bench| {
         bench.iter(|| std::hint::black_box(Quantizer::Dorefa.quantize_weights_tensor(&w, b4)))
+    });
+    // One activation of the generate cycle's depthwise layers.
+    let x = init::uniform(&mut rng, &[16, 48, 6, 6], -1.0, 1.0);
+    c.bench_function("sbm_quantize_activations_16x48x6x6", |bench| {
+        bench.iter(|| std::hint::black_box(Quantizer::Sbm.quantize_activations_tensor(&x, b4)))
     });
 }
 

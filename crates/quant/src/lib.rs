@@ -27,7 +27,8 @@
 //! # Ok::<(), instantnet_quant::BitWidthError>(())
 //! ```
 
-use instantnet_tensor::tensor::round_half_away;
+pub use instantnet_tensor::tensor::max_abs;
+use instantnet_tensor::tensor::{clamp_select, round_half_away};
 use instantnet_tensor::{ops, Tensor, Var};
 use std::error::Error;
 use std::fmt;
@@ -238,10 +239,15 @@ impl fmt::Display for Precision {
     }
 }
 
-/// Uniform quantization of `x ∈ [0,1]` to `k` bits: the `quantize_k`
-/// primitive shared by DoReFa weights and activations.
-fn quantize_unit(x: f32, bits: u8) -> f32 {
-    let n = ((1u64 << bits) - 1) as f32;
+/// `2^bits − 1`, the top code of a `bits`-bit unsigned grid.
+fn unit_levels(bits: u8) -> f32 {
+    ((1u64 << bits) - 1) as f32
+}
+
+/// Uniform quantization of `x ∈ [0,1]` onto `n` levels: the `quantize_k`
+/// primitive shared by DoReFa weights and activations. `n` is an argument,
+/// not recomputed from the width per element, so a loop over it vectorises.
+fn quantize_unit(x: f32, n: f32) -> f32 {
     round_half_away(x * n) / n
 }
 
@@ -256,14 +262,14 @@ fn quantize_unit(x: f32, bits: u8) -> f32 {
 /// scan per element.
 fn dorefa_weight_codes(data: &[f32], bits: u8) -> Vec<i32> {
     let n = ((1u64 << bits) - 1) as f32;
-    let amax = data.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    let amax = max_abs(data);
     let tmax = amax.tanh().max(1e-8);
     if bits <= 4 {
         let levels = 1usize << bits;
         let mut thr = [0f32; 15];
         for (c, t) in thr.iter_mut().enumerate().take(levels - 1) {
             let y = (((c + 1) as f32 - 0.5) / n - 0.5) * (2.0 * tmax);
-            *t = y.clamp(-0.999_999, 0.999_999).atanh();
+            *t = clamp_select(y, -0.999_999, 0.999_999).atanh();
         }
         let thr = &thr[..levels - 1];
         data.iter()
@@ -272,7 +278,7 @@ fn dorefa_weight_codes(data: &[f32], bits: u8) -> Vec<i32> {
     } else {
         let half_inv = 0.5 / tmax;
         data.iter()
-            .map(|&v| round_half_away((v.tanh() * half_inv + 0.5) * n).clamp(0.0, n) as i32)
+            .map(|&v| clamp_select(round_half_away((v.tanh() * half_inv + 0.5) * n), 0.0, n) as i32)
             .collect()
     }
 }
@@ -321,51 +327,6 @@ fn round_half_away_small(v: f32, bound: f32) -> i32 {
     (round_half_up_small(a) ^ sign) - sign
 }
 
-/// `f32::clamp` without its per-call `lo <= hi` assert, which keeps a loop
-/// that calls it from vectorizing: the same two compares in the same order,
-/// so NaN passes through and every other value lands where `clamp` puts it.
-#[inline(always)]
-fn clamp(v: f32, lo: f32, hi: f32) -> f32 {
-    let v = if v < lo { lo } else { v };
-    if v > hi {
-        hi
-    } else {
-        v
-    }
-}
-
-/// Largest `|v|` over `x` (`+0.0` for an empty slice), NaN ignored: the
-/// `x.iter().fold(0.0, |m, &v| m.max(v.abs()))` of an SBM activation scale,
-/// bit for bit, as a branch-free integer max a vector unit runs lane-wise.
-/// A non-NaN `|v|` orders like its bits with the sign cleared (`+inf`
-/// included, `−0.0` becoming `+0.0`) — non-negative as `i32`, which needs no
-/// unsigned compare — and every NaN pattern lies above `+inf`'s and counts
-/// as `+0.0`, the value `f32::max` lets it lose to. Inlined so every caller
-/// compiles it for its own target features (`instantnet-infer` instantiates
-/// it under AVX2).
-#[inline(always)]
-pub fn max_abs(x: &[f32]) -> f32 {
-    /// Independent maxima in flight: four 8-lane vectors.
-    const LANES: usize = 32;
-    let bits = |v: f32| {
-        let b = (v.to_bits() & 0x7fff_ffff) as i32;
-        if b > f32::INFINITY.to_bits() as i32 {
-            0
-        } else {
-            b
-        }
-    };
-    let mut lanes = [0i32; LANES];
-    let mut chunks = x.chunks_exact(LANES);
-    for chunk in chunks.by_ref() {
-        for (m, &v) in lanes.iter_mut().zip(chunk) {
-            *m = (*m).max(bits(v));
-        }
-    }
-    let tail = chunks.remainder().iter().fold(0, |m, &v| m.max(bits(v)));
-    f32::from_bits(lanes.into_iter().fold(tail, i32::max) as u32)
-}
-
 /// `out[p] = round_half_away(clamp(grid(x[p]), −qmax, qmax))` in lane type
 /// `L`, `grid` mapping a value onto the code axis.
 #[inline(always)]
@@ -389,7 +350,7 @@ fn round_run<L: CodeLane>(
 #[inline(never)]
 fn round_wide<L: CodeLane>(x: &[f32], out: &mut [L], qmax: f32, grid: &dyn Fn(f32) -> f32) {
     for (o, &v) in out.iter_mut().zip(x) {
-        *o = L::from_code(round_half_away_i32(clamp(grid(v), -qmax, qmax)));
+        *o = L::from_code(round_half_away_i32(clamp_select(grid(v), -qmax, qmax)));
     }
 }
 
@@ -625,7 +586,9 @@ impl ActivationGrid {
     pub fn emit_run<L: CodeLane>(&self, x: &[f32], out: &mut [L]) {
         let (qmax, s) = (self.qmax, self.scale);
         if self.dorefa {
-            round_run(x, out, (self.bits, qmax), |v| clamp(v, 0.0, 1.0) * qmax);
+            round_run(x, out, (self.bits, qmax), |v| {
+                clamp_select(v, 0.0, 1.0) * qmax
+            });
         } else {
             round_run(x, out, (self.bits, qmax), |v| v / s);
         }
@@ -705,16 +668,15 @@ impl Quantizer {
                 let qmax = ((1u64 << (bits.get().min(31) - 1)) - 1).max(1) as f32;
                 if dims.len() < 2 {
                     let s = w.max_abs().max(1e-8) / qmax;
-                    return w.map(|v| round_half_away(v / s).clamp(-qmax, qmax) * s);
+                    return w.map(|v| clamp_select(round_half_away(v / s), -qmax, qmax) * s);
                 }
                 let per: usize = dims[1..].iter().product();
                 let mut out = w.clone();
                 for k in 0..dims[0] {
                     let chunk = &w.data()[k * per..(k + 1) * per];
-                    let max = chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8);
-                    let s = max / qmax;
+                    let s = max_abs(chunk).max(1e-8) / qmax;
                     for (o, &v) in out.data_mut()[k * per..(k + 1) * per].iter_mut().zip(chunk) {
-                        *o = round_half_away(v / s).clamp(-qmax, qmax) * s;
+                        *o = clamp_select(round_half_away(v / s), -qmax, qmax) * s;
                     }
                 }
                 out
@@ -729,13 +691,16 @@ impl Quantizer {
         }
         match self {
             Quantizer::Identity => unreachable!(),
-            Quantizer::Dorefa => x.map(|v| quantize_unit(v.clamp(0.0, 1.0), bits.get())),
+            Quantizer::Dorefa => {
+                let n = unit_levels(bits.get());
+                x.map(|v| quantize_unit(clamp_select(v, 0.0, 1.0), n))
+            }
             Quantizer::Sbm => {
                 // Unsigned per-tensor scaling (activations follow ReLU).
                 let qmax = ((1u64 << bits.get().min(31)) - 1) as f32;
                 let max = x.max_abs().max(1e-8);
                 let s = max / qmax;
-                x.map(|v| round_half_away(v / s).clamp(-qmax, qmax) * s)
+                x.map(|v| clamp_select(round_half_away(v / s), -qmax, qmax) * s)
             }
         }
     }
@@ -750,15 +715,16 @@ impl Quantizer {
         match self {
             Quantizer::Identity => {}
             Quantizer::Dorefa => {
+                let n = unit_levels(bits.get());
                 for v in x {
-                    *v = quantize_unit(v.clamp(0.0, 1.0), bits.get());
+                    *v = quantize_unit(clamp_select(*v, 0.0, 1.0), n);
                 }
             }
             Quantizer::Sbm => {
                 let qmax = ((1u64 << bits.get().min(31)) - 1) as f32;
-                let s = x.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8) / qmax;
+                let s = max_abs(x).max(1e-8) / qmax;
                 for v in x {
-                    *v = round_half_away(*v / s).clamp(-qmax, qmax) * s;
+                    *v = clamp_select(round_half_away(*v / s), -qmax, qmax) * s;
                 }
             }
         }
@@ -790,31 +756,29 @@ impl Quantizer {
             Quantizer::Sbm => {
                 let dims = w.dims().to_vec();
                 let qmax = ((1u64 << (bits.get().min(31) - 1)) - 1).max(1) as f32;
-                let (codes, scales) = if dims.len() < 2 {
-                    let s = w.max_abs().max(1e-8) / qmax;
-                    let codes = w
-                        .data()
-                        .iter()
-                        .map(|&v| (v / s).round().clamp(-qmax, qmax) as i32)
-                        .collect();
-                    (codes, vec![s])
-                } else {
-                    let per: usize = dims[1..].iter().product();
-                    let mut codes = Vec::with_capacity(w.len());
-                    let mut scales = Vec::with_capacity(dims[0]);
-                    for k in 0..dims[0] {
-                        let chunk = &w.data()[k * per..(k + 1) * per];
-                        let max = chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8);
-                        let s = max / qmax;
-                        codes.extend(
-                            chunk
-                                .iter()
-                                .map(|&v| (v / s).round().clamp(-qmax, qmax) as i32),
-                        );
-                        scales.push(s);
-                    }
-                    (codes, scales)
-                };
+                let (codes, scales) =
+                    if dims.len() < 2 {
+                        let s = w.max_abs().max(1e-8) / qmax;
+                        let codes = w
+                            .data()
+                            .iter()
+                            .map(|&v| clamp_select(round_half_away(v / s), -qmax, qmax) as i32)
+                            .collect();
+                        (codes, vec![s])
+                    } else {
+                        let per: usize = dims[1..].iter().product();
+                        let mut codes = Vec::with_capacity(w.len());
+                        let mut scales = Vec::with_capacity(dims[0]);
+                        for k in 0..dims[0] {
+                            let chunk = &w.data()[k * per..(k + 1) * per];
+                            let s = max_abs(chunk).max(1e-8) / qmax;
+                            codes.extend(chunk.iter().map(|&v| {
+                                clamp_select(round_half_away(v / s), -qmax, qmax) as i32
+                            }));
+                            scales.push(s);
+                        }
+                        (codes, scales)
+                    };
                 Some(WeightCodes {
                     codes,
                     scales,
@@ -1120,7 +1084,7 @@ mod tests {
     fn dorefa_weights_reference(w: &Tensor, bits: u8) -> Tensor {
         let t = w.map(f32::tanh);
         let max = t.max_abs().max(1e-8);
-        t.map(|v| 2.0 * quantize_unit(v / (2.0 * max) + 0.5, bits) - 1.0)
+        t.map(|v| 2.0 * quantize_unit(v / (2.0 * max) + 0.5, unit_levels(bits)) - 1.0)
     }
 
     #[test]
@@ -1253,60 +1217,132 @@ mod tests {
         }
     }
 
-    /// The fake-quant (tensor) path rounds through the libm-free routine;
-    /// the formulas it replaced, with libm `round`, are the oracle — on bits,
-    /// `-0.0` and NaN included.
+    /// Two more fake-quant inputs, 64 values a row. `specials`: what a
+    /// clamp can get wrong — NaN payloads (quiet and signalling), `±0`,
+    /// subnormals, the unit interval's edges and beyond — plus `±inf` in
+    /// row 0 only, so row 1 keeps a finite scale. `ties(bits)`: exact `.5`
+    /// ties on the SBM grid, each row's max-abs `qmax / 8` (row 0 on the
+    /// weight grid, row 1 on the activation grid), so the scale is `1/8`.
+    fn clamp_corpus(bits: u8) -> [Vec<f32>; 2] {
+        let row = |mut v: Vec<f32>| {
+            let fill = (v.len()..64).map(|i| (i as f32 - 40.0) / 16.0);
+            v.extend(fill.collect::<Vec<_>>());
+            v
+        };
+        let specials = |inf: bool| {
+            let nans = [
+                0x7fc0_0000u32,
+                0x7fc0_1234,
+                0xffc0_0001,
+                0x7f80_0001,
+                0xff80_0abc,
+            ];
+            let mut v: Vec<f32> = nans.into_iter().map(f32::from_bits).collect();
+            let one = 1.0f32;
+            v.extend([0.0, -0.0, f32::from_bits(1), -f32::from_bits(0x007f_ffff)]);
+            v.extend([f32::MIN_POSITIVE, one, -one, 2.0, -2.0, 0.5, 1e30, -1e30]);
+            v.extend([
+                f32::from_bits(one.to_bits() + 1),
+                f32::from_bits(one.to_bits() - 1),
+            ]);
+            if inf {
+                v.extend([f32::INFINITY, f32::NEG_INFINITY]);
+            }
+            row(v)
+        };
+        let ties = |qmax: f32| {
+            let mut v = vec![qmax / 8.0, -qmax / 8.0];
+            let halves = (0..31).map(|k| k as f32 + 0.5).filter(|&t| t < qmax);
+            v.extend(halves.flat_map(|t| [t / 8.0, -t / 8.0]));
+            v.resize(64, 0.0);
+            v
+        };
+        let (qw, qa) = (((1u64 << (bits - 1)) - 1).max(1), (1u64 << bits) - 1);
+        [
+            [specials(true), specials(false)].concat(),
+            [ties(qw as f32), ties(qa as f32)].concat(),
+        ]
+    }
+
+    /// The fake-quant (tensor and in-place) paths round through the
+    /// libm-free routine and clamp by compare-select; the formulas they
+    /// replaced, with libm `round` and `f32::clamp`, are the oracle — on
+    /// bits, `-0.0` and NaN included.
     #[test]
     fn fake_quant_tensor_path_matches_the_libm_formulas_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0x7E45);
-        let mut values = rounding_corpus();
-        values.extend((0..4096 - values.len() % 4096).map(|_| rng.gen_range(-3.0f32..3.0)));
-        let same = |what: &str, got: &Tensor, want: Vec<f32>| {
-            for (i, (a, b)) in got.data().iter().zip(&want).enumerate() {
-                assert!(
-                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
-                    "{what}[{i}] of {:e}: {a:e} vs {b:e}",
-                    values[i]
-                );
-            }
-        };
-        let rows = values.len() / 64;
+        let mut corpus = rounding_corpus();
+        corpus.extend((0..4096 - corpus.len() % 4096).map(|_| rng.gen_range(-3.0f32..3.0)));
+        let fold = |x: &[f32]| x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
         for bits in [1u8, 2, 4, 8, 12, 16, 22, 23, 31] {
             let b = BitWidth::new(bits);
-            for dims in [vec![values.len()], vec![rows, 64]] {
-                let per = values.len() / if dims.len() == 1 { 1 } else { rows };
-                let w = Tensor::from_vec(dims, values.clone());
-                let qmax = ((1u64 << (bits - 1)) - 1).max(1) as f32;
-                let want = values.chunks(per).flat_map(|row| {
-                    let s = row.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8) / qmax;
-                    row.iter()
-                        .map(move |&v| (v / s).round().clamp(-qmax, qmax) * s)
-                });
-                same(
-                    "sbm weights",
-                    &Quantizer::Sbm.quantize_weights_tensor(&w, b),
-                    want.collect(),
-                );
+            let [specials, ties] = clamp_corpus(bits);
+            for values in [corpus.clone(), specials, ties] {
+                let same = |what: &str, got: &[f32], want: &[f32]| {
+                    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+                        assert!(
+                            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                            "{what} {bits}b [{i}] of {:e}: {a:e} vs {b:e}",
+                            values[i]
+                        );
+                    }
+                };
+                let rows = values.len() / 64;
+                for dims in [vec![values.len()], vec![rows, 64]] {
+                    let per = values.len() / if dims.len() == 1 { 1 } else { rows };
+                    let w = Tensor::from_vec(dims, values.clone());
+                    let qmax = ((1u64 << (bits - 1)) - 1).max(1) as f32;
+                    let want: Vec<f32> = values
+                        .chunks(per)
+                        .flat_map(|row| {
+                            let s = fold(row).max(1e-8) / qmax;
+                            row.iter()
+                                .map(move |&v| (v / s).round().clamp(-qmax, qmax) * s)
+                        })
+                        .collect();
+                    let got = Quantizer::Sbm.quantize_weights_tensor(&w, b);
+                    same("sbm weights", got.data(), &want);
+                }
+                let x = Tensor::from_vec(vec![values.len()], values.clone());
+                let n = ((1u64 << bits) - 1) as f32;
+                let tmax = fold(&values).tanh().max(1e-8);
+                let want: Vec<f32> = values
+                    .iter()
+                    .map(|&v| {
+                        let c = if bits <= 4 {
+                            let edge = |c: u64| {
+                                let y = ((c as f32 - 0.5) / n - 0.5) * (2.0 * tmax);
+                                y.clamp(-0.999_999, 0.999_999).atanh()
+                            };
+                            (1..1u64 << bits).filter(|&c| v >= edge(c)).count() as i32
+                        } else {
+                            ((v.tanh() * (0.5 / tmax) + 0.5) * n).round().clamp(0.0, n) as i32
+                        };
+                        2.0 * (c as f32 / n) - 1.0
+                    })
+                    .collect();
+                let got = Quantizer::Dorefa.quantize_weights_tensor(&x, b);
+                same("dorefa weights", got.data(), &want);
+                let s = fold(&values).max(1e-8) / n;
+                let sbm: Vec<f32> = values
+                    .iter()
+                    .map(|&v| (v / s).round().clamp(-n, n) * s)
+                    .collect();
+                let dorefa: Vec<f32> = values
+                    .iter()
+                    .map(|&v| (v.clamp(0.0, 1.0) * n).round() / n)
+                    .collect();
+                for (q, want) in [(Quantizer::Sbm, sbm), (Quantizer::Dorefa, dorefa)] {
+                    same(
+                        "activations",
+                        q.quantize_activations_tensor(&x, b).data(),
+                        &want,
+                    );
+                    let mut got = values.clone();
+                    q.quantize_activations_in_place(&mut got, b);
+                    same("in place", &got, &want);
+                }
             }
-            let x = Tensor::from_vec(vec![values.len()], values.clone());
-            let qmax = ((1u64 << bits) - 1) as f32;
-            let s = x.max_abs().max(1e-8) / qmax;
-            let want = values
-                .iter()
-                .map(|&v| (v / s).round().clamp(-qmax, qmax) * s);
-            same(
-                "sbm activations",
-                &Quantizer::Sbm.quantize_activations_tensor(&x, b),
-                want.collect(),
-            );
-            let want = values
-                .iter()
-                .map(|&v| (v.clamp(0.0, 1.0) * qmax).round() / qmax);
-            same(
-                "dorefa activations",
-                &Quantizer::Dorefa.quantize_activations_tensor(&x, b),
-                want.collect(),
-            );
         }
     }
 

@@ -5,15 +5,16 @@
 //! backward pass. Operators borrow their inputs from the graph and closures
 //! own the incoming gradient, so nothing is copied that is not also changed.
 //! Dense convolution is batch-level work: one patch matrix, one product per
-//! group and one layout swap per pass; depthwise convolution runs one flat
-//! axpy per tap over zero-padded planes, batch norm over plane slices with
-//! several channels' sums in flight. What each kernel sums, and in which
-//! order, is fixed per output element (DESIGN.md §6b), so values and
-//! gradients are bit-identical at any thread count.
+//! group and one layout swap per pass; depthwise convolution holds outputs
+//! in register lanes (samples or columns) over zero-padded frames, batch
+//! norm runs plane slices with several channels' sums in flight. What each
+//! kernel sums, and in which order, is fixed per output element (DESIGN.md
+//! §6b), so values and gradients are bit-identical at any thread count.
 
 use crate::autograd::Var;
 use crate::tensor::{
-    axpy, fold_plane, im2col_batch, matmul_into, round_half_away, transpose_into, ConvGeom, Tensor,
+    clamp_select, col_lanes, deinterleave, fold_plane, im2col_batch, matmul_into, plan,
+    round_half_away, splat, sweep, transpose_into, ConvGeom, Frame, Tensor, Unit, COL_LANES, LANES,
     PAR_FLOP_THRESHOLD,
 };
 use instantnet_parallel as parallel;
@@ -223,7 +224,7 @@ pub fn conv2d(x: &Var, w: &Var, stride: usize, pad: usize, groups: usize) -> Var
     let geom = ConvGeom::new(h, wdt, r, s, stride, pad);
     let out_dims = [n, k, geom.oh, geom.ow];
     if groups > 1 && groups == c && groups == k {
-        conv_op(Depthwise::new(c, geom), out_dims, x, w)
+        conv_op(Depthwise { c, geom }, out_dims, x, w)
     } else {
         let dense = DenseConv { c, k, groups, geom };
         conv_op(dense, out_dims, x, w)
@@ -425,150 +426,98 @@ impl ConvKernel for DenseConv {
     }
 }
 
-/// Widest vector accumulator of the depthwise `dw` pass (one per kernel row,
-/// or per [`DW_LANES`] columns of a wider kernel).
-const DW_LANES: usize = 8;
-/// Samples whose `dw` chains run side by side, to hide the add latency of
-/// each one's strictly sequential sum.
-const DW_SAMPLES: usize = 4;
-
-/// Depthwise convolution (`groups == C == K`) on zero-padded planes.
-///
-/// Every filter reads exactly one input plane. Each plane is embedded in a
-/// zeroed `hp x wp` frame and outputs live in rows of the same pitch `wp`,
-/// so output `j = oy·wp + ox` reads input `stride·j + offs[t]` for tap `t`
-/// at *every* `j` of the plane: a whole plane is one flat axpy per tap, with
-/// no row or border handling (columns `ox >= ow` of a wide row are scratch
-/// in the forward pass and zero in the backward pass). Padding taps then
-/// contribute `w·0 = ±0`, which leaves a sum that started from `+0`
-/// unchanged, so every element still equals its in-range taps added in the
-/// documented order.
+/// Depthwise convolution (`groups == C == K`) on register lanes: each pass
+/// copies its operands into zero-padded scratch [`Frame`]s and runs every
+/// output as one [`sweep`] accumulator over its terms — the taps, the
+/// outputs reading a pixel (`dx`), the positions (`dw`). The lanes hold
+/// [`LANES`] samples of one channel (results [`deinterleave`]d from a
+/// scratch) or one sample's output columns (`dx`: input columns, `dw`: a
+/// kernel row's taps), by geometry ([`Depthwise::sample_lanes`]). A padding
+/// tap adds `w·0 = ±0` to a sum that started from `+0`, which leaves it
+/// unchanged: each element is its in-range terms in DESIGN.md §6b's order.
 struct Depthwise {
     c: usize,
     geom: ConvGeom,
-    wp: usize,
-    /// Values in a padded input plane; the slack lets the `dw` pass read a
-    /// full vector at the last tap.
-    pad_len: usize,
-    /// Values in a wide output plane.
-    wide_len: usize,
-    /// Flat outputs per plane: `(oh - 1)·wp + ow`.
-    span: usize,
-    /// `offs[ki·kw + kj] = ki·wp + kj`, ascending.
-    offs: Vec<usize>,
-}
-
-/// Embeds every dense `rows x cols` plane of `src` in a zeroed frame of
-/// `frame_len` values and row pitch `pitch` with its origin at `(r0, c0)`
-/// — or, with `embed` false, crops that window back out of every frame.
-fn reframe(
-    src: &[f32],
-    (rows, cols): (usize, usize),
-    (frame_len, pitch): (usize, usize),
-    (r0, c0): (usize, usize),
-    embed: bool,
-) -> Vec<f32> {
-    let (from_len, to_len) = match embed {
-        true => (rows * cols, frame_len),
-        false => (frame_len, rows * cols),
-    };
-    let mut out = vec![0.0f32; src.len() / from_len * to_len];
-    for (sp, dp) in src.chunks_exact(from_len).zip(out.chunks_exact_mut(to_len)) {
-        for r in 0..rows {
-            let (dense, framed) = (r * cols, (r0 + r) * pitch + c0);
-            match embed {
-                true => dp[framed..framed + cols].copy_from_slice(&sp[dense..dense + cols]),
-                false => dp[dense..dense + cols].copy_from_slice(&sp[framed..framed + cols]),
-            }
-        }
-    }
-    out
 }
 
 impl Depthwise {
-    fn new(c: usize, geom: ConvGeom) -> Self {
-        let (hp, wp) = (geom.h + 2 * geom.pad, geom.w + 2 * geom.pad);
-        Depthwise {
-            c,
-            wp,
-            pad_len: hp * wp + DW_LANES,
-            wide_len: geom.oh * wp,
-            span: (geom.oh - 1) * wp + geom.ow,
-            offs: (0..geom.kh)
-                .flat_map(|ki| (0..geom.kw).map(move |kj| ki * wp + kj))
-                .collect(),
-            geom,
-        }
+    /// Samples in the lanes where an output row costs no more that way: a
+    /// row is `⌈nb/8⌉·ow` sample units or `nb·⌈ow/col⌉` column units, a
+    /// unit one vector op per four lanes plus one for its bookkeeping (the
+    /// crossover measured in EXPERIMENTS.md); output columns elsewhere.
+    fn sample_lanes(&self, nb: usize) -> bool {
+        let (ow, col) = (self.geom.ow, col_lanes(self.geom.ow));
+        nb.div_ceil(LANES) * ow * (LANES / 4 + 1) <= nb * ow.div_ceil(col) * (col / 4 + 1)
     }
 
-    fn pad_input(&self, x: &[f32]) -> Vec<f32> {
-        let (g, origin) = (&self.geom, (self.geom.pad, self.geom.pad));
-        reframe(x, (g.h, g.w), (self.pad_len, self.wp), origin, true)
+    /// A block's input planes inside their padding or, for `dy`, its
+    /// gradient planes inside a margin wide enough that every input pixel
+    /// reads all its taps' outputs, in range or not.
+    fn frame(&self, nb: usize, samples: bool, dy: bool) -> Frame {
+        let (g, s) = (&self.geom, self.geom.stride);
+        if !dy {
+            let shape = (g.h + 2 * g.pad, g.w + 2 * g.pad, s);
+            return Frame::new(samples, nb, shape, (g.pad, g.pad), (g.h, g.w));
+        }
+        let (mh, mw) = ((g.kh - 1) / s, (g.kw - 1) / s);
+        let (rows, cols) = ((g.pad + g.h - 1) / s + 1, (g.pad + g.w - 1) / s + 1);
+        let shape = (mh + rows.max(g.oh), mw + cols.max(g.ow), 1);
+        Frame::new(samples, nb, shape, (mh, mw), (g.oh, g.ow))
     }
 
-    /// Per-sample `dw` partials `[nb, C·R·S]` from wide gradient planes and
-    /// padded input planes: one `LANES`-wide accumulator per kernel row (lane
-    /// `kj` is tap `(ki, kj)`; lanes past `kw` are scratch, a wider row takes
-    /// several) runs over a plane's flat positions in ascending order,
-    /// [`DW_SAMPLES`] samples side by side.
-    fn weight_grads<const LANES: usize>(&self, nb: usize, gwide: &[f32], xpad: &[f32]) -> Vec<f32> {
-        let (g, c, taps) = (&self.geom, self.c, self.offs.len());
-        let mut out = vec![0.0f32; nb * c * taps];
-        for ch in 0..c {
-            for i0 in (0..nb).step_by(DW_SAMPLES) {
-                // A short last group repeats its final sample: the same
-                // sums again, stored to the same place.
-                let planes: [usize; DW_SAMPLES] =
-                    std::array::from_fn(|b| (i0 + b).min(nb - 1) * c + ch);
-                let gs = planes.map(|pl| &gwide[pl * self.wide_len..][..self.span]);
-                for (ki, kj0) in
-                    (0..g.kh).flat_map(|ki| (0..g.kw).step_by(LANES).map(move |kj0| (ki, kj0)))
-                {
-                    let (t0, lanes) = (ki * g.kw + kj0, LANES.min(g.kw - kj0));
-                    let xs = planes.map(|pl| &xpad[pl * self.pad_len + self.offs[t0]..]);
-                    let mut acc = [[0.0f32; LANES]; DW_SAMPLES];
-                    for j in 0..self.span {
-                        for ((a, gw), xw) in acc.iter_mut().zip(&gs).zip(&xs) {
-                            let win = &xw[g.stride * j..g.stride * j + LANES];
-                            for (a, &xv) in a.iter_mut().zip(win) {
-                                *a += gw[j] * xv;
-                            }
-                        }
-                    }
-                    for (a, pl) in acc.iter().zip(planes) {
-                        out[pl * taps + t0..][..lanes].copy_from_slice(&a[..lanes]);
-                    }
-                }
-            }
+    /// Sweeps channel `ch` of the group from sample `i0` into `out` (`per`
+    /// values a plane): column lanes straight in, `stride` apart; sample
+    /// lanes through the interleaved `res`.
+    fn run<const L: usize, I: Iterator<Item = ([f32; L], usize)>>(
+        &self,
+        (frame, units, terms): (&[f32], &[Unit], impl Fn(usize) -> I),
+        (out, res): (&mut [f32], &mut [f32]),
+        (nb, i0, ch, per, stride): (usize, usize, usize, usize, usize),
+    ) {
+        if res.is_empty() {
+            return sweep(frame, units, terms, out, (ch * per, stride));
         }
-        out
+        sweep(frame, units, terms, res, (0, 1));
+        let lanes = (nb - i0).min(LANES);
+        deinterleave(res, out, ((i0 * self.c + ch) * per, self.c * per, lanes));
     }
 }
 
 impl ConvKernel for Depthwise {
     /// Per element: the taps in ascending `(ki, kj)`.
-    fn forward(&self, _nb: usize, x: &[f32], w: &[f32]) -> (Vec<f32>, Option<Vec<f32>>) {
-        let (g, taps) = (&self.geom, self.offs.len());
-        let xpad = self.pad_input(x);
-        let mut wide = vec![0.0f32; xpad.len() / self.pad_len * self.wide_len];
-        for (ci, (o, xp)) in wide
-            .chunks_exact_mut(self.wide_len)
-            .zip(xpad.chunks_exact(self.pad_len))
-            .enumerate()
-        {
-            let wrow = &w[ci % self.c * taps..(ci % self.c + 1) * taps];
-            for (&wv, &off) in wrow.iter().zip(&self.offs) {
-                axpy(&mut o[..self.span], 1, wv, &xp[off..], g.stride);
+    fn forward(&self, nb: usize, x: &[f32], w: &[f32]) -> (Vec<f32>, Option<Vec<f32>>) {
+        let (g, c, s, samples) = (&self.geom, self.c, self.geom.stride, self.sample_lanes(nb));
+        let (p, hw, taps) = (g.oh * g.ow, g.h * g.w, g.kh * g.kw);
+        let mut f = self.frame(nb, samples, false);
+        let width = if samples { 1 } else { col_lanes(g.ow) };
+        let units = plan((nb, samples, g.oh), (g.ow, 1, width), |i, oy, ox| {
+            let base = i * f.member + f.at(oy * s, ox * s);
+            (0, base, i * c * p + oy * g.ow + ox)
+        });
+        let offs: Vec<usize> = (0..taps).map(|t| f.at(t / g.kw, t % g.kw)).collect();
+        let mut out = vec![0.0f32; nb * c * p];
+        let mut res = vec![0.0f32; usize::from(samples) * p * LANES];
+        for ch in 0..c {
+            let wrow = &w[ch * taps..(ch + 1) * taps];
+            let taps = || wrow.iter().copied().zip(offs.iter().copied());
+            for i0 in (0..nb).step_by(f.members) {
+                f.fill(x, (i0, nb), (c * hw, ch * hw));
+                let (frame, bufs, at) = (&f.data, (&mut out[..], &mut res[..]), (nb, i0, ch, p, 1));
+                match width {
+                    COL_LANES => {
+                        self.run((frame, &units, |_| splat::<COL_LANES>(taps())), bufs, at)
+                    }
+                    _ => self.run((frame, &units, |_| splat::<LANES>(taps())), bufs, at),
+                }
             }
         }
-        let frame = (self.wide_len, self.wp);
-        (reframe(&wide, (g.oh, g.ow), frame, (0, 0), false), None)
+        (out, None)
     }
 
-    /// `dx`: per element its contributions in ascending `(oy, ox)` — the taps
-    /// in *descending* order, since a later tap reaches the same input from
-    /// an earlier output. Partials: per tap a sample's positions in ascending
-    /// `(oy, ox)`.
+    /// `dx`: per element its contributions in ascending `(oy, ox)` — the
+    /// taps of its stride phase in *descending* order, since a later tap
+    /// reaches the same input from an earlier output. Partials: per tap a
+    /// sample's positions in ascending `(oy, ox)`.
     fn backward(
         &self,
         nb: usize,
@@ -577,30 +526,75 @@ impl ConvKernel for Depthwise {
         w: &[f32],
         _saved: Option<&[f32]>,
     ) -> (Vec<f32>, Vec<f32>) {
-        let (g, taps) = (&self.geom, self.offs.len());
-        let gwide = reframe(gd, (g.oh, g.ow), (self.wide_len, self.wp), (0, 0), true);
-        let mut dxpad = vec![0.0f32; nb * self.c * self.pad_len];
-        for (ci, (dp, gw)) in dxpad
-            .chunks_exact_mut(self.pad_len)
-            .zip(gwide.chunks_exact(self.wide_len))
-            .enumerate()
-        {
-            let wrow = &w[ci % self.c * taps..(ci % self.c + 1) * taps];
-            for (&wv, &off) in wrow.iter().zip(&self.offs).rev() {
-                axpy(&mut dp[off..], g.stride, wv, &gw[..self.span], 1);
+        let (g, c, s, samples) = (&self.geom, self.c, self.geom.stride, self.sample_lanes(nb));
+        let (p, hw, taps, kw) = (g.oh * g.ow, g.h * g.w, g.kh * g.kw, g.kw);
+        let mut fx = self.frame(nb, samples, false);
+        let mut fg = self.frame(nb, samples, true);
+        let (mh, mw) = fg.origin;
+        // Per stride phase `(py % s, px % s)` of a padded input pixel: the
+        // taps that reach it, last first, with their outputs' frame offsets
+        // from the pixel's base.
+        let lists: Vec<Vec<(usize, usize)>> = (0..s * s)
+            .map(|phase| {
+                let (ph, pw) = (phase / s, phase % s);
+                let at = |t: usize| fg.at(mh - (t / kw - ph) / s, mw - (t % kw - pw) / s);
+                let reach = |t: &usize| t / kw % s == ph && t % kw % s == pw;
+                (0..taps).rev().filter(reach).map(|t| (t, at(t))).collect()
+            })
+            .collect();
+        let dx_width = if samples {
+            1
+        } else {
+            col_lanes(g.w.div_ceil(s))
+        };
+        let dx_units = plan((nb, samples, g.h), (g.w, s, dx_width), |i, iy, ix| {
+            let (py, px) = (iy + g.pad, ix + g.pad);
+            let base = i * fg.member + fg.at(py / s, px / s);
+            (py % s * s + px % s, base, i * c * hw + iy * g.w + ix)
+        });
+        // `dw`: a unit per tap (sample lanes) or per run of a kernel row's
+        // taps in one stride phase (column lanes), positions ascending.
+        let dw_units = plan((nb, samples, g.kh), (kw, s, COL_LANES), |i, ki, kj| {
+            let (list, base) = (if samples { 0 } else { i }, i * fx.member + fx.at(ki, kj));
+            (list, base, i * c * taps + ki * kw + kj)
+        });
+        let at = |(y, x): (usize, usize)| (fg.at(y + mh, x + mw), fx.at(y * s, x * s));
+        let positions: Vec<(usize, usize)> = (0..p).map(|j| at((j / g.ow, j % g.ow))).collect();
+        let (mut dx, mut dw) = (vec![0.0f32; nb * c * hw], vec![0.0f32; nb * c * taps]);
+        let lanes = usize::from(samples) * LANES;
+        let (mut dx_res, mut dw_res) = (vec![0.0f32; hw * lanes], vec![0.0f32; taps * lanes]);
+        for ch in 0..c {
+            let wrow = &w[ch * taps..(ch + 1) * taps];
+            let dxt = |l: usize| lists[l].iter().map(|&(t, o)| (wrow[t], o));
+            for i0 in (0..nb).step_by(fx.members) {
+                fx.fill(x, (i0, nb), (c * hw, ch * hw));
+                fg.fill(gd, (i0, nb), (c * p, ch * p));
+                let (gf, fxd) = (&fg.data, &fx.data);
+                let (dxb, dwb) = (
+                    (&mut dx[..], &mut dx_res[..]),
+                    (&mut dw[..], &mut dw_res[..]),
+                );
+                let (dx_at, dw_at) = ((nb, i0, ch, hw, s), (nb, i0, ch, taps, s));
+                match dx_width {
+                    COL_LANES => {
+                        self.run((gf, &dx_units, |l| splat::<COL_LANES>(dxt(l))), dxb, dx_at)
+                    }
+                    _ => self.run((gf, &dx_units, |l| splat::<LANES>(dxt(l))), dxb, dx_at),
+                }
+                let lanes = |d: usize| <[f32; LANES]>::try_from(&gf[d..d + LANES]).expect("lanes");
+                let all = |_| positions.iter().map(|&(d, o)| (lanes(d), o));
+                let one = |i: usize| {
+                    positions
+                        .iter()
+                        .map(move |&(d, o)| (gf[i * fg.member + d], o))
+                };
+                match samples {
+                    true => self.run((fxd, &dw_units, all), dwb, dw_at),
+                    false => self.run((fxd, &dw_units, |i| splat::<COL_LANES>(one(i))), dwb, dw_at),
+                }
             }
         }
-        let xpad = self.pad_input(x);
-        // A narrow kernel row fits half-width accumulators.
-        let partials = match g.kw {
-            0..=4 => self.weight_grads::<4>(nb, &gwide, &xpad),
-            _ => self.weight_grads::<DW_LANES>(nb, &gwide, &xpad),
-        };
-        let frame = (self.pad_len, self.wp);
-        (
-            reframe(&dxpad, (g.h, g.w), frame, (g.pad, g.pad), false),
-            partials,
-        )
+        (dx, dw)
     }
 }
 
@@ -757,7 +751,8 @@ fn mask_grad(mut g: Tensor, x: &Tensor, pass: impl Fn(f32) -> bool) -> Tensor {
 
 /// Elementwise clamp with pass-through gradient strictly inside the range.
 pub fn clamp(x: &Var, lo: f32, hi: f32) -> Var {
-    let out = x.value_ref().map(|v| v.clamp(lo, hi));
+    assert!(lo <= hi, "clamp bounds {lo} > {hi}");
+    let out = x.value_ref().map(|v| clamp_select(v, lo, hi));
     Var::from_op(
         out,
         vec![x.clone()],
@@ -789,7 +784,7 @@ pub fn avg_pool2d(x: &Var, kernel: usize, stride: usize) -> Var {
     let geom = ConvGeom::new(h, w, kernel, kernel, stride, 0);
     let out_dims = [n, c, geom.oh, geom.ow];
     let ones = Var::constant(Tensor::ones(&[c, 1, kernel, kernel]));
-    let sums = conv_op(Depthwise::new(c, geom), out_dims, x, &ones);
+    let sums = conv_op(Depthwise { c, geom }, out_dims, x, &ones);
     scale(&sums, 1.0 / (kernel * kernel) as f32)
 }
 
@@ -1157,7 +1152,7 @@ pub fn pact(x: &Var, alpha: &Var, bits: u8) -> Var {
     let a = alpha.value_ref().item().max(1e-3);
     let levels = ((1u64 << bits.min(31)) - 1) as f32;
     let out = x.value_ref().map(|v| {
-        let c = v.clamp(0.0, a);
+        let c = clamp_select(v, 0.0, a);
         round_half_away(c * levels / a) * a / levels
     });
     Var::from_op(

@@ -212,11 +212,19 @@ fn dense_oracle(t: &ConvCase, x: &[f32], w: &[f32], gy: &[f32]) -> (Vec<f32>, Ve
 #[test]
 fn depthwise_matches_the_per_pixel_loops_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(0xD3);
+    // The generate cycle's planes (3×3 and 6×6, 48 channels) at one
+    // sample, one full and one short-plus-full sample group, and two full
+    // groups: both lane orientations, and at three threads blocks of
+    // either orientation inside one call.
+    let cycle = [1usize, 8, 9, 16]
+        .into_iter()
+        .flat_map(|n| [(n, 48, 3, 3), (n, 48, 6, 6)]);
     // 9 is wider than one vector accumulator of the dw pass.
     for r in [3usize, 5, 9] {
         for stride in [1usize, 2] {
             for pad in [0usize, 1, 2] {
-                for (n, c, h, w) in [(3, 5, 7, 6), (5, 2, 5, 9), (4, 32, 16, 16)] {
+                let shapes = [(3, 5, 7, 6), (5, 2, 5, 9), (4, 32, 16, 16)];
+                for (n, c, h, w) in shapes.into_iter().chain(cycle.clone().filter(|_| r < 9)) {
                     if h.min(w) + 2 * pad < r {
                         continue;
                     }

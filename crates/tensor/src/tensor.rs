@@ -84,6 +84,55 @@ pub fn round_half_away(v: f32) -> f32 {
     }
 }
 
+/// `v.clamp(lo, hi)` as two compare-selects a vector unit runs lane-wise:
+/// `f32::clamp` asserts `lo <= hi` on every call, which keeps a loop that
+/// calls it scalar unless the bounds can be hoisted. For `lo <= hi` it is
+/// `f32::clamp` bit for bit — the same two compares in the same order
+/// (raise to `lo`, then cut to `hi`), so a NaN passes through with its
+/// payload and `±0` are returned as given. The sequential form measured
+/// 5–10 % faster in the quantizer loops than one nested select.
+#[inline(always)]
+pub fn clamp_select(v: f32, lo: f32, hi: f32) -> f32 {
+    let v = if v < lo { lo } else { v };
+    if v > hi {
+        hi
+    } else {
+        v
+    }
+}
+
+/// Largest `|v|` over `x` (`+0.0` for an empty slice), NaN ignored: the
+/// `x.iter().fold(0.0, |m, &v| m.max(v.abs()))` of a quantizer's scale, bit
+/// for bit, as a branch-free integer max a vector unit runs lane-wise. A
+/// non-NaN `|v|` orders like its bits with the sign cleared (`+inf`
+/// included, `−0.0` becoming `+0.0`) — non-negative as `i32`, which needs no
+/// unsigned compare — and every NaN pattern lies above `+inf`'s and counts
+/// as `+0.0`, the value `f32::max` lets it lose to. Inlined so every caller
+/// compiles it for its own target features (`instantnet-infer` instantiates
+/// it under AVX2).
+#[inline(always)]
+pub fn max_abs(x: &[f32]) -> f32 {
+    /// Independent maxima in flight: four 8-lane vectors.
+    const LANES: usize = 32;
+    let bits = |v: f32| {
+        let b = (v.to_bits() & 0x7fff_ffff) as i32;
+        if b > f32::INFINITY.to_bits() as i32 {
+            0
+        } else {
+            b
+        }
+    };
+    let mut lanes = [0i32; LANES];
+    let mut chunks = x.chunks_exact(LANES);
+    for chunk in chunks.by_ref() {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = (*m).max(bits(v));
+        }
+    }
+    let tail = chunks.remainder().iter().fold(0, |m, &v| m.max(bits(v)));
+    f32::from_bits(lanes.into_iter().fold(tail, i32::max) as u32)
+}
+
 /// A dense, row-major `f32` n-d array.
 ///
 /// All autograd operators in [`crate::ops`] bottom out in the plain kernels
@@ -299,9 +348,10 @@ impl Tensor {
         self.sum() / self.len() as f32
     }
 
-    /// Largest absolute value (0 for the impossible empty case).
+    /// Largest absolute value (0 for the impossible empty case), NaN
+    /// ignored: [`max_abs`] of the data.
     pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
+        max_abs(&self.data)
     }
 
     /// Index of the maximum element of a 1-d slice of `len` starting at
@@ -525,9 +575,342 @@ pub fn im2col_batch<T: Copy + Default + Send + Sync>(
     out
 }
 
+/// Lanes of one depthwise accumulator.
+pub(crate) const LANES: usize = 8;
+/// Lanes of a column-lane depthwise accumulator over a row of at most four
+/// (a 3×3 plane, a kernel row's taps): four wastes less than [`LANES`].
+pub(crate) const COL_LANES: usize = 4;
+/// Accumulators one [`chains`] call keeps in flight.
+const CHAINS: usize = 4;
+
+/// One accumulator's job in a [`sweep`]: `(term list, frame offset, where
+/// its lane 0 is stored, lanes stored)`.
+#[derive(Clone, Copy)]
+pub(crate) struct Unit(pub usize, pub usize, pub usize, pub usize);
+
+/// `acc[b][l] = Σ a[l]·frame[at + units[b].1 + l]` over `terms` `(a, at)` in
+/// order, every chain from `+0` and held in registers across all its terms;
+/// then lane `l < u.3` of unit `u` is stored at `out[o + u.2 + l·stride]`.
+#[inline(always)]
+fn chains<const L: usize, const B: usize>(
+    frame: &[f32],
+    units: [Unit; B],
+    terms: impl Iterator<Item = ([f32; L], usize)>,
+    out: &mut [f32],
+    (o, stride): (usize, usize),
+) {
+    let mut acc = [[0.0f32; L]; B];
+    for (a, at) in terms {
+        // One slice per term: each unit's read is then one bounds check.
+        let win = &frame[at..];
+        for (acc, u) in acc.iter_mut().zip(&units) {
+            let v: &[f32; L] = win[u.1..u.1 + L].try_into().expect("L lanes");
+            for ((s, &a), &v) in acc.iter_mut().zip(&a).zip(v) {
+                *s += a * v;
+            }
+        }
+    }
+    for (u, acc) in units.iter().zip(&acc) {
+        let at = o + u.2;
+        if stride == 1 && u.3 == L {
+            out[at..at + L].copy_from_slice(acc);
+        } else {
+            acc[..u.3]
+                .iter()
+                .enumerate()
+                .for_each(|(l, &v)| out[at + l * stride] = v);
+        }
+    }
+}
+
+/// The one accumulate loop of the depthwise passes: runs `units` (sorted by
+/// term list, `terms(list)` giving a unit's terms) through [`chains`],
+/// [`CHAINS`] at a time (a block of one repeats its unit into two chains,
+/// storing the same values again).
+pub(crate) fn sweep<const L: usize, I: Iterator<Item = ([f32; L], usize)>>(
+    frame: &[f32],
+    units: &[Unit],
+    terms: impl Fn(usize) -> I,
+    out: &mut [f32],
+    store: (usize, usize),
+) {
+    for block in units
+        .chunk_by(|a, b| a.0 == b.0)
+        .flat_map(|run| run.chunks(CHAINS))
+    {
+        let (unit, terms) = (|b: usize| block[b.min(block.len() - 1)], terms(block[0].0));
+        match block.len() {
+            1 | 2 => chains::<L, 2>(frame, std::array::from_fn(unit), terms, out, store),
+            3 => chains::<L, 3>(frame, std::array::from_fn(unit), terms, out, store),
+            _ => chains::<L, CHAINS>(frame, std::array::from_fn(unit), terms, out, store),
+        }
+    }
+}
+
+/// `t[j][i] = r[i][j]` for a 4×4 tile, as two rounds of pairwise zips —
+/// unpack shuffles once vectorised, not sixteen scalar moves.
+#[inline(always)]
+fn transpose4(r: [[f32; 4]; 4]) -> [[f32; 4]; 4] {
+    let zip = |a: [f32; 4], b: [f32; 4]| ([a[0], b[0], a[1], b[1]], [a[2], b[2], a[3], b[3]]);
+    let ((a0, a1), (b0, b1)) = (zip(r[0], r[2]), zip(r[1], r[3]));
+    let ((c0, c1), (c2, c3)) = (zip(a0, b0), zip(a1, b1));
+    [c0, c1, c2, c3]
+}
+
+/// `dst[p·LANES + l] = planes[l][p]`, four positions at a time through
+/// [`transpose4`].
+fn interleave(planes: [&[f32]; LANES], dst: &mut [f32]) {
+    let (n, mut p) = (dst.len() / LANES, 0);
+    while p + 4 <= n {
+        for half in [0, 4] {
+            let t = transpose4(std::array::from_fn(|i| {
+                planes[half + i][p..][..4].try_into().expect("4")
+            }));
+            for (j, t) in t.iter().enumerate() {
+                dst[(p + j) * LANES + half..][..4].copy_from_slice(t);
+            }
+        }
+        p += 4;
+    }
+    for (p, l) in (p..n).flat_map(|p| (0..LANES).map(move |l| (p, l))) {
+        dst[p * LANES + l] = planes[l][p];
+    }
+}
+
+/// The inverse of [`interleave`] for the first `lanes` lanes, lane `l` going
+/// to `out[at + l·stride..]`.
+pub(crate) fn deinterleave(
+    src: &[f32],
+    out: &mut [f32],
+    (at, stride, lanes): (usize, usize, usize),
+) {
+    let (n, mut p) = (src.len() / LANES, 0);
+    while p + 4 <= n {
+        for half in [0, 4] {
+            let t = transpose4(std::array::from_fn(|j| {
+                src[(p + j) * LANES + half..][..4].try_into().expect("4")
+            }));
+            for (i, t) in t.iter().enumerate().take(lanes.saturating_sub(half)) {
+                out[at + (half + i) * stride + p..][..4].copy_from_slice(t);
+            }
+        }
+        p += 4;
+    }
+    for (p, l) in (p..n).flat_map(|p| (0..lanes).map(move |l| (p, l))) {
+        out[at + l * stride + p] = src[p * LANES + l];
+    }
+}
+
+/// Weights broadcast to `L` lanes: `(w, offset)` terms as [`sweep`] takes
+/// them.
+pub(crate) fn splat<const L: usize>(
+    terms: impl Iterator<Item = (f32, usize)>,
+) -> impl Iterator<Item = ([f32; L], usize)> {
+    terms.map(|(w, at)| ([w; L], at))
+}
+
+/// Runs of indices below `n` that one unit's lanes cover: `x0, x0 + stride,
+/// …`, at most `width` of them.
+fn lane_runs(n: usize, stride: usize, width: usize) -> Vec<(usize, usize)> {
+    let phase = |a: usize| {
+        let m = (n - a).div_ceil(stride);
+        (0..m)
+            .step_by(width)
+            .map(move |q| (a + stride * q, (m - q).min(width)))
+    };
+    (0..stride.min(n)).flat_map(phase).collect()
+}
+
+/// The lanes of a column-lane accumulator over rows of `n` indices.
+pub(crate) fn col_lanes(n: usize) -> usize {
+    if n <= COL_LANES {
+        COL_LANES
+    } else {
+        LANES
+    }
+}
+
+/// One depthwise pass's units, sorted by term list: for each of `nb`
+/// stacked planes (one with sample lanes) and each of `rows` rows, the
+/// [`lane_runs`] of `(n, stride)` — `width` indices each, or one with sample
+/// lanes, whose unit stores its lanes interleaved, `out·LANES` on.
+/// `place(plane, row, first index)` gives `(list, frame offset, out)`.
+pub(crate) fn plan(
+    (nb, samples, rows): (usize, bool, usize),
+    (n, stride, width): (usize, usize, usize),
+    place: impl Fn(usize, usize, usize) -> (usize, usize, usize),
+) -> Vec<Unit> {
+    let (members, runs) = match samples {
+        true => (1, lane_runs(n, 1, 1)),
+        false => (nb, lane_runs(n, stride, width)),
+    };
+    let mut units = Vec::with_capacity(members * rows * runs.len());
+    for (i, y) in (0..members).flat_map(|i| (0..rows).map(move |y| (i, y))) {
+        for &(x0, n) in &runs {
+            let (list, base, out) = place(i, y, x0);
+            units.push(match samples {
+                true => Unit(list, base, out * LANES, LANES),
+                false => Unit(list, base, out, n),
+            });
+        }
+    }
+    // Any order within a list will do: every unit's outputs are its own.
+    units.sort_unstable_by_key(|u| u.0);
+    units
+}
+
+/// A depthwise pass's zeroed scratch frame of `rows x cols` positions that
+/// holds `members` dense `(h, w)` planes with their origin at `origin`. With
+/// sample lanes position `(y, x)` holds [`LANES`] interleaved planes (staged
+/// through [`interleave`]); otherwise each of a block's planes is a member
+/// of its own, `member` apart, its columns split into `stride` phases
+/// `phase` apart so that outputs `stride` apart read neighbours.
+pub(crate) struct Frame {
+    row: usize,
+    phase: usize,
+    step: usize,
+    stride: usize,
+    pub members: usize,
+    pub member: usize,
+    pub origin: (usize, usize),
+    /// `at(0, origin.1 + x)` per dense column `x`.
+    cols: Vec<usize>,
+    plane: usize,
+    stage: Vec<f32>,
+    pub data: Vec<f32>,
+}
+
+impl Frame {
+    pub(crate) fn new(
+        samples: bool,
+        nb: usize,
+        (rows, cols, stride): (usize, usize, usize),
+        origin: (usize, usize),
+        (h, w): (usize, usize),
+    ) -> Frame {
+        // Column lanes leave slack past each phase for a run's last unit.
+        let (step, phase, stride) = match samples {
+            true => (LANES, 0, 1),
+            false => (1, cols.div_ceil(stride) + 2 * LANES, stride),
+        };
+        let row = if samples {
+            cols * LANES
+        } else {
+            stride * phase
+        };
+        let (member, members) = if samples {
+            (1, LANES)
+        } else {
+            (rows * row, nb)
+        };
+        let stage = vec![0.0f32; usize::from(samples) * h * w * LANES];
+        let data = vec![0.0f32; if samples { rows * row } else { nb * rows * row }];
+        let cols = Vec::new();
+        let mut f = Frame {
+            row,
+            phase,
+            step,
+            stride,
+            members,
+            member,
+            origin,
+            cols,
+            plane: h * w,
+            stage,
+            data,
+        };
+        f.cols = (0..w).map(|x| f.at(0, origin.1 + x)).collect();
+        f
+    }
+
+    pub(crate) fn at(&self, y: usize, x: usize) -> usize {
+        // No runtime division where there are no phases: plans call this
+        // for every unit, tap and position.
+        match self.stride {
+            1 => y * self.row + x * self.step,
+            s => y * self.row + x % s * self.phase + x / s * self.step,
+        }
+    }
+
+    /// Copies in, as member `m`, the dense plane of sample `i0 + m` at
+    /// `src[(i0 + m)·step + at..]` — sample `nb − 1`'s past the block's end,
+    /// so a short sample group repeats its last sample; the rest keeps its
+    /// zeros.
+    pub(crate) fn fill(
+        &mut self,
+        src: &[f32],
+        (i0, nb): (usize, usize),
+        (step, at): (usize, usize),
+    ) {
+        let w = self.cols.len();
+        let (row0, c0) = (self.origin.0 * self.row, self.cols[0]);
+        let plane = |m: usize| &src[(i0 + m).min(nb - 1) * step + at..][..self.plane];
+        if self.step == LANES {
+            interleave(std::array::from_fn(plane), &mut self.stage);
+            for (r, dense) in self.stage.chunks_exact(w * LANES).enumerate() {
+                self.data[row0 + r * self.row + c0..][..w * LANES].copy_from_slice(dense);
+            }
+            return;
+        }
+        for m in 0..self.members {
+            for (r, dense) in plane(m).chunks_exact(w).enumerate() {
+                let at = m * self.member + row0 + r * self.row;
+                // Element copies, not one `memcpy` call per short row.
+                if self.stride == 1 {
+                    let row = &mut self.data[at + c0..][..w];
+                    row.iter_mut().zip(dense).for_each(|(d, &v)| *d = v);
+                } else {
+                    let cols = self.cols.iter().zip(dense);
+                    cols.for_each(|(&x, &v)| self.data[at + x] = v);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clamp_select_is_f32_clamp_bit_for_bit() {
+        let bits = [
+            0x7fc0_0000u32, // quiet NaN
+            0x7fc0_1234,    // quiet NaN with a payload
+            0xffc0_0001,    // negative quiet NaN
+            0x7f80_0001,    // signalling NaNs
+            0xff80_0abc,
+            0x0000_0000, // ±0
+            0x8000_0000,
+            0x7f80_0000, // ±inf
+            0xff80_0000,
+            0x0000_0001, // subnormals
+            0x807f_ffff,
+            0x0080_0000, // smallest normal
+        ];
+        let specials = bits.map(f32::from_bits);
+        for (lo, hi) in [
+            (-1.0f32, 1.0),
+            (-7.0, 7.0),
+            (-127.0, 127.0),
+            (-32_767.0, 32_767.0),
+            (0.0, 1.0),
+            (0.0, 6.0),
+            (0.0, f32::INFINITY),
+            (-0.0, 0.0),
+        ] {
+            // The bounds themselves, one ulp either side, and twice as far.
+            let edges = [lo, hi].into_iter().flat_map(|b| {
+                let up = |v: f32| f32::from_bits(v.to_bits().wrapping_add(1));
+                let down = |v: f32| f32::from_bits(v.to_bits().wrapping_sub(1));
+                [b, up(b), down(b), 2.0 * b, -b]
+            });
+            for v in specials.into_iter().chain(edges) {
+                let (got, want) = (clamp_select(v, lo, hi), v.clamp(lo, hi));
+                assert_eq!(got.to_bits(), want.to_bits(), "{v:e} in [{lo}, {hi}]");
+            }
+        }
+    }
 
     #[test]
     fn round_half_away_is_libm_round_bit_for_bit() {
