@@ -114,6 +114,23 @@ fn bench_train_steps(c: &mut Criterion) {
         vec![init::kaiming_uniform(&mut rng, &[48, 1, 3, 3])],
         |x, p| ops::conv2d(x, &p[0], 1, 1, 48),
     );
+    // The generate cycle's largest batch norm, and its most frequent dense
+    // product: the expanding pointwise conv whose per-sample `dw` partial is
+    // the `48×36×8` product.
+    bench_train_step(
+        c,
+        "batch_norm2d_train_step_16x48x6x6",
+        init::uniform(&mut rng, &[16, 48, 6, 6], -1.0, 1.0),
+        vec![Tensor::ones(&[48]), Tensor::zeros(&[48])],
+        |x, p| ops::batch_norm2d(x, &p[0], &p[1], 1e-5, None).out,
+    );
+    bench_train_step(
+        c,
+        "pointwise_conv2d_train_step_16x8x6x6",
+        init::uniform(&mut rng, &[16, 8, 6, 6], -1.0, 1.0),
+        vec![init::kaiming_uniform(&mut rng, &[48, 8, 1, 1])],
+        |x, p| ops::conv2d(x, &p[0], 1, 0, 1),
+    );
 }
 
 fn bench_quantizers(c: &mut Criterion) {

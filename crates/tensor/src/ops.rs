@@ -4,10 +4,11 @@
 //! closure computing the exact analytic vector-Jacobian product for the
 //! backward pass. Operators borrow their inputs from the graph and closures
 //! own the incoming gradient, so nothing is copied that is not also changed.
-//! Dense convolution is batch-level work: one patch matrix, one product per
-//! group and one layout swap per pass; depthwise convolution holds outputs
-//! in register lanes (samples or columns) over zero-padded frames, batch
-//! norm runs plane slices with several channels' sums in flight. What each
+//! Dense convolution is one patch matrix per block and register-tiled
+//! products per sample (per block on small planes); depthwise convolution
+//! holds outputs in register lanes (samples or columns) over zero-padded
+//! frames; batch norm sums channels side by side in vector lanes over a
+//! channels-last copy of its input. What each
 //! kernel sums, and in which order, is fixed per output element (DESIGN.md
 //! §6b), so values and gradients are bit-identical at any thread count.
 
@@ -15,7 +16,7 @@ use crate::autograd::Var;
 use crate::tensor::{
     clamp_select, col_lanes, deinterleave, fold_plane, im2col_batch, matmul_into, plan,
     round_half_away, splat, sweep, transpose_into, ConvGeom, Frame, Tensor, Unit, COL_LANES, LANES,
-    PAR_FLOP_THRESHOLD,
+    PAR_FLOP_THRESHOLD, TILE_COLS,
 };
 use instantnet_parallel as parallel;
 
@@ -177,7 +178,7 @@ pub fn bias_add(x: &Var, b: &Var) -> Var {
         out,
         vec![x.clone(), b.clone()],
         Box::new(move |g, parents| {
-            let db = channel_sums(g.len() / (c * spatial), c, spatial, |_, at| g.data()[at]);
+            let (_, _, db) = channels_last(g.data(), (g.len() / (c * spatial), c, spatial));
             parents[0].accumulate_grad(g);
             parents[1].accumulate_grad(Tensor::from_vec(vec![c], db));
         }),
@@ -316,10 +317,15 @@ fn swap_leading(src: &[f32], a: usize, b: usize, p: usize) -> Vec<f32> {
     out
 }
 
-/// Dense (non-depthwise) grouped convolution as block-level matrix work.
+/// Dense (non-depthwise) grouped convolution as matrix work.
 ///
 /// With `q = C/g·R·S` and `P = OH·OW`, a block's patch matrix `cols` is
-/// `[C·R·S, nb·P]`: group `gi` owns rows `gi·q..`, sample `i` columns `i·P..`.
+/// `[C·R·S, nb·P]`: group `gi` owns rows `gi·q..`, sample `i` columns `i·P..`;
+/// a pointwise conv's is `x` itself, sample by sample. Where a sample's
+/// positions fill two register tiles' columns ([`DenseConv::per_sample`]),
+/// every product is one sample's and group's, written straight into the
+/// sample-major result; on smaller planes a product spans the block, its
+/// operands and result moved between layouts by [`swap_leading`].
 struct DenseConv {
     c: usize,
     k: usize,
@@ -338,16 +344,49 @@ impl DenseConv {
         )
     }
 
-    /// A 1×1/stride-1/pad-0 conv's patch matrix is `x` itself, channel-major:
-    /// no `im2col`, and nothing worth keeping for the backward pass.
+    /// A 1×1/stride-1/pad-0 conv's patch matrix is `x` itself: no `im2col`,
+    /// and nothing worth keeping for the backward pass.
     fn pointwise(&self) -> bool {
         let g = &self.geom;
         g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
     }
 
-    /// `[rows_g, inner] · [inner, l]` per group into the matching rows of a
-    /// `[groups·rows_g, l]` result; `lhs` is `[groups·rows_g, inner]`, `rhs`
-    /// `[groups·inner, l]`.
+    /// Products per sample where its `P` positions fill at least two tiles'
+    /// columns: below that the last, zero-padded tile of every sample is
+    /// most of its product (a 3×3 plane is 9 of 16 columns), and one
+    /// product over the block's `nb·P` columns wastes none.
+    fn per_sample(&self) -> bool {
+        self.geom.oh * self.geom.ow >= 2 * TILE_COLS
+    }
+
+    /// `[nb, groups·rows_g, P]`: per sample `i` and group `gi`, the
+    /// `[rows_g, inner]` block `gi` of `lhs` times the `[inner, P]` operand
+    /// at `rhs[i·step + gi·inner·ld..]` (row pitch `ld`).
+    fn sample_products(
+        &self,
+        (lhs, rows_g, inner): (&[f32], usize, usize),
+        (rhs, ld, step): (&[f32], usize, usize),
+        nb: usize,
+    ) -> Vec<f32> {
+        let (groups, p) = (self.groups, self.geom.oh * self.geom.ow);
+        let mut out = vec![0.0f32; nb * groups * rows_g * p];
+        for (row, out_g) in out.chunks_exact_mut(rows_g * p).enumerate() {
+            let (i, gi) = (row / groups, row % groups);
+            let lhs_g = &lhs[gi * rows_g * inner..(gi + 1) * rows_g * inner];
+            matmul_into(
+                lhs_g,
+                &rhs[i * step + gi * inner * ld..],
+                ld,
+                out_g,
+                inner,
+                p,
+            );
+        }
+        out
+    }
+
+    /// `[groups·rows_g, l]`: per group, the `[rows_g, inner]` block of
+    /// `lhs` times rows `gi·inner..` of the `[groups·inner, l]` `rhs`.
     fn grouped_product(
         &self,
         lhs: &[f32],
@@ -367,14 +406,20 @@ impl ConvKernel for DenseConv {
     /// Per element the `q` products `w·patch` in ascending `(c, ki, kj)`.
     fn forward(&self, nb: usize, x: &[f32], w: &[f32]) -> (Vec<f32>, Option<Vec<f32>>) {
         let (q, p, kg) = self.sizes();
-        let cols = if self.pointwise() {
-            swap_leading(x, nb, self.c, p)
-        } else {
-            im2col_batch(x, nb, self.c, &self.geom)
+        let (c, l) = (self.c, nb * p);
+        let cols = (!self.pointwise()).then(|| im2col_batch(x, nb, c, &self.geom));
+        let y = match (&cols, self.per_sample()) {
+            (Some(cols), true) => self.sample_products((w, kg, q), (cols, l, p), nb),
+            (None, true) => self.sample_products((w, kg, q), (x, p, c * p), nb),
+            (Some(cols), false) => {
+                swap_leading(&self.grouped_product(w, cols, (kg, q, l)), self.k, nb, p)
+            }
+            (None, false) => {
+                let y = self.grouped_product(w, &swap_leading(x, nb, c, p), (kg, q, l));
+                swap_leading(&y, self.k, nb, p)
+            }
         };
-        let y = self.grouped_product(w, &cols, (kg, q, nb * p));
-        let keep = (!self.pointwise()).then_some(cols);
-        (swap_leading(&y, self.k, nb, p), keep)
+        (y, cols)
     }
 
     /// `dx`: per group `dcols = Wᵀ·dy` (filters ascending per element), then
@@ -395,15 +440,30 @@ impl ConvKernel for DenseConv {
         for (wg, wtg) in w.chunks_exact(kg * q).zip(wt.chunks_exact_mut(kg * q)) {
             transpose_into(wg, q, kg, q, wtg);
         }
-        let dcols = self.grouped_product(&wt, &swap_leading(g, nb, k, p), (q, kg, l));
-        let dx = if self.pointwise() {
-            swap_leading(&dcols, c, nb, p)
-        } else {
-            let mut dx = vec![0.0f32; nb * c * plane];
-            for (ci, dxp) in dx.chunks_exact_mut(plane).enumerate() {
-                fold_plane(&dcols[ci % c * taps * l + ci / c * p..], l, dxp, geom);
+        // `dcols` sample-major (`[nb, C·R·S, P]`, a pointwise conv's is `dx`
+        // itself) or channel-major (`[C·R·S, nb·P]`); `(ld, step)` is its
+        // row pitch and the offset of one sample.
+        let (dcols, (ld, step)) = match self.per_sample() {
+            true => (
+                self.sample_products((&wt, q, kg), (g, p, k * p), nb),
+                (p, crs * p),
+            ),
+            false => {
+                let dcols = self.grouped_product(&wt, &swap_leading(g, nb, k, p), (q, kg, l));
+                (dcols, (l, p))
             }
-            dx
+        };
+        let dx = match (self.pointwise(), self.per_sample()) {
+            (true, true) => dcols,
+            (true, false) => swap_leading(&dcols, c, nb, p),
+            (false, _) => {
+                let mut dx = vec![0.0f32; nb * c * plane];
+                for (ci, dxp) in dx.chunks_exact_mut(plane).enumerate() {
+                    let at = ci % c * taps * ld + ci / c * step;
+                    fold_plane(&dcols[at..], ld, dxp, geom);
+                }
+                dx
+            }
         };
         // colsᵀ `[l, C·R·S]`, one sample's `[C·R·S, P]` block at a time: one
         // patch per row, so the partial products stream it with unit stride.
@@ -443,11 +503,15 @@ struct Depthwise {
 impl Depthwise {
     /// Samples in the lanes where an output row costs no more that way: a
     /// row is `⌈nb/8⌉·ow` sample units or `nb·⌈ow/col⌉` column units, a
-    /// unit one vector op per four lanes plus one for its bookkeeping (the
-    /// crossover measured in EXPERIMENTS.md); output columns elsewhere.
+    /// unit one vector op per four lanes plus one for its bookkeeping. At
+    /// stride `s` the column side pays `(s + 2)/3` of that: its `dx` pass,
+    /// one of three, runs every input row as `s` phases of partly filled
+    /// units (the crossover measured in EXPERIMENTS.md); output columns
+    /// elsewhere.
     fn sample_lanes(&self, nb: usize) -> bool {
-        let (ow, col) = (self.geom.ow, col_lanes(self.geom.ow));
-        nb.div_ceil(LANES) * ow * (LANES / 4 + 1) <= nb * ow.div_ceil(col) * (col / 4 + 1)
+        let (ow, col, s) = (self.geom.ow, col_lanes(self.geom.ow), self.geom.stride);
+        let samples = nb.div_ceil(LANES) * ow * (LANES / 4 + 1);
+        3 * samples <= nb * ow.div_ceil(col) * (col / 4 + 1) * (s + 2)
     }
 
     /// A block's input planes inside their padding or, for `dy`, its
@@ -614,33 +678,116 @@ pub struct BatchNormOutput {
     pub var: Tensor,
 }
 
-/// Channels whose reduction chains [`channel_sums`] keeps in flight at once:
-/// each chain is one dependent add per element, so a few independent ones
-/// hide the add latency without touching any chain's order.
+/// Channels in the lanes of one BatchNorm sum: two vectors.
 const BN_LANES: usize = 8;
 
-/// Per-channel sums over an `[n, c, hw]` layout of `term(channel, flat
-/// index)`: every channel adds its terms in ascending (sample, position)
-/// order, starting from zero.
-fn channel_sums(n: usize, c: usize, hw: usize, term: impl Fn(usize, usize) -> f32) -> Vec<f32> {
-    let mut sums = vec![0.0f32; c];
-    for i in 0..n {
-        for c0 in (0..c).step_by(BN_LANES) {
-            // A short last block repeats its final channel: the same chain
-            // computed again, storing the same value.
-            let chs: [usize; BN_LANES] = std::array::from_fn(|lane| (c0 + lane).min(c - 1));
-            let mut acc = chs.map(|ch| sums[ch]);
-            for s in 0..hw {
-                for (a, &ch) in acc.iter_mut().zip(&chs) {
-                    *a += term(ch, (i * c + ch) * hw + s);
+/// `[n, c, hw]` → `[n·hw, cp]` (one position's channels adjacent, rows
+/// zero-padded to `cp`, a whole number of [`BN_LANES`]), and each channel's
+/// sum of its values, samples ascending, positions ascending within a
+/// sample, from `+0`: [`BN_LANES`] channels at a time are gathered from
+/// their planes into lanes, each row both stored and added to its
+/// channels' chains. A short last block repeats its final channel into the
+/// padding.
+fn channels_last(x: &[f32], (n, c, hw): (usize, usize, usize)) -> (Vec<f32>, usize, Vec<f32>) {
+    let cp = c.next_multiple_of(BN_LANES);
+    let (mut t, mut sums) = (vec![0.0f32; n * hw * cp], vec![0.0f32; cp]);
+    for c0 in (0..c).step_by(BN_LANES) {
+        let mut acc = [0.0f32; BN_LANES];
+        for (i, ts) in t.chunks_exact_mut(hw * cp).enumerate() {
+            let planes: [&[f32]; BN_LANES] =
+                std::array::from_fn(|l| &x[(i * c + (c0 + l).min(c - 1)) * hw..][..hw]);
+            for (s, row) in ts.chunks_exact_mut(cp).enumerate() {
+                let v: [f32; BN_LANES] = std::array::from_fn(|l| planes[l][s]);
+                row[c0..c0 + BN_LANES].copy_from_slice(&v);
+                for (a, v) in acc.iter_mut().zip(v) {
+                    *a += v;
                 }
             }
-            for (&a, &ch) in acc.iter().zip(&chs) {
-                sums[ch] = a;
+        }
+        sums[c0..c0 + BN_LANES].copy_from_slice(&acc);
+    }
+    sums.truncate(c);
+    (t, cp, sums)
+}
+
+/// `Σ(x − mean)²` per channel over the [`channels_last`] copy `xt`
+/// (`cp`-long rows), rows in order from `+0`: sixteen channels at a time
+/// run every row with their sums in registers, four vectors' chains in
+/// flight.
+fn sq_dev_sums(xt: &[f32], cp: usize, mean: &[f32]) -> Vec<f32> {
+    let mut sums = vec![0.0f32; cp];
+    for c0 in (0..cp).step_by(2 * BN_LANES) {
+        match c0 + 2 * BN_LANES <= cp {
+            true => sq_dev_block::<2>((xt, cp), c0, mean, &mut sums),
+            false => sq_dev_block::<1>((xt, cp), c0, mean, &mut sums),
+        }
+    }
+    sums.truncate(mean.len());
+    sums
+}
+
+/// [`sq_dev_sums`] over the `H·BN_LANES` channels from `c0`.
+#[inline(always)]
+fn sq_dev_block<const H: usize>(
+    (xt, cp): (&[f32], usize),
+    c0: usize,
+    mean: &[f32],
+    sums: &mut [f32],
+) {
+    let mu: [[f32; BN_LANES]; H] = std::array::from_fn(|h| lanes(mean, c0 + h * BN_LANES));
+    let mut acc = [[0.0f32; BN_LANES]; H];
+    for row in xt.chunks_exact(cp) {
+        for (h, (acc, mu)) in acc.iter_mut().zip(&mu).enumerate() {
+            let x: &[f32; BN_LANES] = row[c0 + h * BN_LANES..][..BN_LANES]
+                .try_into()
+                .expect("lanes");
+            for ((a, &x), &mu) in acc.iter_mut().zip(x).zip(mu) {
+                let d = x - mu;
+                *a += d * d;
             }
         }
     }
-    sums
+    sums[c0..c0 + H * BN_LANES].copy_from_slice(acc.as_flattened());
+}
+
+/// `(Σdy, Σdy·x̂)` per channel for [`batch_norm2d`]'s backward pass, in
+/// [`channels_last`]' order, with `x̂ = (x − mu)·invstd` recomputed from the
+/// [`channels_last`] copy `xt` (`cp`-long rows): [`BN_LANES`] channels in
+/// the lanes, their `dy` gathered straight from the planes (a short last
+/// block repeats its final channel), so `dy` needs no copy of its own.
+fn dy_sums(
+    dy: &[f32],
+    (c, hw): (usize, usize),
+    (xt, cp): (&[f32], usize),
+    (mu, invstd): (&[f32], &[f32]),
+) -> (Vec<f32>, Vec<f32>) {
+    let (mut sum_dy, mut sum_dy_xhat) = (vec![0.0f32; cp], vec![0.0f32; cp]);
+    for c0 in (0..c).step_by(BN_LANES) {
+        let (mu, is) = (lanes(mu, c0), lanes(invstd, c0));
+        let (mut s0, mut s1) = ([0.0f32; BN_LANES], [0.0f32; BN_LANES]);
+        for (i, xs) in xt.chunks_exact(hw * cp).enumerate() {
+            let planes: [&[f32]; BN_LANES] =
+                std::array::from_fn(|l| &dy[(i * c + (c0 + l).min(c - 1)) * hw..][..hw]);
+            for (s, row) in xs.chunks_exact(cp).enumerate() {
+                let x: &[f32; BN_LANES] = row[c0..][..BN_LANES].try_into().expect("lanes");
+                let d: [f32; BN_LANES] = std::array::from_fn(|l| planes[l][s]);
+                for l in 0..BN_LANES {
+                    s0[l] += d[l];
+                    s1[l] += d[l] * ((x[l] - mu[l]) * is[l]);
+                }
+            }
+        }
+        sum_dy[c0..c0 + BN_LANES].copy_from_slice(&s0);
+        sum_dy_xhat[c0..c0 + BN_LANES].copy_from_slice(&s1);
+    }
+    sum_dy.truncate(c);
+    sum_dy_xhat.truncate(c);
+    (sum_dy, sum_dy_xhat)
+}
+
+/// The [`BN_LANES`] values of `v` from `c0`, zeros past its end.
+fn lanes(v: &[f32], c0: usize) -> [f32; BN_LANES] {
+    std::array::from_fn(|l| v.get(c0 + l).copied().unwrap_or(0.0))
 }
 
 /// Batch normalization over `[N, C, H, W]` (statistics per channel).
@@ -648,6 +795,11 @@ fn channel_sums(n: usize, c: usize, hw: usize, term: impl Fn(usize, usize) -> f3
 /// With `stats = None` the batch statistics are computed and fully
 /// differentiated (training mode). With `stats = Some((mean, var))` the
 /// given statistics are treated as constants (inference mode).
+///
+/// The statistics and `dγ`/`dβ` are sums with channels in vector lanes:
+/// over a channels-last copy of `x`, kept for the backward pass, and over
+/// `dy` gathered from its planes. `x̂ = (x − mean)·invstd` is never stored:
+/// it is recomputed where it is needed, with that one expression.
 ///
 /// # Panics
 ///
@@ -668,58 +820,84 @@ pub fn batch_norm2d(
     let m = (n * hw) as f32;
     let use_batch_stats = stats.is_none();
     let xd = xv.data();
+    // Training needs the copy for its statistics; inference makes it only
+    // if a backward pass asks.
+    let (xt, sum_x) = match use_batch_stats {
+        true => {
+            let (xt, cp, sums) = channels_last(xd, (n, c, hw));
+            (Some((xt, cp)), sums)
+        }
+        false => (None, Vec::new()),
+    };
     let (mean, var) = stats.unwrap_or_else(|| {
-        let mut mu = channel_sums(n, c, hw, |_, at| xd[at]);
+        let (xt, cp) = xt.as_ref().expect("training copy");
+        let mut mu = sum_x;
         mu.iter_mut().for_each(|v| *v /= m);
-        let mut va = channel_sums(n, c, hw, |ch, at| {
-            let d = xd[at] - mu[ch];
-            d * d
-        });
+        let mut va = sq_dev_sums(xt, *cp, &mu);
         va.iter_mut().for_each(|v| *v /= m);
         (Tensor::from_vec(vec![c], mu), Tensor::from_vec(vec![c], va))
     });
     let invstd: Vec<f32> = var.data().iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
-    let mut xhat = vec![0.0f32; xd.len()];
-    let mut y = vec![0.0f32; xd.len()];
-    let planes = xd
-        .chunks_exact(hw)
-        .zip(xhat.chunks_exact_mut(hw).zip(y.chunks_exact_mut(hw)));
-    for (idx, (xp, (xhp, yp))) in planes.enumerate() {
-        let ch = idx % c;
-        let (mu, is, ga, be) = (mean.data()[ch], invstd[ch], gv.data()[ch], bv.data()[ch]);
-        for ((&xv, xh), yv) in xp.iter().zip(xhp).zip(yp) {
-            *xh = (xv - mu) * is;
-            *yv = ga * *xh + be;
+    // Sample by sample, channels in step with their parameters: no index
+    // arithmetic per plane, and every value written once.
+    let mut y = Vec::with_capacity(xd.len());
+    let params = || {
+        mean.data()
+            .iter()
+            .zip(&invstd)
+            .zip(gv.data().iter().zip(bv.data()))
+    };
+    for xs in xd.chunks_exact(c * hw) {
+        for (xp, ((&mu, &is), (&ga, &be))) in xs.chunks_exact(hw).zip(params()) {
+            y.extend(xp.iter().map(|&x| ga * ((x - mu) * is) + be));
         }
     }
     let dims = xv.dims().to_vec();
+    let mu = mean.data().to_vec();
     let out = Var::from_op(
         Tensor::from_vec(dims.clone(), y),
         vec![x.clone(), gamma.clone(), beta.clone()],
-        Box::new(move |g, parents| {
-            let gd = g.data();
+        Box::new(move |mut g, parents| {
+            let (gd, xv) = (g.data(), parents[0].value_ref());
+            let xd = xv.data();
+            let made;
+            let (xt, cp) = match &xt {
+                Some((xt, cp)) => (xt, *cp),
+                None => {
+                    made = channels_last(xd, (n, c, hw));
+                    (&made.0, made.1)
+                }
+            };
             // dbeta = Σ dy and dgamma = Σ dy·x̂ are also the two batch
-            // reductions the input gradient needs.
-            let sum_dy = channel_sums(n, c, hw, |_, at| gd[at]);
-            let sum_dy_xhat = channel_sums(n, c, hw, |_, at| gd[at] * xhat[at]);
+            // reductions the input gradient needs: one sweep sums both.
+            let (sum_dy, sum_dy_xhat) = dy_sums(gd, (c, hw), (xt, cp), (&mu, &invstd));
             let gamma = parents[1].value_ref();
-            let mut dx = vec![0.0f32; gd.len()];
-            let planes = gd
-                .chunks_exact(hw)
-                .zip(xhat.chunks_exact(hw).zip(dx.chunks_exact_mut(hw)));
-            for (idx, (gp, (xhp, dxp))) in planes.enumerate() {
-                let ch = idx % c;
-                let gsc = gamma.data()[ch] * invstd[ch];
-                let (scale, sdy, sdx) = (gsc / m, sum_dy[ch], sum_dy_xhat[ch]);
-                for ((&dy, &xh), d) in gp.iter().zip(xhp).zip(dxp) {
-                    *d = if use_batch_stats {
-                        scale * (m * dy - sdy - xh * sdx)
+            let per_channel = || {
+                let scales = gamma.data().iter().zip(&invstd).map(|(&ga, &is)| ga * is);
+                scales.zip(mu.iter().zip(&invstd).zip(sum_dy.iter().zip(&sum_dy_xhat)))
+            };
+            // dx overwrites the gradient it is computed from, element by
+            // element: no buffer of its own.
+            for (gs, xs) in g
+                .data_mut()
+                .chunks_exact_mut(c * hw)
+                .zip(xd.chunks_exact(c * hw))
+            {
+                let planes = gs.chunks_exact_mut(hw).zip(xs.chunks_exact(hw));
+                for ((gp, xp), (gsc, ((&mu, &is), (&sdy, &sdx)))) in planes.zip(per_channel()) {
+                    let rows = gp.iter_mut().zip(xp);
+                    if use_batch_stats {
+                        let scale = gsc / m;
+                        rows.for_each(|(dy, &x)| {
+                            let xh = (x - mu) * is;
+                            *dy = scale * (m * *dy - sdy - xh * sdx);
+                        });
                     } else {
-                        gsc * dy
-                    };
+                        rows.for_each(|(dy, _)| *dy *= gsc);
+                    }
                 }
             }
-            parents[0].accumulate_grad(Tensor::from_vec(dims.clone(), dx));
+            parents[0].accumulate_grad(g);
             parents[1].accumulate_grad(Tensor::from_vec(vec![c], sum_dy_xhat));
             parents[2].accumulate_grad(Tensor::from_vec(vec![c], sum_dy));
         }),
@@ -1346,6 +1524,34 @@ mod tests {
         let w = Var::constant(randn(&mut rng, &[3, 1, 3, 3]));
         let x = Var::leaf(randn(&mut rng, &[2, 3, 6, 6]), true);
         grad_check(&x, |x| conv2d(x, &w, 2, 1, 3).sum(), 2e-2);
+    }
+
+    #[test]
+    fn sample_lanes_picks_the_measured_orientation() {
+        // EXPERIMENTS.md's forced-orientation table (48 channels, "same"
+        // padding): per plane, kernel and stride, the orientation measured
+        // faster at n = 1, 2, 4, 6, 8, 9, 12, 16 ('S' samples, 'C' columns;
+        // cells within 5 % are either, '.').
+        let table = [
+            ((6, 3, 1), "CCCSSCSS"),
+            ((6, 3, 2), "CCSSSSSS"),
+            ((6, 5, 1), "CCCSSCSS"),
+            ((3, 3, 1), "CCCSSSSS"),
+            ((3, 5, 2), "CCSSSSSS"),
+            ((16, 3, 1), "CCCC.CC."),
+            ((16, 3, 2), "CCCSS.SS"),
+        ];
+        for ((hw, k, stride), want) in table {
+            let geom = ConvGeom::new(hw, hw, k, k, stride, k / 2);
+            let dw = Depthwise { c: 48, geom };
+            for (nb, want) in [1, 2, 4, 6, 8, 9, 12, 16].into_iter().zip(want.chars()) {
+                let got = if dw.sample_lanes(nb) { 'S' } else { 'C' };
+                assert!(
+                    want == '.' || got == want,
+                    "{hw}x{hw} k{k} s{stride} n={nb}: {got}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -286,6 +286,54 @@ fn dense_grouped_and_pointwise_conv_match_the_scalar_definition_bit_for_bit() {
     }
 }
 
+/// `lhs · rhs` by the indexed triple loop, terms `p` ascending from `+0`,
+/// a term whose `lhs` value is zero skipped.
+fn matmul_oracle(lhs: &[f32], rhs: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for r in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                let a = lhs[r * k + p];
+                if a != 0.0 {
+                    acc += a * rhs[p * n + j];
+                }
+            }
+            out[r * n + j] = acc;
+        }
+    }
+    out
+}
+
+#[test]
+fn matmul_matches_the_skipping_triple_loop_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x3A);
+    let sizes = [1usize, 3, 4, 5, 8, 9, 36];
+    // k = 1 puts the widest rows on the row loop, 9 tiles them all; the
+    // last case crosses the parallel threshold.
+    let shapes = sizes
+        .iter()
+        .flat_map(|&m| sizes.iter().flat_map(move |&n| [(m, 1, n), (m, 9, n)]))
+        .chain([(48, 36, 8), (8, 48, 576), (64, 64, 64)]);
+    for (m, k, n) in shapes {
+        let mut lhs = randn(&mut rng, &[m, k]);
+        let mut rhs = randn(&mut rng, &[k, n]);
+        // Non-finite rhs values, at most one per column (so no element meets
+        // two NaNs, whose payloads the order of an add would pick between):
+        // under a zero lhs value the skip keeps them out, elsewhere they
+        // reach the result.
+        for j in (0..n).step_by(2) {
+            let p = rng.gen_range(0..k);
+            rhs.data_mut()[p * n + j] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j / 2 % 3];
+            for r in (0..m).filter(|r| (r + j) % 3 != 0) {
+                lhs.data_mut()[r * k + p] = 0.0;
+            }
+        }
+        let want = matmul_oracle(lhs.data(), rhs.data(), (m, k, n));
+        at_thread_counts(|| assert_same_bits(&format!("{m}x{k}x{n}"), &lhs.matmul(&rhs), &want));
+    }
+}
+
 /// The indexed batch-norm loops `ops::batch_norm2d` ran before the rewrite:
 /// `(y, mean, var, dx, dgamma, dbeta)`.
 #[allow(clippy::type_complexity)]
@@ -357,7 +405,18 @@ fn batch_norm_oracle(
 #[test]
 fn batch_norm_matches_the_indexed_loops_bit_for_bit_in_train_and_eval_mode() {
     let mut rng = StdRng::seed_from_u64(0xB7);
-    for dims in [[3usize, 5, 3, 3], [4, 8, 6, 6], [2, 1, 2, 5], [5, 11, 1, 1]] {
+    // Short and odd planes and channel counts, then the generate cycle's
+    // geometry, and one channel count that is not a whole number of lane
+    // blocks (16 channels) or of vectors (4).
+    let dims = [[3usize, 5, 3, 3], [4, 8, 6, 6], [2, 1, 2, 5], [5, 11, 1, 1]];
+    let cycle = [
+        [16, 48, 6, 6],
+        [16, 96, 3, 3],
+        [8, 24, 6, 6],
+        [16, 20, 3, 3],
+        [2, 23, 3, 5],
+    ];
+    for dims in dims.into_iter().chain(cycle) {
         let c = dims[1];
         let x = randn(&mut rng, &dims);
         let gy = randn(&mut rng, &dims);

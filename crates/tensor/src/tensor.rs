@@ -9,16 +9,32 @@ use std::ops::Range;
 /// costs more than it saves on small inputs.
 pub(crate) const PAR_FLOP_THRESHOLD: usize = 1 << 18;
 
-/// Depth of the k-dimension blocking in [`matmul_into`]: one block of
-/// rhs rows (64 × n floats) stays cache-resident while every output row of
-/// the chunk accumulates it.
-const K_BLOCK: usize = 64;
+/// Rows of the register tile of [`matmul_into`].
+const TILE_ROWS: usize = 4;
+/// Columns of the register tile of [`matmul_into`]: two 4-lane vectors, so
+/// the tile's eight accumulators and one rhs row fit the baseline register
+/// file.
+pub(crate) const TILE_COLS: usize = 8;
 
-/// Accumulates `lhs · rhs` into `out` without allocating: `lhs` holds
-/// `out.len() / n` rows of `k` values, row `p` of `rhs` starts at
-/// `rhs[p * ldb]`, `out` rows are `n` long. Every element receives its terms
-/// in ascending `p` (zero `lhs` values are skipped), so a result never
-/// depends on how rows or columns are chunked across threads or calls.
+/// Computes `lhs · rhs` into the zeroed `out`: `lhs` holds `out.len() / n`
+/// rows of `k` values, row `p` of `rhs` starts at `rhs[p * ldb]`, `out`
+/// rows are `n` long. Every element is its terms summed from `+0` in
+/// ascending `p`, a term whose `lhs` value is zero skipped, so a result
+/// never depends on how rows or columns are chunked across threads or
+/// calls.
+///
+/// Each [`TILE_ROWS`] × [`TILE_COLS`] block of outputs is one register tile
+/// held across the whole `k` loop and stored once; the last `n %
+/// TILE_COLS` columns are tiles too, over a zero-padded copy of their rhs
+/// columns. Leftover rows run [`matmul_rows`], and so does every row when
+/// one of its axpys there (`n` terms) is longer than a tile's
+/// `TILE_ROWS·TILE_COLS·k`: the tile's fixed cost (its NaN guard, its
+/// stores) is then the larger share, while the row loop's long axpys run at
+/// the adders' rate. The tile adds the zero terms instead of skipping them:
+/// `0·b = ±0` leaves a sum unchanged (a sum that starts at `+0` is never
+/// `−0`) whenever `b` is finite, and otherwise is a NaN that no later term
+/// removes. So a tile with no NaN is the skipping loop's result bit for
+/// bit, and the rare tile with one is recomputed by the skipping loop.
 pub(crate) fn matmul_into(
     lhs: &[f32],
     rhs: &[f32],
@@ -27,16 +43,91 @@ pub(crate) fn matmul_into(
     k: usize,
     n: usize,
 ) {
-    for p0 in (0..k).step_by(K_BLOCK) {
-        let p1 = (p0 + K_BLOCK).min(k);
-        for (lhs_row, out_row) in lhs.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            // i-k-j order: streams the rhs row-major, good cache behaviour.
-            for p in p0..p1 {
-                let a = lhs_row[p];
-                if a == 0.0 {
-                    continue;
-                }
-                axpy(out_row, 1, a, &rhs[p * ldb..p * ldb + n], 1);
+    if n == 0 || k == 0 {
+        return;
+    }
+    let m = out.len() / n;
+    let mt = match n <= TILE_ROWS * TILE_COLS * k {
+        true => m - m % TILE_ROWS,
+        false => 0,
+    };
+    let (nt, edge) = (n - n % TILE_COLS, n % TILE_COLS);
+    // The last columns' rhs, each row zero-padded to a tile's width.
+    let mut padded = vec![0.0f32; usize::from(mt > 0 && edge > 0) * k * TILE_COLS];
+    for (p, row) in padded.chunks_exact_mut(TILE_COLS).enumerate() {
+        row[..edge].copy_from_slice(&rhs[p * ldb + nt..][..edge]);
+    }
+    for i0 in (0..mt).step_by(TILE_ROWS) {
+        let (lhs, out) = (&lhs[i0 * k..], &mut out[i0 * n..(i0 + TILE_ROWS) * n]);
+        for j0 in (0..nt).step_by(TILE_COLS) {
+            match tile(lhs, (&rhs[j0..], ldb), k) {
+                Some(acc) => store(acc, &mut out[j0..], n, TILE_COLS),
+                None => matmul_rows(lhs, &rhs[j0..], ldb, &mut out[j0..], (k, n), TILE_COLS),
+            }
+        }
+        if !padded.is_empty() {
+            match tile(lhs, (&padded, TILE_COLS), k) {
+                Some(acc) => store(acc, &mut out[nt..], n, edge),
+                None => matmul_rows(lhs, &rhs[nt..], ldb, &mut out[nt..], (k, n), edge),
+            }
+        }
+    }
+    matmul_rows(&lhs[mt * k..], rhs, ldb, &mut out[mt * n..], (k, n), n);
+}
+
+/// One register tile of [`matmul_into`] at the start of `lhs` and `rhs`
+/// (row pitch `ldb`), or `None` if an element came out NaN.
+#[inline(always)]
+fn tile(
+    lhs: &[f32],
+    (rhs, ldb): (&[f32], usize),
+    k: usize,
+) -> Option<[[f32; TILE_COLS]; TILE_ROWS]> {
+    let [r0, r1, r2, r3]: [&[f32]; TILE_ROWS] = std::array::from_fn(|r| &lhs[r * k..][..k]);
+    let mut acc = [[0.0f32; TILE_COLS]; TILE_ROWS];
+    // Iterators over the lhs rows: the rhs row is the one bounds check.
+    for (p, (((&a0, &a1), &a2), &a3)) in r0.iter().zip(r1).zip(r2).zip(r3).enumerate() {
+        let b: &[f32; TILE_COLS] = rhs[p * ldb..][..TILE_COLS].try_into().expect("rhs row");
+        for (acc, a) in acc.iter_mut().zip([a0, a1, a2, a3]) {
+            for (s, &b) in acc.iter_mut().zip(b) {
+                *s += a * b;
+            }
+        }
+    }
+    // A NaN anywhere makes this sum NaN (so may an overflow, which only
+    // costs a recompute).
+    let s: [f32; TILE_COLS] =
+        std::array::from_fn(|j| (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]));
+    let s: [f32; 4] = std::array::from_fn(|j| s[j] + s[j + 4]);
+    (!((s[0] + s[1]) + (s[2] + s[3])).is_nan()).then_some(acc)
+}
+
+/// The first `cols` columns of a tile into `out` (rows `n` apart).
+#[inline(always)]
+fn store(acc: [[f32; TILE_COLS]; TILE_ROWS], out: &mut [f32], n: usize, cols: usize) {
+    for (r, acc) in acc.iter().enumerate() {
+        out[r * n..][..cols].copy_from_slice(&acc[..cols]);
+    }
+}
+
+/// The skipping row loop of [`matmul_into`] over the first `cols` columns:
+/// per row, one axpy of each nonzero `lhs` value, `p` ascending.
+fn matmul_rows(
+    lhs: &[f32],
+    rhs: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    (k, n): (usize, usize),
+    cols: usize,
+) {
+    if cols == 0 {
+        return;
+    }
+    for (lhs_row, out_row) in lhs.chunks_exact(k).zip(out.chunks_mut(n)) {
+        let out_row = &mut out_row[..cols];
+        for (p, &a) in lhs_row.iter().enumerate() {
+            if a != 0.0 {
+                axpy(out_row, 1, a, &rhs[p * ldb..][..cols], 1);
             }
         }
     }
@@ -56,13 +147,26 @@ pub(crate) fn axpy(dst: &mut [f32], ds: usize, a: f32, src: &[f32], ss: usize) {
 }
 
 /// `dst[j * rows + i] = src[i * ld + j]`: the `rows x cols` block at `src`
-/// (row pitch `ld`), transposed into the dense `cols x rows` `dst`.
+/// (row pitch `ld`), transposed into the dense `cols x rows` `dst`, 4×4
+/// blocks at a time.
 pub(crate) fn transpose_into(src: &[f32], ld: usize, rows: usize, cols: usize, dst: &mut [f32]) {
-    for i in 0..rows {
-        let row = &src[i * ld..i * ld + cols];
-        for (d, &v) in dst[i..].iter_mut().step_by(rows).zip(row) {
-            *d = v;
+    let (r4, c4) = (rows - rows % 4, cols - cols % 4);
+    for i in (0..r4).step_by(4) {
+        let [r0, r1, r2, r3]: [&[f32]; 4] = std::array::from_fn(|a| &src[(i + a) * ld..][..cols]);
+        let quads = r0.chunks_exact(4).zip(r1.chunks_exact(4));
+        let quads = quads.zip(r2.chunks_exact(4).zip(r3.chunks_exact(4)));
+        for (j, ((a0, a1), (a2, a3))) in (0..c4).step_by(4).zip(quads) {
+            let block = [a0, a1, a2, a3].map(|a| <[f32; 4]>::try_from(a).expect("4"));
+            for (b, t) in transpose4(block).iter().enumerate() {
+                dst[(j + b) * rows + i..][..4].copy_from_slice(t);
+            }
         }
+        for (i, j) in (i..i + 4).flat_map(|i| (c4..cols).map(move |j| (i, j))) {
+            dst[j * rows + i] = src[i * ld + j];
+        }
+    }
+    for (i, j) in (r4..rows).flat_map(|i| (0..cols).map(move |j| (i, j))) {
+        dst[j * rows + i] = src[i * ld + j];
     }
 }
 

@@ -31,7 +31,8 @@ use instantnet::sharding::{
     simulate_serving_sharded, simulate_serving_sharded_versioned, ShardConfig, ShardedOutcome,
 };
 use instantnet::wallclock::{
-    serve_wallclock, serve_wallclock_registry, WallclockConfig, WallclockOutcome,
+    serve_wallclock, serve_wallclock_registry, serve_wallclock_streaming, IngressSink,
+    IngressSource, StreamRequest, WallclockConfig, WallclockOutcome,
 };
 use instantnet::{faults::FaultPlan, DeploymentReport, OperatingPoint};
 use instantnet_infer::PackedModel;
@@ -41,6 +42,7 @@ use instantnet_tensor::{init, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// How a publisher thread paces itself: on what the registry shows — a
@@ -56,6 +58,43 @@ fn wait_until(ready: impl Fn() -> bool) -> bool {
         std::thread::yield_now();
     }
     ready()
+}
+
+/// The frozen-trace producer (`TraceIngress`: step `t`'s arrivals at
+/// `t × step_us`, inputs by arrival order) with two synchronisation points
+/// for a publisher thread, both on serving state: `started` is raised once
+/// the serving loop runs (after it snapshots the registry's counters, so
+/// every publish from then on is the run's), and the arrivals from
+/// `at_step` on wait until the registry has seen `publishes` publishes, so
+/// a publisher, however early or late it is scheduled, always publishes
+/// inside the run and with traffic after its last publish.
+struct PublishGate<'a> {
+    registry: &'a ModelRegistry,
+    started: &'a AtomicBool,
+    publishes: usize,
+    at_step: usize,
+    arrivals: Vec<usize>,
+    step_us: u64,
+}
+
+impl IngressSource for PublishGate<'_> {
+    fn run(&mut self, sink: &dyn IngressSink) {
+        self.started.store(true, Ordering::Release);
+        for (t, &count) in self.arrivals.iter().enumerate() {
+            if t == self.at_step {
+                let published = || self.registry.metrics().publishes >= self.publishes;
+                assert!(wait_until(published), "the publisher never published");
+            }
+            // Paced as the trace producer paces itself.
+            let target_us = t as u64 * self.step_us;
+            while let Some(wait) = target_us.checked_sub(sink.now_us()).filter(|&w| w > 0) {
+                std::thread::sleep(Duration::from_micros(wait));
+            }
+            for _ in 0..count {
+                let _ = sink.submit(StreamRequest::default());
+            }
+        }
+    }
 }
 
 /// Worker counts under test: the CI matrix pins one via
@@ -640,13 +679,20 @@ fn wallclock_two_publishes_clean_then_divergent_rollback() {
     let clean = packed(&bits, 61); // equivalent weights, fresh tables
     let divergent = packed(&bits, 999); // different weights entirely
 
+    let started = AtomicBool::new(false);
     let (stats, outcomes) = std::thread::scope(|s| {
-        let reg = &registry;
+        let (reg, started) = (&registry, &started);
         let publisher = s.spawn(move || {
-            // The run spans steps × step_us = 12ms of paced arrivals and
-            // the publisher is not paced at all, so both publishes land
-            // with traffic still ahead of them. The canary starts only
-            // once the clean swap is visible to every worker.
+            // The publisher starts with the run and is not paced at all;
+            // the second half of the arrivals waits for the canary publish
+            // (`PublishGate`), so both publishes land inside the run with
+            // traffic still ahead of them however this thread is scheduled.
+            // The canary starts only once the clean swap is visible to every
+            // worker.
+            assert!(
+                wait_until(|| started.load(Ordering::Acquire)),
+                "the run starts"
+            );
             let before = reg.epoch();
             reg.publish(clean, "v2", None).unwrap();
             assert!(
@@ -664,15 +710,23 @@ fn wallclock_two_publishes_clean_then_divergent_rollback() {
             )
             .unwrap();
         });
-        let out = serve_wallclock_registry(
+        let gate = PublishGate {
+            registry: reg,
+            started,
+            publishes: 2,
+            at_step: steps / 2,
+            arrivals: requests.arrivals().to_vec(),
+            step_us,
+        };
+        let out = serve_wallclock_streaming(
             &report,
             &trace,
-            &requests,
             Policy::Greedy,
             &cfg,
             &wall,
             reg,
             &FaultPlan::none(),
+            vec![Box::new(gate)],
             &inputs,
         )
         .unwrap();
