@@ -14,11 +14,13 @@
 
 use crate::autograd::Var;
 use crate::tensor::{
-    clamp_select, col_lanes, deinterleave, fold_plane, im2col_batch, matmul_into, plan,
-    round_half_away, splat, sweep, transpose_into, ConvGeom, Frame, Tensor, Unit, COL_LANES, LANES,
+    clamp_select, col_lanes, fold_plane, im2col_batch, intern, matmul_into, plan, round_half_away,
+    splat, sweep, transpose_into, Block, ConvGeom, Frame, Tensor, COL_LANES, LANES,
     PAR_FLOP_THRESHOLD, TILE_COLS,
 };
 use instantnet_parallel as parallel;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
 // Elementwise arithmetic
@@ -489,15 +491,41 @@ impl ConvKernel for DenseConv {
 /// Depthwise convolution (`groups == C == K`) on register lanes: each pass
 /// copies its operands into zero-padded scratch [`Frame`]s and runs every
 /// output as one [`sweep`] accumulator over its terms — the taps, the
-/// outputs reading a pixel (`dx`), the positions (`dw`). The lanes hold
-/// [`LANES`] samples of one channel (results [`deinterleave`]d from a
-/// scratch) or one sample's output columns (`dx`: input columns, `dw`: a
-/// kernel row's taps), by geometry ([`Depthwise::sample_lanes`]). A padding
-/// tap adds `w·0 = ±0` to a sum that started from `+0`, which leaves it
-/// unchanged: each element is its in-range terms in DESIGN.md §6b's order.
+/// outputs reading a pixel (`dx`), the positions (`dw`) — stored straight
+/// from its lanes. The lanes hold [`LANES`] samples of one channel or one
+/// sample's output columns (`dx`: input columns, `dw`: a kernel row's
+/// taps), by geometry ([`Depthwise::sample_lanes`]); what runs is a
+/// [`Plan`], built once per geometry and block size. Each element is its
+/// in-plane terms in DESIGN.md §6b's order. A unit lists only the terms of
+/// rows in the plane, and a sample-lane forward or `dx` unit only in-plane
+/// terms; any other term it adds reads a padding position, `w·0` or
+/// `dy·0`. That is `±0`, which leaves a sum from `+0` unchanged, unless `w`
+/// or `dy` is not finite: such a channel runs [`Depthwise::in_plane`].
 struct Depthwise {
     c: usize,
     geom: ConvGeom,
+}
+
+/// Term lists of one pass: `(tap, frame offset)` for the forward and `dx`,
+/// `(dy frame offset, x frame offset)` per position for `dw`.
+type Lists = Vec<Vec<(usize, usize)>>;
+
+/// One depthwise geometry's passes at one block size, a pure function of
+/// the two: frames (`x`, `dy`), blocks and their term lists.
+struct Plan {
+    samples: bool,
+    fx: Frame,
+    fg: Frame,
+    fwd: (Vec<Block>, Lists),
+    dx: (Vec<Block>, Lists),
+    dw: (Vec<Block>, Lists),
+}
+
+/// The plans a thread has built, by `(h, w, kh, kw, stride, pad, nb)`.
+type Plans = Vec<([usize; 7], Rc<Plan>)>;
+
+thread_local! {
+    static PLANS: RefCell<Plans> = const { RefCell::new(Vec::new()) };
 }
 
 impl Depthwise {
@@ -529,50 +557,180 @@ impl Depthwise {
         Frame::new(samples, nb, shape, (mh, mw), (g.oh, g.ow))
     }
 
-    /// Sweeps channel `ch` of the group from sample `i0` into `out` (`per`
-    /// values a plane): column lanes straight in, `stride` apart; sample
-    /// lanes through the interleaved `res`.
-    fn run<const L: usize, I: Iterator<Item = ([f32; L], usize)>>(
-        &self,
-        (frame, units, terms): (&[f32], &[Unit], impl Fn(usize) -> I),
-        (out, res): (&mut [f32], &mut [f32]),
-        (nb, i0, ch, per, stride): (usize, usize, usize, usize, usize),
-    ) {
-        if res.is_empty() {
-            return sweep(frame, units, terms, out, (ch * per, stride));
-        }
-        sweep(frame, units, terms, res, (0, 1));
-        let lanes = (nb - i0).min(LANES);
-        deinterleave(res, out, ((i0 * self.c + ch) * per, self.c * per, lanes));
+    /// This thread's plan for blocks of `nb`, built on first use.
+    fn plan(&self, nb: usize) -> Rc<Plan> {
+        let g = &self.geom;
+        let key = [g.h, g.w, g.kh, g.kw, g.stride, g.pad, nb];
+        PLANS.with_borrow_mut(|plans| {
+            if let Some((_, plan)) = plans.iter().find(|(k, _)| *k == key) {
+                return plan.clone();
+            }
+            // A bound on memory, not a policy: a training run has a few
+            // dozen geometries.
+            if plans.len() == 64 {
+                plans.clear();
+            }
+            let plan = Rc::new(self.build(nb));
+            plans.push((key, plan.clone()));
+            plan
+        })
     }
+
+    fn build(&self, nb: usize) -> Plan {
+        let (g, s, samples) = (&self.geom, self.geom.stride, self.sample_lanes(nb));
+        let (c, kh, kw, taps) = (self.c, g.kh, g.kw, g.kh * g.kw);
+        let (fx, fg) = (
+            self.frame(nb, samples, false),
+            self.frame(nb, samples, true),
+        );
+        // Forward: per unit the taps, ascending, whose row is in the plane
+        // and whose column some lane reads in range.
+        let mut lists = Vec::new();
+        let width = if samples { 1 } else { col_lanes(g.ow) };
+        let blocks = plan((nb, samples, g.oh), (g.ow, 1, width), |i, oy, ox, n| {
+            let reach = |t: &usize| {
+                let xs = &g.xs[t % kw];
+                g.ys[t / kw].contains(&oy) && xs.start < ox + n && ox < xs.end
+            };
+            let list = (0..taps).filter(reach).map(|t| (t, fx.at(t / kw, t % kw)));
+            let base = i * fx.member + fx.at(oy * s, ox * s);
+            let list = intern(&mut lists, list.collect());
+            (list, base, i * c * g.oh * g.ow + oy * g.ow + ox)
+        });
+        let fwd = (blocks, lists);
+        // `dx`: per padded input pixel `(py, px)` the taps of its stride
+        // phase, last first, whose output row is in the plane and whose
+        // output column some lane reads in range, with the outputs' frame
+        // offsets from the pixel's base.
+        let (mh, mw) = fg.origin;
+        let mut lists = Vec::new();
+        let width = if samples {
+            1
+        } else {
+            col_lanes(g.w.div_ceil(s))
+        };
+        let blocks = plan((nb, samples, g.h), (g.w, s, width), |i, iy, ix, n| {
+            let (py, px) = (iy + g.pad, ix + g.pad);
+            let reach = |t: &usize| {
+                let (ki, kj) = (t / kw, t % kw);
+                let (dy, dx) = (ki.wrapping_sub(py % s) / s, kj.wrapping_sub(px % s) / s);
+                let phase = ki % s == py % s && kj % s == px % s;
+                let row = dy <= py / s && py / s - dy < g.oh;
+                phase && row && dx < px / s + n && px / s < g.ow + dx
+            };
+            let at = |t: usize| fg.at(mh - (t / kw - py % s) / s, mw - (t % kw - px % s) / s);
+            let list = (0..taps).rev().filter(reach).map(|t| (t, at(t)));
+            let base = i * fg.member + fg.at(py / s, px / s);
+            let list = intern(&mut lists, list.collect());
+            (list, base, i * c * g.h * g.w + iy * g.w + ix)
+        });
+        let dx = (blocks, lists);
+        // `dw`: a unit per tap (sample lanes) or per run of a kernel row's
+        // taps in one stride phase (column lanes); per kernel row `ki` the
+        // positions of the output rows it reads in range, ascending. A
+        // column-lane list is one sample's (`i·kh + ki`).
+        let blocks = plan((nb, samples, kh), (kw, s, COL_LANES), |i, ki, kj, _| {
+            let (list, base) = (i * kh + ki, i * fx.member + fx.at(ki, kj));
+            (list, base, i * c * taps + ki * kw + kj)
+        });
+        let at = |(y, x): (usize, usize)| (fg.at(y + mh, x + mw), fx.at(y * s, x * s));
+        let rows = |ki: usize| {
+            g.ys[ki]
+                .clone()
+                .flat_map(|y| (0..g.ow).map(move |x| (y, x)))
+        };
+        let lists = (0..kh).map(|ki| rows(ki).map(at).collect()).collect();
+        Plan {
+            samples,
+            fx,
+            fg,
+            fwd,
+            dx,
+            dw: (blocks, lists),
+        }
+    }
+
+    /// Where a sweep over channel `ch` of the sample group from `i0` stores
+    /// (`per` values a plane): sample lanes one sample's plane apart, column
+    /// lanes `stride` apart.
+    fn store(
+        &self,
+        samples: bool,
+        (nb, i0, ch): (usize, usize, usize),
+        per: usize,
+        stride: usize,
+    ) -> (usize, usize, usize) {
+        match samples {
+            true => ((i0 * self.c + ch) * per, self.c * per, nb - i0),
+            false => (ch * per, stride, LANES),
+        }
+    }
+
+    /// Every in-plane term of channel `ch` of a block as `f(plane, tap,
+    /// output, input)` (plane `i·C + ch`; offsets within its planes): taps
+    /// in `taps` order, outputs ascending. That is each element's order in
+    /// all three passes (forward and `dw` with taps ascending, `dx`
+    /// descending) — the per-pixel loops, which add no padding term.
+    fn in_plane(
+        &self,
+        (nb, ch): (usize, usize),
+        taps: impl Iterator<Item = usize> + Clone,
+        mut f: impl FnMut(usize, usize, usize, usize),
+    ) {
+        let g = &self.geom;
+        for (i, t) in (0..nb).flat_map(|i| taps.clone().map(move |t| (i * self.c + ch, t))) {
+            let (ki, kj) = (t / g.kw, t % g.kw);
+            for (oy, ox) in g.ys[ki]
+                .clone()
+                .flat_map(|y| g.xs[kj].clone().map(move |x| (y, x)))
+            {
+                let (iy, ix) = (oy * g.stride + ki - g.pad, ox * g.stride + kj - g.pad);
+                f(i, t, oy * g.ow + ox, iy * g.w + ix);
+            }
+        }
+    }
+}
+
+/// Whether every value is finite.
+fn finite(v: &[f32]) -> bool {
+    v.iter().all(|v| v.is_finite())
 }
 
 impl ConvKernel for Depthwise {
     /// Per element: the taps in ascending `(ki, kj)`.
     fn forward(&self, nb: usize, x: &[f32], w: &[f32]) -> (Vec<f32>, Option<Vec<f32>>) {
-        let (g, c, s, samples) = (&self.geom, self.c, self.geom.stride, self.sample_lanes(nb));
+        let (g, c, plan) = (&self.geom, self.c, self.plan(nb));
         let (p, hw, taps) = (g.oh * g.ow, g.h * g.w, g.kh * g.kw);
-        let mut f = self.frame(nb, samples, false);
-        let width = if samples { 1 } else { col_lanes(g.ow) };
-        let units = plan((nb, samples, g.oh), (g.ow, 1, width), |i, oy, ox| {
-            let base = i * f.member + f.at(oy * s, ox * s);
-            (0, base, i * c * p + oy * g.ow + ox)
-        });
-        let offs: Vec<usize> = (0..taps).map(|t| f.at(t / g.kw, t % g.kw)).collect();
-        let mut out = vec![0.0f32; nb * c * p];
-        let mut res = vec![0.0f32; usize::from(samples) * p * LANES];
+        let ((blocks, lists), f) = (&plan.fwd, &plan.fx);
+        let (mut frame, mut out) = (vec![0.0f32; f.len], vec![0.0f32; nb * c * p]);
         for ch in 0..c {
             let wrow = &w[ch * taps..(ch + 1) * taps];
-            let taps = || wrow.iter().copied().zip(offs.iter().copied());
+            let terms = |l: usize| lists[l].iter().map(|&(t, o)| (wrow[t], o));
             for i0 in (0..nb).step_by(f.members) {
-                f.fill(x, (i0, nb), (c * hw, ch * hw));
-                let (frame, bufs, at) = (&f.data, (&mut out[..], &mut res[..]), (nb, i0, ch, p, 1));
-                match width {
-                    COL_LANES => {
-                        self.run((frame, &units, |_| splat::<COL_LANES>(taps())), bufs, at)
-                    }
-                    _ => self.run((frame, &units, |_| splat::<LANES>(taps())), bufs, at),
+                f.fill(&mut frame, x, (i0, nb), (c * hw, ch * hw));
+                let store = self.store(plan.samples, (nb, i0, ch), p, 1);
+                match (plan.samples, col_lanes(g.ow)) {
+                    (false, COL_LANES) => sweep(
+                        &frame,
+                        blocks,
+                        |l| splat::<COL_LANES>(terms(l)),
+                        &mut out,
+                        store,
+                    ),
+                    _ => sweep(
+                        &frame,
+                        blocks,
+                        |l| splat::<LANES>(terms(l)),
+                        &mut out,
+                        store,
+                    ),
                 }
+            }
+            if !plan.samples && !finite(wrow) {
+                (0..nb).for_each(|i| out[(i * c + ch) * p..][..p].fill(0.0));
+                self.in_plane((nb, ch), 0..taps, |i, t, o, xi| {
+                    out[i * p + o] += wrow[t] * x[i * hw + xi]
+                });
             }
         }
         (out, None)
@@ -590,72 +748,66 @@ impl ConvKernel for Depthwise {
         w: &[f32],
         _saved: Option<&[f32]>,
     ) -> (Vec<f32>, Vec<f32>) {
-        let (g, c, s, samples) = (&self.geom, self.c, self.geom.stride, self.sample_lanes(nb));
-        let (p, hw, taps, kw) = (g.oh * g.ow, g.h * g.w, g.kh * g.kw, g.kw);
-        let mut fx = self.frame(nb, samples, false);
-        let mut fg = self.frame(nb, samples, true);
-        let (mh, mw) = fg.origin;
-        // Per stride phase `(py % s, px % s)` of a padded input pixel: the
-        // taps that reach it, last first, with their outputs' frame offsets
-        // from the pixel's base.
-        let lists: Vec<Vec<(usize, usize)>> = (0..s * s)
-            .map(|phase| {
-                let (ph, pw) = (phase / s, phase % s);
-                let at = |t: usize| fg.at(mh - (t / kw - ph) / s, mw - (t % kw - pw) / s);
-                let reach = |t: &usize| t / kw % s == ph && t % kw % s == pw;
-                (0..taps).rev().filter(reach).map(|t| (t, at(t))).collect()
-            })
-            .collect();
-        let dx_width = if samples {
-            1
-        } else {
-            col_lanes(g.w.div_ceil(s))
-        };
-        let dx_units = plan((nb, samples, g.h), (g.w, s, dx_width), |i, iy, ix| {
-            let (py, px) = (iy + g.pad, ix + g.pad);
-            let base = i * fg.member + fg.at(py / s, px / s);
-            (py % s * s + px % s, base, i * c * hw + iy * g.w + ix)
-        });
-        // `dw`: a unit per tap (sample lanes) or per run of a kernel row's
-        // taps in one stride phase (column lanes), positions ascending.
-        let dw_units = plan((nb, samples, g.kh), (kw, s, COL_LANES), |i, ki, kj| {
-            let (list, base) = (if samples { 0 } else { i }, i * fx.member + fx.at(ki, kj));
-            (list, base, i * c * taps + ki * kw + kj)
-        });
-        let at = |(y, x): (usize, usize)| (fg.at(y + mh, x + mw), fx.at(y * s, x * s));
-        let positions: Vec<(usize, usize)> = (0..p).map(|j| at((j / g.ow, j % g.ow))).collect();
+        let (g, c, s, plan) = (&self.geom, self.c, self.geom.stride, self.plan(nb));
+        let (p, hw, taps, kh) = (g.oh * g.ow, g.h * g.w, g.kh * g.kw, g.kh);
+        let (fx, fg, samples) = (&plan.fx, &plan.fg, plan.samples);
+        let ((dx_blocks, dx_lists), (dw_blocks, dw_lists)) = (&plan.dx, &plan.dw);
+        let (mut xf, mut gf) = (vec![0.0f32; fx.len], vec![0.0f32; fg.len]);
         let (mut dx, mut dw) = (vec![0.0f32; nb * c * hw], vec![0.0f32; nb * c * taps]);
-        let lanes = usize::from(samples) * LANES;
-        let (mut dx_res, mut dw_res) = (vec![0.0f32; hw * lanes], vec![0.0f32; taps * lanes]);
         for ch in 0..c {
             let wrow = &w[ch * taps..(ch + 1) * taps];
-            let dxt = |l: usize| lists[l].iter().map(|&(t, o)| (wrow[t], o));
+            let dxt = |l: usize| dx_lists[l].iter().map(|&(t, o)| (wrow[t], o));
             for i0 in (0..nb).step_by(fx.members) {
-                fx.fill(x, (i0, nb), (c * hw, ch * hw));
-                fg.fill(gd, (i0, nb), (c * p, ch * p));
-                let (gf, fxd) = (&fg.data, &fx.data);
-                let (dxb, dwb) = (
-                    (&mut dx[..], &mut dx_res[..]),
-                    (&mut dw[..], &mut dw_res[..]),
+                fx.fill(&mut xf, x, (i0, nb), (c * hw, ch * hw));
+                fg.fill(&mut gf, gd, (i0, nb), (c * p, ch * p));
+                let (xf, gf) = (&xf[..], &gf[..]);
+                let at = (nb, i0, ch);
+                let (dx_at, dw_at) = (
+                    self.store(samples, at, hw, s),
+                    self.store(samples, at, taps, s),
                 );
-                let (dx_at, dw_at) = ((nb, i0, ch, hw, s), (nb, i0, ch, taps, s));
-                match dx_width {
-                    COL_LANES => {
-                        self.run((gf, &dx_units, |l| splat::<COL_LANES>(dxt(l))), dxb, dx_at)
-                    }
-                    _ => self.run((gf, &dx_units, |l| splat::<LANES>(dxt(l))), dxb, dx_at),
+                match (samples, col_lanes(g.w.div_ceil(s))) {
+                    (false, COL_LANES) => sweep(
+                        gf,
+                        dx_blocks,
+                        |l| splat::<COL_LANES>(dxt(l)),
+                        &mut dx,
+                        dx_at,
+                    ),
+                    _ => sweep(gf, dx_blocks, |l| splat::<LANES>(dxt(l)), &mut dx, dx_at),
                 }
                 let lanes = |d: usize| <[f32; LANES]>::try_from(&gf[d..d + LANES]).expect("lanes");
-                let all = |_| positions.iter().map(|&(d, o)| (lanes(d), o));
-                let one = |i: usize| {
-                    positions
+                let all = |l: usize| dw_lists[l].iter().map(|&(d, o)| (lanes(d), o));
+                let one = |l: usize| {
+                    let member = l / kh * fg.member;
+                    dw_lists[l % kh]
                         .iter()
-                        .map(move |&(d, o)| (gf[i * fg.member + d], o))
+                        .map(move |&(d, o)| (gf[member + d], o))
                 };
                 match samples {
-                    true => self.run((fxd, &dw_units, all), dwb, dw_at),
-                    false => self.run((fxd, &dw_units, |i| splat::<COL_LANES>(one(i))), dwb, dw_at),
+                    true => sweep(xf, dw_blocks, all, &mut dw, dw_at),
+                    false => sweep(
+                        xf,
+                        dw_blocks,
+                        |l| splat::<COL_LANES>(one(l)),
+                        &mut dw,
+                        dw_at,
+                    ),
                 }
+            }
+            if !samples && !finite(wrow) {
+                (0..nb).for_each(|i| dx[(i * c + ch) * hw..][..hw].fill(0.0));
+                self.in_plane((nb, ch), (0..taps).rev(), |i, t, o, xi| {
+                    dx[i * hw + xi] += wrow[t] * gd[i * p + o]
+                });
+            }
+            // A NaN in `dw` is the per-pixel loops' own or a padding term's
+            // `dy·0`: recomputed either way.
+            if (0..nb).any(|i| dw[(i * c + ch) * taps..][..taps].iter().any(|v| v.is_nan())) {
+                (0..nb).for_each(|i| dw[(i * c + ch) * taps..][..taps].fill(0.0));
+                self.in_plane((nb, ch), 0..taps, |i, t, o, xi| {
+                    dw[i * taps + t] += gd[i * p + o] * x[i * hw + xi]
+                });
             }
         }
         (dx, dw)

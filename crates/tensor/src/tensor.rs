@@ -146,6 +146,15 @@ pub(crate) fn axpy(dst: &mut [f32], ds: usize, a: f32, src: &[f32], ss: usize) {
     }
 }
 
+/// `t[j][i] = r[i][j]` for a 4×4 tile, as two rounds of pairwise zips.
+#[inline(always)]
+fn transpose4(r: [[f32; 4]; 4]) -> [[f32; 4]; 4] {
+    let zip = |a: [f32; 4], b: [f32; 4]| ([a[0], b[0], a[1], b[1]], [a[2], b[2], a[3], b[3]]);
+    let ((a0, a1), (b0, b1)) = (zip(r[0], r[2]), zip(r[1], r[3]));
+    let ((c0, c1), (c2, c3)) = (zip(a0, b0), zip(a1, b1));
+    [c0, c1, c2, c3]
+}
+
 /// `dst[j * rows + i] = src[i * ld + j]`: the `rows x cols` block at `src`
 /// (row pitch `ld`), transposed into the dense `cols x rows` `dst`, 4×4
 /// blocks at a time.
@@ -687,39 +696,47 @@ pub(crate) const COL_LANES: usize = 4;
 /// Accumulators one [`chains`] call keeps in flight.
 const CHAINS: usize = 4;
 
-/// One accumulator's job in a [`sweep`]: `(term list, frame offset, where
-/// its lane 0 is stored, lanes stored)`.
-#[derive(Clone, Copy)]
-pub(crate) struct Unit(pub usize, pub usize, pub usize, pub usize);
+/// One accumulator's job in a [`sweep`]: `(frame offset, where its lane 0
+/// is stored, lanes stored)`.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Unit(pub usize, pub usize, pub usize);
 
-/// `acc[b][l] = Σ a[l]·frame[at + units[b].1 + l]` over `terms` `(a, at)` in
+/// Up to [`CHAINS`] units over one term list, run by one [`chains`] call.
+pub(crate) struct Block {
+    list: usize,
+    n: usize,
+    units: [Unit; CHAINS],
+}
+
+/// `acc[b][l] = Σ a[l]·frame[at + units[b].0 + l]` over `terms` `(a, at)` in
 /// order, every chain from `+0` and held in registers across all its terms;
-/// then lane `l < u.3` of unit `u` is stored at `out[o + u.2 + l·stride]`.
+/// then lane `l < min(u.2, lanes)` of unit `u` is stored at `out[o + u.1 +
+/// l·stride]`, straight from the accumulator.
 #[inline(always)]
 fn chains<const L: usize, const B: usize>(
     frame: &[f32],
     units: [Unit; B],
     terms: impl Iterator<Item = ([f32; L], usize)>,
     out: &mut [f32],
-    (o, stride): (usize, usize),
+    (o, stride, lanes): (usize, usize, usize),
 ) {
     let mut acc = [[0.0f32; L]; B];
     for (a, at) in terms {
         // One slice per term: each unit's read is then one bounds check.
         let win = &frame[at..];
         for (acc, u) in acc.iter_mut().zip(&units) {
-            let v: &[f32; L] = win[u.1..u.1 + L].try_into().expect("L lanes");
+            let v: &[f32; L] = win[u.0..u.0 + L].try_into().expect("L lanes");
             for ((s, &a), &v) in acc.iter_mut().zip(&a).zip(v) {
                 *s += a * v;
             }
         }
     }
     for (u, acc) in units.iter().zip(&acc) {
-        let at = o + u.2;
-        if stride == 1 && u.3 == L {
+        let (at, n) = (o + u.1, u.2.min(lanes));
+        if stride == 1 && n == L {
             out[at..at + L].copy_from_slice(acc);
         } else {
-            acc[..u.3]
+            acc[..n]
                 .iter()
                 .enumerate()
                 .for_each(|(l, &v)| out[at + l * stride] = v);
@@ -727,81 +744,23 @@ fn chains<const L: usize, const B: usize>(
     }
 }
 
-/// The one accumulate loop of the depthwise passes: runs `units` (sorted by
-/// term list, `terms(list)` giving a unit's terms) through [`chains`],
-/// [`CHAINS`] at a time (a block of one repeats its unit into two chains,
-/// storing the same values again).
+/// The one accumulate loop of the depthwise passes: runs each block's units
+/// through [`chains`] over its list's terms, `terms(list)`.
 pub(crate) fn sweep<const L: usize, I: Iterator<Item = ([f32; L], usize)>>(
     frame: &[f32],
-    units: &[Unit],
+    blocks: &[Block],
     terms: impl Fn(usize) -> I,
     out: &mut [f32],
-    store: (usize, usize),
+    store: (usize, usize, usize),
 ) {
-    for block in units
-        .chunk_by(|a, b| a.0 == b.0)
-        .flat_map(|run| run.chunks(CHAINS))
-    {
-        let (unit, terms) = (|b: usize| block[b.min(block.len() - 1)], terms(block[0].0));
-        match block.len() {
-            1 | 2 => chains::<L, 2>(frame, std::array::from_fn(unit), terms, out, store),
+    for b in blocks {
+        let (unit, terms) = (|i: usize| b.units[i], terms(b.list));
+        match b.n {
+            1 => chains::<L, 1>(frame, std::array::from_fn(unit), terms, out, store),
+            2 => chains::<L, 2>(frame, std::array::from_fn(unit), terms, out, store),
             3 => chains::<L, 3>(frame, std::array::from_fn(unit), terms, out, store),
             _ => chains::<L, CHAINS>(frame, std::array::from_fn(unit), terms, out, store),
         }
-    }
-}
-
-/// `t[j][i] = r[i][j]` for a 4×4 tile, as two rounds of pairwise zips —
-/// unpack shuffles once vectorised, not sixteen scalar moves.
-#[inline(always)]
-fn transpose4(r: [[f32; 4]; 4]) -> [[f32; 4]; 4] {
-    let zip = |a: [f32; 4], b: [f32; 4]| ([a[0], b[0], a[1], b[1]], [a[2], b[2], a[3], b[3]]);
-    let ((a0, a1), (b0, b1)) = (zip(r[0], r[2]), zip(r[1], r[3]));
-    let ((c0, c1), (c2, c3)) = (zip(a0, b0), zip(a1, b1));
-    [c0, c1, c2, c3]
-}
-
-/// `dst[p·LANES + l] = planes[l][p]`, four positions at a time through
-/// [`transpose4`].
-fn interleave(planes: [&[f32]; LANES], dst: &mut [f32]) {
-    let (n, mut p) = (dst.len() / LANES, 0);
-    while p + 4 <= n {
-        for half in [0, 4] {
-            let t = transpose4(std::array::from_fn(|i| {
-                planes[half + i][p..][..4].try_into().expect("4")
-            }));
-            for (j, t) in t.iter().enumerate() {
-                dst[(p + j) * LANES + half..][..4].copy_from_slice(t);
-            }
-        }
-        p += 4;
-    }
-    for (p, l) in (p..n).flat_map(|p| (0..LANES).map(move |l| (p, l))) {
-        dst[p * LANES + l] = planes[l][p];
-    }
-}
-
-/// The inverse of [`interleave`] for the first `lanes` lanes, lane `l` going
-/// to `out[at + l·stride..]`.
-pub(crate) fn deinterleave(
-    src: &[f32],
-    out: &mut [f32],
-    (at, stride, lanes): (usize, usize, usize),
-) {
-    let (n, mut p) = (src.len() / LANES, 0);
-    while p + 4 <= n {
-        for half in [0, 4] {
-            let t = transpose4(std::array::from_fn(|j| {
-                src[(p + j) * LANES + half..][..4].try_into().expect("4")
-            }));
-            for (i, t) in t.iter().enumerate().take(lanes.saturating_sub(half)) {
-                out[at + (half + i) * stride + p..][..4].copy_from_slice(t);
-            }
-        }
-        p += 4;
-    }
-    for (p, l) in (p..n).flat_map(|p| (0..lanes).map(move |l| (p, l))) {
-        out[at + l * stride + p] = src[p * LANES + l];
     }
 }
 
@@ -834,16 +793,17 @@ pub(crate) fn col_lanes(n: usize) -> usize {
     }
 }
 
-/// One depthwise pass's units, sorted by term list: for each of `nb`
-/// stacked planes (one with sample lanes) and each of `rows` rows, the
-/// [`lane_runs`] of `(n, stride)` — `width` indices each, or one with sample
-/// lanes, whose unit stores its lanes interleaved, `out·LANES` on.
-/// `place(plane, row, first index)` gives `(list, frame offset, out)`.
+/// One depthwise pass's blocks: for each of `nb` stacked planes (one with
+/// sample lanes) and each of `rows` rows, the [`lane_runs`] of `(n,
+/// stride)` — `width` indices each, or one with sample lanes, whose unit
+/// stores its lanes a sample apart — as units, [`CHAINS`] of one term list
+/// to a block. `place(plane, row, first index, indices)` gives `(list,
+/// frame offset, out)`.
 pub(crate) fn plan(
     (nb, samples, rows): (usize, bool, usize),
     (n, stride, width): (usize, usize, usize),
-    place: impl Fn(usize, usize, usize) -> (usize, usize, usize),
-) -> Vec<Unit> {
+    mut place: impl FnMut(usize, usize, usize, usize) -> (usize, usize, usize),
+) -> Vec<Block> {
     let (members, runs) = match samples {
         true => (1, lane_runs(n, 1, 1)),
         false => (nb, lane_runs(n, stride, width)),
@@ -851,24 +811,35 @@ pub(crate) fn plan(
     let mut units = Vec::with_capacity(members * rows * runs.len());
     for (i, y) in (0..members).flat_map(|i| (0..rows).map(move |y| (i, y))) {
         for &(x0, n) in &runs {
-            let (list, base, out) = place(i, y, x0);
-            units.push(match samples {
-                true => Unit(list, base, out * LANES, LANES),
-                false => Unit(list, base, out, n),
-            });
+            let (list, base, out) = place(i, y, x0, n);
+            units.push((list, Unit(base, out, if samples { LANES } else { n })));
         }
     }
     // Any order within a list will do: every unit's outputs are its own.
-    units.sort_unstable_by_key(|u| u.0);
-    units
+    units.sort_by_key(|u| u.0);
+    let runs = units.chunk_by(|a, b| a.0 == b.0);
+    let blocks = runs.flat_map(|run| run.chunks(CHAINS)).map(|b| Block {
+        list: b[0].0,
+        n: b.len(),
+        units: std::array::from_fn(|i| b.get(i).map_or(Unit::default(), |u| u.1)),
+    });
+    blocks.collect()
 }
 
-/// A depthwise pass's zeroed scratch frame of `rows x cols` positions that
-/// holds `members` dense `(h, w)` planes with their origin at `origin`. With
-/// sample lanes position `(y, x)` holds [`LANES`] interleaved planes (staged
-/// through [`interleave`]); otherwise each of a block's planes is a member
-/// of its own, `member` apart, its columns split into `stride` phases
-/// `phase` apart so that outputs `stride` apart read neighbours.
+/// The index of `list` in `lists`, added if new.
+pub(crate) fn intern<T: PartialEq>(lists: &mut Vec<Vec<T>>, list: Vec<T>) -> usize {
+    lists.iter().position(|l| *l == list).unwrap_or_else(|| {
+        lists.push(list);
+        lists.len() - 1
+    })
+}
+
+/// The layout of a depthwise pass's zero-padded frame of `rows x cols`
+/// positions that holds `members` dense `(h, w)` planes with their origin at
+/// `origin`. With sample lanes position `(y, x)` holds [`LANES`] interleaved
+/// planes; otherwise each of a block's planes is a member of its own,
+/// `member` apart, its columns split into `stride` phases `phase` apart so
+/// that outputs `stride` apart read neighbours.
 pub(crate) struct Frame {
     row: usize,
     phase: usize,
@@ -877,11 +848,9 @@ pub(crate) struct Frame {
     pub members: usize,
     pub member: usize,
     pub origin: (usize, usize),
-    /// `at(0, origin.1 + x)` per dense column `x`.
-    cols: Vec<usize>,
-    plane: usize,
-    stage: Vec<f32>,
-    pub data: Vec<f32>,
+    plane: (usize, usize),
+    /// Values in the frame.
+    pub len: usize,
 }
 
 impl Frame {
@@ -890,27 +859,20 @@ impl Frame {
         nb: usize,
         (rows, cols, stride): (usize, usize, usize),
         origin: (usize, usize),
-        (h, w): (usize, usize),
+        plane: (usize, usize),
     ) -> Frame {
         // Column lanes leave slack past each phase for a run's last unit.
-        let (step, phase, stride) = match samples {
-            true => (LANES, 0, 1),
-            false => (1, cols.div_ceil(stride) + 2 * LANES, stride),
+        let (step, phase, stride, members) = match samples {
+            true => (LANES, 0, 1, LANES),
+            false => (1, cols.div_ceil(stride) + 2 * LANES, stride, nb),
         };
         let row = if samples {
             cols * LANES
         } else {
             stride * phase
         };
-        let (member, members) = if samples {
-            (1, LANES)
-        } else {
-            (rows * row, nb)
-        };
-        let stage = vec![0.0f32; usize::from(samples) * h * w * LANES];
-        let data = vec![0.0f32; if samples { rows * row } else { nb * rows * row }];
-        let cols = Vec::new();
-        let mut f = Frame {
+        let member = if samples { 1 } else { rows * row };
+        Frame {
             row,
             phase,
             step,
@@ -918,13 +880,9 @@ impl Frame {
             members,
             member,
             origin,
-            cols,
-            plane: h * w,
-            stage,
-            data,
-        };
-        f.cols = (0..w).map(|x| f.at(0, origin.1 + x)).collect();
-        f
+            plane,
+            len: if samples { rows * row } else { nb * member },
+        }
     }
 
     pub(crate) fn at(&self, y: usize, x: usize) -> usize {
@@ -936,36 +894,48 @@ impl Frame {
         }
     }
 
-    /// Copies in, as member `m`, the dense plane of sample `i0 + m` at
-    /// `src[(i0 + m)·step + at..]` — sample `nb − 1`'s past the block's end,
-    /// so a short sample group repeats its last sample; the rest keeps its
-    /// zeros.
+    /// Copies into the zero-padded `frame`, as member `m`, the dense plane
+    /// of sample `i0 + m` at `src[(i0 + m)·step + at..]` — sample `nb − 1`'s
+    /// past the block's end, so a short sample group repeats its last
+    /// sample; the rest keeps its zeros. Sample lanes are gathered a
+    /// position at a time, [`LANES`] planes into one contiguous store.
     pub(crate) fn fill(
-        &mut self,
+        &self,
+        frame: &mut [f32],
         src: &[f32],
         (i0, nb): (usize, usize),
         (step, at): (usize, usize),
     ) {
-        let w = self.cols.len();
-        let (row0, c0) = (self.origin.0 * self.row, self.cols[0]);
-        let plane = |m: usize| &src[(i0 + m).min(nb - 1) * step + at..][..self.plane];
+        let (h, w) = self.plane;
+        let plane = |m: usize| &src[(i0 + m).min(nb - 1) * step + at..][..h * w];
+        let (y0, x0) = self.origin;
         if self.step == LANES {
-            interleave(std::array::from_fn(plane), &mut self.stage);
-            for (r, dense) in self.stage.chunks_exact(w * LANES).enumerate() {
-                self.data[row0 + r * self.row + c0..][..w * LANES].copy_from_slice(dense);
+            let planes: [&[f32]; LANES] = std::array::from_fn(plane);
+            for (r, dst) in frame[self.at(y0, x0)..]
+                .chunks_mut(self.row)
+                .take(h)
+                .enumerate()
+            {
+                let rows: [&[f32]; LANES] = std::array::from_fn(|l| &planes[l][r * w..][..w]);
+                for (x, d) in dst[..w * LANES].chunks_exact_mut(LANES).enumerate() {
+                    d.copy_from_slice(&std::array::from_fn::<f32, LANES, _>(|l| rows[l][x]));
+                }
             }
             return;
         }
         for m in 0..self.members {
             for (r, dense) in plane(m).chunks_exact(w).enumerate() {
-                let at = m * self.member + row0 + r * self.row;
-                // Element copies, not one `memcpy` call per short row.
-                if self.stride == 1 {
-                    let row = &mut self.data[at + c0..][..w];
-                    row.iter_mut().zip(dense).for_each(|(d, &v)| *d = v);
-                } else {
-                    let cols = self.cols.iter().zip(dense);
-                    cols.for_each(|(&x, &v)| self.data[at + x] = v);
+                let at = m * self.member + self.at(y0 + r, 0);
+                // Phase by phase, each a contiguous run of the frame; element
+                // copies, not one `memcpy` call per short row.
+                for x in 0..self.stride.min(w) {
+                    let dst = frame[at + self.at(0, x0 + x)..].iter_mut();
+                    match self.stride {
+                        1 => dst.zip(dense).for_each(|(d, &v)| *d = v),
+                        s => dst
+                            .zip(dense[x..].iter().step_by(s))
+                            .for_each(|(d, &v)| *d = v),
+                    }
                 }
             }
         }
