@@ -15,7 +15,7 @@
 use crate::autograd::Var;
 use crate::tensor::{
     clamp_select, col_lanes, fold_plane, im2col_batch, intern, matmul_into, plan, round_half_away,
-    splat, sweep, transpose_into, Block, ConvGeom, Frame, Tensor, COL_LANES, LANES,
+    sweep, sweep_splat, transpose_into, Block, ConvGeom, Frame, Tensor, COL_LANES, LANES,
     PAR_FLOP_THRESHOLD, TILE_COLS,
 };
 use instantnet_parallel as parallel;
@@ -653,47 +653,41 @@ impl Depthwise {
     /// Where a sweep over channel `ch` of the sample group from `i0` stores
     /// (`per` values a plane): sample lanes one sample's plane apart, column
     /// lanes `stride` apart.
-    fn store(
-        &self,
-        samples: bool,
-        (nb, i0, ch): (usize, usize, usize),
-        per: usize,
-        stride: usize,
-    ) -> (usize, usize, usize) {
-        match samples {
-            true => ((i0 * self.c + ch) * per, self.c * per, nb - i0),
-            false => (ch * per, stride, LANES),
+    fn store(&self, (nb, i0, ch): (usize, usize, usize), per: usize, s: usize) -> [usize; 3] {
+        match self.sample_lanes(nb) {
+            true => [(i0 * self.c + ch) * per, self.c * per, nb - i0],
+            false => [ch * per, s, LANES],
         }
     }
 
-    /// Every in-plane term of channel `ch` of a block as `f(plane, tap,
-    /// output, input)` (plane `i·C + ch`; offsets within its planes): taps
-    /// in `taps` order, outputs ascending. That is each element's order in
-    /// all three passes (forward and `dw` with taps ascending, `dx`
-    /// descending) — the per-pixel loops, which add no padding term.
-    fn in_plane(
+    /// Channel `ch` of a block's pass by the per-pixel loops: its `per`
+    /// values a plane in `out` zeroed, then every in-plane term `term(plane,
+    /// tap, output, input) = (slot, value)` (plane `i·C + ch`, offsets within
+    /// its planes) added, taps ascending (descending if `rev`), outputs
+    /// ascending — each element's order in all three passes, with no padding
+    /// term.
+    fn exact(
         &self,
-        (nb, ch): (usize, usize),
-        taps: impl Iterator<Item = usize> + Clone,
-        mut f: impl FnMut(usize, usize, usize, usize),
+        (nb, ch, rev): (usize, usize, bool),
+        (out, per): (&mut [f32], usize),
+        term: impl Fn(usize, usize, usize, usize) -> (usize, f32),
     ) {
-        let g = &self.geom;
-        for (i, t) in (0..nb).flat_map(|i| taps.clone().map(move |t| (i * self.c + ch, t))) {
-            let (ki, kj) = (t / g.kw, t % g.kw);
-            for (oy, ox) in g.ys[ki]
-                .clone()
-                .flat_map(|y| g.xs[kj].clone().map(move |x| (y, x)))
-            {
-                let (iy, ix) = (oy * g.stride + ki - g.pad, ox * g.stride + kj - g.pad);
-                f(i, t, oy * g.ow + ox, iy * g.w + ix);
+        let (g, taps) = (&self.geom, self.geom.kh * self.geom.kw);
+        for i in (0..nb).map(|i| i * self.c + ch) {
+            out[i * per..][..per].fill(0.0);
+            for t in (0..taps).map(|t| if rev { taps - 1 - t } else { t }) {
+                let (ki, kj) = (t / g.kw, t % g.kw);
+                for (oy, ox) in g.ys[ki]
+                    .clone()
+                    .flat_map(|y| g.xs[kj].clone().map(move |x| (y, x)))
+                {
+                    let (iy, ix) = (oy * g.stride + ki - g.pad, ox * g.stride + kj - g.pad);
+                    let (at, v) = term(i, t, oy * g.ow + ox, iy * g.w + ix);
+                    out[i * per + at] += v;
+                }
             }
         }
     }
-}
-
-/// Whether every value is finite.
-fn finite(v: &[f32]) -> bool {
-    v.iter().all(|v| v.is_finite())
 }
 
 impl ConvKernel for Depthwise {
@@ -703,33 +697,18 @@ impl ConvKernel for Depthwise {
         let (p, hw, taps) = (g.oh * g.ow, g.h * g.w, g.kh * g.kw);
         let ((blocks, lists), f) = (&plan.fwd, &plan.fx);
         let (mut frame, mut out) = (vec![0.0f32; f.len], vec![0.0f32; nb * c * p]);
+        let wide = plan.samples || col_lanes(g.ow) == LANES;
         for ch in 0..c {
             let wrow = &w[ch * taps..(ch + 1) * taps];
             let terms = |l: usize| lists[l].iter().map(|&(t, o)| (wrow[t], o));
             for i0 in (0..nb).step_by(f.members) {
                 f.fill(&mut frame, x, (i0, nb), (c * hw, ch * hw));
-                let store = self.store(plan.samples, (nb, i0, ch), p, 1);
-                match (plan.samples, col_lanes(g.ow)) {
-                    (false, COL_LANES) => sweep(
-                        &frame,
-                        blocks,
-                        |l| splat::<COL_LANES>(terms(l)),
-                        &mut out,
-                        store,
-                    ),
-                    _ => sweep(
-                        &frame,
-                        blocks,
-                        |l| splat::<LANES>(terms(l)),
-                        &mut out,
-                        store,
-                    ),
-                }
+                let [o, s, n] = self.store((nb, i0, ch), p, 1);
+                sweep_splat(wide, (&frame, blocks), terms, &mut out, (o, s, n));
             }
-            if !plan.samples && !finite(wrow) {
-                (0..nb).for_each(|i| out[(i * c + ch) * p..][..p].fill(0.0));
-                self.in_plane((nb, ch), 0..taps, |i, t, o, xi| {
-                    out[i * p + o] += wrow[t] * x[i * hw + xi]
+            if !plan.samples && !wrow.iter().all(|v| v.is_finite()) {
+                self.exact((nb, ch, false), (&mut out, p), |i, t, o, xi| {
+                    (o, wrow[t] * x[i * hw + xi])
                 });
             }
         }
@@ -754,6 +733,7 @@ impl ConvKernel for Depthwise {
         let ((dx_blocks, dx_lists), (dw_blocks, dw_lists)) = (&plan.dx, &plan.dw);
         let (mut xf, mut gf) = (vec![0.0f32; fx.len], vec![0.0f32; fg.len]);
         let (mut dx, mut dw) = (vec![0.0f32; nb * c * hw], vec![0.0f32; nb * c * taps]);
+        let wide = samples || col_lanes(g.w.div_ceil(s)) == LANES;
         for ch in 0..c {
             let wrow = &w[ch * taps..(ch + 1) * taps];
             let dxt = |l: usize| dx_lists[l].iter().map(|&(t, o)| (wrow[t], o));
@@ -761,21 +741,9 @@ impl ConvKernel for Depthwise {
                 fx.fill(&mut xf, x, (i0, nb), (c * hw, ch * hw));
                 fg.fill(&mut gf, gd, (i0, nb), (c * p, ch * p));
                 let (xf, gf) = (&xf[..], &gf[..]);
-                let at = (nb, i0, ch);
-                let (dx_at, dw_at) = (
-                    self.store(samples, at, hw, s),
-                    self.store(samples, at, taps, s),
-                );
-                match (samples, col_lanes(g.w.div_ceil(s))) {
-                    (false, COL_LANES) => sweep(
-                        gf,
-                        dx_blocks,
-                        |l| splat::<COL_LANES>(dxt(l)),
-                        &mut dx,
-                        dx_at,
-                    ),
-                    _ => sweep(gf, dx_blocks, |l| splat::<LANES>(dxt(l)), &mut dx, dx_at),
-                }
+                let [o, ds, n] = self.store((nb, i0, ch), hw, s);
+                sweep_splat(wide, (gf, dx_blocks), dxt, &mut dx, (o, ds, n));
+                let [o, ds, n] = self.store((nb, i0, ch), taps, s);
                 let lanes = |d: usize| <[f32; LANES]>::try_from(&gf[d..d + LANES]).expect("lanes");
                 let all = |l: usize| dw_lists[l].iter().map(|&(d, o)| (lanes(d), o));
                 let one = |l: usize| {
@@ -785,28 +753,20 @@ impl ConvKernel for Depthwise {
                         .map(move |&(d, o)| (gf[member + d], o))
                 };
                 match samples {
-                    true => sweep(xf, dw_blocks, all, &mut dw, dw_at),
-                    false => sweep(
-                        xf,
-                        dw_blocks,
-                        |l| splat::<COL_LANES>(one(l)),
-                        &mut dw,
-                        dw_at,
-                    ),
+                    true => sweep(xf, dw_blocks, all, &mut dw, (o, ds, n)),
+                    false => sweep_splat(false, (xf, dw_blocks), one, &mut dw, (o, ds, n)),
                 }
             }
-            if !samples && !finite(wrow) {
-                (0..nb).for_each(|i| dx[(i * c + ch) * hw..][..hw].fill(0.0));
-                self.in_plane((nb, ch), (0..taps).rev(), |i, t, o, xi| {
-                    dx[i * hw + xi] += wrow[t] * gd[i * p + o]
+            if !samples && !wrow.iter().all(|v| v.is_finite()) {
+                self.exact((nb, ch, true), (&mut dx, hw), |i, t, o, xi| {
+                    (xi, wrow[t] * gd[i * p + o])
                 });
             }
             // A NaN in `dw` is the per-pixel loops' own or a padding term's
             // `dy·0`: recomputed either way.
             if (0..nb).any(|i| dw[(i * c + ch) * taps..][..taps].iter().any(|v| v.is_nan())) {
-                (0..nb).for_each(|i| dw[(i * c + ch) * taps..][..taps].fill(0.0));
-                self.in_plane((nb, ch), 0..taps, |i, t, o, xi| {
-                    dw[i * taps + t] += gd[i * p + o] * x[i * hw + xi]
+                self.exact((nb, ch, false), (&mut dw, taps), |i, t, o, xi| {
+                    (t, gd[i * p + o] * x[i * hw + xi])
                 });
             }
         }

@@ -252,6 +252,54 @@ fn depthwise_matches_the_per_pixel_loops_bit_for_bit() {
 }
 
 #[test]
+fn depthwise_matches_the_per_pixel_loops_on_non_finite_values() {
+    let mut rng = StdRng::seed_from_u64(0xD4);
+    // One ±inf or NaN at a time, in `w`, `x` or `dy`, at a corner whose
+    // padding taps (forward, `dw`) or out-of-plane outputs (`dx`) meet it:
+    // column lanes (2 and 3 samples) and sample lanes (9 and 16, a short
+    // group and full ones), the last big enough to run on three threads.
+    // One value per tensor, so no element meets two NaN payloads.
+    let shapes = [
+        (2, 2, 6, 3, 1),
+        (3, 5, 7, 5, 2),
+        (9, 3, 6, 3, 1),
+        (16, 48, 3, 5, 1),
+    ];
+    for (n, c, hw, r, stride) in shapes {
+        for pad in [r / 2, 1] {
+            let t = ConvCase {
+                n,
+                c,
+                k: c,
+                h: hw,
+                w: hw,
+                r,
+                stride,
+                pad,
+                groups: c,
+            };
+            let (oh, ow) = t.out_hw();
+            for (target, bad) in
+                (0..3).flat_map(|t| [f32::INFINITY, f32::NEG_INFINITY, f32::NAN].map(|v| (t, v)))
+            {
+                let mut x = randn(&mut rng, &[n, c, hw, hw]);
+                let mut wt = randn(&mut rng, &[c, 1, r, r]);
+                let mut gy = randn(&mut rng, &[n, c, oh, ow]);
+                // The last tap, or the first sample's last pixel or output
+                // of its last channel.
+                match target {
+                    0 => wt.data_mut()[c * r * r - 1] = bad,
+                    1 => x.data_mut()[c * hw * hw - 1] = bad,
+                    _ => gy.data_mut()[c * oh * ow - 1] = bad,
+                }
+                let want = depthwise_oracle(&t, x.data(), wt.data(), gy.data());
+                at_thread_counts(|| t.check(&x, &wt, &gy, &want));
+            }
+        }
+    }
+}
+
+#[test]
 fn dense_grouped_and_pointwise_conv_match_the_scalar_definition_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(0xC0);
     // (n, c, k, h, w, r, stride, pad, groups): pointwise, grouped, strided,

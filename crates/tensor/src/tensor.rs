@@ -764,12 +764,31 @@ pub(crate) fn sweep<const L: usize, I: Iterator<Item = ([f32; L], usize)>>(
     }
 }
 
-/// Weights broadcast to `L` lanes: `(w, offset)` terms as [`sweep`] takes
-/// them.
-pub(crate) fn splat<const L: usize>(
-    terms: impl Iterator<Item = (f32, usize)>,
-) -> impl Iterator<Item = ([f32; L], usize)> {
-    terms.map(|(w, at)| ([w; L], at))
+/// [`sweep`] with each list's `(w, offset)` terms, `terms(list)`, broadcast
+/// to the lanes: [`LANES`] of them if `wide`, else [`COL_LANES`].
+pub(crate) fn sweep_splat<I: Iterator<Item = (f32, usize)>>(
+    wide: bool,
+    (frame, blocks): (&[f32], &[Block]),
+    terms: impl Fn(usize) -> I,
+    out: &mut [f32],
+    store: (usize, usize, usize),
+) {
+    match wide {
+        true => sweep(
+            frame,
+            blocks,
+            |l| terms(l).map(|(w, at)| ([w; LANES], at)),
+            out,
+            store,
+        ),
+        false => sweep(
+            frame,
+            blocks,
+            |l| terms(l).map(|(w, at)| ([w; COL_LANES], at)),
+            out,
+            store,
+        ),
+    }
 }
 
 /// Runs of indices below `n` that one unit's lanes cover: `x0, x0 + stride,
