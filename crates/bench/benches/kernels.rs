@@ -60,7 +60,10 @@ fn bench_depthwise_conv(c: &mut Criterion) {
 }
 
 /// One forward + backward of `y = f(x, params)` under `sum(y)`, gradients
-/// reaching both the input and every parameter, on one kernel thread.
+/// reaching both the input and every parameter, on one kernel thread. Each
+/// iteration's graph lives until the next one's is built, as a training
+/// loop's buffers do: freed right away, glibc would return the top of the
+/// heap and grow it back on every iteration, and the entry would time that.
 fn bench_train_step(
     c: &mut Criterion,
     name: &str,
@@ -70,13 +73,16 @@ fn bench_train_step(
 ) {
     let x = Var::leaf(x, true);
     let params: Vec<Var> = params.into_iter().map(|p| Var::leaf(p, true)).collect();
+    let mut previous = None;
     c.bench_function(name, |bench| {
         with_threads(1, || {
             bench.iter(|| {
-                f(&x, &params).sum().backward();
+                let loss = f(&x, &params).sum();
+                loss.backward();
                 std::hint::black_box((x.grad(), params[0].grad()));
                 x.zero_grad();
                 params.iter().for_each(Var::zero_grad);
+                previous = Some(loss);
             })
         })
     });
@@ -113,6 +119,14 @@ fn bench_train_steps(c: &mut Criterion) {
         init::uniform(&mut rng, &[16, 48, 6, 6], -1.0, 1.0),
         vec![init::kaiming_uniform(&mut rng, &[48, 1, 3, 3])],
         |x, p| ops::conv2d(x, &p[0], 1, 1, 48),
+    );
+    // Its 3×3-plane 5×5 layer: most of each output's taps read padding.
+    bench_train_step(
+        c,
+        "depthwise_train_step_16x48x3x3_k5",
+        init::uniform(&mut rng, &[16, 48, 3, 3], -1.0, 1.0),
+        vec![init::kaiming_uniform(&mut rng, &[48, 1, 5, 5])],
+        |x, p| ops::conv2d(x, &p[0], 1, 2, 48),
     );
     // The generate cycle's largest batch norm, and its most frequent dense
     // product: the expanding pointwise conv whose per-sample `dw` partial is

@@ -521,11 +521,9 @@ struct Plan {
     dw: (Vec<Block>, Lists),
 }
 
-/// The plans a thread has built, by `(h, w, kh, kw, stride, pad, nb)`.
-type Plans = Vec<([usize; 7], Rc<Plan>)>;
-
 thread_local! {
-    static PLANS: RefCell<Plans> = const { RefCell::new(Vec::new()) };
+    /// The plans this thread has built, by `(h, w, kh, kw, stride, pad, nb)`.
+    static PLANS: RefCell<Vec<([usize; 7], Rc<Plan>)>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Depthwise {
@@ -540,21 +538,6 @@ impl Depthwise {
         let (ow, col, s) = (self.geom.ow, col_lanes(self.geom.ow), self.geom.stride);
         let samples = nb.div_ceil(LANES) * ow * (LANES / 4 + 1);
         3 * samples <= nb * ow.div_ceil(col) * (col / 4 + 1) * (s + 2)
-    }
-
-    /// A block's input planes inside their padding or, for `dy`, its
-    /// gradient planes inside a margin wide enough that every input pixel
-    /// reads all its taps' outputs, in range or not.
-    fn frame(&self, nb: usize, samples: bool, dy: bool) -> Frame {
-        let (g, s) = (&self.geom, self.geom.stride);
-        if !dy {
-            let shape = (g.h + 2 * g.pad, g.w + 2 * g.pad, s);
-            return Frame::new(samples, nb, shape, (g.pad, g.pad), (g.h, g.w));
-        }
-        let (mh, mw) = ((g.kh - 1) / s, (g.kw - 1) / s);
-        let (rows, cols) = ((g.pad + g.h - 1) / s + 1, (g.pad + g.w - 1) / s + 1);
-        let shape = (mh + rows.max(g.oh), mw + cols.max(g.ow), 1);
-        Frame::new(samples, nb, shape, (mh, mw), (g.oh, g.ow))
     }
 
     /// This thread's plan for blocks of `nb`, built on first use.
@@ -579,10 +562,14 @@ impl Depthwise {
     fn build(&self, nb: usize) -> Plan {
         let (g, s, samples) = (&self.geom, self.geom.stride, self.sample_lanes(nb));
         let (c, kh, kw, taps) = (self.c, g.kh, g.kw, g.kh * g.kw);
-        let (fx, fg) = (
-            self.frame(nb, samples, false),
-            self.frame(nb, samples, true),
-        );
+        // `x` inside its padding; `dy` inside a margin wide enough that every
+        // input pixel reads all its taps' outputs, in range or not.
+        let shape = (g.h + 2 * g.pad, g.w + 2 * g.pad, s);
+        let fx = Frame::new(samples, nb, shape, (g.pad, g.pad), (g.h, g.w));
+        let (mh, mw) = ((kh - 1) / s, (kw - 1) / s);
+        let (rows, cols) = ((g.pad + g.h - 1) / s + 1, (g.pad + g.w - 1) / s + 1);
+        let shape = (mh + rows.max(g.oh), mw + cols.max(g.ow), 1);
+        let fg = Frame::new(samples, nb, shape, (mh, mw), (g.oh, g.ow));
         // Forward: per unit the taps, ascending, whose row is in the plane
         // and whose column some lane reads in range.
         let mut lists = Vec::new();
@@ -602,7 +589,6 @@ impl Depthwise {
         // phase, last first, whose output row is in the plane and whose
         // output column some lane reads in range, with the outputs' frame
         // offsets from the pixel's base.
-        let (mh, mw) = fg.origin;
         let mut lists = Vec::new();
         let width = if samples {
             1

@@ -146,35 +146,18 @@ pub(crate) fn axpy(dst: &mut [f32], ds: usize, a: f32, src: &[f32], ss: usize) {
     }
 }
 
-/// `t[j][i] = r[i][j]` for a 4×4 tile, as two rounds of pairwise zips.
-#[inline(always)]
-fn transpose4(r: [[f32; 4]; 4]) -> [[f32; 4]; 4] {
-    let zip = |a: [f32; 4], b: [f32; 4]| ([a[0], b[0], a[1], b[1]], [a[2], b[2], a[3], b[3]]);
-    let ((a0, a1), (b0, b1)) = (zip(r[0], r[2]), zip(r[1], r[3]));
-    let ((c0, c1), (c2, c3)) = (zip(a0, b0), zip(a1, b1));
-    [c0, c1, c2, c3]
-}
-
 /// `dst[j * rows + i] = src[i * ld + j]`: the `rows x cols` block at `src`
-/// (row pitch `ld`), transposed into the dense `cols x rows` `dst`, 4×4
-/// blocks at a time.
+/// (row pitch `ld`), transposed into the dense `cols x rows` `dst`, eight
+/// source rows at a time gathered into each destination row.
 pub(crate) fn transpose_into(src: &[f32], ld: usize, rows: usize, cols: usize, dst: &mut [f32]) {
-    let (r4, c4) = (rows - rows % 4, cols - cols % 4);
-    for i in (0..r4).step_by(4) {
-        let [r0, r1, r2, r3]: [&[f32]; 4] = std::array::from_fn(|a| &src[(i + a) * ld..][..cols]);
-        let quads = r0.chunks_exact(4).zip(r1.chunks_exact(4));
-        let quads = quads.zip(r2.chunks_exact(4).zip(r3.chunks_exact(4)));
-        for (j, ((a0, a1), (a2, a3))) in (0..c4).step_by(4).zip(quads) {
-            let block = [a0, a1, a2, a3].map(|a| <[f32; 4]>::try_from(a).expect("4"));
-            for (b, t) in transpose4(block).iter().enumerate() {
-                dst[(j + b) * rows + i..][..4].copy_from_slice(t);
-            }
-        }
-        for (i, j) in (i..i + 4).flat_map(|i| (c4..cols).map(move |j| (i, j))) {
-            dst[j * rows + i] = src[i * ld + j];
+    let r8 = rows - rows % 8;
+    for i in (0..r8).step_by(8) {
+        let r: [&[f32]; 8] = std::array::from_fn(|a| &src[(i + a) * ld..][..cols]);
+        for (j, d) in dst.chunks_exact_mut(rows).take(cols).enumerate() {
+            d[i..i + 8].copy_from_slice(&std::array::from_fn::<f32, 8, _>(|a| r[a][j]));
         }
     }
-    for (i, j) in (r4..rows).flat_map(|i| (0..cols).map(move |j| (i, j))) {
+    for (i, j) in (r8..rows).flat_map(|i| (0..cols).map(move |j| (i, j))) {
         dst[j * rows + i] = src[i * ld + j];
     }
 }
@@ -866,7 +849,7 @@ pub(crate) struct Frame {
     stride: usize,
     pub members: usize,
     pub member: usize,
-    pub origin: (usize, usize),
+    origin: (usize, usize),
     plane: (usize, usize),
     /// Values in the frame.
     pub len: usize,
