@@ -580,7 +580,7 @@ impl Depthwise {
                 g.ys[t / kw].contains(&oy) && xs.start < ox + n && ox < xs.end
             };
             let list = (0..taps).filter(reach).map(|t| (t, fx.at(t / kw, t % kw)));
-            let base = i * fx.member + fx.at(oy * s, ox * s);
+            let base = (i * fx.member + fx.at(oy * s, ox * s)).wrapping_sub(fx.shift);
             let list = intern(&mut lists, list.collect());
             (list, base, i * c * g.oh * g.ow + oy * g.ow + ox)
         });
@@ -606,26 +606,30 @@ impl Depthwise {
             };
             let at = |t: usize| fg.at(mh - (t / kw - py % s) / s, mw - (t % kw - px % s) / s);
             let list = (0..taps).rev().filter(reach).map(|t| (t, at(t)));
-            let base = i * fg.member + fg.at(py / s, px / s);
+            let base = (i * fg.member + fg.at(py / s, px / s)).wrapping_sub(fg.shift);
             let list = intern(&mut lists, list.collect());
             (list, base, i * c * g.h * g.w + iy * g.w + ix)
         });
         let dx = (blocks, lists);
-        // `dw`: a unit per tap (sample lanes) or per run of a kernel row's
-        // taps in one stride phase (column lanes); per kernel row `ki` the
-        // positions of the output rows it reads in range, ascending. A
-        // column-lane list is one sample's (`i·kh + ki`).
+        // `dw`: a unit per tap over the positions it reads in range,
+        // ascending (sample lanes), or per run of a kernel row's taps in one
+        // stride phase over all positions (column lanes: a list per sample).
         let blocks = plan((nb, samples, kh), (kw, s, COL_LANES), |i, ki, kj, _| {
-            let (list, base) = (i * kh + ki, i * fx.member + fx.at(ki, kj));
+            let list = if samples { ki * kw + kj } else { i };
+            let base = (i * fx.member + fx.at(ki, kj)).wrapping_sub(fx.shift);
             (list, base, i * c * taps + ki * kw + kj)
         });
-        let at = |(y, x): (usize, usize)| (fg.at(y + mh, x + mw), fx.at(y * s, x * s));
-        let rows = |ki: usize| {
-            g.ys[ki]
-                .clone()
-                .flat_map(|y| (0..g.ow).map(move |x| (y, x)))
+        let at = |(y, x): (usize, usize)| (fg.at(y + mh, x + mw) - fg.shift, fx.at(y * s, x * s));
+        let reads = |t: usize| {
+            let (ys, xs) = match samples {
+                true => (g.ys[t / kw].clone(), g.xs[t % kw].clone()),
+                false => (0..g.oh, 0..g.ow),
+            };
+            ys.flat_map(move |y| xs.clone().map(move |x| at((y, x))))
         };
-        let lists = (0..kh).map(|ki| rows(ki).map(at).collect()).collect();
+        let lists = (0..if samples { taps } else { 1 })
+            .map(|t| reads(t).collect())
+            .collect();
         Plan {
             samples,
             fx,
@@ -639,10 +643,16 @@ impl Depthwise {
     /// Where a sweep over channel `ch` of the sample group from `i0` stores
     /// (`per` values a plane): sample lanes one sample's plane apart, column
     /// lanes `stride` apart.
-    fn store(&self, (nb, i0, ch): (usize, usize, usize), per: usize, s: usize) -> [usize; 3] {
-        match self.sample_lanes(nb) {
-            true => [(i0 * self.c + ch) * per, self.c * per, nb - i0],
-            false => [ch * per, s, LANES],
+    fn store(
+        &self,
+        samples: bool,
+        (nb, i0, ch): (usize, usize, usize),
+        per: usize,
+        stride: usize,
+    ) -> (usize, usize, usize) {
+        match samples {
+            true => ((i0 * self.c + ch) * per, self.c * per, nb - i0),
+            false => (ch * per, stride, LANES),
         }
     }
 
@@ -682,15 +692,22 @@ impl ConvKernel for Depthwise {
         let (g, c, plan) = (&self.geom, self.c, self.plan(nb));
         let (p, hw, taps) = (g.oh * g.ow, g.h * g.w, g.kh * g.kw);
         let ((blocks, lists), f) = (&plan.fwd, &plan.fx);
-        let (mut frame, mut out) = (vec![0.0f32; f.len], vec![0.0f32; nb * c * p]);
+        // Sample-lane frames are the planes themselves, kept for `dw`.
+        let (keep, groups) = (plan.samples, nb.div_ceil(f.members));
+        let mut frames = Vec::with_capacity(if keep { c * groups } else { 1 } * f.len);
+        let mut out = vec![0.0f32; nb * c * p];
         let wide = plan.samples || col_lanes(g.ow) == LANES;
         for ch in 0..c {
             let wrow = &w[ch * taps..(ch + 1) * taps];
             let terms = |l: usize| lists[l].iter().map(|&(t, o)| (wrow[t], o));
-            for i0 in (0..nb).step_by(f.members) {
-                f.fill(&mut frame, x, (i0, nb), (c * hw, ch * hw));
-                let [o, s, n] = self.store((nb, i0, ch), p, 1);
-                sweep_splat(wide, (&frame, blocks), terms, &mut out, (o, s, n));
+            for gi in 0..groups {
+                // Each frame zeroed where it is filled, not all up front.
+                let (i0, at) = (gi * f.members, usize::from(keep) * (ch * groups + gi));
+                frames.resize((at + 1) * f.len, 0.0);
+                let frame = &mut frames[at * f.len..];
+                f.fill(frame, x, (i0, nb), (c * hw, ch * hw));
+                let store = self.store(keep, (nb, i0, ch), p, 1);
+                sweep_splat(wide, (frame, blocks), terms, &mut out, store);
             }
             if !plan.samples && !wrow.iter().all(|v| v.is_finite()) {
                 self.exact((nb, ch, false), (&mut out, p), |i, t, o, xi| {
@@ -698,7 +715,7 @@ impl ConvKernel for Depthwise {
                 });
             }
         }
-        (out, None)
+        (out, keep.then_some(frames))
     }
 
     /// `dx`: per element its contributions in ascending `(oy, ox)` — the
@@ -711,36 +728,44 @@ impl ConvKernel for Depthwise {
         gd: &[f32],
         x: &[f32],
         w: &[f32],
-        _saved: Option<&[f32]>,
+        frames: Option<&[f32]>,
     ) -> (Vec<f32>, Vec<f32>) {
         let (g, c, s, plan) = (&self.geom, self.c, self.geom.stride, self.plan(nb));
-        let (p, hw, taps, kh) = (g.oh * g.ow, g.h * g.w, g.kh * g.kw, g.kh);
+        let (p, hw, taps) = (g.oh * g.ow, g.h * g.w, g.kh * g.kw);
         let (fx, fg, samples) = (&plan.fx, &plan.fg, plan.samples);
         let ((dx_blocks, dx_lists), (dw_blocks, dw_lists)) = (&plan.dx, &plan.dw);
-        let (mut xf, mut gf) = (vec![0.0f32; fx.len], vec![0.0f32; fg.len]);
+        let groups = nb.div_ceil(fx.members);
+        let mut xf = vec![0.0f32; if frames.is_some() { 0 } else { fx.len }];
+        let mut gf = vec![0.0f32; fg.len];
         let (mut dx, mut dw) = (vec![0.0f32; nb * c * hw], vec![0.0f32; nb * c * taps]);
         let wide = samples || col_lanes(g.w.div_ceil(s)) == LANES;
         for ch in 0..c {
             let wrow = &w[ch * taps..(ch + 1) * taps];
             let dxt = |l: usize| dx_lists[l].iter().map(|&(t, o)| (wrow[t], o));
-            for i0 in (0..nb).step_by(fx.members) {
-                fx.fill(&mut xf, x, (i0, nb), (c * hw, ch * hw));
+            for gi in 0..groups {
+                let i0 = gi * fx.members;
+                let xf = match frames {
+                    Some(frames) => &frames[(ch * groups + gi) * fx.len..][..fx.len],
+                    None => {
+                        fx.fill(&mut xf, x, (i0, nb), (c * hw, ch * hw));
+                        &xf[..]
+                    }
+                };
                 fg.fill(&mut gf, gd, (i0, nb), (c * p, ch * p));
-                let (xf, gf) = (&xf[..], &gf[..]);
-                let [o, ds, n] = self.store((nb, i0, ch), hw, s);
-                sweep_splat(wide, (gf, dx_blocks), dxt, &mut dx, (o, ds, n));
-                let [o, ds, n] = self.store((nb, i0, ch), taps, s);
+                let gf = &gf[..];
+                let store = self.store(samples, (nb, i0, ch), hw, s);
+                sweep_splat(wide, (gf, dx_blocks), dxt, &mut dx, store);
+                let store = self.store(samples, (nb, i0, ch), taps, s);
                 let lanes = |d: usize| <[f32; LANES]>::try_from(&gf[d..d + LANES]).expect("lanes");
                 let all = |l: usize| dw_lists[l].iter().map(|&(d, o)| (lanes(d), o));
-                let one = |l: usize| {
-                    let member = l / kh * fg.member;
-                    dw_lists[l % kh]
+                let one = |i: usize| {
+                    dw_lists[0]
                         .iter()
-                        .map(move |&(d, o)| (gf[member + d], o))
+                        .map(move |&(d, o)| (gf[i * fg.member + d], o))
                 };
                 match samples {
-                    true => sweep(xf, dw_blocks, all, &mut dw, (o, ds, n)),
-                    false => sweep_splat(false, (xf, dw_blocks), one, &mut dw, (o, ds, n)),
+                    true => sweep(xf, dw_blocks, all, &mut dw, store),
+                    false => sweep_splat(false, (xf, dw_blocks), one, &mut dw, store),
                 }
             }
             if !samples && !wrow.iter().all(|v| v.is_finite()) {

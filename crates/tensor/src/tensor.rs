@@ -705,10 +705,10 @@ fn chains<const L: usize, const B: usize>(
 ) {
     let mut acc = [[0.0f32; L]; B];
     for (a, at) in terms {
-        // One slice per term: each unit's read is then one bounds check.
-        let win = &frame[at..];
         for (acc, u) in acc.iter_mut().zip(&units) {
-            let v: &[f32; L] = win[u.0..u.0 + L].try_into().expect("L lanes");
+            // A unit's offset may wrap below zero: its terms never do.
+            let i = at.wrapping_add(u.0);
+            let v: &[f32; L] = frame[i..i + L].try_into().expect("L lanes");
             for ((s, &a), &v) in acc.iter_mut().zip(&a).zip(v) {
                 *s += a * v;
             }
@@ -836,12 +836,14 @@ pub(crate) fn intern<T: PartialEq>(lists: &mut Vec<Vec<T>>, list: Vec<T>) -> usi
     })
 }
 
-/// The layout of a depthwise pass's zero-padded frame of `rows x cols`
-/// positions that holds `members` dense `(h, w)` planes with their origin at
-/// `origin`. With sample lanes position `(y, x)` holds [`LANES`] interleaved
-/// planes; otherwise each of a block's planes is a member of its own,
-/// `member` apart, its columns split into `stride` phases `phase` apart so
-/// that outputs `stride` apart read neighbours.
+/// The layout of a depthwise pass's frame: `members` dense `(h, w)` planes
+/// of a `rows x cols` grid with their origin at `origin`, a position's
+/// offset `at(y, x) − shift`. With sample lanes it holds only the planes,
+/// [`LANES`] interleaved per position (`shift` is the origin's offset: no
+/// unit reads outside the planes); otherwise each of a block's planes is a
+/// member of its own inside zeros, `member` apart, its columns split into
+/// `stride` phases `phase` apart so that outputs `stride` apart read
+/// neighbours.
 pub(crate) struct Frame {
     row: usize,
     phase: usize,
@@ -851,6 +853,7 @@ pub(crate) struct Frame {
     pub member: usize,
     origin: (usize, usize),
     plane: (usize, usize),
+    pub shift: usize,
     /// Values in the frame.
     pub len: usize,
 }
@@ -861,19 +864,17 @@ impl Frame {
         nb: usize,
         (rows, cols, stride): (usize, usize, usize),
         origin: (usize, usize),
-        plane: (usize, usize),
+        (h, w): (usize, usize),
     ) -> Frame {
         // Column lanes leave slack past each phase for a run's last unit.
         let (step, phase, stride, members) = match samples {
             true => (LANES, 0, 1, LANES),
             false => (1, cols.div_ceil(stride) + 2 * LANES, stride, nb),
         };
-        let row = if samples {
-            cols * LANES
-        } else {
-            stride * phase
-        };
+        let row = if samples { w * LANES } else { stride * phase };
         let member = if samples { 1 } else { rows * row };
+        let shift = usize::from(samples) * (origin.0 * row + origin.1 * LANES);
+        let len = if samples { h * row } else { nb * member };
         Frame {
             row,
             phase,
@@ -882,8 +883,9 @@ impl Frame {
             members,
             member,
             origin,
-            plane,
-            len: if samples { rows * row } else { nb * member },
+            plane: (h, w),
+            shift,
+            len,
         }
     }
 
@@ -896,11 +898,11 @@ impl Frame {
         }
     }
 
-    /// Copies into the zero-padded `frame`, as member `m`, the dense plane
-    /// of sample `i0 + m` at `src[(i0 + m)·step + at..]` — sample `nb − 1`'s
-    /// past the block's end, so a short sample group repeats its last
-    /// sample; the rest keeps its zeros. Sample lanes are gathered a
-    /// position at a time, [`LANES`] planes into one contiguous store.
+    /// Copies into `frame`, as member `m`, the dense plane of sample `i0 +
+    /// m` at `src[(i0 + m)·step + at..]` — sample `nb − 1`'s past the
+    /// block's end, so a short sample group repeats its last sample; the
+    /// rest of a column-lane frame keeps its zeros. Sample lanes are
+    /// gathered a position at a time, [`LANES`] planes into one store.
     pub(crate) fn fill(
         &self,
         frame: &mut [f32],
@@ -910,21 +912,14 @@ impl Frame {
     ) {
         let (h, w) = self.plane;
         let plane = |m: usize| &src[(i0 + m).min(nb - 1) * step + at..][..h * w];
-        let (y0, x0) = self.origin;
         if self.step == LANES {
             let planes: [&[f32]; LANES] = std::array::from_fn(plane);
-            for (r, dst) in frame[self.at(y0, x0)..]
-                .chunks_mut(self.row)
-                .take(h)
-                .enumerate()
-            {
-                let rows: [&[f32]; LANES] = std::array::from_fn(|l| &planes[l][r * w..][..w]);
-                for (x, d) in dst[..w * LANES].chunks_exact_mut(LANES).enumerate() {
-                    d.copy_from_slice(&std::array::from_fn::<f32, LANES, _>(|l| rows[l][x]));
-                }
+            for (p, d) in frame.chunks_exact_mut(LANES).enumerate() {
+                d.copy_from_slice(&std::array::from_fn::<f32, LANES, _>(|l| planes[l][p]));
             }
             return;
         }
+        let (y0, x0) = self.origin;
         for m in 0..self.members {
             for (r, dense) in plane(m).chunks_exact(w).enumerate() {
                 let at = m * self.member + self.at(y0 + r, 0);
