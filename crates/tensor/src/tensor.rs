@@ -684,10 +684,13 @@ const CHAINS: usize = 4;
 #[derive(Clone, Copy, Default)]
 pub(crate) struct Unit(pub usize, pub usize, pub usize);
 
-/// Up to [`CHAINS`] units over one term list, run by one [`chains`] call.
+/// Up to [`CHAINS`] units over one term list, run by one [`chains`] call;
+/// unit offsets are from `base`, and every unit reads within `span` of it.
 pub(crate) struct Block {
     list: usize,
     n: usize,
+    base: usize,
+    span: usize,
     units: [Unit; CHAINS],
 }
 
@@ -699,16 +702,19 @@ pub(crate) struct Block {
 fn chains<const L: usize, const B: usize>(
     frame: &[f32],
     units: [Unit; B],
+    (base, span): (usize, usize),
     terms: impl Iterator<Item = ([f32; L], usize)>,
     out: &mut [f32],
     (o, stride, lanes): (usize, usize, usize),
 ) {
     let mut acc = [[0.0f32; L]; B];
     for (a, at) in terms {
+        // One window per term (the block's base may wrap below zero, its
+        // terms never do): each unit's read is then a check that does not
+        // change from term to term.
+        let win = &frame[at.wrapping_add(base)..][..span];
         for (acc, u) in acc.iter_mut().zip(&units) {
-            // A unit's offset may wrap below zero: its terms never do.
-            let i = at.wrapping_add(u.0);
-            let v: &[f32; L] = frame[i..i + L].try_into().expect("L lanes");
+            let v: &[f32; L] = win[u.0..u.0 + L].try_into().expect("L lanes");
             for ((s, &a), &v) in acc.iter_mut().zip(&a).zip(v) {
                 *s += a * v;
             }
@@ -737,12 +743,12 @@ pub(crate) fn sweep<const L: usize, I: Iterator<Item = ([f32; L], usize)>>(
     store: (usize, usize, usize),
 ) {
     for b in blocks {
-        let (unit, terms) = (|i: usize| b.units[i], terms(b.list));
+        let (unit, terms, at) = (|i: usize| b.units[i], terms(b.list), (b.base, b.span));
         match b.n {
-            1 => chains::<L, 1>(frame, std::array::from_fn(unit), terms, out, store),
-            2 => chains::<L, 2>(frame, std::array::from_fn(unit), terms, out, store),
-            3 => chains::<L, 3>(frame, std::array::from_fn(unit), terms, out, store),
-            _ => chains::<L, CHAINS>(frame, std::array::from_fn(unit), terms, out, store),
+            1 => chains::<L, 1>(frame, std::array::from_fn(unit), at, terms, out, store),
+            2 => chains::<L, 2>(frame, std::array::from_fn(unit), at, terms, out, store),
+            3 => chains::<L, 3>(frame, std::array::from_fn(unit), at, terms, out, store),
+            _ => chains::<L, CHAINS>(frame, std::array::from_fn(unit), at, terms, out, store),
         }
     }
 }
@@ -820,10 +826,22 @@ pub(crate) fn plan(
     // Any order within a list will do: every unit's outputs are its own.
     units.sort_by_key(|u| u.0);
     let runs = units.chunk_by(|a, b| a.0 == b.0);
-    let blocks = runs.flat_map(|run| run.chunks(CHAINS)).map(|b| Block {
-        list: b[0].0,
-        n: b.len(),
-        units: std::array::from_fn(|i| b.get(i).map_or(Unit::default(), |u| u.1)),
+    let blocks = runs.flat_map(|run| run.chunks(CHAINS)).map(|b| {
+        // The lowest offset, as wrapped: a unit's may lie below zero.
+        let base = b
+            .iter()
+            .map(|u| u.1 .0.wrapping_sub(b[0].1 .0))
+            .min()
+            .expect("a unit");
+        let base = base.wrapping_add(b[0].1 .0);
+        let rel = |u: &Unit| Unit(u.0.wrapping_sub(base), u.1, u.2);
+        Block {
+            list: b[0].0,
+            n: b.len(),
+            base,
+            span: b.iter().map(|u| rel(&u.1).0).max().expect("a unit") + LANES,
+            units: std::array::from_fn(|i| b.get(i).map_or(Unit::default(), |u| rel(&u.1))),
+        }
     });
     blocks.collect()
 }
