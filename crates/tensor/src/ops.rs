@@ -14,8 +14,8 @@
 
 use crate::autograd::Var;
 use crate::tensor::{
-    clamp_select, col_lanes, fold_plane, im2col_batch, intern, matmul_into, plan, round_half_away,
-    sweep, sweep_splat, transpose_into, Block, ConvGeom, Frame, Tensor, COL_LANES, LANES,
+    clamp_select, col_lanes, fold_plane, im2col_batch, matmul_into, plan, round_half_away, sweep,
+    sweep_splat, transpose_into, Block, ConvGeom, Frame, Tensor, COL_LANES, LANES,
     PAR_FLOP_THRESHOLD, TILE_COLS,
 };
 use instantnet_parallel as parallel;
@@ -489,26 +489,26 @@ impl ConvKernel for DenseConv {
 }
 
 /// Depthwise convolution (`groups == C == K`) on register lanes: each pass
-/// copies its operands into zero-padded scratch [`Frame`]s and runs every
-/// output as one [`sweep`] accumulator over its terms — the taps, the
-/// outputs reading a pixel (`dx`), the positions (`dw`) — stored straight
-/// from its lanes. The lanes hold [`LANES`] samples of one channel or one
-/// sample's output columns (`dx`: input columns, `dw`: a kernel row's
-/// taps), by geometry ([`Depthwise::sample_lanes`]); what runs is a
+/// copies its operands into [`Frame`]s and runs every output as one
+/// [`sweep`] accumulator over its terms — the taps, the outputs reading a
+/// pixel (`dx`), the positions (`dw`) — stored straight from its lanes. The
+/// lanes hold [`LANES`] samples of one channel (the frame is the planes
+/// themselves) or one sample's output columns (`dx`: input columns, `dw`: a
+/// kernel row's taps) inside zero padding, by geometry
+/// ([`Depthwise::sample_lanes`]); what runs is a
 /// [`Plan`], built once per geometry and block size. Each element is its
-/// in-plane terms in DESIGN.md §6b's order. A unit lists only the terms of
-/// rows in the plane, and a sample-lane forward or `dx` unit only in-plane
-/// terms; any other term it adds reads a padding position, `w·0` or
-/// `dy·0`. That is `±0`, which leaves a sum from `+0` unchanged, unless `w`
-/// or `dy` is not finite: such a channel runs [`Depthwise::in_plane`].
+/// in-plane terms in DESIGN.md §6b's order: a sample-lane unit lists just
+/// those; a column-lane lane may also add a padding term, `w·0` or `dy·0`,
+/// which is `±0` and leaves a sum from `+0` unchanged unless `w` or `dy` is
+/// not finite — such a channel runs [`Depthwise::exact`].
 struct Depthwise {
     c: usize,
     geom: ConvGeom,
 }
 
-/// Term lists of one pass: `(tap, frame offset)` for the forward and `dx`,
-/// `(dy frame offset, x frame offset)` per position for `dw`.
-type Lists = Vec<Vec<(usize, usize)>>;
+/// A pass's blocks and term lists: `(tap, frame offset)` for the forward
+/// and `dx`, `(dy frame offset, x frame offset)` per position for `dw`.
+type Pass = (Vec<Block>, Vec<Vec<(usize, usize)>>);
 
 /// One depthwise geometry's passes at one block size, a pure function of
 /// the two: frames (`x`, `dy`), blocks and their term lists.
@@ -516,9 +516,9 @@ struct Plan {
     samples: bool,
     fx: Frame,
     fg: Frame,
-    fwd: (Vec<Block>, Lists),
-    dx: (Vec<Block>, Lists),
-    dw: (Vec<Block>, Lists),
+    fwd: Pass,
+    dx: Pass,
+    dw: Pass,
 }
 
 thread_local! {
@@ -572,30 +572,26 @@ impl Depthwise {
         let fg = Frame::new(samples, nb, shape, (mh, mw), (g.oh, g.ow));
         // Forward: per unit the taps, ascending, whose row is in the plane
         // and whose column some lane reads in range.
-        let mut lists = Vec::new();
         let width = if samples { 1 } else { col_lanes(g.ow) };
-        let blocks = plan((nb, samples, g.oh), (g.ow, 1, width), |i, oy, ox, n| {
+        let fwd = plan((nb, samples, g.oh), (g.ow, 1, width), |i, oy, ox, n| {
             let reach = |t: &usize| {
                 let xs = &g.xs[t % kw];
                 g.ys[t / kw].contains(&oy) && xs.start < ox + n && ox < xs.end
             };
             let list = (0..taps).filter(reach).map(|t| (t, fx.at(t / kw, t % kw)));
             let base = (i * fx.member + fx.at(oy * s, ox * s)).wrapping_sub(fx.shift);
-            let list = intern(&mut lists, list.collect());
-            (list, base, i * c * g.oh * g.ow + oy * g.ow + ox)
+            (list.collect(), base, i * c * g.oh * g.ow + oy * g.ow + ox)
         });
-        let fwd = (blocks, lists);
         // `dx`: per padded input pixel `(py, px)` the taps of its stride
         // phase, last first, whose output row is in the plane and whose
         // output column some lane reads in range, with the outputs' frame
         // offsets from the pixel's base.
-        let mut lists = Vec::new();
         let width = if samples {
             1
         } else {
             col_lanes(g.w.div_ceil(s))
         };
-        let blocks = plan((nb, samples, g.h), (g.w, s, width), |i, iy, ix, n| {
+        let dx = plan((nb, samples, g.h), (g.w, s, width), |i, iy, ix, n| {
             let (py, px) = (iy + g.pad, ix + g.pad);
             let reach = |t: &usize| {
                 let (ki, kj) = (t / kw, t % kw);
@@ -607,36 +603,34 @@ impl Depthwise {
             let at = |t: usize| fg.at(mh - (t / kw - py % s) / s, mw - (t % kw - px % s) / s);
             let list = (0..taps).rev().filter(reach).map(|t| (t, at(t)));
             let base = (i * fg.member + fg.at(py / s, px / s)).wrapping_sub(fg.shift);
-            let list = intern(&mut lists, list.collect());
-            (list, base, i * c * g.h * g.w + iy * g.w + ix)
+            (list.collect(), base, i * c * g.h * g.w + iy * g.w + ix)
         });
-        let dx = (blocks, lists);
-        // `dw`: a unit per tap over the positions it reads in range,
-        // ascending (sample lanes), or per run of a kernel row's taps in one
-        // stride phase over all positions (column lanes: a list per sample).
-        let blocks = plan((nb, samples, kh), (kw, s, COL_LANES), |i, ki, kj, _| {
-            let list = if samples { ki * kw + kj } else { i };
-            let base = (i * fx.member + fx.at(ki, kj)).wrapping_sub(fx.shift);
-            (list, base, i * c * taps + ki * kw + kj)
-        });
-        let at = |(y, x): (usize, usize)| (fg.at(y + mh, x + mw) - fg.shift, fx.at(y * s, x * s));
-        let reads = |t: usize| {
+        // `dw`: a unit per tap over the positions `(dy offset, x offset)`
+        // it reads in range, ascending (sample lanes), or per run of a
+        // kernel row's taps in one stride phase over every position of its
+        // sample (column lanes).
+        let dw = plan((nb, samples, kh), (kw, s, COL_LANES), |i, ki, kj, _| {
             let (ys, xs) = match samples {
-                true => (g.ys[t / kw].clone(), g.xs[t % kw].clone()),
+                true => (g.ys[ki].clone(), g.xs[kj].clone()),
                 false => (0..g.oh, 0..g.ow),
             };
-            ys.flat_map(move |y| xs.clone().map(move |x| at((y, x))))
-        };
-        let lists = (0..if samples { taps } else { 1 })
-            .map(|t| reads(t).collect())
-            .collect();
+            let at = |(y, x)| {
+                (
+                    i * fg.member + fg.at(y + mh, x + mw) - fg.shift,
+                    fx.at(y * s, x * s),
+                )
+            };
+            let list = ys.flat_map(|y| xs.clone().map(move |x| (y, x))).map(at);
+            let base = (i * fx.member + fx.at(ki, kj)).wrapping_sub(fx.shift);
+            (list.collect(), base, i * c * taps + ki * kw + kj)
+        });
         Plan {
             samples,
             fx,
             fg,
             fwd,
             dx,
-            dw: (blocks, lists),
+            dw,
         }
     }
 
@@ -692,22 +686,15 @@ impl ConvKernel for Depthwise {
         let (g, c, plan) = (&self.geom, self.c, self.plan(nb));
         let (p, hw, taps) = (g.oh * g.ow, g.h * g.w, g.kh * g.kw);
         let ((blocks, lists), f) = (&plan.fwd, &plan.fx);
-        // Sample-lane frames are the planes themselves, kept for `dw`.
-        let (keep, groups) = (plan.samples, nb.div_ceil(f.members));
-        let mut frames = Vec::with_capacity(if keep { c * groups } else { 1 } * f.len);
-        let mut out = vec![0.0f32; nb * c * p];
+        let (mut frame, mut out) = (vec![0.0f32; f.len], vec![0.0f32; nb * c * p]);
         let wide = plan.samples || col_lanes(g.ow) == LANES;
         for ch in 0..c {
             let wrow = &w[ch * taps..(ch + 1) * taps];
             let terms = |l: usize| lists[l].iter().map(|&(t, o)| (wrow[t], o));
-            for gi in 0..groups {
-                // Each frame zeroed where it is filled, not all up front.
-                let (i0, at) = (gi * f.members, usize::from(keep) * (ch * groups + gi));
-                frames.resize((at + 1) * f.len, 0.0);
-                let frame = &mut frames[at * f.len..];
-                f.fill(frame, x, (i0, nb), (c * hw, ch * hw));
-                let store = self.store(keep, (nb, i0, ch), p, 1);
-                sweep_splat(wide, (frame, blocks), terms, &mut out, store);
+            for i0 in (0..nb).step_by(f.members) {
+                f.fill(&mut frame, x, (i0, nb), (c * hw, ch * hw));
+                let store = self.store(plan.samples, (nb, i0, ch), p, 1);
+                sweep_splat(wide, (&frame, blocks), terms, &mut out, store);
             }
             if !plan.samples && !wrow.iter().all(|v| v.is_finite()) {
                 self.exact((nb, ch, false), (&mut out, p), |i, t, o, xi| {
@@ -715,7 +702,7 @@ impl ConvKernel for Depthwise {
                 });
             }
         }
-        (out, keep.then_some(frames))
+        (out, None)
     }
 
     /// `dx`: per element its contributions in ascending `(oy, ox)` — the
@@ -728,41 +715,28 @@ impl ConvKernel for Depthwise {
         gd: &[f32],
         x: &[f32],
         w: &[f32],
-        frames: Option<&[f32]>,
+        _saved: Option<&[f32]>,
     ) -> (Vec<f32>, Vec<f32>) {
         let (g, c, s, plan) = (&self.geom, self.c, self.geom.stride, self.plan(nb));
         let (p, hw, taps) = (g.oh * g.ow, g.h * g.w, g.kh * g.kw);
         let (fx, fg, samples) = (&plan.fx, &plan.fg, plan.samples);
         let ((dx_blocks, dx_lists), (dw_blocks, dw_lists)) = (&plan.dx, &plan.dw);
-        let groups = nb.div_ceil(fx.members);
-        let mut xf = vec![0.0f32; if frames.is_some() { 0 } else { fx.len }];
-        let mut gf = vec![0.0f32; fg.len];
+        let (mut xf, mut gf) = (vec![0.0f32; fx.len], vec![0.0f32; fg.len]);
         let (mut dx, mut dw) = (vec![0.0f32; nb * c * hw], vec![0.0f32; nb * c * taps]);
         let wide = samples || col_lanes(g.w.div_ceil(s)) == LANES;
         for ch in 0..c {
             let wrow = &w[ch * taps..(ch + 1) * taps];
             let dxt = |l: usize| dx_lists[l].iter().map(|&(t, o)| (wrow[t], o));
-            for gi in 0..groups {
-                let i0 = gi * fx.members;
-                let xf = match frames {
-                    Some(frames) => &frames[(ch * groups + gi) * fx.len..][..fx.len],
-                    None => {
-                        fx.fill(&mut xf, x, (i0, nb), (c * hw, ch * hw));
-                        &xf[..]
-                    }
-                };
+            for i0 in (0..nb).step_by(fx.members) {
+                fx.fill(&mut xf, x, (i0, nb), (c * hw, ch * hw));
                 fg.fill(&mut gf, gd, (i0, nb), (c * p, ch * p));
-                let gf = &gf[..];
+                let (xf, gf) = (&xf[..], &gf[..]);
                 let store = self.store(samples, (nb, i0, ch), hw, s);
                 sweep_splat(wide, (gf, dx_blocks), dxt, &mut dx, store);
                 let store = self.store(samples, (nb, i0, ch), taps, s);
                 let lanes = |d: usize| <[f32; LANES]>::try_from(&gf[d..d + LANES]).expect("lanes");
                 let all = |l: usize| dw_lists[l].iter().map(|&(d, o)| (lanes(d), o));
-                let one = |i: usize| {
-                    dw_lists[0]
-                        .iter()
-                        .map(move |&(d, o)| (gf[i * fg.member + d], o))
-                };
+                let one = |l: usize| dw_lists[l].iter().map(|&(d, o)| (gf[d], o));
                 match samples {
                     true => sweep(xf, dw_blocks, all, &mut dw, store),
                     false => sweep_splat(false, (xf, dw_blocks), one, &mut dw, store),

@@ -801,57 +801,50 @@ pub(crate) fn col_lanes(n: usize) -> usize {
     }
 }
 
-/// One depthwise pass's blocks: for each of `nb` stacked planes (one with
-/// sample lanes) and each of `rows` rows, the [`lane_runs`] of `(n,
-/// stride)` — `width` indices each, or one with sample lanes, whose unit
-/// stores its lanes a sample apart — as units, [`CHAINS`] of one term list
-/// to a block. `place(plane, row, first index, indices)` gives `(list,
-/// frame offset, out)`.
+/// One depthwise pass's blocks and term lists: for each of `nb` stacked
+/// planes (one with sample lanes) and each of `rows` rows, the
+/// [`lane_runs`] of `(n, stride)` — `width` indices each, or one with
+/// sample lanes, whose unit stores its lanes a sample apart — as units,
+/// [`CHAINS`] of one term list to a block. `place(plane, row, first index,
+/// indices)` gives `(terms, frame offset, out)`; equal term lists are one.
 pub(crate) fn plan(
     (nb, samples, rows): (usize, bool, usize),
     (n, stride, width): (usize, usize, usize),
-    mut place: impl FnMut(usize, usize, usize, usize) -> (usize, usize, usize),
-) -> Vec<Block> {
+    place: impl Fn(usize, usize, usize, usize) -> (Vec<(usize, usize)>, usize, usize),
+) -> (Vec<Block>, Vec<Vec<(usize, usize)>>) {
     let (members, runs) = match samples {
         true => (1, lane_runs(n, 1, 1)),
         false => (nb, lane_runs(n, stride, width)),
     };
-    let mut units = Vec::with_capacity(members * rows * runs.len());
+    let (mut units, mut lists) = (Vec::new(), Vec::<Vec<_>>::new());
     for (i, y) in (0..members).flat_map(|i| (0..rows).map(move |y| (i, y))) {
         for &(x0, n) in &runs {
-            let (list, base, out) = place(i, y, x0, n);
+            let (terms, base, out) = place(i, y, x0, n);
+            let list = lists
+                .iter()
+                .position(|l| *l == terms)
+                .unwrap_or(lists.len());
+            if list == lists.len() {
+                lists.push(terms);
+            }
             units.push((list, Unit(base, out, if samples { LANES } else { n })));
         }
     }
-    // Any order within a list will do: every unit's outputs are its own.
+    // Units come in ascending offsets (some wrapped below zero) and keep
+    // that order within a list: a block's first is its window's base.
     units.sort_by_key(|u| u.0);
     let runs = units.chunk_by(|a, b| a.0 == b.0);
     let blocks = runs.flat_map(|run| run.chunks(CHAINS)).map(|b| {
-        // The lowest offset, as wrapped: a unit's may lie below zero.
-        let base = b
-            .iter()
-            .map(|u| u.1 .0.wrapping_sub(b[0].1 .0))
-            .min()
-            .expect("a unit");
-        let base = base.wrapping_add(b[0].1 .0);
-        let rel = |u: &Unit| Unit(u.0.wrapping_sub(base), u.1, u.2);
+        let rel = |u: &Unit| Unit(u.0.wrapping_sub(b[0].1 .0), u.1, u.2);
         Block {
             list: b[0].0,
             n: b.len(),
-            base,
-            span: b.iter().map(|u| rel(&u.1).0).max().expect("a unit") + LANES,
+            base: b[0].1 .0,
+            span: rel(&b[b.len() - 1].1).0 + LANES,
             units: std::array::from_fn(|i| b.get(i).map_or(Unit::default(), |u| rel(&u.1))),
         }
     });
-    blocks.collect()
-}
-
-/// The index of `list` in `lists`, added if new.
-pub(crate) fn intern<T: PartialEq>(lists: &mut Vec<Vec<T>>, list: Vec<T>) -> usize {
-    lists.iter().position(|l| *l == list).unwrap_or_else(|| {
-        lists.push(list);
-        lists.len() - 1
-    })
+    (blocks.collect(), lists)
 }
 
 /// The layout of a depthwise pass's frame: `members` dense `(h, w)` planes
