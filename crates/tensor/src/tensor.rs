@@ -720,6 +720,10 @@ fn chains<const L: usize, const B: usize>(
             }
         }
     }
+    // Through `black_box` the stores get the accumulators whole: otherwise
+    // LLVM regroups lanes of different accumulators inside the term loop to
+    // suit the lane-by-lane stores, a shuffle on every term.
+    let acc = std::hint::black_box(acc);
     for (u, acc) in units.iter().zip(&acc) {
         let (at, n) = (o + u.1, u.2.min(lanes));
         if stride == 1 && n == L {
