@@ -726,13 +726,10 @@ fn chains<const L: usize, const B: usize>(
     let acc = std::hint::black_box(acc);
     for (u, acc) in units.iter().zip(&acc) {
         let (at, n) = (o + u.1, u.2.min(lanes));
-        if stride == 1 && n == L {
-            out[at..at + L].copy_from_slice(acc);
-        } else {
-            acc[..n]
-                .iter()
-                .enumerate()
-                .for_each(|(l, &v)| out[at + l * stride] = v);
+        match (stride, n == L) {
+            (1, true) => out[at..at + L].copy_from_slice(acc),
+            (_, true) => (0..L).for_each(|l| out[at + l * stride] = acc[l]),
+            _ => (0..n).for_each(|l| out[at + l * stride] = acc[l]),
         }
     }
 }
