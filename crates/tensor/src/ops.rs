@@ -492,15 +492,15 @@ impl ConvKernel for DenseConv {
 /// copies its operands into [`Frame`]s and runs every output as one
 /// [`sweep`] accumulator over its terms — the taps, the outputs reading a
 /// pixel (`dx`), the positions (`dw`) — stored straight from its lanes. The
-/// lanes hold [`LANES`] samples of one channel (the frame is the planes
-/// themselves) or one sample's output columns (`dx`: input columns, `dw`: a
-/// kernel row's taps) inside zero padding, by geometry
-/// ([`Depthwise::sample_lanes`]); what runs is a
-/// [`Plan`], built once per geometry and block size. Each element is its
-/// in-plane terms in DESIGN.md §6b's order: a sample-lane unit lists just
-/// those; a column-lane lane may also add a padding term, `w·0` or `dy·0`,
-/// which is `±0` and leaves a sum from `+0` unchanged unless `w` or `dy` is
-/// not finite — such a channel runs [`Depthwise::exact`].
+/// lanes hold [`LANES`] samples of one channel, over frames that are the
+/// planes themselves, or one sample's output columns (`dx`: input columns,
+/// `dw`: a kernel row's taps), over zero-padded frames, by geometry
+/// ([`Depthwise::sample_lanes`]). What runs is a [`Plan`], built once per
+/// geometry and block size. Each element is its in-plane terms in DESIGN.md
+/// §6b's order: a sample-lane unit lists just those; a column lane may also
+/// add a padding term, `w·0` or `dy·0`, which is `±0` and leaves a sum from
+/// `+0` unchanged unless `w` or `dy` is not finite — such a channel runs
+/// [`Depthwise::exact`].
 struct Depthwise {
     c: usize,
     geom: ConvGeom,
@@ -562,8 +562,9 @@ impl Depthwise {
     fn build(&self, nb: usize) -> Plan {
         let (g, s, samples) = (&self.geom, self.geom.stride, self.sample_lanes(nb));
         let (c, kh, kw, taps) = (self.c, g.kh, g.kw, g.kh * g.kw);
-        // `x` inside its padding; `dy` inside a margin wide enough that every
-        // input pixel reads all its taps' outputs, in range or not.
+        // Column lanes: `x` inside its padding, `dy` inside a margin wide
+        // enough that every input pixel reads all its taps' outputs, in range
+        // or not. Sample-lane frames hold the planes alone.
         let shape = (g.h + 2 * g.pad, g.w + 2 * g.pad, s);
         let fx = Frame::new(samples, nb, shape, (g.pad, g.pad), (g.h, g.w));
         let (mh, mw) = ((kh - 1) / s, (kw - 1) / s);

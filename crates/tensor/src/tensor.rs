@@ -832,7 +832,8 @@ pub(crate) fn plan(
         }
     }
     // Units come in ascending offsets (some wrapped below zero) and keep
-    // that order within a list: a block's first is its window's base.
+    // that order within a list: a block's first is its window's base. (Only
+    // an empty list, which reads nothing, may hold units out of order.)
     units.sort_by_key(|u| u.0);
     let runs = units.chunk_by(|a, b| a.0 == b.0);
     let blocks = runs.flat_map(|run| run.chunks(CHAINS)).map(|b| {
@@ -841,7 +842,7 @@ pub(crate) fn plan(
             list: b[0].0,
             n: b.len(),
             base: b[0].1 .0,
-            span: rel(&b[b.len() - 1].1).0 + LANES,
+            span: rel(&b[b.len() - 1].1).0.saturating_add(LANES),
             units: std::array::from_fn(|i| b.get(i).map_or(Unit::default(), |u| rel(&u.1))),
         }
     });
