@@ -748,9 +748,10 @@ impl ConvKernel for Depthwise {
                     (xi, wrow[t] * gd[i * p + o])
                 });
             }
-            // A NaN in `dw` is the per-pixel loops' own or a padding term's
-            // `dy·0`: recomputed either way.
-            if (0..nb).any(|i| dw[(i * c + ch) * taps..][..taps].iter().any(|v| v.is_nan())) {
+            // A column-lane NaN in `dw` is the per-pixel loops' own or a
+            // padding term's `dy·0`: recomputed either way.
+            let nan = |i: usize| dw[(i * c + ch) * taps..][..taps].iter().any(|v| v.is_nan());
+            if !samples && (0..nb).any(nan) {
                 self.exact((nb, ch, false), (&mut dw, taps), |i, t, o, xi| {
                     (t, gd[i * p + o] * x[i * hw + xi])
                 });
