@@ -522,8 +522,9 @@ struct Plan {
 }
 
 thread_local! {
-    /// The plans this thread has built, by `(h, w, kh, kw, stride, pad, nb)`.
-    static PLANS: RefCell<Vec<([usize; 7], Rc<Plan>)>> = const { RefCell::new(Vec::new()) };
+    /// The plans this thread has built, by `(h, w, kh, kw, stride, pad, nb,
+    /// channels)`, the channel count 0 for sample lanes.
+    static PLANS: RefCell<Vec<([usize; 8], Rc<Plan>)>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Depthwise {
@@ -543,7 +544,10 @@ impl Depthwise {
     /// This thread's plan for blocks of `nb`, built on first use.
     fn plan(&self, nb: usize) -> Rc<Plan> {
         let g = &self.geom;
-        let key = [g.h, g.w, g.kh, g.kw, g.stride, g.pad, nb];
+        // A column-lane unit stores into a member sample's planes, whose
+        // offsets depend on the channel count; a sample-lane plan's do not.
+        let c = if self.sample_lanes(nb) { 0 } else { self.c };
+        let key = [g.h, g.w, g.kh, g.kw, g.stride, g.pad, nb, c];
         PLANS.with_borrow_mut(|plans| {
             if let Some((_, plan)) = plans.iter().find(|(k, _)| *k == key) {
                 return plan.clone();
