@@ -62,7 +62,7 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::iter::Sum;
 use std::marker::PhantomData;
-use std::ops::{AddAssign, Range};
+use std::ops::{AddAssign, Mul, Range, SubAssign};
 use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
@@ -249,15 +249,27 @@ macro_rules! to_f32 {
 }
 to_f32!(f32, i32, i64);
 
-/// One arithmetic of the GEMM driver ([`gemm_int`]): an accumulator [`Tier`]
-/// — the f32 fallback among them — or a [`Fused`] flavour. Every integer
-/// route computes the *same exact value*, whatever its order, batch packing
-/// or thread count.
-pub(crate) trait Route: Sync {
-    /// The lane type activation codes are emitted in.
+/// What an arithmetic reads and sums in: the lane type activation codes are
+/// emitted in, its accumulator and column-sum types, and where its
+/// activations come from. A GEMM's [`Route`] and a depthwise layer's
+/// [`Tier`] build on it.
+pub(crate) trait Operands: Sync {
     type Lane: EmitLane + Into<Self::Cs>;
     type Acc: ToF32 + Default;
     type Cs: ToF32 + Default + Copy + Send + Sync + Sum + AddAssign;
+
+    /// The batch's activations as this arithmetic's operands read them:
+    /// codes on each sample's grid unless it says otherwise.
+    fn source<'x>(k: &Kernels, x: &'x [f32], n: usize, rule: ActRule) -> Source<'x, Self::Lane> {
+        Source::codes(k, x, n, rule)
+    }
+}
+
+/// One arithmetic of the GEMM driver ([`gemm_int`]): a [`Fused`] flavour on
+/// the pack-time weight words, the 16-bit layers' [`TierI64`], or the f32
+/// fallback. Every integer route computes the *same exact value*, whatever
+/// its order, batch packing or thread count.
+pub(crate) trait Route: Operands {
     /// A layer's weight-row kernel, out of one kernel table.
     type Kernel<'g>: Copy + Sync;
     /// A worker's scratch across its run of rows.
@@ -283,11 +295,6 @@ pub(crate) trait Route: Sync {
         scratch: &mut Self::Scratch,
         acc: &mut [Self::Acc],
     );
-    /// The batch's activations as this route's operands read them: codes on
-    /// each sample's grid unless the route says otherwise.
-    fn source<'x>(k: &Kernels, x: &'x [f32], n: usize, rule: ActRule) -> Source<'x, Self::Lane> {
-        Source::codes(k, x, n, rule)
-    }
 
     /// Adds the column sums of one group's operand `block`, in interleave
     /// group `ig`, to `cs` — exact; zero padding adds nothing.
@@ -306,16 +313,10 @@ pub(crate) trait Route: Sync {
     }
 }
 
-/// A tier's row kernels: decode a weight row, accumulate it over a block.
-type TierKernels<C, A> = (
-    fn(&Storage, usize, usize, &mut [C]),
-    fn(&mut [A], &[C], &[C]),
-);
-
-/// A route that is an accumulator tier — an exact one (f32 arithmetic on
-/// integers below 2^24 is lossless), or the f32 fallback's real-valued
-/// chains: the arithmetic of [`Depthwise`].
-pub(crate) trait Tier: Route {
+/// A depthwise layer's arithmetic ([`Depthwise`]): an exact accumulator tier
+/// (f32 arithmetic on integers below 2^24 is lossless) over its pack-time
+/// taps, or the f32 fallback's real-valued chains.
+pub(crate) trait Tier: Operands {
     /// Depthwise layer `g`'s pack-time `[r·s, c]` taps in this tier's lanes:
     /// read in place in the tier they were packed for, converted for a
     /// wider one.
@@ -323,49 +324,25 @@ pub(crate) trait Tier: Route {
     fn mad(acc: Self::Acc, w: Self::Lane, a: Self::Lane) -> Self::Acc;
 }
 
-/// An exact tier's GEMM, the [`Route`] that decodes each weight row.
-pub(crate) trait Decode: Sync {
-    type Code: EmitLane + Into<Self::Cs>;
-    type Acc: ToF32 + Default;
-    type Cs: ToF32 + Default + Copy + Send + Sync + Sum + AddAssign;
-    /// Table `k`'s decode and accumulate kernels in this tier's lanes.
-    fn kernels(k: &Kernels) -> TierKernels<Self::Code, Self::Acc>;
+/// Implements [`Operands`] on integer codes for each `tier: (lane, acc, cs)`.
+macro_rules! operands {
+    ($($t:ty: ($lane:ty, $acc:ty, $cs:ty)),*) => {$(
+        impl Operands for $t {
+            type Lane = $lane;
+            type Acc = $acc;
+            type Cs = $cs;
+        }
+    )*};
 }
 
-impl<T: Decode> Route for T {
-    type Lane = T::Code;
-    type Acc = T::Acc;
-    type Cs = T::Cs;
-    type Kernel<'g> = (TierKernels<T::Code, T::Acc>, &'g Storage, usize);
-    /// The decoded weight row.
-    type Scratch = Vec<T::Code>;
-
-    fn route<'g>(k: &Kernels, g: &'g PackedGemm, _: (usize, usize)) -> (Self::Kernel<'g>, usize) {
-        ((T::kernels(k), &g.storage, g.cols), 1)
-    }
-    fn step(
-        ((decode, accumulate), storage, q): Self::Kernel<'_>,
-        row: usize,
-        (block, _): (&[T::Code], &[T::Cs]),
-        wrow: &mut Vec<T::Code>,
-        acc: &mut [T::Acc],
-    ) {
-        wrow.resize(q, T::Code::default());
-        decode(storage, row, q, wrow);
-        acc.fill(T::Acc::default());
-        accumulate(acc, wrow, block);
-    }
-}
-
-/// Bound < 2^24: exact f32 lanes (vectorizes on baseline x86-64, which has
-/// no packed i32 multiply), on the portable kernels on every backend: a
-/// ≤ 8-bit GEMM this tier admits also gets fused words (`pack.rs`), so on a
-/// fused-capable CPU only a 9–16-bit GEMM with a very short reduction (12-bit
-/// with ≤ 2 columns) lands here, and no benchmark model has one.
+/// Bound < 2^24: exact f32 lanes (vectorize on baseline x86-64, which has no
+/// packed i32 multiply). Depthwise taps only.
 struct TierF32;
-/// Bound ≤ i32::MAX / 2: native i32.
+/// Bound ≤ i32::MAX / 2: native i32. Depthwise taps only.
 struct TierI32;
-/// Anything wider (12/16-bit layers with long reductions).
+/// Anything wider: 12/16-bit depthwise taps, and the 16-bit GEMMs, whose
+/// activation codes fit no i16 lane — the one route that decodes a weight
+/// row per matrix.
 struct TierI64;
 /// The f32 fallback ([`Arith::F32`]: full precision, raw-input stems, 17–31
 /// bits): real-valued [`Storage::F32`] weights, read in place, against the
@@ -375,14 +352,8 @@ struct TierI64;
 /// `Tensor::matmul`'s order, which no column count or batch changes.
 struct DenseF32;
 
-impl Decode for TierF32 {
-    type Code = f32;
-    type Acc = f32;
-    type Cs = f32;
-    fn kernels(_: &Kernels) -> TierKernels<f32, f32> {
-        (Storage::decode_row_scalar, accumulate_f32_scalar)
-    }
-}
+// The i32-lane tiers' column sums are i64 (cheap next to the multiplies).
+operands!(TierF32: (f32, f32, f32), TierI32: (i32, i32, i64), TierI64: (i32, i64, i64));
 
 impl Tier for TierF32 {
     fn taps(g: &PackedGemm) -> Cow<'_, [f32]> {
@@ -396,17 +367,6 @@ impl Tier for TierF32 {
     }
 }
 
-impl Decode for TierI32 {
-    type Code = i32;
-    type Acc = i32;
-    // i64 column sums guard 16-bit × long-reduction overflow (shared with
-    // the i64 tier; cheap relative to the multiply loop).
-    type Cs = i64;
-    fn kernels(k: &Kernels) -> TierKernels<i32, i32> {
-        (k.decode_row_i32, k.accumulate_i32)
-    }
-}
-
 impl Tier for TierI32 {
     fn taps(g: &PackedGemm) -> Cow<'_, [i32]> {
         i32_taps(g)
@@ -416,21 +376,57 @@ impl Tier for TierI32 {
     }
 }
 
-impl Decode for TierI64 {
-    type Code = i32;
-    type Acc = i64;
-    type Cs = i64;
-    fn kernels(k: &Kernels) -> TierKernels<i32, i64> {
-        (k.decode_row_i32, k.accumulate_i64)
-    }
-}
-
 impl Tier for TierI64 {
     fn taps(g: &PackedGemm) -> Cow<'_, [i32]> {
         i32_taps(g)
     }
     fn mad(acc: i64, w: i32, a: i32) -> i64 {
         acc + i64::from(w) * i64::from(a)
+    }
+}
+
+impl Route for TierI64 {
+    /// Table `k`'s row decoder and i64 accumulate kernel, the layer's storage
+    /// and reduction length.
+    #[allow(clippy::type_complexity)]
+    type Kernel<'g> = (
+        (
+            fn(&Storage, usize, usize, &mut [i32]),
+            fn(&mut [i64], &[i32], &[i32]),
+        ),
+        &'g Storage,
+        usize,
+    );
+    /// The decoded weight row.
+    type Scratch = Vec<i32>;
+
+    fn route<'g>(k: &Kernels, g: &'g PackedGemm, _: (usize, usize)) -> (Self::Kernel<'g>, usize) {
+        (
+            ((k.decode_row_i32, k.accumulate_i64), &g.storage, g.cols),
+            1,
+        )
+    }
+    fn step(
+        ((decode, accumulate), storage, q): Self::Kernel<'_>,
+        row: usize,
+        (block, _): (&[i32], &[i64]),
+        wrow: &mut Vec<i32>,
+        acc: &mut [i64],
+    ) {
+        wrow.resize(q, 0);
+        decode(storage, row, q, wrow);
+        acc.fill(0);
+        accumulate(acc, wrow, block);
+    }
+}
+
+impl Operands for DenseF32 {
+    type Lane = f32;
+    type Acc = f32;
+    type Cs = f32;
+
+    fn source<'x>(_: &Kernels, x: &'x [f32], n: usize, rule: ActRule) -> Source<'x, f32> {
+        Source::values(x, n, rule)
     }
 }
 
@@ -453,9 +449,6 @@ impl DenseF32 {
 }
 
 impl Route for DenseF32 {
-    type Lane = f32;
-    type Acc = f32;
-    type Cs = f32;
     /// The weights, the reduction length, and whether the rows go in the
     /// lanes.
     type Kernel<'g> = (&'g [f32], usize, bool);
@@ -526,9 +519,6 @@ impl Route for DenseF32 {
             *o = lanes[row - b];
         }
     }
-    fn source<'x>(_: &Kernels, x: &'x [f32], n: usize, rule: ActRule) -> Source<'x, f32> {
-        Source::values(x, n, rule)
-    }
 }
 
 /// A depthwise layer's pack-time tap table.
@@ -548,30 +538,25 @@ fn i32_taps(g: &PackedGemm) -> Cow<'_, [i32]> {
 }
 
 // ---------------------------------------------------------------------------
-// Accumulate kernels (scalar backend — the portable baseline every target
-// can run; crate::simd selects between these and the AVX2 kernels)
+// The i64 accumulate kernel (scalar backend — the portable baseline every
+// target can run; crate::simd selects between it and the SIMD kernels)
 // ---------------------------------------------------------------------------
 
-/// Column-block width of the integer accumulate kernels: 8 independent
-/// accumulator lanes live in registers across the whole reduction, so the
-/// inner loop has no accumulator load/store traffic and enough
-/// instruction-level parallelism to keep integer pipes full (the wide
-/// tiers' answer to the f32 tier's SIMD lanes).
-const I32_LANES: usize = 8;
-/// i64 lanes are twice as wide, so half as many keep register pressure
-/// equivalent.
+/// Column-block width of the scalar i64 kernel: 4 independent accumulator
+/// lanes live in registers across the whole reduction, so the inner loop has
+/// no accumulator load/store traffic and enough instruction-level
+/// parallelism to keep the integer pipes full.
 const I64_LANES: usize = 4;
 
 /// Shared scalar tail of every blocked accumulate kernel: the columns past
 /// the last full lane block each walk the `[rows, ncols]` activation block
-/// at a hoisted stride of `ncols`. The scalar reference kernels below and
-/// the SIMD kernels' ragged tails (`crate::simd`) all delegate here — PR 6
-/// left this loop hand-expanded in three near-identical copies.
+/// at a hoisted stride of `ncols`. The scalar kernel below and the SIMD
+/// kernels' ragged tails (`crate::simd`) all delegate here.
 ///
 /// The partial sum starts from the additive identity and is added to
 /// `acc[j]` once at the end, exactly like the in-register lane blocks, so
-/// tail columns see the same association order as blocked ones (every
-/// caller is an integer tier, exact by associativity anyway).
+/// tail columns see the same association order as blocked ones (exact by
+/// associativity anyway).
 // Inlined on purpose: as an out-of-line instance LLVM compiled the same
 // loop 1.25–2.5× slower under the AVX2 kernels' one-column i64 GEMMs.
 #[inline(always)]
@@ -594,78 +579,30 @@ pub(crate) fn accumulate_col_tail<C: Copy, A: Copy + Default + std::ops::Add<Out
     }
 }
 
-/// Column-register-blocked reduction shared by the integer scalar kernels:
-/// each block of `LANES` output columns runs the full reduction with its
-/// partial sums held in a local array (the wide tiers' answer to the f32
-/// tier's SIMD lanes), row strides hoisted to a running offset, and the
-/// ragged tail falling through to [`accumulate_col_tail`].
-fn accumulate_blocked_scalar<C, A, const LANES: usize>(
-    acc: &mut [A],
-    wrow: &[C],
-    acts: &[C],
-    mad: impl Fn(A, C, C) -> A + Copy,
-) where
-    C: Copy,
-    A: Copy + Default + std::ops::Add<Output = A>,
-{
+/// `acc[j] += Σ_p wrow[p] · acts[p][j]` in i64, for the 16-bit GEMMs: each
+/// block of [`I64_LANES`] output columns runs the full reduction with its
+/// partial sums held in a local array, row strides hoisted to a running
+/// offset, and the ragged tail falling through to [`accumulate_col_tail`].
+pub(crate) fn accumulate_i64_scalar(acc: &mut [i64], wrow: &[i32], acts: &[i32]) {
+    let mad = |l: i64, w: i32, a: i32| l + i64::from(w) * i64::from(a);
     let ncols = acc.len();
     let mut j = 0usize;
-    while j + LANES <= ncols {
-        let mut lanes = [A::default(); LANES];
+    while j + I64_LANES <= ncols {
+        let mut lanes = [0i64; I64_LANES];
         let mut base = j;
         for &wv in wrow {
-            let a = &acts[base..base + LANES];
+            let a = &acts[base..base + I64_LANES];
             for (l, &av) in lanes.iter_mut().zip(a) {
                 *l = mad(*l, wv, av);
             }
             base += ncols;
         }
-        for (o, l) in acc[j..j + LANES].iter_mut().zip(lanes) {
-            *o = *o + l;
+        for (o, l) in acc[j..j + I64_LANES].iter_mut().zip(lanes) {
+            *o += l;
         }
-        j += LANES;
+        j += I64_LANES;
     }
     accumulate_col_tail(acc, wrow, acts, j, mad);
-}
-
-/// `acc[j] += Σ_p wrow[p] · acts[p][j]` in i32 — the native narrow tier.
-pub(crate) fn accumulate_i32_scalar(acc: &mut [i32], wrow: &[i32], acts: &[i32]) {
-    accumulate_blocked_scalar::<_, _, I32_LANES>(acc, wrow, acts, |l, w, a| l + w * a);
-}
-
-/// i64 variant for 12/16-bit layers whose partial sums can overflow i32.
-pub(crate) fn accumulate_i64_scalar(acc: &mut [i64], wrow: &[i32], acts: &[i32]) {
-    accumulate_blocked_scalar::<_, _, I64_LANES>(acc, wrow, acts, |l, w, a| {
-        l + i64::from(w) * i64::from(a)
-    });
-}
-
-/// Exact-f32 variant: codes are small integers, so every product and
-/// partial sum stays below 2^24 and the arithmetic is lossless — same
-/// integer result, but f32 lanes vectorize on targets whose baseline ISA
-/// has no packed i32 multiply. Four weight rows per pass for
-/// instruction-level parallelism.
-fn accumulate_f32_scalar(acc: &mut [f32], wrow: &[f32], acts: &[f32]) {
-    let ncols = acc.len();
-    let mut quads = wrow.chunks_exact(4);
-    let mut base = 0usize;
-    for w in quads.by_ref() {
-        let (a0, rest) = acts[base..base + 4 * ncols].split_at(ncols);
-        let (a1, rest) = rest.split_at(ncols);
-        let (a2, a3) = rest.split_at(ncols);
-        let (w0, w1, w2, w3) = (w[0], w[1], w[2], w[3]);
-        for (j, o) in acc.iter_mut().enumerate() {
-            *o += w0 * a0[j] + w1 * a1[j] + w2 * a2[j] + w3 * a3[j];
-        }
-        base += 4 * ncols;
-    }
-    for &wv in quads.remainder() {
-        let a = &acts[base..base + ncols];
-        for (o, &av) in acc.iter_mut().zip(a) {
-            *o += wv * av;
-        }
-        base += ncols;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1242,49 +1179,79 @@ impl<T: Tier> Depthwise<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// Fused low-bit routes (≤ 8-bit storage: multiply on packed codes)
+// Fused routes (≤ 15-bit storage: multiply on the pack-time weight words)
 // ---------------------------------------------------------------------------
 
-/// The fused flavour on `L`-lane codes: the kernels multiply directly on
-/// the pack-time weight words, [`Route::GROUP`] codes apiece — nibble
-/// weights as `w + 8 ∈ [0, 15]` unsigned bytes, which `maddubs` takes, the
-/// shift undone by an exact `-8·colsum` (DESIGN.md §6g has the bounds).
-pub(crate) struct Fused<L>(PhantomData<L>);
+/// The fused flavour on `L`-lane codes into `A` accumulators: the kernels
+/// multiply directly on the pack-time weight words, [`Route::GROUP`] codes
+/// apiece — nibble weights as `w + 8 ∈ [0, 15]` unsigned bytes, which
+/// `maddubs` takes, the shift undone by an exact `-8·colsum` — one call per
+/// period of words at most ([`KernelWeights::Words`]; DESIGN.md §6g has the
+/// bounds).
+pub(crate) struct Fused<L, A = i32>(PhantomData<(L, A)>);
 /// ≤ 4-bit weights on `i8` codes (|a| ≤ 15): `maddubs`-class kernels.
 pub(crate) type FusedNibble = Fused<i8>;
-/// 5–8-bit weights on `i16` codes (|a| ≤ 255): `madd` on i16 pairs.
+/// 5–15-bit weights on `i16` codes (|a| ≤ 2^15 − 1): `madd` on i16 pairs.
 pub(crate) type FusedI8 = Fused<i16>;
 
 /// An activation lane of a fused flavour: its [`Route::WEIGHT_BIAS`], what
 /// [`Arith::of`] calls it, and table `k`'s column-block and thin kernels.
-pub(crate) trait FusedLane: EmitLane + Into<i32> {
+pub(crate) trait FusedLane: EmitLane + Into<i32> + Into<i64> {
     const WEIGHT_BIAS: i32;
     const ARITH: Arith;
-    fn kernels(k: &Kernels) -> [Option<FusedKernel<Self>>; 2];
+    fn kernels(k: &Kernels) -> (FusedKernel<Self>, Option<FusedKernel<Self>>);
 }
 
 impl FusedLane for i8 {
     const WEIGHT_BIAS: i32 = 8;
     const ARITH: Arith = Arith::FusedNibble;
-    fn kernels(k: &Kernels) -> [Option<FusedKernel<i8>>; 2] {
-        [k.gemm_nibble, k.gemm_nibble_thin]
+    fn kernels(k: &Kernels) -> (FusedKernel<i8>, Option<FusedKernel<i8>>) {
+        (k.gemm_nibble, k.gemm_nibble_thin)
     }
 }
 
 impl FusedLane for i16 {
     const WEIGHT_BIAS: i32 = 0;
     const ARITH: Arith = Arith::FusedI8;
-    fn kernels(k: &Kernels) -> [Option<FusedKernel<i16>>; 2] {
-        [k.gemm_i8, k.gemm_i8_thin]
+    fn kernels(k: &Kernels) -> (FusedKernel<i16>, Option<FusedKernel<i16>>) {
+        (k.gemm_i8, k.gemm_i8_thin)
     }
 }
 
-impl<L: FusedLane> Route for Fused<L> {
+/// A fused route's accumulator: `i32` where one kernel call reduces a whole
+/// weight row (the layer's period covers it), `i64` where the row runs
+/// period by period, each call's exact i32 sum folded in.
+pub(crate) trait FusedAcc:
+    ToF32 + Default + Copy + Send + Sync + Sum + AddAssign + SubAssign + Mul<Output = Self> + From<i32>
+{
+    /// `acc` itself where it is the kernels' i32 accumulator.
+    fn as_i32(acc: &mut [Self]) -> Option<&mut [i32]>;
+}
+
+impl FusedAcc for i32 {
+    fn as_i32(acc: &mut [i32]) -> Option<&mut [i32]> {
+        Some(acc)
+    }
+}
+
+impl FusedAcc for i64 {
+    fn as_i32(_: &mut [i64]) -> Option<&mut [i32]> {
+        None
+    }
+}
+
+impl<L: FusedLane + Into<A>, A: FusedAcc> Operands for Fused<L, A> {
     type Lane = L;
-    type Acc = i32;
-    type Cs = i32;
-    type Kernel<'g> = (FusedKernel<L>, &'g [u32], usize);
-    type Scratch = ();
+    type Acc = A;
+    type Cs = A;
+}
+
+impl<L: FusedLane + Into<A>, A: FusedAcc> Route for Fused<L, A> {
+    /// The kernel, the words, words per row, words per call (the period, in
+    /// whole vector steps on a thin kernel) and whether the kernel is thin.
+    type Kernel<'g> = (FusedKernel<L>, &'g [u32], usize, usize, bool);
+    /// One call's i32 sums, before they fold into i64 accumulators.
+    type Scratch = Vec<i32>;
     const GROUP: usize = 4 / std::mem::size_of::<L>();
     const WEIGHT_BIAS: i32 = L::WEIGHT_BIAS;
 
@@ -1293,28 +1260,55 @@ impl<L: FusedLane> Route for Fused<L> {
         g: &'g PackedGemm,
         (n, p): (usize, usize),
     ) -> (Self::Kernel<'g>, usize) {
-        let KernelWeights::Words(words) = &g.kernel else {
+        let KernelWeights::Words { words, period } = &g.kernel else {
             unreachable!("Arith::of routes only layers with weight words here");
         };
-        let ([columns, thin], stride) = (L::kernels(k), g.cols.div_ceil(Self::GROUP));
-        let (kernel, ig) = match L::ARITH.gemm_lanes(n * p, k) {
-            Lanes::Reduction => (thin, stride.next_multiple_of(THIN_WORDS) * Self::GROUP),
-            _ => (columns, Self::GROUP),
-        };
-        ((kernel.expect("Arith::of found it"), words, stride), ig)
+        let ((columns, thin), stride) = (L::kernels(k), g.cols.div_ceil(Self::GROUP));
+        match (L::ARITH.gemm_lanes(g, n * p, k), thin) {
+            (Lanes::Reduction, Some(thin)) => {
+                let span = period / THIN_WORDS * THIN_WORDS;
+                let ig = stride.next_multiple_of(THIN_WORDS) * Self::GROUP;
+                ((thin, words, stride, span, true), ig)
+            }
+            _ => ((columns, words, stride, *period, false), Self::GROUP),
+        }
     }
     fn step(
-        (kernel, words, stride): Self::Kernel<'_>,
+        (kernel, words, stride, span, thin): Self::Kernel<'_>,
         row: usize,
-        (block, cs): (&[L], &[i32]),
-        _: &mut (),
-        acc: &mut [i32],
+        (block, cs): (&[L], &[A]),
+        part: &mut Vec<i32>,
+        acc: &mut [A],
     ) {
-        acc.fill(0);
-        kernel(acc, &words[row * stride..][..stride], block, acc.len());
+        let (w, l, g) = (&words[row * stride..][..stride], acc.len(), Self::GROUP);
+        if let Some(acc) = A::as_i32(acc) {
+            acc.fill(0);
+            kernel(acc, w, block, l);
+        } else {
+            // Period by period; a thin operand one column at a time, each
+            // period whole vector steps of the column.
+            acc.fill(A::default());
+            part.resize(if thin { 1 } else { l }, 0);
+            for (q, w) in (0..).step_by(span).zip(w.chunks(span)) {
+                if thin {
+                    let (ig, lanes) = (block.len() / l, w.len().next_multiple_of(THIN_WORDS) * g);
+                    for (j, a) in acc.iter_mut().enumerate() {
+                        part[0] = 0;
+                        kernel(part, w, &block[j * ig + q * g..][..lanes], 1);
+                        *a += A::from(part[0]);
+                    }
+                } else {
+                    part.fill(0);
+                    kernel(part, w, &block[q * g * l..][..w.len() * g * l], l);
+                    acc.iter_mut()
+                        .zip(&*part)
+                        .for_each(|(a, &v)| *a += A::from(v));
+                }
+            }
+        }
         if L::WEIGHT_BIAS != 0 {
             for (a, &c) in acc.iter_mut().zip(cs) {
-                *a -= L::WEIGHT_BIAS * c;
+                *a -= A::from(L::WEIGHT_BIAS) * c;
             }
         }
     }
@@ -1365,20 +1359,40 @@ fn exec_int(
     nc @ (_, c): (usize, usize),
     rule: ActRule,
 ) -> Vec<f32> {
-    // A tap table, or f32 weights the packer stored tap-major.
-    let taps = matches!(gemm.kernel, KernelWeights::Taps(_))
-        || !gemm.storage.is_integer() && is_depthwise(c / groups, gemm.rows, groups);
-    match (Arith::of(gemm, k), taps) {
+    // f32 weights the packer stored tap-major.
+    let taps = !gemm.storage.is_integer() && is_depthwise(c / groups, gemm.rows, groups);
+    match (Arith::of(gemm), taps) {
         (Arith::F32, true) => depthwise::<DenseF32>(k, gemm, g, x, nc, rule),
-        (Arith::Tier(Accum::F32), true) => depthwise::<TierF32>(k, gemm, g, x, nc, rule),
-        (Arith::Tier(Accum::I32), true) => depthwise::<TierI32>(k, gemm, g, x, nc, rule),
-        (Arith::Tier(Accum::I64), true) => depthwise::<TierI64>(k, gemm, g, x, nc, rule),
-        (Arith::F32, _) => gemm_int::<DenseF32>(k, gemm, g, groups, x, nc, rule),
-        (Arith::Tier(Accum::F32), _) => gemm_int::<TierF32>(k, gemm, g, groups, x, nc, rule),
-        (Arith::Tier(Accum::I32), _) => gemm_int::<TierI32>(k, gemm, g, groups, x, nc, rule),
+        (Arith::F32, false) => gemm_int::<DenseF32>(k, gemm, g, groups, x, nc, rule),
+        (Arith::Tier(Accum::F32), _) => depthwise::<TierF32>(k, gemm, g, x, nc, rule),
+        (Arith::Tier(Accum::I32), _) => depthwise::<TierI32>(k, gemm, g, x, nc, rule),
+        (Arith::Tier(Accum::I64), _) if matches!(gemm.kernel, KernelWeights::Taps(_)) => {
+            depthwise::<TierI64>(k, gemm, g, x, nc, rule)
+        }
         (Arith::Tier(Accum::I64), _) => gemm_int::<TierI64>(k, gemm, g, groups, x, nc, rule),
-        (Arith::FusedNibble, _) => gemm_int::<FusedNibble>(k, gemm, g, groups, x, nc, rule),
-        (Arith::FusedI8, _) => gemm_int::<FusedI8>(k, gemm, g, groups, x, nc, rule),
+        (Arith::FusedNibble, _) => fused::<i8>(k, gemm, g, groups, x, nc, rule),
+        (Arith::FusedI8, _) => fused::<i16>(k, gemm, g, groups, x, nc, rule),
+    }
+}
+
+/// [`gemm_int`] on the fused route of `L`-lane codes: i32 accumulators where
+/// the layer's period covers a whole weight row, i64 ones where it does not.
+fn fused<L: FusedLane>(
+    k: &Kernels,
+    gemm: &PackedGemm,
+    g: &ConvGeom,
+    groups: usize,
+    x: &[f32],
+    nc: (usize, usize),
+    rule: ActRule,
+) -> Vec<f32> {
+    let KernelWeights::Words { period, .. } = gemm.kernel else {
+        unreachable!("Arith::of routes only layers with weight words here");
+    };
+    if gemm.cols.div_ceil(Fused::<L>::GROUP) <= period {
+        gemm_int::<Fused<L, i32>>(k, gemm, g, groups, x, nc, rule)
+    } else {
+        gemm_int::<Fused<L, i64>>(k, gemm, g, groups, x, nc, rule)
     }
 }
 

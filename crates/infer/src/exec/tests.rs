@@ -2,12 +2,12 @@
 //! orientations of the depthwise kernel against the generic grouped-GEMM path
 //! (integer tiers) and against a per-pixel reference loop (f32 fallback); the
 //! batch-invariance matrix (every sample of a batch against its batch-of-one
-//! forward, on every route); and the pack-time overflow bounds against an
-//! i128 oracle at their admission boundaries.
+//! forward, on every route); and the pack-time overflow bounds — tiers and
+//! word periods — against an i128 oracle at their boundaries.
 
 use super::*;
-use crate::pack::pack_plan;
-use crate::simd::{avx2_available, neon_available, with_simd_backend};
+use crate::pack::{gemm_words, pack_plan};
+use crate::simd::with_simd_backend;
 use crate::SimdBackend;
 use instantnet_nn::plan::PlanOp;
 use instantnet_parallel::with_threads;
@@ -139,15 +139,20 @@ fn depthwise_per_pixel(
     Tensor::from_vec(vec![n, c, oh, ow], out)
 }
 
-/// A depthwise layer on tier `T`: [`Depthwise`] against its tap table, or
-/// without one the grouped-GEMM route of the one GEMM driver.
-fn on_tier<T: Decode + Tier>(g: &PackedGemm, geom: &ConvGeom, x: &Tensor, rule: ActRule) -> Tensor {
+/// A depthwise layer on tier `T`: [`Depthwise`] against its tap table.
+fn on_tier<T: Tier>(g: &PackedGemm, geom: &ConvGeom, x: &Tensor, rule: ActRule) -> Tensor {
     let (k, (n, c)) = (kernels(), (x.dims()[0], x.dims()[1]));
-    let out = match g.kernel {
-        KernelWeights::Taps(_) => depthwise::<T>(k, g, geom, x.data(), (n, c), rule),
-        _ => gemm_int::<T>(k, g, geom, c, x.data(), (n, c), rule),
-    };
+    let out = depthwise::<T>(k, g, geom, x.data(), (n, c), rule);
     Tensor::from_vec(vec![n, c, geom.oh, geom.ow], out)
+}
+
+/// `g`'s re-centered weight codes, `[rows, cols]`, decoded from its storage.
+fn codes(g: &PackedGemm) -> Vec<i32> {
+    let mut d = vec![0i32; g.rows * g.cols];
+    for (row, out) in d.chunks_mut(g.cols).enumerate() {
+        g.storage.decode_row_scalar(row, g.cols, out);
+    }
+    d
 }
 
 /// The depthwise shape matrix: planes from 1×1 to 16×16 × stride × pad ×
@@ -157,7 +162,9 @@ fn on_tier<T: Decode + Tier>(g: &PackedGemm, geom: &ConvGeom, x: &Tensor, rule: 
 /// rows) must equal the per-pixel f32 oracle on the f32 fallback (at 24 bits
 /// with fake-quantized activations, at 32 with raw ones) and the
 /// grouped-GEMM path in every valid tier, on bits, at 1 and 3 threads — the
-/// last case above `PAR_FLOP_THRESHOLD`, where the plane split is live.
+/// last case above `PAR_FLOP_THRESHOLD`, where the plane split is live. The
+/// grouped GEMM runs the layer's GEMM route: weight words up to 15 bits,
+/// `Tier(I64)` at 16.
 #[test]
 fn depthwise_orientations_match_oracle_and_generic_path_on_the_shape_matrix() {
     let mut rng = StdRng::seed_from_u64(0xD3);
@@ -221,10 +228,20 @@ fn depthwise_orientations_match_oracle_and_generic_path_on_the_shape_matrix() {
             assert_eq!(gemm.has_offset, q == Quantizer::Dorefa, "{ctx}");
             // Same codes without the tap table: `gemm_int` runs the grouped
             // patch-matrix GEMM (one row per group).
+            let d = codes(&gemm);
+            let max_code_abs = d.iter().map(|c| c.abs()).max().unwrap_or(0);
             let generic = PackedGemm {
-                kernel: KernelWeights::Decode,
+                kernel: gemm_words(
+                    &d,
+                    gemm.cols,
+                    &gemm.storage,
+                    max_code_abs,
+                    BitWidth::new(bits),
+                ),
                 ..gemm.clone()
             };
+            let want = exec_int(kernels(), &generic, &geom, c, x.data(), (n, c), rule);
+            let want = Tensor::from_vec(vec![n, c, geom.oh, geom.ow], want);
             // The packed tier and every wider one are exact.
             let run = |g: &PackedGemm, tier: Accum| match tier {
                 Accum::F32 => on_tier::<TierF32>(g, &geom, &x, rule),
@@ -236,7 +253,6 @@ fn depthwise_orientations_match_oracle_and_generic_path_on_the_shape_matrix() {
                 Accum::I32 => &[Accum::I32, Accum::I64],
                 Accum::I64 => &[Accum::I64],
             };
-            let want = run(&generic, gemm.accum);
             for &tier in tiers {
                 assert_bits_eq(&run(&gemm, tier), &want, &format!("{tier:?}: {ctx}"));
             }
@@ -387,56 +403,71 @@ fn every_sample_of_a_batch_equals_its_batch_of_one_forward_on_every_route() {
     with_simd_backend(SimdBackend::Scalar, || check("forced scalar"));
 }
 
-/// Worst-case linear layers at each pack-time admission boundary (and one
-/// reduction row either side): whatever the packer admits to a tier or to
-/// the fused words computes the exact sum at any batch size, and what it
-/// refuses gets the next tier (or no words). Every ≤ 8-bit layer the packer
-/// admits to the exact-f32 tier also carries fused words wherever the CPU
-/// has a fused kernel — why no SIMD table needs f32-tier GEMM kernels; the
-/// 2-, 4- and 8-bit rows at the 2^24 lane bound pin it at its edge.
-#[test]
-fn admitted_layers_never_overflow_and_refused_ones_change_route() {
-    // i128 oracle of one output: `Σ d·a` and `Σ a` over the stored weight
-    // codes `d` and the sample's activation codes `a`, dequantized as the
-    // engine does. Also returns the largest magnitude a fused kernel meets:
-    // its shifted-code accumulator and the `WEIGHT_BIAS·colsum` correction.
-    fn oracle(g: &PackedGemm, row: usize, a: &[i32], sa: f32, shift: i128) -> (f32, i128) {
-        let mut d = vec![0i32; g.cols];
-        g.storage.decode_row_scalar(row, g.cols, &mut d);
-        let wide = |v: i32| i128::from(v);
-        let acc: i128 = d.iter().zip(a).map(|(&d, &a)| wide(d) * wide(a)).sum();
-        let shifted: i128 = d
-            .iter()
+/// i128 oracle of one output of layer `g`: `Σ d·a` and `Σ a` over the
+/// stored weight codes `d` of `row` and one sample's activation codes `a`,
+/// dequantized as the engine does. Also returns the largest magnitude one
+/// fused kernel call meets: the shifted-code sum over each period of the
+/// words (`shift` on every weight code), and where one call takes the whole
+/// row the `shift·colsum` correction.
+fn oracle(g: &PackedGemm, row: usize, a: &[i32], sa: f32, shift: i128) -> (f32, i128) {
+    let d = &codes(g)[row * g.cols..][..g.cols];
+    let wide = |v: i32| i128::from(v);
+    let acc: i128 = d.iter().zip(a).map(|(&d, &a)| wide(d) * wide(a)).sum();
+    let colsum: i128 = a.iter().map(|&a| wide(a)).sum();
+    let y = if g.has_offset {
+        sa * (g.scale[row] * acc as f32 + g.colsum_coef[row] * colsum as f32) + g.bias[row]
+    } else {
+        sa * g.scale[row] * acc as f32 + g.bias[row]
+    };
+    let KernelWeights::Words { words, period } = &g.kernel else {
+        return (y, 0);
+    };
+    let lanes = g.cols.div_ceil(words.len() / g.rows) * period;
+    let call = |(d, a): (&[i32], &[i32])| -> i128 {
+        d.iter()
             .zip(a)
             .map(|(&d, &a)| (wide(d) + shift) * wide(a))
-            .sum();
-        let colsum: i128 = a.iter().map(|&a| wide(a)).sum();
-        let y = if g.has_offset {
-            sa * (g.scale[row] * acc as f32 + g.colsum_coef[row] * colsum as f32) + g.bias[row]
-        } else {
-            sa * g.scale[row] * acc as f32 + g.bias[row]
-        };
-        (y, shifted.abs().max((shift * colsum).abs()))
-    }
+            .sum()
+    };
+    let calls = d.chunks(lanes).zip(a.chunks(lanes));
+    let peak = calls.map(|c| call(c).abs()).max().unwrap_or(0);
+    let correction = if g.cols <= lanes {
+        (shift * colsum).abs()
+    } else {
+        0
+    };
+    (y, peak.max(correction))
+}
 
-    let can_fuse = avx2_available() || neon_available();
+/// Worst-case linear layers at each pack-time boundary, and one reduction
+/// row either side: whatever the packer admits to a tier, or to one kernel
+/// call on its weight words, computes the exact sum at any batch size, and
+/// what it refuses gets the next tier — or its row in periods, folded into
+/// i64. Every ≤ 15-bit GEMM carries words on every CPU, and one call never
+/// meets more than `i32::MAX / 2`.
+#[test]
+fn admitted_layers_never_overflow_and_refused_ones_change_route() {
     let lane_limit = 1i128 << 24;
     let i32_limit = i128::from(i32::MAX) / 2;
-    // (bits, quantizer, per-term worst case of the bound under test, limit,
-    //  whether the bound is the fused one)
-    for (bits, q, term, limit, fused) in [
-        (8u8, Quantizer::Sbm, 127 * 255, lane_limit - 1, false),
-        (8, Quantizer::Dorefa, 128 * 255, lane_limit - 1, false),
-        (4, Quantizer::Sbm, 7 * 15, lane_limit - 1, false),
-        (4, Quantizer::Dorefa, 8 * 15, lane_limit - 1, false),
-        (2, Quantizer::Sbm, 3, lane_limit - 1, false),
-        (2, Quantizer::Dorefa, 2 * 3, lane_limit - 1, false),
-        (12, Quantizer::Sbm, 2047 * 4095, i32_limit, false),
-        (8, Quantizer::Sbm, 127 * 255, i32_limit, true),
-        (8, Quantizer::Dorefa, 128 * 255, i32_limit, true),
-        (4, Quantizer::Sbm, 15 * 15, i32_limit, true),
+    // (bits, quantizer, per-lane worst case of the bound under test, limit,
+    //  lanes per weight word where the bound is a words' period)
+    for (bits, q, term, limit, group) in [
+        (8u8, Quantizer::Sbm, 127 * 255, lane_limit - 1, None),
+        (8, Quantizer::Dorefa, 128 * 255, lane_limit - 1, None),
+        (4, Quantizer::Sbm, 7 * 15, lane_limit - 1, None),
+        (4, Quantizer::Dorefa, 8 * 15, lane_limit - 1, None),
+        (2, Quantizer::Sbm, 3, lane_limit - 1, None),
+        (2, Quantizer::Dorefa, 2 * 3, lane_limit - 1, None),
+        (12, Quantizer::Sbm, 2047 * 4095, i32_limit, None),
+        (8, Quantizer::Sbm, 127 * 255, i32_limit, Some(2)),
+        (8, Quantizer::Dorefa, 128 * 255, i32_limit, Some(2)),
+        (4, Quantizer::Sbm, 15 * 15, i32_limit, Some(4)),
     ] {
-        let boundary = (limit / term) as usize;
+        // A period's worth of columns, for the word rows.
+        let boundary = match group {
+            Some(group) => (limit / (group * term)) as usize * group as usize,
+            None => (limit / term) as usize,
+        };
         for cols in [boundary - 1, boundary, boundary + 1] {
             let admitted = cols <= boundary;
             // Every weight at the top code, every activation at the top
@@ -449,19 +480,19 @@ fn admitted_layers_never_overflow_and_refused_ones_change_route() {
             let ops = pack(&plan, bits, q);
             let g = gemm_of(&ops);
             let ctx = format!("{bits}b {q:?} cols {cols} (boundary {boundary})");
-            if fused {
-                let words = matches!(g.kernel, KernelWeights::Words(_));
-                assert_eq!(words, admitted && can_fuse, "{ctx}: fused admission");
+            let KernelWeights::Words { words, period } = &g.kernel else {
+                panic!("{ctx}: a ≤ 15-bit GEMM without words");
+            };
+            if let Some(group) = group {
+                let one_call = g.cols.div_ceil(group as usize) <= *period;
+                assert_eq!(one_call, admitted, "{ctx}: one call per row");
+                assert_eq!(words.len(), 2 * g.cols.div_ceil(group as usize));
             } else if limit == i32_limit {
                 let want = if admitted { Accum::I32 } else { Accum::I64 };
                 assert_eq!(g.accum, want, "{ctx}: tier");
             } else {
                 let want = if admitted { Accum::F32 } else { Accum::I32 };
                 assert_eq!(g.accum, want, "{ctx}: tier");
-            }
-            if bits <= 8 && g.accum == Accum::F32 {
-                let words = matches!(g.kernel, KernelWeights::Words(_));
-                assert_eq!(words, can_fuse, "{ctx}: an f32-tier layer without words");
             }
             // The nibble boundary is 4.7 M columns: one batch size there.
             let batches: &[usize] = if cols > 1 << 20 { &[1] } else { &[1, 16] };
@@ -473,31 +504,115 @@ fn admitted_layers_never_overflow_and_refused_ones_change_route() {
                 };
                 for &sign in signs {
                     let x = Tensor::full(&[n, cols], sign);
-                    let bw = BitWidth::new(bits);
-                    let codes = q.activation_codes(&x.data()[..cols], bw).unwrap();
-                    let shift = match (&g.kernel, &g.storage) {
-                        (KernelWeights::Words(_), Storage::Nibble(_)) => 8,
-                        _ => 0,
+                    assert_exact(g, &ops, &x, BitWidth::new(bits), q, &ctx);
+                }
+            }
+        }
+    }
+}
+
+/// Runs the one-GEMM `ops` on `x` (every sample the same) on the dispatched
+/// and the scalar tables, and checks every output against the i128 oracle
+/// and every kernel call against `i32::MAX / 2`.
+fn assert_exact(
+    g: &PackedGemm,
+    ops: &[PackedOp],
+    x: &Tensor,
+    bw: BitWidth,
+    q: Quantizer,
+    ctx: &str,
+) {
+    let (n, cols) = (x.dims()[0], g.cols);
+    let codes = q.activation_codes(&x.data()[..cols], bw).unwrap();
+    let shift = match &g.storage {
+        Storage::Nibble(_) => 8,
+        _ => 0,
+    };
+    let got = exec_ops(ops, x, per_sample(bw, q), None);
+    let scalar = with_simd_backend(SimdBackend::Scalar, || {
+        exec_ops(ops, x, per_sample(bw, q), None)
+    });
+    assert_bits_eq(&got, &scalar, &format!("{ctx} n {n}: dispatched vs scalar"));
+    for row in 0..g.rows {
+        let (want, peak) = oracle(g, row, &codes.codes, codes.scale, shift);
+        assert!(
+            peak <= i128::from(i32::MAX) / 2,
+            "{ctx}: one call meets {peak}"
+        );
+        for i in 0..n {
+            let y = got.data()[i * g.rows + row];
+            assert_eq!(
+                y.to_bits(),
+                want.to_bits(),
+                "{ctx} n {n} sample {i} row {row}"
+            );
+        }
+    }
+}
+
+/// The word period at 12 and 15 bits, where it is shorter than a row: the
+/// packer's period is the most words whose worst-case partial sums — every
+/// lane's weight and activation code at its largest magnitude — stay inside
+/// `i32::MAX / 2`, and rows of one word fewer, exactly one period, one word
+/// more and two periods and a word equal the i128 oracle on random signs at
+/// those magnitudes, on the dispatched and the scalar tables, at batch 1
+/// (the thin kernels where the table has them and the period is whole
+/// vector steps) and 16 (the column kernels).
+#[test]
+fn word_periods_are_exact_at_their_boundary_on_every_table() {
+    let mut rng = StdRng::seed_from_u64(0x9E41);
+    let limit = i128::from(i32::MAX) / 2;
+    for bits in [12u8, 15] {
+        for q in [Quantizer::Sbm, Quantizer::Dorefa] {
+            let bw = BitWidth::new(bits);
+            // The period of a worst-case two-column layer.
+            let probe = pack(
+                &[PlanOp::Linear {
+                    name: "fc".into(),
+                    weight: Tensor::full(&[1, 2], 1.0),
+                    bias: Tensor::zeros(&[1]),
+                }],
+                bits,
+                q,
+            );
+            let KernelWeights::Words { period, .. } = gemm_of(&probe).kernel else {
+                panic!("{bits}b {q:?}: no words");
+            };
+            // The largest re-centered weight code of the grid, and activation.
+            let wc = q.weight_codes(&Tensor::zeros(&[1, 1]), bw).unwrap();
+            let cb = (wc.code_min + wc.code_max + 1).div_euclid(2);
+            let max_w = (wc.code_min - cb).abs().max((wc.code_max - cb).abs());
+            let per_word = 2 * i128::from(max_w) * ((1i128 << bits) - 1);
+            let ctx = format!("{bits}b {q:?} period {period}");
+            assert!(
+                period as i128 * per_word <= limit,
+                "{ctx}: overflows one call"
+            );
+            assert!(
+                (period as i128 + 1) * per_word > limit,
+                "{ctx}: not the most words"
+            );
+            let mut lengths = vec![period, period + 1, 2 * period + 1];
+            lengths.extend((period > 1).then(|| period - 1));
+            for words in lengths {
+                let cols = 2 * words;
+                for n in [1usize, 16] {
+                    let signs = |rng: &mut StdRng, len| -> Vec<f32> {
+                        (0..len)
+                            .map(|_| [1.0, -1.0][rng.gen_range(0..2usize)])
+                            .collect()
                     };
-                    let got = exec_ops(&ops, &x, per_sample(bw, q), None);
-                    let tier = with_simd_backend(SimdBackend::Scalar, || {
-                        exec_ops(&ops, &x, per_sample(bw, q), None)
-                    });
-                    assert_bits_eq(&got, &tier, &format!("{ctx} n {n}: dispatched vs tier"));
-                    for row in 0..2 {
-                        let (want, peak) = oracle(g, row, &codes.codes, codes.scale, shift);
-                        if matches!(g.kernel, KernelWeights::Words(_)) {
-                            assert!(peak <= i128::from(i32::MAX), "{ctx}: fused peak {peak}");
-                        }
-                        for i in 0..n {
-                            let y = got.data()[i * 2 + row];
-                            assert_eq!(
-                                y.to_bits(),
-                                want.to_bits(),
-                                "{ctx} n {n} sample {i} row {row}"
-                            );
-                        }
-                    }
+                    let plan = [PlanOp::Linear {
+                        name: "fc".into(),
+                        weight: Tensor::from_vec(vec![3, cols], signs(&mut rng, 3 * cols)),
+                        bias: Tensor::from_vec(vec![3], vec![0.25, -0.5, 0.0]),
+                    }];
+                    let ops = pack(&plan, bits, q);
+                    // Every sample the same random signs: one oracle.
+                    let sample = signs(&mut rng, cols);
+                    let x = Tensor::from_vec(vec![n, cols], sample.repeat(n));
+                    let ctx = format!("{ctx}: {words} words");
+                    assert_exact(gemm_of(&ops), &ops, &x, bw, q, &ctx);
                 }
             }
         }

@@ -17,19 +17,17 @@
 //!   active-network index into the prebuilt table: no per-element weight
 //!   work (asserted by tests against [`PackedModel::pack_passes`]).
 //! * The same pass lays weights out the way the kernels read them
-//!   ([`KernelWeights`]): fused `u32` weight words for ≤ 8-bit layers on
-//!   CPUs with a fused kernel, the decoded tap-major table for depthwise
-//!   layers.
+//!   ([`KernelWeights`]): fused `u32` weight words for every ≤ 15-bit GEMM
+//!   on every CPU, the decoded tap-major table for depthwise layers.
 //!   A forward on those layers touches no weight-layout code at all; only
-//!   the decode-then-multiply tier path (9–16-bit layers, and the scalar
-//!   table's route for ≤ 8-bit ones) still decodes `Storage` rows as it
-//!   goes.
+//!   a 16-bit GEMM still decodes `Storage` rows as it goes.
 //! * Forwards quantize activations to integer codes between layers with
 //!   the exact SBM/DoReFa grids from `instantnet-quant` — a max-abs and
 //!   one pass of codes, both in vector lanes, written straight into the
 //!   operand the consuming kernel reads (its lane type and layout) — then run
-//!   i32-accumulate (i64 for 9–16 bit) GEMM and im2col-conv kernels,
-//!   row-parallel via `instantnet-parallel`. Integer accumulation is
+//!   GEMM and im2col-conv kernels that accumulate in i32 (period by period
+//!   into i64 where a row is longer than its words' period; i64 throughout
+//!   at 16 bits), row-parallel via `instantnet-parallel`. Integer accumulation is
 //!   exact, so results are bit-identical at any thread count.
 //! * Each layer's SIMD lanes follow its long axis, chosen from its geometry
 //!   and the backend's lane count with no knob (the `route` module's rules,
@@ -218,7 +216,7 @@ impl Storage {
     }
 }
 
-/// Accumulator type for a packed layer's integer GEMM, chosen at pack time
+/// Accumulator tier of a packed depthwise layer's taps, chosen at pack time
 /// from the worst-case partial-sum bound `max|w_code| · max|a_code| · cols`.
 ///
 /// All three tiers compute the *same exact integer*: f32 arithmetic on
@@ -228,10 +226,8 @@ impl Storage {
 /// preferred whenever the bound allows. Exact arithmetic is associative,
 /// keeping the thread-count-determinism guarantee in all tiers.
 ///
-/// The tier is what a layer runs on when it has no fused route: every
-/// ≤ 8-bit GEMM at `F32` also carries [`KernelWeights::Words`] on a CPU
-/// with fused kernels, so there the tier serves the scalar table, depthwise
-/// layers and the rare short 9–16-bit reduction.
+/// GEMMs do not read it: a ≤ 15-bit GEMM runs on its weight words
+/// ([`KernelWeights::Words`]) and a 16-bit one on `I64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Accum {
     /// Bound < 2^24: exact f32 lanes (all ≤ 8-bit layers in practice).
@@ -261,7 +257,7 @@ pub struct PackedGemm {
     pub bias: Vec<f32>,
     /// Whether any `colsum_coef` entry is non-zero.
     pub has_offset: bool,
-    /// Overflow-safe accumulator tier for this layer.
+    /// Overflow-safe accumulator tier of this layer's depthwise taps.
     pub accum: Accum,
     /// The weights in the layout the layer's kernel reads, built once at
     /// pack time.
@@ -272,16 +268,22 @@ pub struct PackedGemm {
 /// so a forward does no weight-layout work.
 #[derive(Debug, Clone)]
 pub enum KernelWeights {
-    /// Nothing beyond [`PackedGemm::storage`]: the tier path decodes rows
-    /// as it multiplies.
+    /// Nothing beyond [`PackedGemm::storage`]: a 16-bit GEMM decodes its
+    /// rows as it multiplies.
     Decode,
-    /// Fused ≤ 8-bit GEMM words, `cols.div_ceil(group)` per row: four
-    /// `w + 8` bytes (nibble storage) or two `i16` codes (i8 storage) per
-    /// `u32`. Present when the shifted-code accumulation bound fits i32
-    /// (`pack.rs`) *and* this CPU has a fused kernel, and then the route of
-    /// every table with that kernel; only the forced-scalar table ignores
-    /// them and decodes `storage`.
-    Words(Vec<u32>),
+    /// Fused GEMM words, `cols.div_ceil(group)` per row: four `w + 8` bytes
+    /// (nibble storage) or two `i16` codes (i8 and ≤ 15-bit i16 storage) per
+    /// `u32` — built on every CPU for every GEMM whose activation codes fit
+    /// an i16 lane, and the route of every kernel table.
+    Words {
+        /// The words, row-major.
+        words: Vec<u32>,
+        /// The most words one kernel call may reduce with its i32 partial
+        /// sums inside `i32::MAX / 2` at worst-case codes (`pack.rs`): a
+        /// row no longer than this runs in one call on i32 accumulators, a
+        /// longer one period by period into i64.
+        period: usize,
+    },
     /// Depthwise tap table: the re-centered codes, decoded and tap-major
     /// (`[r·s, channels]`, a tap's channels contiguous — what either SIMD
     /// orientation of the depthwise kernel reads), in the lane type of the
@@ -295,7 +297,7 @@ impl KernelWeights {
     pub fn bytes(&self) -> usize {
         match self {
             KernelWeights::Decode => 0,
-            KernelWeights::Words(w) => 4 * w.len(),
+            KernelWeights::Words { words, .. } => 4 * words.len(),
             KernelWeights::Taps(t) => 4 * t.len(),
         }
     }
@@ -942,16 +944,17 @@ mod tests {
             .collect()
     }
 
-    /// The kernel-layout weights are built once, at pack time, in exactly
-    /// the layout the kernels read — re-derived here the slow way from
-    /// the decoded storage rows — and `packed_bytes` counts them.
+    /// The kernel-layout weights are built once, at pack time, on every CPU,
+    /// in exactly the layout the kernels read — re-derived here the slow way
+    /// from the decoded storage rows: words for every ≤ 15-bit GEMM, taps for
+    /// every depthwise layer, nothing beyond the codes for a 16-bit GEMM —
+    /// and `packed_bytes` counts them.
     #[test]
     fn kernel_layout_weights_are_built_at_pack_time() {
         let bits = BitWidthSet::large_range();
         let net = models::mobilenet_v2(0.25, 2, 10, (16, 16), bits.len(), 9);
         for q in [Quantizer::Sbm, Quantizer::Dorefa] {
             let packed = PackedModel::prepack(&net, &bits, q).unwrap();
-            let can_fuse = avx2_available() || neon_available();
             let (mut bytes, mut words, mut taps) = (0usize, 0usize, 0usize);
             for net in packed.nets.iter() {
                 for (g, depthwise) in gemms(&net.ops) {
@@ -981,8 +984,8 @@ mod tests {
                             assert_eq!(t, &want, "taps are the decoded codes, tap-major");
                             taps += 1;
                         }
-                        KernelWeights::Words(w) => {
-                            assert!(can_fuse && !depthwise && net.bits.get() <= 8);
+                        KernelWeights::Words { words: w, period } => {
+                            assert!(!depthwise && net.bits.get() <= 15 && *period >= 1);
                             let want: Vec<u32> = d
                                 .chunks(g.cols)
                                 .flat_map(|row| row.chunks(if nibble { 4 } else { 2 }))
@@ -1002,14 +1005,14 @@ mod tests {
                             words += 1;
                         }
                         KernelWeights::Decode => {
-                            assert!(!depthwise && (net.bits.get() > 8 || !can_fuse));
+                            assert!(!depthwise && net.bits.get() == 16);
                         }
                     }
                 }
             }
             assert_eq!(packed.packed_bytes(), bytes);
             assert!(taps > 0, "the model has depthwise layers");
-            assert_eq!(words > 0, can_fuse, "words exist iff the CPU can fuse");
+            assert!(words > 0, "words exist on every CPU");
         }
     }
 

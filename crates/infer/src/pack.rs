@@ -2,7 +2,6 @@
 //! storage-tier selection, performed once per bit-width at construction.
 
 use crate::exec::{FusedI8, FusedNibble, Route};
-use crate::simd::{avx2_available, neon_available};
 use crate::{is_depthwise, Accum, InferError, KernelWeights, PackedGemm, PackedOp, Storage, Taps};
 use instantnet_nn::plan::PlanOp;
 use instantnet_quant::{BitWidth, Quantizer};
@@ -72,6 +71,43 @@ fn pack_words<F: Route>(d: &[i32], cols: usize) -> Vec<u32> {
             })
         })
         .collect()
+}
+
+/// A GEMM's kernel weights for re-centered codes `d` (`[rows, cols]`) in
+/// `storage`, at most `max_code_abs` in magnitude: [`KernelWeights::Words`]
+/// wherever `bits`-bit activation codes fit an i16 lane (≤ 15 bits), else
+/// nothing (16 bits, which decode into `Tier(I64)`).
+///
+/// The words' period is the most words one kernel call may reduce: a call
+/// accumulates in i32, so at worst-case codes — every lane's weight at
+/// its largest magnitude (`w + 8 ≤ 15` on nibble words) against the largest
+/// activation code — a period's partial sums keep the ×2 slack of the tier
+/// bound, `period · group · max|w| · max|a| ≤ i32::MAX / 2`. Every sub-sum a
+/// kernel forms, in any lane order, is inside it, and so is a nibble
+/// layer's `8·colsum` correction wherever the period covers the row
+/// (DESIGN.md §6g).
+pub(crate) fn gemm_words(
+    d: &[i32],
+    cols: usize,
+    storage: &Storage,
+    max_code_abs: i32,
+    bits: BitWidth,
+) -> KernelWeights {
+    let (words, group, max_w) = match storage {
+        Storage::Nibble(_) => (pack_words::<FusedNibble>(d, cols), 4, 15),
+        Storage::I8(_) | Storage::I16(_) if bits.get() <= 15 => (
+            pack_words::<FusedI8>(d, cols),
+            2,
+            i64::from(max_code_abs).max(1),
+        ),
+        _ => return KernelWeights::Decode,
+    };
+    let period = i64::from(i32::MAX) / 2 / (group * max_w * act_code_abs_max(bits));
+    debug_assert!(period >= 1, "a 15-bit word fits one call");
+    KernelWeights::Words {
+        words,
+        period: period as usize,
+    }
 }
 
 /// A depthwise layer's `[c, r·s]` weights tap-major, `[r·s, c]`: what both
@@ -178,16 +214,16 @@ fn pack_gemm(
         .map(|k| (per_row_scale(k) * cb as f32 + wc.offset) * bn_scale[k])
         .collect();
     let has_offset = colsum_coef.iter().any(|&v| v != 0.0);
-    // Worst-case |partial sum| over the reduction; pick the cheapest exact
-    // accumulator it fits in (f32 is lossless below 2^24 and vectorizes
-    // everywhere; halve i32::MAX for slack on the native tier). The bound
-    // holds at any serving batch size: batching adds GEMM *columns* (more
-    // samples × output pixels), never reduction *length* — `cols` is fixed
-    // at `cg*r*s` / in-features, and the only cross-sample sums (per-column
-    // activation colsums) are i64 regardless of tier. The same bound lets
-    // the f32 tier's kernels reassociate partial sums (four weight rows per
-    // pass, vector lanes) exactly: every partial sum in any association
-    // order is an integer below 2^24.
+    // Worst-case |partial sum| over the reduction; the cheapest exact
+    // accumulator tier it fits is a depthwise layer's arithmetic (f32 is
+    // lossless below 2^24 and vectorizes everywhere; halve i32::MAX for slack
+    // on the native tier). The bound holds at any serving batch size:
+    // batching adds *columns* (more samples × output pixels), never reduction
+    // *length* — `cols` is fixed by the weights — and the only cross-sample sums
+    // (per-column activation colsums) are i64 regardless of tier. The same
+    // bound lets the f32 tier reassociate partial sums (vector lanes)
+    // exactly: every partial sum in any association order is an integer
+    // below 2^24.
     let bound = i64::from(max_code_abs) * act_code_abs_max(bits) * cols as i64;
     let accum = if bound < 1 << 24 {
         Accum::F32
@@ -196,32 +232,13 @@ fn pack_gemm(
     } else {
         Accum::I64
     };
-    // Fused ≤ 8-bit kernels accumulate in i32 on *shifted* codes: nibble
-    // weights ride as `w + 8 ∈ [0, 15]` unsigned bytes (so |partial sum| ≤
-    // 15 · max|a| · cols regardless of `max_code_abs`), i8 weights ride
-    // as-is, and both need the i32 column-sum correction `Σ a` (≤ max|a| ·
-    // cols) to stay exact. Mirror the main bound's ×2 slack on each — the
-    // same argument that picks the tier above, restated for the shifted
-    // arithmetic (DESIGN.md §6g). Whether this CPU *has* a fused kernel is
-    // a hardware fact, not a setting, so the words are there for any
-    // `with_simd_backend` override to find. A ≤ 8-bit layer the f32 tier
-    // admits (`max_code_abs ≥ 1`, so `act_bound < 2^24`) fits these too, so
-    // such a CPU runs no ≤ 8-bit GEMM on that tier.
-    let act_bound = act_code_abs_max(bits) * cols as i64;
-    let fits = |max_w: i64| max_w * act_bound <= i64::from(i32::MAX) / 2;
-    let can_fuse = avx2_available() || neon_available();
-    let kernel = match &storage {
-        _ if depthwise => KernelWeights::Taps(match accum {
+    let kernel = if depthwise {
+        KernelWeights::Taps(match accum {
             Accum::F32 => Taps::F32(tap_major(&d, cols).into_iter().map(|c| c as f32).collect()),
             Accum::I32 | Accum::I64 => Taps::I32(tap_major(&d, cols)),
-        }),
-        Storage::Nibble(_) if can_fuse && fits(15) => {
-            KernelWeights::Words(pack_words::<FusedNibble>(&d, cols))
-        }
-        Storage::I8(_) if can_fuse && fits(i64::from(max_code_abs).max(1)) => {
-            KernelWeights::Words(pack_words::<FusedI8>(&d, cols))
-        }
-        _ => KernelWeights::Decode,
+        })
+    } else {
+        gemm_words(&d, cols, &storage, max_code_abs, bits)
     };
 
     Ok(PackedGemm {

@@ -1,10 +1,9 @@
-//! The per-layer mapping choice: which arithmetic a packed layer runs on the
-//! active backend ([`Arith`]) and which of its axes goes in the SIMD lanes
-//! ([`Lanes`]).
+//! The per-layer mapping choice: which arithmetic a packed layer runs
+//! ([`Arith`]) and which of its axes goes in the SIMD lanes ([`Lanes`]).
 //!
-//! Both are functions of the layer (its pack-time storage and kernel
-//! weights, its geometry, the batch) and of the active backend's kernel
-//! table — never of a knob. `crate::exec` dispatches on them and
+//! The arithmetic is a function of the layer's pack-time weights alone, the
+//! same on every kernel table; the lanes also of its geometry, the batch and
+//! the active table's lane count and thin kernels — never of a knob. `crate::exec` dispatches on them and
 //! [`describe`] labels a profiled op with them, so the profile cannot
 //! drift from what ran. This is the hand-written default of the choice
 //! ROADMAP item 4 hands to `automapper`; EXPERIMENTS.md ("Batch-1 forward
@@ -17,7 +16,7 @@
 //! cannot fill a vector puts *channels* in the lanes, and a fused GEMM with
 //! fewer columns than one column block puts the *reduction* there.
 
-use crate::simd::Kernels;
+use crate::simd::{Kernels, THIN_WORDS};
 use crate::{is_depthwise, Accum, KernelWeights, OpProfile, PackedGemm, PackedOp, Storage};
 use instantnet_tensor::tensor::ConvGeom;
 use std::time::{Duration, Instant};
@@ -36,46 +35,50 @@ pub(crate) enum Lanes {
     Pixels,
 }
 
-/// The arithmetic a packed layer runs on the active backend.
+/// The arithmetic a packed layer runs — the same on every kernel table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Arith {
     /// Unpacked f32 weights (full precision, raw-input stems, > 16 bits).
     F32,
-    /// Decode-then-multiply in the layer's exact accumulator tier.
+    /// A depthwise layer's taps in its exact accumulator tier, or a 16-bit
+    /// GEMM decoding its rows into `Tier(I64)`.
     Tier(Accum),
     /// Multiply on the pack-time nibble weight words.
     FusedNibble,
-    /// Multiply on the pack-time i8 weight words.
+    /// Multiply on the pack-time i16-pair weight words (5–15 bits).
     FusedI8,
 }
 
 impl Arith {
-    /// The arithmetic of layer `g` on the kernel table `k` — the forward's
-    /// one snapshot of `simd::kernels`, which every later choice reuses: a
-    /// concurrent `with_simd_backend` scope may swap the active table
-    /// mid-forward, and a route must not straddle two of them. Pack-time
-    /// weight words and a table with the kernel make a layer fused; nothing
-    /// else does.
-    pub(crate) fn of(g: &PackedGemm, k: &Kernels) -> Arith {
+    /// The arithmetic of layer `g`, read off its pack-time weights alone:
+    /// weight words make a GEMM fused, a tap table makes a depthwise layer
+    /// run its tier, and a GEMM with neither (16 bits) decodes into i64.
+    pub(crate) fn of(g: &PackedGemm) -> Arith {
         match (&g.storage, &g.kernel) {
             (Storage::F32(_), _) => Arith::F32,
-            (Storage::Nibble(_), KernelWeights::Words(_)) if k.gemm_nibble.is_some() => {
-                Arith::FusedNibble
-            }
-            (Storage::I8(_), KernelWeights::Words(_)) if k.gemm_i8.is_some() => Arith::FusedI8,
-            _ => Arith::Tier(g.accum),
+            (Storage::Nibble(_), KernelWeights::Words { .. }) => Arith::FusedNibble,
+            (_, KernelWeights::Words { .. }) => Arith::FusedI8,
+            (_, KernelWeights::Taps(_)) => Arith::Tier(g.accum),
+            _ => Arith::Tier(Accum::I64),
         }
     }
 
-    /// Lanes of a GEMM over `l` columns: the reduction where `l` cannot fill
-    /// one column block and the backend has the thin kernel, else columns.
-    pub(crate) fn gemm_lanes(self, l: usize, k: &Kernels) -> Lanes {
-        let thin = match self {
-            Arith::FusedNibble => k.gemm_nibble_thin.is_some(),
-            Arith::FusedI8 => k.gemm_i8_thin.is_some(),
+    /// Lanes of GEMM `g` over `l` columns on table `k`: the reduction where
+    /// `l` cannot fill one column block and the table has the thin kernel,
+    /// whose calls take whole vector steps — the row in one call, or periods
+    /// of at least one step; else columns. The forward's one snapshot of
+    /// `simd::kernels` decides it, so a route never straddles two tables.
+    pub(crate) fn gemm_lanes(self, g: &PackedGemm, l: usize, k: &Kernels) -> Lanes {
+        let (thin, group) = match self {
+            Arith::FusedNibble => (k.gemm_nibble_thin.is_some(), 4),
+            Arith::FusedI8 => (k.gemm_i8_thin.is_some(), 2),
+            _ => (false, 1),
+        };
+        let steps = match g.kernel {
+            KernelWeights::Words { period, .. } => period >= g.cols.div_ceil(group).min(THIN_WORDS),
             _ => false,
         };
-        if thin && l < k.lanes {
+        if thin && steps && l < k.lanes {
             Lanes::Reduction
         } else {
             Lanes::Columns
@@ -106,8 +109,8 @@ pub(crate) fn describe(
     // A GEMM layer over `l` columns: its arithmetic and what that puts in
     // the lanes.
     let gemm_route = |g: &PackedGemm, l: usize| {
-        let arith = Arith::of(g, k);
-        format!("{arith:?}/{:?}", arith.gemm_lanes(l, k))
+        let arith = Arith::of(g);
+        format!("{arith:?}/{:?}", arith.gemm_lanes(g, l, k))
     };
     let (kind, detail, route) = match op {
         PackedOp::Conv {
@@ -122,7 +125,7 @@ pub(crate) fn describe(
         } => {
             let g = ConvGeom::new(dims[2], dims[3], *r, *s, *stride, *pad);
             let (kind, route) = if is_depthwise(*cg, gemm.rows, *groups) {
-                let route = format!("{:?}/{:?}", Arith::of(gemm, k), dw_lanes(&g, k));
+                let route = format!("{:?}/{:?}", Arith::of(gemm), dw_lanes(&g, k));
                 ("depthwise", route)
             } else {
                 let kind = if r * s == 1 { "pointwise" } else { "conv" };

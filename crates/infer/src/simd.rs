@@ -142,19 +142,17 @@ pub struct Kernels {
     /// i32/f32 lanes per register: the column block of every kernel below,
     /// which `crate::route` measures a layer's axes against.
     pub(crate) lanes: usize,
-    /// `acc[j] += Σ_p wrow[p] · acts[p · acc.len() + j]` in i32.
-    pub(crate) accumulate_i32: fn(&mut [i32], &[i32], &[i32]),
-    /// The i64-accumulator variant (12/16-bit layers).
+    /// `acc[j] += Σ_p wrow[p] · acts[p · acc.len() + j]` in i64 (16-bit
+    /// GEMMs).
     pub(crate) accumulate_i64: fn(&mut [i64], &[i32], &[i32]),
     /// Decodes one packed weight row into i32 codes.
     pub(crate) decode_row_i32: fn(&Storage, usize, usize, &mut [i32]),
     /// Fused nibble GEMM: `acc[j] += Σ_q Σ_k byte_k(w[q]) · block[(q·ncols
-    /// + j)·4 + k]` over shifted `w + 8` bytes and an interleaved i8 block
-    /// (`None`: backend multiplies on decoded codes only).
-    pub(crate) gemm_nibble: Option<FusedKernel<i8>>,
+    /// + j)·4 + k]` over shifted `w + 8` bytes and an interleaved i8 block.
+    pub(crate) gemm_nibble: FusedKernel<i8>,
     /// Fused i8 GEMM: same contract over i16 weight pairs and an
     /// interleaved i16 block, no shift.
-    pub(crate) gemm_i8: Option<FusedKernel<i16>>,
+    pub(crate) gemm_i8: FusedKernel<i16>,
     /// The thin orientation of `gemm_nibble`, for fewer than `lanes`
     /// columns: the operand is column-major (`[ncols, stride]`, `stride` a
     /// zero-padded multiple of [`THIN_WORDS`] words' worth of lanes) and the
@@ -305,13 +303,11 @@ pub(crate) const THIN_WORDS: usize = 8;
 static SCALAR: Kernels = Kernels {
     backend: SimdBackend::Scalar,
     lanes: 8,
-    accumulate_i32: crate::exec::accumulate_i32_scalar,
     accumulate_i64: crate::exec::accumulate_i64_scalar,
     decode_row_i32: Storage::decode_row_scalar,
-    // The scalar backend stays the pure decode-then-multiply reference the
-    // parity suite measures everything against.
-    gemm_nibble: None,
-    gemm_i8: None,
+    // The portable word kernels: the fused contract in plain Rust.
+    gemm_nibble: |acc, w, block, ncols| gemm_nibble_ref(acc, w, block, ncols, 0),
+    gemm_i8: |acc, w, block, ncols| gemm_i8_ref(acc, w, block, ncols, 0),
     gemm_nibble_thin: None,
     gemm_i8_thin: None,
     max_abs: instantnet_quant::max_abs,
@@ -325,11 +321,10 @@ static SCALAR: Kernels = Kernels {
 static AVX2: Kernels = Kernels {
     backend: SimdBackend::Avx2,
     lanes: 8,
-    accumulate_i32: avx2::accumulate_i32,
     accumulate_i64: avx2::accumulate_i64,
     decode_row_i32: avx2::decode_row_i32,
-    gemm_nibble: Some(avx2::gemm_nibble),
-    gemm_i8: Some(avx2::gemm_i8),
+    gemm_nibble: avx2::gemm_nibble,
+    gemm_i8: avx2::gemm_i8,
     gemm_nibble_thin: Some(avx2::gemm_nibble_thin),
     gemm_i8_thin: Some(avx2::gemm_i8_thin),
     max_abs: avx2::max_abs,
@@ -343,13 +338,12 @@ static AVX2: Kernels = Kernels {
 static NEON: Kernels = Kernels {
     backend: SimdBackend::Neon,
     lanes: 4,
-    accumulate_i32: neon::accumulate_i32,
     accumulate_i64: neon::accumulate_i64,
     // Decode is elementwise and cold next to the reductions (the fused
     // paths never decode at all), so NEON keeps the scalar decoder.
     decode_row_i32: Storage::decode_row_scalar,
-    gemm_nibble: Some(neon::gemm_nibble),
-    gemm_i8: Some(neon::gemm_i8),
+    gemm_nibble: neon::gemm_nibble,
+    gemm_i8: neon::gemm_i8,
     // Below four columns the column kernels' scalar tail stays the route.
     gemm_nibble_thin: None,
     gemm_i8_thin: None,
@@ -491,28 +485,23 @@ pub fn with_simd_backend<T>(backend: SimdBackend, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Whether the active kernel table has fused ≤ 8-bit GEMM kernels: true on
-/// AVX2 and NEON, false on the scalar table (and inside a forced-scalar
-/// [`with_simd_backend`] scope). A query, not a setting — a layer runs fused
-/// exactly when its pack-time weights are words and the table has the
-/// kernel ([`crate::route`]).
+/// Whether the engine runs fused GEMMs: always, since every kernel table has
+/// word kernels (the scalar one portable Rust) and a layer runs fused exactly
+/// when its pack-time weights are words ([`crate::route`]). Kept for callers
+/// that stamp it beside their results.
 pub fn fused_gemm_enabled() -> bool {
-    kernels().gemm_nibble.is_some()
+    true
 }
 
 // ---------------------------------------------------------------------------
-// Fused-kernel scalar reference (shared ragged-column tail of the AVX2 and
-// NEON fused kernels, and the oracle the kernel-level parity tests check
-// them against — call with `start = 0` for the full reduction)
+// Portable word kernels (the scalar table's fused GEMMs with `start = 0`, the
+// ragged-column tail of the AVX2 and NEON ones, and the oracle the
+// kernel-level parity tests check them against)
 // ---------------------------------------------------------------------------
 
 /// `acc[j] += Σ_q Σ_k byte_k(wquads[q]) · block[(q·ncols + j)·4 + k]` for
 /// columns `start..`, over the interleaved fused-nibble layout (weight
 /// bytes are unsigned `w + 8` codes).
-#[cfg_attr(
-    not(any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(dead_code)
-)]
 fn gemm_nibble_ref(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize, start: usize) {
     for (j, a) in acc.iter_mut().enumerate().skip(start) {
         let mut sum = 0i32;
@@ -528,10 +517,6 @@ fn gemm_nibble_ref(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize, 
 
 /// The fused-i8 counterpart: signed i16 weight pairs against an
 /// interleaved i16 block.
-#[cfg_attr(
-    not(any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(dead_code)
-)]
 fn gemm_i8_ref(acc: &mut [i32], wpairs: &[u32], block: &[i16], ncols: usize, start: usize) {
     for (j, a) in acc.iter_mut().enumerate().skip(start) {
         let mut sum = 0i32;
@@ -560,13 +545,11 @@ mod avx2 {
 
     use crate::Storage;
     use core::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_cvtepi16_epi32,
-        _mm256_cvtepi8_epi32, _mm256_cvtepu8_epi32, _mm256_loadu_si256, _mm256_madd_epi16,
-        _mm256_maddubs_epi16, _mm256_mul_epi32, _mm256_mullo_epi32, _mm256_permute2x128_si256,
-        _mm256_set1_epi16, _mm256_set1_epi32, _mm256_setzero_si256, _mm256_shuffle_epi32,
-        _mm256_slli_epi32, _mm256_srai_epi32, _mm256_storeu_si256, _mm256_unpackhi_epi32,
-        _mm256_unpackhi_epi64, _mm256_unpacklo_epi32, _mm256_unpacklo_epi64, _mm_loadl_epi64,
-        _mm_loadu_si128,
+        __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_cvtepi16_epi32, _mm256_loadu_si256,
+        _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_mul_epi32, _mm256_mullo_epi32,
+        _mm256_permute2x128_si256, _mm256_set1_epi16, _mm256_set1_epi32, _mm256_setzero_si256,
+        _mm256_shuffle_epi32, _mm256_storeu_si256, _mm256_unpackhi_epi32, _mm256_unpackhi_epi64,
+        _mm256_unpacklo_epi32, _mm256_unpacklo_epi64, _mm_loadu_si128,
     };
     // The thin kernels' horizontal sum.
     use core::arch::x86_64::{
@@ -588,7 +571,7 @@ mod avx2 {
     // checks the slice-shape contract, then defers to a
     // `#[target_feature(enable = "avx2")]` kernel. ---
 
-    pub(super) fn accumulate_i32(acc: &mut [i32], wrow: &[i32], acts: &[i32]) {
+    pub(super) fn accumulate_i64(acc: &mut [i64], wrow: &[i32], acts: &[i32]) {
         debug_assert_eq!(
             acts.len(),
             wrow.len() * acc.len(),
@@ -596,16 +579,6 @@ mod avx2 {
         );
         // SAFETY: reachable only through the AVX2 dispatch table, which is
         // installed strictly after `is_x86_feature_detected!("avx2")`.
-        unsafe { accumulate_i32_kernel(acc, wrow, acts) }
-    }
-
-    pub(super) fn accumulate_i64(acc: &mut [i64], wrow: &[i32], acts: &[i32]) {
-        debug_assert_eq!(
-            acts.len(),
-            wrow.len() * acc.len(),
-            "acts must be [rows, ncols]"
-        );
-        // SAFETY: as in `accumulate_i32`.
         unsafe { accumulate_i64_kernel(acc, wrow, acts) }
     }
 
@@ -616,7 +589,7 @@ mod avx2 {
             wquads.len() * 4 * ncols,
             "block must be the interleaved [quads × 4, ncols] layout"
         );
-        // SAFETY: as in `accumulate_i32`.
+        // SAFETY: as in `accumulate_i64`.
         unsafe { gemm_nibble_kernel(acc, wquads, block, ncols) }
     }
 
@@ -627,39 +600,32 @@ mod avx2 {
             wpairs.len() * 2 * ncols,
             "block must be the interleaved [pairs × 2, ncols] layout"
         );
-        // SAFETY: as in `accumulate_i32`.
+        // SAFETY: as in `accumulate_i64`.
         unsafe { gemm_i8_kernel(acc, wpairs, block, ncols) }
     }
 
     pub(super) fn gemm_nibble_thin(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize) {
         debug_assert_eq!(acc.len(), ncols);
-        // SAFETY: as in `accumulate_i32`.
+        // SAFETY: as in `accumulate_i64`.
         unsafe { gemm_nibble_thin_kernel(acc, wquads, block) }
     }
 
     pub(super) fn gemm_i8_thin(acc: &mut [i32], wpairs: &[u32], block: &[i16], ncols: usize) {
         debug_assert_eq!(acc.len(), ncols);
-        // SAFETY: as in `accumulate_i32`.
+        // SAFETY: as in `accumulate_i64`.
         unsafe { gemm_i8_thin_kernel(acc, wpairs, block) }
     }
 
+    /// 16-bit rows — the only ones a GEMM decodes — in AVX2 lanes; the
+    /// others through the portable decoder.
     pub(super) fn decode_row_i32(storage: &Storage, row: usize, cols: usize, out: &mut [i32]) {
-        let out = &mut out[..cols];
         match storage {
-            Storage::Nibble(data) => {
-                let stride = cols.div_ceil(2);
-                // SAFETY: AVX2 detected (dispatch invariant); the row slice
-                // is bounds-checked here.
-                unsafe { decode_nibble_i32_kernel(&data[row * stride..(row + 1) * stride], out) }
-            }
-            // SAFETY (both arms): as above.
-            Storage::I8(data) => unsafe {
-                decode_i8_i32_kernel(&data[row * cols..(row + 1) * cols], out)
-            },
+            // SAFETY: AVX2 detected (dispatch invariant); the row slice is
+            // bounds-checked here.
             Storage::I16(data) => unsafe {
-                decode_i16_i32_kernel(&data[row * cols..(row + 1) * cols], out)
+                decode_i16_i32_kernel(&data[row * cols..(row + 1) * cols], &mut out[..cols])
             },
-            Storage::F32(_) => panic!("decode_row on f32 storage"),
+            _ => storage.decode_row_scalar(row, cols, out),
         }
     }
 
@@ -702,14 +668,6 @@ mod avx2 {
         unsafe { _mm256_storeu_si256(lane.as_mut_ptr().cast(), sum) }
     }
 
-    /// Loads 8 bytes into the low half of an xmm register.
-    #[target_feature(enable = "avx2")]
-    fn load_8_bytes(s: &[u8], at: usize) -> __m128i {
-        let lane = &s[at..at + 8];
-        // SAFETY: 8 readable bytes per the slice above; unaligned load.
-        unsafe { _mm_loadl_epi64(lane.as_ptr().cast()) }
-    }
-
     /// Loads 32 i8 lanes (4 interleaved lanes × 8 columns).
     #[target_feature(enable = "avx2")]
     fn load_i8_32(s: &[i8], at: usize) -> __m256i {
@@ -727,42 +685,6 @@ mod avx2 {
     }
 
     // --- accumulate kernels ---
-
-    /// i32 column reduction, two registers (16 columns) per block so the
-    /// integer pipes have independent chains to fill.
-    #[target_feature(enable = "avx2")]
-    fn accumulate_i32_kernel(acc: &mut [i32], wrow: &[i32], acts: &[i32]) {
-        let ncols = acc.len();
-        let mut j = 0usize;
-        while j + 2 * L <= ncols {
-            let mut s0 = _mm256_setzero_si256();
-            let mut s1 = _mm256_setzero_si256();
-            let mut base = j;
-            for &wv in wrow {
-                let w = _mm256_set1_epi32(wv);
-                s0 = _mm256_add_epi32(s0, _mm256_mullo_epi32(w, load_i32(acts, base)));
-                s1 = _mm256_add_epi32(s1, _mm256_mullo_epi32(w, load_i32(acts, base + L)));
-                base += ncols;
-            }
-            add_store_i32(acc, j, s0);
-            add_store_i32(acc, j + L, s1);
-            j += 2 * L;
-        }
-        while j + L <= ncols {
-            let mut s = _mm256_setzero_si256();
-            let mut base = j;
-            for &wv in wrow {
-                s = _mm256_add_epi32(
-                    s,
-                    _mm256_mullo_epi32(_mm256_set1_epi32(wv), load_i32(acts, base)),
-                );
-                base += ncols;
-            }
-            add_store_i32(acc, j, s);
-            j += L;
-        }
-        crate::exec::accumulate_col_tail(acc, wrow, acts, j, |l, w, a| l + w * a);
-    }
 
     /// i64 column reduction. AVX2 has no 64×64 multiply, but
     /// `_mm256_mul_epi32` sign-extends the low dword of each qword into a
@@ -958,67 +880,6 @@ mod avx2 {
 
     // --- decode kernels ---
 
-    /// Sign-extends the two nibbles of each of 8 bytes into 16 i32 codes:
-    /// widen bytes to dwords, shift-extract both nibbles, interleave
-    /// (low nibble first — the pack order in `crate::pack`).
-    #[target_feature(enable = "avx2")]
-    fn decode_nibble_pair(bytes: __m128i) -> (__m256i, __m256i) {
-        let v = _mm256_cvtepu8_epi32(bytes);
-        let lo = _mm256_srai_epi32::<28>(_mm256_slli_epi32::<28>(v));
-        let hi = _mm256_srai_epi32::<28>(_mm256_slli_epi32::<24>(v));
-        let il = _mm256_unpacklo_epi32(lo, hi); // L0 H0 L1 H1 | L4 H4 L5 H5
-        let ih = _mm256_unpackhi_epi32(lo, hi); // L2 H2 L3 H3 | L6 H6 L7 H7
-        (
-            _mm256_permute2x128_si256::<0x20>(il, ih), // codes 0..8
-            _mm256_permute2x128_si256::<0x31>(il, ih), // codes 8..16
-        )
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn decode_nibble_i32_kernel(row_bytes: &[u8], out: &mut [i32]) {
-        let cols = out.len();
-        let (mut j, mut b) = (0usize, 0usize);
-        while j + 2 * L <= cols {
-            let (first, second) = decode_nibble_pair(load_8_bytes(row_bytes, b));
-            store_i32(out, j, first);
-            store_i32(out, j + L, second);
-            j += 2 * L;
-            b += L;
-        }
-        decode_nibble_tail(row_bytes, b, out, j);
-    }
-
-    /// Scalar nibble tail, identical to `Storage::decode_row_scalar`'s
-    /// per-byte decode (low nibble first, high nibble dropped past `cols`).
-    fn decode_nibble_tail(row_bytes: &[u8], mut b: usize, out: &mut [i32], mut j: usize) {
-        let cols = out.len();
-        while j < cols {
-            let byte = row_bytes[b] as i8;
-            out[j] = i32::from((byte << 4) >> 4);
-            if let Some(o) = out.get_mut(j + 1) {
-                *o = i32::from(byte >> 4);
-            }
-            j += 2;
-            b += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn decode_i8_i32_kernel(codes: &[i8], out: &mut [i32]) {
-        let cols = out.len();
-        let mut j = 0usize;
-        while j + L <= cols {
-            let lane = &codes[j..j + L];
-            // SAFETY: 8 readable bytes per the slice above; unaligned load.
-            let bytes = unsafe { _mm_loadl_epi64(lane.as_ptr().cast()) };
-            store_i32(out, j, _mm256_cvtepi8_epi32(bytes));
-            j += L;
-        }
-        for (o, &c) in out[j..].iter_mut().zip(&codes[j..]) {
-            *o = i32::from(c);
-        }
-    }
-
     #[target_feature(enable = "avx2")]
     fn decode_i16_i32_kernel(codes: &[i16], out: &mut [i32]) {
         let cols = out.len();
@@ -1039,7 +900,7 @@ mod avx2 {
     // AVX2, laid out in registers ---
 
     pub(super) fn max_abs(x: &[f32]) -> f32 {
-        // SAFETY: as in `accumulate_i32`.
+        // SAFETY: as in `accumulate_i64`.
         unsafe { max_abs_kernel(x) }
     }
 
@@ -1054,7 +915,7 @@ mod avx2 {
         out: &mut [T],
         layout: Layout,
     ) {
-        // SAFETY: as in `accumulate_i32`.
+        // SAFETY: as in `accumulate_i64`.
         unsafe { emit_kernel(grid, x, out, layout) }
     }
 
@@ -1302,47 +1163,6 @@ mod neon {
         unsafe { vld1q_s16(lane.as_ptr()) }
     }
 
-    pub(super) fn accumulate_i32(acc: &mut [i32], wrow: &[i32], acts: &[i32]) {
-        debug_assert_eq!(
-            acts.len(),
-            wrow.len() * acc.len(),
-            "acts must be [rows, ncols]"
-        );
-        let ncols = acc.len();
-        let mut j = 0usize;
-        while j + 2 * L <= ncols {
-            // SAFETY: value-only NEON ops; loads/stores bounds-check above.
-            unsafe {
-                let mut s0 = vdupq_n_s32(0);
-                let mut s1 = vdupq_n_s32(0);
-                let mut base = j;
-                for &wv in wrow {
-                    let w = vdupq_n_s32(wv);
-                    s0 = vmlaq_s32(s0, w, load_i32(acts, base));
-                    s1 = vmlaq_s32(s1, w, load_i32(acts, base + L));
-                    base += ncols;
-                }
-                add_store_i32(acc, j, s0);
-                add_store_i32(acc, j + L, s1);
-            }
-            j += 2 * L;
-        }
-        while j + L <= ncols {
-            // SAFETY: as above.
-            unsafe {
-                let mut s = vdupq_n_s32(0);
-                let mut base = j;
-                for &wv in wrow {
-                    s = vmlaq_s32(s, vdupq_n_s32(wv), load_i32(acts, base));
-                    base += ncols;
-                }
-                add_store_i32(acc, j, s);
-            }
-            j += L;
-        }
-        crate::exec::accumulate_col_tail(acc, wrow, acts, j, |l, w, a| l + w * a);
-    }
-
     pub(super) fn accumulate_i64(acc: &mut [i64], wrow: &[i32], acts: &[i32]) {
         debug_assert_eq!(
             acts.len(),
@@ -1352,8 +1172,8 @@ mod neon {
         let ncols = acc.len();
         let mut j = 0usize;
         while j + L <= ncols {
-            // SAFETY: as in `accumulate_i32`. `smlal`/`smlal2` widen the
-            // i32×i32 products to i64 exactly.
+            // SAFETY: value-only NEON ops; loads/stores bounds-check above.
+            // `smlal`/`smlal2` widen the i32×i32 products to i64 exactly.
             unsafe {
                 let mut s0 = vdupq_n_s64(0); // columns j, j+1
                 let mut s1 = vdupq_n_s64(0); // columns j+2, j+3
@@ -1389,7 +1209,7 @@ mod neon {
         );
         let mut j = 0usize;
         while j + L <= ncols {
-            // SAFETY: as in `accumulate_i32`.
+            // SAFETY: as in `accumulate_i64`.
             unsafe {
                 let mut s = vdupq_n_s32(0);
                 for (q, &wq) in wquads.iter().enumerate() {
@@ -1418,7 +1238,7 @@ mod neon {
         );
         let mut j = 0usize;
         while j + L <= ncols {
-            // SAFETY: as in `accumulate_i32`.
+            // SAFETY: as in `accumulate_i64`.
             unsafe {
                 let mut s = vdupq_n_s32(0);
                 for (q, &wp) in wpairs.iter().enumerate() {
@@ -1510,7 +1330,8 @@ mod tests {
     }
 
     /// Random `[rows, ncols]` problems, including ragged tails around the
-    /// 8/16-lane block widths; both backends must agree bit for bit.
+    /// 4/8-lane block widths; both backends' i64 kernels must agree bit for
+    /// bit.
     #[test]
     fn avx2_accumulate_kernels_match_scalar_bit_for_bit() {
         if !avx2_available() {
@@ -1527,12 +1348,6 @@ mod tests {
                 .collect();
             let init: Vec<i32> = (0..ncols).map(|_| rng.gen_range(-1000i32..1000)).collect();
 
-            let mut a32 = init.clone();
-            let mut b32 = init.clone();
-            (SCALAR.accumulate_i32)(&mut a32, &wrow, &acts);
-            (AVX2.accumulate_i32)(&mut b32, &wrow, &acts);
-            assert_eq!(a32, b32, "i32 case {case}: rows {rows} ncols {ncols}");
-
             let init64: Vec<i64> = init.iter().map(|&v| i64::from(v)).collect();
             let mut a64 = init64.clone();
             let mut b64 = init64;
@@ -1542,9 +1357,9 @@ mod tests {
         }
     }
 
-    /// Every storage tier decodes identically under both backends, over
-    /// widths that exercise full blocks, ragged tails, and the odd-cols
-    /// half-byte of the nibble format.
+    /// 16-bit rows — the storage a GEMM decodes — decode identically under
+    /// both backends, over widths that exercise full blocks and ragged
+    /// tails.
     #[test]
     fn avx2_decode_kernels_match_scalar_bit_for_bit() {
         if !avx2_available() {
@@ -1554,30 +1369,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         for cols in [1usize, 2, 5, 7, 8, 15, 16, 17, 31, 32, 33, 64, 67] {
             let rows = 3;
-            let stride = cols.div_ceil(2);
-            let nib = Storage::Nibble(
-                (0..rows * stride)
-                    .map(|_| rng.gen_range(0u32..256) as u8)
-                    .collect(),
-            );
-            let i8s = Storage::I8(
-                (0..rows * cols)
-                    .map(|_| rng.gen_range(-128i32..128) as i8)
-                    .collect(),
-            );
             let i16s = Storage::I16(
                 (0..rows * cols)
                     .map(|_| rng.gen_range(-32768i32..32768) as i16)
                     .collect(),
             );
-            for storage in [&nib, &i8s, &i16s] {
-                for row in 0..rows {
-                    let mut a = vec![0i32; cols];
-                    let mut b = vec![7i32; cols];
-                    (SCALAR.decode_row_i32)(storage, row, cols, &mut a);
-                    (AVX2.decode_row_i32)(storage, row, cols, &mut b);
-                    assert_eq!(a, b, "i32 decode: cols {cols} row {row}");
-                }
+            for row in 0..rows {
+                let mut a = vec![0i32; cols];
+                let mut b = vec![7i32; cols];
+                (SCALAR.decode_row_i32)(&i16s, row, cols, &mut a);
+                (AVX2.decode_row_i32)(&i16s, row, cols, &mut b);
+                assert_eq!(a, b, "i32 decode: cols {cols} row {row}");
             }
         }
     }
@@ -2103,43 +1905,15 @@ mod tests {
         }
     }
 
-    /// With `FORCE_LOCK` held no override is in effect, so the fused query
-    /// reads the process default: fused kernels wherever the CPU has a SIMD
-    /// backend, unless the process was started forced-scalar.
-    fn assert_fused_restored() {
-        let _quiesce = FORCE_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let default_scalar = default_kernels().backend == SimdBackend::Scalar;
-        let want = !default_scalar && (avx2_available() || neon_available());
-        assert_eq!(fused_gemm_enabled(), want);
-    }
-
-    /// The fused routes have no switch of their own: they follow the table,
-    /// so a forced-scalar scope turns them off and leaving it turns them back
-    /// on.
+    /// Fused GEMMs have no switch and no table without them: the query is
+    /// true inside a forced scope of every available backend and after it.
     #[test]
-    fn fused_toggle_is_scoped_and_restored() {
-        let inside = with_simd_backend(SimdBackend::Scalar, fused_gemm_enabled);
-        assert!(!inside);
-        assert_fused_restored();
+    fn fused_gemm_is_enabled_on_every_table() {
+        assert!(with_simd_backend(SimdBackend::Scalar, fused_gemm_enabled));
         if avx2_available() {
-            let inside = with_simd_backend(SimdBackend::Avx2, fused_gemm_enabled);
-            assert!(inside);
-            assert_fused_restored();
+            assert!(with_simd_backend(SimdBackend::Avx2, fused_gemm_enabled));
         }
+        assert!(fused_gemm_enabled());
         assert_backend_restored();
-    }
-
-    #[test]
-    fn fused_toggle_is_restored_on_panic() {
-        let result = std::panic::catch_unwind(|| {
-            with_simd_backend(SimdBackend::Scalar, || {
-                assert!(!fused_gemm_enabled());
-                panic!("boom")
-            })
-        });
-        assert!(result.is_err());
-        assert_fused_restored();
     }
 }

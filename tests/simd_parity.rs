@@ -11,11 +11,10 @@
 //!   existing bit-identity guarantee (fake-quant parity, degenerate
 //!   serving-path equivalence) transfers to the SIMD backend for free.
 //! * **Fused parity**: the fused multiply-on-packed-codes kernels (AVX2
-//!   `maddubs`/`madd`, NEON `smull`/`smlal`), which every ≤ 8-bit GEMM with
-//!   pack-time words takes on a table that has them, equal the scalar
-//!   table's widen-then-multiply route bit for bit — including adversarial
-//!   shapes: every tail width cols ∈ {1..67} with saturation-edge codes
-//!   (max-magnitude nibbles and activations).
+//!   `maddubs`/`madd`, NEON `smull`/`smlal`), which every ≤ 15-bit GEMM
+//!   takes, equal the scalar table's portable word kernels bit for bit —
+//!   including adversarial shapes: every tail width cols ∈ {1..67} with
+//!   saturation-edge codes (max-magnitude nibbles and activations).
 //! * **Knob round-trip**: `INSTANTNET_SIMD=scalar` forces the portable
 //!   backend and every other value (`avx2`, `neon`, `auto`, garbage) means
 //!   detection, in a fresh process (subprocess self-exec, since the default
@@ -26,9 +25,9 @@
 //!   tap tables were built at prepack serves every route — dispatched,
 //!   forced scalar, a replica clone on either — bit-identically, and no
 //!   forward repacks.
-//! * **Route census**: on the dispatched table no GEMM of MobileNetV2 or the
-//!   serving CNN lands on the exact-f32 tier at any width or batch; on the
-//!   scalar table every ≤ 8-bit one does.
+//! * **Route census**: every GEMM of MobileNetV2 or the serving CNN takes
+//!   the same arithmetic on the dispatched and the scalar table — weight
+//!   words at ≤ 15 bits, `Tier(I64)` at 16 — at any width or batch.
 //! * **Thin layers**: GEMMs with fewer columns than one column block (2×2
 //!   maps, small-batch linears) take the reduction-lane kernels; every route
 //!   agrees on them bit for bit, across the block boundary.
@@ -37,8 +36,8 @@
 //!   backends at 1 vs 3 threads.
 
 use instantnet_infer::{
-    active_simd_backend, avx2_available, fused_gemm_enabled, neon_available, with_simd_backend,
-    PackedModel, SimdBackend,
+    active_simd_backend, avx2_available, neon_available, with_simd_backend, PackedModel,
+    SimdBackend,
 };
 use instantnet_nn::blocks::ConvBnAct;
 use instantnet_nn::layers::{Activation, GlobalAvgPool, QuantConv2d, QuantLinear};
@@ -203,9 +202,8 @@ fn env_knob_round_trips_in_fresh_process() {
 /// linear plans at every fused-tail width cols ∈ {1..67}, with weights
 /// pinned to ±1 (quantizing to each grid's extreme codes — max-magnitude
 /// nibbles under both quantizers) and inputs saturated to ±1 (extreme
-/// activation codes). The dispatched (fused) route and the scalar table's
-/// widen-then-multiply route must agree bit for bit at batch {1, 16} × 1 vs
-/// 4 threads.
+/// activation codes). The dispatched kernels and the scalar table's portable
+/// word kernels must agree bit for bit at batch {1, 16} × 1 vs 4 threads.
 #[test]
 fn adversarial_shapes_fused_widen_scalar_parity() {
     let bits = BitWidthSet::large_range();
@@ -250,10 +248,10 @@ fn adversarial_shapes_fused_widen_scalar_parity() {
 }
 
 /// Weights laid out for the kernels at pack time (fused words, depthwise
-/// taps) must serve every dispatch route bit-identically: the route that
-/// ignores the words (forced scalar) decodes the storage codes instead. MobileNetV2 covers in-place 1×1 patch matrices, depthwise tap
-/// tables and a linear head; the grouped strided 3×3 covers `im2col` +
-/// interleave.
+/// taps) must serve every dispatch route bit-identically: the forced-scalar
+/// table reads the same words through its portable kernels. MobileNetV2
+/// covers in-place 1×1 patch matrices, depthwise tap tables and a linear
+/// head; the grouped strided 3×3 covers `im2col` + interleave.
 #[test]
 fn prepacked_kernel_weights_serve_every_route_bit_identically() {
     let bits = BitWidthSet::large_range();
@@ -406,24 +404,25 @@ fn forwards_are_unmoved_by_overrides_flipping_under_them() {
     });
 }
 
-/// The census the f32 tier's lack of SIMD GEMM kernels rests on, read off
-/// `forward_profiled`'s route labels: on the table detection picks (forced,
-/// so no sibling test's scope can swap it mid-census) no GEMM — conv,
-/// pointwise or linear — of MobileNetV2 or the serving CNN reports
-/// `Tier(F32)`, at any `large_range()` width and batch {1, 16}; on the
-/// scalar table every ≤ 8-bit one does, having no fused route to take.
-/// Depthwise layers read pack-time taps on every table and are no GEMM.
+/// The route census, read off `forward_profiled`'s route labels: every GEMM
+/// — conv, pointwise or linear — of MobileNetV2 or the serving CNN takes the
+/// same arithmetic on the table detection picks (forced, so no sibling
+/// test's scope can swap it mid-census) and on the scalar table, at any
+/// `large_range()` width and at 15 bits, batch {1, 16}: weight words at
+/// ≤ 15 bits (`FusedNibble` / `FusedI8`), `Tier(I64)` at 16, `F32` above
+/// and on the raw-input stem — never the exact-f32 or i32 tier. Depthwise
+/// layers read pack-time taps on every table and are no GEMM.
 #[test]
 fn no_gemm_reaches_the_f32_tier_on_a_fused_table() {
-    let detected = if avx2_available() {
-        SimdBackend::Avx2
+    let mut tables = vec![SimdBackend::Scalar];
+    if avx2_available() {
+        tables.push(SimdBackend::Avx2);
     } else if neon_available() {
-        SimdBackend::Neon
-    } else {
-        eprintln!("skipping: no SIMD backend on this CPU");
-        return;
-    };
-    let bits = BitWidthSet::large_range();
+        tables.push(SimdBackend::Neon);
+    }
+    let mut widths = BitWidthSet::large_range().widths().to_vec();
+    widths.insert(3, instantnet_quant::BitWidth::new(15));
+    let bits = BitWidthSet::new(widths.iter().map(|w| w.get()).collect()).unwrap();
     let mut rng = StdRng::seed_from_u64(0xCE45);
     let mbv2 = models::mobilenet_v2(0.25, 2, 10, (16, 16), bits.len(), 5);
     let mbv2 = PackedModel::prepack(&mbv2, &bits, Quantizer::Sbm).unwrap();
@@ -457,23 +456,29 @@ fn no_gemm_reaches_the_f32_tier_on_a_fused_table() {
             for (name, packed, index, x) in
                 [("mbv2", &mbv2, i, &x_mbv2), ("cnn", &serving, 0, &x_cnn)]
             {
-                let dispatched = with_simd_backend(detected, || {
-                    assert!(fused_gemm_enabled());
-                    routes(packed, index, x)
-                });
-                let scalar = with_simd_backend(SimdBackend::Scalar, || routes(packed, index, x));
+                let census: Vec<_> = tables
+                    .iter()
+                    .map(|&t| with_simd_backend(t, || routes(packed, index, x)))
+                    .collect();
                 let mut gemms = 0;
-                for ((kind, route), (_, scalar_route)) in dispatched.iter().zip(&scalar) {
+                for (op, (kind, route)) in census[0].iter().enumerate() {
                     if !matches!(*kind, "conv" | "pointwise" | "linear") {
                         continue;
                     }
                     gemms += 1;
                     let ctx = format!("{name} w{width} batch {batch}: {kind} #{gemms}");
-                    assert!(!route.starts_with("Tier(F32)"), "{ctx} took {route}");
-                    if width <= 8 && route != "F32/Columns" {
-                        let want = "Tier(F32)/Columns";
-                        assert_eq!(scalar_route, want, "{ctx} on the scalar table");
+                    let arith = route.split('/').next().unwrap();
+                    for (t, table) in tables.iter().zip(&census).skip(1) {
+                        let other = table[op].1.split('/').next().unwrap();
+                        assert_eq!(other, arith, "{ctx} on the {t:?} table");
                     }
+                    let want: &[&str] = match width {
+                        _ if arith == "F32" => &["F32"],
+                        ..=15 => &["FusedNibble", "FusedI8"],
+                        16 => &["Tier(I64)"],
+                        _ => &["F32"],
+                    };
+                    assert!(want.contains(&arith), "{ctx} took {route}");
                 }
                 assert!(gemms > 0, "{name}: no GEMM profiled");
             }
