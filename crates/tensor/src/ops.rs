@@ -575,13 +575,16 @@ impl Depthwise {
         let (rows, cols) = ((g.pad + g.h - 1) / s + 1, (g.pad + g.w - 1) / s + 1);
         let shape = (mh + rows.max(g.oh), mw + cols.max(g.ow), 1);
         let fg = Frame::new(samples, nb, shape, (mh, mw), (g.oh, g.ow));
-        // Forward: per unit the taps, ascending, whose row is in the plane
-        // and whose column some lane reads in range.
+        // Forward: per unit the taps, ascending, whose column some lane reads
+        // in range and — with sample lanes, whose frame is the plane alone —
+        // whose row is in the plane. A column-lane frame holds the padding
+        // rows, so there a plane's rows share one list.
         let width = if samples { 1 } else { col_lanes(g.ow) };
         let fwd = plan((nb, samples, g.oh), (g.ow, 1, width), |i, oy, ox, n| {
             let reach = |t: &usize| {
                 let xs = &g.xs[t % kw];
-                g.ys[t / kw].contains(&oy) && xs.start < ox + n && ox < xs.end
+                let row = !samples || g.ys[t / kw].contains(&oy);
+                row && xs.start < ox + n && ox < xs.end
             };
             let list = (0..taps).filter(reach).map(|t| (t, fx.at(t / kw, t % kw)));
             let base = (i * fx.member + fx.at(oy * s, ox * s)).wrapping_sub(fx.shift);
