@@ -5,13 +5,13 @@
 //! Kernel-bound entries come in pairs: the plain name runs the default
 //! SIMD dispatch (AVX2 where detected), and the `_scalar` twin forces the
 //! portable kernels via `with_simd_backend` — `bench_check` floors the
-//! scalar/SIMD ratio on AVX2 hosts. On the ≤8-bit tiers the `_scalar` twin
-//! is also the decode-then-multiply route the fused multiply-on-packed-codes
-//! kernels replace, so `bench_check` floors the fused 4-bit GEMM against the
-//! scalar 8-bit one within-run too. The batch-1 MobileNetV2-block
-//! pair (4-bit packed vs the 32-bit f32 fallback) is the regime where
-//! activation quantize and depthwise — not GEMM — dominate; `bench_check`
-//! ceilings 4-bit at 1.0× the 32-bit forward. The whole-model entries run
+//! scalar/SIMD ratio on AVX2 hosts. On the ≤ 8-bit GEMMs the `_scalar` twin
+//! runs the portable word kernels (the same words, in plain Rust), so
+//! `bench_check` floors the fused 4-bit GEMM against the scalar 8-bit one
+//! within-run too. The batch-1 MobileNetV2-block entries (4- and 12-bit
+//! packed vs the 32-bit f32 fallback) are the regime where activation
+//! quantize and depthwise — not GEMM — dominate; `bench_check` ceilings
+//! 4-bit at 0.9× and 12-bit at 1.0× the 32-bit forward. The whole-model entries run
 //! the serving stack's two networks as a worker does (`forward_batch_at`,
 //! one kernel thread): the cheap CNN at batch 1 and 16 — `bench_check`
 //! ceilings the batch-16 forward at a quarter of sixteen batch-1 forwards,
@@ -192,7 +192,7 @@ fn bench_small_planes(c: &mut Criterion) {
 /// serving worker runs, where per-forward overheads outweigh the GEMM.
 fn bench_mbv2_block(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
-    let bits = BitWidthSet::new(vec![4, 32]).unwrap();
+    let bits = BitWidthSet::new(vec![4, 12, 32]).unwrap();
     let block = InvertedResidual::new(&mut rng, "block", 16, 16, 6, 3, 1, bits.len());
     let x = init::uniform(&mut rng, &[1, 16, 16, 16], -0.3, 1.2);
     let packed = PackedModel::prepack(&block, &bits, Quantizer::Sbm).unwrap();
@@ -201,9 +201,14 @@ fn bench_mbv2_block(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(packed.forward_batch_at(0, &x)))
         })
     });
-    c.bench_function("packed_mbv2_block_32bit_1x16x16x16", |b| {
+    c.bench_function("packed_mbv2_block_12bit_1x16x16x16", |b| {
         with_threads(1, || {
             b.iter(|| std::hint::black_box(packed.forward_batch_at(1, &x)))
+        })
+    });
+    c.bench_function("packed_mbv2_block_32bit_1x16x16x16", |b| {
+        with_threads(1, || {
+            b.iter(|| std::hint::black_box(packed.forward_batch_at(2, &x)))
         })
     });
 }

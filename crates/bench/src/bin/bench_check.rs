@@ -217,9 +217,9 @@ const CHECKS: &[(&str, Need, &[RatioCheck])] = &[
                 floor: false,
             },
             // The fused multiply-on-packed-codes 4-bit GEMM must beat the
-            // decode-then-multiply 8-bit route it replaces — the scalar
-            // table's — by this much: the low-bit advantage fused kernels
-            // exist to deliver.
+            // scalar table's 8-bit GEMM — its portable word kernels, the
+            // decode-then-multiply route until those existed — by this
+            // much: the low-bit advantage fused kernels exist to deliver.
             RatioCheck {
                 gate: "fused 4-bit vs scalar 8-bit GEMM",
                 num: "packed_gemm_8bit_64x256x256_scalar",
@@ -237,6 +237,17 @@ const CHECKS: &[(&str, Need, &[RatioCheck])] = &[
                 num: "packed_mbv2_block_4bit_1x16x16x16",
                 den: "packed_mbv2_block_32bit_1x16x16x16",
                 bound: 0.9,
+                floor: false,
+            },
+            // The same block at 12 bits, whose GEMMs run on i16-pair weight
+            // words (1.5-2.1x the f32 forward when they decoded every weight
+            // row into i32): a narrower rung must not cost more than the
+            // full-precision one.
+            RatioCheck {
+                gate: "12-bit vs 32-bit MobileNetV2 block, batch 1",
+                num: "packed_mbv2_block_12bit_1x16x16x16",
+                den: "packed_mbv2_block_32bit_1x16x16x16",
+                bound: 1.0,
                 floor: false,
             },
             // Activation quantization in vector lanes: max-abs and code

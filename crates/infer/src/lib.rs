@@ -27,8 +27,9 @@
 //!   operand the consuming kernel reads (its lane type and layout) — then run
 //!   GEMM and im2col-conv kernels that accumulate in i32 (period by period
 //!   into i64 where a row is longer than its words' period; i64 throughout
-//!   at 16 bits), row-parallel via `instantnet-parallel`. Integer accumulation is
-//!   exact, so results are bit-identical at any thread count.
+//!   at 16 bits), row-parallel via `instantnet-parallel`. Integer
+//!   accumulation is exact, so results are bit-identical at any thread
+//!   count.
 //! * Each layer's SIMD lanes follow its long axis, chosen from its geometry
 //!   and the backend's lane count with no knob (the `route` module's rules,
 //!   DESIGN.md §6c): depthwise layers vectorise over pixels where an output

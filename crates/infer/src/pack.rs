@@ -215,15 +215,14 @@ fn pack_gemm(
         .collect();
     let has_offset = colsum_coef.iter().any(|&v| v != 0.0);
     // Worst-case |partial sum| over the reduction; the cheapest exact
-    // accumulator tier it fits is a depthwise layer's arithmetic (f32 is
-    // lossless below 2^24 and vectorizes everywhere; halve i32::MAX for slack
-    // on the native tier). The bound holds at any serving batch size:
-    // batching adds *columns* (more samples × output pixels), never reduction
-    // *length* — `cols` is fixed by the weights — and the only cross-sample sums
-    // (per-column activation colsums) are i64 regardless of tier. The same
-    // bound lets the f32 tier reassociate partial sums (vector lanes)
-    // exactly: every partial sum in any association order is an integer
-    // below 2^24.
+    // accumulator it fits in is a depthwise layer's tier (f32 is lossless
+    // below 2^24 and vectorizes everywhere; halve i32::MAX for slack on the
+    // native tier). The bound holds at any serving batch size: batching adds
+    // *columns* (more samples × output pixels), never reduction *length* —
+    // `cols` is fixed at `cg*r*s` / in-features, and the only cross-sample
+    // sums (per-column activation colsums) are i64 regardless of tier. The
+    // same bound lets the f32 tier reassociate partial sums exactly: every
+    // partial sum in any association order is an integer below 2^24.
     let bound = i64::from(max_code_abs) * act_code_abs_max(bits) * cols as i64;
     let accum = if bound < 1 << 24 {
         Accum::F32

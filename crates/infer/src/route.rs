@@ -3,11 +3,12 @@
 //!
 //! The arithmetic is a function of the layer's pack-time weights alone, the
 //! same on every kernel table; the lanes also of its geometry, the batch and
-//! the active table's lane count and thin kernels — never of a knob. `crate::exec` dispatches on them and
-//! [`describe`] labels a profiled op with them, so the profile cannot
-//! drift from what ran. This is the hand-written default of the choice
-//! ROADMAP item 4 hands to `automapper`; EXPERIMENTS.md ("Batch-1 forward
-//! profile") has the measured crossovers behind the two rules.
+//! the active table's lane count and thin kernels — never of a knob.
+//! `crate::exec` dispatches on them and [`describe`] labels a profiled op
+//! with them, so the profile cannot drift from what ran. This is the
+//! hand-written default of the choice ROADMAP item 4 hands to `automapper`;
+//! EXPERIMENTS.md ("Batch-1 forward profile") has the measured crossovers
+//! behind the two rules.
 //!
 //! **Lanes follow the long axis.** Every kernel of the engine used to put
 //! output pixels (GEMM columns) in the lanes; MobileNetV2's planes shrink to

@@ -1,13 +1,14 @@
 //! Explicit-SIMD backend for the hot reduction kernels, behind one-time
 //! runtime dispatch.
 //!
-//! The packed engine's inner loops — the `accumulate_*` column reductions
-//! and the per-row weight decode — are portable scalar Rust in
-//! [`crate::exec`] / [`crate::Storage`]. This module adds AVX2
-//! (`core::arch::x86_64`) and NEON (`core::arch::aarch64`)
-//! implementations of the integer-tier kernels, plus **fused** ≤ 8-bit GEMM
-//! kernels that multiply directly on packed codes, and selects a backend
-//! **once per process** through a function table:
+//! Every kernel table has the same slots: the **fused** word GEMMs
+//! (`gemm_nibble`/`gemm_i8`, and where a table has them the thin ones) that
+//! every ≤ 15-bit GEMM runs, the 16-bit GEMMs' row decode and i64
+//! accumulate, and activation quantization. The scalar table fills them with
+//! portable Rust (the word kernels here, the i64 kernel in [`crate::exec`],
+//! the row decode in [`crate::Storage`]); this module adds AVX2
+//! (`core::arch::x86_64`) and NEON (`core::arch::aarch64`) implementations,
+//! and selects a table **once per process**:
 //!
 //! * detection runs once ([`std::sync::OnceLock`]) via
 //!   `is_x86_feature_detected!("avx2")` (ASIMD is baseline on aarch64, so
@@ -19,27 +20,27 @@
 //! * tests and benches can force a backend for a scoped region with
 //!   [`with_simd_backend`], which serializes callers on a global lock.
 //!
-//! Whether a layer runs fused is not a setting either: it is a function of
-//! its pack-time weights and the table ([`crate::route`]), and
-//! [`fused_gemm_enabled`] only reports whether the active table has fused
-//! kernels at all.
+//! Which arithmetic a layer runs is not a setting, nor a property of the
+//! table: it is a function of its pack-time weights alone
+//! ([`crate::route`]), so [`fused_gemm_enabled`] is constant.
 //!
 //! A forward reads [`kernels`] once and runs every layer on that table, so
 //! every serving path inherits the active backend with no API change.
 //!
-//! # Fused ≤ 8-bit GEMM
+//! # Fused word GEMM
 //!
-//! The `gemm_nibble`/`gemm_i8` slots multiply on packed codes rather than
-//! decoded ones, activations emitted as `i8`/`i16` codes:
+//! The `gemm_nibble`/`gemm_i8` slots multiply on the pack-time weight words
+//! rather than decoded codes, activations emitted as `i8`/`i16` codes:
 //!
 //! * **nibble** (≤ 4-bit weights): codes ship as `w + 8 ∈ [0, 15]`
 //!   unsigned bytes, four to a `u32`; `maddubs`-class instructions form
 //!   `(w₀+8)a₀ + (w₁+8)a₁` i16 pairs — bounded by 2·15·15 = 450, far from
 //!   the i16 saturation point — then widen pair sums to i32. The `+8`
 //!   shift is undone by an exact integer `-8·Σa` column-sum correction.
-//! * **i8** (5–8-bit weights): codes ship as i16 pairs in a `u32`; `madd`
+//! * **i8** (5–15-bit weights): codes ship as i16 pairs in a `u32`; `madd`
 //!   (x86) / `smull`+pairwise-add (NEON) forms i32 pair sums directly —
-//!   each product is bounded by 128·255, so the i32 pair sum is exact.
+//!   at ≤ 15 bits each product is at most 2^14·(2^15 − 1), so the pair sum
+//!   is exact (`madd`'s only wrap needs both products at (−2^15)²).
 //!
 //! Each has a **thin** orientation (`gemm_nibble_thin`/`gemm_i8_thin`, AVX2)
 //! for GEMMs with fewer columns than the column block, which the kernels
@@ -47,14 +48,15 @@
 //! consecutive *reduction* lanes of one column against the matching weight
 //! words (the same pack-time words, read in place), accumulates lane-wise
 //! down the reduction and sums horizontally. Every lane's partial sum, and
-//! their sum, is a sub-sum of the shifted reduction pack time bounds, so the
-//! same admission gate covers both orientations.
+//! their sum, is a sub-sum of the words the call reduces.
 //!
-//! Pack time builds the weight words (`KernelWeights::Words`) only when
-//! the whole shifted reduction and the column sums fit i32 with ×2 slack
-//! (mirroring the 2^24 f32 bound; DESIGN.md §6g) — so the fused
-//! accumulator equals the tier accumulator as a mathematical integer, and
-//! results stay bit-identical.
+//! Every kernel accumulates in i32, so one call reduces at most a
+//! **period** of words (`KernelWeights::Words`): the most words whose
+//! worst-case partial sums keep the ×2 slack of `i32::MAX / 2` (DESIGN.md
+//! §6g). A row within its period is one call on i32 accumulators; a longer
+//! one runs period by period — on a thin kernel per column, in whole vector
+//! steps — each call's exact sum folded into i64. Either way the
+//! accumulator is the exact integer, and results stay bit-identical.
 //!
 //! # Activation quantization
 //!
@@ -74,15 +76,13 @@
 //! The SIMD kernels produce **bit-identical** output to the scalar ones
 //! for every tier × bit-width × quantizer × batch size × thread count:
 //!
-//! * the i32/i64 and fused kernels are integer arithmetic, which is
+//! * the i64 and fused kernels are integer arithmetic, which is
 //!   associative and commutative — lane order and write-back interleaving
 //!   cannot change the final sums;
 //! * `decode_row` is elementwise (no reduction at all).
 //!
-//! The exact-f32 tier ([`crate::Accum::F32`]) has no table slot: every
-//! backend runs it on the portable kernels. Any ≤ 8-bit GEMM that fits it
-//! also fits the fused admission bound, so on a CPU with fused kernels it
-//! never reaches that tier (DESIGN.md §6g).
+//! Depthwise layers have no table slot: their tap tiers run portable loops
+//! on every backend.
 //!
 //! The contract is pinned by the kernel-level parity tests below and by
 //! `tests/simd_parity.rs`, which runs whole-model forwards under both
@@ -91,8 +91,8 @@
 //! # Safety
 //!
 //! This module is the only place in the workspace containing `unsafe`
-//! code, and all of it is confined to the [`avx2`] submodule behind safe
-//! wrappers. Two invariants carry every `unsafe` block:
+//! code, and all of it is confined to the [`avx2`] and `neon` submodules
+//! behind safe wrappers. Two invariants carry every `unsafe` block:
 //!
 //! 1. **ISA availability**: the AVX2 table is only reachable after
 //!    `is_x86_feature_detected!("avx2")` succeeded (dispatch default) or

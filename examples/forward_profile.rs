@@ -17,8 +17,8 @@
 //! model `steady_mbv2_w4` serves. `cnn` is the cheap serving CNN of
 //! `burst_drain_cnn` (3×8×8 inputs), `block` the inverted-residual block of
 //! `BENCH_infer.json` (16×16×16 inputs). Honours `INSTANTNET_SIMD=scalar`, so
-//! the scalar table's routes — the widen-then-multiply path of every ≤ 8-bit
-//! GEMM — profile the same way.
+//! the scalar table's portable kernels profile the same way (same routes,
+//! other lanes where the table has no thin kernel).
 
 use instantnet_infer::{active_simd_backend, OpProfile, PackedModel};
 use instantnet_nn::blocks::{ConvBnAct, InvertedResidual};
