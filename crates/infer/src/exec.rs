@@ -13,10 +13,10 @@
 //! each sample's segment of the row into the sample-major output with that
 //! sample's own activation scale. Weights are read in their pack-time
 //! kernel layout ([`KernelWeights`]: words below 16 bits; a 16-bit layer
-//! decodes each row once per matrix). The parallel split is over weight rows ([`par_rows`]) — over
-//! sample blocks where a batch takes several — and patch matrices unfold
-//! channel-parallel; depthwise layers have no GEMM and convolve plane by
-//! plane, split over `samples × channels`.
+//! decodes each row once per matrix). The parallel split is over weight
+//! rows ([`par_rows`]) — over sample blocks where a batch takes several —
+//! and patch matrices unfold channel-parallel; depthwise layers have no
+//! GEMM and convolve plane by plane, split over `samples × channels`.
 //!
 //! **Lanes follow the long axis** (`crate::route`, a function of the layer's
 //! geometry and the backend's lane count): a depthwise layer vectorises over

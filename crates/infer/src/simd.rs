@@ -499,36 +499,55 @@ pub fn fused_gemm_enabled() -> bool {
 // kernel-level parity tests check them against)
 // ---------------------------------------------------------------------------
 
-/// `acc[j] += Σ_q Σ_k byte_k(wquads[q]) · block[(q·ncols + j)·4 + k]` for
-/// columns `start..`, over the interleaved fused-nibble layout (weight
-/// bytes are unsigned `w + 8` codes).
-fn gemm_nibble_ref(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize, start: usize) {
-    for (j, a) in acc.iter_mut().enumerate().skip(start) {
-        let mut sum = 0i32;
-        for (q, &wq) in wquads.iter().enumerate() {
-            let lanes = &block[(q * ncols + j) * 4..(q * ncols + j) * 4 + 4];
-            for (k, &v) in lanes.iter().enumerate() {
-                sum += (((wq >> (8 * k)) & 0xFF) as i32) * i32::from(v);
+/// `acc[j] += Σ_q Σ_k lane_k(words[q]) · block[(q·ncols + j)·G + k]` for
+/// columns `start..`, over the interleaved layout of `G` lanes per word
+/// (`lanes` unpacks one): blocks of eight columns hold their sums in
+/// registers down the whole reduction, as the SIMD kernels' vectors do,
+/// then the ragged tail column by column.
+#[inline(always)]
+fn gemm_words<L: Copy + Into<i32>, const G: usize>(
+    (acc, words, block, ncols): (&mut [i32], &[u32], &[L], usize),
+    start: usize,
+    lanes: impl Fn(u32) -> [i32; G],
+) {
+    let dot = |w: [i32; G], a: &[L]| w.iter().zip(a).map(|(&w, &v)| w * v.into()).sum::<i32>();
+    let mut j = start;
+    while j + 8 <= ncols {
+        let mut sums = [0i32; 8];
+        for (q, &word) in words.iter().enumerate() {
+            let columns = block[(q * ncols + j) * G..][..8 * G].chunks_exact(G);
+            for (s, a) in sums.iter_mut().zip(columns) {
+                *s += dot(lanes(word), a);
             }
         }
-        *a += sum;
+        for (o, s) in acc[j..j + 8].iter_mut().zip(sums) {
+            *o += s;
+        }
+        j += 8;
+    }
+    for (j, o) in acc.iter_mut().enumerate().skip(j) {
+        let column = |(q, &word): (usize, &u32)| dot(lanes(word), &block[(q * ncols + j) * G..]);
+        *o += words.iter().enumerate().map(column).sum::<i32>();
     }
 }
 
-/// The fused-i8 counterpart: signed i16 weight pairs against an
-/// interleaved i16 block.
+/// The nibble word GEMM: four unsigned `w + 8` weight bytes per word against
+/// an interleaved i8 block.
+fn gemm_nibble_ref(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize, start: usize) {
+    let lanes = |w: u32| w.to_le_bytes().map(i32::from);
+    gemm_words((acc, wquads, block, ncols), start, lanes);
+}
+
+/// The i8 word GEMM: two signed i16 weights per word against an interleaved
+/// i16 block.
 fn gemm_i8_ref(acc: &mut [i32], wpairs: &[u32], block: &[i16], ncols: usize, start: usize) {
-    for (j, a) in acc.iter_mut().enumerate().skip(start) {
-        let mut sum = 0i32;
-        for (q, &wp) in wpairs.iter().enumerate() {
-            let w0 = (wp & 0xFFFF) as u16 as i16;
-            let w1 = (wp >> 16) as u16 as i16;
-            let base = (q * ncols + j) * 2;
-            sum +=
-                i32::from(w0) * i32::from(block[base]) + i32::from(w1) * i32::from(block[base + 1]);
-        }
-        *a += sum;
-    }
+    let lanes = |w: u32| {
+        [
+            i32::from(w as u16 as i16),
+            i32::from((w >> 16) as u16 as i16),
+        ]
+    };
+    gemm_words((acc, wpairs, block, ncols), start, lanes);
 }
 
 // ---------------------------------------------------------------------------
