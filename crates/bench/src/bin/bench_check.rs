@@ -24,10 +24,10 @@
 //!   kernels): the SIMD 16-bit GEMM ≥ 1.5× its forced-scalar twin; 4-bit
 //!   GEMM no slower than 8-bit (≤ 1.05×, the precision/latency ordering the
 //!   serving stack exploits); the fused 4-bit GEMM ≥ 1.5× the forced-scalar
-//!   8-bit one (the decode-then-multiply route fused kernels replace); a
-//!   batch-1 4-bit MobileNetV2 block ≤ 0.9× the same block on the 32-bit
-//!   f32 fallback (the low-bit network is the cheap one even where
-//!   activation quantize and depthwise, not GEMM, dominate); dispatched
+//!   8-bit one (the portable word kernels); batch-1 MobileNetV2 blocks at
+//!   4 bits ≤ 0.9× and at 12 bits ≤ 1.0× the same block on the 32-bit f32
+//!   fallback (the low-bit network is the cheap one even where activation
+//!   quantize and depthwise, not GEMM, dominate); dispatched
 //!   contiguous activation emission ≥ 2× its forced-scalar twin; a batch-16
 //!   serving-CNN forward ≤ a quarter of sixteen batch-1 forwards (if a batch
 //!   stops amortizing, the queue, the batch controller and `max_batch` buy
