@@ -554,10 +554,11 @@ fn assert_exact(
 /// packer's period is the most words whose worst-case partial sums — every
 /// lane's weight and activation code at its largest magnitude — stay inside
 /// `i32::MAX / 2`, and rows of one word fewer, exactly one period, one word
-/// more and two periods and a word equal the i128 oracle on random signs at
-/// those magnitudes, on the dispatched and the scalar tables, at batch 1
-/// (the thin kernels where the table has them and the period is whole
-/// vector steps) and 16 (the column kernels).
+/// more and two periods and a word equal the i128 oracle at those
+/// magnitudes, all signs equal (every call at its bound) and random, on the
+/// dispatched and the scalar tables, at batch 1 (the thin kernels where the
+/// table has them and the period is whole vector steps) and 16 (the column
+/// kernels).
 #[test]
 fn word_periods_are_exact_at_their_boundary_on_every_table() {
     let mut rng = StdRng::seed_from_u64(0x9E41);
@@ -596,10 +597,11 @@ fn word_periods_are_exact_at_their_boundary_on_every_table() {
             lengths.extend((period > 1).then(|| period - 1));
             for words in lengths {
                 let cols = 2 * words;
-                for n in [1usize, 16] {
+                // Every sign +1 (the partial sums at their bound), then random.
+                for (n, random) in [(1usize, false), (16, false), (1, true), (16, true)] {
                     let signs = |rng: &mut StdRng, len| -> Vec<f32> {
                         (0..len)
-                            .map(|_| [1.0, -1.0][rng.gen_range(0..2usize)])
+                            .map(|_| [1.0, -1.0][if random { rng.gen_range(0..2usize) } else { 0 }])
                             .collect()
                     };
                     let plan = [PlanOp::Linear {
