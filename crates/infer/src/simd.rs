@@ -1927,11 +1927,34 @@ mod tests {
     /// Fused GEMMs have no switch and no table without them: the query is
     /// true inside a forced scope of every available backend and after it.
     #[test]
-    fn fused_gemm_is_enabled_on_every_table() {
-        assert!(with_simd_backend(SimdBackend::Scalar, fused_gemm_enabled));
+    fn fused_toggle_is_scoped_and_restored() {
+        let inside = with_simd_backend(SimdBackend::Scalar, || {
+            (active_simd_backend(), fused_gemm_enabled())
+        });
+        assert_eq!(inside, (SimdBackend::Scalar, true));
         if avx2_available() {
-            assert!(with_simd_backend(SimdBackend::Avx2, fused_gemm_enabled));
+            let inside = with_simd_backend(SimdBackend::Avx2, || {
+                (active_simd_backend(), fused_gemm_enabled())
+            });
+            assert_eq!(inside, (SimdBackend::Avx2, true));
         }
+        assert!(fused_gemm_enabled());
+        assert_backend_restored();
+    }
+
+    /// A forced scope that panics leaves fused GEMMs on and the backend as
+    /// it was.
+    #[test]
+    fn fused_toggle_is_restored_on_panic() {
+        let mut inside = false;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_simd_backend(SimdBackend::Scalar, || {
+                inside = fused_gemm_enabled();
+                panic!("boom")
+            })
+        }));
+        assert!(result.is_err());
+        assert!(inside);
         assert!(fused_gemm_enabled());
         assert_backend_restored();
     }
