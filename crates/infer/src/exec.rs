@@ -1,31 +1,31 @@
-//! Packed-network execution: one GEMM driver and one depthwise kernel for
-//! every packed layer at every width, activation re-quantization between
-//! layers.
+//! Packed-layer kernels: one GEMM driver and one depthwise kernel for every
+//! packed layer at every width, the operands they read and the epilogue
+//! they store through. `crate::plan` decides, once per (width, batch), what
+//! each layer runs and where its buffers sit; this module runs one layer.
 //!
 //! **One GEMM driver, and the batch is a GEMM dimension.** Every conv and
-//! linear — the pointwise conv on a 1×1 map — runs [`gemm_int`] on its
+//! linear — the pointwise conv on a 1×1 map — runs [`gemm`] on its
 //! [`Route`], the f32 fallback ([`DenseF32`]: full precision, raw-input
 //! stems, 17–31 bits) as one more route. It builds one `[cg·r·s, n·oh·ow]`
-//! patch matrix per group for the batch ([`conv_blocks`]: sample `i` owns
-//! columns `i·oh·ow..`; a layer whose matrix would outgrow L1 goes in blocks
-//! of whole samples instead), and the kernel runs once per weight row over
-//! all of those columns ([`gemm_rows`]); the dequant epilogue then stores
-//! each sample's segment of the row into the sample-major output with that
-//! sample's own activation scale. Weights are read in their pack-time
-//! kernel layout ([`KernelWeights`]: words below 16 bits; a 16-bit layer
-//! decodes each row once per matrix). The parallel split is over weight
-//! rows ([`par_rows`]) — over sample blocks where a batch takes several —
-//! and patch matrices unfold channel-parallel; depthwise layers have no
-//! GEMM and convolve plane by plane, split over `samples × channels`.
+//! operand per group for the batch (sample `i` owns columns `i·oh·ow..`; a
+//! layer whose operand would outgrow L1 goes in blocks of whole samples
+//! instead), and the kernel runs once per weight row over all of those
+//! columns ([`gemm_rows`]); the dequant epilogue then stores each sample's
+//! segment of the row into the sample-major output with that sample's own
+//! activation scale, through the activation the plan folded into it. Weights
+//! are read in their pack-time kernel layout ([`KernelWeights`]: words
+//! below 16 bits; a 16-bit layer decodes each row once per block). The
+//! parallel split is over weight rows — over sample blocks where a batch
+//! takes several — and depthwise layers, which have no GEMM, convolve plane
+//! by plane, split over `samples × channels`; every worker's scratch is its
+//! own piece of the arena.
 //!
-//! **Lanes follow the long axis** (`crate::route`, a function of the layer's
-//! geometry and the backend's lane count): a depthwise layer vectorises over
-//! pixels — one flat axpy per tap over a zero-padded frame — where an output
-//! row fills a vector, over channels (`[hw, c]` codes, `[r·s, c]` taps)
-//! where it cannot ([`Depthwise`]); a fused GEMM with fewer columns than one
-//! column block dots along the reduction instead of running a scalar tail
-//! ([`Route::route`]). Every orientation accumulates the same exact value,
-//! so none of this is observable in the result.
+//! **Lanes follow the long axis** (`crate::route`): a depthwise layer
+//! vectorises over pixels — one flat axpy per tap over a zero-padded frame —
+//! where an output row fills a vector, over channels (`[hw, c]` codes,
+//! `[r·s, c]` taps) where it cannot ([`Depthwise`]); a fused GEMM with fewer
+//! columns than one column block dots along the reduction instead. Every
+//! orientation accumulates the same exact value.
 //!
 //! A sample cannot observe its batch-mates: a column's accumulator is the
 //! *exact* sum over that column's own patch (integers, or f32 lanes bounded
@@ -35,35 +35,36 @@
 //! nothing of another sample — every output is bit-identical to running
 //! its sample alone.
 //!
-//! **Quantize once, into the operand.** Each layer lays its input straight
-//! into the operand its kernel reads, through its route's [`Source`]: on
-//! the integer routes the kernel table's max-abs and emitters
-//! (`crate::simd::Layout`) — contiguous codes for `im2col`, rows of a
-//! zero-padded depthwise frame, `[hw, c]` for channel lanes, and a pointwise
-//! layer's code planes straight into its `[c, n·p]` rows, fused word
-//! interleave or thin column-major operand — with no intermediate code
-//! buffer and no interleave pass; on the f32 fallback the values
-//! themselves, fake-quantized where a grid applies, in the same layouts.
+//! **Quantize once, into the operand.** Each layer's grid comes from its
+//! input's max-abs as the producing layer recorded it, and its codes are
+//! emitted in one pass into the layout its kernel reads ([`Operands::emit`]):
+//! a pointwise layer's planes straight into its `[c, n·p]` word interleave
+//! or thin column-major operand, a depthwise layer's rows into zero-padded
+//! frames or `[hw, c]`, and a windowed conv's sample codes once, then
+//! gathered through the plan's window table into the interleaved patch
+//! matrix; on the f32 fallback the values themselves, fake-quantized where a
+//! grid applies, in the same layouts. Every lane an operand holds is
+//! written, padding included: nothing is inherited from the arena.
 //!
 //! Determinism contract (mirrors `instantnet-tensor`): accumulation is
 //! exact, dequantization is elementwise, and every parallel region
 //! assigns disjoint output slices by index — results are bit-identical at
 //! any thread count.
 
-use crate::route::{describe, dw_lanes, Arith, Lanes};
-use crate::simd::{kernels, EmitLane, FusedKernel, Kernels, Layout, THIN_WORDS};
-use crate::{is_depthwise, Accum, KernelWeights, OpProfile, PackedGemm, PackedOp, Storage, Taps};
+use crate::plan::{Carve, Needs, Pooled, Pools};
+use crate::route::Lanes;
+use crate::simd::{EmitLane, FusedKernel, Kernels, Layout, THIN_WORDS};
+use crate::{KernelWeights, PackedGemm, Storage, Taps};
 use instantnet_nn::layers::Activation;
-use instantnet_parallel::{gate, max_threads, par_chunks_mut};
+use instantnet_parallel::{max_threads, par_chunks_mut};
 use instantnet_quant::{ActivationGrid, BitWidth, Quantizer};
-use instantnet_tensor::tensor::{im2col_batch, ConvGeom};
-use instantnet_tensor::Tensor;
+use instantnet_tensor::tensor::ConvGeom;
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::iter::Sum;
 use std::marker::PhantomData;
 use std::ops::{AddAssign, Mul, Range, SubAssign};
-use std::sync::LazyLock;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Work threshold below which kernels run single-threaded (same policy and
@@ -92,29 +93,23 @@ pub(crate) struct ActRule {
     pub(crate) aq: ActQuant,
 }
 
-/// Receives one [`OpProfile`] per executed op of a profiled forward.
-pub(crate) type Sink<'a> = &'a mut (dyn FnMut(OpProfile) + 'a);
-
-/// `Option::as_deref_mut` for a [`Sink`] (which cannot shorten the trait
-/// object's own lifetime through the `Option`).
-fn reborrow<'s>(sink: &'s mut Option<Sink<'_>>) -> Option<Sink<'s>> {
-    match sink {
-        Some(s) => Some(&mut **s),
-        None => None,
+impl ActRule {
+    /// Whether this rule puts activations on a grid at all.
+    pub(crate) fn quantizes(self) -> bool {
+        !self.bits.is_full_precision() && !matches!(self.quantizer, Quantizer::Identity)
     }
 }
 
 thread_local! {
-    /// Operand-building time of the op a profiled forward is running on
+    /// Operand-building time of the step a profiled forward is running on
     /// this thread; `None` outside one, so an unprofiled forward reads no
     /// clock.
-    static OPERAND_TIME: Cell<Option<Duration>> = const { Cell::new(None) };
+    pub(crate) static OPERAND_TIME: Cell<Option<Duration>> = const { Cell::new(None) };
 }
 
-/// Runs `build` — laying a layer's input out as its kernel's operand:
-/// activation grid, code emission, layout — and, inside a profiled forward,
-/// adds its wall time to the op's quantize time (on the thread running the
-/// forward: all of it with one kernel thread). Never nested.
+/// Runs `build` — laying a layer's input out as its kernel's operand — and,
+/// inside a profiled forward, adds its wall time to the step's quantize
+/// time (on the thread running the forward). Never nested.
 fn timed_operand<R>(build: impl FnOnce() -> R) -> R {
     let Some(spent) = OPERAND_TIME.get() else {
         return build();
@@ -125,107 +120,37 @@ fn timed_operand<R>(build: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Runs `ops` in order over `x`. Every op reads its operand by reference
-/// and activations rewrite the running tensor in place, so the input is
-/// copied only when an activation is the first thing to touch it. With a
-/// `sink`, every op is timed and reported as it finishes (a residual's
-/// branches op by op, then its add), its operand building separately
-/// ([`timed_operand`]); without one no clock is read.
-/// Every op, residual branch and profile label uses one snapshot of the
-/// kernel table, so no layer or label straddles two of them.
-pub(crate) fn exec_ops(ops: &[PackedOp], x: &Tensor, rule: ActRule, sink: Option<Sink>) -> Tensor {
-    run(kernels(), ops, x, rule, sink)
+/// `v` through the activation the plan folded into a store: what the
+/// separate activation op computed on the stored value, bit for bit.
+#[inline(always)]
+pub(crate) fn act(a: Activation, v: f32) -> f32 {
+    match a {
+        Activation::Relu => v.max(0.0),
+        Activation::Relu6 => v.clamp(0.0, 6.0),
+        Activation::None => v,
+    }
 }
 
-fn run(k: &Kernels, ops: &[PackedOp], x: &Tensor, rule: ActRule, mut sink: Option<Sink>) -> Tensor {
-    let mut cur: Option<Tensor> = None;
-    for op in ops {
-        if matches!(op, PackedOp::Act(Activation::None)) {
-            continue;
+/// `$body` with `$f` bound to [`act`] of the activation `$fold` as a closure
+/// the compiler sees whole — one copy of `$body` per activation — so a store
+/// loop through it vectorises.
+macro_rules! folded {
+    ($fold:expr, |$f:ident| $body:expr) => {
+        match $fold {
+            Activation::None => {
+                let $f = |v: f32| v;
+                $body
+            }
+            Activation::Relu => {
+                let $f = |v: f32| act(Activation::Relu, v);
+                $body
+            }
+            Activation::Relu6 => {
+                let $f = |v: f32| act(Activation::Relu6, v);
+                $body
+            }
         }
-        let input = cur.as_ref().unwrap_or(x);
-        let mut start = sink.is_some().then(|| {
-            OPERAND_TIME.set(Some(Duration::ZERO));
-            Instant::now()
-        });
-        let mut dims = start.map(|_| input.dims().to_vec());
-        let y = match op {
-            PackedOp::Act(a) => {
-                let mut y = cur.take().unwrap_or_else(|| x.clone());
-                let data = y.data_mut().iter_mut();
-                match a {
-                    Activation::Relu => data.for_each(|v| *v = v.max(0.0)),
-                    Activation::Relu6 => data.for_each(|v| *v = v.clamp(0.0, 6.0)),
-                    Activation::None => {}
-                }
-                y
-            }
-            PackedOp::Conv {
-                gemm,
-                cg,
-                r,
-                s,
-                stride,
-                pad,
-                groups,
-                quantize_input,
-            } => {
-                let d = input.dims();
-                assert_eq!(d.len(), 4, "conv input must be rank 4");
-                assert_eq!(d[1], cg * groups, "conv input channel mismatch");
-                let g = ConvGeom::new(d[2], d[3], *r, *s, *stride, *pad);
-                exec_conv(k, gemm, &g, *groups, *quantize_input, input, rule)
-            }
-            PackedOp::Linear { gemm } => exec_linear(k, gemm, input, rule),
-            PackedOp::GlobalAvgPool => global_avg_pool(input),
-            PackedOp::Residual {
-                body,
-                shortcut,
-                post_relu,
-            } => {
-                let mut b = run(k, body, input, rule, reborrow(&mut sink));
-                let s = (!shortcut.is_empty())
-                    .then(|| run(k, shortcut, input, rule, reborrow(&mut sink)));
-                let s = s.as_ref().unwrap_or(input);
-                assert_eq!(b.dims(), s.dims(), "residual branch shapes must match");
-                // The branches reported themselves: the residual is its add.
-                (start, dims) = (start.map(|_| Instant::now()), Some(b.dims().to_vec()));
-                for (u, &v) in b.data_mut().iter_mut().zip(s.data()) {
-                    *u += v;
-                    if *post_relu {
-                        *u = u.max(0.0);
-                    }
-                }
-                b
-            }
-        };
-        cur = Some(y);
-        if let (Some(sink), Some(start), Some(dims)) = (reborrow(&mut sink), start, dims) {
-            let quantize = OPERAND_TIME.take().unwrap_or_default();
-            sink(describe(op, &dims, k, start, quantize));
-        }
-    }
-    cur.unwrap_or_else(|| x.clone())
-}
-
-fn global_avg_pool(x: &Tensor) -> Tensor {
-    let dims = x.dims();
-    assert_eq!(dims.len(), 4, "global average pool input must be rank 4");
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let hw = h * w;
-    let inv = 1.0 / hw as f32;
-    let mut out = vec![0.0f32; n * c];
-    for i in 0..n {
-        for ch in 0..c {
-            let base = (i * c + ch) * hw;
-            let mut acc = 0.0f32;
-            for &v in &x.data()[base..base + hw] {
-                acc += v;
-            }
-            out[i * c + ch] = acc * inv;
-        }
-    }
-    Tensor::from_vec(vec![n, c], out)
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -250,30 +175,39 @@ macro_rules! to_f32 {
 to_f32!(f32, i32, i64);
 
 /// What an arithmetic reads and sums in: the lane type activation codes are
-/// emitted in, its accumulator and column-sum types, and where its
-/// activations come from. A GEMM's [`Route`] and a depthwise layer's
-/// [`Tier`] build on it.
+/// emitted in, its accumulator and column-sum types, and how a sample lands
+/// in its operand. A GEMM's [`Route`] and a depthwise layer's [`Tier`] build
+/// on it.
 pub(crate) trait Operands: Sync {
-    type Lane: EmitLane + Into<Self::Cs>;
-    type Acc: ToF32 + Default;
-    type Cs: ToF32 + Default + Copy + Send + Sync + Sum + AddAssign;
+    type Lane: EmitLane + Pooled + Into<Self::Cs>;
+    type Acc: ToF32 + Pooled;
+    type Cs: ToF32 + Pooled + Sum + AddAssign;
+    /// Whether the operand holds the activations themselves (the f32
+    /// fallback) rather than codes.
+    const VALUES: bool = false;
 
-    /// The batch's activations as this arithmetic's operands read them:
-    /// codes on each sample's grid unless it says otherwise.
-    fn source<'x>(k: &Kernels, x: &'x [f32], n: usize, rule: ActRule) -> Source<'x, Self::Lane> {
-        Source::codes(k, x, n, rule)
+    /// `x` as an operand as it stands, where this arithmetic reads values.
+    fn values(_: &[f32]) -> Option<&[Self::Lane]> {
+        None
+    }
+
+    /// Writes `src`, values of sample `i` of `feed`, into `dst` in `layout`:
+    /// their codes on the sample's grid, in this arithmetic's lanes.
+    fn emit(feed: &Feed, i: usize, src: &[f32], dst: &mut [Self::Lane], layout: Layout) {
+        let emit = Self::Lane::emitter(feed.k);
+        emit(&feed.grid(i), src, dst, layout.canonical::<Self::Lane>());
     }
 }
 
-/// One arithmetic of the GEMM driver ([`gemm_int`]): a [`Fused`] flavour on
+/// One arithmetic of the GEMM driver ([`gemm`]): a [`Fused`] flavour on
 /// the pack-time weight words, the 16-bit layers' [`TierI64`], or the f32
 /// fallback. Every integer route computes the *same exact value*, whatever
 /// its order, batch packing or thread count.
 pub(crate) trait Route: Operands {
     /// A layer's weight-row kernel, out of one kernel table.
     type Kernel<'g>: Copy + Sync;
-    /// A worker's scratch across its run of rows.
-    type Scratch: Default;
+    /// What a worker's [`Self::step`] works in beside its accumulators.
+    type Spare: Pooled;
     /// Reduction rows per pack-time weight word: the lanes of a column that
     /// sit adjacent in the column kernels' operand (1: plain `[q, l]` rows).
     const GROUP: usize = 1;
@@ -281,18 +215,27 @@ pub(crate) trait Route: Operands {
     /// accumulator is off by `WEIGHT_BIAS · colsum` per column.
     const WEIGHT_BIAS: i32 = 0;
 
-    /// Table `k`'s kernel for layer `g`'s GEMM over `n` samples of `p`
-    /// columns and the interleave group of its operand: [`Self::GROUP`] for
-    /// the column-block kernels, the whole reduction (zero-padded to their
-    /// vector step) for the thin ones — every column contiguous.
-    fn route<'g>(k: &Kernels, g: &'g PackedGemm, np: (usize, usize)) -> (Self::Kernel<'g>, usize);
+    /// The interleave group of layer `g`'s operand with `lanes` in its
+    /// lanes: [`Self::GROUP`] for the column-block kernels, the whole
+    /// reduction (zero-padded to their vector step) for the thin ones.
+    fn group(_: &PackedGemm, _: Lanes) -> usize {
+        Self::GROUP
+    }
+    /// Table `k`'s kernel for layer `g` with `lanes` in its lanes.
+    fn kernel<'g>(k: &Kernels, g: &'g PackedGemm, lanes: Lanes) -> Self::Kernel<'g>;
+    /// Spare lanes [`Self::step`] needs over `l` columns.
+    fn spare(_: Self::Kernel<'_>, _: usize) -> usize {
+        0
+    }
     /// `acc` = weight row `row` times `block`, one group's operand, exactly
-    /// (`cs`: the block's column sums where needed).
+    /// (`cs`: the block's column sums where needed); `held` is the worker's
+    /// note of what its spare lanes hold, `None` at the start of a run.
     fn step(
         kernel: Self::Kernel<'_>,
         row: usize,
         block_cs: (&[Self::Lane], &[Self::Cs]),
-        scratch: &mut Self::Scratch,
+        spare: &mut [Self::Spare],
+        held: &mut Option<(usize, usize)>,
         acc: &mut [Self::Acc],
     );
 
@@ -337,20 +280,20 @@ macro_rules! operands {
 
 /// Bound < 2^24: exact f32 lanes (vectorize on baseline x86-64, which has no
 /// packed i32 multiply). Depthwise taps only.
-struct TierF32;
+pub(crate) struct TierF32;
 /// Bound ≤ i32::MAX / 2: native i32. Depthwise taps only.
-struct TierI32;
+pub(crate) struct TierI32;
 /// Anything wider: 12/16-bit depthwise taps, and the 16-bit GEMMs, whose
 /// activation codes fit no i16 lane — the one route that decodes a weight
-/// row per matrix.
-struct TierI64;
-/// The f32 fallback ([`Arith::F32`]: full precision, raw-input stems, 17–31
-/// bits): real-valued [`Storage::F32`] weights, read in place, against the
-/// activations themselves, fake-quantized where a grid applies, at unit
-/// scale ([`Source::values`]). Each output is one chain over the reduction
-/// in ascending order, started at `+0.0`, zero weights skipped —
-/// `Tensor::matmul`'s order, which no column count or batch changes.
-struct DenseF32;
+/// row per block.
+pub(crate) struct TierI64;
+/// The f32 fallback ([`crate::route::Arith::F32`]: full precision, raw-input
+/// stems, 17–31 bits): real-valued [`Storage::F32`] weights, read in place,
+/// against the activations themselves, fake-quantized where a grid applies,
+/// at unit scale. Each output is one chain over the reduction in ascending
+/// order, started at `+0.0`, zero weights skipped — `Tensor::matmul`'s
+/// order, which no column count or batch changes.
+pub(crate) struct DenseF32;
 
 // The i32-lane tiers' column sums are i64 (cheap next to the multiplies).
 operands!(TierF32: (f32, f32, f32), TierI32: (i32, i32, i64), TierI64: (i32, i64, i64));
@@ -398,22 +341,22 @@ impl Route for TierI64 {
         usize,
     );
     /// The decoded weight row.
-    type Scratch = Vec<i32>;
+    type Spare = i32;
 
-    fn route<'g>(k: &Kernels, g: &'g PackedGemm, _: (usize, usize)) -> (Self::Kernel<'g>, usize) {
-        (
-            ((k.decode_row_i32, k.accumulate_i64), &g.storage, g.cols),
-            1,
-        )
+    fn kernel<'g>(k: &Kernels, g: &'g PackedGemm, _: Lanes) -> Self::Kernel<'g> {
+        ((k.decode_row_i32, k.accumulate_i64), &g.storage, g.cols)
+    }
+    fn spare((_, _, q): Self::Kernel<'_>, _: usize) -> usize {
+        q
     }
     fn step(
         ((decode, accumulate), storage, q): Self::Kernel<'_>,
         row: usize,
         (block, _): (&[i32], &[i64]),
-        wrow: &mut Vec<i32>,
+        wrow: &mut [i32],
+        _: &mut Option<(usize, usize)>,
         acc: &mut [i64],
     ) {
-        wrow.resize(q, 0);
         decode(storage, row, q, wrow);
         acc.fill(0);
         accumulate(acc, wrow, block);
@@ -424,9 +367,37 @@ impl Operands for DenseF32 {
     type Lane = f32;
     type Acc = f32;
     type Cs = f32;
+    const VALUES: bool = true;
 
-    fn source<'x>(_: &Kernels, x: &'x [f32], n: usize, rule: ActRule) -> Source<'x, f32> {
-        Source::values(x, n, rule)
+    fn values(x: &[f32]) -> Option<&[f32]> {
+        Some(x)
+    }
+
+    /// The values as they stand (`feed` holds them fake-quantized where a
+    /// grid applies): `dst[r·pitch + k·step] = src[r·width + k]`, the longer
+    /// of the two axes innermost.
+    fn emit(_: &Feed, _: usize, src: &[f32], dst: &mut [f32], layout: Layout) {
+        let (width, pitch, step) = match layout.canonical::<f32>() {
+            Layout::Rows { width, pitch } => (width, pitch, 1),
+            Layout::Transposed { width, pitch } => (width, 1, pitch),
+            Layout::Words { .. } => unreachable!("one-lane words are rows"),
+        };
+        if src.len() / width > width {
+            for k in 0..width {
+                let to = dst[k * step..].iter_mut().step_by(pitch);
+                to.zip(src[k..].iter().step_by(width))
+                    .for_each(|(o, &v)| *o = v);
+            }
+        } else if step == 1 {
+            for (r, row) in src.chunks(width).enumerate() {
+                dst[r * pitch..][..row.len()].copy_from_slice(row);
+            }
+        } else {
+            for (r, row) in src.chunks(width).enumerate() {
+                let to = dst[r..].iter_mut().step_by(step);
+                to.zip(row).for_each(|(o, &v)| *o = v);
+            }
+        }
     }
 }
 
@@ -445,7 +416,7 @@ impl Tier for DenseF32 {
 
 impl DenseF32 {
     /// Rows in the lanes: one register of f32 lanes on AVX2.
-    const ROWS: usize = 8;
+    pub(crate) const ROWS: usize = 8;
 }
 
 impl Route for DenseF32 {
@@ -453,18 +424,23 @@ impl Route for DenseF32 {
     /// lanes.
     type Kernel<'g> = (&'g [f32], usize, bool);
     /// With the rows in the lanes: the chains of the last block of
-    /// [`Self::ROWS`] rows, and which (first row, operand) they are for.
-    type Scratch = (Vec<f32>, Option<(usize, *const f32)>);
+    /// [`Self::ROWS`] rows, for the (first row, operand) `held` names.
+    type Spare = f32;
 
-    fn route<'g>(
-        _: &Kernels,
-        g: &'g PackedGemm,
-        (_, p): (usize, usize),
-    ) -> (Self::Kernel<'g>, usize) {
+    /// The rows go in the lanes where a sample's output map cannot fill a
+    /// register ([`Self::step`]).
+    fn kernel<'g>(_: &Kernels, g: &'g PackedGemm, lanes: Lanes) -> Self::Kernel<'g> {
         let Storage::F32(w) = &g.storage else {
             unreachable!("Arith::of routes only f32 storage here");
         };
-        ((w, g.cols, p < Self::ROWS), 1)
+        (w, g.cols, lanes == Lanes::Reduction)
+    }
+    fn spare((_, _, thin): Self::Kernel<'_>, l: usize) -> usize {
+        if thin {
+            Self::ROWS * l
+        } else {
+            0
+        }
     }
     /// The columns go in the lanes, one row at a time, zero weights
     /// skipped — where a sample's output map fills a register. Where it
@@ -472,17 +448,18 @@ impl Route for DenseF32 {
     /// wait on its adder at small batch, so the rows go in the lanes: the
     /// first row asked for of each aligned block of [`Self::ROWS`] reduces
     /// the whole block — per column, lane `r` of its `[f32; ROWS]` in the
-    /// scratch is row `b + r`'s chain, a short last block running its final
-    /// row in the spare lanes — and the block's other rows are read back
-    /// from it. There zero activations are skipped, one test per column. On
-    /// finite values either skip drops only `±0.0` terms, which leave a
-    /// chain started at `+0.0` alone; the choice is the layer's geometry,
-    /// never its batch.
+    /// spare lanes is row `b + r`'s chain, a short last block running its
+    /// final row in the spare lanes — and the block's other rows are read
+    /// back from it. There zero activations are skipped, one test per
+    /// column. On finite values either skip drops only `±0.0` terms, which
+    /// leave a chain started at `+0.0` alone; the choice is the layer's
+    /// geometry, never its batch.
     fn step(
         (w, q, thin): Self::Kernel<'_>,
         row: usize,
         (block, _): (&[f32], &[f32]),
-        (chains, held): &mut Self::Scratch,
+        chains: &mut [f32],
+        held: &mut Option<(usize, usize)>,
         acc: &mut [f32],
     ) {
         let l = block.len() / q;
@@ -498,11 +475,10 @@ impl Route for DenseF32 {
             return;
         }
         let b = row / Self::ROWS * Self::ROWS;
-        if *held != Some((b, block.as_ptr())) {
+        let (chains, _) = chains.as_chunks_mut::<{ Self::ROWS }>();
+        if *held != Some((b, block.as_ptr() as usize)) {
             let rows = Self::ROWS.min(w.len() / q - b);
-            chains.clear();
-            chains.resize(Self::ROWS * l, 0.0);
-            let (chains, _) = chains.as_chunks_mut::<{ Self::ROWS }>();
+            chains.fill([0.0; Self::ROWS]);
             for (p, arow) in block.chunks_exact(l).enumerate() {
                 let wp: [f32; Self::ROWS] =
                     std::array::from_fn(|r| w[(b + r.min(rows - 1)) * q + p]);
@@ -512,9 +488,8 @@ impl Route for DenseF32 {
                     }
                 }
             }
-            *held = Some((b, block.as_ptr()));
+            *held = Some((b, block.as_ptr() as usize));
         }
-        let (chains, _) = chains.as_chunks::<{ Self::ROWS }>();
         for (o, lanes) in acc.iter_mut().zip(chains) {
             *o = lanes[row - b];
         }
@@ -524,7 +499,7 @@ impl Route for DenseF32 {
 /// A depthwise layer's pack-time tap table.
 fn tap_table(g: &PackedGemm) -> &Taps {
     let KernelWeights::Taps(taps) = &g.kernel else {
-        unreachable!("exec_int routes only layers with a tap table here");
+        unreachable!("the plan routes only layers with a tap table here");
     };
     taps
 }
@@ -606,206 +581,185 @@ pub(crate) fn accumulate_i64_scalar(acc: &mut [i64], wrow: &[i32], acts: &[i32])
 }
 
 // ---------------------------------------------------------------------------
-// Batched execution
+// Operands
 // ---------------------------------------------------------------------------
 
-/// A batch's activations as a route's operand builders read them — what
-/// [`Route::source`] answers: the values its emitter lays out, and each
-/// sample's activation scale.
-pub(crate) struct Source<'x, L> {
-    values: Cow<'x, [f32]>,
-    scales: Vec<f32>,
-    /// Writes sample `i`'s values `src` into `dst` in a [`Layout`].
-    #[allow(clippy::type_complexity)]
-    emit: Box<dyn Fn(usize, &[f32], &mut [L], Layout) + Sync + 'x>,
-    /// Values in lanes `L` where they are an operand as they stand (the f32
-    /// fallback's), else `None`.
-    direct: fn(&[f32]) -> Option<&[L]>,
+/// A step's input: `n` samples of `x` on table `k`, quantized by `rule`, and
+/// each sample's max-abs as its producer recorded it (read only by SBM).
+#[derive(Clone, Copy)]
+pub(crate) struct Input<'a> {
+    pub(crate) k: &'static Kernels,
+    pub(crate) x: &'a [f32],
+    pub(crate) n: usize,
+    pub(crate) maxes: &'a [f32],
+    pub(crate) rule: ActRule,
 }
 
-impl<'x, L: EmitLane> Source<'x, L> {
-    /// The integer routes' source: codes on each sample's activation grid —
-    /// its own, or the whole batch's under [`ActQuant::PerBatch`] — through
-    /// table `k`'s max-abs and emitter, every layout handed to it as
-    /// [`Layout::canonical`].
-    fn codes(k: &Kernels, x: &'x [f32], n: usize, rule: ActRule) -> Self {
-        let grid_of = |src: &[f32]| {
-            let grid = rule
-                .quantizer
-                .activation_grid_with(src, rule.bits, k.max_abs);
-            grid.expect("integer storage implies quantized activations")
-        };
-        let len = x.len() / n;
-        let grids = match rule.aq {
-            ActQuant::PerBatch => vec![grid_of(x); n],
-            ActQuant::PerSample => (0..n).map(|i| grid_of(&x[i * len..][..len])).collect(),
-        };
-        let (scales, emit) = (
-            grids.iter().map(ActivationGrid::scale).collect(),
-            L::emitter(k),
-        );
-        Source {
-            values: Cow::Borrowed(x),
-            scales,
-            emit: Box::new(move |i, src, dst, layout| {
-                emit(&grids[i], src, dst, layout.canonical::<L>());
-            }),
-            direct: |_| None,
-        }
-    }
-
-    /// The batch's values, sample-major and contiguous, in lanes `L` — what
-    /// `im2col` unfolds for a conv with a real kernel window.
-    fn contiguous(&self) -> Cow<'_, [L]> {
-        let (x, n) = (&self.values[..], self.scales.len());
-        if let Some(x) = (self.direct)(x) {
-            return Cow::Borrowed(x);
-        }
-        let len = (x.len() / n).max(1);
-        let mut out = vec![L::default(); x.len()];
-        gate(x.len() >= PAR_FLOP_THRESHOLD, || {
-            par_chunks_mut(&mut out, len, |i, dst| {
-                let (width, pitch) = (len, len);
-                let src = &x[i * len..(i + 1) * len];
-                (self.emit)(i, src, dst, Layout::Rows { width, pitch });
-            })
-        });
-        Cow::Owned(out)
-    }
+/// A step's input as its operand builders read it ([`Operands::emit`]): per
+/// sample the grid its codes are emitted on, built from the recorded max-abs
+/// — the whole batch's largest under [`ActQuant::PerBatch`] — or, on the f32
+/// fallback, the values themselves, fake-quantized where a grid applies.
+pub(crate) struct Feed<'a> {
+    k: &'static Kernels,
+    x: &'a [f32],
+    n: usize,
+    maxes: &'a [f32],
+    batch: Option<f32>,
+    rule: ActRule,
 }
 
-impl<'x> Source<'x, f32> {
-    /// The f32 fallback's source ([`DenseF32`]): the values themselves,
-    /// fake-quantized on each sample's grid — the whole batch's under
-    /// [`ActQuant::PerBatch`] — where one applies (uncopied where none
-    /// does), at unit scale, copied into whatever layout the operand has.
-    fn values(x: &'x [f32], n: usize, rule: ActRule) -> Self {
-        let (bits, quantizer) = (rule.bits, rule.quantizer);
-        let values = if bits.is_full_precision() || matches!(quantizer, Quantizer::Identity) {
-            Cow::Borrowed(x)
+impl<'a> Feed<'a> {
+    /// Arena lanes [`Self::new`] takes for route `R`.
+    fn need<R: Operands>(input: &Input) -> Needs {
+        let values = if R::VALUES && input.rule.quantizes() {
+            input.x.len()
         } else {
-            let len = match rule.aq {
-                ActQuant::PerBatch => x.len(),
-                ActQuant::PerSample => x.len() / n,
-            };
-            let mut xq = x.to_vec();
-            for slice in xq.chunks_mut(len.max(1)) {
-                quantizer.quantize_activations_in_place(slice, bits);
-            }
-            Cow::Owned(xq)
+            0
         };
-        // `dst[r·pitch + k·step] = src[r·width + k]`, the longer of the two
-        // axes innermost.
-        let copy = |_: usize, src: &[f32], dst: &mut [f32], layout: Layout| {
-            let (width, pitch, step) = match layout.canonical::<f32>() {
-                Layout::Rows { width, pitch } => (width, pitch, 1),
-                Layout::Transposed { width, pitch } => (width, 1, pitch),
-                Layout::Words { .. } => unreachable!("one-lane words are rows"),
-            };
-            if src.len() / width > width {
-                for k in 0..width {
-                    let to = dst[k * step..].iter_mut().step_by(pitch);
-                    to.zip(src[k..].iter().step_by(width))
-                        .for_each(|(o, &v)| *o = v);
-                }
-            } else if step == 1 {
-                for (r, row) in src.chunks(width).enumerate() {
-                    dst[r * pitch..][..row.len()].copy_from_slice(row);
-                }
-            } else {
-                for (r, row) in src.chunks(width).enumerate() {
-                    let to = dst[r..].iter_mut().step_by(step);
-                    to.zip(row).for_each(|(o, &v)| *o = v);
-                }
-            }
-        };
-        let (scales, emit) = (vec![1.0; n], Box::new(copy));
-        Source {
-            values,
-            scales,
-            emit,
-            direct: |x| Some(x),
-        }
+        Needs::default().with::<f32>(input.n + values)
     }
-}
 
-/// Whether a conv's patch matrix is its input: a 1×1, stride-1, unpadded
-/// window, whose operand is emitted straight from the sample planes.
-fn is_pointwise(g: &ConvGeom) -> bool {
-    g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
+    /// Route `R`'s feed of `input` and each sample's activation scale, out
+    /// of `c` (the f32 fallback's fake-quantized values, and the scales).
+    fn new<R: Operands>(input: Input<'a>, c: &mut Carve<'a>) -> (Self, &'a [f32]) {
+        let (n, rule) = (input.n, input.rule);
+        let batch = (rule.aq == ActQuant::PerBatch).then(|| {
+            let m = input.maxes[..n].iter();
+            m.fold(0.0f32, |m, &v| m.max(v))
+        });
+        let mut feed = Feed {
+            k: input.k,
+            x: input.x,
+            n,
+            maxes: input.maxes,
+            batch,
+            rule,
+        };
+        let scales = c.take::<f32>(n);
+        if !R::VALUES {
+            for (i, s) in scales.iter_mut().enumerate() {
+                *s = feed.grid(i).scale();
+            }
+        } else {
+            scales.fill(1.0);
+            if rule.quantizes() {
+                let values = c.take::<f32>(input.x.len());
+                values.copy_from_slice(input.x);
+                let len = match rule.aq {
+                    ActQuant::PerBatch => values.len(),
+                    ActQuant::PerSample => values.len() / n,
+                };
+                for slice in values.chunks_mut(len.max(1)) {
+                    rule.quantizer
+                        .quantize_activations_in_place(slice, rule.bits);
+                }
+                feed.x = values;
+            }
+        }
+        (feed, scales)
+    }
+
+    /// Sample `i`'s values.
+    fn sample(&self, i: usize) -> &'a [f32] {
+        let len = self.x.len() / self.n;
+        &self.x[i * len..][..len]
+    }
+
+    /// Sample `i`'s grid: its own max-abs or the batch's.
+    fn grid(&self, i: usize) -> ActivationGrid {
+        let max = self.batch.unwrap_or_else(|| self.maxes[i]);
+        let grid = self
+            .rule
+            .quantizer
+            .activation_grid_with(&[], self.rule.bits, |_| max);
+        grid.expect("integer storage implies quantized activations")
+    }
 }
 
 /// Bytes one group's patch matrix may span: every weight row streams it
 /// once, so it has to stay in L1 between rows, beside the accumulators and
 /// the row's weights — half of a 32 KiB L1 (24 KiB already measured slower
 /// than per-sample matrices on 12 KiB-per-sample i16 layers).
-const PATCH_BLOCK_BYTES: usize = 16 << 10;
+pub(crate) const PATCH_BLOCK_BYTES: usize = 16 << 10;
 
-/// Runs a dense conv's GEMM over the batch, operand lanes `L`: `f(samples,
-/// out)` builds the operand of a block of whole samples — their `[cols,
-/// m·p]` patch matrix per group, in whatever layout the kernel reads — and
-/// multiplies it into their `[.., k, p]` slab of the result. The whole batch
-/// is one block while a group's `[cols, n·p]` operand fits
-/// [`PATCH_BLOCK_BYTES`] — the kernel then runs once per weight row over
-/// every sample's pixels, and `f` splits its rows over the thread budget;
-/// larger layers go in blocks of whole samples (down to one, where a lone
-/// sample already fills the cache), and the blocks are what runs in
-/// parallel. Samples never share a column, so the blocking is invisible in
-/// the result.
-fn conv_blocks<L>(
-    gemm: &PackedGemm,
-    g: &ConvGeom,
-    n: usize,
-    f: impl Fn(Range<usize>, &mut [f32]) + Sync,
-) -> Vec<f32> {
-    let (k, q, p) = (gemm.rows, gemm.cols, g.oh * g.ow);
-    let per_block = (PATCH_BLOCK_BYTES / (q * p * std::mem::size_of::<L>()).max(1)).clamp(1, n);
-    let mut out = vec![0.0f32; n * k * p];
-    gate(2 * n * k * q * p >= PAR_FLOP_THRESHOLD, || {
-        par_chunks_mut(&mut out, (per_block * k * p).max(1), |bi, slab| {
-            f(bi * per_block..bi * per_block + slab.len() / (k * p), slab);
-        })
-    });
-    out
+/// The workers a region of `units` independent units runs on: the thread
+/// budget's where `parallel`, else one.
+fn workers(parallel: bool, units: usize) -> usize {
+    if parallel {
+        max_threads().min(units).max(1)
+    } else {
+        1
+    }
 }
 
-/// Drives a GEMM whose `[n, k, p]` output is `out`, weight row by weight
-/// row: `kernel(row, scratch)` reduces row `row` over all `n·p` columns,
-/// then `store(row, scratch, at, runs)` writes every sample's `p` outputs of
-/// that row, sample `i`'s to `runs[i][at]`. Each worker owns one contiguous
-/// run of rows — in every sample the matching slab of `out`, its `runs` —
-/// and one `scratch()` value for the whole run; rows are disjoint and
-/// indexed, so the result is independent of the thread count (one worker
-/// below [`PAR_FLOP_THRESHOLD`] `flops`).
-fn par_rows<S>(
-    out: &mut [f32],
-    (k, p): (usize, usize),
-    flops: usize,
-    scratch: impl Fn() -> S + Sync,
-    kernel: impl Fn(usize, &mut S) + Sync,
-    store: impl Fn(usize, &S, Range<usize>, &mut [&mut [f32]]) + Sync,
+/// The first `len` lanes of `s`, which keeps the rest.
+pub(crate) fn cut<'a, T>(s: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(s).split_at_mut(len);
+    *s = tail;
+    head
+}
+
+/// Runs `f(first, run, scratch)` over `workers` runs of whole `chunk`s of
+/// `out` — `first` the run's first chunk — each with its own `scratch()`: in
+/// parallel above one worker, else once over all of `out`. Runs are
+/// disjoint and indexed, so the result is independent of the split.
+fn fan<T: Send, W: Send>(
+    out: &mut [T],
+    chunk: usize,
+    workers: usize,
+    mut scratch: impl FnMut() -> W,
+    f: impl Fn(usize, &mut [T], W) + Sync,
 ) {
-    if out.is_empty() {
-        return;
+    if workers <= 1 || out.is_empty() {
+        return f(0, out, scratch());
     }
-    gate(flops >= PAR_FLOP_THRESHOLD, || {
-        let per_worker = k.div_ceil(max_threads());
-        let mut work: Vec<Vec<&mut [f32]>> = Vec::new();
-        work.resize_with(k.div_ceil(per_worker), Vec::new);
-        for sample in out.chunks_mut(k * p) {
-            for (runs, run) in work.iter_mut().zip(sample.chunks_mut(per_worker * p)) {
-                runs.push(run);
+    let per = out.len().div_ceil(chunk).div_ceil(workers);
+    let mut work: Vec<_> = out
+        .chunks_mut(per * chunk)
+        .map(|r| Some((r, scratch())))
+        .collect();
+    par_chunks_mut(&mut work, 1, |w, item| {
+        let (run, scratch) = item[0].take().expect("one item per worker");
+        f(w * per, run, scratch);
+    });
+}
+
+/// Zeroes the lanes of a `[rows, ncols]` operand block in interleave group
+/// `ig` that no row fills — the last group's missing rows, which column sums
+/// read and kernels multiply — so no lane keeps what the arena held.
+fn zero_padding<L: Copy + Default>(block: &mut [L], rows: usize, ig: usize, ncols: usize) {
+    let (last, filled) = (rows / ig, rows % ig);
+    if filled > 0 {
+        for j in 0..ncols {
+            block[(last * ncols + j) * ig + filled..][..ig - filled].fill(L::default());
+        }
+    }
+}
+
+/// Writes one sample's patch-matrix columns `j0..j0 + p` into every group's
+/// block of `operand`, `nq` groups of `ig` rows apiece, through the plan's
+/// `window`: per group and row group, the `p·ig` lanes `(qi·ncols + j0 +
+/// pix)·ig + t` — contiguous — are `src[window[..]]`, where an index past
+/// `src` (the padding, and the missing rows of a last group) reads a zero.
+fn unfold<L: Copy + Default>(
+    window: &[u32],
+    src: &[L],
+    operand: &mut [L],
+    (nq, ig, p): (usize, usize, usize),
+    (ncols, j0): (usize, usize),
+) {
+    let run = p * ig;
+    for (table, blk) in window
+        .chunks(nq * run)
+        .zip(operand.chunks_mut(nq * ig * ncols))
+    {
+        for (qi, table) in table.chunks(run).enumerate() {
+            let dst = &mut blk[(qi * ncols + j0) * ig..][..run];
+            for (o, &at) in dst.iter_mut().zip(table) {
+                *o = src.get(at as usize).copied().unwrap_or_default();
             }
         }
-        par_chunks_mut(&mut work, 1, |wi, item| {
-            let (runs, mut s) = (&mut item[0], scratch());
-            for j in 0..runs[0].len() / p {
-                let row = wi * per_worker + j;
-                kernel(row, &mut s);
-                store(row, &s, j * p..(j + 1) * p, runs);
-            }
-        });
-    });
+    }
 }
 
 /// The affine dequantization of the crate docs for one weight row, `(A, B,
@@ -832,45 +786,75 @@ impl Affine {
     }
 }
 
-/// [`Affine`] over one weight row of a GEMM: sample `i`'s accumulators
-/// `acc[i·p..(i+1)·p]` (`p = at.len()`) dequantize into `runs[i][at]` with
-/// that sample's scale, the colsum term only where the layer carries an
-/// offset (`cs` is `Some`).
+/// `|v|` as [`Kernels::max_abs`] orders it: the bits with the sign cleared,
+/// every NaN as `+0.0` — an integer max is then the max-abs, in any order.
+#[inline(always)]
+pub(crate) fn mag(v: f32) -> i32 {
+    let b = (v.to_bits() & 0x7fff_ffff) as i32;
+    if b > f32::INFINITY.to_bits() as i32 {
+        0
+    } else {
+        b
+    }
+}
+
+/// Folds the per-worker [`mag`] maxima `mx`, `n = maxes.len()` lanes a
+/// worker, into each sample's max-abs.
+pub(crate) fn fold_maxes(mx: &[i32], maxes: &mut [f32]) {
+    let n = maxes.len();
+    for (i, m) in maxes.iter_mut().enumerate() {
+        let b = mx.iter().skip(i).step_by(n).fold(0, |a, &b| a.max(b));
+        *m = f32::from_bits(b as u32);
+    }
+}
+
+/// The epilogue of one weight row: [`Affine`] over sample `i`'s accumulators
+/// `acc[i·p..(i+1)·p]` with that sample's scale, the colsum term only where
+/// the layer carries an offset (`cs` is `Some`), through the folded
+/// activation `fold`, stored at `out[at + i·step..][..p]` — and each stored
+/// value's [`mag`] into the sample's running max `mx[i]`.
+#[allow(clippy::too_many_arguments)]
 fn dequant<A: ToF32, C: ToF32>(
     g: &PackedGemm,
     row: usize,
     scales: &[f32],
     acc: &[A],
     cs: Option<&[C]>,
-    at: Range<usize>,
-    runs: &mut [&mut [f32]],
+    fold: Activation,
+    (out, (at, step)): (&mut [f32], (usize, usize)),
+    mx: &mut [i32],
 ) {
-    let (f, p) = (Affine::of(g, row), at.len());
-    if p == 1 {
-        // A linear layer: one output per sample, stored at stride `rows`.
-        for (i, (run, &sa)) in runs.iter_mut().zip(scales).enumerate() {
-            run[at.start] = match cs {
-                Some(cs) => f.offset(sa, acc[i], cs[i]),
-                None => f.plain(sa, acc[i]),
-            };
+    let (f, p) = (Affine::of(g, row), acc.len() / scales.len());
+    folded!(fold, |fold| {
+        if p == 1 {
+            // A linear layer: one output per sample, at stride `step`.
+            for (i, ((&sa, &v), m)) in scales.iter().zip(acc).zip(mx).enumerate() {
+                let y = fold(cs.map_or_else(|| f.plain(sa, v), |cs| f.offset(sa, v, cs[i])));
+                out[at + i * step] = y;
+                *m = (*m).max(mag(y));
+            }
+            return;
         }
-        return;
-    }
-    for (i, (run, &sa)) in runs.iter_mut().zip(scales).enumerate() {
-        let (seg, acc) = (&mut run[at.clone()], &acc[i * p..(i + 1) * p]);
-        match cs {
-            Some(cs) => {
-                for ((o, &v), &c) in seg.iter_mut().zip(acc).zip(&cs[i * p..]) {
-                    *o = f.offset(sa, v, c);
+        for ((i, &sa), m) in scales.iter().enumerate().zip(mx) {
+            let (seg, acc) = (&mut out[at + i * step..][..p], &acc[i * p..][..p]);
+            let mut hi = *m;
+            match cs {
+                Some(cs) => {
+                    for ((o, &v), &c) in seg.iter_mut().zip(acc).zip(&cs[i * p..]) {
+                        *o = fold(f.offset(sa, v, c));
+                        hi = hi.max(mag(*o));
+                    }
+                }
+                None => {
+                    for (o, &v) in seg.iter_mut().zip(acc) {
+                        *o = fold(f.plain(sa, v));
+                        hi = hi.max(mag(*o));
+                    }
                 }
             }
-            None => {
-                for (o, &v) in seg.iter_mut().zip(acc) {
-                    *o = f.plain(sa, v);
-                }
-            }
+            *m = hi;
         }
-    }
+    })
 }
 
 /// Maps a weight row of a `k`-row layer to its group; the usual ungrouped
@@ -880,226 +864,381 @@ fn group_of(k: usize, groups: usize) -> impl Fn(usize) -> usize {
     move |row| if groups == 1 { 0 } else { row / kg }
 }
 
+// ---------------------------------------------------------------------------
+// The GEMM driver
+// ---------------------------------------------------------------------------
+
+/// A dense conv — a linear is the 1×1 conv on a 1×1 map — as the plan
+/// compiled it for one batch size.
+pub(crate) struct GemmStep {
+    pub(crate) gemm: Arc<PackedGemm>,
+    pub(crate) geom: ConvGeom,
+    pub(crate) groups: usize,
+    /// What the kernel's lanes hold ([`crate::route::Arith::gemm_lanes`]).
+    pub(crate) lanes: Lanes,
+    /// The operand's interleave group ([`Route::group`]).
+    pub(crate) ig: usize,
+    /// Samples per operand block: the whole batch while a group's operand
+    /// fits [`PATCH_BLOCK_BYTES`], else down to one.
+    pub(crate) per_block: usize,
+    /// A windowed conv's patch matrix as sources, in operand order `[group,
+    /// row group, pixel, row in group]`: each lane's index into one sample's
+    /// codes, past them where the lane is a zero ([`unfold`]); empty for a
+    /// 1×1, stride-1, unpadded conv, whose planes are its operand.
+    pub(crate) window: Vec<u32>,
+}
+
+/// One block worker's piece of the arena: its operand, a windowed conv's
+/// sample codes, and what [`gemm_rows`] works in.
+struct Work<'a, R: Route> {
+    operand: &'a mut [R::Lane],
+    src: &'a mut [R::Lane],
+    rows: Rows<'a, R>,
+}
+
+/// [`gemm_rows`]'s piece of the arena.
+struct Rows<'a, R: Route> {
+    cs: &'a mut [R::Cs],
+    acc: &'a mut [R::Acc],
+    spare: &'a mut [R::Spare],
+    tmp: &'a mut [f32],
+    /// [`mag`] maxima: the batch's samples, once per row worker.
+    mx: &'a mut [i32],
+}
+
+/// The one GEMM driver: step `s` on route `R` over `input` into the `[n, k,
+/// oh, ow]` `out`, each sample's max-abs into `maxes`. Per block of samples,
+/// the operand in the step's interleave group — a 1×1 conv's planes emitted
+/// straight into it, a windowed conv's sample codes gathered through its
+/// window — then [`gemm_rows`]; blocks run in parallel where a batch takes
+/// several.
+pub(crate) fn gemm<R: Route>(
+    s: &GemmStep,
+    input: Input,
+    (out, maxes): (&mut [f32], &mut [f32]),
+    pools: &mut Pools,
+    fold: Activation,
+) {
+    let (g, k, n) = (&*s.gemm, input.k, input.n);
+    let (rows, q, p, m) = (g.rows, g.cols, s.geom.oh * s.geom.ow, s.per_block);
+    let kernel = R::kernel(k, g, s.lanes);
+    let nblocks = n.div_ceil(m);
+    let wb = workers(2 * n * rows * q * p >= PAR_FLOP_THRESHOLD, nblocks);
+    let l = m * p;
+    let wr = match wb {
+        1 => workers(2 * rows * q * l >= PAR_FLOP_THRESHOLD, rows),
+        _ => 1,
+    };
+    let op = s.groups * q.div_ceil(s.ig) * s.ig * l;
+    let src = if s.window.is_empty() || R::VALUES {
+        0
+    } else {
+        input.x.len() / n
+    };
+    let cs = if R::WEIGHT_BIAS != 0 || g.has_offset {
+        s.groups * l
+    } else {
+        0
+    };
+    let (acc, spare, tmp) = (
+        wr * l,
+        wr * R::spare(kernel, l),
+        if wr > 1 { rows * l } else { 0 },
+    );
+    let need = Feed::need::<R>(&input)
+        .with::<R::Lane>(wb * (op + src))
+        .with::<R::Cs>(wb * cs)
+        .with::<R::Acc>(wb * acc)
+        .with::<R::Spare>(wb * spare)
+        .with::<f32>(wb * tmp)
+        .with::<i32>(wb * wr * n);
+    let mut c = pools.carve(&need);
+    let (feed, scales) = Feed::new::<R>(input, &mut c);
+    let mx = c.take::<i32>(wb * wr * n);
+    mx.fill(0);
+    let mut rest = &mut *mx;
+    let scratch = || Work::<R> {
+        operand: c.take(op),
+        src: c.take(src),
+        rows: Rows {
+            cs: c.take(cs),
+            acc: c.take(acc),
+            spare: c.take(spare),
+            tmp: c.take(tmp),
+            mx: cut(&mut rest, wr * n),
+        },
+    };
+    fan(out, m * rows * p, wb, scratch, |first, slab, mut w| {
+        for (bi, slab) in slab.chunks_mut(m * rows * p).enumerate() {
+            let at = (first + bi) * m..(first + bi) * m + slab.len() / (rows * p);
+            let (buf, src) = (&mut *w.operand, &mut *w.src);
+            let operand = timed_operand(|| operand::<R>(s, &feed, at.clone(), buf, src));
+            gemm_rows::<R>(
+                s,
+                kernel,
+                operand,
+                (at, p),
+                &scales,
+                slab,
+                fold,
+                &mut w.rows,
+                wr,
+            );
+        }
+    });
+    fold_maxes(mx, maxes);
+}
+
+/// Lays samples `at` of `feed` out as step `s`'s operand in `buf` (a
+/// windowed conv's sample codes through `src`), every lane written, and
+/// returns it.
+fn operand<'w, R: Route>(
+    s: &GemmStep,
+    feed: &Feed,
+    at: Range<usize>,
+    buf: &'w mut [R::Lane],
+    src: &mut [R::Lane],
+) -> &'w [R::Lane] {
+    let (ig, p, q) = (s.ig, s.geom.oh * s.geom.ow, s.gemm.cols);
+    let ncols = at.len() * p;
+    let block = q.div_ceil(ig) * ig * ncols;
+    let operand = &mut buf[..s.groups * block];
+    if s.window.is_empty() {
+        for blk in operand.chunks_mut(block) {
+            zero_padding(blk, q, ig, ncols);
+        }
+    }
+    for (i, si) in at.enumerate() {
+        let x = feed.sample(si);
+        if s.window.is_empty() {
+            // Each group's planes straight into its block, the sample at
+            // column `i·p`.
+            let layout = if ig == R::GROUP {
+                let (width, pitch) = (p, ncols * ig);
+                Layout::Words { width, pitch }
+            } else {
+                let (width, pitch) = (p, ig);
+                Layout::Transposed { width, pitch }
+            };
+            for (plane, blk) in x.chunks(q * p).zip(operand.chunks_mut(block)) {
+                R::emit(feed, si, plane, &mut blk[i * p * ig..], layout);
+            }
+        } else {
+            // The sample's codes once, then unfolded; the f32 fallback's
+            // values unfold as they stand.
+            let x = R::values(x).unwrap_or_else(|| {
+                let (width, pitch) = (x.len(), x.len());
+                R::emit(feed, si, x, src, Layout::Rows { width, pitch });
+                src
+            });
+            unfold(
+                &s.window,
+                x,
+                operand,
+                (q.div_ceil(ig), ig, p),
+                (ncols, i * p),
+            );
+        }
+    }
+    operand
+}
+
 /// The one row loop: route `R`'s GEMM over `operand` — per group a
-/// `[g.cols, l]` block in interleave group `ig`, sample `i` owning columns
-/// `i·p..` of the `l = n·p` — into the `[n, k, p]` result `out`, each
-/// sample's segment of a row dequantized with that sample's scale. The
-/// pack-time bounds hold at any batch size: batching adds GEMM *columns*,
-/// never reduction *length*.
+/// `[g.cols, l]` block in the step's interleave group, sample `at.start + i`
+/// owning columns `i·p..` of the `l = at.len()·p` — into the `[.., k, p]`
+/// result `out`, each sample's segment of a row dequantized with that
+/// sample's scale out of `scales`. One worker stores straight into `out`;
+/// several (`wr`) each own a run of rows, stored `[row, n, p]` in `w.tmp`
+/// and copied into place after. The pack-time bounds hold at any batch
+/// size: batching adds GEMM *columns*, never reduction *length*.
+#[allow(clippy::too_many_arguments)]
 fn gemm_rows<R: Route>(
-    g: &PackedGemm,
-    (kernel, ig): (R::Kernel<'_>, usize),
+    s: &GemmStep,
+    kernel: R::Kernel<'_>,
     operand: &[R::Lane],
-    groups: usize,
-    (n, p): (usize, usize),
+    (at, p): (Range<usize>, usize),
     scales: &[f32],
     out: &mut [f32],
+    fold: Activation,
+    w: &mut Rows<R>,
+    wr: usize,
 ) {
-    let (k, l, block) = (g.rows, n * p, operand.len() / groups);
-    let group = group_of(k, groups);
-    // The `-WEIGHT_BIAS·colsum` re-centering needs them even for symmetric
-    // codes, the offset dequant term for offset-carrying layers.
-    let need_cs = R::WEIGHT_BIAS != 0 || g.has_offset;
-    let mut colsums = vec![R::Cs::default(); if need_cs { groups * l } else { 0 }];
-    for (cs, b) in colsums.chunks_mut(l).zip(operand.chunks(block)) {
-        R::colsums(b, ig, cs);
+    let g = &*s.gemm;
+    let (k, l, block) = (g.rows, at.len() * p, operand.len() / s.groups);
+    let len = if w.cs.is_empty() { 0 } else { s.groups * l };
+    let cs = &mut w.cs[..len];
+    cs.fill(R::Cs::default());
+    for (cs, b) in cs.chunks_mut(l).zip(operand.chunks(block)) {
+        R::colsums(b, s.ig, cs);
     }
-    par_rows(
-        out,
-        (k, p),
-        2 * k * g.cols * l,
-        || (R::Scratch::default(), vec![R::Acc::default(); l]),
-        |row, (scratch, acc)| {
+    let (cs, group, scales) = (&*cs, group_of(k, s.groups), &scales[at.clone()]);
+    let run = |rows: Range<usize>,
+               out: &mut [f32],
+               acc: &mut [R::Acc],
+               spare: &mut [R::Spare],
+               mx: &mut [i32]| {
+        let (mut held, (pitch, step)) = (None, if wr > 1 { (l, p) } else { (p, k * p) });
+        for row in rows.clone() {
             let gi = group(row);
-            let at = (
+            let blk = (
                 &operand[gi * block..][..block],
-                colsums.get(gi * l..).unwrap_or_default(),
+                cs.get(gi * l..).unwrap_or_default(),
             );
-            R::step(kernel, row, at, scratch, acc);
-        },
-        |row, (_, acc), at, runs| {
-            let cs = g.has_offset.then(|| &colsums[group(row) * l..][..l]);
-            dequant(g, row, scales, acc, cs, at, runs);
-        },
-    );
-}
-
-/// The one GEMM driver: the dense conv `gemm` over the `n` samples of `x`,
-/// `[c, h, w]` apiece, on route `R` and table `k`, into the `[n, k, oh, ow]`
-/// result. Per block of samples ([`conv_blocks`]) the operand in the
-/// interleave group [`Route::route`] picks, from the route's [`Source`] — a
-/// pointwise layer's values emitted straight into it, any other conv's patch
-/// matrix unfolded from contiguous ones and interleaved — then
-/// [`gemm_rows`].
-fn gemm_int<R: Route>(
-    k: &Kernels,
-    gemm: &PackedGemm,
-    g: &ConvGeom,
-    groups: usize,
-    x: &[f32],
-    (n, c): (usize, usize),
-    rule: ActRule,
-) -> Vec<f32> {
-    let (p, chw, cg) = (g.oh * g.ow, c * g.h * g.w, c / groups);
-    let route @ (_, ig) = R::route(k, gemm, (n, p));
-    let src = timed_operand(|| R::source(k, x, n, rule));
-    let codes = (!is_pointwise(g)).then(|| timed_operand(|| src.contiguous()));
-    conv_blocks::<R::Lane>(gemm, g, n, |at, out| {
-        let m = at.len();
-        let planes = (src.direct)(&src.values[at.start * chw..at.end * chw]);
-        let operand = timed_operand(|| match (&codes, planes) {
-            // A lone sample's planes are its plain-row operand as they stand.
-            (None, Some(planes)) if m == 1 && ig == 1 => Cow::Borrowed(planes),
-            // Each sample's channel groups straight into their blocks, the
-            // sample at column `i·p` of each.
-            (None, _) => {
-                let block = cg.div_ceil(ig) * ig * m * p;
-                let layout = if ig == R::GROUP {
-                    let (width, pitch) = (p, m * p * ig);
-                    Layout::Words { width, pitch }
-                } else {
-                    let (width, pitch) = (p, ig);
-                    Layout::Transposed { width, pitch }
-                };
-                let mut operand = vec![R::Lane::default(); groups * block];
-                for (i, s) in at.clone().enumerate() {
-                    let planes = src.values[s * chw..(s + 1) * chw].chunks(cg * p);
-                    for (plane, dst) in planes.zip(operand.chunks_mut(block)) {
-                        (src.emit)(s, plane, &mut dst[i * p * ig..], layout);
-                    }
-                }
-                Cow::Owned(operand)
-            }
-            (Some(codes), _) => {
-                let cols = im2col_batch(&codes[at.start * chw..at.end * chw], m, c, g);
-                Cow::Owned(match ig {
-                    1 => cols,
-                    _ => interleave_blocks(&cols, groups, gemm.cols, m * p, ig),
-                })
-            }
-        });
-        gemm_rows::<R>(gemm, route, &operand, groups, (m, p), &src.scales[at], out)
-    })
-}
-
-/// A depthwise conv on tier `T` and table `k` over the `n` samples of `x`:
-/// the [`dw_operand`] for the layer's [`dw_lanes`], then [`Depthwise`].
-fn depthwise<T: Tier>(
-    k: &Kernels,
-    gemm: &PackedGemm,
-    g: &ConvGeom,
-    x: &[f32],
-    (n, c): (usize, usize),
-    rule: ActRule,
-) -> Vec<f32> {
-    let src = timed_operand(|| T::source(k, x, n, rule));
-    let (taps, lanes) = (T::taps(gemm), dw_lanes(g, k));
-    let operand = timed_operand(|| dw_operand(&src, c, g, lanes));
-    let (taps, operand, scales) = (&taps[..], &operand[..], &src.scales[..]);
-    Depthwise::<T> {
-        gemm,
-        taps,
-        g,
-        lanes,
-        operand,
-        scales,
+            R::step(kernel, row, blk, spare, &mut held, acc);
+            let cs = g.has_offset.then(|| &cs[gi * l..][..l]);
+            let to = ((row - rows.start) * pitch, step);
+            dequant(
+                g,
+                row,
+                scales,
+                acc,
+                cs,
+                fold,
+                (&mut *out, to),
+                &mut mx[at.start..],
+            );
+        }
+    };
+    let (sl, n) = (w.spare.len() / wr, w.mx.len() / wr);
+    if wr <= 1 {
+        return run(0..k, out, &mut w.acc[..l], &mut w.spare[..sl], w.mx);
     }
-    .run()
+    let (mut acc, mut spare, mut mx) = (&mut *w.acc, &mut *w.spare, &mut *w.mx);
+    let tmp = &mut w.tmp[..k * l];
+    let scratch = || (cut(&mut acc, l), cut(&mut spare, sl), cut(&mut mx, n));
+    fan(tmp, l, wr, scratch, |first, rows, (acc, spare, mx)| {
+        run(first..first + rows.len() / l, rows, acc, spare, mx);
+    });
+    for (row, samples) in tmp.chunks_exact(l).enumerate() {
+        for (i, seg) in samples.chunks_exact(p).enumerate() {
+            out[(i * k + row) * p..][..p].copy_from_slice(seg);
+        }
+    }
 }
 
-/// Lays a depthwise layer's `[n, c, h, w]` input out for `lanes`, the
-/// layer's [`dw_lanes`], decided once per execution (the active kernel table
-/// may change under a running forward; layout and kernel must agree): per
-/// sample `[h·w, c]` (channels in the lanes), or per plane a zero-padded
-/// `[h + 2·pad, w + 2·pad]` frame (pixels in the lanes), each sample's
-/// values — a plane's rows into a frame, or the whole sample transposed —
-/// written by `src`'s emitter.
-fn dw_operand<L: EmitLane>(src: &Source<L>, c: usize, g: &ConvGeom, lanes: Lanes) -> Vec<L> {
-    let (x, n) = (&src.values[..], src.scales.len());
-    let (hw, fw) = (g.h * g.w, g.w + 2 * g.pad);
+// ---------------------------------------------------------------------------
+// Depthwise
+// ---------------------------------------------------------------------------
+
+/// A depthwise conv (`groups == channels`) as the plan compiled it.
+pub(crate) struct DwStep {
+    pub(crate) gemm: Arc<PackedGemm>,
+    pub(crate) geom: ConvGeom,
+    /// Pixels or channels ([`crate::route::dw_lanes`]).
+    pub(crate) lanes: Lanes,
+}
+
+/// A depthwise conv on tier `T` over `input` into the `[n, c, oh, ow]`
+/// `out`, each sample's max-abs into `maxes`: the operand for the step's lanes — per plane a zero-padded `[h +
+/// 2·pad, w + 2·pad]` frame (pixels in the lanes), or per sample `[h·w, c]`
+/// (channels) — then [`Depthwise`], planes split over the workers.
+pub(crate) fn depthwise<T: Tier>(
+    s: &DwStep,
+    input: Input,
+    (out, maxes): (&mut [f32], &mut [f32]),
+    pools: &mut Pools,
+    fold: Activation,
+) {
+    let (g, gemm, n) = (&s.geom, &*s.gemm, input.n);
+    let (c, p, hw, fw) = (gemm.rows, g.oh * g.ow, g.h * g.w, g.w + 2 * g.pad);
     let frame = (g.h + 2 * g.pad) * fw;
-    let pixels = lanes == Lanes::Pixels;
+    let pixels = s.lanes == Lanes::Pixels;
     let per_sample = if pixels { c * frame } else { hw * c };
-    let mut out = vec![L::default(); n * per_sample];
-    gate(x.len() >= PAR_FLOP_THRESHOLD, || {
-        par_chunks_mut(&mut out, per_sample.max(1), |i, dst| {
-            let sample = &x[i * c * hw..(i + 1) * c * hw];
+    let span = if pixels {
+        (g.oh - 1) * fw + g.ow
+    } else {
+        p * c
+    };
+    let w = workers(2 * n * c * g.kh * g.kw * p >= PAR_FLOP_THRESHOLD, n * c);
+    let cs = if gemm.has_offset { span } else { 0 };
+    let need = Feed::need::<T>(&input)
+        .with::<T::Lane>(n * per_sample)
+        .with::<T::Acc>(w * span)
+        .with::<T::Cs>(w * cs)
+        .with::<i32>(w * n);
+    let mut carve = pools.carve(&need);
+    let (feed, scales) = Feed::new::<T>(input, &mut carve);
+    let operand = carve.take::<T::Lane>(n * per_sample);
+    let mx = carve.take::<i32>(w * n);
+    mx.fill(0);
+    timed_operand(|| {
+        for (i, dst) in operand.chunks_mut(per_sample).enumerate() {
+            let x = feed.sample(i);
             if pixels {
                 let (width, pitch) = (g.w, fw);
-                for (plane, dst) in sample.chunks(hw.max(1)).zip(dst.chunks_mut(frame)) {
+                for (plane, dst) in x.chunks(hw).zip(dst.chunks_mut(frame)) {
+                    dst.fill(T::Lane::default());
                     let dst = &mut dst[g.pad * fw + g.pad..];
-                    (src.emit)(i, plane, dst, Layout::Rows { width, pitch });
+                    T::emit(&feed, i, plane, dst, Layout::Rows { width, pitch });
                 }
             } else {
                 let (width, pitch) = (hw, c);
-                (src.emit)(i, sample, dst, Layout::Transposed { width, pitch });
+                T::emit(&feed, i, x, dst, Layout::Transposed { width, pitch });
             }
-        })
+        }
     });
-    out
+    let taps = T::taps(gemm);
+    let dw = Depthwise::<T> {
+        gemm,
+        taps: &taps,
+        g,
+        operand,
+        scales,
+        fold,
+    };
+    let mut rest = &mut *mx;
+    let scratch = || (carve.take(span), carve.take(cs), cut(&mut rest, n));
+    fan(out, p, w, scratch, |first, run, (acc, cs, mx)| {
+        let planes = first..first + run.len() / p;
+        if pixels {
+            dw.pixels(planes, run, acc, cs, mx);
+        } else {
+            dw.channels(planes, run, acc, cs, mx);
+        }
+    });
+    fold_maxes(mx, maxes);
 }
 
-/// A depthwise conv (`groups == channels`) over the [`dw_operand`] of
-/// `scales.len()` samples, `taps` the pack-time `[r·s, c]` table: no patch
-/// matrix, no 1-column-per-group GEMM, and the SIMD lanes follow the long
-/// axis (`lanes`, the operand's). Either way a pixel accumulates its taps in
-/// `im2col` row order, exactly (integers, or f32 lanes below 2^24) — so the
-/// result matches the grouped-GEMM path bit for bit in every tier; on the
-/// f32 fallback (`T = DenseF32`, real-valued taps, unit `scales`) a frame's
-/// zero padding adds `±0.0` terms to a chain that started at `+0.0`, which
-/// leaves every partial sum's bits alone.
+/// A depthwise conv over its operand of `scales.len()` samples, `taps` the
+/// pack-time `[r·s, c]` table: no patch matrix, no 1-column-per-group GEMM,
+/// and the SIMD lanes follow the long axis. Either way a pixel accumulates
+/// its taps in `im2col` row order, exactly (integers, or f32 lanes below
+/// 2^24) — so the result matches the grouped-GEMM path bit for bit in every
+/// tier; on the f32 fallback (`T = DenseF32`, real-valued taps, unit
+/// `scales`) a frame's zero padding adds `±0.0` terms to a chain that
+/// started at `+0.0`, which leaves every partial sum's bits alone.
 struct Depthwise<'a, T: Tier> {
     gemm: &'a PackedGemm,
     taps: &'a [T::Lane],
     g: &'a ConvGeom,
-    lanes: Lanes,
     operand: &'a [T::Lane],
     scales: &'a [f32],
+    fold: Activation,
 }
 
 impl<T: Tier> Depthwise<'_, T> {
-    /// The `[n, c, oh, ow]` result. Planes are independent, so the parallel
-    /// split is over `samples × channels`: each worker takes a contiguous
-    /// run of planes — its slab of the result — by index.
-    fn run(&self) -> Vec<f32> {
-        let (g, n, c, p) = (
-            self.g,
-            self.scales.len(),
-            self.gemm.rows,
-            self.g.oh * self.g.ow,
-        );
-        let mut out = vec![0.0f32; n * c * p];
-        gate(2 * n * c * g.kh * g.kw * p >= PAR_FLOP_THRESHOLD, || {
-            let per_worker = (n * c).div_ceil(max_threads());
-            par_chunks_mut(&mut out, (per_worker * p).max(1), |wi, run| {
-                let planes = wi * per_worker..wi * per_worker + run.len() / p;
-                if self.lanes == Lanes::Pixels {
-                    self.pixels(planes, run);
-                } else {
-                    self.channels(planes, run);
-                }
-            })
-        });
-        out
-    }
-
     /// Pixels in the lanes: tap `(ki, kj)` of a plane is one flat axpy of
     /// its frame, shifted by `ki·fw + kj`, into an accumulator that keeps
     /// the frame's row pitch `fw` (the `fw − ow` columns between output rows
     /// accumulate garbage nobody reads). Stride 1 only.
-    fn pixels(&self, planes: Range<usize>, run: &mut [f32]) {
+    fn pixels(
+        &self,
+        planes: Range<usize>,
+        run: &mut [f32],
+        acc: &mut [T::Acc],
+        cs: &mut [T::Cs],
+        mx: &mut [i32],
+    ) {
         let (gemm, g, c) = (self.gemm, self.g, self.gemm.rows);
         let fw = g.w + 2 * g.pad;
-        let (frame, span) = ((g.h + 2 * g.pad) * fw, (g.oh - 1) * fw + g.ow);
-        let mut acc = vec![T::Acc::default(); span];
-        let mut cs = vec![T::Cs::default(); if gemm.has_offset { span } else { 0 }];
+        let frame = (g.h + 2 * g.pad) * fw;
         for (ci, orow) in planes.zip(run.chunks_mut(g.oh * g.ow)) {
             let (i, ch) = (ci / c, ci % c);
             acc.fill(T::Acc::default());
             cs.fill(T::Cs::default());
             for t in 0..g.kh * g.kw {
                 let wv = self.taps[t * c + ch];
-                let src = &self.operand[ci * frame + t / g.kw * fw + t % g.kw..][..span];
+                let src = &self.operand[ci * frame + t / g.kw * fw + t % g.kw..][..acc.len()];
                 for (a, &v) in acc.iter_mut().zip(src) {
                     *a = T::mad(*a, wv, v);
                 }
@@ -1108,16 +1247,19 @@ impl<T: Tier> Depthwise<'_, T> {
                 }
             }
             for oy in 0..g.oh {
-                let (at, to) = (oy * fw..oy * fw + g.ow, oy * g.ow..(oy + 1) * g.ow);
+                let at = oy * fw..oy * fw + g.ow;
                 let cs = gemm.has_offset.then(|| &cs[at.clone()]);
+                let (sa, acc) = (&self.scales[i..=i], &acc[at]);
+                let m = &mut mx[i..=i];
                 dequant(
                     gemm,
                     ch,
-                    &self.scales[i..=i],
-                    &acc[at],
+                    sa,
+                    acc,
                     cs,
-                    to,
-                    &mut [&mut *orow],
+                    self.fold,
+                    (&mut *orow, (oy * g.ow, 0)),
+                    m,
                 );
             }
         }
@@ -1127,19 +1269,25 @@ impl<T: Tier> Depthwise<'_, T> {
     /// `g.ys × g.xs`, computed once per layer — is one elementwise
     /// multiply-add over the run's channels of that sample, at any stride;
     /// the `[p, channels]` accumulator is dequantized channel by channel.
-    fn channels(&self, planes: Range<usize>, run: &mut [f32]) {
+    fn channels(
+        &self,
+        planes: Range<usize>,
+        run: &mut [f32],
+        acc: &mut [T::Acc],
+        cs: &mut [T::Cs],
+        mx: &mut [i32],
+    ) {
         let (gemm, g, c) = (self.gemm, self.g, self.gemm.rows);
         let (p, hw) = (g.oh * g.ow, g.h * g.w);
-        let (mut acc, mut cs) = (Vec::new(), Vec::new());
         let mut ci = planes.start;
         while ci < planes.end {
             // The run's channels `c0..c0 + cr` of sample `i`.
             let (i, c0) = (ci / c, ci % c);
             let cr = (c - c0).min(planes.end - ci);
-            acc.clear();
-            acc.resize(p * cr, T::Acc::default());
-            cs.clear();
-            cs.resize(if gemm.has_offset { p * cr } else { 0 }, T::Cs::default());
+            let acc = &mut acc[..p * cr];
+            let cs = &mut cs[..if gemm.has_offset { p * cr } else { 0 }];
+            acc.fill(T::Acc::default());
+            cs.fill(T::Cs::default());
             for (ki, ys) in g.ys.iter().enumerate() {
                 for (kj, xs) in g.xs.iter().enumerate() {
                     let ws = &self.taps[(ki * g.kw + kj) * c + c0..][..cr];
@@ -1160,19 +1308,25 @@ impl<T: Tier> Depthwise<'_, T> {
                 self.scales[i],
                 &mut run[(ci - planes.start) * p..][..cr * p],
             );
-            for (k, orow) in out.chunks_mut(p).enumerate() {
-                let (f, acc) = (Affine::of(gemm, c0 + k), acc.iter().skip(k).step_by(cr));
-                if gemm.has_offset {
-                    let cs = cs.iter().skip(k).step_by(cr);
-                    for ((o, &v), &c) in orow.iter_mut().zip(acc).zip(cs) {
-                        *o = f.offset(sa, v, c);
-                    }
-                } else {
-                    for (o, &v) in orow.iter_mut().zip(acc) {
-                        *o = f.plain(sa, v);
+            let mut hi = mx[i];
+            folded!(self.fold, |fold| {
+                for (k, orow) in out.chunks_mut(p).enumerate() {
+                    let (f, acc) = (Affine::of(gemm, c0 + k), acc.iter().skip(k).step_by(cr));
+                    if gemm.has_offset {
+                        let cs = cs.iter().skip(k).step_by(cr);
+                        for ((o, &v), &c) in orow.iter_mut().zip(acc).zip(cs) {
+                            *o = fold(f.offset(sa, v, c));
+                            hi = hi.max(mag(*o));
+                        }
+                    } else {
+                        for (o, &v) in orow.iter_mut().zip(acc) {
+                            *o = fold(f.plain(sa, v));
+                            hi = hi.max(mag(*o));
+                        }
                     }
                 }
-            }
+            });
+            mx[i] = hi;
             ci += cr;
         }
     }
@@ -1194,17 +1348,15 @@ pub(crate) type FusedNibble = Fused<i8>;
 /// 5–15-bit weights on `i16` codes (|a| ≤ 2^15 − 1): `madd` on i16 pairs.
 pub(crate) type FusedI8 = Fused<i16>;
 
-/// An activation lane of a fused flavour: its [`Route::WEIGHT_BIAS`], what
-/// [`Arith::of`] calls it, and table `k`'s column-block and thin kernels.
-pub(crate) trait FusedLane: EmitLane + Into<i32> + Into<i64> {
+/// An activation lane of a fused flavour: its [`Route::WEIGHT_BIAS`] and
+/// table `k`'s column-block and thin kernels.
+pub(crate) trait FusedLane: EmitLane + Pooled + Into<i32> + Into<i64> {
     const WEIGHT_BIAS: i32;
-    const ARITH: Arith;
     fn kernels(k: &Kernels) -> (FusedKernel<Self>, Option<FusedKernel<Self>>);
 }
 
 impl FusedLane for i8 {
     const WEIGHT_BIAS: i32 = 8;
-    const ARITH: Arith = Arith::FusedNibble;
     fn kernels(k: &Kernels) -> (FusedKernel<i8>, Option<FusedKernel<i8>>) {
         (k.gemm_nibble, k.gemm_nibble_thin)
     }
@@ -1212,7 +1364,6 @@ impl FusedLane for i8 {
 
 impl FusedLane for i16 {
     const WEIGHT_BIAS: i32 = 0;
-    const ARITH: Arith = Arith::FusedI8;
     fn kernels(k: &Kernels) -> (FusedKernel<i16>, Option<FusedKernel<i16>>) {
         (k.gemm_i8, k.gemm_i8_thin)
     }
@@ -1222,19 +1373,23 @@ impl FusedLane for i16 {
 /// weight row (the layer's period covers it), `i64` where the row runs
 /// period by period, each call's exact i32 sum folded in.
 pub(crate) trait FusedAcc:
-    ToF32 + Default + Copy + Send + Sync + Sum + AddAssign + SubAssign + Mul<Output = Self> + From<i32>
+    ToF32 + Pooled + Sum + AddAssign + SubAssign + Mul<Output = Self> + From<i32>
 {
+    /// Whether a row runs period by period (i64).
+    const WIDE: bool;
     /// `acc` itself where it is the kernels' i32 accumulator.
     fn as_i32(acc: &mut [Self]) -> Option<&mut [i32]>;
 }
 
 impl FusedAcc for i32 {
+    const WIDE: bool = false;
     fn as_i32(acc: &mut [i32]) -> Option<&mut [i32]> {
         Some(acc)
     }
 }
 
 impl FusedAcc for i64 {
+    const WIDE: bool = true;
     fn as_i32(_: &mut [i64]) -> Option<&mut [i32]> {
         None
     }
@@ -1251,33 +1406,43 @@ impl<L: FusedLane + Into<A>, A: FusedAcc> Route for Fused<L, A> {
     /// whole vector steps on a thin kernel) and whether the kernel is thin.
     type Kernel<'g> = (FusedKernel<L>, &'g [u32], usize, usize, bool);
     /// One call's i32 sums, before they fold into i64 accumulators.
-    type Scratch = Vec<i32>;
+    type Spare = i32;
     const GROUP: usize = 4 / std::mem::size_of::<L>();
     const WEIGHT_BIAS: i32 = L::WEIGHT_BIAS;
 
-    fn route<'g>(
-        k: &Kernels,
-        g: &'g PackedGemm,
-        (n, p): (usize, usize),
-    ) -> (Self::Kernel<'g>, usize) {
+    fn group(g: &PackedGemm, lanes: Lanes) -> usize {
+        match lanes {
+            Lanes::Reduction => {
+                g.cols.div_ceil(Self::GROUP).next_multiple_of(THIN_WORDS) * Self::GROUP
+            }
+            _ => Self::GROUP,
+        }
+    }
+    fn kernel<'g>(k: &Kernels, g: &'g PackedGemm, lanes: Lanes) -> Self::Kernel<'g> {
         let KernelWeights::Words { words, period } = &g.kernel else {
             unreachable!("Arith::of routes only layers with weight words here");
         };
         let ((columns, thin), stride) = (L::kernels(k), g.cols.div_ceil(Self::GROUP));
-        match (L::ARITH.gemm_lanes(g, n * p, k), thin) {
+        match (lanes, thin) {
             (Lanes::Reduction, Some(thin)) => {
-                let span = period / THIN_WORDS * THIN_WORDS;
-                let ig = stride.next_multiple_of(THIN_WORDS) * Self::GROUP;
-                ((thin, words, stride, span, true), ig)
+                (thin, words, stride, period / THIN_WORDS * THIN_WORDS, true)
             }
-            _ => ((columns, words, stride, *period, false), Self::GROUP),
+            _ => (columns, words, stride, *period, false),
+        }
+    }
+    fn spare(kernel: Self::Kernel<'_>, l: usize) -> usize {
+        match (A::WIDE, kernel.4) {
+            (false, _) => 0,
+            (true, true) => 1,
+            (true, false) => l,
         }
     }
     fn step(
         (kernel, words, stride, span, thin): Self::Kernel<'_>,
         row: usize,
         (block, cs): (&[L], &[A]),
-        part: &mut Vec<i32>,
+        part: &mut [i32],
+        _: &mut Option<(usize, usize)>,
         acc: &mut [A],
     ) {
         let (w, l, g) = (&words[row * stride..][..stride], acc.len(), Self::GROUP);
@@ -1288,16 +1453,16 @@ impl<L: FusedLane + Into<A>, A: FusedAcc> Route for Fused<L, A> {
             // Period by period; a thin operand one column at a time, each
             // period whole vector steps of the column.
             acc.fill(A::default());
-            part.resize(if thin { 1 } else { l }, 0);
             for (q, w) in (0..).step_by(span).zip(w.chunks(span)) {
                 if thin {
                     let (ig, lanes) = (block.len() / l, w.len().next_multiple_of(THIN_WORDS) * g);
                     for (j, a) in acc.iter_mut().enumerate() {
                         part[0] = 0;
-                        kernel(part, w, &block[j * ig + q * g..][..lanes], 1);
+                        kernel(&mut part[..1], w, &block[j * ig + q * g..][..lanes], 1);
                         *a += A::from(part[0]);
                     }
                 } else {
+                    let part = &mut part[..l];
                     part.fill(0);
                     kernel(part, w, &block[q * g * l..][..w.len() * g * l], l);
                     acc.iter_mut()
@@ -1312,122 +1477,6 @@ impl<L: FusedLane + Into<A>, A: FusedAcc> Route for Fused<L, A> {
             }
         }
     }
-}
-
-/// Repacks the `groups` back-to-back `[rows, ncols]` code blocks of `cols`
-/// into the fused layout, group by group: rows go `g` at a time and each
-/// such row group's lanes sit adjacent per column (`out[(q·ncols + j)·g + k]
-/// = block[(q·g + k)·ncols + j]`), the final partial row group zero-padded.
-/// One contiguous load then feeds a whole weight word's worth of multiplies
-/// per column block — or, at `g ≥ rows`, a whole column's reduction (the
-/// transposed, column-major operand of the thin kernels). Only a patch
-/// matrix `im2col` built needs it: a pointwise layer's codes are emitted in
-/// this layout directly ([`gemm_int`]).
-fn interleave_blocks<L: Copy + Default + Send + Sync>(
-    cols: &[L],
-    groups: usize,
-    rows: usize,
-    ncols: usize,
-    g: usize,
-) -> Vec<L> {
-    let padded = rows.div_ceil(g) * g * ncols;
-    let mut out = vec![L::default(); groups * padded];
-    gate(cols.len() >= PAR_FLOP_THRESHOLD, || {
-        par_chunks_mut(&mut out, padded.max(1), |gi, dst| {
-            let block = &cols[gi * rows * ncols..(gi + 1) * rows * ncols];
-            for (p, src) in block.chunks_exact(ncols).enumerate() {
-                let (q, k) = (p / g, p % g);
-                let dst = &mut dst[q * g * ncols..(q + 1) * g * ncols];
-                for (j, &v) in src.iter().enumerate() {
-                    dst[j * g + k] = v;
-                }
-            }
-        })
-    });
-    out
-}
-
-/// A conv over the `n` samples of `x`, `[c, h, w]` apiece, on table `k`:
-/// [`Depthwise`] on a depthwise layer's taps, else [`gemm_int`] on the
-/// layer's [`Route`].
-fn exec_int(
-    k: &Kernels,
-    gemm: &PackedGemm,
-    g: &ConvGeom,
-    groups: usize,
-    x: &[f32],
-    nc @ (_, c): (usize, usize),
-    rule: ActRule,
-) -> Vec<f32> {
-    // f32 weights the packer stored tap-major.
-    let taps = !gemm.storage.is_integer() && is_depthwise(c / groups, gemm.rows, groups);
-    match (Arith::of(gemm), taps) {
-        (Arith::F32, true) => depthwise::<DenseF32>(k, gemm, g, x, nc, rule),
-        (Arith::F32, false) => gemm_int::<DenseF32>(k, gemm, g, groups, x, nc, rule),
-        (Arith::Tier(Accum::F32), _) => depthwise::<TierF32>(k, gemm, g, x, nc, rule),
-        (Arith::Tier(Accum::I32), _) => depthwise::<TierI32>(k, gemm, g, x, nc, rule),
-        (Arith::Tier(Accum::I64), _) if matches!(gemm.kernel, KernelWeights::Taps(_)) => {
-            depthwise::<TierI64>(k, gemm, g, x, nc, rule)
-        }
-        (Arith::Tier(Accum::I64), _) => gemm_int::<TierI64>(k, gemm, g, groups, x, nc, rule),
-        (Arith::FusedNibble, _) => fused::<i8>(k, gemm, g, groups, x, nc, rule),
-        (Arith::FusedI8, _) => fused::<i16>(k, gemm, g, groups, x, nc, rule),
-    }
-}
-
-/// [`gemm_int`] on the fused route of `L`-lane codes: i32 accumulators where
-/// the layer's period covers a whole weight row, i64 ones where it does not.
-fn fused<L: FusedLane>(
-    k: &Kernels,
-    gemm: &PackedGemm,
-    g: &ConvGeom,
-    groups: usize,
-    x: &[f32],
-    nc: (usize, usize),
-    rule: ActRule,
-) -> Vec<f32> {
-    let KernelWeights::Words { period, .. } = gemm.kernel else {
-        unreachable!("Arith::of routes only layers with weight words here");
-    };
-    if gemm.cols.div_ceil(Fused::<L>::GROUP) <= period {
-        gemm_int::<Fused<L, i32>>(k, gemm, g, groups, x, nc, rule)
-    } else {
-        gemm_int::<Fused<L, i64>>(k, gemm, g, groups, x, nc, rule)
-    }
-}
-
-fn exec_conv(
-    table: &Kernels,
-    gemm: &PackedGemm,
-    g: &ConvGeom,
-    groups: usize,
-    quantize_input: bool,
-    x: &Tensor,
-    rule: ActRule,
-) -> Tensor {
-    let (n, c) = (x.dims()[0], x.dims()[1]);
-    // A raw-input stem reads its input as it comes.
-    let rule = if quantize_input {
-        rule
-    } else {
-        let quantizer = Quantizer::Identity;
-        ActRule { quantizer, ..rule }
-    };
-    let out = exec_int(table, gemm, g, groups, x.data(), (n, c), rule);
-    Tensor::from_vec(vec![n, gemm.rows, g.oh, g.ow], out)
-}
-
-fn exec_linear(k: &Kernels, g: &PackedGemm, x: &Tensor, rule: ActRule) -> Tensor {
-    let dims = x.dims();
-    assert_eq!(dims.len(), 2, "linear input must be rank 2");
-    let (n, f) = (dims[0], dims[1]);
-    assert_eq!(f, g.cols, "linear in-feature mismatch");
-
-    // The pointwise conv on a 1×1 map: the `[n, f]` input read in place as
-    // `[n, f, 1, 1]`, the `[n, rows, 1, 1]` result stored as is.
-    static MAP: LazyLock<ConvGeom> = LazyLock::new(|| ConvGeom::new(1, 1, 1, 1, 1, 0));
-    let out = exec_int(k, g, &MAP, 1, x.data(), (n, f), rule);
-    Tensor::from_vec(vec![n, g.rows], out)
 }
 
 #[cfg(test)]

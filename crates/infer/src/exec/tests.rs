@@ -7,11 +7,16 @@
 
 use super::*;
 use crate::pack::{gemm_words, pack_plan};
+use crate::plan::{exec_ops, Kind, Plan};
+use crate::route::dw_lanes;
+use crate::simd::kernels;
 use crate::simd::with_simd_backend;
 use crate::SimdBackend;
+use crate::{Accum, PackedOp};
 use instantnet_nn::plan::PlanOp;
 use instantnet_parallel::with_threads;
 use instantnet_quant::BitWidthSet;
+use instantnet_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -139,11 +144,35 @@ fn depthwise_per_pixel(
     Tensor::from_vec(vec![n, c, oh, ow], out)
 }
 
+/// `g` as one conv over `groups` groups of `c` input channels in `geom`'s
+/// window.
+fn conv_op(g: &PackedGemm, geom: &ConvGeom, groups: usize, c: usize) -> PackedOp {
+    PackedOp::Conv {
+        gemm: Arc::new(g.clone()),
+        cg: c / groups,
+        r: geom.kh,
+        s: geom.kw,
+        stride: geom.stride,
+        pad: geom.pad,
+        groups,
+        quantize_input: true,
+    }
+}
+
+/// `g` as one conv of `groups` over `x`, routed as the plan routes it.
+fn exec_conv(g: &PackedGemm, geom: &ConvGeom, groups: usize, x: &Tensor, rule: ActRule) -> Tensor {
+    exec_ops(&[conv_op(g, geom, groups, x.dims()[1])], x, rule, None)
+}
+
 /// A depthwise layer on tier `T`: [`Depthwise`] against its tap table.
 fn on_tier<T: Tier>(g: &PackedGemm, geom: &ConvGeom, x: &Tensor, rule: ActRule) -> Tensor {
-    let (k, (n, c)) = (kernels(), (x.dims()[0], x.dims()[1]));
-    let out = depthwise::<T>(k, g, geom, x.data(), (n, c), rule);
-    Tensor::from_vec(vec![n, c, geom.oh, geom.ow], out)
+    let c = x.dims()[1];
+    let mut plan = Plan::compile(&[conv_op(g, geom, c, c)], x.dims(), kernels());
+    let Kind::Depthwise(_, run) = &mut plan.steps[0].kind else {
+        panic!("a depthwise layer with a tap table plans a depthwise step");
+    };
+    *run = depthwise::<T>;
+    plan.run(x, rule, None)
 }
 
 /// `g`'s re-centered weight codes, `[rows, cols]`, decoded from its storage.
@@ -212,11 +241,8 @@ fn depthwise_orientations_match_oracle_and_generic_path_on_the_shape_matrix() {
                 aq,
             };
             let ctx = format!("{q:?} {bits}b k{k} s{stride} p{pad} {n}x{c}x{h}x{w}");
-            let routed = |threads: usize| {
-                with_threads(threads, || {
-                    exec_conv(kernels(), &gemm, &geom, c, true, &x, rule)
-                })
-            };
+            let routed =
+                |threads: usize| with_threads(threads, || exec_conv(&gemm, &geom, c, &x, rule));
             if let Storage::F32(wdata) = &gemm.storage {
                 let xq = fake_quantized(&x, rule);
                 let want = depthwise_per_pixel(wdata, &gemm, k, stride, pad, &xq);
@@ -226,7 +252,7 @@ fn depthwise_orientations_match_oracle_and_generic_path_on_the_shape_matrix() {
             }
             assert!(matches!(gemm.kernel, KernelWeights::Taps(ref t) if t.len() == c * k * k));
             assert_eq!(gemm.has_offset, q == Quantizer::Dorefa, "{ctx}");
-            // Same codes without the tap table: `gemm_int` runs the grouped
+            // Same codes without the tap table: the plan runs the grouped
             // patch-matrix GEMM (one row per group).
             let d = codes(&gemm);
             let max_code_abs = d.iter().map(|c| c.abs()).max().unwrap_or(0);
@@ -240,8 +266,7 @@ fn depthwise_orientations_match_oracle_and_generic_path_on_the_shape_matrix() {
                 ),
                 ..gemm.clone()
             };
-            let want = exec_int(kernels(), &generic, &geom, c, x.data(), (n, c), rule);
-            let want = Tensor::from_vec(vec![n, c, geom.oh, geom.ow], want);
+            let want = exec_conv(&generic, &geom, c, &x, rule);
             // The packed tier and every wider one are exact.
             let run = |g: &PackedGemm, tier: Accum| match tier {
                 Accum::F32 => on_tier::<TierF32>(g, &geom, &x, rule),

@@ -67,6 +67,7 @@ use std::sync::Arc;
 
 mod exec;
 mod pack;
+mod plan;
 mod route;
 pub mod simd;
 
@@ -362,7 +363,7 @@ pub(crate) fn is_depthwise(cg: usize, filters: usize, groups: usize) -> bool {
 #[derive(Debug, Clone)]
 pub(crate) enum PackedOp {
     Conv {
-        gemm: PackedGemm,
+        gemm: Arc<PackedGemm>,
         cg: usize,
         r: usize,
         s: usize,
@@ -372,7 +373,7 @@ pub(crate) enum PackedOp {
         quantize_input: bool,
     },
     Linear {
-        gemm: PackedGemm,
+        gemm: Arc<PackedGemm>,
     },
     Act(Activation),
     GlobalAvgPool,
@@ -383,11 +384,13 @@ pub(crate) enum PackedOp {
     },
 }
 
-/// The ops of one bit-width's prebuilt network.
+/// The ops of one bit-width's prebuilt network, and the forwards compiled
+/// from them.
 #[derive(Debug, Clone)]
 pub(crate) struct PackedNet {
     pub(crate) ops: Vec<PackedOp>,
     pub(crate) bits: BitWidth,
+    pub(crate) plans: plan::Plans,
 }
 
 /// A network prepacked at every bit-width of a [`BitWidthSet`].
@@ -458,7 +461,12 @@ impl PackedModel {
         let mut nets = Vec::with_capacity(set.len());
         for (i, &b) in set.widths().iter().enumerate() {
             let ops = pack::pack_plan(plan, i, b, quantizer, &mut pack_passes)?;
-            nets.push(PackedNet { ops, bits: b });
+            let plans = plan::Plans::new();
+            nets.push(PackedNet {
+                ops,
+                bits: b,
+                plans,
+            });
         }
         Ok(PackedModel {
             nets: Arc::new(nets),
@@ -603,13 +611,22 @@ impl PackedModel {
         validate_ops_input(&self.nets[index].ops, dims)
     }
 
-    /// The activation rule of net `index` at scale granularity `aq`.
-    fn rule(&self, index: usize, aq: exec::ActQuant) -> exec::ActRule {
-        exec::ActRule {
-            bits: self.nets[index].bits,
+    /// Runs net `index` over `x` at activation-scale granularity `aq`,
+    /// through its plan for `x`'s shape on the active kernel table.
+    fn run(
+        &self,
+        index: usize,
+        x: &Tensor,
+        aq: exec::ActQuant,
+        sink: Option<plan::Sink>,
+    ) -> Tensor {
+        let net = &self.nets[index];
+        let rule = exec::ActRule {
+            bits: net.bits,
             quantizer: self.quantizer,
             aq,
-        }
+        };
+        net.plans.run(&net.ops, x, rule, sink)
     }
 
     /// Runs the packed network at the active bit-width.
@@ -647,8 +664,7 @@ impl PackedModel {
     /// [`InferError::Input`] when `x` does not fit the first layer.
     pub fn try_forward_at(&self, index: usize, x: &Tensor) -> Result<Tensor, InferError> {
         self.validate_input(index, x)?;
-        let rule = self.rule(index, exec::ActQuant::PerBatch);
-        Ok(exec::exec_ops(&self.nets[index].ops, x, rule, None))
+        Ok(self.run(index, x, exec::ActQuant::PerBatch, None))
     }
 
     /// Runs an aggregated request batch at the active bit-width — the
@@ -703,8 +719,7 @@ impl PackedModel {
     /// [`InferError::Input`] when `x` does not fit the first layer.
     pub fn try_forward_batch_at(&self, index: usize, x: &Tensor) -> Result<Tensor, InferError> {
         self.validate_input(index, x)?;
-        let rule = self.rule(index, exec::ActQuant::PerSample);
-        Ok(exec::exec_ops(&self.nets[index].ops, x, rule, None))
+        Ok(self.run(index, x, exec::ActQuant::PerSample, None))
     }
 
     /// [`Self::forward_batch_at`], reporting every op it executes to `sink`
@@ -726,8 +741,7 @@ impl PackedModel {
         if let Err(e) = self.validate_input(index, x) {
             panic!("forward_profiled: {e}");
         }
-        let rule = self.rule(index, exec::ActQuant::PerSample);
-        exec::exec_ops(&self.nets[index].ops, x, rule, Some(sink))
+        self.run(index, x, exec::ActQuant::PerSample, Some(sink))
     }
 }
 
@@ -933,8 +947,8 @@ mod tests {
             .flat_map(|op| match op {
                 PackedOp::Conv {
                     gemm, cg, groups, ..
-                } => vec![(gemm, is_depthwise(*cg, gemm.rows, *groups))],
-                PackedOp::Linear { gemm } => vec![(gemm, false)],
+                } => vec![(&**gemm, is_depthwise(*cg, gemm.rows, *groups))],
+                PackedOp::Linear { gemm } => vec![(&**gemm, false)],
                 PackedOp::Residual { body, shortcut, .. } => {
                     [gemms(body), gemms(shortcut)].concat()
                 }

@@ -6,6 +6,7 @@ use crate::{is_depthwise, Accum, InferError, KernelWeights, PackedGemm, PackedOp
 use instantnet_nn::plan::PlanOp;
 use instantnet_quant::{BitWidth, Quantizer};
 use instantnet_tensor::Tensor;
+use std::sync::Arc;
 
 /// Folded batch-norm affine: `y = scale[k] * conv_out[k] + bias[k]`.
 struct BnFold {
@@ -313,7 +314,7 @@ pub(crate) fn pack_plan(
                     pack_passes,
                 )?;
                 out.push(PackedOp::Conv {
-                    gemm,
+                    gemm: Arc::new(gemm),
                     cg,
                     r,
                     s,
@@ -347,7 +348,9 @@ pub(crate) fn pack_plan(
                     false,
                     pack_passes,
                 )?;
-                out.push(PackedOp::Linear { gemm });
+                out.push(PackedOp::Linear {
+                    gemm: Arc::new(gemm),
+                });
             }
             PlanOp::Residual {
                 body,

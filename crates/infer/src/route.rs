@@ -4,8 +4,9 @@
 //! The arithmetic is a function of the layer's pack-time weights alone, the
 //! same on every kernel table; the lanes also of its geometry, the batch and
 //! the active table's lane count and thin kernels — never of a knob.
-//! `crate::exec` dispatches on them and [`describe`] labels a profiled op
-//! with them, so the profile cannot drift from what ran. This is the
+//! `crate::plan` reads them once per (width, batch, table) into its steps,
+//! and [`describe`] labels each step with what it recorded, so the profile
+//! cannot drift from what runs. This is the
 //! hand-written default of the choice ROADMAP item 4 hands to `automapper`;
 //! EXPERIMENTS.md ("Batch-1 forward profile") has the measured crossovers
 //! behind the two rules.
@@ -17,10 +18,10 @@
 //! cannot fill a vector puts *channels* in the lanes, and a fused GEMM with
 //! fewer columns than one column block puts the *reduction* there.
 
+use crate::exec::DenseF32;
 use crate::simd::{Kernels, THIN_WORDS};
-use crate::{is_depthwise, Accum, KernelWeights, OpProfile, PackedGemm, PackedOp, Storage};
+use crate::{is_depthwise, Accum, KernelWeights, PackedGemm, PackedOp, Storage};
 use instantnet_tensor::tensor::ConvGeom;
-use std::time::{Duration, Instant};
 
 /// What a layer's SIMD lanes hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,13 +65,16 @@ impl Arith {
         }
     }
 
-    /// Lanes of GEMM `g` over `l` columns on table `k`: the reduction where
-    /// `l` cannot fill one column block and the table has the thin kernel,
-    /// whose calls take whole vector steps — the row in one call, or periods
-    /// of at least one step; else columns. The forward's one snapshot of
-    /// `simd::kernels` decides it, so a route never straddles two tables.
-    pub(crate) fn gemm_lanes(self, g: &PackedGemm, l: usize, k: &Kernels) -> Lanes {
+    /// Lanes of GEMM `g` over `n` samples of `p` columns on table `k`. A
+    /// fused layer dots along the reduction where the `n·p` columns cannot
+    /// fill one column block and the table has the thin kernel, whose calls
+    /// take whole vector steps — the row in one call, or periods of at least
+    /// one step; the f32 fallback puts rows in the lanes where one sample's
+    /// `p` cannot fill a register (`DenseF32`'s rows-in-lanes step, a
+    /// function of the geometry alone, never of the batch); else columns.
+    pub(crate) fn gemm_lanes(self, g: &PackedGemm, (n, p): (usize, usize), k: &Kernels) -> Lanes {
         let (thin, group) = match self {
+            Arith::F32 if p < DenseF32::ROWS => return Lanes::Reduction,
             Arith::FusedNibble => (k.gemm_nibble_thin.is_some(), 4),
             Arith::FusedI8 => (k.gemm_i8_thin.is_some(), 2),
             _ => (false, 1),
@@ -79,7 +83,7 @@ impl Arith {
             KernelWeights::Words { period, .. } => period >= g.cols.div_ceil(group).min(THIN_WORDS),
             _ => false,
         };
-        if thin && steps && l < k.lanes {
+        if thin && steps && n * p < k.lanes {
             Lanes::Reduction
         } else {
             Lanes::Columns
@@ -97,23 +101,15 @@ pub(crate) fn dw_lanes(g: &ConvGeom, k: &Kernels) -> Lanes {
     }
 }
 
-/// The profile record of `op` run on table `k`, started at `start` on an
-/// input of `dims`, `quantize` of it spent building the operand.
+/// The profile label of `op` on an input of `dims` as the plan compiled it —
+/// kind, shape, and `{arith}/{lanes}` where `route` names the kernel it runs
+/// (`f32` for the ops that have no kernel choice).
 pub(crate) fn describe(
     op: &PackedOp,
     dims: &[usize],
-    k: &Kernels,
-    start: Instant,
-    quantize: Duration,
-) -> OpProfile {
-    let elapsed = start.elapsed();
-    // A GEMM layer over `l` columns: its arithmetic and what that puts in
-    // the lanes.
-    let gemm_route = |g: &PackedGemm, l: usize| {
-        let arith = Arith::of(g);
-        format!("{arith:?}/{:?}", arith.gemm_lanes(g, l, k))
-    };
-    let (kind, detail, route) = match op {
+    route: Option<(Arith, Lanes)>,
+) -> (&'static str, String, String) {
+    let (kind, detail) = match op {
         PackedOp::Conv {
             gemm,
             cg,
@@ -124,31 +120,25 @@ pub(crate) fn describe(
             groups,
             ..
         } => {
-            let g = ConvGeom::new(dims[2], dims[3], *r, *s, *stride, *pad);
-            let (kind, route) = if is_depthwise(*cg, gemm.rows, *groups) {
-                let route = format!("{:?}/{:?}", Arith::of(gemm), dw_lanes(&g, k));
-                ("depthwise", route)
-            } else {
-                let kind = if r * s == 1 { "pointwise" } else { "conv" };
-                (kind, gemm_route(gemm, dims[0] * g.oh * g.ow))
+            let kind = match () {
+                _ if is_depthwise(*cg, gemm.rows, *groups) => "depthwise",
+                _ if r * s == 1 => "pointwise",
+                _ => "conv",
             };
-            let detail = format!(" -> {} k{r}x{s} s{stride} p{pad} g{groups}", gemm.rows);
-            (kind, detail, route)
+            (
+                kind,
+                format!(" -> {} k{r}x{s} s{stride} p{pad} g{groups}", gemm.rows),
+            )
         }
-        PackedOp::Linear { gemm } => {
-            let detail = format!(" -> {}", gemm.rows);
-            ("linear", detail, gemm_route(gemm, dims[0]))
-        }
-        PackedOp::Act(_) => ("act", String::new(), "f32".into()),
-        PackedOp::GlobalAvgPool => ("pool", String::new(), "f32".into()),
-        PackedOp::Residual { .. } => ("add", String::new(), "f32".into()),
+        PackedOp::Linear { gemm } => ("linear", format!(" -> {}", gemm.rows)),
+        PackedOp::Act(_) => ("act", String::new()),
+        PackedOp::GlobalAvgPool => ("pool", String::new()),
+        PackedOp::Residual { .. } => ("add", String::new()),
+    };
+    let route = match route {
+        Some((arith, lanes)) => format!("{arith:?}/{lanes:?}"),
+        None => "f32".into(),
     };
     let dims: Vec<String> = dims.iter().map(usize::to_string).collect();
-    OpProfile {
-        kind,
-        shape: dims.join("x") + &detail,
-        route,
-        elapsed,
-        quantize,
-    }
+    (kind, dims.join("x") + &detail, route)
 }
