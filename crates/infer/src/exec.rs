@@ -786,33 +786,10 @@ impl Affine {
     }
 }
 
-/// `|v|` as [`Kernels::max_abs`] orders it: the bits with the sign cleared,
-/// every NaN as `+0.0` — an integer max is then the max-abs, in any order.
-#[inline(always)]
-pub(crate) fn mag(v: f32) -> i32 {
-    let b = (v.to_bits() & 0x7fff_ffff) as i32;
-    if b > f32::INFINITY.to_bits() as i32 {
-        0
-    } else {
-        b
-    }
-}
-
-/// Folds the per-worker [`mag`] maxima `mx`, `n = maxes.len()` lanes a
-/// worker, into each sample's max-abs.
-pub(crate) fn fold_maxes(mx: &[i32], maxes: &mut [f32]) {
-    let n = maxes.len();
-    for (i, m) in maxes.iter_mut().enumerate() {
-        let b = mx.iter().skip(i).step_by(n).fold(0, |a, &b| a.max(b));
-        *m = f32::from_bits(b as u32);
-    }
-}
-
 /// The epilogue of one weight row: [`Affine`] over sample `i`'s accumulators
 /// `acc[i·p..(i+1)·p]` with that sample's scale, the colsum term only where
 /// the layer carries an offset (`cs` is `Some`), through the folded
-/// activation `fold`, stored at `out[at + i·step..][..p]` — and each stored
-/// value's [`mag`] into the sample's running max `mx[i]`.
+/// activation `fold`, stored at `out[at + i·step..][..p]`.
 #[allow(clippy::too_many_arguments)]
 fn dequant<A: ToF32, C: ToF32>(
     g: &PackedGemm,
@@ -821,38 +798,33 @@ fn dequant<A: ToF32, C: ToF32>(
     acc: &[A],
     cs: Option<&[C]>,
     fold: Activation,
-    (out, (at, step)): (&mut [f32], (usize, usize)),
-    mx: &mut [i32],
+    out: &mut [f32],
+    (at, step): (usize, usize),
 ) {
     let (f, p) = (Affine::of(g, row), acc.len() / scales.len());
     folded!(fold, |fold| {
         if p == 1 {
             // A linear layer: one output per sample, at stride `step`.
-            for (i, ((&sa, &v), m)) in scales.iter().zip(acc).zip(mx).enumerate() {
-                let y = fold(cs.map_or_else(|| f.plain(sa, v), |cs| f.offset(sa, v, cs[i])));
-                out[at + i * step] = y;
-                *m = (*m).max(mag(y));
+            for (i, (&sa, &v)) in scales.iter().zip(acc).enumerate() {
+                let y = cs.map_or_else(|| f.plain(sa, v), |cs| f.offset(sa, v, cs[i]));
+                out[at + i * step] = fold(y);
             }
             return;
         }
-        for ((i, &sa), m) in scales.iter().enumerate().zip(mx) {
+        for (i, &sa) in scales.iter().enumerate() {
             let (seg, acc) = (&mut out[at + i * step..][..p], &acc[i * p..][..p]);
-            let mut hi = *m;
             match cs {
                 Some(cs) => {
                     for ((o, &v), &c) in seg.iter_mut().zip(acc).zip(&cs[i * p..]) {
                         *o = fold(f.offset(sa, v, c));
-                        hi = hi.max(mag(*o));
                     }
                 }
                 None => {
                     for (o, &v) in seg.iter_mut().zip(acc) {
                         *o = fold(f.plain(sa, v));
-                        hi = hi.max(mag(*o));
                     }
                 }
             }
-            *m = hi;
         }
     })
 }
@@ -902,12 +874,10 @@ struct Rows<'a, R: Route> {
     acc: &'a mut [R::Acc],
     spare: &'a mut [R::Spare],
     tmp: &'a mut [f32],
-    /// [`mag`] maxima: the batch's samples, once per row worker.
-    mx: &'a mut [i32],
 }
 
 /// The one GEMM driver: step `s` on route `R` over `input` into the `[n, k,
-/// oh, ow]` `out`, each sample's max-abs into `maxes`. Per block of samples,
+/// oh, ow]` `out`. Per block of samples,
 /// the operand in the step's interleave group — a 1×1 conv's planes emitted
 /// straight into it, a windowed conv's sample codes gathered through its
 /// window — then [`gemm_rows`]; blocks run in parallel where a batch takes
@@ -915,7 +885,7 @@ struct Rows<'a, R: Route> {
 pub(crate) fn gemm<R: Route>(
     s: &GemmStep,
     input: Input,
-    (out, maxes): (&mut [f32], &mut [f32]),
+    out: &mut [f32],
     pools: &mut Pools,
     fold: Activation,
 ) {
@@ -950,13 +920,9 @@ pub(crate) fn gemm<R: Route>(
         .with::<R::Cs>(wb * cs)
         .with::<R::Acc>(wb * acc)
         .with::<R::Spare>(wb * spare)
-        .with::<f32>(wb * tmp)
-        .with::<i32>(wb * wr * n);
+        .with::<f32>(wb * tmp);
     let mut c = pools.carve(&need);
     let (feed, scales) = Feed::new::<R>(input, &mut c);
-    let mx = c.take::<i32>(wb * wr * n);
-    mx.fill(0);
-    let mut rest = &mut *mx;
     let scratch = || Work::<R> {
         operand: c.take(op),
         src: c.take(src),
@@ -965,7 +931,6 @@ pub(crate) fn gemm<R: Route>(
             acc: c.take(acc),
             spare: c.take(spare),
             tmp: c.take(tmp),
-            mx: cut(&mut rest, wr * n),
         },
     };
     fan(out, m * rows * p, wb, scratch, |first, slab, mut w| {
@@ -986,7 +951,6 @@ pub(crate) fn gemm<R: Route>(
             );
         }
     });
-    fold_maxes(mx, maxes);
 }
 
 /// Lays samples `at` of `feed` out as step `s`'s operand in `buf` (a
@@ -1072,11 +1036,7 @@ fn gemm_rows<R: Route>(
         R::colsums(b, s.ig, cs);
     }
     let (cs, group, scales) = (&*cs, group_of(k, s.groups), &scales[at.clone()]);
-    let run = |rows: Range<usize>,
-               out: &mut [f32],
-               acc: &mut [R::Acc],
-               spare: &mut [R::Spare],
-               mx: &mut [i32]| {
+    let run = |rows: Range<usize>, out: &mut [f32], acc: &mut [R::Acc], spare: &mut [R::Spare]| {
         let (mut held, (pitch, step)) = (None, if wr > 1 { (l, p) } else { (p, k * p) });
         for row in rows.clone() {
             let gi = group(row);
@@ -1087,27 +1047,18 @@ fn gemm_rows<R: Route>(
             R::step(kernel, row, blk, spare, &mut held, acc);
             let cs = g.has_offset.then(|| &cs[gi * l..][..l]);
             let to = ((row - rows.start) * pitch, step);
-            dequant(
-                g,
-                row,
-                scales,
-                acc,
-                cs,
-                fold,
-                (&mut *out, to),
-                &mut mx[at.start..],
-            );
+            dequant(g, row, scales, acc, cs, fold, out, to);
         }
     };
-    let (sl, n) = (w.spare.len() / wr, w.mx.len() / wr);
+    let sl = w.spare.len() / wr;
     if wr <= 1 {
-        return run(0..k, out, &mut w.acc[..l], &mut w.spare[..sl], w.mx);
+        return run(0..k, out, &mut w.acc[..l], &mut w.spare[..sl]);
     }
-    let (mut acc, mut spare, mut mx) = (&mut *w.acc, &mut *w.spare, &mut *w.mx);
+    let (mut acc, mut spare) = (&mut *w.acc, &mut *w.spare);
     let tmp = &mut w.tmp[..k * l];
-    let scratch = || (cut(&mut acc, l), cut(&mut spare, sl), cut(&mut mx, n));
-    fan(tmp, l, wr, scratch, |first, rows, (acc, spare, mx)| {
-        run(first..first + rows.len() / l, rows, acc, spare, mx);
+    let scratch = || (cut(&mut acc, l), cut(&mut spare, sl));
+    fan(tmp, l, wr, scratch, |first, rows, (acc, spare)| {
+        run(first..first + rows.len() / l, rows, acc, spare);
     });
     for (row, samples) in tmp.chunks_exact(l).enumerate() {
         for (i, seg) in samples.chunks_exact(p).enumerate() {
@@ -1129,13 +1080,13 @@ pub(crate) struct DwStep {
 }
 
 /// A depthwise conv on tier `T` over `input` into the `[n, c, oh, ow]`
-/// `out`, each sample's max-abs into `maxes`: the operand for the step's lanes — per plane a zero-padded `[h +
+/// `out`: the operand for the step's lanes — per plane a zero-padded `[h +
 /// 2·pad, w + 2·pad]` frame (pixels in the lanes), or per sample `[h·w, c]`
 /// (channels) — then [`Depthwise`], planes split over the workers.
 pub(crate) fn depthwise<T: Tier>(
     s: &DwStep,
     input: Input,
-    (out, maxes): (&mut [f32], &mut [f32]),
+    out: &mut [f32],
     pools: &mut Pools,
     fold: Activation,
 ) {
@@ -1154,13 +1105,10 @@ pub(crate) fn depthwise<T: Tier>(
     let need = Feed::need::<T>(&input)
         .with::<T::Lane>(n * per_sample)
         .with::<T::Acc>(w * span)
-        .with::<T::Cs>(w * cs)
-        .with::<i32>(w * n);
+        .with::<T::Cs>(w * cs);
     let mut carve = pools.carve(&need);
     let (feed, scales) = Feed::new::<T>(input, &mut carve);
     let operand = carve.take::<T::Lane>(n * per_sample);
-    let mx = carve.take::<i32>(w * n);
-    mx.fill(0);
     timed_operand(|| {
         for (i, dst) in operand.chunks_mut(per_sample).enumerate() {
             let x = feed.sample(i);
@@ -1186,17 +1134,15 @@ pub(crate) fn depthwise<T: Tier>(
         scales,
         fold,
     };
-    let mut rest = &mut *mx;
-    let scratch = || (carve.take(span), carve.take(cs), cut(&mut rest, n));
-    fan(out, p, w, scratch, |first, run, (acc, cs, mx)| {
+    let scratch = || (carve.take(span), carve.take(cs));
+    fan(out, p, w, scratch, |first, run, (acc, cs)| {
         let planes = first..first + run.len() / p;
         if pixels {
-            dw.pixels(planes, run, acc, cs, mx);
+            dw.pixels(planes, run, acc, cs);
         } else {
-            dw.channels(planes, run, acc, cs, mx);
+            dw.channels(planes, run, acc, cs);
         }
     });
-    fold_maxes(mx, maxes);
 }
 
 /// A depthwise conv over its operand of `scales.len()` samples, `taps` the
@@ -1221,14 +1167,7 @@ impl<T: Tier> Depthwise<'_, T> {
     /// its frame, shifted by `ki·fw + kj`, into an accumulator that keeps
     /// the frame's row pitch `fw` (the `fw − ow` columns between output rows
     /// accumulate garbage nobody reads). Stride 1 only.
-    fn pixels(
-        &self,
-        planes: Range<usize>,
-        run: &mut [f32],
-        acc: &mut [T::Acc],
-        cs: &mut [T::Cs],
-        mx: &mut [i32],
-    ) {
+    fn pixels(&self, planes: Range<usize>, run: &mut [f32], acc: &mut [T::Acc], cs: &mut [T::Cs]) {
         let (gemm, g, c) = (self.gemm, self.g, self.gemm.rows);
         let fw = g.w + 2 * g.pad;
         let frame = (g.h + 2 * g.pad) * fw;
@@ -1250,17 +1189,7 @@ impl<T: Tier> Depthwise<'_, T> {
                 let at = oy * fw..oy * fw + g.ow;
                 let cs = gemm.has_offset.then(|| &cs[at.clone()]);
                 let (sa, acc) = (&self.scales[i..=i], &acc[at]);
-                let m = &mut mx[i..=i];
-                dequant(
-                    gemm,
-                    ch,
-                    sa,
-                    acc,
-                    cs,
-                    self.fold,
-                    (&mut *orow, (oy * g.ow, 0)),
-                    m,
-                );
+                dequant(gemm, ch, sa, acc, cs, self.fold, orow, (oy * g.ow, 0));
             }
         }
     }
@@ -1275,7 +1204,6 @@ impl<T: Tier> Depthwise<'_, T> {
         run: &mut [f32],
         acc: &mut [T::Acc],
         cs: &mut [T::Cs],
-        mx: &mut [i32],
     ) {
         let (gemm, g, c) = (self.gemm, self.g, self.gemm.rows);
         let (p, hw) = (g.oh * g.ow, g.h * g.w);
@@ -1308,7 +1236,6 @@ impl<T: Tier> Depthwise<'_, T> {
                 self.scales[i],
                 &mut run[(ci - planes.start) * p..][..cr * p],
             );
-            let mut hi = mx[i];
             folded!(self.fold, |fold| {
                 for (k, orow) in out.chunks_mut(p).enumerate() {
                     let (f, acc) = (Affine::of(gemm, c0 + k), acc.iter().skip(k).step_by(cr));
@@ -1316,17 +1243,14 @@ impl<T: Tier> Depthwise<'_, T> {
                         let cs = cs.iter().skip(k).step_by(cr);
                         for ((o, &v), &c) in orow.iter_mut().zip(acc).zip(cs) {
                             *o = fold(f.offset(sa, v, c));
-                            hi = hi.max(mag(*o));
                         }
                     } else {
                         for (o, &v) in orow.iter_mut().zip(acc) {
                             *o = fold(f.plain(sa, v));
-                            hi = hi.max(mag(*o));
                         }
                     }
                 }
             });
-            mx[i] = hi;
             ci += cr;
         }
     }

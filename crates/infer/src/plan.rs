@@ -158,9 +158,9 @@ thread_local! {
 pub(crate) type Sink<'a> = &'a mut (dyn FnMut(OpProfile) + 'a);
 
 /// The GEMM driver on one route ([`gemm`]).
-type GemmFn = fn(&GemmStep, Input, (&mut [f32], &mut [f32]), &mut Pools, Activation);
+type GemmFn = fn(&GemmStep, Input, &mut [f32], &mut Pools, Activation);
 /// The depthwise kernel on one tier ([`depthwise`]).
-pub(crate) type DwFn = fn(&DwStep, Input, (&mut [f32], &mut [f32]), &mut Pools, Activation);
+pub(crate) type DwFn = fn(&DwStep, Input, &mut [f32], &mut Pools, Activation);
 
 /// An activation slot: an arena slot's index, `None` the forward's input.
 type Slot = Option<usize>;
@@ -175,9 +175,9 @@ pub(crate) enum Kind {
     Map,
     /// Global average pooling over planes of `hw`.
     Pool(usize),
-    /// A residual's add, in place into the body's output: `dst += other`,
-    /// then the post-ReLU where it has one.
-    Add(Slot, bool),
+    /// A residual's add, in place into the body's output: `dst += src`
+    /// (the shortcut's), then the post-ReLU where it has one.
+    Add(bool),
 }
 
 /// One layer as the plan compiled it.
@@ -202,8 +202,8 @@ pub(crate) struct Plan {
     pub(crate) steps: Vec<Step>,
     /// Each slot's offset in the arena's activations, and their total.
     offsets: Vec<usize>,
-    /// The output's slot and dims.
-    out: (Slot, Vec<usize>),
+    /// The output's dims.
+    out: Vec<usize>,
 }
 
 /// Compiles op lists into steps, handing out activation slots: a slot is
@@ -310,8 +310,8 @@ impl Compiler {
                     let out_len = bdims.iter().product();
                     let label = describe(op, &bdims, None);
                     self.steps.push(Step {
-                        kind: Kind::Add(s, *post_relu),
-                        src: b,
+                        kind: Kind::Add(*post_relu),
+                        src: s,
                         dst: at,
                         lens: (out_len, out_len),
                         fold: Activation::None,
@@ -493,7 +493,7 @@ impl Plan {
             sizes: Vec::new(),
             free: Vec::new(),
         };
-        let out = c.seq(ops, None, dims.to_vec(), false);
+        let (_, out) = c.seq(ops, None, dims.to_vec(), false);
         let mut offsets = vec![0];
         for s in &c.sizes {
             offsets.push(offsets.last().unwrap() + s);
@@ -525,27 +525,31 @@ impl Plan {
         rule: ActRule,
         mut sink: Option<Sink>,
     ) -> Tensor {
-        debug_assert_eq!(x.dims(), &self.dims[..]);
         let (n, slots) = (self.dims[0], self.offsets.len() - 1);
-        let acts = *self.offsets.last().expect("offsets end in the total");
-        if a.acts.len() < acts {
-            a.acts.resize(acts, 0.0);
+        if a.acts.len() < self.offsets[slots] {
+            a.acts.resize(self.offsets[slots], 0.0);
         }
         if a.maxes.len() < (slots + 1) * n {
             a.maxes.resize((slots + 1) * n, 0.0);
         }
-        // The input's max-abs, per sample, in the last max slot.
-        let (x, len) = (x.data(), x.len() / n);
-        for (m, s) in a.maxes[slots * n..][..n]
-            .iter_mut()
-            .zip(x.chunks(len.max(1)))
-        {
-            *m = (self.k.max_abs)(s);
-        }
+        // Each sample's max-abs — the input's in the last row, then each
+        // step's of what it just stored — for the next layer's grid, where
+        // the grid reads one (SBM's).
+        let sbm = rule.quantizes() && rule.quantizer == Quantizer::Sbm;
+        let record = |maxes: &mut [f32], y: &[f32]| {
+            if sbm {
+                for (m, y) in maxes.iter_mut().zip(y.chunks(y.len() / n)) {
+                    *m = (self.k.max_abs)(y);
+                }
+            }
+        };
+        let x = x.data();
+        record(&mut a.maxes[slots * n..][..n], x);
         let lanes =
             |s: Slot, len: usize| s.map_or(0..0, |s| self.offsets[s]..self.offsets[s] + len);
         let row = |s: Slot| s.unwrap_or(slots) * n..(s.unwrap_or(slots) + 1) * n;
-        for step in &self.steps {
+        let mut out = Vec::new();
+        for (i, step) in self.steps.iter().enumerate() {
             let start = sink.is_some().then(|| {
                 OPERAND_TIME.set(Some(Duration::ZERO));
                 Instant::now()
@@ -554,23 +558,23 @@ impl Plan {
                 lanes(step.src, step.lens.0),
                 lanes(Some(step.dst), step.lens.1),
             );
-            let (maxes, (src_max, dst_max)) = (&mut a.maxes, (row(step.src), row(Some(step.dst))));
-            if let Kind::Add(other, post_relu) = step.kind {
-                let (s, y) = pair(&mut a.acts, x, lanes(other, step.lens.1), dst.clone());
-                add(
-                    s,
-                    y,
-                    (post_relu, step.fold),
-                    &mut maxes[dst_max.clone()],
-                    self.k.max_abs,
-                );
+            let (x_max, y_max) = pair(&mut a.maxes, &[], row(step.src), row(Some(step.dst)));
+            if i + 1 == self.steps.len() {
+                // The last step stores straight into the returned tensor; an
+                // add adds into a copy of the body's output.
+                out = match step.kind {
+                    Kind::Add(_) => a.acts[dst].to_vec(),
+                    _ => vec![0.0; dst.len()],
+                };
+                let x = if src.is_empty() { x } else { &a.acts[src] };
+                self.exec(step, (x, x_max), &mut out, &mut a.pools, rule);
             } else {
-                let (s, y) = pair(&mut a.acts, x, src, dst.clone());
-                let (s_max, y_max) = pair(maxes, &[], src_max, dst_max.clone());
-                self.exec(step, s, s_max, (y, y_max), &mut a.pools, rule);
+                let (x, y) = pair(&mut a.acts, x, src, dst);
+                self.exec(step, (x, x_max), y, &mut a.pools, rule);
+                record(y_max, y);
+                #[cfg(test)]
+                tests::observe(y, y_max);
             }
-            #[cfg(test)]
-            tests::observe(&a.acts[dst], &a.maxes[dst_max]);
             if let (Some(sink), Some(start)) = (sink.as_deref_mut(), start) {
                 let quantize = OPERAND_TIME.take().unwrap_or_default();
                 let (kind, shape, route) = step.label.clone();
@@ -584,33 +588,27 @@ impl Plan {
                 });
             }
         }
-        match self.out {
-            (None, _) => Tensor::from_vec(self.dims.clone(), x.to_vec()),
-            (s @ Some(_), ref dims) => {
-                let out = &a.acts[lanes(s, dims.iter().product())];
-                Tensor::from_vec(dims.clone(), out.to_vec())
-            }
+        if self.steps.is_empty() {
+            out = x.to_vec();
         }
+        Tensor::from_vec(self.out.clone(), out)
     }
 
-    /// Runs one step of `n = x_max.len()` samples from `x` into `y`.
+    /// Runs one step over `x` of `n = x_max.len()` samples into `y`.
     fn exec(
         &self,
         step: &Step,
-        x: &[f32],
-        x_max: &[f32],
-        (y, y_max): (&mut [f32], &mut [f32]),
+        (x, x_max): (&[f32], &[f32]),
+        y: &mut [f32],
         pools: &mut Pools,
         rule: ActRule,
     ) {
-        let rule = if step.raw {
-            ActRule {
-                quantizer: Quantizer::Identity,
-                ..rule
-            }
+        let quantizer = if step.raw {
+            Quantizer::Identity
         } else {
-            rule
+            rule.quantizer
         };
+        let rule = ActRule { quantizer, ..rule };
         let (k, n, fold) = (self.k, x_max.len(), step.fold);
         let input = Input {
             k,
@@ -620,53 +618,22 @@ impl Plan {
             rule,
         };
         match &step.kind {
-            Kind::Gemm(s, run) => run(s, input, (y, y_max), pools, fold),
-            Kind::Depthwise(s, run) => run(s, input, (y, y_max), pools, fold),
-            Kind::Map => {
-                let len = x.len() / n;
-                for ((y, x), m) in y.chunks_mut(len).zip(x.chunks(len)).zip(y_max) {
-                    y.iter_mut().zip(x).for_each(|(o, &v)| *o = act(fold, v));
-                    *m = (k.max_abs)(y);
-                }
-            }
+            Kind::Gemm(s, run) => run(s, input, y, pools, fold),
+            Kind::Depthwise(s, run) => run(s, input, y, pools, fold),
+            Kind::Map => y.iter_mut().zip(x).for_each(|(o, &v)| *o = act(fold, v)),
             Kind::Pool(hw) => {
                 let inv = 1.0 / *hw as f32;
-                let c = y.len() / n;
-                for ((y, x), m) in y.chunks_mut(c).zip(x.chunks(c * hw)).zip(y_max) {
-                    for (o, plane) in y.iter_mut().zip(x.chunks(*hw)) {
-                        let mut acc = 0.0f32;
-                        for &v in plane {
-                            acc += v;
-                        }
-                        *o = act(fold, acc * inv);
-                    }
-                    *m = (k.max_abs)(y);
+                for (o, plane) in y.iter_mut().zip(x.chunks(*hw)) {
+                    *o = act(fold, plane.iter().fold(0.0, |a, &v| a + v) * inv);
                 }
             }
-            Kind::Add(..) => unreachable!("adds run in place"),
-        }
-    }
-}
-
-/// A residual's add: `y += s`, the post-ReLU, the folded activation, each
-/// sample's max-abs into `maxes` through the table's `max_abs`.
-fn add(
-    s: &[f32],
-    y: &mut [f32],
-    (post_relu, fold): (bool, Activation),
-    maxes: &mut [f32],
-    max_abs: fn(&[f32]) -> f32,
-) {
-    let len = y.len() / maxes.len();
-    for ((y, s), m) in y.chunks_mut(len).zip(s.chunks(len)).zip(maxes) {
-        for (u, &v) in y.iter_mut().zip(s) {
-            *u += v;
-            if post_relu {
-                *u = u.max(0.0);
+            Kind::Add(post_relu) => {
+                for (u, &v) in y.iter_mut().zip(x) {
+                    let sum = *u + v;
+                    *u = act(fold, if *post_relu { sum.max(0.0) } else { sum });
+                }
             }
-            *u = act(fold, *u);
         }
-        *m = max_abs(y);
     }
 }
 

@@ -114,8 +114,9 @@ fn poisoned_arenas_change_no_output_bit() {
 
 /// NaN, ±inf, −0.0 and subnormals in one sample of a batch: every step's
 /// recorded max-abs equals `Kernels::max_abs` over the output it stored,
-/// sample by sample, on every table and width, and the other samples'
-/// outputs are those of the same batch without the bad sample.
+/// sample by sample, on every table and at every width whose grid reads one
+/// (below 32 bits), and the other samples' outputs are those of the same
+/// batch without the bad sample.
 #[test]
 fn chained_grids_equal_the_max_abs_of_every_stored_output() {
     let models = models();
@@ -149,7 +150,7 @@ fn chained_grids_equal_the_max_abs_of_every_stored_output() {
                     let got = with_threads(1, || packed.forward_batch_at(i, &bad));
                     let steps = STEPS.with(|s| s.borrow_mut().take().unwrap());
                     assert!(!steps.is_empty(), "{ctx}: no step observed");
-                    for (at, (y, maxes)) in steps.iter().enumerate() {
+                    for (at, (y, maxes)) in steps.iter().enumerate().filter(|_| *bits < 32) {
                         for (s, (y, m)) in y.chunks(y.len() / n).zip(maxes).enumerate() {
                             let want = (k.max_abs)(y);
                             assert_eq!(m.to_bits(), want.to_bits(), "{ctx}: step {at} sample {s}");

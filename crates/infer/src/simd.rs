@@ -500,49 +500,21 @@ pub fn fused_gemm_enabled() -> bool {
 // ---------------------------------------------------------------------------
 
 /// `acc[j] += Σ_q Σ_k lane_k(words[q]) · block[(q·ncols + j)·G + k]` for
-/// columns `start..`, over the interleaved layout of `G` lanes per word
-/// (`lanes` unpacks one into `P` products' lanes, `mul` multiplies them by
-/// a code): blocks of eight columns hold one `P` sum per (column, lane) over
-/// runs of `run` words — the block's `8·G` contiguous codes against the
-/// word's lanes repeated, an elementwise multiply-add the baseline vector
-/// unit runs — widened into i32 after each run and summed per column at the
-/// end, as the SIMD kernels' vectors do; then the ragged tail column by
-/// column. Every partial sum is a sub-sum of the row's, and `run` keeps a
-/// `P` lane's inside its type.
+/// the ragged columns `start..` of the word kernels below, column by column
+/// (`lanes` unpacks a word).
 #[inline(always)]
-fn gemm_words<L: Copy, P: Copy + Default + std::ops::AddAssign + Into<i32>, const G: usize>(
+fn word_columns<L: Copy + Into<i32>, const G: usize>(
     (acc, words, block, ncols): (&mut [i32], &[u32], &[L], usize),
-    (start, run): (usize, usize),
-    lanes: impl Fn(u32) -> [P; G],
-    mul: impl Fn(P, L) -> P,
+    start: usize,
+    lanes: impl Fn(u32) -> [i32; G],
 ) {
-    let mut j = start;
-    while j + 8 <= ncols {
-        let mut sums = [0i32; 32];
-        for (r, words) in words.chunks(run).enumerate() {
-            let mut part = [P::default(); 32];
-            for (q, &word) in (r * run..).zip(words) {
-                let (w, a) = (lanes(word), &block[(q * ncols + j) * G..][..8 * G]);
-                for (i, (p, &a)) in part.iter_mut().zip(a).enumerate() {
-                    *p += mul(w[i % G], a);
-                }
-            }
-            for (s, p) in sums.iter_mut().zip(part) {
-                *s += p.into();
-            }
-        }
-        for (o, s) in acc[j..j + 8].iter_mut().zip(sums.chunks(G)) {
-            *o += s.iter().sum::<i32>();
-        }
-        j += 8;
-    }
-    for (j, o) in acc.iter_mut().enumerate().skip(j) {
+    for (j, o) in acc.iter_mut().enumerate().skip(start) {
         let column = |(q, &word): (usize, &u32)| {
             let a = &block[(q * ncols + j) * G..][..G];
             lanes(word)
                 .iter()
                 .zip(a)
-                .map(|(&w, &a)| mul(w, a).into())
+                .map(|(&w, &a)| w * a.into())
                 .sum::<i32>()
         };
         *o += words.iter().enumerate().map(column).sum::<i32>();
@@ -550,30 +522,70 @@ fn gemm_words<L: Copy, P: Copy + Default + std::ops::AddAssign + Into<i32>, cons
 }
 
 /// The nibble word GEMM: four unsigned `w + 8` weight bytes per word against
-/// an interleaved i8 block of codes |a| ≤ 15, products and runs of 64 words
-/// in i16 lanes (64·15·15 < 2^15).
+/// an interleaved i8 block of codes |a| ≤ 15 (`acc[j] += Σ_q Σ_k
+/// byte_k(words[q]) · block[(q·ncols + j)·4 + k]`). Blocks of eight columns
+/// keep one i16 sum per (column, lane) over runs of 64 words (64·15·15 <
+/// 2^15) — a word is its bytes repeated times 32 codes, elementwise, which
+/// the baseline vector unit multiplies in i16 lanes — widened into the
+/// columns' i32 sums after each run; every one a sub-sum of the row's.
 fn gemm_nibble_ref(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize, start: usize) {
-    let lanes = |w: u32| w.to_le_bytes().map(i16::from);
-    gemm_words((acc, wquads, block, ncols), (start, 64), lanes, |w, a| {
-        w * i16::from(a)
-    });
+    let mut j = start;
+    while j + 8 <= ncols {
+        let mut sums = [0i32; 8];
+        for (r, words) in wquads.chunks(64).enumerate() {
+            let mut part = [[0i16; 8]; 4];
+            for (q, &word) in (r * 64..).zip(words) {
+                let b = word.to_le_bytes().map(i16::from);
+                let w = [b[0], b[1], b[2], b[3], b[0], b[1], b[2], b[3]];
+                let a = &block[(q * ncols + j) * 4..][..32];
+                for (part, a) in part.iter_mut().zip(a.chunks_exact(8)) {
+                    for ((p, &w), &a) in part.iter_mut().zip(&w).zip(a) {
+                        *p += w * i16::from(a);
+                    }
+                }
+            }
+            for (s, lanes) in sums.iter_mut().zip(part.as_flattened().chunks(4)) {
+                *s += lanes.iter().map(|&v| i32::from(v)).sum::<i32>();
+            }
+        }
+        for (o, s) in acc[j..j + 8].iter_mut().zip(sums) {
+            *o += s;
+        }
+        j += 8;
+    }
+    let lanes = |w: u32| w.to_le_bytes().map(i32::from);
+    word_columns((acc, wquads, block, ncols), j, lanes);
 }
 
 /// The i8 word GEMM: two signed i16 weights per word against an interleaved
-/// i16 block, in i32 lanes.
+/// i16 block. Blocks of eight columns sum each word's adjacent-lane products
+/// in i32 (`pmaddwd` on the baseline vector unit), one sum per column.
 fn gemm_i8_ref(acc: &mut [i32], wpairs: &[u32], block: &[i16], ncols: usize, start: usize) {
+    let mad = |w: i16, a: i16| i32::from(w) * i32::from(a);
+    let mut j = start;
+    while j + 8 <= ncols {
+        let mut sums = [[0i32; 4]; 2];
+        for (q, &word) in wpairs.iter().enumerate() {
+            let (lo, hi) = (word as u16 as i16, (word >> 16) as u16 as i16);
+            let a = &block[(q * ncols + j) * 2..][..16];
+            for (s, a) in sums.iter_mut().zip(a.chunks_exact(8)) {
+                for (t, s) in s.iter_mut().enumerate() {
+                    *s += mad(lo, a[2 * t]) + mad(hi, a[2 * t + 1]);
+                }
+            }
+        }
+        for (o, s) in acc[j..j + 8].iter_mut().zip(sums.as_flattened()) {
+            *o += s;
+        }
+        j += 8;
+    }
     let lanes = |w: u32| {
         [
             i32::from(w as u16 as i16),
             i32::from((w >> 16) as u16 as i16),
         ]
     };
-    gemm_words(
-        (acc, wpairs, block, ncols),
-        (start, usize::MAX),
-        lanes,
-        |w, a| w * i32::from(a),
-    );
+    word_columns((acc, wpairs, block, ncols), j, lanes);
 }
 
 // ---------------------------------------------------------------------------
@@ -590,11 +602,11 @@ mod avx2 {
 
     use crate::Storage;
     use core::arch::x86_64::{
-        __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_epi64, _mm256_cvtepi16_epi32,
-        _mm256_loadu_si256, _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_mul_epi32,
-        _mm256_mullo_epi32, _mm256_permute2x128_si256, _mm256_set1_epi16, _mm256_set1_epi32,
-        _mm256_setzero_si256, _mm256_shuffle_epi32, _mm256_storeu_si256, _mm256_unpackhi_epi32,
-        _mm256_unpackhi_epi64, _mm256_unpacklo_epi32, _mm256_unpacklo_epi64, _mm_loadu_si128,
+        __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_cvtepi16_epi32, _mm256_loadu_si256,
+        _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_mul_epi32, _mm256_mullo_epi32,
+        _mm256_permute2x128_si256, _mm256_set1_epi16, _mm256_set1_epi32, _mm256_setzero_si256,
+        _mm256_shuffle_epi32, _mm256_storeu_si256, _mm256_unpackhi_epi32, _mm256_unpackhi_epi64,
+        _mm256_unpacklo_epi32, _mm256_unpacklo_epi64, _mm_loadu_si128,
     };
     // The thin kernels' horizontal sum.
     use core::arch::x86_64::{
@@ -768,20 +780,14 @@ mod avx2 {
 
     // --- fused GEMM kernels (multiply on packed codes) ---
 
-    /// Words one run of [`gemm_nibble_kernel`] sums in i16 lanes before
-    /// widening: each lane adds one `maddubs` pair (|pair| ≤ 450) per word,
-    /// and 64 · 450 = 28 800 < 2^15.
-    const NIBBLE_RUN: usize = 64;
-
     /// Fused nibble GEMM: each `u32` carries four `w + 8 ∈ [0, 15]`
     /// unsigned weight bytes, broadcast to all 8 dwords of a register;
     /// `maddubs` multiplies them against 4-lane-interleaved i8 activations
     /// (one dword per column) into i16 pairs — |pair| ≤ 2·15·15 = 450,
-    /// nowhere near the instruction's i16 saturation — which add in i16
-    /// lanes over runs of [`NIBBLE_RUN`] words (exact: at most 28 800), and
-    /// `madd` against ones widens each run to one i32 quad-sum per column.
-    /// The caller subtracts `8·colsum` to undo the shift. Two accumulator
-    /// registers (16 columns) per block keep independent dependency chains.
+    /// nowhere near the instruction's i16 saturation — and `madd` against
+    /// ones widens pair sums to one i32 quad-sum per column. The caller
+    /// subtracts `8·colsum` to undo the shift. Two accumulator registers
+    /// (16 columns) per block keep independent dependency chains.
     #[target_feature(enable = "avx2")]
     fn gemm_nibble_kernel(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize) {
         let ones = _mm256_set1_epi16(1);
@@ -789,19 +795,13 @@ mod avx2 {
         while j + 2 * L <= ncols {
             let mut s0 = _mm256_setzero_si256();
             let mut s1 = _mm256_setzero_si256();
-            for (r, run) in wquads.chunks(NIBBLE_RUN).enumerate() {
-                let mut h0 = _mm256_setzero_si256();
-                let mut h1 = _mm256_setzero_si256();
-                for (q, &wq) in (r * NIBBLE_RUN..).zip(run) {
-                    let w = _mm256_set1_epi32(wq as i32);
-                    let base = (q * ncols + j) * 4;
-                    let a0 = load_i8_32(block, base);
-                    let a1 = load_i8_32(block, base + 4 * L);
-                    h0 = _mm256_add_epi16(h0, _mm256_maddubs_epi16(w, a0));
-                    h1 = _mm256_add_epi16(h1, _mm256_maddubs_epi16(w, a1));
-                }
-                s0 = _mm256_add_epi32(s0, _mm256_madd_epi16(h0, ones));
-                s1 = _mm256_add_epi32(s1, _mm256_madd_epi16(h1, ones));
+            for (q, &wq) in wquads.iter().enumerate() {
+                let w = _mm256_set1_epi32(wq as i32);
+                let base = (q * ncols + j) * 4;
+                let a0 = load_i8_32(block, base);
+                let a1 = load_i8_32(block, base + 4 * L);
+                s0 = _mm256_add_epi32(s0, _mm256_madd_epi16(_mm256_maddubs_epi16(w, a0), ones));
+                s1 = _mm256_add_epi32(s1, _mm256_madd_epi16(_mm256_maddubs_epi16(w, a1), ones));
             }
             add_store_i32(acc, j, s0);
             add_store_i32(acc, j + L, s1);
@@ -809,14 +809,10 @@ mod avx2 {
         }
         while j + L <= ncols {
             let mut s = _mm256_setzero_si256();
-            for (r, run) in wquads.chunks(NIBBLE_RUN).enumerate() {
-                let mut h = _mm256_setzero_si256();
-                for (q, &wq) in (r * NIBBLE_RUN..).zip(run) {
-                    let w = _mm256_set1_epi32(wq as i32);
-                    let a = load_i8_32(block, (q * ncols + j) * 4);
-                    h = _mm256_add_epi16(h, _mm256_maddubs_epi16(w, a));
-                }
-                s = _mm256_add_epi32(s, _mm256_madd_epi16(h, ones));
+            for (q, &wq) in wquads.iter().enumerate() {
+                let w = _mm256_set1_epi32(wq as i32);
+                let a = load_i8_32(block, (q * ncols + j) * 4);
+                s = _mm256_add_epi32(s, _mm256_madd_epi16(_mm256_maddubs_epi16(w, a), ones));
             }
             add_store_i32(acc, j, s);
             j += L;
