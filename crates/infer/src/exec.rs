@@ -936,8 +936,14 @@ pub(crate) fn gemm<R: Route>(
     fan(out, m * rows * p, wb, scratch, |first, slab, mut w| {
         for (bi, slab) in slab.chunks_mut(m * rows * p).enumerate() {
             let at = (first + bi) * m..(first + bi) * m + slab.len() / (rows * p);
+            // A lone sample's values are a plain-row 1×1 conv's operand as
+            // they stand.
+            let direct = s.window.is_empty() && s.ig == 1 && at.len() == 1;
             let (buf, src) = (&mut *w.operand, &mut *w.src);
-            let operand = timed_operand(|| operand::<R>(s, &feed, at.clone(), buf, src));
+            let operand = match R::values(feed.sample(at.start)).filter(|_| direct) {
+                Some(values) => values,
+                None => timed_operand(|| operand::<R>(s, &feed, at.clone(), buf, src)),
+            };
             gemm_rows::<R>(
                 s,
                 kernel,

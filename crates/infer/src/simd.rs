@@ -500,34 +500,44 @@ pub fn fused_gemm_enabled() -> bool {
 // ---------------------------------------------------------------------------
 
 /// `acc[j] += Σ_q Σ_k lane_k(words[q]) · block[(q·ncols + j)·G + k]` for
-/// the ragged columns `start..` of the word kernels below, column by column
-/// (`lanes` unpacks a word).
+/// columns `start..`, over the interleaved layout of `G` lanes per word
+/// (`lanes` unpacks one): blocks of eight columns hold their sums in
+/// registers down the whole reduction, as the SIMD kernels' vectors do,
+/// then the ragged tail column by column.
 #[inline(always)]
-fn word_columns<L: Copy + Into<i32>, const G: usize>(
+fn gemm_words<L: Copy + Into<i32>, const G: usize>(
     (acc, words, block, ncols): (&mut [i32], &[u32], &[L], usize),
     start: usize,
     lanes: impl Fn(u32) -> [i32; G],
 ) {
-    for (j, o) in acc.iter_mut().enumerate().skip(start) {
-        let column = |(q, &word): (usize, &u32)| {
-            let a = &block[(q * ncols + j) * G..][..G];
-            lanes(word)
-                .iter()
-                .zip(a)
-                .map(|(&w, &a)| w * a.into())
-                .sum::<i32>()
-        };
+    let dot = |w: [i32; G], a: &[L]| w.iter().zip(a).map(|(&w, &v)| w * v.into()).sum::<i32>();
+    let mut j = start;
+    while j + 8 <= ncols {
+        let mut sums = [0i32; 8];
+        for (q, &word) in words.iter().enumerate() {
+            let columns = block[(q * ncols + j) * G..][..8 * G].chunks_exact(G);
+            for (s, a) in sums.iter_mut().zip(columns) {
+                *s += dot(lanes(word), a);
+            }
+        }
+        for (o, s) in acc[j..j + 8].iter_mut().zip(sums) {
+            *o += s;
+        }
+        j += 8;
+    }
+    for (j, o) in acc.iter_mut().enumerate().skip(j) {
+        let column = |(q, &word): (usize, &u32)| dot(lanes(word), &block[(q * ncols + j) * G..]);
         *o += words.iter().enumerate().map(column).sum::<i32>();
     }
 }
 
 /// The nibble word GEMM: four unsigned `w + 8` weight bytes per word against
-/// an interleaved i8 block of codes |a| ≤ 15 (`acc[j] += Σ_q Σ_k
-/// byte_k(words[q]) · block[(q·ncols + j)·4 + k]`). Blocks of eight columns
-/// keep one i16 sum per (column, lane) over runs of 64 words (64·15·15 <
-/// 2^15) — a word is its bytes repeated times 32 codes, elementwise, which
-/// the baseline vector unit multiplies in i16 lanes — widened into the
-/// columns' i32 sums after each run; every one a sub-sum of the row's.
+/// an interleaved i8 block of codes |a| ≤ 15. Blocks of eight columns keep
+/// one i16 sum per (column, lane) over runs of 64 words (64·15·15 < 2^15) —
+/// a word is its bytes repeated times 32 codes, elementwise, which the
+/// baseline vector unit multiplies in i16 lanes — widened into the columns'
+/// i32 sums after each run, every one a sub-sum of the row's; the ragged
+/// columns go through [`gemm_words`].
 fn gemm_nibble_ref(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize, start: usize) {
     let mut j = start;
     while j + 8 <= ncols {
@@ -554,38 +564,19 @@ fn gemm_nibble_ref(acc: &mut [i32], wquads: &[u32], block: &[i8], ncols: usize, 
         j += 8;
     }
     let lanes = |w: u32| w.to_le_bytes().map(i32::from);
-    word_columns((acc, wquads, block, ncols), j, lanes);
+    gemm_words((acc, wquads, block, ncols), j, lanes);
 }
 
 /// The i8 word GEMM: two signed i16 weights per word against an interleaved
-/// i16 block. Blocks of eight columns sum each word's adjacent-lane products
-/// in i32 (`pmaddwd` on the baseline vector unit), one sum per column.
+/// i16 block.
 fn gemm_i8_ref(acc: &mut [i32], wpairs: &[u32], block: &[i16], ncols: usize, start: usize) {
-    let mad = |w: i16, a: i16| i32::from(w) * i32::from(a);
-    let mut j = start;
-    while j + 8 <= ncols {
-        let mut sums = [[0i32; 4]; 2];
-        for (q, &word) in wpairs.iter().enumerate() {
-            let (lo, hi) = (word as u16 as i16, (word >> 16) as u16 as i16);
-            let a = &block[(q * ncols + j) * 2..][..16];
-            for (s, a) in sums.iter_mut().zip(a.chunks_exact(8)) {
-                for (t, s) in s.iter_mut().enumerate() {
-                    *s += mad(lo, a[2 * t]) + mad(hi, a[2 * t + 1]);
-                }
-            }
-        }
-        for (o, s) in acc[j..j + 8].iter_mut().zip(sums.as_flattened()) {
-            *o += s;
-        }
-        j += 8;
-    }
     let lanes = |w: u32| {
         [
             i32::from(w as u16 as i16),
             i32::from((w >> 16) as u16 as i16),
         ]
     };
-    word_columns((acc, wpairs, block, ncols), j, lanes);
+    gemm_words((acc, wpairs, block, ncols), start, lanes);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@
 //! every op with the route it took (arithmetic / what the SIMD lanes hold)
 //! and the part of it spent building the kernel's operand (activation grid,
 //! code emission, layout: `quantize µs`), then the same times summed per
-//! (kind, route) slice.
+//! (kind, route) slice, and the minor page faults a warmed-up forward takes
+//! (read from `/proc/self/stat`; zero when it allocates nothing but its
+//! output).
 //!
 //! ```sh
 //! cargo run --release -p instantnet --example forward_profile -- [mbv2|cnn|block] [bits] [batch] [reps]
@@ -151,5 +153,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {total_quantize:.1}; untimed forward_batch_at median {untimed_median:.1} µs (min {:.1})",
         untimed[0]
     );
+    // A warmed-up forward allocates only its output, so it should take no
+    // page faults: count them over as many more untimed forwards.
+    let faults = with_threads(1, || {
+        let before = minor_faults()?;
+        for _ in 0..reps {
+            std::hint::black_box(packed.forward_batch_at(0, &x));
+        }
+        Some((minor_faults()? - before) as f64 / reps as f64)
+    });
+    match faults {
+        Some(f) => println!("minor page faults per warm forward {f:.2} (over {reps})"),
+        None => println!("minor page faults per warm forward: /proc/self/stat unreadable"),
+    }
     Ok(())
+}
+
+/// This process's minor page faults so far: field 10 of `/proc/self/stat`,
+/// the 8th after the parenthesised command name.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    let (_, fields) = stat.rsplit_once(')')?;
+    fields.split_whitespace().nth(7)?.parse().ok()
 }
