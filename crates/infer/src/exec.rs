@@ -949,7 +949,7 @@ pub(crate) fn gemm<R: Route>(
                 kernel,
                 operand,
                 (at, p),
-                &scales,
+                scales,
                 slab,
                 fold,
                 &mut w.rows,

@@ -21,15 +21,19 @@
 //!   on every CPU, the decoded tap-major table for depthwise layers.
 //!   A forward on those layers touches no weight-layout code at all; only
 //!   a 16-bit GEMM still decodes `Storage` rows as it goes.
+//! * Each (bit-width, batch size, kernel table) is compiled once, on its
+//!   first forward, into a plan of steps — what every layer runs and where
+//!   its buffers sit — that runs over one per-thread arena, so a warmed-up
+//!   forward allocates only the tensor it returns.
 //! * Forwards quantize activations to integer codes between layers with
-//!   the exact SBM/DoReFa grids from `instantnet-quant` — a max-abs and
-//!   one pass of codes, both in vector lanes, written straight into the
-//!   operand the consuming kernel reads (its lane type and layout) — then run
-//!   GEMM and im2col-conv kernels that accumulate in i32 (period by period
-//!   into i64 where a row is longer than its words' period; i64 throughout
-//!   at 16 bits), row-parallel via `instantnet-parallel`. Integer
-//!   accumulation is exact, so results are bit-identical at any thread
-//!   count.
+//!   the exact SBM/DoReFa grids from `instantnet-quant` — the max-abs the
+//!   producing layer recorded and one pass of codes in vector lanes,
+//!   written straight into the operand the consuming kernel reads (its lane
+//!   type and layout) — then run GEMM and patch-matrix conv kernels that
+//!   accumulate in i32 (period by period into i64 where a row is longer
+//!   than its words' period; i64 throughout at 16 bits), row-parallel via
+//!   `instantnet-parallel`. Integer accumulation is exact, so results are
+//!   bit-identical at any thread count.
 //! * Each layer's SIMD lanes follow its long axis, chosen from its geometry
 //!   and the backend's lane count with no knob (the `route` module's rules,
 //!   DESIGN.md §6c): depthwise layers vectorise over pixels where an output
@@ -333,7 +337,8 @@ impl Taps {
 #[derive(Debug, Clone)]
 pub struct OpProfile {
     /// `depthwise`, `pointwise`, `conv`, `linear`, `act`, `pool` or `add`
-    /// (a residual's elementwise sum; its branches report op by op).
+    /// (a residual's elementwise sum; its branches report op by op). An
+    /// activation folded into the op before it reports with that op.
     pub kind: &'static str,
     /// The op's input dims, and for a GEMM layer ` -> ` its output rows,
     /// kernel, stride, padding and groups.
@@ -345,8 +350,8 @@ pub struct OpProfile {
     /// Wall time of the op.
     pub elapsed: std::time::Duration,
     /// The part of [`Self::elapsed`] spent building the operand the kernel
-    /// reads — activation grid, code emission, layout (`im2col` and
-    /// interleave included) — rather than in the kernel and its dequant
+    /// reads — activation grid, code emission, layout (the patch-matrix
+    /// gather included) — rather than in the kernel and its dequant
     /// epilogue. Counted on the thread running the forward, so all of it on
     /// one kernel thread; zero for ops without a kernel.
     pub quantize: std::time::Duration,
@@ -386,7 +391,6 @@ pub(crate) enum PackedOp {
 
 /// The ops of one bit-width's prebuilt network, and the forwards compiled
 /// from them.
-#[derive(Debug, Clone)]
 pub(crate) struct PackedNet {
     pub(crate) ops: Vec<PackedOp>,
     pub(crate) bits: BitWidth,
@@ -722,8 +726,8 @@ impl PackedModel {
         Ok(self.run(index, x, exec::ActQuant::PerSample, None))
     }
 
-    /// [`Self::forward_batch_at`], reporting every op it executes to `sink`
-    /// as the op finishes: kind, shape, route and elapsed time (the per-op
+    /// [`Self::forward_batch_at`], reporting every step of its plan to
+    /// `sink` as the step finishes: kind, shape, route and elapsed time (the per-op
     /// table of EXPERIMENTS.md as a command — `examples/forward_profile.rs`
     /// prints it). The same code path with a clock read around each op:
     /// the output is bit-identical, and the unprofiled forwards read no

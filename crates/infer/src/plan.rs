@@ -5,10 +5,10 @@
 //! anything executes; so does [`Plan::compile`], on the first forward of a
 //! (width, batch, table). Each step records what `crate::route` picks for
 //! its layer — the arithmetic, what the lanes hold, the operand's interleave
-//! group and block split — and which
-//! activation slots it reads and writes. A forward is then a loop over steps
-//! with no route derivation and no allocation ([`Plans`] caches them behind
-//! `OnceLock`s, so a lookup takes no lock).
+//! group, block split and patch table — and which activation slots it reads
+//! and writes. A forward is then a loop over steps with no route derivation
+//! and no allocation ([`Plans`] caches them behind `OnceLock`s, so a lookup
+//! takes no lock).
 //!
 //! **Arena.** Each forward-calling thread owns one [`Arena`] that grows to
 //! the largest plan it has run. Activations ping-pong between slots of one
@@ -18,11 +18,10 @@
 //! After warm-up a forward's only heap allocation is the returned tensor.
 //!
 //! **Chained epilogue.** An activation op folds into the store of the step
-//! before it, and every step records each sample's max-abs as it stores
-//! ([`crate::exec::mag`]), so the next layer builds its grid from that
-//! number instead of scanning its input again. The stored values are the
-//! ones the separate ops computed, so outputs are bit-identical (DESIGN.md
-//! §6g).
+//! before it, and each step records every sample's max-abs of what it just
+//! stored, in cache, with the table's vector `max_abs`; the next layer builds
+//! its grid from that number. The stored values are the ones the separate
+//! ops computed, so outputs are bit-identical (DESIGN.md §6g).
 
 use crate::exec::{
     act, cut, depthwise, gemm, ActRule, DenseF32, DwStep, Fused, FusedLane, GemmStep, Input, Route,
@@ -698,20 +697,6 @@ impl Plans {
             Some(plan) if plan.dims == dims => plan.run(x, rule, sink),
             _ => Plan::compile(ops, dims, k).run(x, rule, sink),
         }
-    }
-}
-
-impl Clone for Plans {
-    /// An empty cache: plans are compiled on first use.
-    fn clone(&self) -> Plans {
-        Plans::new()
-    }
-}
-
-impl std::fmt::Debug for Plans {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let compiled = self.0.iter().filter(|c| c.get().is_some()).count();
-        write!(f, "Plans({compiled} compiled)")
     }
 }
 

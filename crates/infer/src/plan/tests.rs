@@ -14,9 +14,12 @@ use instantnet_tensor::init;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// A step's output and the max-abs it recorded per sample.
+type Observed = (Vec<f32>, Vec<f32>);
+
 thread_local! {
-    /// Every step's output and recorded max-abs, where a test collects them.
-    static STEPS: RefCell<Option<Vec<(Vec<f32>, Vec<f32>)>>> = const { RefCell::new(None) };
+    /// Every step's [`Observed`], where a test collects them.
+    static STEPS: RefCell<Option<Vec<Observed>>> = const { RefCell::new(None) };
 }
 
 /// The plan loop's hook after every step: its output lanes and the max-abs

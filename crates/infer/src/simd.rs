@@ -1164,7 +1164,7 @@ mod neon {
     //! widening multiplies built on the `smull`/`smlal` instruction family
     //! (`vmull_*`/`vmlal_*` intrinsics) instead of `maddubs`/`madd`. Same
     //! bit-identity contract: the integer kernels are exact, and the fused
-    //! kernels accumulate the same shifted integers `exec::gemm_int`
+    //! kernels accumulate the same shifted integers `exec::gemm`
     //! corrects with `-8·colsum`.
     //!
     //! Every `unsafe` block takes its pointers from bounds-checked
