@@ -37,7 +37,7 @@
 //!
 //! **Quantize once, into the operand.** Each layer's grid comes from its
 //! input's max-abs as the producing layer recorded it, and its codes are
-//! emitted in one pass into the layout its kernel reads ([`Operands::emit`]):
+//! emitted in one pass into the layout its kernel reads ([`Operands::emitter`]):
 //! a pointwise layer's planes straight into its `[c, n·p]` word interleave
 //! or thin column-major operand, a depthwise layer's rows into zero-padded
 //! frames or `[hw, c]`, and a windowed conv's sample codes once, then
@@ -191,11 +191,12 @@ pub(crate) trait Operands: Sync {
         None
     }
 
-    /// Writes `src`, values of sample `i` of `feed`, into `dst` in `layout`:
-    /// their codes on the sample's grid, in this arithmetic's lanes.
-    fn emit(feed: &Feed, i: usize, src: &[f32], dst: &mut [Self::Lane], layout: Layout) {
-        let emit = Self::Lane::emitter(feed.k);
-        emit(&feed.grid(i), src, dst, layout.canonical::<Self::Lane>());
+    /// Sample `i` of `feed`'s emitter, its grid built once: writes `src`,
+    /// values of that sample, into `dst` in `layout` — their codes on the
+    /// sample's grid, in this arithmetic's lanes.
+    fn emitter<'f>(feed: &'f Feed, i: usize) -> impl Fn(&[f32], &mut [Self::Lane], Layout) + 'f {
+        let (emit, grid) = (Self::Lane::emitter(feed.k), feed.grid(i));
+        move |src, dst, layout| emit(&grid, src, dst, layout.canonical::<Self::Lane>())
     }
 }
 
@@ -373,10 +374,19 @@ impl Operands for DenseF32 {
         Some(x)
     }
 
-    /// The values as they stand (`feed` holds them fake-quantized where a
-    /// grid applies): `dst[r·pitch + k·step] = src[r·width + k]`, the longer
-    /// of the two axes innermost.
-    fn emit(_: &Feed, _: usize, src: &[f32], dst: &mut [f32], layout: Layout) {
+    fn emitter<'f>(_: &'f Feed, _: usize) -> impl Fn(&[f32], &mut [f32], Layout) + 'f {
+        Self::copy
+    }
+}
+
+impl DenseF32 {
+    /// Rows in the lanes: one register of f32 lanes on AVX2.
+    pub(crate) const ROWS: usize = 8;
+
+    /// [`Operands::emitter`] of the values as they stand (`feed` holds them
+    /// fake-quantized where a grid applies): `dst[r·pitch + k·step] =
+    /// src[r·width + k]`, the longer of the two axes innermost.
+    fn copy(src: &[f32], dst: &mut [f32], layout: Layout) {
         let (width, pitch, step) = match layout.canonical::<f32>() {
             Layout::Rows { width, pitch } => (width, pitch, 1),
             Layout::Transposed { width, pitch } => (width, 1, pitch),
@@ -412,11 +422,6 @@ impl Tier for DenseF32 {
     fn mad(acc: f32, w: f32, a: f32) -> f32 {
         acc + w * a
     }
-}
-
-impl DenseF32 {
-    /// Rows in the lanes: one register of f32 lanes on AVX2.
-    pub(crate) const ROWS: usize = 8;
 }
 
 impl Route for DenseF32 {
@@ -595,7 +600,7 @@ pub(crate) struct Input<'a> {
     pub(crate) rule: ActRule,
 }
 
-/// A step's input as its operand builders read it ([`Operands::emit`]): per
+/// A step's input as its operand builders read it ([`Operands::emitter`]): per
 /// sample the grid its codes are emitted on, built from the recorded max-abs
 /// — the whole batch's largest under [`ActQuant::PerBatch`] — or, on the f32
 /// fallback, the values themselves, fake-quantized where a grid applies.
@@ -857,7 +862,7 @@ pub(crate) struct GemmStep {
     /// row group, pixel, row in group]`: each lane's index into one sample's
     /// codes, past them where the lane is a zero ([`unfold`]); empty for a
     /// 1×1, stride-1, unpadded conv, whose planes are its operand.
-    pub(crate) window: Vec<u32>,
+    pub(crate) window: Arc<[u32]>,
 }
 
 /// One block worker's piece of the arena: its operand, a windowed conv's
@@ -979,7 +984,7 @@ fn operand<'w, R: Route>(
         }
     }
     for (i, si) in at.enumerate() {
-        let x = feed.sample(si);
+        let (x, emit) = (feed.sample(si), R::emitter(feed, si));
         if s.window.is_empty() {
             // Each group's planes straight into its block, the sample at
             // column `i·p`.
@@ -991,14 +996,14 @@ fn operand<'w, R: Route>(
                 Layout::Transposed { width, pitch }
             };
             for (plane, blk) in x.chunks(q * p).zip(operand.chunks_mut(block)) {
-                R::emit(feed, si, plane, &mut blk[i * p * ig..], layout);
+                emit(plane, &mut blk[i * p * ig..], layout);
             }
         } else {
             // The sample's codes once, then unfolded; the f32 fallback's
             // values unfold as they stand.
             let x = R::values(x).unwrap_or_else(|| {
                 let (width, pitch) = (x.len(), x.len());
-                R::emit(feed, si, x, src, Layout::Rows { width, pitch });
+                emit(x, src, Layout::Rows { width, pitch });
                 src
             });
             unfold(
@@ -1117,17 +1122,17 @@ pub(crate) fn depthwise<T: Tier>(
     let operand = carve.take::<T::Lane>(n * per_sample);
     timed_operand(|| {
         for (i, dst) in operand.chunks_mut(per_sample).enumerate() {
-            let x = feed.sample(i);
+            let (x, emit) = (feed.sample(i), T::emitter(&feed, i));
             if pixels {
                 let (width, pitch) = (g.w, fw);
                 for (plane, dst) in x.chunks(hw).zip(dst.chunks_mut(frame)) {
                     dst.fill(T::Lane::default());
                     let dst = &mut dst[g.pad * fw + g.pad..];
-                    T::emit(&feed, i, plane, dst, Layout::Rows { width, pitch });
+                    emit(plane, dst, Layout::Rows { width, pitch });
                 }
             } else {
                 let (width, pitch) = (hw, c);
-                T::emit(&feed, i, x, dst, Layout::Transposed { width, pitch });
+                emit(x, dst, Layout::Transposed { width, pitch });
             }
         }
     });

@@ -167,7 +167,8 @@ fn exec_conv(g: &PackedGemm, geom: &ConvGeom, groups: usize, x: &Tensor, rule: A
 /// A depthwise layer on tier `T`: [`Depthwise`] against its tap table.
 fn on_tier<T: Tier>(g: &PackedGemm, geom: &ConvGeom, x: &Tensor, rule: ActRule) -> Tensor {
     let c = x.dims()[1];
-    let mut plan = Plan::compile(&[conv_op(g, geom, c, c)], x.dims(), kernels());
+    let ops = [conv_op(g, geom, c, c)];
+    let mut plan = Plan::compile(&ops, x.dims(), kernels(), &Default::default());
     let Kind::Depthwise(_, run) = &mut plan.steps[0].kind else {
         panic!("a depthwise layer with a tap table plans a depthwise step");
     };

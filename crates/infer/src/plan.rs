@@ -36,7 +36,7 @@ use instantnet_tensor::tensor::ConvGeom;
 use instantnet_tensor::Tensor;
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -207,15 +207,30 @@ pub(crate) struct Plan {
 
 /// Compiles op lists into steps, handing out activation slots: a slot is
 /// free again once its last reader has been planned.
-struct Compiler {
+struct Compiler<'t> {
     k: &'static Kernels,
     n: usize,
     steps: Vec<Step>,
     sizes: Vec<usize>,
     free: Vec<usize>,
+    tables: &'t Tables,
 }
 
-impl Compiler {
+/// Patch tables already built for a net's plans: one per sample, whatever
+/// the batch, so every batch size's plan shares it.
+type Tables = Mutex<Vec<Arc<[u32]>>>;
+
+impl Compiler<'_> {
+    /// `table`, or an equal one another plan already holds.
+    fn intern(&self, table: Vec<u32>) -> Arc<[u32]> {
+        let mut tables = self.tables.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(t) = tables.iter().find(|t| t[..] == table[..]) {
+            return t.clone();
+        }
+        tables.push(Arc::from(table));
+        tables.last().expect("just pushed").clone()
+    }
+
     fn alloc(&mut self, len: usize) -> usize {
         let s = self.free.pop().unwrap_or_else(|| {
             self.sizes.push(0);
@@ -444,9 +459,9 @@ impl Compiler {
             ig,
             per_block: (PATCH_BLOCK_BYTES / bytes).clamp(1, self.n),
             window: if pointwise {
-                Vec::new()
+                Arc::from([])
             } else {
-                window(&geom, g.cols, groups, ig)
+                self.intern(window(&geom, g.cols, groups, ig))
             },
             geom,
         };
@@ -483,14 +498,21 @@ fn window(g: &ConvGeom, q: usize, groups: usize, ig: usize) -> Vec<u32> {
 }
 
 impl Plan {
-    /// Compiles `ops` for inputs of `dims` on table `k`.
-    pub(crate) fn compile(ops: &[PackedOp], dims: &[usize], k: &'static Kernels) -> Plan {
+    /// Compiles `ops` for inputs of `dims` on table `k`, sharing patch
+    /// tables through `tables`.
+    pub(crate) fn compile(
+        ops: &[PackedOp],
+        dims: &[usize],
+        k: &'static Kernels,
+        tables: &Tables,
+    ) -> Plan {
         let mut c = Compiler {
             k,
             n: dims[0],
             steps: Vec::new(),
             sizes: Vec::new(),
             free: Vec::new(),
+            tables,
         };
         let (_, out) = c.seq(ops, None, dims.to_vec(), false);
         let mut offsets = vec![0];
@@ -667,17 +689,15 @@ const PLANNED_BATCH: usize = 64;
 /// Kernel tables a plan can be compiled for (`SimdBackend`'s variants).
 const TABLES: usize = 3;
 
-/// One net's compiled plans, per kernel table and batch size: filled on
-/// first use, read with one atomic load after.
-pub(crate) struct Plans(Box<[OnceLock<Plan>]>);
+/// One net's compiled plans, per kernel table and batch size — filled on
+/// first use, read with one atomic load after — and the patch tables they
+/// share.
+pub(crate) struct Plans(Box<[OnceLock<Box<Plan>>]>, Tables);
 
 impl Plans {
     pub(crate) fn new() -> Plans {
-        Plans(
-            (0..TABLES * PLANNED_BATCH)
-                .map(|_| OnceLock::new())
-                .collect(),
-        )
+        let cells = (0..TABLES * PLANNED_BATCH).map(|_| OnceLock::new());
+        Plans(cells.collect(), Mutex::default())
     }
 
     /// Runs `ops` over `x` under `rule` on the active kernel table, through
@@ -693,9 +713,10 @@ impl Plans {
         let (k, dims) = (kernels(), x.dims());
         let cell = (dims[0] <= PLANNED_BATCH)
             .then(|| &self.0[k.backend as usize * PLANNED_BATCH + dims[0] - 1]);
-        match cell.map(|c| c.get_or_init(|| Plan::compile(ops, dims, k))) {
+        let compile = || Plan::compile(ops, dims, k, &self.1);
+        match cell.map(|c| c.get_or_init(|| Box::new(compile()))) {
             Some(plan) if plan.dims == dims => plan.run(x, rule, sink),
-            _ => Plan::compile(ops, dims, k).run(x, rule, sink),
+            _ => compile().run(x, rule, sink),
         }
     }
 }
@@ -704,7 +725,7 @@ impl Plans {
 /// table — the uncached entry the kernel tests drive.
 #[cfg(test)]
 pub(crate) fn exec_ops(ops: &[PackedOp], x: &Tensor, rule: ActRule, sink: Option<Sink>) -> Tensor {
-    Plan::compile(ops, x.dims(), kernels()).run(x, rule, sink)
+    Plan::compile(ops, x.dims(), kernels(), &Mutex::default()).run(x, rule, sink)
 }
 
 #[cfg(test)]
