@@ -1,55 +1,35 @@
 //! Packed-layer kernels: one GEMM driver and one depthwise kernel for every
-//! packed layer at every width, the operands they read and the epilogue
-//! they store through. `crate::plan` decides, once per (width, batch), what
-//! each layer runs and where its buffers sit; this module runs one layer.
+//! packed layer at every width, the operands they read and the epilogue they
+//! store through. `crate::plan` decides, once per (width, batch, table), what
+//! each layer runs and where its buffers sit; this module runs one layer
+//! (DESIGN.md §6c).
 //!
 //! **One GEMM driver, and the batch is a GEMM dimension.** Every conv and
 //! linear — the pointwise conv on a 1×1 map — runs [`gemm`] on its
-//! [`Route`], the f32 fallback ([`DenseF32`]: full precision, raw-input
-//! stems, 17–31 bits) as one more route. It builds one `[cg·r·s, n·oh·ow]`
-//! operand per group for the batch (sample `i` owns columns `i·oh·ow..`; a
-//! layer whose operand would outgrow L1 goes in blocks of whole samples
-//! instead), and the kernel runs once per weight row over all of those
-//! columns ([`gemm_rows`]); the dequant epilogue then stores each sample's
-//! segment of the row into the sample-major output with that sample's own
-//! activation scale, through the activation the plan folded into it. Weights
-//! are read in their pack-time kernel layout ([`KernelWeights`]: words
-//! below 16 bits; a 16-bit layer decodes each row once per block). The
-//! parallel split is over weight rows — over sample blocks where a batch
-//! takes several — and depthwise layers, which have no GEMM, convolve plane
-//! by plane, split over `samples × channels`; every worker's scratch is its
-//! own piece of the arena.
-//!
-//! **Lanes follow the long axis** (`crate::route`): a depthwise layer
-//! vectorises over pixels — one flat axpy per tap over a zero-padded frame —
-//! where an output row fills a vector, over channels (`[hw, c]` codes,
-//! `[r·s, c]` taps) where it cannot ([`Depthwise`]); a fused GEMM with fewer
-//! columns than one column block dots along the reduction instead. Every
-//! orientation accumulates the same exact value.
+//! [`Route`], the f32 fallback ([`DenseF32`]) as one more route, over one
+//! `[cg·r·s, n·oh·ow]` operand per group (sample `i` owns columns
+//! `i·oh·ow..`; a layer whose operand would outgrow L1 goes in blocks of
+//! whole samples); the kernel runs once per weight row over all of those
+//! columns ([`gemm_rows`]) and the dequant epilogue stores each sample's
+//! segment with that sample's scale, through the activation folded into it.
+//! Depthwise layers have no GEMM and convolve plane by plane ([`Depthwise`]),
+//! their lanes on pixels or channels (`crate::route`).
 //!
 //! A sample cannot observe its batch-mates: a column's accumulator is the
-//! *exact* sum over that column's own patch (integers, or f32 lanes bounded
-//! below 2^24; on the f32 fallback one k-ascending chain per element),
-//! batching adds columns, never reduction length, and with per-sample
-//! activation scales ([`ActQuant::PerSample`]) a segment's epilogue reads
-//! nothing of another sample — every output is bit-identical to running
-//! its sample alone.
+//! *exact* sum over that column's own patch (integers, or f32 lanes below
+//! 2^24; on the f32 fallback one k-ascending chain per element), batching
+//! adds columns, never reduction length, and with per-sample activation
+//! scales ([`ActQuant::PerSample`]) a segment's epilogue reads nothing of
+//! another sample.
 //!
-//! **Quantize once, into the operand.** Each layer's grid comes from its
-//! input's max-abs as the producing layer recorded it, and its codes are
-//! emitted in one pass into the layout its kernel reads ([`Operands::emitter`]):
-//! a pointwise layer's planes straight into its `[c, n·p]` word interleave
-//! or thin column-major operand, a depthwise layer's rows into zero-padded
-//! frames or `[hw, c]`, and a windowed conv's sample codes once, then
-//! gathered through the plan's window table into the interleaved patch
-//! matrix; on the f32 fallback the values themselves, fake-quantized where a
-//! grid applies, in the same layouts. Every lane an operand holds is
-//! written, padding included: nothing is inherited from the arena.
-//!
-//! Determinism contract (mirrors `instantnet-tensor`): accumulation is
-//! exact, dequantization is elementwise, and every parallel region
-//! assigns disjoint output slices by index — results are bit-identical at
-//! any thread count.
+//! **Quantize once, into the operand.** A layer's grid comes from the
+//! max-abs its producer recorded, and its codes are emitted in one pass into
+//! the layout its kernel reads ([`Operands::emitter`]) — a windowed conv's
+//! once per sample, then gathered through the plan's patch table. Every lane
+//! an operand holds is written, padding included: nothing is inherited from
+//! the arena. Accumulation is exact and every parallel region assigns
+//! disjoint output slices by index, so results are bit-identical at any
+//! thread count.
 
 use crate::plan::{Carve, Needs, Pooled, Pools};
 use crate::route::Lanes;
