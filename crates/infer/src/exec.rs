@@ -1,8 +1,8 @@
 //! Packed-layer kernels: one GEMM driver and one depthwise kernel for every
 //! packed layer at every width, the operands they read and the epilogue they
-//! store through. `crate::plan` decides, once per (width, batch, table), what
-//! each layer runs and where its buffers sit; this module runs one layer
-//! (DESIGN.md §6c).
+//! store through. `crate::plan` decides, once per (width, input shape,
+//! table), what each layer runs and where its buffers sit; this module runs
+//! one layer (DESIGN.md §6c).
 //!
 //! **One GEMM driver, and the batch is a GEMM dimension.** Every conv and
 //! linear — the pointwise conv on a 1×1 map — runs [`gemm`] on its
@@ -684,28 +684,33 @@ pub(crate) fn cut<'a, T>(s: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     head
 }
 
-/// Runs `f(first, run, scratch)` over `workers` runs of whole `chunk`s of
-/// `out` — `first` the run's first chunk — each with its own `scratch()`: in
-/// parallel above one worker, else once over all of `out`. Runs are
+/// Runs `f(first, runs, scratch)` over `workers` runs of whole units, each
+/// with its own `scratch()`: `out` is segments of `units` units of `unit`
+/// lanes, and a worker's `runs` are the same units of every segment, from
+/// unit `first` on. One worker takes `out` whole as its one run. Runs are
 /// disjoint and indexed, so the result is independent of the split.
-fn fan<T: Send, W: Send>(
-    out: &mut [T],
-    chunk: usize,
+fn fan<W: Send>(
+    out: &mut [f32],
+    (units, unit): (usize, usize),
     workers: usize,
     mut scratch: impl FnMut() -> W,
-    f: impl Fn(usize, &mut [T], W) + Sync,
+    f: impl Fn(usize, &mut [&mut [f32]], W) + Sync,
 ) {
     if workers <= 1 || out.is_empty() {
-        return f(0, out, scratch());
+        return f(0, &mut [out], scratch());
     }
-    let per = out.len().div_ceil(chunk).div_ceil(workers);
-    let mut work: Vec<_> = out
-        .chunks_mut(per * chunk)
-        .map(|r| Some((r, scratch())))
+    let per = units.div_ceil(workers);
+    let mut work: Vec<(Vec<&mut [f32]>, Option<W>)> = (0..units.div_ceil(per))
+        .map(|_| (Vec::new(), Some(scratch())))
         .collect();
+    for segment in out.chunks_mut(units * unit) {
+        for ((runs, _), run) in work.iter_mut().zip(segment.chunks_mut(per * unit)) {
+            runs.push(run);
+        }
+    }
     par_chunks_mut(&mut work, 1, |w, item| {
-        let (run, scratch) = item[0].take().expect("one item per worker");
-        f(w * per, run, scratch);
+        let (runs, scratch) = &mut item[0];
+        f(w * per, runs, scratch.take().expect("one item per worker"));
     });
 }
 
@@ -829,7 +834,8 @@ fn group_of(k: usize, groups: usize) -> impl Fn(usize) -> usize {
 /// compiled it for one batch size.
 pub(crate) struct GemmStep {
     pub(crate) gemm: Arc<PackedGemm>,
-    pub(crate) geom: ConvGeom,
+    /// Output pixels per sample.
+    pub(crate) p: usize,
     pub(crate) groups: usize,
     /// What the kernel's lanes hold ([`crate::route::Arith::gemm_lanes`]).
     pub(crate) lanes: Lanes,
@@ -858,7 +864,6 @@ struct Rows<'a, R: Route> {
     cs: &'a mut [R::Cs],
     acc: &'a mut [R::Acc],
     spare: &'a mut [R::Spare],
-    tmp: &'a mut [f32],
 }
 
 /// The one GEMM driver: step `s` on route `R` over `input` into the `[n, k,
@@ -875,7 +880,7 @@ pub(crate) fn gemm<R: Route>(
     fold: Activation,
 ) {
     let (g, k, n) = (&*s.gemm, input.k, input.n);
-    let (rows, q, p, m) = (g.rows, g.cols, s.geom.oh * s.geom.ow, s.per_block);
+    let (rows, q, p, m) = (g.rows, g.cols, s.p, s.per_block);
     let kernel = R::kernel(k, g, s.lanes);
     let nblocks = n.div_ceil(m);
     let wb = workers(2 * n * rows * q * p >= PAR_FLOP_THRESHOLD, nblocks);
@@ -895,17 +900,12 @@ pub(crate) fn gemm<R: Route>(
     } else {
         0
     };
-    let (acc, spare, tmp) = (
-        wr * l,
-        wr * R::spare(kernel, l),
-        if wr > 1 { rows * l } else { 0 },
-    );
+    let (acc, spare) = (wr * l, wr * R::spare(kernel, l));
     let need = Feed::need::<R>(&input)
         .with::<R::Lane>(wb * (op + src))
         .with::<R::Cs>(wb * cs)
         .with::<R::Acc>(wb * acc)
-        .with::<R::Spare>(wb * spare)
-        .with::<f32>(wb * tmp);
+        .with::<R::Spare>(wb * spare);
     let mut c = pools.carve(&need);
     let (feed, scales) = Feed::new::<R>(input, &mut c);
     let scratch = || Work::<R> {
@@ -915,11 +915,11 @@ pub(crate) fn gemm<R: Route>(
             cs: c.take(cs),
             acc: c.take(acc),
             spare: c.take(spare),
-            tmp: c.take(tmp),
         },
     };
-    fan(out, m * rows * p, wb, scratch, |first, slab, mut w| {
-        for (bi, slab) in slab.chunks_mut(m * rows * p).enumerate() {
+    let blocks = (nblocks, m * rows * p);
+    fan(out, blocks, wb, scratch, |first, runs, mut w| {
+        for (bi, slab) in runs[0].chunks_mut(m * rows * p).enumerate() {
             let at = (first + bi) * m..(first + bi) * m + slab.len() / (rows * p);
             // A lone sample's values are a plain-row 1×1 conv's operand as
             // they stand.
@@ -954,7 +954,7 @@ fn operand<'w, R: Route>(
     buf: &'w mut [R::Lane],
     src: &mut [R::Lane],
 ) -> &'w [R::Lane] {
-    let (ig, p, q) = (s.ig, s.geom.oh * s.geom.ow, s.gemm.cols);
+    let (ig, p, q) = (s.ig, s.p, s.gemm.cols);
     let ncols = at.len() * p;
     let block = q.div_ceil(ig) * ig * ncols;
     let operand = &mut buf[..s.groups * block];
@@ -1002,10 +1002,9 @@ fn operand<'w, R: Route>(
 /// `[g.cols, l]` block in the step's interleave group, sample `at.start + i`
 /// owning columns `i·p..` of the `l = at.len()·p` — into the `[.., k, p]`
 /// result `out`, each sample's segment of a row dequantized with that
-/// sample's scale out of `scales`. One worker stores straight into `out`;
-/// several (`wr`) each own a run of rows, stored `[row, n, p]` in `w.tmp`
-/// and copied into place after. The pack-time bounds hold at any batch
-/// size: batching adds GEMM *columns*, never reduction *length*.
+/// sample's scale out of `scales`; `wr` workers each own a run of rows of
+/// every sample. The pack-time bounds hold at any batch size: batching adds
+/// GEMM *columns*, never reduction *length*.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows<R: Route>(
     s: &GemmStep,
@@ -1027,35 +1026,31 @@ fn gemm_rows<R: Route>(
         R::colsums(b, s.ig, cs);
     }
     let (cs, group, scales) = (&*cs, group_of(k, s.groups), &scales[at.clone()]);
-    let run = |rows: Range<usize>, out: &mut [f32], acc: &mut [R::Acc], spare: &mut [R::Spare]| {
-        let (mut held, (pitch, step)) = (None, if wr > 1 { (l, p) } else { (p, k * p) });
-        for row in rows.clone() {
+    let sl = w.spare.len() / wr;
+    let (mut acc, mut spare) = (&mut *w.acc, &mut *w.spare);
+    let scratch = || (cut(&mut acc, l), cut(&mut spare, sl));
+    fan(out, (k, p), wr, scratch, |first, runs, (acc, spare)| {
+        let (mut held, nrows) = (None, runs.iter().map(|r| r.len()).sum::<usize>() / l);
+        for row in first..first + nrows {
             let gi = group(row);
             let blk = (
                 &operand[gi * block..][..block],
                 cs.get(gi * l..).unwrap_or_default(),
             );
             R::step(kernel, row, blk, spare, &mut held, acc);
-            let cs = g.has_offset.then(|| &cs[gi * l..][..l]);
-            let to = ((row - rows.start) * pitch, step);
-            dequant(g, row, scales, acc, cs, fold, out, to);
+            let (cs, at) = (g.has_offset.then(|| &cs[gi * l..][..l]), (row - first) * p);
+            match &mut *runs {
+                [run] => dequant(g, row, scales, acc, cs, fold, run, (at, nrows * p)),
+                // A run per sample: each sample's segment on its own.
+                runs => {
+                    for (i, run) in runs.iter_mut().enumerate() {
+                        let (acc, cs) = (&acc[i * p..][..p], cs.map(|cs| &cs[i * p..][..p]));
+                        dequant(g, row, &scales[i..=i], acc, cs, fold, run, (at, 0));
+                    }
+                }
+            }
         }
-    };
-    let sl = w.spare.len() / wr;
-    if wr <= 1 {
-        return run(0..k, out, &mut w.acc[..l], &mut w.spare[..sl]);
-    }
-    let (mut acc, mut spare) = (&mut *w.acc, &mut *w.spare);
-    let tmp = &mut w.tmp[..k * l];
-    let scratch = || (cut(&mut acc, l), cut(&mut spare, sl));
-    fan(tmp, l, wr, scratch, |first, rows, (acc, spare)| {
-        run(first..first + rows.len() / l, rows, acc, spare);
     });
-    for (row, samples) in tmp.chunks_exact(l).enumerate() {
-        for (i, seg) in samples.chunks_exact(p).enumerate() {
-            out[(i * k + row) * p..][..p].copy_from_slice(seg);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1071,9 +1066,11 @@ pub(crate) struct DwStep {
 }
 
 /// A depthwise conv on tier `T` over `input` into the `[n, c, oh, ow]`
-/// `out`: the operand for the step's lanes — per plane a zero-padded `[h +
-/// 2·pad, w + 2·pad]` frame (pixels in the lanes), or per sample `[h·w, c]`
-/// (channels) — then [`Depthwise`], planes split over the workers.
+/// `out`, planes split over the workers: per sample a worker reaches, the
+/// operand of its planes for the step's lanes — per plane a zero-padded
+/// `[h + 2·pad, w + 2·pad]` frame (pixels in the lanes), or the `[h·w, c]`
+/// lanes of its channels (channels) — then [`Depthwise`] over them. A
+/// worker's operand holds one sample, whatever the batch.
 pub(crate) fn depthwise<T: Tier>(
     s: &DwStep,
     input: Input,
@@ -1094,49 +1091,59 @@ pub(crate) fn depthwise<T: Tier>(
     let w = workers(2 * n * c * g.kh * g.kw * p >= PAR_FLOP_THRESHOLD, n * c);
     let cs = if gemm.has_offset { span } else { 0 };
     let need = Feed::need::<T>(&input)
-        .with::<T::Lane>(n * per_sample)
+        .with::<T::Lane>(w * per_sample)
         .with::<T::Acc>(w * span)
         .with::<T::Cs>(w * cs);
     let mut carve = pools.carve(&need);
     let (feed, scales) = Feed::new::<T>(input, &mut carve);
-    let operand = carve.take::<T::Lane>(n * per_sample);
-    timed_operand(|| {
-        for (i, dst) in operand.chunks_mut(per_sample).enumerate() {
-            let (x, emit) = (feed.sample(i), T::emitter(&feed, i));
-            if pixels {
-                let (width, pitch) = (g.w, fw);
-                for (plane, dst) in x.chunks(hw).zip(dst.chunks_mut(frame)) {
-                    dst.fill(T::Lane::default());
-                    let dst = &mut dst[g.pad * fw + g.pad..];
-                    emit(plane, dst, Layout::Rows { width, pitch });
-                }
-            } else {
-                let (width, pitch) = (hw, c);
-                emit(x, dst, Layout::Transposed { width, pitch });
-            }
-        }
-    });
     let taps = T::taps(gemm);
     let dw = Depthwise::<T> {
         gemm,
         taps: &taps,
         g,
-        operand,
         scales,
         fold,
     };
-    let scratch = || (carve.take(span), carve.take(cs));
-    fan(out, p, w, scratch, |first, run, (acc, cs)| {
-        let planes = first..first + run.len() / p;
-        if pixels {
-            dw.pixels(planes, run, acc, cs);
-        } else {
-            dw.channels(planes, run, acc, cs);
-        }
-    });
+    let scratch = || (carve.take(per_sample), carve.take(span), carve.take(cs));
+    fan(
+        out,
+        (n * c, p),
+        w,
+        scratch,
+        |first, runs, (operand, acc, cs)| {
+            let run = &mut *runs[0];
+            let end = first + run.len() / p;
+            for (i, planes) in (first / c..end.div_ceil(c)).map(|i| (i, i * c..(i + 1) * c)) {
+                let planes = planes.start.max(first)..planes.end.min(end);
+                let (lo, hi) = (planes.start - i * c, planes.end - i * c);
+                let (x, emit) = (&feed.sample(i)[lo * hw..hi * hw], T::emitter(&feed, i));
+                timed_operand(|| {
+                    if pixels {
+                        let (width, pitch) = (g.w, fw);
+                        for (plane, dst) in
+                            x.chunks(hw).zip(operand[lo * frame..].chunks_mut(frame))
+                        {
+                            dst.fill(T::Lane::default());
+                            let dst = &mut dst[g.pad * fw + g.pad..];
+                            emit(plane, dst, Layout::Rows { width, pitch });
+                        }
+                    } else {
+                        let (width, pitch) = (hw, c);
+                        emit(x, &mut operand[lo..], Layout::Transposed { width, pitch });
+                    }
+                });
+                let run = &mut run[(planes.start - first) * p..(planes.end - first) * p];
+                if pixels {
+                    dw.pixels(planes, run, operand, acc, cs);
+                } else {
+                    dw.channels(planes, run, operand, acc, cs);
+                }
+            }
+        },
+    );
 }
 
-/// A depthwise conv over its operand of `scales.len()` samples, `taps` the
+/// A depthwise conv over one sample's operand at a time, `taps` the
 /// pack-time `[r·s, c]` table: no patch matrix, no 1-column-per-group GEMM,
 /// and the SIMD lanes follow the long axis. Either way a pixel accumulates
 /// its taps in `im2col` row order, exactly (integers, or f32 lanes below
@@ -1148,7 +1155,6 @@ struct Depthwise<'a, T: Tier> {
     gemm: &'a PackedGemm,
     taps: &'a [T::Lane],
     g: &'a ConvGeom,
-    operand: &'a [T::Lane],
     scales: &'a [f32],
     fold: Activation,
 }
@@ -1157,8 +1163,16 @@ impl<T: Tier> Depthwise<'_, T> {
     /// Pixels in the lanes: tap `(ki, kj)` of a plane is one flat axpy of
     /// its frame, shifted by `ki·fw + kj`, into an accumulator that keeps
     /// the frame's row pitch `fw` (the `fw − ow` columns between output rows
-    /// accumulate garbage nobody reads). Stride 1 only.
-    fn pixels(&self, planes: Range<usize>, run: &mut [f32], acc: &mut [T::Acc], cs: &mut [T::Cs]) {
+    /// accumulate garbage nobody reads). Stride 1 only. `planes` lie in one
+    /// sample, whose frames `operand` holds.
+    fn pixels(
+        &self,
+        planes: Range<usize>,
+        run: &mut [f32],
+        operand: &[T::Lane],
+        acc: &mut [T::Acc],
+        cs: &mut [T::Cs],
+    ) {
         let (gemm, g, c) = (self.gemm, self.g, self.gemm.rows);
         let fw = g.w + 2 * g.pad;
         let frame = (g.h + 2 * g.pad) * fw;
@@ -1168,7 +1182,7 @@ impl<T: Tier> Depthwise<'_, T> {
             cs.fill(T::Cs::default());
             for t in 0..g.kh * g.kw {
                 let wv = self.taps[t * c + ch];
-                let src = &self.operand[ci * frame + t / g.kw * fw + t % g.kw..][..acc.len()];
+                let src = &operand[ch * frame + t / g.kw * fw + t % g.kw..][..acc.len()];
                 for (a, &v) in acc.iter_mut().zip(src) {
                     *a = T::mad(*a, wv, v);
                 }
@@ -1189,15 +1203,17 @@ impl<T: Tier> Depthwise<'_, T> {
     /// `g.ys × g.xs`, computed once per layer — is one elementwise
     /// multiply-add over the run's channels of that sample, at any stride;
     /// the `[p, channels]` accumulator is dequantized channel by channel.
+    /// `planes` lie in one sample, whose `[h·w, c]` lanes `operand` holds.
     fn channels(
         &self,
         planes: Range<usize>,
         run: &mut [f32],
+        operand: &[T::Lane],
         acc: &mut [T::Acc],
         cs: &mut [T::Cs],
     ) {
         let (gemm, g, c) = (self.gemm, self.g, self.gemm.rows);
-        let (p, hw) = (g.oh * g.ow, g.h * g.w);
+        let p = g.oh * g.ow;
         let mut ci = planes.start;
         while ci < planes.end {
             // The run's channels `c0..c0 + cr` of sample `i`.
@@ -1212,7 +1228,7 @@ impl<T: Tier> Depthwise<'_, T> {
                     let ws = &self.taps[(ki * g.kw + kj) * c + c0..][..cr];
                     for (oy, ox) in ys.clone().flat_map(|oy| xs.clone().map(move |ox| (oy, ox))) {
                         let from = (oy * g.stride + ki - g.pad) * g.w + ox * g.stride + kj - g.pad;
-                        let src = &self.operand[(i * hw + from) * c + c0..][..cr];
+                        let src = &operand[from * c + c0..][..cr];
                         let at = (oy * g.ow + ox) * cr;
                         for ((a, &w), &v) in acc[at..at + cr].iter_mut().zip(ws).zip(src) {
                             *a = T::mad(*a, w, v);

@@ -168,7 +168,7 @@ fn exec_conv(g: &PackedGemm, geom: &ConvGeom, groups: usize, x: &Tensor, rule: A
 fn on_tier<T: Tier>(g: &PackedGemm, geom: &ConvGeom, x: &Tensor, rule: ActRule) -> Tensor {
     let c = x.dims()[1];
     let ops = [conv_op(g, geom, c, c)];
-    let mut plan = Plan::compile(&ops, x.dims(), kernels(), &Default::default());
+    let mut plan = Plan::compile(&ops, x.dims(), kernels(), &Default::default(), false);
     let Kind::Depthwise(_, run) = &mut plan.steps[0].kind else {
         panic!("a depthwise layer with a tap table plans a depthwise step");
     };

@@ -21,10 +21,10 @@
 //!   on every CPU, the decoded tap-major table for depthwise layers.
 //!   A forward on those layers touches no weight-layout code at all; only
 //!   a 16-bit GEMM still decodes `Storage` rows as it goes.
-//! * Each (bit-width, batch size, kernel table) is compiled once, on its
+//! * Each (bit-width, input shape, kernel table) is compiled once, on its
 //!   first forward, into a plan of steps — what every layer runs and where
 //!   its buffers sit — that runs over one per-thread arena, so a warmed-up
-//!   forward allocates only the tensor it returns.
+//!   forward on one kernel thread allocates only the tensor it returns.
 //! * Forwards quantize activations to integer codes between layers with
 //!   the exact SBM/DoReFa grids from `instantnet-quant` — the max-abs the
 //!   producing layer recorded and one pass of codes in vector lanes,

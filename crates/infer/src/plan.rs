@@ -1,21 +1,24 @@
-//! A forward compiled once: per (width, batch size, kernel table) a list of
+//! A forward compiled once: per (width, input shape, kernel table) a list of
 //! [`Step`]s, run over one per-thread [`Arena`].
 //!
 //! **Plan.** The paper's AutoMapper fixes each layer's mapping before
 //! anything executes; so does [`Plan::compile`], on the first forward of a
-//! (width, batch, table). Each step records what `crate::route` picks for
-//! its layer — the arithmetic, what the lanes hold, the operand's interleave
-//! group, block split and patch table — and which activation slots it reads
-//! and writes. A forward is then a loop over steps with no route derivation
-//! and no allocation ([`Plans`] caches them behind `OnceLock`s, so a lookup
-//! takes no lock).
+//! (width, input shape, table). Each step records what `crate::route` picks
+//! for its layer — the arithmetic, what the lanes hold, the operand's
+//! interleave group, block split and patch table — and which activation
+//! slots it reads and writes. A forward is then a loop over steps with no
+//! route derivation and no allocation ([`Plans`] keeps them; the first shape
+//! of each batch size up to 64 is looked up without a lock).
 //!
 //! **Arena.** Each forward-calling thread owns one [`Arena`] that grows to
 //! the largest plan it has run. Activations ping-pong between slots of one
 //! f32 buffer (a residual's input stays pinned until its add); every layer
 //! carves its scratch — operand, column sums, accumulators, frames, the
 //! per-worker pieces of a parallel split — from the same pools at offset 0.
-//! After warm-up a forward's only heap allocation is the returned tensor.
+//! After warm-up, a forward on one kernel thread (as a serving worker runs
+//! it) makes no heap call but the returned tensor's; a parallel region also
+//! spawns its workers (`std::thread::scope`) and lists their runs, which
+//! allocates.
 //!
 //! **Chained epilogue.** An activation op folds into the store of the step
 //! before it, and each step records every sample's max-abs of what it just
@@ -169,7 +172,7 @@ pub(crate) enum Kind {
     /// A dense conv or linear on its route.
     Gemm(GemmStep, GemmFn),
     /// A depthwise conv on its tier.
-    Depthwise(DwStep, DwFn),
+    Depthwise(Box<DwStep>, DwFn),
     /// The step's activation, elementwise (a copy where it is `None`).
     Map,
     /// Global average pooling over planes of `hw`.
@@ -190,9 +193,13 @@ pub(crate) struct Step {
     fold: Activation,
     /// A raw-input stem, which reads its input as it comes.
     raw: bool,
-    /// The profile label: kind, shape and route ([`describe`]).
-    label: (&'static str, String, String),
+    /// The profile label — kind, shape and route ([`describe`]) — in a
+    /// plan compiled for a profiled forward; `None` in a cached one.
+    label: Option<Box<Label>>,
 }
+
+/// A step's profile label: kind, shape and route.
+type Label = (&'static str, String, String);
 
 /// A forward compiled for one input shape on one kernel table.
 pub(crate) struct Plan {
@@ -214,6 +221,7 @@ struct Compiler<'t> {
     sizes: Vec<usize>,
     free: Vec<usize>,
     tables: &'t Tables,
+    labelled: bool,
 }
 
 /// Patch tables already built for a net's plans: one per sample, whatever
@@ -229,6 +237,16 @@ impl Compiler<'_> {
         }
         tables.push(Arc::from(table));
         tables.last().expect("just pushed").clone()
+    }
+
+    /// [`describe`] of `op` on `dims`, where the plan is labelled.
+    fn label(
+        &self,
+        op: &PackedOp,
+        dims: &[usize],
+        route: Option<(Arith, Lanes)>,
+    ) -> Option<Box<Label>> {
+        self.labelled.then(|| Box::new(describe(op, dims, route)))
     }
 
     fn alloc(&mut self, len: usize) -> usize {
@@ -322,7 +340,7 @@ impl Compiler<'_> {
                     }
                     let at = b.expect("the body wrote a slot");
                     let out_len = bdims.iter().product();
-                    let label = describe(op, &bdims, None);
+                    let label = self.label(op, &bdims, None);
                     self.steps.push(Step {
                         kind: Kind::Add(*post_relu),
                         src: s,
@@ -372,7 +390,7 @@ impl Compiler<'_> {
             lens: (len, out_len),
             fold: Activation::None,
             raw: false,
-            label: describe(op, dims, route),
+            label: self.label(op, dims, route),
         });
         self.steps.len() - 1
     }
@@ -406,7 +424,7 @@ impl Compiler<'_> {
                 geom,
                 lanes,
             };
-            return (Kind::Depthwise(step, run), (arith, lanes));
+            return (Kind::Depthwise(Box::new(step), run), (arith, lanes));
         }
         match arith {
             Arith::F32 => self.gemm::<DenseF32>(arith, g, geom, groups),
@@ -463,7 +481,7 @@ impl Compiler<'_> {
             } else {
                 self.intern(window(&geom, g.cols, groups, ig))
             },
-            geom,
+            p,
         };
         (Kind::Gemm(step, gemm::<R>), (arith, lanes))
     }
@@ -499,12 +517,13 @@ fn window(g: &ConvGeom, q: usize, groups: usize, ig: usize) -> Vec<u32> {
 
 impl Plan {
     /// Compiles `ops` for inputs of `dims` on table `k`, sharing patch
-    /// tables through `tables`.
+    /// tables through `tables`, its steps `labelled` for a profiled forward.
     pub(crate) fn compile(
         ops: &[PackedOp],
         dims: &[usize],
         k: &'static Kernels,
         tables: &Tables,
+        labelled: bool,
     ) -> Plan {
         let mut c = Compiler {
             k,
@@ -513,8 +532,10 @@ impl Plan {
             sizes: Vec::new(),
             free: Vec::new(),
             tables,
+            labelled,
         };
         let (_, out) = c.seq(ops, None, dims.to_vec(), false);
+        c.steps.shrink_to_fit();
         let mut offsets = vec![0];
         for s in &c.sizes {
             offsets.push(offsets.last().unwrap() + s);
@@ -598,7 +619,7 @@ impl Plan {
             }
             if let (Some(sink), Some(start)) = (sink.as_deref_mut(), start) {
                 let quantize = OPERAND_TIME.take().unwrap_or_default();
-                let (kind, shape, route) = step.label.clone();
+                let (kind, shape, route) = step.label.as_deref().cloned().unwrap_or_default();
                 let elapsed = start.elapsed();
                 sink(OpProfile {
                     kind,
@@ -683,26 +704,36 @@ fn pair<'a, T>(
 // The cache
 // ---------------------------------------------------------------------------
 
-/// Batch sizes a net caches plans for; a larger batch compiles one per
-/// forward.
+/// Batch sizes whose first input shape a net looks its plan up for without a
+/// lock.
 const PLANNED_BATCH: usize = 64;
 /// Kernel tables a plan can be compiled for (`SimdBackend`'s variants).
 const TABLES: usize = 3;
 
-/// One net's compiled plans, per kernel table and batch size — filled on
-/// first use, read with one atomic load after — and the patch tables they
-/// share.
-pub(crate) struct Plans(Box<[OnceLock<Box<Plan>>]>, Tables);
+/// One net's compiled plans, each compiled on first use and kept: per kernel
+/// table and batch size up to [`PLANNED_BATCH`] the first input shape's, read
+/// with one atomic load; any other shape or batch behind a lock; and the
+/// patch tables they share.
+pub(crate) struct Plans {
+    first: Box<[OnceLock<Box<Plan>>]>,
+    other: Mutex<Vec<Arc<Plan>>>,
+    tables: Tables,
+}
 
 impl Plans {
     pub(crate) fn new() -> Plans {
-        let cells = (0..TABLES * PLANNED_BATCH).map(|_| OnceLock::new());
-        Plans(cells.collect(), Mutex::default())
+        Plans {
+            first: (0..TABLES * PLANNED_BATCH)
+                .map(|_| OnceLock::new())
+                .collect(),
+            other: Mutex::default(),
+            tables: Mutex::default(),
+        }
     }
 
     /// Runs `ops` over `x` under `rule` on the active kernel table, through
-    /// the cached plan of its batch size (compiled here on first use; a plan
-    /// for another input shape is compiled for this forward alone).
+    /// the plan of its input shape — with a `sink`, a labelled plan compiled
+    /// for this forward.
     pub(crate) fn run(
         &self,
         ops: &[PackedOp],
@@ -711,13 +742,31 @@ impl Plans {
         sink: Option<Sink>,
     ) -> Tensor {
         let (k, dims) = (kernels(), x.dims());
-        let cell = (dims[0] <= PLANNED_BATCH)
-            .then(|| &self.0[k.backend as usize * PLANNED_BATCH + dims[0] - 1]);
-        let compile = || Plan::compile(ops, dims, k, &self.1);
-        match cell.map(|c| c.get_or_init(|| Box::new(compile()))) {
-            Some(plan) if plan.dims == dims => plan.run(x, rule, sink),
-            _ => compile().run(x, rule, sink),
+        if sink.is_some() {
+            return Plan::compile(ops, dims, k, &self.tables, true).run(x, rule, sink);
         }
+        let compile = || Plan::compile(ops, dims, k, &self.tables, false);
+        if dims[0] <= PLANNED_BATCH {
+            let cell = &self.first[k.backend as usize * PLANNED_BATCH + dims[0] - 1];
+            let plan = cell.get_or_init(|| Box::new(compile()));
+            if plan.dims == dims {
+                return plan.run(x, rule, sink);
+            }
+        }
+        let plan = {
+            let mut other = self.other.lock().unwrap_or_else(PoisonError::into_inner);
+            let found = other
+                .iter()
+                .find(|p| p.dims == dims && p.k.backend == k.backend);
+            match found {
+                Some(plan) => plan.clone(),
+                None => {
+                    other.push(Arc::new(compile()));
+                    other.last().expect("just pushed").clone()
+                }
+            }
+        };
+        plan.run(x, rule, sink)
     }
 }
 
@@ -725,7 +774,8 @@ impl Plans {
 /// table — the uncached entry the kernel tests drive.
 #[cfg(test)]
 pub(crate) fn exec_ops(ops: &[PackedOp], x: &Tensor, rule: ActRule, sink: Option<Sink>) -> Tensor {
-    Plan::compile(ops, x.dims(), kernels(), &Mutex::default()).run(x, rule, sink)
+    let labelled = sink.is_some();
+    Plan::compile(ops, x.dims(), kernels(), &Mutex::default(), labelled).run(x, rule, sink)
 }
 
 #[cfg(test)]

@@ -79,12 +79,14 @@ fn assert_bits_eq(a: &Tensor, b: &Tensor, ctx: &str) {
 /// Every arena byte is poisoned between forwards, and batches run 16 → 1 →
 /// 8 → 16, so each plan meets an arena a larger or another plan left behind:
 /// at every width and on every table each output equals the same forward on
-/// a fresh thread — a fresh arena — bit for bit. Every padding lane, frame
-/// border and partial word group is written, not inherited.
+/// a fresh thread — a fresh arena — bit for bit, with one kernel thread and
+/// with three (row and block workers carving their pieces out of the
+/// poisoned arena). Every padding lane, frame border and partial word group
+/// is written, not inherited.
 #[test]
 fn poisoned_arenas_change_no_output_bit() {
     let models = models();
-    for table in tables() {
+    for (table, threads) in tables().into_iter().flat_map(|t| [(t, 1), (t, 3)]) {
         with_simd_backend(table, || {
             for (name, packed, dims) in &models {
                 let mut rng = StdRng::seed_from_u64(9);
@@ -92,7 +94,7 @@ fn poisoned_arenas_change_no_output_bit() {
                     for n in [16usize, 1, 8, 16] {
                         let x = init::uniform(&mut rng, &[n, dims[0], dims[1], dims[2]], -0.3, 1.2);
                         ARENA.with(|a| a.borrow_mut().poison());
-                        let (y, y_at) = with_threads(1, || {
+                        let (y, y_at) = with_threads(threads, || {
                             (packed.forward_batch_at(i, &x), packed.forward_at(i, &x))
                         });
                         // A new thread has a new arena; the forced table is
@@ -105,7 +107,8 @@ fn poisoned_arenas_change_no_output_bit() {
                             };
                             s.spawn(forward).join().unwrap()
                         });
-                        let ctx = format!("{name} w{bits} batch {n} on {table:?}");
+                        let ctx =
+                            format!("{name} w{bits} batch {n} on {table:?}, {threads} threads");
                         assert_bits_eq(&y, &fresh.0, &format!("forward_batch_at: {ctx}"));
                         assert_bits_eq(&y_at, &fresh.1, &format!("forward_at: {ctx}"));
                     }

@@ -4,10 +4,11 @@
 //! The arithmetic is a function of the layer's pack-time weights alone, the
 //! same on every kernel table; the lanes also of its geometry, the batch and
 //! the active table's lane count and thin kernels — never of a knob.
-//! `crate::plan` reads them once per (width, batch, table) into its steps,
-//! and [`describe`] labels each step with what it recorded, so the profile
-//! cannot drift from what runs. This is the
-//! hand-written default of the choice ROADMAP item 4 hands to `automapper`;
+//! `crate::plan` reads them once per (width, input shape, table) into its
+//! steps, and [`describe`] labels the steps of a profiled forward's plan
+//! with what they recorded, so the profile cannot drift from what runs.
+//! This is the hand-written default of the choice ROADMAP item 4 hands to
+//! `automapper`;
 //! EXPERIMENTS.md ("Batch-1 forward profile") has the measured crossovers
 //! behind the two rules.
 //!

@@ -65,6 +65,22 @@ fn calls<T>(f: impl FnOnce() -> T) -> (usize, T) {
     (CALLS.with(Cell::get), out)
 }
 
+/// The serving CNN with 4-bit weights.
+fn cnn(rng: &mut StdRng, n: usize) -> Sequential {
+    let relu = Activation::Relu;
+    let mut cnn = Sequential::new();
+    cnn.push(Box::new(ConvBnAct::new(
+        rng, "stem", 3, 8, 3, 2, 1, n, relu, false,
+    )));
+    cnn.push(Box::new(ConvBnAct::new(
+        rng, "conv2", 8, 32, 3, 2, 1, n, relu, true,
+    )));
+    cnn.push(Box::new(GlobalAvgPool));
+    cnn.push(Box::new(QuantLinear::new(rng, "fc1", 32, 256)));
+    cnn.push(Box::new(QuantLinear::new(rng, "fc2", 256, 10)));
+    cnn
+}
+
 /// MobileNetV2 and the serving CNN at every `large_range()` width and 24
 /// bits (the f32 fallback on a grid): after two warm-up forwards, one more
 /// `forward_batch_at` — and one `forward_at` — at batch 1, 8 and 16 makes
@@ -80,17 +96,8 @@ fn warm_forwards_allocate_only_their_output() {
     widths.push(24);
     let set = BitWidthSet::new(widths.clone()).unwrap();
     let n = set.len();
-    let (mut rng, relu) = (StdRng::seed_from_u64(4), Activation::Relu);
-    let mut cnn = Sequential::new();
-    cnn.push(Box::new(ConvBnAct::new(
-        &mut rng, "stem", 3, 8, 3, 2, 1, n, relu, false,
-    )));
-    cnn.push(Box::new(ConvBnAct::new(
-        &mut rng, "conv2", 8, 32, 3, 2, 1, n, relu, true,
-    )));
-    cnn.push(Box::new(GlobalAvgPool));
-    cnn.push(Box::new(QuantLinear::new(&mut rng, "fc1", 32, 256)));
-    cnn.push(Box::new(QuantLinear::new(&mut rng, "fc2", 256, 10)));
+    let mut rng = StdRng::seed_from_u64(4);
+    let cnn = cnn(&mut rng, n);
     let mbv2 = models::mobilenet_v2(0.25, 2, 10, (16, 16), n, 5);
     let nets: [(&str, &dyn Module, [usize; 3]); 2] =
         [("mbv2", &mbv2, [3, 16, 16]), ("cnn", &cnn, [3, 8, 8])];
@@ -115,6 +122,38 @@ fn warm_forwards_allocate_only_their_output() {
                     let (got, _) = calls(|| packed.forward_at(i, &x));
                     assert_eq!(got, want, "forward_at, {ctx}: heap calls beyond the output");
                 }
+            }
+        }
+    });
+}
+
+/// Inputs of two spatial shapes at one batch size, and a batch past the
+/// sizes looked up without a lock: once each shape has run, every forward
+/// of any of them still makes only its output's heap calls, so none of them
+/// compiles its plan again.
+#[test]
+fn every_input_shape_keeps_its_plan() {
+    let set = BitWidthSet::new(vec![4]).unwrap();
+    let mut rng = StdRng::seed_from_u64(6);
+    let packed = PackedModel::prepack(&cnn(&mut rng, 1), &set, Quantizer::Sbm).unwrap();
+    let inputs: Vec<Tensor> = [[8, 3, 8, 8], [8, 3, 12, 12], [80, 3, 8, 8]]
+        .iter()
+        .map(|dims| init::uniform(&mut rng, dims, -0.3, 1.2))
+        .collect();
+    with_threads(1, || {
+        for x in &inputs {
+            packed.forward_batch_at(0, x);
+        }
+        for _ in 0..2 {
+            for x in &inputs {
+                let (got, y) = calls(|| packed.forward_batch_at(0, x));
+                let (want, _) = calls(|| Tensor::from_vec(y.dims().to_vec(), y.data().to_vec()));
+                assert_eq!(
+                    got,
+                    want,
+                    "input {:?}: heap calls beyond the output",
+                    x.dims()
+                );
             }
         }
     });
