@@ -31,7 +31,7 @@
 //! disjoint output slices by index, so results are bit-identical at any
 //! thread count.
 
-use crate::plan::{Carve, Needs, Pooled, Pools};
+use crate::plan::{whole_lines, Carve, Needs, Pooled, Pools};
 use crate::route::Lanes;
 use crate::simd::{EmitLane, FusedKernel, Kernels, Layout, THIN_WORDS};
 use crate::{KernelWeights, PackedGemm, Storage, Taps};
@@ -601,7 +601,9 @@ impl<'a> Feed<'a> {
         } else {
             0
         };
-        Needs::default().with::<f32>(input.n + values)
+        Needs::default()
+            .with::<f32>(1, input.n)
+            .with::<f32>(1, values)
     }
 
     /// Route `R`'s feed of `input` and each sample's activation scale, out
@@ -776,33 +778,64 @@ impl Affine {
     }
 }
 
+/// Where the epilogue stores sample `i`'s `p` outputs of a row from lane
+/// `at` of the row on, or its one output of a linear's.
+trait Store {
+    fn seg(&mut self, i: usize, at: usize, p: usize) -> &mut [f32];
+    fn one(&mut self, i: usize, at: usize) -> &mut f32;
+}
+
+/// One run, sample `i` from `at + i·.1`.
+struct Strided<'o>(&'o mut [f32], usize);
+
+impl Store for Strided<'_> {
+    #[inline(always)]
+    fn seg(&mut self, i: usize, at: usize, p: usize) -> &mut [f32] {
+        &mut self.0[at + i * self.1..][..p]
+    }
+    #[inline(always)]
+    fn one(&mut self, i: usize, at: usize) -> &mut f32 {
+        &mut self.0[at + i * self.1]
+    }
+}
+
+/// A run per sample ([`fan`]'s row split), sample `i` from `at` of run `i`.
+struct PerSample<'o, 'r>(&'o mut [&'r mut [f32]]);
+
+impl Store for PerSample<'_, '_> {
+    #[inline(always)]
+    fn seg(&mut self, i: usize, at: usize, p: usize) -> &mut [f32] {
+        &mut self.0[i][at..][..p]
+    }
+    #[inline(always)]
+    fn one(&mut self, i: usize, at: usize) -> &mut f32 {
+        &mut self.0[i][at]
+    }
+}
+
 /// The epilogue of one weight row: [`Affine`] over sample `i`'s accumulators
 /// `acc[i·p..(i+1)·p]` with that sample's scale, the colsum term only where
 /// the layer carries an offset (`cs` is `Some`), through the folded
-/// activation `fold`, stored at `out[at + i·step..][..p]`.
-#[allow(clippy::too_many_arguments)]
+/// activation `fold`, stored at `out.seg(i, at, p)`.
 fn dequant<A: ToF32, C: ToF32>(
     g: &PackedGemm,
     row: usize,
-    scales: &[f32],
-    acc: &[A],
-    cs: Option<&[C]>,
+    (scales, acc, cs): (&[f32], &[A], Option<&[C]>),
     fold: Activation,
-    out: &mut [f32],
-    (at, step): (usize, usize),
+    (mut out, at): (impl Store, usize),
 ) {
     let (f, p) = (Affine::of(g, row), acc.len() / scales.len());
     folded!(fold, |fold| {
         if p == 1 {
-            // A linear layer: one output per sample, at stride `step`.
+            // A linear layer: one output per sample.
             for (i, (&sa, &v)) in scales.iter().zip(acc).enumerate() {
                 let y = cs.map_or_else(|| f.plain(sa, v), |cs| f.offset(sa, v, cs[i]));
-                out[at + i * step] = fold(y);
+                *out.one(i, at) = fold(y);
             }
             return;
         }
         for (i, &sa) in scales.iter().enumerate() {
-            let (seg, acc) = (&mut out[at + i * step..][..p], &acc[i * p..][..p]);
+            let (seg, acc) = (out.seg(i, at, p), &acc[i * p..][..p]);
             match cs {
                 Some(cs) => {
                     for ((o, &v), &c) in seg.iter_mut().zip(acc).zip(&cs[i * p..]) {
@@ -900,12 +933,14 @@ pub(crate) fn gemm<R: Route>(
     } else {
         0
     };
-    let (acc, spare) = (wr * l, wr * R::spare(kernel, l));
+    // Each row worker's accumulators from a cache line of their own.
+    let (acc, spare) = (wr * whole_lines::<R::Acc>(l), wr * R::spare(kernel, l));
     let need = Feed::need::<R>(&input)
-        .with::<R::Lane>(wb * (op + src))
-        .with::<R::Cs>(wb * cs)
-        .with::<R::Acc>(wb * acc)
-        .with::<R::Spare>(wb * spare);
+        .with::<R::Lane>(wb, op)
+        .with::<R::Lane>(wb, src)
+        .with::<R::Cs>(wb, cs)
+        .with::<R::Acc>(wb, acc)
+        .with::<R::Spare>(wb, spare);
     let mut c = pools.carve(&need);
     let (feed, scales) = Feed::new::<R>(input, &mut c);
     let scratch = || Work::<R> {
@@ -1026,9 +1061,9 @@ fn gemm_rows<R: Route>(
         R::colsums(b, s.ig, cs);
     }
     let (cs, group, scales) = (&*cs, group_of(k, s.groups), &scales[at.clone()]);
-    let sl = w.spare.len() / wr;
+    let (al, sl) = (w.acc.len() / wr, w.spare.len() / wr);
     let (mut acc, mut spare) = (&mut *w.acc, &mut *w.spare);
-    let scratch = || (cut(&mut acc, l), cut(&mut spare, sl));
+    let scratch = || (&mut cut(&mut acc, al)[..l], cut(&mut spare, sl));
     fan(out, (k, p), wr, scratch, |first, runs, (acc, spare)| {
         let (mut held, nrows) = (None, runs.iter().map(|r| r.len()).sum::<usize>() / l);
         for row in first..first + nrows {
@@ -1038,16 +1073,13 @@ fn gemm_rows<R: Route>(
                 cs.get(gi * l..).unwrap_or_default(),
             );
             R::step(kernel, row, blk, spare, &mut held, acc);
-            let (cs, at) = (g.has_offset.then(|| &cs[gi * l..][..l]), (row - first) * p);
+            let (rows, at) = (
+                (scales, &*acc, g.has_offset.then(|| &cs[gi * l..][..l])),
+                (row - first) * p,
+            );
             match &mut *runs {
-                [run] => dequant(g, row, scales, acc, cs, fold, run, (at, nrows * p)),
-                // A run per sample: each sample's segment on its own.
-                runs => {
-                    for (i, run) in runs.iter_mut().enumerate() {
-                        let (acc, cs) = (&acc[i * p..][..p], cs.map(|cs| &cs[i * p..][..p]));
-                        dequant(g, row, &scales[i..=i], acc, cs, fold, run, (at, 0));
-                    }
-                }
+                [run] => dequant(g, row, rows, fold, (Strided(run, nrows * p), at)),
+                runs => dequant(g, row, rows, fold, (PerSample(runs), at)),
             }
         }
     });
@@ -1091,9 +1123,9 @@ pub(crate) fn depthwise<T: Tier>(
     let w = workers(2 * n * c * g.kh * g.kw * p >= PAR_FLOP_THRESHOLD, n * c);
     let cs = if gemm.has_offset { span } else { 0 };
     let need = Feed::need::<T>(&input)
-        .with::<T::Lane>(w * per_sample)
-        .with::<T::Acc>(w * span)
-        .with::<T::Cs>(w * cs);
+        .with::<T::Lane>(w, per_sample)
+        .with::<T::Acc>(w, span)
+        .with::<T::Cs>(w, cs);
     let mut carve = pools.carve(&need);
     let (feed, scales) = Feed::new::<T>(input, &mut carve);
     let taps = T::taps(gemm);
@@ -1194,7 +1226,8 @@ impl<T: Tier> Depthwise<'_, T> {
                 let at = oy * fw..oy * fw + g.ow;
                 let cs = gemm.has_offset.then(|| &cs[at.clone()]);
                 let (sa, acc) = (&self.scales[i..=i], &acc[at]);
-                dequant(gemm, ch, sa, acc, cs, self.fold, orow, (oy * g.ow, 0));
+                let out = (Strided(orow, 0), oy * g.ow);
+                dequant(gemm, ch, (sa, acc, cs), self.fold, out);
             }
         }
     }

